@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast lint bench bench-smoke bench-gate bench-pytest soak-smoke
+.PHONY: test test-fast lint bench bench-smoke bench-gate bench-pytest perf-selftest soak-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -29,6 +29,9 @@ bench-gate:
 
 bench-pytest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q
+
+perf-selftest:
+	$(PY) -m pytest benchmarks/perf -q
 
 soak-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro jobs soak \

@@ -13,7 +13,7 @@ they commit everything.
 Run:  python examples/async_staleness_study.py
 """
 
-from repro.distributed import run_async
+from repro.distributed import ExperimentConfig, run
 from repro.experiments.reporting import render_series, render_table
 
 
@@ -22,15 +22,24 @@ def compare_strategies() -> None:
     rows = []
     curves = {}
     for strategy in ("ps", "isw"):
-        result = run_async("ps" if strategy == "ps" else "isw", "dqn",
-                           n_workers=4, n_updates=800, seed=1)
+        result = run(
+            ExperimentConfig(
+                strategy=strategy,
+                workload="dqn",
+                mode="async",
+                n_workers=4,
+                iterations=800,
+                seed=1,
+                telemetry=False,
+            )
+        )
         curves[strategy] = result.workers[0].reward_curve
         rows.append(
             (
                 "Async " + strategy.upper(),
                 f"{result.per_iteration_time * 1e3:.2f}",
-                f"{result.extras['mean_staleness']:.2f}",
-                f"{result.extras['max_staleness']:.0f}",
+                f"{result.mean_staleness:.2f}",
+                f"{result.max_staleness:.0f}",
                 f"{result.elapsed:.2f}",
                 f"{result.final_average_reward:.2f}",
             )
@@ -66,15 +75,24 @@ def staleness_bound_sweep() -> None:
     print("=== The staleness bound S (Algorithm 1) ===\n")
     rows = []
     for bound in (0, 1, 3):
-        result = run_async(
-            "isw", "dqn", n_workers=4, n_updates=200, seed=1, staleness_bound=bound
+        result = run(
+            ExperimentConfig(
+                strategy="isw",
+                workload="dqn",
+                mode="async",
+                n_workers=4,
+                iterations=200,
+                seed=1,
+                staleness_bound=bound,
+                telemetry=False,
+            )
         )
         rows.append(
             (
                 bound,
-                f"{result.extras['mean_staleness']:.2f}",
-                result.extras["commits"],
-                result.extras["skipped_commits"],
+                f"{result.mean_staleness:.2f}",
+                result.commits,
+                result.skipped_commits,
             )
         )
     print(

@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import AggregationClient, SegmentPlan, configure_aggregation, iswitch_factory
-from repro.distributed import run_sync
+from repro.distributed import ExperimentConfig, run
 from repro.netsim import Simulator, build_star
 
 
@@ -60,7 +60,16 @@ def aggregate_one_round():
 
 def train_through_the_switch():
     print("=== 2. Distributed RL training through the switch ===")
-    result = run_sync("isw", "ppo", n_workers=4, n_iterations=40, seed=0)
+    result = run(
+        ExperimentConfig(
+            strategy="isw",
+            workload="ppo",
+            n_workers=4,
+            iterations=40,
+            seed=0,
+            telemetry=False,
+        )
+    )
     print(f"  strategy:            {result.strategy}")
     print(f"  iterations:          {result.iterations}")
     print(f"  per-iteration time:  {result.per_iteration_time * 1e3:.2f} ms (simulated)")

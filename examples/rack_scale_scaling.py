@@ -8,7 +8,7 @@ time and end-to-end speedup scale — the Figure 15 experiment.
 Run:  python examples/rack_scale_scaling.py
 """
 
-from repro.distributed import run_async, run_sync
+from repro.distributed import ExperimentConfig, run
 from repro.experiments.reporting import render_table
 
 
@@ -22,8 +22,15 @@ def main() -> None:
     for strategy in ("ps", "ar", "isw"):
         cells = [strategy.upper()]
         for size in sizes:
-            result = run_sync(
-                strategy, workload, n_workers=size, n_iterations=8, seed=1
+            result = run(
+                ExperimentConfig(
+                    strategy=strategy,
+                    workload=workload,
+                    n_workers=size,
+                    iterations=8,
+                    seed=1,
+                    telemetry=False,
+                )
             )
             # End-to-end cost scales as per-iteration time x iterations,
             # with convergence iterations ~ 1/N (perfect data parallelism).
@@ -50,12 +57,20 @@ def main() -> None:
     for strategy in ("ps", "isw"):
         cells = ["Async " + strategy.upper()]
         for size in sizes:
-            result = run_async(
-                strategy, workload, n_workers=size, n_updates=40, seed=1
+            result = run(
+                ExperimentConfig(
+                    strategy=strategy,
+                    workload=workload,
+                    mode="async",
+                    n_workers=size,
+                    iterations=40,
+                    seed=1,
+                    telemetry=False,
+                )
             )
             cells.append(
                 f"{result.per_iteration_time * 1e3:.2f}ms "
-                f"(s={result.extras['mean_staleness']:.1f})"
+                f"(s={result.mean_staleness:.1f})"
             )
         rows.append(cells)
     print(

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from repro.distributed import run_sync
+from repro.distributed import ExperimentConfig, run
 from repro.experiments.reporting import render_table
 from repro.workloads import get_profile
 
@@ -29,8 +29,15 @@ def main(workload: str = "dqn") -> None:
 
     results = {}
     for strategy in ("ps", "ar", "isw"):
-        results[strategy] = run_sync(
-            strategy, workload, n_workers=4, n_iterations=12, seed=1
+        results[strategy] = run(
+            ExperimentConfig(
+                strategy=strategy,
+                workload=workload,
+                n_workers=4,
+                iterations=12,
+                seed=1,
+                telemetry=False,
+            )
         )
 
     # The three strategies apply identical updates: verify it.

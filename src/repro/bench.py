@@ -11,18 +11,16 @@ fixed scenario matrix —
   injector (worker crash + switch reset + loss burst);
 * one multi-job soak run (32 mixed jobs through one shared fabric);
 * DQN training runs on the real ``dqn`` workload (compute-bound, unlike
-  ``synth``) with fast/legacy compute twins, so the compute fast path
-  (DESIGN.md §13) has a measured end-to-end speedup;
+  ``synth``), so the compute tier (DESIGN.md §13) is timed end to end;
 * six microbenchmarks isolating the hot paths: event-loop dispatch,
   link transmission, accelerator segment aggregation, and the three
   compute-side paths (vectorized env stepping, ring-buffer replay
-  sampling, fused optimizer updates) — each compute micro paired with a
-  ``-legacy`` twin, summarized in the report's ``compute_speedups``
+  sampling, fused optimizer updates)
 
 — and writes a schema'd JSON report (median/p90 wall seconds, events/sec,
 packets/sec, host info).  Training scenarios run the batched transport
-(``transport="train"``, ``scheduler="calendar"``); the parameters are
-recorded per scenario so reports stay self-describing.
+(``transport="train"``); the parameters are recorded per scenario so
+reports stay self-describing.
 
 ``--baseline`` embeds a previous report plus per-scenario speedups; it
 defaults to the newest checked-in result listed in
@@ -74,13 +72,9 @@ SCHEMA = "repro-bench-v1"
 BENCH_WORKLOAD = "synth"
 BENCH_SEED = 7
 
-#: Transport granularity / event-queue backend the scenarios run with.
-#: "train" is the batched fast path (bit-identical results to "packet";
-#: see DESIGN.md §11).  The scheduler stays "heap": the calendar queue
-#: ties it on µs-dense iSwitch traffic but loses ~15% on ps/ar, whose
-#: ms-scale compute events constantly overflow the wheel (§11.3).
+#: Transport granularity the scenarios run with: "train" is the batched
+#: path (DESIGN.md §11.2 lists where it differs from "packet").
 BENCH_TRANSPORT = "train"
-BENCH_SCHEDULER = "heap"
 
 #: Default fault plan for the chaos scenario (repo-relative).
 CHAOS_PLAN = os.path.join("examples", "chaos_demo.json")
@@ -164,19 +158,6 @@ class Scenario:
 # ----------------------------------------------------------------------
 # Training scenarios
 # ----------------------------------------------------------------------
-def _compute_context(compute: Optional[str]):
-    """The fast/legacy compute toggle a scenario runs under (DESIGN.md §13)."""
-    from .nn import use_fast_compute, use_legacy_compute
-
-    if compute == "legacy":
-        return use_legacy_compute()
-    if compute == "fast":
-        return use_fast_compute()
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
 def _training_fn(
     mode: str,
     strategy: str,
@@ -184,33 +165,29 @@ def _training_fn(
     iterations: int,
     fault_plan: Optional[str] = None,
     recovery_timeout: Optional[float] = None,
-    transport: str = BENCH_TRANSPORT,
-    scheduler: str = BENCH_SCHEDULER,
     workload: str = BENCH_WORKLOAD,
-    compute: Optional[str] = None,
     algorithm_overrides: Optional[Dict[str, object]] = None,
 ) -> Callable[[], Dict[str, object]]:
     from .distributed.config import ExperimentConfig
     from .distributed.runner import run
 
+    def config(telemetry: bool) -> ExperimentConfig:
+        return ExperimentConfig(
+            strategy=strategy,
+            workload=workload,
+            mode=mode,
+            n_workers=n_workers,
+            iterations=iterations,
+            seed=BENCH_SEED,
+            telemetry=telemetry,
+            fault_plan=fault_plan,
+            recovery_timeout=recovery_timeout,
+            transport=BENCH_TRANSPORT,
+            algorithm_overrides=algorithm_overrides,
+        )
+
     def once() -> Dict[str, object]:
-        with _compute_context(compute):
-            result = run(
-                ExperimentConfig(
-                    strategy=strategy,
-                    workload=workload,
-                    mode=mode,
-                    n_workers=n_workers,
-                    iterations=iterations,
-                    seed=BENCH_SEED,
-                    telemetry=False,
-                    fault_plan=fault_plan,
-                    recovery_timeout=recovery_timeout,
-                    transport=transport,
-                    scheduler=scheduler,
-                    algorithm_overrides=algorithm_overrides,
-                )
-            )
+        result = run(config(telemetry=False))
         meta: Dict[str, object] = {"sim_time_s": result.elapsed}
         if result.fault_report is not None:
             meta["fault_ok"] = result.fault_report.ok
@@ -218,24 +195,7 @@ def _training_fn(
 
     def counted() -> Dict[str, object]:
         """One untimed instrumented run for event/packet totals."""
-        with _compute_context(compute):
-            result = run(
-                ExperimentConfig(
-                    strategy=strategy,
-                    workload=workload,
-                    mode=mode,
-                    n_workers=n_workers,
-                    iterations=iterations,
-                    seed=BENCH_SEED,
-                    telemetry=True,
-                    fault_plan=fault_plan,
-                    recovery_timeout=recovery_timeout,
-                    transport=transport,
-                    scheduler=scheduler,
-                    algorithm_overrides=algorithm_overrides,
-                )
-            )
-        snap = result.telemetry
+        snap = run(config(telemetry=True)).telemetry
         return {
             "events": int(snap.value("sim.events_processed")),
             "packets": int(snap.value("link.tx_packets")),
@@ -260,45 +220,36 @@ def _training_scenario(
             "iterations": iterations,
             "seed": BENCH_SEED,
             "transport": BENCH_TRANSPORT,
-            "scheduler": BENCH_SCHEDULER,
         },
     )
 
 
 def _compute_training_scenario(
-    workload: str, strategy: str, n_workers: int, iterations: int, compute: str
+    workload: str, strategy: str, n_workers: int, iterations: int
 ) -> Scenario:
-    """A real-workload training run pinned to one compute path.
+    """A real-workload (compute-bound) training run.
 
-    Named ``{workload}-sync-{strategy}-n{N}`` with a ``-legacy`` suffix on
-    the legacy-compute twin, so ``compute_speedups`` can pair them up.
-    The replay warmup is shrunk so the measured window is the steady-state
-    iteration loop, not a one-time env-step burst shared by both paths,
-    and env stepping (scalar in both twins — the distributed runner's
-    workloads use scalar envs so results stay bit-identical) is trimmed
-    to two steps per iteration to keep the shared simulation cost from
-    drowning the compute difference under test.
+    Named ``{workload}-sync-{strategy}-n{N}``.  The replay warmup is
+    shrunk so the measured window is the steady-state iteration loop, not
+    a one-time env-step burst, and env stepping is trimmed to two steps
+    per iteration so the gradient/update compute dominates.
     """
-    suffix = "-legacy" if compute == "legacy" else ""
     overrides: Dict[str, object] = {"warmup": 64, "env_steps_per_iter": 2}
     return Scenario(
-        name=f"{workload}-sync-{strategy}-n{n_workers}{suffix}",
+        name=f"{workload}-sync-{strategy}-n{n_workers}",
         kind="training",
         fn=_training_fn(
             "sync", strategy, n_workers, iterations,
-            workload=workload, compute=compute,
-            algorithm_overrides=overrides,
+            workload=workload, algorithm_overrides=overrides,
         ),
         params={
             "mode": "sync",
             "strategy": strategy,
             "workload": workload,
-            "compute": compute,
             "n_workers": n_workers,
             "iterations": iterations,
             "seed": BENCH_SEED,
             "transport": BENCH_TRANSPORT,
-            "scheduler": BENCH_SCHEDULER,
             "algorithm_overrides": overrides,
         },
     )
@@ -325,7 +276,6 @@ def _chaos_scenario(iterations: int) -> Scenario:
             "seed": BENCH_SEED,
             "fault_plan": CHAOS_PLAN,
             "transport": BENCH_TRANSPORT,
-            "scheduler": BENCH_SCHEDULER,
         },
     )
 
@@ -341,7 +291,6 @@ def _soak_scenario(n_jobs: int) -> Scenario:
             seed=BENCH_SEED,
             telemetry=False,
             transport=BENCH_TRANSPORT,
-            scheduler=BENCH_SCHEDULER,
         )
         if not report.ok:
             raise RuntimeError(
@@ -367,7 +316,6 @@ def _soak_scenario(n_jobs: int) -> Scenario:
             "seed": BENCH_SEED,
             "policy": "fair",
             "transport": BENCH_TRANSPORT,
-            "scheduler": BENCH_SCHEDULER,
         },
     )
 
@@ -493,21 +441,16 @@ def _micro_accel_agg(rounds: int, n_senders: int = 8) -> Scenario:
     )
 
 
-def _micro_env_step(steps: int, num_envs: int = 64, legacy: bool = False) -> Scenario:
-    """Step a ``num_envs``-wide GridPong batch ``steps`` times.
-
-    The fast variant uses the vectorized kernel; the ``-legacy`` twin runs
-    the same batch through the generic scalar-loop :class:`VectorEnv`.
-    """
+def _micro_env_step(steps: int, num_envs: int = 64) -> Scenario:
+    """Step a ``num_envs``-wide GridPong batch (vectorized kernel) ``steps``
+    times."""
     state: Dict[str, object] = {}
 
     def once() -> Dict[str, object]:
         from .rl.envs.vector import make_vector_env
 
         if "env" not in state:
-            state["env"] = make_vector_env(
-                "gridpong", num_envs, seed=BENCH_SEED, kernel=not legacy
-            )
+            state["env"] = make_vector_env("gridpong", num_envs, seed=BENCH_SEED)
             rng = np.random.default_rng(BENCH_SEED)
             state["actions"] = rng.integers(0, 3, size=(steps, num_envs))
         env = state["env"]
@@ -518,16 +461,14 @@ def _micro_env_step(steps: int, num_envs: int = 64, legacy: bool = False) -> Sce
         return {"env_steps": steps * num_envs}
 
     return Scenario(
-        name="micro-env-step" + ("-legacy" if legacy else ""),
+        name="micro-env-step",
         kind="micro",
         fn=once,
         params={"steps": steps, "num_envs": num_envs, "env": "gridpong"},
     )
 
 
-def _micro_replay_sample(
-    fill: int, draws: int, batch: int, legacy: bool = False
-) -> Scenario:
+def _micro_replay_sample(fill: int, draws: int, batch: int) -> Scenario:
     """Draw ``draws`` minibatches from a filled replay buffer.
 
     The buffer is filled lazily on the first repeat (untimed relative to
@@ -537,12 +478,10 @@ def _micro_replay_sample(
 
     def once() -> Dict[str, object]:
         if "buf" not in state:
-            from .rl.legacy import LegacyReplayBuffer
             from .rl.replay import ReplayBuffer, Transition
 
             rng = np.random.default_rng(BENCH_SEED)
-            cls = LegacyReplayBuffer if legacy else ReplayBuffer
-            buf = cls(fill, rng)
+            buf = ReplayBuffer(fill, rng)
             obs = rng.standard_normal((fill, 8))
             for i in range(fill):
                 buf.push(
@@ -555,48 +494,35 @@ def _micro_replay_sample(
         return {"samples": draws * batch}
 
     return Scenario(
-        name="micro-replay-sample" + ("-legacy" if legacy else ""),
+        name="micro-replay-sample",
         kind="micro",
         fn=once,
         params={"fill": fill, "draws": draws, "batch": batch},
     )
 
 
-def _micro_optim_step(steps: int, legacy: bool = False) -> Scenario:
-    """Apply ``steps`` Adam updates to an MLP from one flat gradient.
-
-    The fast variant is a single fused ``step_flat``; the legacy twin is
-    the scatter path every pre-PR-10 update took (``load_flat_grads``
-    into per-parameter ``.grad`` slots, then the per-parameter loop).
-    """
+def _micro_optim_step(steps: int) -> Scenario:
+    """Apply ``steps`` fused Adam updates (``step_flat``) to an MLP from one
+    flat gradient."""
     state: Dict[str, object] = {}
 
     def once() -> Dict[str, object]:
-        from .nn import Adam, mlp, use_fast_compute, use_legacy_compute
-        from .nn.serialize import load_flat_grads, param_vector_size
+        from .nn import Adam, mlp
+        from .nn.serialize import param_vector_size
 
         if "opt" not in state:
-            ctx = use_legacy_compute if legacy else use_fast_compute
-            with ctx():
-                model = mlp(
-                    [64, 128, 128, 8], rng=np.random.default_rng(BENCH_SEED)
-                )
-                opt = Adam(model.parameters(), lr=1e-3)
+            model = mlp([64, 128, 128, 8], rng=np.random.default_rng(BENCH_SEED))
+            opt = Adam(model.parameters(), lr=1e-3)
             total = param_vector_size(model)
             grad = np.random.default_rng(BENCH_SEED).standard_normal(total)
-            state.update(model=model, opt=opt, grad=grad, total=total)
-        model, opt, grad = state["model"], state["opt"], state["grad"]
-        if legacy:
-            for _ in range(steps):
-                load_flat_grads(model, grad)
-                opt.step()
-        else:
-            for _ in range(steps):
-                opt.step_flat(grad)
+            state.update(opt=opt, grad=grad, total=total)
+        opt, grad = state["opt"], state["grad"]
+        for _ in range(steps):
+            opt.step_flat(grad)
         return {"param_updates": steps * state["total"]}
 
     return Scenario(
-        name="micro-optim-step" + ("-legacy" if legacy else ""),
+        name="micro-optim-step",
         kind="micro",
         fn=once,
         params={"steps": steps, "layers": [64, 128, 128, 8]},
@@ -629,11 +555,8 @@ def bench_scenarios(smoke: bool = False) -> List[Scenario]:
             # is a gate scenario, so smoke and full must compare like
             # against like (they are already sub-second).
             _micro_env_step(200, 64),
-            _micro_env_step(200, 64, legacy=True),
             _micro_replay_sample(20_000, 2_000, 32),
-            _micro_replay_sample(20_000, 2_000, 32, legacy=True),
             _micro_optim_step(2_000),
-            _micro_optim_step(2_000, legacy=True),
         ]
     scenarios: List[Scenario] = []
     for n_workers in (4, 8):
@@ -643,26 +566,17 @@ def bench_scenarios(smoke: bool = False) -> List[Scenario]:
             scenarios.append(_training_scenario("async", strategy, n_workers, 60))
     scenarios.append(_chaos_scenario(200))
     scenarios.append(_soak_scenario(32))
-    # Real-compute DQN runs: fast/legacy twins quantify the compute fast
-    # path end to end (synth's near-zero local compute can't show it).
-    # 120 iterations so the steady-state loop dominates the one-time
-    # construction + warmup cost both compute paths share.
+    # Real-compute DQN runs (synth's near-zero local compute can't show the
+    # compute tier).  120 iterations so the steady-state loop dominates the
+    # one-time construction + warmup cost.
     for n_workers in (4, 8):
-        scenarios.append(
-            _compute_training_scenario("dqn", "isw", n_workers, 120, "fast")
-        )
-        scenarios.append(
-            _compute_training_scenario("dqn", "isw", n_workers, 120, "legacy")
-        )
+        scenarios.append(_compute_training_scenario("dqn", "isw", n_workers, 120))
     scenarios.append(_micro_event_dispatch(100_000))
     scenarios.append(_micro_link_tx(20_000))
     scenarios.append(_micro_accel_agg(20))
     scenarios.append(_micro_env_step(200, 64))
-    scenarios.append(_micro_env_step(200, 64, legacy=True))
     scenarios.append(_micro_replay_sample(20_000, 2_000, 32))
-    scenarios.append(_micro_replay_sample(20_000, 2_000, 32, legacy=True))
     scenarios.append(_micro_optim_step(2_000))
-    scenarios.append(_micro_optim_step(2_000, legacy=True))
     return scenarios
 
 
@@ -716,15 +630,6 @@ def run_benchmark(
         "scenarios": results,
         "total_wall_s": round(time.perf_counter() - started, 6),
     }
-    compute_speedups = {}
-    for name, record in results.items():
-        legacy = results.get(f"{name}-legacy")
-        if legacy and record.get("median_s"):
-            compute_speedups[name] = round(
-                legacy["median_s"] / record["median_s"], 3
-            )
-    if compute_speedups:
-        report["compute_speedups"] = compute_speedups
     if baseline_path is not None:
         report.update(_embed_baseline(results, baseline_path))
     return report

@@ -11,10 +11,8 @@ Usage::
     python -m repro jobs submit --name mine --workers 3
     python -m repro jobs status
 
-The consistent command groups are ``exp`` (paper artifacts), ``train``,
-``bench``, and ``jobs`` (the multi-tenant fabric).  The pre-group
-invocations — ``python -m repro table4`` and friends — keep working via a
-shim that forwards to ``exp``.
+The command groups are ``exp`` (paper artifacts), ``train``, ``bench``,
+and ``jobs`` (the multi-tenant fabric).
 """
 
 from __future__ import annotations
@@ -165,16 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measurement window (iterations or updates)",
     )
 
-    # Shim: the pre-subcommand spellings (`repro table4`) keep working.
-    for name in EXPERIMENTS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument(
-            "--iterations",
-            type=int,
-            default=None,
-            help="measurement window (iterations or updates)",
-        )
-
     bench = subparsers.add_parser(
         "bench",
         help="run the wall-clock benchmark matrix and write a JSON report",
@@ -241,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="packet",
         help="sim transport granularity: one event per packet (default) or "
         "batched packet trains (same results, fewer events; DESIGN.md §11)",
-    )
-    train.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default="heap",
-        help="event-queue backend: reference binary heap (default) or the "
-        "calendar queue (identical dispatch order)",
     )
     train.add_argument(
         "--trace-out",
@@ -449,7 +430,6 @@ def _run_training(args: argparse.Namespace) -> int:
             telemetry=want_telemetry,
             fault_plan=args.fault_plan,
             transport=args.transport,
-            scheduler=args.scheduler,
         )
         result = run(config)
     except (OSError, ValueError, RuntimeError) as exc:
@@ -461,6 +441,8 @@ def _run_training(args: argparse.Namespace) -> int:
     print(f"strategy:           {result.strategy}")
     print(f"workload:           {result.workload}")
     print(f"backend:            {'live (loopback UDP)' if live else 'sim'}")
+    if not live:
+        print(f"transport:          {config.transport}")
     print(f"workers:            {result.n_workers}")
     print(f"iterations:         {result.iterations}")
     elapsed_label = "train wall time" if live else "simulated time"
@@ -709,10 +691,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_jobs(args)
     if args.command == "all":
         return _run_all(full=args.full)
-    if args.command == "exp":
-        return _run_experiment(args.experiment, args.iterations)
-    # Shim: bare experiment names forward to `exp`.
-    return _run_experiment(args.command, args.iterations)
+    return _run_experiment(args.experiment, args.iterations)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,6 @@ host's iSwitch UDP port.  The client
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -73,19 +72,14 @@ class AggregationClient:
             plan.bytes_per_element != codec.bytes_per_element
             or plan.frame_overhead != codec.frame_overhead
         ):
-            # Historical silent no-op: the codec quantized the gradient
-            # but the plan still billed fp32-shaped frames, so nothing
-            # shrank on the wire.  Build the plan from the codec's
-            # geometry (e.g. via make_plan(..., codec=...)) instead.
-            warnings.warn(
+            # The plan bills the wire; a codec with another geometry would
+            # quantize the gradient while nothing shrank on the wire.
+            raise ValueError(
                 f"AggregationClient codec {codec.name!r} does not match the "
                 f"segment plan geometry ({plan.bytes_per_element} B/elt, "
                 f"{plan.frame_overhead} B frame overhead vs the codec's "
-                f"{codec.bytes_per_element}/{codec.frame_overhead}); the "
-                "wire accounting still reflects the plan, not the codec. "
-                "Pass a plan built with the codec's geometry.",
-                DeprecationWarning,
-                stacklevel=2,
+                f"{codec.bytes_per_element}/{codec.frame_overhead}); build "
+                "the plan with make_plan(..., codec=codec)"
             )
         self.on_round_complete = on_round_complete
         self.on_control = on_control

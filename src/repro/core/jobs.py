@@ -69,11 +69,16 @@ class JobTable:
         self._jobs: Dict[int, JobState] = {}
         self.get(DEFAULT_JOB)  # job 0 always exists
 
+    @property
+    def full(self) -> bool:
+        """Whether creating one more job's state would overflow the table."""
+        return len(self._jobs) >= self.max_jobs
+
     def get(self, job_id: int) -> JobState:
         """Fetch (or lazily create) a job's state."""
         state = self._jobs.get(job_id)
         if state is None:
-            if len(self._jobs) >= self.max_jobs:
+            if self.full:
                 raise RuntimeError(
                     f"switch job table full ({self.max_jobs} jobs); "
                     "Leave an existing job first"

@@ -26,8 +26,6 @@ from .runner import (
     build_cluster,
     make_algorithm,
     run,
-    run_async,
-    run_sync,
 )
 from .sharded import ShardedParameterServer
 from .sync import (
@@ -44,8 +42,6 @@ from .worker import ComputeModel, SimWorker
 __all__ = [
     "run",
     "ExperimentConfig",
-    "run_sync",
-    "run_async",
     "build_cluster",
     "make_algorithm",
     "SYNC_STRATEGIES",

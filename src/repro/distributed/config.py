@@ -1,7 +1,6 @@
 """The experiment-configuration facade: one object describes one run.
 
-:class:`ExperimentConfig` consolidates the keyword sprawl of
-``run_sync``/``run_async`` into a single validated dataclass, consumed by
+:class:`ExperimentConfig` is a single validated dataclass, consumed by
 :func:`repro.distributed.run`::
 
     from repro.distributed import ExperimentConfig, run
@@ -9,10 +8,7 @@
     result = run(ExperimentConfig(strategy="isw", workload="dqn",
                                   n_workers=8, loss_rate=1e-4))
 
-Fields mirror the paper's experiment knobs; anything unset takes the same
-default the old entry points used, so ``run(ExperimentConfig(...))`` and
-the legacy ``run_sync(...)`` produce bit-identical results for the same
-seed.
+Fields mirror the paper's experiment knobs.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ DEFAULT_RECOVERY_TIMEOUT = 0.5e-3
 _WORKLOADS = ("dqn", "a2c", "ppo", "ddpg", "synth")
 _BACKENDS = ("sim", "live")
 _TRANSPORTS = ("packet", "train")
-_SCHEDULERS = ("heap", "calendar")
 
 
 @dataclass
@@ -92,10 +87,6 @@ class ExperimentConfig:
     #: vectorized timeline computation and one event per train, for the
     #: same per-packet arrival times.  Sim backend only.
     transport: str = "packet"
-    #: Event-queue backend: ``"heap"`` (reference binary heap) or
-    #: ``"calendar"`` (bucketed calendar queue); dispatch order is
-    #: identical, only the queue's cost profile differs.
-    scheduler: str = "heap"
     #: Collect metrics/spans/events into ``TrainingResult.telemetry``.
     telemetry: bool = True
     #: Scenario-driven fault injection: a
@@ -151,11 +142,6 @@ class ExperimentConfig:
         if self.transport not in _TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {_TRANSPORTS}, got {self.transport!r}"
-            )
-        self.scheduler = self.scheduler.lower()
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {_SCHEDULERS}, got {self.scheduler!r}"
             )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(

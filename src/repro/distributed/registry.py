@@ -6,11 +6,11 @@ Strategy classes self-register at import time::
     class SyncISwitch(SyncStrategy):
         ...
 
-``run_sync``/``run_async``/:func:`repro.distributed.run` look strategies
-up here instead of in hard-coded dicts, so adding a strategy is one
-decorator — no runner edits.  Each spec records what the strategy needs
-from the topology builder (a parameter-server host, iSwitch fabric) and
-exposes the class's ``create(net, workers, profile, config)`` factory.
+:func:`repro.distributed.run` looks strategies up here instead of in
+hard-coded dicts, so adding a strategy is one decorator — no runner
+edits.  Each spec records what the strategy needs from the topology
+builder (a parameter-server host, iSwitch fabric) and exposes the
+class's ``create(net, workers, profile, config)`` factory.
 
 Registration order is preserved: ``strategy_names("sync")`` returns the
 names in the order the classes were declared, which keeps error messages

@@ -2,18 +2,13 @@
 
 :class:`TrainingResult` carries typed optional fields for everything the
 strategies and backends report (async staleness statistics, live-backend
-artifacts such as final weights and round digests).  The historical
-``result.extras`` dict remains available as a *deprecated* alias — a
-mutable view over the same typed fields — so existing callers keep
-working while they migrate.
+artifacts such as final weights and round digests).
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..netsim.trace import LatencyStats
 from ..telemetry.hub import TelemetrySnapshot
@@ -21,78 +16,6 @@ from .metrics import IterationBreakdown
 from .worker import SimWorker
 
 __all__ = ["TrainingResult"]
-
-#: ``extras`` keys that are now typed fields on :class:`TrainingResult`.
-_TYPED_EXTRAS = (
-    "backend",
-    "mean_staleness",
-    "max_staleness",
-    "server_busy_time",
-    "commits",
-    "skipped_commits",
-    "wall_elapsed",
-    "final_weights",
-    "round_digests",
-    "worker_digests",
-    "rewards",
-    "worker_counters",
-    "server_stats",
-)
-
-_EXTRAS_DEPRECATION = (
-    "TrainingResult.extras is deprecated; read/write the typed fields "
-    "instead (result.mean_staleness, result.final_weights, ...)"
-)
-
-
-class _ExtrasView(MutableMapping):
-    """Deprecated dict facade mapping legacy keys onto typed fields.
-
-    Typed keys (``mean_staleness``, ``final_weights``, ...) read and
-    write the corresponding :class:`TrainingResult` attribute; a typed
-    field whose value is ``None`` is treated as absent, matching the old
-    "key not set" semantics.  Unknown keys fall back to a plain dict so
-    ad-hoc annotations keep working.
-    """
-
-    __slots__ = ("_result",)
-
-    def __init__(self, result: "TrainingResult") -> None:
-        self._result = result
-
-    def __getitem__(self, key: str) -> Any:
-        if key in _TYPED_EXTRAS:
-            value = getattr(self._result, key)
-            if value is None:
-                raise KeyError(key)
-            return value
-        return self._result._extra_values[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        if key in _TYPED_EXTRAS:
-            setattr(self._result, key, value)
-        else:
-            self._result._extra_values[key] = value
-
-    def __delitem__(self, key: str) -> None:
-        if key in _TYPED_EXTRAS:
-            if getattr(self._result, key) is None:
-                raise KeyError(key)
-            setattr(self._result, key, None)
-        else:
-            del self._result._extra_values[key]
-
-    def __iter__(self) -> Iterator[str]:
-        for key in _TYPED_EXTRAS:
-            if getattr(self._result, key) is not None:
-                yield key
-        yield from self._result._extra_values
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"_ExtrasView({dict(self)!r})"
 
 
 @dataclass
@@ -149,10 +72,6 @@ class TrainingResult:
     #: :class:`repro.faults.FaultReport` — when the experiment was
     #: configured with a ``fault_plan``; ``None`` otherwise.
     fault_report: Optional[Any] = None
-    #: Storage for legacy ``extras`` keys with no typed equivalent.
-    _extra_values: Dict[str, Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def per_iteration_time(self) -> float:
@@ -168,26 +87,3 @@ class TrainingResult:
         """End-to-end hours if run for ``total_iterations`` at this rate —
         the paper's own methodology (measured per-iteration × iterations)."""
         return self.per_iteration_time * total_iterations / 3600.0
-
-    # ------------------------------------------------------------------
-    # Deprecated dict-style access
-    # ------------------------------------------------------------------
-    def _extras_view(self) -> _ExtrasView:
-        """The alias view without a deprecation warning (internal use)."""
-        return _ExtrasView(self)
-
-    @property
-    def extras(self) -> _ExtrasView:
-        """Deprecated: a mutable dict view over the typed fields above."""
-        warnings.warn(_EXTRAS_DEPRECATION, DeprecationWarning, stacklevel=2)
-        return _ExtrasView(self)
-
-    @extras.setter
-    def extras(self, mapping: Dict[str, Any]) -> None:
-        warnings.warn(_EXTRAS_DEPRECATION, DeprecationWarning, stacklevel=2)
-        view = _ExtrasView(self)
-        for key in list(view):
-            if key != "backend":  # backend always has a value
-                del view[key]
-        for key, value in mapping.items():
-            view[key] = value

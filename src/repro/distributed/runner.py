@@ -7,11 +7,6 @@ The primary API is one config object plus one function:
 >>> result.per_iteration_time   # doctest: +SKIP
 >>> result.telemetry.value("link.tx_packets")   # doctest: +SKIP
 
-``run_sync``/``run_async`` remain as thin keyword wrappers; both are
-**deprecated** — they emit a :class:`DeprecationWarning` and route through
-``run(ExperimentConfig(...))``, producing bit-identical results for the
-same arguments (pinned by the regression tests).
-
 Strategy names follow the paper's abbreviations: ``ps``, ``ar``, ``isw``
 (synchronous, plus the ``ar-hd`` halving/doubling and ``ps-shard``
 sharded-PS extensions) and ``ps``, ``isw`` (asynchronous); they are
@@ -23,7 +18,6 @@ of Figure 10 with hierarchical aggregation.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from ..core.hierarchy import (
@@ -41,7 +35,6 @@ from ..rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D
 from ..rl.ppo import PPO
 from ..rl.synthetic import SyntheticAlgorithm
 from ..telemetry.hub import TelemetryHub
-from ..workloads.calibration import DEFAULT_COST_MODEL, CostModel
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .asynchronous import AsyncISwitch, AsyncParameterServer  # noqa: F401
 from .config import ExperimentConfig
@@ -60,8 +53,6 @@ __all__ = [
     "make_algorithm",
     "build_cluster",
     "run",
-    "run_sync",
-    "run_async",
     "SYNC_STRATEGIES",
     "ASYNC_STRATEGIES",
 ]
@@ -118,7 +109,6 @@ def build_cluster(
     telemetry: Optional[TelemetryHub] = None,
     canonical: bool = False,
     transport: str = "packet",
-    scheduler: str = "heap",
     codec=None,
 ) -> tuple:
     """Build (network, workers) for one experiment.
@@ -132,7 +122,7 @@ def build_cluster(
     :class:`~repro.telemetry.TelemetryHub` to the simulator so the hot
     paths record metrics and spans.
     """
-    sim = make_simulator(scheduler, telemetry=telemetry)
+    sim = make_simulator(telemetry=telemetry)
     sim.batch_transport = transport == "train"
     if use_iswitch:
         if canonical or codec is not None:
@@ -249,7 +239,6 @@ def run(config: ExperimentConfig) -> TrainingResult:
         telemetry=hub,
         canonical=config.deterministic_aggregation and spec.requires_iswitch,
         transport=config.transport,
-        scheduler=config.scheduler,
         codec=codec,
     )
     runner = spec.cls.create(net, workers, profile, config)
@@ -281,103 +270,7 @@ def run(config: ExperimentConfig) -> TrainingResult:
                 "seed": config.seed,
                 "loss_rate": config.loss_rate,
                 "codec": config.codec,
+                "transport": "train" if net.sim.batch_transport else "packet",
             }
         )
     return result
-
-
-def run_sync(
-    strategy: str,
-    workload: str,
-    n_workers: int = 4,
-    n_iterations: int = 50,
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    profile: Optional[WorkloadProfile] = None,
-    algorithm_overrides: Optional[dict] = None,
-    loss_rate: float = 0.0,
-    recovery_timeout: Optional[float] = None,
-    telemetry: bool = False,
-) -> TrainingResult:
-    """Run synchronous distributed training with ``strategy`` ps|ar|isw.
-
-    .. deprecated::
-        Build an :class:`ExperimentConfig` and call :func:`run` instead;
-        results are bit-identical for the same arguments.  Telemetry
-        defaults *off* here so benchmark timings are unaffected.
-    """
-    warnings.warn(
-        "run_sync() is deprecated; use run(ExperimentConfig(mode='sync', "
-        "..., telemetry=False)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    strategy = strategy.lower()
-    if strategy not in SYNC_STRATEGIES:
-        raise KeyError(f"unknown sync strategy {strategy!r}; choose {SYNC_STRATEGIES}")
-    return run(
-        ExperimentConfig(
-            strategy=strategy,
-            workload=workload,
-            mode="sync",
-            n_workers=n_workers,
-            iterations=n_iterations,
-            seed=seed,
-            cost_model=cost_model,
-            profile=profile,
-            algorithm_overrides=algorithm_overrides,
-            loss_rate=loss_rate,
-            recovery_timeout=recovery_timeout,
-            telemetry=telemetry,
-        )
-    )
-
-
-def run_async(
-    strategy: str,
-    workload: str,
-    n_workers: int = 4,
-    n_updates: int = 100,
-    seed: int = 0,
-    staleness_bound: int = 3,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    profile: Optional[WorkloadProfile] = None,
-    algorithm_overrides: Optional[dict] = None,
-    loss_rate: float = 0.0,
-    recovery_timeout: Optional[float] = None,
-    telemetry: bool = False,
-) -> TrainingResult:
-    """Run asynchronous distributed training with ``strategy`` ps|isw.
-
-    .. deprecated::
-        Build an :class:`ExperimentConfig` and call :func:`run` instead;
-        results are bit-identical for the same arguments.
-    """
-    warnings.warn(
-        "run_async() is deprecated; use run(ExperimentConfig(mode='async', "
-        "..., telemetry=False)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    strategy = strategy.lower()
-    if strategy not in ASYNC_STRATEGIES:
-        raise KeyError(
-            f"unknown async strategy {strategy!r}; choose {ASYNC_STRATEGIES}"
-        )
-    return run(
-        ExperimentConfig(
-            strategy=strategy,
-            workload=workload,
-            mode="async",
-            n_workers=n_workers,
-            iterations=n_updates,
-            seed=seed,
-            staleness_bound=staleness_bound,
-            cost_model=cost_model,
-            profile=profile,
-            algorithm_overrides=algorithm_overrides,
-            loss_rate=loss_rate,
-            recovery_timeout=recovery_timeout,
-            telemetry=telemetry,
-        )
-    )

@@ -15,9 +15,8 @@ future updates from a healthy source replica:
 * ``updates_applied`` (drives ε schedules and target-sync cadence),
 * every :class:`~repro.nn.layers.Module` attribute's parameter arrays
   (covers target networks, which ``set_weights`` does not touch),
-* every :class:`~repro.nn.optim.Optimizer` attribute's state, remapping
-  the ``id(param)``-keyed dicts from source params onto the
-  destination's params *by position* (both replicas were built from the
+* every :class:`~repro.nn.optim.Optimizer` attribute's state (flat
+  vectors laid out in parameter order; both replicas were built from the
   same constructor, so their parameter lists align).
 
 What it cannot clone: environment/replay state and RNG streams, which
@@ -27,8 +26,6 @@ different *gradients* than it would have — but applies the same
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -44,26 +41,17 @@ def _clone_value(value):
     return value
 
 
-def clone_optimizer_state(
-    src: Optimizer, dst: Optimizer, id_map: Dict[int, int]
-) -> None:
-    """Copy ``src``'s state into ``dst``, remapping id-keyed dicts.
+def clone_optimizer_state(src: Optimizer, dst: Optimizer) -> None:
+    """Copy ``src``'s state into ``dst``.
 
-    ``id_map`` maps ``id(src_param) -> id(dst_param)``.  Dict attributes
-    whose keys appear in the map are rekeyed (Adam ``_m``/``_v``, SGD
-    ``_velocity``, RMSProp ``_sq``); scalar attributes (``_t``, ``lr``,
-    betas) are copied verbatim.  Unknown future state shapes degrade
-    gracefully: anything that is a dict keyed by source param ids is
-    remapped, any int/float is copied.
+    Dict attributes (``_flat_state``: name -> flat state vector) are
+    deep-copied; scalar attributes (``_t``, ``lr``, betas) are copied
+    verbatim.  List/ndarray attributes (layout cache, scratch buffers)
+    are skipped — each instance rebuilds its own.
     """
     for attr, value in vars(src).items():
-        if attr == "params":
-            continue
         if isinstance(value, dict):
-            remapped = {}
-            for key, state in value.items():
-                remapped[id_map.get(key, key)] = _clone_value(state)
-            setattr(dst, attr, remapped)
+            setattr(dst, attr, {k: _clone_value(v) for k, v in value.items()})
         elif isinstance(value, (int, float, bool)):
             setattr(dst, attr, value)
 
@@ -85,9 +73,6 @@ def clone_training_state(src_algorithm, dst_algorithm) -> None:
     dst_algorithm.set_weights(src_algorithm.get_weights())
     dst_algorithm.updates_applied = src_algorithm.updates_applied
 
-    # Build the positional id map across *all* module attributes first,
-    # so optimizers over any subset of params can be remapped.
-    id_map: Dict[int, int] = {}
     for attr, src_value in vars(src_algorithm).items():
         if not isinstance(src_value, Module):
             continue
@@ -110,11 +95,10 @@ def clone_training_state(src_algorithm, dst_algorithm) -> None:
             # Copy data for modules set_weights does not reach (e.g.
             # DQN's target network lives outside the container).
             dst_param.data[...] = src_param.data
-            id_map[id(src_param)] = id(dst_param)
 
     for attr, src_value in vars(src_algorithm).items():
         if not isinstance(src_value, Optimizer):
             continue
         dst_value = getattr(dst_algorithm, attr, None)
         if isinstance(dst_value, Optimizer):
-            clone_optimizer_state(src_value, dst_value, id_map)
+            clone_optimizer_state(src_value, dst_value)

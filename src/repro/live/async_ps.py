@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..rl.base import Algorithm
-from .ps import JOIN_DEADLINE, JOIN_RESEND_PERIOD, PS_CHUNK_ELEMS
+from .ps import JOIN_DEADLINE, JOIN_RESEND_PERIOD, _chunk_bounds, _n_chunks
 from .transport import Address, UdpEndpoint
 
 __all__ = ["LiveAsyncPsServer", "LiveAsyncPsWorker"]
@@ -53,15 +53,6 @@ __all__ = ["LiveAsyncPsServer", "LiveAsyncPsWorker"]
 _ASYNC_HEADER = struct.Struct("<BIII")  # rank, cycle, chunk, version
 _JOIN_BODY = struct.Struct("<BI")  # rank, n_elements
 _PULL_REQ = struct.Struct("<BI")  # rank, cycle
-
-
-def _n_chunks(n_elements: int) -> int:
-    return -(-n_elements // PS_CHUNK_ELEMS)
-
-
-def _chunk_bounds(chunk: int, n_elements: int) -> Tuple[int, int]:
-    start = chunk * PS_CHUNK_ELEMS
-    return start, min(start + PS_CHUNK_ELEMS, n_elements)
 
 
 class LiveAsyncPsServer:

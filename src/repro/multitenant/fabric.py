@@ -111,12 +111,11 @@ class SwitchFabric:
         host_bandwidth: float = 10 * GBPS,
         uplink_bandwidth: float = 40 * GBPS,
         transport: str = "packet",
-        scheduler: str = "heap",
     ) -> None:
         if n_racks < 1:
             raise ValueError(f"n_racks must be >= 1, got {n_racks}")
         self.hub: Optional[TelemetryHub] = TelemetryHub() if telemetry else None
-        self.sim = make_simulator(scheduler, telemetry=self.hub)
+        self.sim = make_simulator(telemetry=self.hub)
         self.sim.batch_transport = transport == "train"
         self.host_bandwidth = host_bandwidth
         # Canonical-order engines: the bit-exact isolation guarantee.
@@ -240,7 +239,9 @@ class SwitchFabric:
         """Admit queued jobs in policy order until the head doesn't fit.
 
         Stopping at the first non-fitting candidate (head-of-line
-        blocking) keeps large jobs from being starved by small ones.
+        blocking) keeps large jobs from being starved by small ones.  A
+        job fits when every switch it touches has both the SRAM slots
+        and a free job-table entry; either frees up when a job completes.
         """
         while True:
             candidate = self.scheduler.next_candidate()
@@ -248,7 +249,9 @@ class SwitchFabric:
                 return
             switches = self._touched_switches(candidate)
             names = [s.name for s in switches]
-            if not self.admission.fits(candidate.footprint, names):
+            if not self.admission.fits(candidate.footprint, names) or any(
+                s.jobs.full for s in switches
+            ):
                 return
             self.scheduler.admit(candidate)
             self.admission.reserve(candidate.job_id, candidate.footprint, names)

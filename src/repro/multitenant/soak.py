@@ -116,7 +116,6 @@ def run_soak(
     telemetry: bool = True,
     specs: Optional[List[JobSpec]] = None,
     transport: str = "packet",
-    scheduler: str = "heap",
 ) -> Tuple[SwitchFabric, SoakReport]:
     """Generate, submit, and drain a soak load; return fabric + report."""
     fabric = SwitchFabric(
@@ -126,7 +125,6 @@ def run_soak(
         policy=policy,
         telemetry=telemetry,
         transport=transport,
-        scheduler=scheduler,
     )
     if specs is None:
         specs = generate_jobs(

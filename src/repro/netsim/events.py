@@ -43,7 +43,6 @@ from ..telemetry.hub import NULL_HUB, TelemetryHub
 __all__ = [
     "Event",
     "Simulator",
-    "CalendarSimulator",
     "SimError",
     "make_simulator",
 ]
@@ -375,20 +374,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def _peek(self):
-        """Return the next live heap payload (an Event or a bare callback)
-        without popping it."""
-        heap = self._heap
-        while heap:
-            event = heap[0][2]
-            if event.__class__ is Event and event.cancelled:
-                heapq.heappop(heap)
-                self._cancelled[0] -= 1
-                event._cancel_cell = None
-                continue
-            return event
-        return None
-
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
         self._heap.clear()
@@ -397,299 +382,11 @@ class Simulator:
         self._processed = 0
 
 
-#: Calendar-queue defaults.  Event densities in the training runs sit at
-#: ~10⁵–10⁶ events per simulated second, so 1 µs buckets keep the
-#: expected bucket occupancy at O(1); 4096 buckets give a ~4 ms wheel
-#: horizon, far beyond a round trip, so overflow rebase is rare.
-DEFAULT_BUCKET_WIDTH = 1e-6
-DEFAULT_N_BUCKETS = 4096
+def make_simulator(*, telemetry: Optional[TelemetryHub] = None) -> Simulator:
+    """Build the run's :class:`Simulator`.
 
-
-class CalendarSimulator(Simulator):
-    """A :class:`Simulator` whose queue is a calendar (bucketed wheel).
-
-    Events land in fixed-width time buckets indexed from a rebased origin;
-    each bucket is a tiny binary heap ordered by the same globally unique
-    ``(time, seq)`` key the reference heap uses, so dispatch order — and
-    therefore every simulation result — is **identical** to
-    :class:`Simulator` (the differential property test in
-    ``tests/test_calendar_queue.py`` asserts exactly this).  Events beyond
-    the wheel horizon wait in an overflow heap; when the wheel drains, the
-    wheel is rebased at the overflow's earliest event and refilled.
-
-    The win over one big heap is that push/pop work against heaps of O(1)
-    expected size instead of O(pending), which matters once batched
-    transport concentrates pending events into a short time horizon.
+    The one place runs get their event loop from (``build_cluster``, the
+    multi-tenant fabric), which is also where ``benchmarks/perf`` hooks
+    its tracer.
     """
-
-    def __init__(
-        self,
-        telemetry: Optional[TelemetryHub] = None,
-        bucket_width: float = DEFAULT_BUCKET_WIDTH,
-        n_buckets: int = DEFAULT_N_BUCKETS,
-    ) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width}")
-        if n_buckets < 2:
-            raise ValueError(f"n_buckets must be >= 2, got {n_buckets}")
-        super().__init__(telemetry)
-        self._width = bucket_width
-        self._n_buckets = n_buckets
-        self._buckets: List[list] = [[] for _ in range(n_buckets)]
-        self._cursor = 0
-        self._base = 0.0
-        self._horizon = n_buckets * bucket_width
-        self._overflow: list = []
-        self._count = 0
-
-    # ------------------------------------------------------------------
-    # Queue primitives
-    # ------------------------------------------------------------------
-    def _push(self, time: float, entry) -> None:
-        # The wheel/overflow boundary MUST be the same comparison _rebase
-        # uses (``time < horizon``), not the derived bucket index: the two
-        # round differently near the horizon, and a same-timestamp pair
-        # split across wheel and overflow would dispatch out of seq order.
-        if time >= self._horizon:
-            heapq.heappush(self._overflow, entry)
-        else:
-            index = int((time - self._base) / self._width)
-            if index < self._cursor:
-                # Guard against float rounding at bucket boundaries: an
-                # entry may never land behind the cursor or it would be
-                # skipped.
-                index = self._cursor
-            elif index >= self._n_buckets:
-                # Float rounding at the horizon edge; mirror _rebase.
-                index = self._n_buckets - 1
-            heapq.heappush(self._buckets[index], entry)
-        self._count += 1
-
-    def _rebase(self) -> None:
-        """Re-anchor the (drained) wheel at the overflow's earliest event."""
-        overflow = self._overflow
-        self._base = base = overflow[0][0]
-        self._cursor = 0
-        self._horizon = horizon = base + self._n_buckets * self._width
-        width = self._width
-        buckets = self._buckets
-        last = self._n_buckets - 1
-        while overflow and overflow[0][0] < horizon:
-            entry = heapq.heappop(overflow)
-            index = int((entry[0] - base) / width)
-            if index > last:  # float rounding at the horizon edge
-                index = last
-            heapq.heappush(buckets[index], entry)
-
-    def _peek_entry(self):
-        """Return the earliest live entry without removing it (or None).
-
-        Lazily discards cancelled events encountered at bucket heads and
-        advances the cursor over empty buckets, rebasing from overflow
-        when the wheel is exhausted.
-        """
-        buckets = self._buckets
-        n_buckets = self._n_buckets
-        while True:
-            cursor = self._cursor
-            while cursor < n_buckets:
-                bucket = buckets[cursor]
-                while bucket:
-                    head = bucket[0]
-                    event = head[2]
-                    if event.__class__ is Event and event.cancelled:
-                        heapq.heappop(bucket)
-                        self._count -= 1
-                        self._cancelled[0] -= 1
-                        event._cancel_cell = None
-                        continue
-                    self._cursor = cursor
-                    return head
-                cursor += 1
-            self._cursor = cursor
-            if not self._overflow:
-                return None
-            self._rebase()
-
-    def _pop_head(self):
-        """Remove and return the entry :meth:`_peek_entry` just surfaced."""
-        entry = heapq.heappop(self._buckets[self._cursor])
-        self._count -= 1
-        return entry
-
-    # ------------------------------------------------------------------
-    # Scheduling overrides
-    # ------------------------------------------------------------------
-    def schedule(
-        self, delay: float, callback: Callable[[], None], name: str = ""
-    ) -> Event:
-        if delay < 0:
-            raise SimError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback, name)
-        event._cancel_cell = self._cancelled
-        self._push(time, (time, seq, event))
-        cancelled = self._cancelled[0]
-        if cancelled >= _SWEEP_MIN_CANCELLED and 2 * cancelled >= self._count:
-            self._sweep_cancelled()
-        return event
-
-    def schedule_at(
-        self, time: float, callback: Callable[[], None], name: str = ""
-    ) -> Event:
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule at t={time} (now={self._now}): time moves forward"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback, name)
-        event._cancel_cell = self._cancelled
-        self._push(time, (time, seq, event))
-        cancelled = self._cancelled[0]
-        if cancelled >= _SWEEP_MIN_CANCELLED and 2 * cancelled >= self._count:
-            self._sweep_cancelled()
-        return event
-
-    def schedule_fire(
-        self, delay: float, callback: Callable[[], None], kind: str = ""
-    ) -> None:
-        if delay < 0:
-            raise SimError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(time, (time, seq, callback, kind))
-
-    def schedule_fire_at(
-        self, time: float, callback: Callable[[], None], kind: str = ""
-    ) -> None:
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule at t={time} (now={self._now}): time moves forward"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(time, (time, seq, callback, kind))
-
-    def _sweep_cancelled(self) -> None:
-        survivors = 0
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            bucket[:] = [
-                entry
-                for entry in bucket
-                if entry[2].__class__ is not Event or not entry[2].cancelled
-            ]
-            heapq.heapify(bucket)
-            survivors += len(bucket)
-        self._overflow = [
-            entry
-            for entry in self._overflow
-            if entry[2].__class__ is not Event or not entry[2].cancelled
-        ]
-        heapq.heapify(self._overflow)
-        self._count = survivors + len(self._overflow)
-        self._cancelled[0] = 0
-
-    # ------------------------------------------------------------------
-    # Execution overrides
-    # ------------------------------------------------------------------
-    def _dispatch(self, head) -> None:
-        event = head[2]
-        if event.__class__ is Event:
-            event._cancel_cell = None
-            callback = event.callback
-            name = event.name
-            kind = name.split(":", 1)[0] if name else "anonymous"
-        else:
-            callback = event
-            kind = head[3] or "anonymous"
-        self._now = head[0]
-        self._processed += 1
-        if self.telemetry.enabled:
-            self.telemetry.inc("sim.events_processed", 1, kind=kind)
-        callback()
-
-    def step(self) -> bool:
-        head = self._peek_entry()
-        if head is None:
-            return False
-        self._pop_head()
-        self._dispatch(head)
-        return True
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        if self._running:
-            raise SimError("simulator is not reentrant")
-        self._running = True
-        try:
-            executed = 0
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                head = self._peek_entry()
-                if head is None:
-                    break
-                if until is not None and head[0] > until:
-                    break
-                self._pop_head()
-                self._dispatch(head)
-                executed += 1
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._running = False
-
-    def _peek(self):
-        head = self._peek_entry()
-        return head[2] if head is not None else None
-
-    @property
-    def pending_events(self) -> int:
-        return self._count - self._cancelled[0]
-
-    def reset(self) -> None:
-        for bucket in self._buckets:
-            bucket.clear()
-        self._overflow.clear()
-        self._cursor = 0
-        self._base = 0.0
-        self._horizon = self._n_buckets * self._width
-        self._count = 0
-        self._cancelled[0] = 0
-        self._now = 0.0
-        self._processed = 0
-
-
-def make_simulator(
-    scheduler: str = "heap",
-    telemetry: Optional[TelemetryHub] = None,
-    **kwargs,
-) -> Simulator:
-    """Build a simulator with the requested scheduler backend.
-
-    ``scheduler`` is ``"heap"`` (the reference binary heap) or
-    ``"calendar"`` (the bucketed calendar queue); both dispatch events in
-    exactly the same order.  Extra keyword arguments are passed to the
-    calendar queue (``bucket_width``, ``n_buckets``).
-    """
-    if scheduler == "heap":
-        if kwargs:
-            raise ValueError(
-                f"heap scheduler takes no options, got {sorted(kwargs)}"
-            )
-        return Simulator(telemetry=telemetry)
-    if scheduler == "calendar":
-        return CalendarSimulator(telemetry=telemetry, **kwargs)
-    raise ValueError(
-        f"unknown scheduler {scheduler!r} (choose 'heap' or 'calendar')"
-    )
+    return Simulator(telemetry=telemetry)

@@ -3,7 +3,6 @@ the substrate replacing the paper's PyTorch dependency.
 """
 
 from .checkpoint import load_algorithm, load_model, save_algorithm, save_model
-from .fastpath import compute_fastpath_enabled, use_fast_compute, use_legacy_compute
 from .functional import (
     entropy_from_logits,
     fused_huber_loss,
@@ -50,9 +49,6 @@ __all__ = [
     "td_targets",
     "nll_from_logits",
     "entropy_from_logits",
-    "compute_fastpath_enabled",
-    "use_fast_compute",
-    "use_legacy_compute",
     "flatten_params",
     "load_flat_params",
     "flatten_grads",

@@ -2,8 +2,8 @@
 
 ``mse_loss`` / ``huber_loss`` are the composed-primitive reference
 implementations (a chain of Tensor ops, each with its own node and
-intermediate arrays).  ``fused_mse_loss`` / ``fused_huber_loss`` are the
-PR 10 fast-path versions: one graph node whose forward and backward are
+intermediate arrays).  ``fused_mse_loss`` / ``fused_huber_loss`` are what
+the algorithms train with: one graph node whose forward and backward are
 closed-form NumPy expressions replicating the composed graph's exact
 IEEE-754 operation order — including the quirk that the composed
 ``q*q`` term contributes ``fl(g·q)/2`` twice, which sums exactly to

@@ -62,7 +62,7 @@ class Module:
         Bit-identical to ``self(Tensor(x)).numpy()`` under ``no_grad``
         but without building tensor objects; layers with closed-form
         forwards (Linear, Activation, Sequential) override this with
-        pure-NumPy versions for the compute fast path.
+        pure-NumPy versions.
         """
         with no_grad():
             return self.forward(Tensor(np.asarray(x, dtype=np.float64))).numpy()

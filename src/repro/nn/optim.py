@@ -4,23 +4,20 @@ Each optimizer steps on whatever is currently stored in ``param.grad`` —
 in distributed training that is the *aggregated* gradient written back by
 the strategy after the in-switch (or PS/AllReduce) aggregation completes.
 
-PR 10 added a flat fast path: :meth:`Optimizer.step_flat` takes the whole
-aggregated gradient as one float64 vector and updates parameters through
-in-place math on flat state vectors plus two preallocated scratch
-buffers, so a step allocates nothing on the hot loop.  Every fused
-sequence mirrors the legacy per-parameter expression order exactly (same
-IEEE-754 rounding at every intermediate — the only rewrites used are
-commuting scalar multiplies, which are bit-exact), so fast and legacy
-paths produce bit-identical weights; ``tests/test_compute_parity.py``
-proves it per optimizer and end-to-end.  The path is chosen at
-construction from ``repro.nn.fastpath``.
+:meth:`Optimizer.step_flat` takes the whole aggregated gradient as one
+float64 vector and updates parameters through in-place math on flat
+state vectors plus two preallocated scratch buffers, so a step allocates
+nothing on the hot loop.  Every fused sequence keeps the expression
+order of the textbook per-parameter update (same IEEE-754 rounding at
+every intermediate — the only rewrites used are commuting scalar
+multiplies, which are bit-exact); ``tests/test_compute_parity.py`` pins
+each optimizer bit-for-bit against a per-parameter reference step.
 
 State layout note: the flat state lives in ``self._flat_state``, a dict
 of string-keyed float64 vectors, because ``repro.faults.resync`` clones
-optimizer state by copying dict attributes (string keys pass through its
-id remap untouched).  The layout cache and scratch buffers are plain
-list/ndarray attributes, which the cloner deliberately skips — each
-instance rebuilds its own.
+optimizer state by copying dict attributes.  The layout cache and
+scratch buffers are plain list/ndarray attributes, which the cloner
+deliberately skips — each instance rebuilds its own.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .fastpath import compute_fastpath_enabled
 from .layers import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam", "RMSProp"]
@@ -45,7 +41,6 @@ class Optimizer:
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
         self.lr = lr
-        self._use_flat = compute_fastpath_enabled()
         self._flat_state: Dict[str, np.ndarray] = {}
         self._layout = None  # list attr: skipped by resync's state cloner
         self._scratch_a: np.ndarray | None = None
@@ -58,16 +53,10 @@ class Optimizer:
     def step(self) -> None:
         """Step on ``param.grad``.
 
-        On the fast path the per-parameter grads are gathered into one
-        flat vector (a missing grad contributes zeros — identical to the
-        legacy skip whenever that parameter's state is zero, and the
-        training flows never produce partial grads on warm state) and
-        applied via :meth:`step_flat`.
+        The per-parameter grads are gathered into one flat vector (a
+        missing grad contributes zeros) and applied via :meth:`step_flat`.
         """
-        if self._use_flat:
-            self.step_flat(self._gather_flat_grads())
-        else:
-            self._step_legacy()
+        self.step_flat(self._gather_flat_grads())
 
     def step_flat(self, flat_grad: np.ndarray) -> None:
         """Step on a flat float64 gradient covering ``self.params`` in order.
@@ -123,16 +112,6 @@ class Optimizer:
     def _step_flat(self, vec: np.ndarray, layout) -> None:
         raise NotImplementedError
 
-    # -- legacy path --------------------------------------------------------
-
-    def _step_legacy(self) -> None:
-        raise NotImplementedError
-
-    def _grads(self):
-        for param in self.params:
-            if param.grad is not None:
-                yield param, param.grad
-
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum."""
@@ -144,20 +123,6 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _step_legacy(self) -> None:
-        for param, grad in self._grads():
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(param)] = velocity
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
 
     def _step_flat(self, vec: np.ndarray, layout) -> None:
         scratch = self._scratch_a
@@ -188,26 +153,7 @@ class Adam(Optimizer):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
         self._t = 0
-
-    def _step_legacy(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for param, grad in self._grads():
-            key = id(param)
-            m = self._m.get(key)
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            else:
-                v = self._v[key]
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-            self._m[key], self._v[key] = m, v
-            param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
     def _step_flat(self, vec: np.ndarray, layout) -> None:
         self._t += 1
@@ -250,17 +196,6 @@ class RMSProp(Optimizer):
             raise ValueError(f"alpha must be in [0, 1), got {alpha}")
         self.alpha = alpha
         self.eps = eps
-        self._sq: Dict[int, np.ndarray] = {}
-
-    def _step_legacy(self) -> None:
-        for param, grad in self._grads():
-            key = id(param)
-            sq = self._sq.get(key)
-            if sq is None:
-                sq = np.zeros_like(param.data)
-            sq = self.alpha * sq + (1.0 - self.alpha) * grad**2
-            self._sq[key] = sq
-            param.data -= self.lr * grad / (np.sqrt(sq) + self.eps)
 
     def _step_flat(self, vec: np.ndarray, layout) -> None:
         sq = self._flat_vector("sq")
@@ -270,7 +205,7 @@ class RMSProp(Optimizer):
         np.multiply(vec, vec, out=scratch)
         scratch *= 1.0 - self.alpha
         sq += scratch
-        # update = (lr * grad) / (sqrt(sq) + eps)   [legacy multiplies lr first]
+        # update = (lr * grad) / (sqrt(sq) + eps)   [lr multiplied first]
         np.sqrt(sq, out=scratch)
         scratch += self.eps
         np.multiply(vec, self.lr, out=update)

@@ -8,12 +8,11 @@ bootstraps the tail with the value network, and produces one gradient of
 Policy and value networks are separate MLPs held in one container so the
 whole model travels as a single gradient vector.
 
-Compute fast path (PR 10, DESIGN.md §13): action selection and the tail
-bootstrap run through ``Sequential.infer`` and the value loss uses the
-fused MSE kernel — bit-identical to the legacy composed ops.  With a
-:class:`~repro.rl.envs.vector.VectorEnv` the rollout advances K envs per
-step and flattens time-major into one graph pass; K = 1 reproduces
-scalar stepping bit-for-bit on the same rng stream.
+Action selection and the tail bootstrap run through ``Sequential.infer``
+(raw NumPy, no tape) and the value loss uses the fused MSE kernel
+(DESIGN.md §13).  With a :class:`~repro.rl.envs.vector.VectorEnv` the
+rollout advances K envs per step and flattens time-major into one graph
+pass; K = 1 reproduces scalar stepping bit-for-bit on the same rng stream.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ from ..nn import (
     Tensor,
     entropy_from_logits,
     fused_mse_loss,
-    mse_loss,
     nll_from_logits,
     mlp,
-    no_grad,
 )
 from ..nn.layers import Module
 from .base import Algorithm
@@ -104,10 +101,7 @@ class A2C(Algorithm):
 
     # ------------------------------------------------------------------
     def _policy_logits(self, obs_batch: np.ndarray) -> np.ndarray:
-        if self._fast_compute:
-            return self.container.policy.infer(obs_batch)
-        with no_grad():
-            return self.container.policy(Tensor(obs_batch)).numpy()
+        return self.container.policy.infer(obs_batch)
 
     def act(self, obs: np.ndarray) -> int:
         logits = self._policy_logits(obs[None, :])[0]
@@ -132,10 +126,7 @@ class A2C(Algorithm):
         return actions
 
     def _bootstrap_values(self, obs_batch: np.ndarray) -> np.ndarray:
-        if self._fast_compute:
-            return self.container.value.infer(obs_batch)[:, 0]
-        with no_grad():
-            return self.container.value(Tensor(obs_batch)).numpy()[:, 0]
+        return self.container.value.infer(obs_batch)[:, 0]
 
     def compute_gradient(self) -> np.ndarray:
         if self._venv is not None:
@@ -182,14 +173,8 @@ class A2C(Algorithm):
         advantages = returns - values.numpy()  # stop-gradient advantage
         logits = self.container.policy(Tensor(states))
         pg_loss = (nll_from_logits(logits, actions_flat) * Tensor(advantages)).mean()
-        if self._fast_compute:
-            value_loss = fused_mse_loss(values, returns)
-        else:
-            value_loss = mse_loss(values, Tensor(returns))
+        value_loss = fused_mse_loss(values, returns)
         entropy = entropy_from_logits(logits)
         loss = pg_loss + self.value_coef * value_loss - self.entropy_coef * entropy
         loss.backward()
         return self.gradient_vector()
-
-    def _optimizer_step(self) -> None:
-        self.optimizer.step()

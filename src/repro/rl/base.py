@@ -28,15 +28,8 @@ from typing import List
 
 import numpy as np
 
-from ..nn.fastpath import compute_fastpath_enabled
 from ..nn.layers import Module
-from ..nn.serialize import (
-    flatten_grads,
-    flatten_grads_into,
-    flatten_params,
-    load_flat_grads,
-    load_flat_params,
-)
+from ..nn.serialize import flatten_grads_into, flatten_params, load_flat_params
 
 __all__ = ["Algorithm"]
 
@@ -54,8 +47,6 @@ class Algorithm:
         self.updates_applied = 0
         self.episode_rewards: List[float] = []
         self._current_episode_reward = 0.0
-        #: Compute-path selection, sampled at construction (DESIGN.md §13).
-        self._fast_compute = compute_fastpath_enabled()
         self._flat_plan = None  # lazily built; list attr, not cloned by resync
 
     # ------------------------------------------------------------------
@@ -68,63 +59,40 @@ class Algorithm:
     def apply_update(self, mean_gradient: np.ndarray) -> None:
         """Apply one aggregated (already averaged) gradient — the LWU stage.
 
-        Fast path: cast the wire vector to float64 once and hand each
-        optimizer its flat slice (``step_flat``) — no per-parameter
-        ``.grad`` scatter, no per-layer intermediates.  Bit-identical to
-        the legacy scatter+step because the float32→float64 cast is
-        exact per element and the flat optimizer math mirrors the
-        per-parameter expressions (see ``repro.nn.optim``).
+        Casts the wire vector to float64 once (exact per element) and
+        hands each optimizer its flat slice (``step_flat``) — no
+        per-parameter ``.grad`` scatter, no per-layer intermediates.
         """
-        plan = self._flat_update_plan() if self._fast_compute else None
-        if plan is not None:
-            flat = np.asarray(mean_gradient).astype(np.float64)
-            for optimizer, start, stop in plan:
-                optimizer.step_flat(flat[start:stop])
-        else:
-            load_flat_grads(self.container, np.asarray(mean_gradient))
-            self._optimizer_step()
+        if self._flat_plan is None:
+            self._flat_plan = self._build_flat_plan()
+        flat = np.asarray(mean_gradient).astype(np.float64)
+        for optimizer, start, stop in self._flat_plan:
+            optimizer.step_flat(flat[start:stop])
         self.updates_applied += 1
         self._after_update()
 
-    def _flat_update_plan(self):
-        """(optimizer, start, stop) covering the flat vector, or None.
-
-        Collects this algorithm's optimizers in attribute order and
-        checks that, concatenated, they cover ``container.parameters()``
-        exactly (same objects, same order).  All four built-in
-        algorithms satisfy this; a subclass that doesn't silently keeps
-        the legacy scatter path.
-        """
-        if self._flat_plan is None:
-            self._flat_plan = self._build_flat_plan() or ()
-        return self._flat_plan or None
-
     def _build_flat_plan(self):
+        """``(optimizer, start, stop)`` slices covering the flat vector.
+
+        Collects this algorithm's optimizers in attribute order; laid end
+        to end they must cover ``container.parameters()`` exactly (same
+        objects, same order), as all four built-in algorithms do.
+        """
         from ..nn.optim import Optimizer
 
         optimizers = [v for v in vars(self).values() if isinstance(v, Optimizer)]
-        if not optimizers:
-            return None
-        params = self.container.parameters()
-        offsets = np.concatenate([[0], np.cumsum([p.size for p in params])])
-        position = {id(p): i for i, p in enumerate(params)}
-        plan = []
-        cursor = 0
-        for opt in optimizers:
-            indices = [position.get(id(p)) for p in opt.params]
-            if indices != list(range(cursor, cursor + len(indices))):
-                return None
-            plan.append(
-                (opt, int(offsets[cursor]), int(offsets[cursor + len(indices)]))
+        stepped = [id(p) for opt in optimizers for p in opt.params]
+        if stepped != [id(p) for p in self.container.parameters()]:
+            raise TypeError(
+                f"{type(self).__name__}: the optimizer attributes, in order, "
+                "must cover container.parameters() exactly"
             )
-            cursor += len(indices)
-        if cursor != len(params):
-            return None
+        plan, start = [], 0
+        for opt in optimizers:
+            stop = start + sum(p.size for p in opt.params)
+            plan.append((opt, start, stop))
+            start = stop
         return plan
-
-    def _optimizer_step(self) -> None:
-        """Step the optimizer(s).  Subclasses with several nets override."""
-        raise NotImplementedError
 
     def _after_update(self) -> None:
         """Hook: target-network syncs etc.  Default: nothing."""
@@ -161,9 +129,7 @@ class Algorithm:
         self.updates_applied = server_updates
 
     def gradient_vector(self) -> np.ndarray:
-        if self._fast_compute:
-            return flatten_grads_into(self.container)
-        return flatten_grads(self.container)
+        return flatten_grads_into(self.container)
 
     # ------------------------------------------------------------------
     # Reward accounting

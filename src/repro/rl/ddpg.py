@@ -13,11 +13,10 @@ Target networks are soft-updated (Polyak τ) after every applied update —
 deterministic in the update count, so decentralized replicas stay
 identical.
 
-Compute fast path (PR 10, DESIGN.md §13): gradient-free forwards go
-through ``Sequential.infer``, the critic TD loss is the fused MSE
-kernel, and replay is the ring buffer — bit-identical to the legacy
-composed-op path.  A :class:`~repro.rl.envs.vector.VectorEnv` steps K
-environments per call with one batched actor forward and a (K, dim)
+Gradient-free forwards go through ``Sequential.infer`` (raw NumPy, no
+tape), the critic TD loss is the fused MSE kernel, and replay is the
+ring buffer (DESIGN.md §13).  A :class:`~repro.rl.envs.vector.VectorEnv`
+steps K environments per call with one batched actor forward and a (K, dim)
 Ornstein–Uhlenbeck state; K = 1 consumes the same rng stream as scalar
 stepping and reproduces it bit-for-bit.
 """
@@ -33,9 +32,7 @@ from ..nn import (
     Tensor,
     concat,
     fused_mse_loss,
-    mse_loss,
     mlp,
-    no_grad,
     td_targets,
 )
 from ..nn.layers import Module
@@ -187,22 +184,14 @@ class DDPG(Algorithm):
 
     # ------------------------------------------------------------------
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        if self._fast_compute:
-            action = self.container.actor.infer(obs[None, :])[0]
-        else:
-            with no_grad():
-                action = self.container.actor(Tensor(obs[None, :])).numpy()[0]
+        action = self.container.actor.infer(obs[None, :])[0]
         if explore:
             action = action + self.noise.sample()
         return self.env.action_space.clip(action)
 
     def act_batch(self, obs_batch: np.ndarray, explore: bool = True) -> np.ndarray:
         """Deterministic actions for a batch of observations plus OU noise."""
-        if self._fast_compute:
-            actions = self.container.actor.infer(obs_batch)
-        else:
-            with no_grad():
-                actions = self.container.actor(Tensor(obs_batch)).numpy()
+        actions = self.container.actor.infer(obs_batch)
         if explore:
             actions = actions + self.noise.sample()
         return self.env.action_space.clip(actions)
@@ -248,28 +237,13 @@ class DDPG(Algorithm):
         states = Tensor(batch.states)
         actions = Tensor(batch.actions.astype(np.float64))
 
-        if self._fast_compute:
-            next_actions = self.targets.actor.infer(batch.next_states)
-            next_q = self.targets.q_value_infer(batch.next_states, next_actions)
-            targets = td_targets(batch.rewards, next_q, batch.dones, self.gamma)
-        else:
-            with no_grad():
-                next_actions = self.targets.actor(Tensor(batch.next_states))
-                next_q = self.targets.q_value(
-                    Tensor(batch.next_states), next_actions
-                ).numpy()
-            targets = batch.rewards + self.gamma * next_q * (1.0 - batch.dones)
+        next_actions = self.targets.actor.infer(batch.next_states)
+        next_q = self.targets.q_value_infer(batch.next_states, next_actions)
+        targets = td_targets(batch.rewards, next_q, batch.dones, self.gamma)
 
         # Critic gradient.
         self.container.zero_grad()
-        if self._fast_compute:
-            critic_loss = fused_mse_loss(
-                self.container.q_value(states, actions), targets
-            )
-        else:
-            critic_loss = mse_loss(
-                self.container.q_value(states, actions), Tensor(targets)
-            )
+        critic_loss = fused_mse_loss(self.container.q_value(states, actions), targets)
         critic_loss.backward()
         critic_grads = {
             id(p): p.grad.copy()
@@ -289,10 +263,6 @@ class DDPG(Algorithm):
         return self.gradient_vector()
 
     # ------------------------------------------------------------------
-    def _optimizer_step(self) -> None:
-        self.actor_optimizer.step()
-        self.critic_optimizer.step()
-
     def _after_update(self) -> None:
         self._soft_update_targets()
 

@@ -16,12 +16,12 @@ Extensions beyond the 2015 recipe (both off by default):
   buffer carry the discounted sum of the next n rewards and bootstrap
   from the state n steps ahead.
 
-Compute fast path (PR 10, DESIGN.md §13): gradient-free forwards go
-through ``Sequential.infer`` (raw NumPy, no tape), the trained update is
-one closed-form fused forward+backward over the whole MLP → gather →
-Huber graph (``fused_qnet_grad``), replay is the ring buffer, and the
-n-step fold is one vectorized array update — all bit-identical to the legacy
-composed-op path.  Passing a :class:`~repro.rl.envs.vector.VectorEnv`
+Gradient-free forwards go through ``Sequential.infer`` (raw NumPy, no
+tape), the trained update is one closed-form fused forward+backward over
+the whole MLP → gather → Huber graph (``fused_qnet_grad``, pinned
+against the autograd tape in ``tests/test_compute_parity.py``), replay
+is the ring buffer, and the scalar n-step fold is one vectorized array
+update (DESIGN.md §13).  Passing a :class:`~repro.rl.envs.vector.VectorEnv`
 steps K environments per call with one batched ``act``; with K = 1 the
 batched path consumes the same rng stream as scalar stepping and
 reproduces it bit-for-bit.
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Adam, Tensor, fused_qnet_grad, huber_loss, mlp, no_grad, td_targets
+from ..nn import Adam, fused_qnet_grad, mlp, td_targets
 from ..nn.layers import Module
 from ..nn.serialize import flatten_params, load_flat_params
 from .base import Algorithm
@@ -97,7 +97,7 @@ class DQN(Algorithm):
         self.n_step = n_step
         self._pending: deque = deque()
         self._pending_per_env: Optional[list] = None
-        # Same values the legacy per-entry `gamma ** age` produced.
+        # Same values a per-entry `gamma ** age` produces.
         self._gamma_powers = np.array([gamma**j for j in range(n_step)])
         self._pending_rewards = np.zeros(n_step)
         self._pending_ages = np.zeros(n_step, dtype=np.int64)
@@ -130,12 +130,7 @@ class DQN(Algorithm):
     def act(self, obs: np.ndarray, greedy: bool = False) -> int:
         if not greedy and self.rng.random() < self.epsilon:
             return self.env.action_space.sample(self.rng)
-        if self._fast_compute:
-            q_values = self.q_net.infer(obs[None, :])
-        else:
-            with no_grad():
-                q_values = self.q_net(Tensor(obs[None, :])).numpy()
-        return int(np.argmax(q_values[0]))
+        return int(np.argmax(self.q_net.infer(obs[None, :])[0]))
 
     def act_batch(self, obs_batch: np.ndarray, greedy: bool = False) -> np.ndarray:
         """ε-greedy actions for a batch of observations (one net forward).
@@ -153,11 +148,7 @@ class DQN(Algorithm):
                 actions[i] = self.env.action_space.sample(self.rng)
         exploit = np.nonzero(~explore)[0]
         if exploit.size:
-            if self._fast_compute:
-                q_values = self.q_net.infer(obs_batch[exploit])
-            else:
-                with no_grad():
-                    q_values = self.q_net(Tensor(obs_batch[exploit])).numpy()
+            q_values = self.q_net.infer(obs_batch[exploit])
             actions[exploit] = np.argmax(q_values, axis=1)
         return actions
 
@@ -171,10 +162,8 @@ class DQN(Algorithm):
             self.buffer.push(
                 Transition(self._obs, action, reward, next_obs, done)
             )
-        elif self._fast_compute:
-            self._accumulate_n_step_fast(self._obs, action, reward, next_obs, done)
         else:
-            self._accumulate_n_step(self._obs, action, reward, next_obs, done)
+            self._accumulate_n_step_fast(self._obs, action, reward, next_obs, done)
         self._track_reward(reward, done)
         self._obs = self.env.reset() if done else next_obs
 
@@ -236,7 +225,7 @@ class DQN(Algorithm):
         ``n_step`` entries are ever pending), so the per-step fold is one
         vectorized multiply-add instead of a Python loop.  The mature
         next_state/done are taken from the current step — exactly what
-        the legacy per-entry rewrite left in place at pop time.
+        the per-entry rewrite there leaves in place at pop time.
         """
         heads = self._pending_heads
         count = len(heads)
@@ -278,52 +267,32 @@ class DQN(Algorithm):
             self._env_step()
 
         batch = self.buffer.sample(self.batch_size)
-        if self._fast_compute:
-            next_q = self.target_net.infer(batch.next_states)
-            if self.double_dqn:
-                online_next = self.q_net.infer(batch.next_states)
-                best = np.argmax(online_next, axis=1)
-                bootstrap = next_q[np.arange(len(best)), best]
-            else:
-                bootstrap = next_q.max(axis=1)
+        next_q = self.target_net.infer(batch.next_states)
+        if self.double_dqn:
+            # Online net selects, target net evaluates.
+            online_next = self.q_net.infer(batch.next_states)
+            best = np.argmax(online_next, axis=1)
+            bootstrap = next_q[np.arange(len(best)), best]
         else:
-            with no_grad():
-                next_q = self.target_net(Tensor(batch.next_states)).numpy()
-                if self.double_dqn:
-                    # Online net selects, target net evaluates.
-                    online_next = self.q_net(Tensor(batch.next_states)).numpy()
-                    best = np.argmax(online_next, axis=1)
-                    bootstrap = next_q[np.arange(len(best)), best]
-                else:
-                    bootstrap = next_q.max(axis=1)
+            bootstrap = next_q.max(axis=1)
         # n-step transitions already carry the discounted reward sum; the
         # bootstrap therefore discounts by gamma^n.
         discount = self.gamma**self.n_step
 
         self.container.zero_grad()
-        if self._fast_compute:
-            # Closed-form fused forward+backward over the whole graph —
-            # no tape nodes at all (bit-identical; DESIGN.md §13).
-            fused_qnet_grad(
-                self.q_net,
-                batch.states,
-                batch.actions,
-                td_targets(batch.rewards, bootstrap, batch.dones, discount),
-            )
-        else:
-            q_values = self.q_net(Tensor(batch.states))
-            chosen = q_values.gather(batch.actions.astype(np.int64))
-            targets = batch.rewards + discount * bootstrap * (1.0 - batch.dones)
-            loss = huber_loss(chosen, Tensor(targets))
-            loss.backward()
+        # Closed-form fused forward+backward over the whole graph — no
+        # tape nodes at all (DESIGN.md §13).
+        fused_qnet_grad(
+            self.q_net,
+            batch.states,
+            batch.actions,
+            td_targets(batch.rewards, bootstrap, batch.dones, discount),
+        )
         return self.gradient_vector()
 
     # ------------------------------------------------------------------
     # The LWU stage
     # ------------------------------------------------------------------
-    def _optimizer_step(self) -> None:
-        self.optimizer.step()
-
     def _after_update(self) -> None:
         if self.updates_applied % self.target_sync_every == 0:
             self._sync_target()

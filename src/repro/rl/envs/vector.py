@@ -1,4 +1,4 @@
-"""Batched environment stepping (PR 10 compute fast path).
+"""Batched environment stepping.
 
 ``VectorEnv`` advances K environments together behind one batched
 ``reset``/``step`` API.  The base class is the *sequential reference*:

@@ -13,10 +13,9 @@ calls return surrogate gradients against the *same* stored rollout and
 old-policy log-probabilities — each still one gradient per distributed
 iteration, so the aggregation pattern is unchanged.
 
-Compute fast path (PR 10, DESIGN.md §13): acting, the rollout's values /
-bootstrap, and the old-policy log-probs run as closed-form NumPy
-(mirroring the autograd expressions op for op), and the value term uses
-the fused MSE kernel — bit-identical to the legacy path.  A
+Acting, the rollout's values / bootstrap, and the old-policy log-probs
+run as closed-form NumPy (mirroring the autograd expressions op for op),
+and the value term uses the fused MSE kernel (DESIGN.md §13).  A
 :class:`~repro.rl.envs.vector.VectorEnv` collects K envs per rollout
 step (flattened time-major); K = 1 reproduces scalar stepping
 bit-for-bit on the same rng stream.
@@ -29,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Adam, Tensor, fused_mse_loss, mse_loss, mlp, no_grad
+from ..nn import Adam, Tensor, fused_mse_loss, mlp
 from ..nn.layers import Module, Parameter
 from .base import Algorithm
 from .envs.base import Environment
@@ -146,13 +145,8 @@ class PPO(Algorithm):
 
     # ------------------------------------------------------------------
     def act(self, obs: np.ndarray) -> np.ndarray:
-        if self._fast_compute:
-            mean = self.container.mean.infer(obs[None, :])[0]
-            std = np.exp(self.container.log_std.data)
-        else:
-            with no_grad():
-                mean = self.container.mean(Tensor(obs[None, :])).numpy()[0]
-                std = np.exp(self.container.log_std.numpy())
+        mean = self.container.mean.infer(obs[None, :])[0]
+        std = np.exp(self.container.log_std.data)
         action = mean + std * self.rng.standard_normal(mean.shape)
         return self.env.action_space.clip(action)
 
@@ -162,13 +156,8 @@ class PPO(Algorithm):
         The (K, action_dim) noise draw consumes the rng stream row-major
         — with one row, exactly the scalar :meth:`act` draw.
         """
-        if self._fast_compute:
-            mean = self.container.mean.infer(obs_batch)
-            std = np.exp(self.container.log_std.data)
-        else:
-            with no_grad():
-                mean = self.container.mean(Tensor(obs_batch)).numpy()
-                std = np.exp(self.container.log_std.numpy())
+        mean = self.container.mean.infer(obs_batch)
+        std = np.exp(self.container.log_std.data)
         actions = mean + std * self.rng.standard_normal(mean.shape)
         return self.env.action_space.clip(actions)
 
@@ -182,16 +171,7 @@ class PPO(Algorithm):
         return self._surrogate_gradient(*rollout)
 
     def _state_values(self, states: np.ndarray) -> np.ndarray:
-        if self._fast_compute:
-            return self.container.value.infer(states)[:, 0]
-        with no_grad():
-            return self.container.value(Tensor(states)).numpy()[:, 0]
-
-    def _old_log_probs(self, states: np.ndarray, actions_arr: np.ndarray) -> np.ndarray:
-        if self._fast_compute:
-            return self.container.log_prob_infer(states, actions_arr)
-        with no_grad():
-            return self.container.log_prob(Tensor(states), actions_arr).numpy()
+        return self.container.value.infer(states)[:, 0]
 
     def _collect_rollout(self):
         if self._venv is not None:
@@ -234,7 +214,7 @@ class PPO(Algorithm):
             values = self._state_values(states)
             bootstrap = float(self._state_values(self._obs[None, :])[0])
 
-        old_log_probs = self._old_log_probs(states, actions_arr).reshape(-1)
+        old_log_probs = self.container.log_prob_infer(states, actions_arr).reshape(-1)
         advantages = gae_advantages(
             rewards_arr, values, dones_arr, bootstrap, self.gamma, self.lam
         )
@@ -258,19 +238,11 @@ class PPO(Algorithm):
         # min(a,b) = 0.5*(a + b - |a - b|).
         surrogate = 0.5 * (unclipped + clipped - (unclipped - clipped).abs())
         policy_loss = -surrogate.mean()
-        if self._fast_compute:
-            value_loss = fused_mse_loss(
-                self.container.value(Tensor(states)).reshape(-1), returns
-            )
-        else:
-            value_loss = mse_loss(
-                self.container.value(Tensor(states)).reshape(-1), Tensor(returns)
-            )
+        value_loss = fused_mse_loss(
+            self.container.value(Tensor(states)).reshape(-1), returns
+        )
         loss = policy_loss + self.value_coef * value_loss
         if self.entropy_coef:
             loss = loss - self.entropy_coef * self.container.entropy()
         loss.backward()
         return self.gradient_vector()
-
-    def _optimizer_step(self) -> None:
-        self.optimizer.step()

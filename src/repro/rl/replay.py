@@ -1,24 +1,22 @@
 """Experience replay buffer (DQN and DDPG).
 
-PR 10 rebuilt ``ReplayBuffer`` as a preallocated ring: one contiguous
-storage array per field, written row-by-row at a cursor, sampled with a
-single vectorized rng draw plus one fancy-index gather per field.  The
-old per-transition list of NamedTuples survives as
-``repro.rl.legacy.LegacyReplayBuffer`` and the two are proven
-bit-identical — same rng stream, same sampled batches — by
-``tests/test_compute_parity.py`` and the property suite in
-``tests/test_replay.py``.
+``ReplayBuffer`` is a preallocated ring: one contiguous storage array per
+field, written row-by-row at a cursor, sampled with a single vectorized
+rng draw plus one fancy-index gather per field.  A per-transition
+list-of-NamedTuples buffer lives in ``tests/oracles.py`` as the
+reference; the ring is pinned bit-identical to it — same rng stream,
+same sampled batches — by ``tests/test_compute_parity.py`` and the
+property suite in ``tests/test_replay.py``.
 
-Two contracts the ring preserves exactly (DESIGN.md §13):
+Two contracts the ring keeps exactly (DESIGN.md §13):
 
-* **rng stream** — ``sample()`` keeps the legacy
-  ``rng.choice(len, size, replace=batch_size > len)`` draw verbatim.
+* **rng stream** — ``sample()`` draws
+  ``rng.choice(len, size, replace=batch_size > len)`` verbatim.
   ``rng.integers`` would be marginally cheaper but produces a different
   stream, which would silently move every seeded DQN/DDPG run.
 * **storage dtype** — fields keep the dtype of the first transition
   pushed (the envs emit float64 observations).  Downcasting storage to
-  float32 would round observations and break the bit-identity guarantee
-  that lets the fast path be default-on.
+  float32 would round observations and move every seeded run.
 """
 
 from __future__ import annotations
@@ -174,12 +172,7 @@ class ReplayBuffer:
         return self._size
 
 
-def make_replay_buffer(capacity: int, rng: np.random.Generator):
-    """Ring buffer on the fast path, list-of-tuples on the legacy path."""
-    from ..nn.fastpath import compute_fastpath_enabled
-
-    if compute_fastpath_enabled():
-        return ReplayBuffer(capacity, rng)
-    from .legacy import LegacyReplayBuffer
-
-    return LegacyReplayBuffer(capacity, rng)
+def make_replay_buffer(capacity: int, rng: np.random.Generator) -> ReplayBuffer:
+    """The replay buffer DQN and DDPG train from (one construction site,
+    which ``benchmarks/perf`` wraps with its tracer)."""
+    return ReplayBuffer(capacity, rng)

@@ -3,25 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.distributed import run_async
+from .helpers import train
 
 
 class TestAsyncParameterServer:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_async("ps", "ppo", n_workers=4, n_updates=40, seed=2)
+        return train("ps", "ppo", mode="async", n_workers=4, iterations=40, seed=2)
 
     def test_server_applied_requested_updates(self, result):
         assert result.iterations == 40
 
     def test_staleness_measured_and_plausible(self, result):
-        staleness = result.extras["mean_staleness"]
+        staleness = result.mean_staleness
         # Each worker sees roughly the other three workers' pushes per cycle.
         assert 1.0 <= staleness <= 4.0
-        assert result.extras["max_staleness"] >= staleness
+        assert result.max_staleness >= staleness
 
     def test_server_busy_time_positive(self, result):
-        assert 0 < result.extras["server_busy_time"] <= result.elapsed
+        assert 0 < result.server_busy_time <= result.elapsed
 
     def test_workers_iterate_independently(self, result):
         counts = [w.iterations_done for w in result.workers]
@@ -30,13 +30,13 @@ class TestAsyncParameterServer:
 
     def test_invalid_updates_rejected(self):
         with pytest.raises(ValueError):
-            run_async("ps", "ppo", n_updates=0)
+            train("ps", "ppo", mode="async", iterations=0)
 
 
 class TestAsyncISwitch:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_async("isw", "ppo", n_workers=4, n_updates=40, seed=2)
+        return train("isw", "ppo", mode="async", n_workers=4, iterations=40, seed=2)
 
     def test_all_replicas_reach_target_updates(self, result):
         assert result.iterations == 40
@@ -56,23 +56,29 @@ class TestAsyncISwitch:
                 )
 
     def test_staleness_below_bound(self, result):
-        assert result.extras["max_staleness"] <= 3
+        assert result.max_staleness <= 3
 
     def test_staleness_fresher_than_ps(self, result):
-        ps = run_async("ps", "ppo", n_workers=4, n_updates=40, seed=2)
+        ps = train("ps", "ppo", mode="async", n_workers=4, iterations=40, seed=2)
         assert (
-            result.extras["mean_staleness"] < ps.extras["mean_staleness"]
+            result.mean_staleness < ps.mean_staleness
         )
 
     def test_commits_tracked(self, result):
-        assert result.extras["commits"] >= 40
-        assert result.extras["skipped_commits"] >= 0
+        assert result.commits >= 40
+        assert result.skipped_commits >= 0
 
     def test_staleness_bound_skips_when_tight(self):
-        tight = run_async(
-            "isw", "ppo", n_workers=4, n_updates=30, seed=2, staleness_bound=0
+        tight = train(
+            "isw",
+            "ppo",
+            mode="async",
+            n_workers=4,
+            iterations=30,
+            seed=2,
+            staleness_bound=0,
         )
-        assert tight.extras["max_staleness"] == 0
+        assert tight.max_staleness == 0
 
     def test_explicit_threshold(self):
         from repro.distributed import AsyncISwitch, build_cluster
@@ -88,19 +94,19 @@ class TestAsyncISwitch:
         assert runner.h == 2
 
     def test_rack_scale_async(self):
-        result = run_async("isw", "ppo", n_workers=6, n_updates=20, seed=1)
+        result = train("isw", "ppo", mode="async", n_workers=6, iterations=20, seed=1)
         assert result.iterations == 20
         assert result.n_workers == 6
 
 
 class TestAsyncComparative:
     def test_dqn_isw_updates_faster_than_ps(self):
-        ps = run_async("ps", "dqn", n_workers=4, n_updates=30, seed=1)
-        isw = run_async("isw", "dqn", n_workers=4, n_updates=30, seed=1)
+        ps = train("ps", "dqn", mode="async", n_workers=4, iterations=30, seed=1)
+        isw = train("isw", "dqn", mode="async", n_workers=4, iterations=30, seed=1)
         assert isw.per_iteration_time < ps.per_iteration_time
 
     def test_learning_progress_recorded(self):
-        result = run_async("isw", "a2c", n_workers=4, n_updates=60, seed=1)
+        result = train("isw", "a2c", mode="async", n_workers=4, iterations=60, seed=1)
         total_episodes = sum(
             len(w.algorithm.episode_rewards) for w in result.workers
         )

@@ -64,29 +64,30 @@ class TestMicrobenchmarks:
         assert record["segments"] == 4 * record["n_chunks"]
         assert record["segments_per_s"] > 0
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_env_step_micro_counts_batched_steps(self, legacy):
-        scenario = bench._micro_env_step(5, num_envs=4, legacy=legacy)
-        assert scenario.name == "micro-env-step" + ("-legacy" if legacy else "")
-        record = scenario.run(repeats=2)
-        assert record["env_steps"] == 20
+    # The compute micros are checked as the smoke and the full matrix
+    # build them (same sizes in both: micro-replay-sample is a gate
+    # scenario), two repeats so the lazily built state is reused once.
+    @staticmethod
+    def _matrix_record(name, smoke):
+        (scenario,) = [s for s in bench_scenarios(smoke=smoke) if s.name == name]
+        return scenario.run(repeats=2)
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_replay_sample_micro_counts_samples(self, legacy):
-        scenario = bench._micro_replay_sample(50, 10, 8, legacy=legacy)
-        assert scenario.name == "micro-replay-sample" + (
-            "-legacy" if legacy else ""
-        )
-        record = scenario.run(repeats=2)
-        assert record["samples"] == 80
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_env_step_micro_counts_batched_steps(self, smoke):
+        record = self._matrix_record("micro-env-step", smoke)
+        assert record["env_steps"] == record["steps"] * record["num_envs"]
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_optim_step_micro_counts_param_updates(self, legacy):
-        scenario = bench._micro_optim_step(3, legacy=legacy)
-        record = scenario.run(repeats=2)
-        # 3 steps over the fixed [64, 128, 128, 8] MLP.
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_replay_sample_micro_counts_samples(self, smoke):
+        record = self._matrix_record("micro-replay-sample", smoke)
+        assert record["samples"] == record["draws"] * record["batch"]
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_optim_step_micro_counts_param_updates(self, smoke):
+        record = self._matrix_record("micro-optim-step", smoke)
+        # The fixed [64, 128, 128, 8] MLP.
         expected_params = 64 * 128 + 128 + 128 * 128 + 128 + 128 * 8 + 8
-        assert record["param_updates"] == 3 * expected_params
+        assert record["param_updates"] == record["steps"] * expected_params
 
 
 class TestTrainingScenario:
@@ -121,24 +122,16 @@ class TestMatrix:
         assert len(smoke) < len(bench_scenarios(smoke=False))
         assert {s.kind for s in smoke} == {"training", "chaos", "micro"}
 
-    COMPUTE_TWINS = [
-        "micro-env-step",
-        "micro-replay-sample",
-        "micro-optim-step",
-    ]
-
     @pytest.mark.parametrize("smoke", [False, True])
-    def test_compute_micros_have_legacy_twins(self, smoke):
+    def test_compute_micros_present_without_twins(self, smoke):
         names = {s.name for s in bench_scenarios(smoke=smoke)}
-        for base in self.COMPUTE_TWINS:
-            assert base in names
-            assert f"{base}-legacy" in names
+        assert {"micro-env-step", "micro-replay-sample", "micro-optim-step"} <= names
+        # One compute path: nothing left to pair a "-legacy" twin with.
+        assert not [name for name in names if name.endswith("-legacy")]
 
-    def test_full_matrix_has_dqn_compute_twins(self):
+    def test_full_matrix_has_dqn_compute_scenarios(self):
         names = {s.name for s in bench_scenarios(smoke=False)}
-        for n_workers in (4, 8):
-            assert f"dqn-sync-isw-n{n_workers}" in names
-            assert f"dqn-sync-isw-n{n_workers}-legacy" in names
+        assert {"dqn-sync-isw-n4", "dqn-sync-isw-n8"} <= names
 
 
 class TestReportSchema:
@@ -301,23 +294,6 @@ class TestRegressionGate:
         report["scenarios"]["micro-replay-sample"] = entry([0.30])
         assert bench.check_regression(report, 0.50) == 1
         assert bench.check_regression(report, 0.50, bench.GATE_SCENARIO) == 0
-
-
-class TestComputeSpeedups:
-    def test_report_pairs_fast_and_legacy_twins(self, monkeypatch):
-        def tiny(smoke=False):
-            return [
-                bench._micro_replay_sample(50, 10, 8),
-                bench._micro_replay_sample(50, 10, 8, legacy=True),
-                bench._micro_event_dispatch(100),  # twin-less: no entry
-            ]
-
-        monkeypatch.setattr(bench, "bench_scenarios", tiny)
-        report = run_benchmark(repeats=2)
-        validate_report(report)
-        speedups = report["compute_speedups"]
-        assert set(speedups) == {"micro-replay-sample"}
-        assert speedups["micro-replay-sample"] > 0
 
 
 @pytest.mark.bench

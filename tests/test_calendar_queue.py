@@ -1,27 +1,74 @@
-"""Differential property tests: calendar queue vs the reference heap.
+"""Differential property tests: the heap ``Simulator`` vs a reference calendar.
 
-The calendar scheduler (`repro.netsim.events.CalendarSimulator`) promises
-*identical dispatch order* to the reference heap `Simulator` — same
-``(time, seq)`` total order, same tie-breaking, same lazy-cancel
-semantics — differing only in queue cost.  These tests drive both
-schedulers through the same seeded operation scripts (ties, cancels,
-nested scheduling from inside callbacks, partial runs) and assert the
-observable traces are equal, including with pathological wheel
-geometries that force constant overflow and rebasing.
+``repro.netsim.events.Simulator`` is the one scheduler ``src/`` has, and it
+is tuned (tuple heap entries, two entry shapes, lazy cancellation with a
+batched sweep, a drain fast path).  The foil here is the event calendar as
+a textbook states it — one list kept sorted by ``(time, seq)``, dispatched
+front to back, cancellation by eager removal — in under 40 lines.  Both
+are driven through the same seeded operation scripts (ties, cancels,
+nested scheduling from inside callbacks, partial runs) and must produce
+equal observable traces.
 """
 
+import bisect
 import random
 
 import pytest
 
-from repro.netsim.events import (
-    DEFAULT_BUCKET_WIDTH,
-    DEFAULT_N_BUCKETS,
-    CalendarSimulator,
-    SimError,
-    Simulator,
-    make_simulator,
-)
+from repro.netsim.events import SimError, Simulator, make_simulator
+
+
+class SortedListCalendar:
+    """Reference scheduler: O(n) inserts, obviously correct order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.processed_events = 0
+        self._seq = 0
+        self._keys = []  # sorted (time, seq); seq breaks ties FIFO
+        self._callbacks = {}  # key -> callback, for the keys still queued
+
+    @property
+    def pending_events(self):
+        return len(self._keys)
+
+    def schedule_at(self, time, callback):
+        key = (time, self._seq)
+        self._seq += 1
+        bisect.insort(self._keys, key)
+        self._callbacks[key] = callback
+        return _Handle(self, key)
+
+    def schedule(self, delay, callback):
+        return self.schedule_at(self.now + delay, callback)
+
+    schedule_fire, schedule_fire_at = schedule, schedule_at
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._keys and executed != max_events:
+            if until is not None and self._keys[0][0] > until:
+                break
+            key = self._keys.pop(0)
+            self.now = key[0]
+            self.processed_events += 1
+            executed += 1
+            self._callbacks.pop(key)()
+        if until is not None and until > self.now:
+            self.now = until
+
+
+class _Handle:
+    cancelled = False
+
+    def __init__(self, calendar, key):
+        self._calendar, self._key = calendar, key
+
+    def cancel(self):
+        self.cancelled = True
+        if self._calendar._callbacks.pop(self._key, None) is not None:
+            self._calendar._keys.remove(self._key)
+
 
 #: Delays are drawn from a coarse grid so exact-tie timestamps are common
 #: (tie-breaking by insertion seq is exactly what we need to exercise).
@@ -77,7 +124,7 @@ def _drive(sim, seed):
     for _ in range(40):
         if cancellable:
             # Some targets already fired; cancel() must be a harmless
-            # no-op for those, exactly like on the heap.
+            # no-op for those on both schedulers.
             cancellable.pop(rng.randrange(len(cancellable))).cancel()
 
     # Partial run: stop mid-burst, observe, then continue.
@@ -111,27 +158,12 @@ def _drive(sim, seed):
 class TestDifferentialDispatchOrder:
     @pytest.mark.parametrize("seed", range(8))
     def test_calendar_matches_heap_trace(self, seed):
-        assert _drive(CalendarSimulator(), seed) == _drive(Simulator(), seed)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tiny_wheel_forces_rebase_and_still_matches(self, seed):
-        # 2 buckets x 1 µs: nearly everything lands in overflow and the
-        # wheel rebases continuously — the worst case for the cursor /
-        # rebase / horizon-edge logic.
-        tiny = CalendarSimulator(bucket_width=GRID, n_buckets=2)
-        assert _drive(tiny, seed) == _drive(Simulator(), seed)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_wide_buckets_still_match(self, seed):
-        # Buckets much wider than the tie grid: whole bursts pile into
-        # one bucket heap, exercising intra-bucket ordering.
-        wide = CalendarSimulator(bucket_width=64 * GRID, n_buckets=16)
-        assert _drive(wide, seed) == _drive(Simulator(), seed)
+        assert _drive(SortedListCalendar(), seed) == _drive(Simulator(), seed)
 
 
 class TestSameTimestampTies:
     def test_exact_ties_dispatch_in_insertion_order(self):
-        for sim in (Simulator(), CalendarSimulator()):
+        for sim in (Simulator(), SortedListCalendar()):
             order = []
             for i in range(20):
                 sim.schedule_fire(5e-6, lambda i=i: order.append(i))
@@ -140,7 +172,7 @@ class TestSameTimestampTies:
 
     def test_ties_across_entry_points_interleave_by_seq(self):
         traces = []
-        for sim in (Simulator(), CalendarSimulator()):
+        for sim in (Simulator(), SortedListCalendar()):
             order = []
             sim.schedule_fire(1e-6, lambda: order.append("fire0"))
             sim.schedule(1e-6, lambda: order.append("event0"))
@@ -155,7 +187,7 @@ class TestSameTimestampTies:
 
 class TestCancellation:
     def test_cancelled_events_skipped_and_accounting_matches(self):
-        for sim in (Simulator(), CalendarSimulator()):
+        for sim in (Simulator(), SortedListCalendar()):
             fired = []
             keep = sim.schedule(2e-6, lambda: fired.append("keep"))
             drop = sim.schedule(1e-6, lambda: fired.append("drop"))
@@ -167,7 +199,7 @@ class TestCancellation:
             assert keep.cancelled is False
 
     def test_mass_cancel_triggers_sweep_without_losing_live_events(self):
-        for sim in (Simulator(), CalendarSimulator()):
+        for sim in (Simulator(), SortedListCalendar()):
             fired = []
             doomed = [
                 sim.schedule(GRID * (i % 7), lambda: fired.append("x"))
@@ -176,56 +208,30 @@ class TestCancellation:
             sim.schedule(GRID * 3, lambda: fired.append("live"))
             for event in doomed:
                 event.cancel()
-            # Scheduling after heavy cancellation is what trips the sweep.
+            # Scheduling after heavy cancellation is what trips the heap's
+            # batched sweep of lazily-cancelled entries.
             sim.schedule(GRID * 4, lambda: fired.append("live2"))
+            assert sim.pending_events == 2
             sim.run()
             assert fired == ["live", "live2"]
 
 
 class TestCalendarSpecifics:
     def test_make_simulator_selects_backend(self):
-        assert type(make_simulator("heap")) is Simulator
-        assert type(make_simulator("calendar")) is CalendarSimulator
-        with pytest.raises(ValueError, match="scheduler"):
-            make_simulator("wheel-of-fortune")
-
-    def test_defaults_are_sane(self):
-        sim = CalendarSimulator()
-        assert sim._width == DEFAULT_BUCKET_WIDTH
-        assert sim._n_buckets == DEFAULT_N_BUCKETS
-
-    def test_rejects_degenerate_geometry(self):
-        with pytest.raises(ValueError, match="bucket_width"):
-            CalendarSimulator(bucket_width=0.0)
-        with pytest.raises(ValueError, match="n_buckets"):
-            CalendarSimulator(n_buckets=1)
+        # One backend: the heap.  The selector argument is gone.
+        assert type(make_simulator()) is Simulator
+        with pytest.raises(TypeError):
+            make_simulator("calendar")
 
     def test_past_scheduling_rejected_like_heap(self):
-        sim = CalendarSimulator()
+        # Every entry point refuses the past (the reference has no such
+        # guard; the heap must, or a late event would rewind the clock).
+        sim = Simulator()
         sim.schedule_fire(1e-6, lambda: None)
         sim.run()
-        with pytest.raises(SimError):
-            sim.schedule(-1e-9, lambda: None)
-        with pytest.raises(SimError):
-            sim.schedule_at(sim.now - 1e-6, lambda: None)
-
-    def test_reset_clears_wheel_and_overflow(self):
-        sim = CalendarSimulator(bucket_width=GRID, n_buckets=2)
-        for i in range(50):
-            sim.schedule(GRID * i * 10, lambda: None)
-        sim.reset()
-        assert sim.pending_events == 0
-        assert sim.now == 0.0
-        fired = []
-        sim.schedule(GRID, lambda: fired.append(1))
-        sim.run()
-        assert fired == [1]
-
-    def test_far_future_event_survives_in_overflow(self):
-        sim = CalendarSimulator(bucket_width=GRID, n_buckets=4)
-        fired = []
-        # Far beyond the 4 µs wheel horizon.
-        sim.schedule_fire(1.0, lambda: fired.append(sim.now))
-        sim.schedule_fire(GRID, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [GRID, 1.0]
+        for schedule in (sim.schedule, sim.schedule_fire):
+            with pytest.raises(SimError):
+                schedule(-1e-9, lambda: None)
+        for schedule_at in (sim.schedule_at, sim.schedule_fire_at):
+            with pytest.raises(SimError):
+                schedule_at(sim.now - 1e-6, lambda: None)

@@ -9,8 +9,8 @@ class TestParser:
     def test_all_experiments_are_subcommands(self):
         parser = build_parser()
         for name in EXPERIMENTS:
-            args = parser.parse_args([name])
-            assert args.command == name
+            args = parser.parse_args(["exp", name])
+            assert args.experiment == name
 
     def test_train_defaults(self):
         args = build_parser().parse_args(["train"])
@@ -18,6 +18,8 @@ class TestParser:
         assert args.strategy == "isw"
         assert args.workload == "dqn"
         assert args.workers == 4
+        assert args.transport == "packet"
+        assert not hasattr(args, "scheduler")  # one scheduler, no flag
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -31,15 +33,15 @@ class TestMain:
         assert "table4" in out and "train" in out
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["exp", "table1"]) == 0
         assert "6.41 MB" in capsys.readouterr().out
 
     def test_experiment_with_iterations(self, capsys):
-        assert main(["fig12", "--iterations", "3"]) == 0
+        assert main(["exp", "fig12", "--iterations", "3"]) == 0
         assert "Figure 12" in capsys.readouterr().out
 
     def test_iterations_rejected_where_meaningless(self, capsys):
-        assert main(["table1", "--iterations", "5"]) == 2
+        assert main(["exp", "table1", "--iterations", "5"]) == 2
         assert "no --iterations" in capsys.readouterr().err
 
     def test_train_sync(self, capsys):
@@ -58,6 +60,8 @@ class TestMain:
         out = capsys.readouterr().out
         assert "sync-isw" in out
         assert "per-iteration time" in out
+        # The result block says which transport produced it.
+        assert "transport:          packet" in out
 
     def test_train_async(self, capsys):
         code = main(
@@ -213,7 +217,7 @@ class TestTelemetryFlags:
 
 
 class TestSubcommandGroups:
-    """PR-6 restructure: exp/train/bench/jobs groups + the old-name shim."""
+    """The exp/train/bench/jobs command groups."""
 
     def test_exp_group_parses(self):
         args = build_parser().parse_args(["exp", "table1"])
@@ -224,10 +228,10 @@ class TestSubcommandGroups:
         assert main(["exp", "table1"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
-    def test_old_spelling_still_works(self, capsys):
-        # The shim: pre-group invocations forward to `exp`.
-        assert main(["table1"]) == 0
-        assert "Table 1" in capsys.readouterr().out
+    def test_bare_experiment_name_rejected(self):
+        # The pre-group spelling (`repro table1`) is gone; `exp` is the way.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1"])
 
     def test_exp_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

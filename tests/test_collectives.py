@@ -17,7 +17,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.distributed import run_sync, run_async
 from repro.distributed.collectives import (
     CollectiveHandle,
     RoundBarrier,
@@ -37,6 +36,9 @@ from repro.distributed.sync import HalvingDoublingAllReduce, RingAllReduce
 from repro.netsim import Simulator
 from repro.netsim.topology import build_star
 from repro.workloads import get_profile
+
+from .helpers import train
+from .oracles import reference_adam_step_flat
 
 
 def weight_hash(result) -> str:
@@ -71,9 +73,11 @@ class TestGoldenRegression:
     @pytest.mark.parametrize("mode,strategy", sorted(GOLDEN))
     def test_weights_and_simulated_time_pinned(self, mode, strategy):
         if mode == "sync":
-            result = run_sync(strategy, "ppo", n_workers=4, n_iterations=5, seed=7)
+            result = train(strategy, "ppo", n_workers=4, iterations=5, seed=7)
         else:
-            result = run_async(strategy, "ppo", n_workers=4, n_updates=30, seed=7)
+            result = train(
+                strategy, "ppo", mode="async", n_workers=4, iterations=30, seed=7
+            )
         expected_hash, expected_elapsed = GOLDEN[(mode, strategy)]
         assert weight_hash(result) == expected_hash
         assert result.elapsed == expected_elapsed
@@ -241,7 +245,7 @@ class TestNewStrategies:
     def trio(self):
         """ar, ar-hd, ps-shard on the same seed at N=8."""
         return {
-            s: run_sync(s, "ppo", n_workers=8, n_iterations=3, seed=7)
+            s: train(s, "ppo", n_workers=8, iterations=3, seed=7)
             for s in ("ar", "ar-hd", "ps-shard")
         }
 
@@ -271,7 +275,7 @@ class TestNewStrategies:
 
     def test_hd_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power-of-two"):
-            run_sync("ar-hd", "ppo", n_workers=6, n_iterations=1)
+            train("ar-hd", "ppo", n_workers=6, iterations=1)
 
     def test_ps_shard_clamps_shards_to_workers(self):
         profile = get_profile("ppo")
@@ -370,62 +374,45 @@ class TestRegistryIntrospection:
 
 
 # ----------------------------------------------------------------------
-# Compute fast path vs legacy (PR 10): the distributed layer must not
-# notice which compute path the workers run on
+# The distributed layer must not notice how the workers do their math
 # ----------------------------------------------------------------------
 class TestComputePathParity:
-    """Every strategy, fast vs legacy compute, identical results.
+    """Every strategy on reference compute, identical results.
 
-    The goldens above already pin the (default-on) fast path to the
-    pre-refactor values; these runs re-execute each strategy on the
-    retained legacy implementations and require the same final weights
-    *and* the same simulated clock — the compute path must be invisible
-    to the event schedule.
+    The goldens above pin the production compute tier; these runs swap
+    the fused flat Adam for the textbook per-parameter oracle step
+    (``tests/oracles.py`` — the "legacy compute" of the test names) and
+    require the same final weights *and* the same simulated clock.
     """
 
     @pytest.mark.parametrize("mode,strategy", sorted(GOLDEN))
-    def test_legacy_compute_reproduces_golden(self, mode, strategy):
-        from repro.nn import use_legacy_compute
+    def test_legacy_compute_reproduces_golden(self, mode, strategy, monkeypatch):
+        from repro.nn import Adam
 
-        with use_legacy_compute():
-            if mode == "sync":
-                result = run_sync(
-                    strategy, "ppo", n_workers=4, n_iterations=5, seed=7
-                )
-            else:
-                result = run_async(
-                    strategy, "ppo", n_workers=4, n_updates=30, seed=7
-                )
+        monkeypatch.setattr(Adam, "step_flat", reference_adam_step_flat)
+        if mode == "sync":
+            result = train(strategy, "ppo", n_workers=4, iterations=5, seed=7)
+        else:
+            result = train(
+                strategy, "ppo", mode="async", n_workers=4, iterations=30, seed=7
+            )
         expected_hash, expected_elapsed = GOLDEN[(mode, strategy)]
         assert weight_hash(result) == expected_hash
         assert result.elapsed == expected_elapsed
 
     def test_chaos_run_fast_vs_legacy(self):
-        """Fault injection (crash + switch reset + loss burst) is
-        compute-path-invariant too: same weights, same clock, same
-        fault verdict."""
-        from repro.nn import use_fast_compute, use_legacy_compute
-
-        def chaos(ctx):
-            with ctx:
-                return run(
-                    ExperimentConfig(
-                        strategy="isw",
-                        workload="dqn",
-                        n_workers=4,
-                        iterations=6,
-                        seed=7,
-                        fault_plan="examples/chaos_demo.json",
-                        telemetry=False,
-                    )
-                )
-
-        fast = chaos(use_fast_compute())
-        legacy = chaos(use_legacy_compute())
-        assert weight_hash(fast) == weight_hash(legacy)
-        assert fast.elapsed == legacy.elapsed
-        assert fast.fault_report is not None
-        assert fast.fault_report.ok == legacy.fault_report.ok
+        """Fault injection (crash + switch reset + loss burst) on dqn —
+        replay, fused Q-net gradient, Adam, replica resync — against the
+        digest both the fast and the since-removed legacy compute path
+        produced at the last commit that carried both.  Fix a regression,
+        do not re-pin."""
+        result = train(
+            "isw", "dqn", n_workers=4, iterations=6, seed=7,
+            fault_plan="examples/chaos_demo.json",
+        )
+        assert weight_hash(result) == "81694ec8dc7438f7"
+        assert result.elapsed == 0.3049290590851495
+        assert result.fault_report is not None and result.fault_report.ok
 
 
 # ----------------------------------------------------------------------

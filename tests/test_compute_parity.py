@@ -1,22 +1,25 @@
-"""Differential compute-parity suite (PR 10).
+"""Differential compute-parity suite.
 
-The compute fast path — ring-buffer replay, raw-NumPy inference forwards,
+The compute tier — ring-buffer replay, raw-NumPy inference forwards,
 fused loss kernels, the closed-form DQN gradient, flat in-place optimizer
-updates, and kernel vector envs — is **default-on**.  That is only sound
-because every piece is bit-identical to the legacy implementation it
-replaced.  This suite runs both paths side by side and asserts equality
-at the byte level (``tobytes()``, which is stricter than
-``np.array_equal`` — it distinguishes ``-0.0`` from ``0.0``):
+updates, and kernel vector envs — is the only compute path.  Each piece
+is pinned against a straightforward reference, at the byte level
+(``tobytes()``, which is stricter than ``np.array_equal`` — it
+distinguishes ``-0.0`` from ``0.0``):
 
-* replay: ring vs ``LegacyReplayBuffer`` on the same rng stream,
-* optimizers: ``step_flat`` vs the per-parameter legacy step,
+* replay: ring vs the list-of-tuples ``LegacyReplayBuffer`` oracle
+  (``tests/oracles.py``) on the same rng stream,
+* optimizers: ``step_flat`` vs the textbook per-parameter oracle step,
 * losses: fused kernels vs the composed-primitive graphs,
 * ``fused_qnet_grad``: closed-form backward vs the autograd tape,
 * envs: kernel ``VectorEnv`` vs the sequential reference over 1k steps,
-* end to end: whole training runs, fast vs legacy, per algorithm.
+* end to end: whole training runs per algorithm vs digests recorded at
+  the last commit that carried the legacy twins (where both agreed).
 
 DESIGN.md §13 documents the bit-identity argument each block asserts.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -35,16 +38,20 @@ from repro.nn import (
     mlp,
     mse_loss,
     no_grad,
-    use_fast_compute,
-    use_legacy_compute,
 )
 from repro.nn.layers import Module
 from repro.rl import A2C, DDPG, DQN, PPO
 from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D, make_vector_env
 from repro.rl.envs.vector import VectorEnv
 from repro.rl.envs.wrappers import FrameStack, NormalizeObservation, ScaleReward
-from repro.rl.legacy import LegacyReplayBuffer
 from repro.rl.replay import ReplayBuffer, Transition
+
+from .oracles import (
+    LegacyReplayBuffer,
+    ReferenceAdam,
+    ReferenceRMSProp,
+    ReferenceSGD,
+)
 
 
 def assert_bytes_equal(a: np.ndarray, b: np.ndarray, context: str = "") -> None:
@@ -146,27 +153,26 @@ class TestReplayParity:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers: flat in-place vs per-parameter legacy
+# Optimizers: flat in-place vs the per-parameter oracle step
 # ---------------------------------------------------------------------------
 
 
 def _optimizer_pair(factory):
-    """Two identical models, one fast-path optimizer, one legacy."""
+    """Two identical models: the flat optimizer, and its per-parameter
+    oracle (``tests/oracles.py``) — the "legacy" step of the test names."""
+    cls, reference_cls, kwargs = factory
     fast_model = mlp([5, 16, 16, 3], rng=np.random.default_rng(21))
     legacy_model = mlp([5, 16, 16, 3], rng=np.random.default_rng(21))
-    with use_fast_compute():
-        fast_opt = factory(fast_model.parameters())
-    with use_legacy_compute():
-        legacy_opt = factory(legacy_model.parameters())
-    assert fast_opt._use_flat and not legacy_opt._use_flat
+    fast_opt = cls(fast_model.parameters(), **kwargs)
+    legacy_opt = reference_cls(legacy_model.parameters(), **kwargs)
     return fast_model, fast_opt, legacy_model, legacy_opt
 
 
 OPTIMIZER_FACTORIES = [
-    pytest.param(lambda ps: SGD(ps, lr=0.05), id="sgd"),
-    pytest.param(lambda ps: SGD(ps, lr=0.05, momentum=0.9), id="sgd-momentum"),
-    pytest.param(lambda ps: Adam(ps, lr=1e-3), id="adam"),
-    pytest.param(lambda ps: RMSProp(ps, lr=1e-3), id="rmsprop"),
+    pytest.param((SGD, ReferenceSGD, dict(lr=0.05)), id="sgd"),
+    pytest.param((SGD, ReferenceSGD, dict(lr=0.05, momentum=0.9)), id="sgd-momentum"),
+    pytest.param((Adam, ReferenceAdam, dict(lr=1e-3)), id="adam"),
+    pytest.param((RMSProp, ReferenceRMSProp, dict(lr=1e-3)), id="rmsprop"),
 ]
 
 
@@ -177,7 +183,7 @@ class TestOptimizerParity:
         total = fast_model.n_parameters
         rng = np.random.default_rng(7)
         for step in range(25):
-            # The wire delivers float32 gradients; both paths cast to f64.
+            # The wire delivers float32 gradients; both sides cast to f64.
             grad = rng.standard_normal(total).astype(np.float32)
             fast_opt.step_flat(grad.astype(np.float64))
             load_flat_grads(legacy_model, grad)
@@ -189,7 +195,7 @@ class TestOptimizerParity:
 
     @pytest.mark.parametrize("factory", OPTIMIZER_FACTORIES)
     def test_fast_step_gathers_grad_slots(self, factory):
-        """``step()`` on the fast path gathers ``.grad`` == explicit flat."""
+        """``step()`` gathers the ``.grad`` slots into one flat step."""
         fast_model, fast_opt, legacy_model, legacy_opt = _optimizer_pair(factory)
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -423,41 +429,60 @@ class TestVectorEnvDifferential:
 
 
 # ---------------------------------------------------------------------------
-# End to end: whole training runs, fast vs legacy, per algorithm
+# End to end: whole training runs per algorithm, pinned
 # ---------------------------------------------------------------------------
 
 
-def _train(builder, compute: str, iterations: int) -> np.ndarray:
-    ctx = use_fast_compute() if compute == "fast" else use_legacy_compute()
-    with ctx:
-        algo = builder()
-        for _ in range(iterations):
-            algo.apply_update(algo.compute_gradient())
-        return flatten_params(algo.container)
+def _train(builder, iterations: int) -> np.ndarray:
+    algo = builder()
+    for _ in range(iterations):
+        algo.apply_update(algo.compute_gradient())
+    return flatten_params(algo.container)
 
 
+#: (builder, iterations, sha256[:16] of the final flat float32 weights).
+#: Recorded at the last commit that carried the legacy compute twins,
+#: where the fast and the legacy path both produced these bytes — fix a
+#: regression, do not re-pin.
 ALGORITHM_BUILDERS = [
-    pytest.param(lambda: DQN(GridPong(seed=3), seed=3, warmup=64), 15, id="dqn"),
+    pytest.param(
+        lambda: DQN(GridPong(seed=3), seed=3, warmup=64),
+        15,
+        "37c608b783ce63b7",
+        id="dqn",
+    ),
     pytest.param(
         lambda: DQN(
             GridPong(seed=3), seed=3, warmup=64, n_step=3, double_dqn=True
         ),
         15,
+        "0bd3aad2309b8a3e",
         id="dqn-nstep-double",
     ),
-    pytest.param(lambda: A2C(GridQbert(seed=3), seed=3), 12, id="a2c"),
-    pytest.param(lambda: PPO(Hopper1D(seed=3), seed=3, epochs=2), 8, id="ppo"),
-    pytest.param(lambda: DDPG(Cheetah1D(seed=3), seed=3, warmup=64), 12, id="ddpg"),
+    pytest.param(
+        lambda: A2C(GridQbert(seed=3), seed=3), 12, "3498f25997542dd4", id="a2c"
+    ),
+    pytest.param(
+        lambda: PPO(Hopper1D(seed=3), seed=3, epochs=2),
+        8,
+        "0c04fa2cd7764b5a",
+        id="ppo",
+    ),
+    pytest.param(
+        lambda: DDPG(Cheetah1D(seed=3), seed=3, warmup=64),
+        12,
+        "05ef3fee972ab951",
+        id="ddpg",
+    ),
 ]
 
 
 class TestAlgorithmParity:
-    @pytest.mark.parametrize("builder,iterations", ALGORITHM_BUILDERS)
-    def test_fast_path_is_bit_identical(self, builder, iterations):
-        fast = _train(builder, "fast", iterations)
-        legacy = _train(builder, "legacy", iterations)
-        assert_bytes_equal(fast, legacy)
-        assert np.isfinite(fast).all()
+    @pytest.mark.parametrize("builder,iterations,digest", ALGORITHM_BUILDERS)
+    def test_fast_path_is_bit_identical(self, builder, iterations, digest):
+        weights = _train(builder, iterations)
+        assert weights.dtype == np.float32
+        assert hashlib.sha256(weights.tobytes()).hexdigest()[:16] == digest
 
 
 VENV_PAIRS = [
@@ -494,8 +519,8 @@ class TestVectorEnvTraining:
         self, venv_builder, scalar_builder, iterations
     ):
         """One-env VectorEnv consumes the same rng stream as scalar stepping."""
-        vec = _train(venv_builder, "fast", iterations)
-        scalar = _train(scalar_builder, "fast", iterations)
+        vec = _train(venv_builder, iterations)
+        scalar = _train(scalar_builder, iterations)
         assert_bytes_equal(vec, scalar)
 
     @pytest.mark.parametrize("algorithm", ["dqn", "a2c", "ppo", "ddpg"])
@@ -513,7 +538,7 @@ class TestVectorEnvTraining:
                 make_vector_env("cheetah1d", 4, seed=5), seed=5, warmup=64
             ),
         }
-        weights = _train(builders[algorithm], "fast", 6)
+        weights = _train(builders[algorithm], 6)
         assert np.isfinite(weights).all()
 
     def test_k4_nstep_dqn_trains(self):
@@ -522,7 +547,6 @@ class TestVectorEnvTraining:
             lambda: DQN(
                 make_vector_env("gridpong", 4, seed=5), seed=5, warmup=64, n_step=3
             ),
-            "fast",
             6,
         )
         assert np.isfinite(weights).all()

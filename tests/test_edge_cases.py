@@ -8,39 +8,39 @@ from repro.core.protocol import DataSegment
 from repro.distributed import (
     AsyncISwitch,
     build_cluster,
-    run_async,
-    run_sync,
 )
 from repro.workloads import get_profile
+
+from .helpers import train
 
 
 class TestTinyClusters:
     def test_single_worker_sync_isw(self):
-        result = run_sync("isw", "ppo", n_workers=1, n_iterations=3, seed=0)
+        result = train("isw", "ppo", n_workers=1, iterations=3, seed=0)
         assert result.iterations == 3
         assert result.workers[0].algorithm.updates_applied == 3
 
     def test_single_worker_sync_ps(self):
-        result = run_sync("ps", "ppo", n_workers=1, n_iterations=3, seed=0)
+        result = train("ps", "ppo", n_workers=1, iterations=3, seed=0)
         assert result.iterations == 3
 
     def test_single_worker_ar_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            run_sync("ar", "ppo", n_workers=1, n_iterations=3, seed=0)
+            train("ar", "ppo", n_workers=1, iterations=3, seed=0)
 
     def test_single_worker_async_isw(self):
-        result = run_async("isw", "ppo", n_workers=1, n_updates=5, seed=0)
+        result = train("isw", "ppo", mode="async", n_workers=1, iterations=5, seed=0)
         assert result.iterations == 5
         # With one worker, every gradient is its own round: staleness <= 1.
-        assert result.extras["max_staleness"] <= 1
+        assert result.max_staleness <= 1
 
     def test_single_worker_async_ps(self):
-        result = run_async("ps", "ppo", n_workers=1, n_updates=5, seed=0)
+        result = train("ps", "ppo", mode="async", n_workers=1, iterations=5, seed=0)
         assert result.iterations == 5
-        assert result.extras["mean_staleness"] == 0.0
+        assert result.mean_staleness == 0.0
 
     def test_two_worker_cluster(self):
-        result = run_sync("isw", "a2c", n_workers=2, n_iterations=4, seed=0)
+        result = train("isw", "a2c", n_workers=2, iterations=4, seed=0)
         assert result.n_workers == 2
         np.testing.assert_allclose(
             result.workers[0].algorithm.get_weights(),
@@ -52,9 +52,7 @@ class TestTinyClusters:
 class TestOddClusterSizes:
     @pytest.mark.parametrize("n_workers", [5, 7, 10])
     def test_irregular_rack_fills(self, n_workers):
-        result = run_sync(
-            "isw", "ppo", n_workers=n_workers, n_iterations=2, seed=0
-        )
+        result = train("isw", "ppo", n_workers=n_workers, iterations=2, seed=0)
         assert result.n_workers == n_workers
         assert all(w.iterations_done == 2 for w in result.workers)
 
@@ -115,8 +113,8 @@ class TestAsyncISwitchConfig:
 
 class TestDeterminism:
     def test_same_seed_same_simulated_timeline(self):
-        a = run_sync("isw", "ppo", n_workers=4, n_iterations=5, seed=42)
-        b = run_sync("isw", "ppo", n_workers=4, n_iterations=5, seed=42)
+        a = train("isw", "ppo", n_workers=4, iterations=5, seed=42)
+        b = train("isw", "ppo", n_workers=4, iterations=5, seed=42)
         assert a.elapsed == b.elapsed
         np.testing.assert_array_equal(
             a.workers[0].algorithm.get_weights(),
@@ -124,15 +122,15 @@ class TestDeterminism:
         )
 
     def test_different_seed_different_gradients(self):
-        a = run_sync("isw", "ppo", n_workers=2, n_iterations=3, seed=1)
-        b = run_sync("isw", "ppo", n_workers=2, n_iterations=3, seed=2)
+        a = train("isw", "ppo", n_workers=2, iterations=3, seed=1)
+        b = train("isw", "ppo", n_workers=2, iterations=3, seed=2)
         assert not np.allclose(
             a.workers[0].algorithm.get_weights(),
             b.workers[0].algorithm.get_weights(),
         )
 
     def test_async_same_seed_same_staleness(self):
-        a = run_async("isw", "ppo", n_workers=4, n_updates=20, seed=9)
-        b = run_async("isw", "ppo", n_workers=4, n_updates=20, seed=9)
-        assert a.extras["mean_staleness"] == b.extras["mean_staleness"]
+        a = train("isw", "ppo", mode="async", n_workers=4, iterations=20, seed=9)
+        b = train("isw", "ppo", mode="async", n_workers=4, iterations=20, seed=9)
+        assert a.mean_staleness == b.mean_staleness
         assert a.elapsed == b.elapsed

@@ -1,6 +1,7 @@
 """Tests for the ExperimentConfig facade, repro.distributed.run, and the
-strategy registry — including exact-parity checks against the legacy
-run_sync/run_async entry points."""
+strategy registry."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from repro.distributed import (
     get_strategy,
     register_strategy,
     run,
-    run_async,
-    run_sync,
     strategy_names,
     unregister_strategy,
 )
@@ -62,6 +61,11 @@ class TestExperimentConfigValidation:
             == 2e-3
         )
 
+    def test_scheduler_knob_is_gone(self):
+        # One scheduler: the field must not grow back.
+        with pytest.raises(TypeError):
+            ExperimentConfig(scheduler="heap")
+
     def test_with_overrides_revalidates(self):
         config = ExperimentConfig()
         assert config.with_overrides(n_workers=8).n_workers == 8
@@ -70,6 +74,30 @@ class TestExperimentConfigValidation:
 
 
 class TestRunFacadeParity:
+    #: What the since-removed ``run_sync``/``run_async`` wrappers returned
+    #: for dqn / 3 workers at the last commit that had them: (sha256[:16]
+    #: of worker 0's float64 weights, simulated seconds).  Fix a
+    #: regression, do not re-pin.
+    RUN_SYNC = {
+        "ps": ("4edc25055e399ac5", 0.22532311618162984),
+        "ar": ("4edc25055e399ac5", 0.12174818457264427),
+        "isw": ("b1fd0da7e785bde0", 0.06782530864023797),
+    }
+    RUN_ASYNC = {
+        "ps": ("0280764976377876", 0.1847714539575507),
+        "isw": ("19c68fabb0974f0d", 0.0682943955350272),
+    }
+
+    @staticmethod
+    def _digest(result):
+        weights = result.workers[0].algorithm.get_weights()
+        return (
+            hashlib.sha256(
+                np.ascontiguousarray(weights, dtype=np.float64).tobytes()
+            ).hexdigest()[:16],
+            result.elapsed,
+        )
+
     @pytest.mark.parametrize("strategy", ["ps", "ar", "isw"])
     def test_sync_matches_run_sync(self, strategy):
         new = run(
@@ -82,13 +110,8 @@ class TestRunFacadeParity:
                 telemetry=False,
             )
         )
-        old = run_sync(strategy, "dqn", n_workers=3, n_iterations=3, seed=7)
-        assert new.elapsed == old.elapsed
-        assert new.iterations == old.iterations
-        np.testing.assert_array_equal(
-            new.workers[0].algorithm.get_weights(),
-            old.workers[0].algorithm.get_weights(),
-        )
+        assert new.iterations == 3
+        assert self._digest(new) == self.RUN_SYNC[strategy]
 
     @pytest.mark.parametrize("strategy", ["ps", "isw"])
     def test_async_matches_run_async(self, strategy):
@@ -103,9 +126,8 @@ class TestRunFacadeParity:
                 telemetry=False,
             )
         )
-        old = run_async(strategy, "dqn", n_workers=3, n_updates=4, seed=3)
-        assert new.elapsed == old.elapsed
-        assert new.iterations == old.iterations
+        assert new.iterations == 4
+        assert self._digest(new) == self.RUN_ASYNC[strategy]
 
     def test_telemetry_does_not_change_results(self):
         base = ExperimentConfig(

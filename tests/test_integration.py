@@ -9,8 +9,9 @@ from repro.core import (
     configure_aggregation,
     iswitch_factory,
 )
-from repro.distributed import run_async, run_sync
 from repro.netsim import Packet, Simulator, build_rack_tree, build_star
+
+from .helpers import train
 
 
 class TestDistributedVsSingleNode:
@@ -19,7 +20,7 @@ class TestDistributedVsSingleNode:
         weights of a local loop applying the same mean gradients."""
         from repro.distributed.runner import make_algorithm
 
-        result = run_sync("isw", "ppo", n_workers=2, n_iterations=4, seed=11)
+        result = train("isw", "ppo", n_workers=2, iterations=4, seed=11)
         distributed = result.workers[0].algorithm.get_weights()
 
         # Replay locally: two replicas, mean gradient, same update order.
@@ -42,7 +43,7 @@ class TestLearningAcrossTheSwitch:
     def test_a2c_learns_through_in_switch_aggregation(self):
         """End-to-end: real rewards improve when every gradient crosses
         the simulated switch accelerator."""
-        result = run_sync("isw", "a2c", n_workers=4, n_iterations=250, seed=5)
+        result = train("isw", "a2c", n_workers=4, iterations=250, seed=5)
         algo = result.workers[0].algorithm
         assert len(algo.episode_rewards) >= 20
         early = np.mean(algo.episode_rewards[:10])
@@ -52,9 +53,9 @@ class TestLearningAcrossTheSwitch:
 
 class TestHierarchicalAsync:
     def test_async_isw_on_two_racks(self):
-        result = run_async("isw", "ppo", n_workers=6, n_updates=25, seed=3)
+        result = train("isw", "ppo", mode="async", n_workers=6, iterations=25, seed=3)
         assert result.iterations == 25
-        assert result.extras["mean_staleness"] <= 3
+        assert result.mean_staleness <= 3
 
 
 class TestCoexistence:

@@ -170,6 +170,19 @@ class TestFabricAdmission:
         # 1x4 slots per switch: at most 4 one-chunk jobs live at once.
         assert report.peak_concurrent <= 4
 
+    @pytest.mark.parametrize("n_jobs", [64, 96])
+    def test_full_job_table_queues_instead_of_crashing(self, n_jobs):
+        # A switch holds 64 job-table entries (job 0 included), so at most
+        # 63 tenants fit; the 64th must wait for an entry like it would
+        # for SRAM, not die inside configure_aggregation.
+        fabric, report = run_soak(
+            n_jobs=n_jobs, seed=7, iterations=6, telemetry=False
+        )
+        assert report.ok, report.summary_lines()
+        assert report.completed == n_jobs and report.failed == 0
+        assert report.peak_concurrent == fabric.root.jobs.max_jobs - 1
+        assert report.queued_jobs > 0
+
     def test_explicit_duplicate_job_id_rejected(self):
         fabric = SwitchFabric(telemetry=False)
         fabric.submit(_spec("first", job_id=9))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl.legacy import LegacyReplayBuffer
 from repro.rl.replay import ReplayBuffer, Transition
+
+from .oracles import LegacyReplayBuffer
 
 
 def make_transition(i):
@@ -82,9 +83,9 @@ class TestReplayBuffer:
 
 
 class TestRingProperties:
-    """Property tests (hypothesis) for the PR 10 preallocated ring.
+    """Property tests (hypothesis) for the preallocated ring.
 
-    The legacy list-of-tuples buffer is the executable spec: for any
+    The list-of-tuples oracle (``tests/oracles.py``) is the executable spec: for any
     push/sample schedule the ring must hold the same transitions in the
     same slot order and draw the same batches from the same rng stream.
     """

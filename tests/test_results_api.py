@@ -1,8 +1,6 @@
-"""Regression tests for the PR-6 API redesign.
-
-* ``run_sync``/``run_async`` are deprecated wrappers over
-  ``run(ExperimentConfig(...))`` and must stay bit-identical.
-* ``TrainingResult.extras`` is a deprecated alias over typed fields.
+"""Regression tests for the result API: typed fields are the only spelling
+(the ``run_sync``/``run_async`` wrappers and the ``extras`` dict alias are
+gone), and ``job_id`` is validated and numerics-neutral.
 """
 
 import numpy as np
@@ -10,120 +8,19 @@ import pytest
 
 from repro.distributed import ExperimentConfig, run
 from repro.distributed.results import TrainingResult
-from repro.distributed.runner import run_async, run_sync
 
 
 def _weights(result):
     return [w.algorithm.get_weights() for w in result.workers]
 
 
-class TestDeprecatedRunners:
-    def test_run_sync_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_sync"):
-            run_sync("isw", "synth", n_workers=2, n_iterations=2, seed=3)
-
-    def test_run_async_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_async"):
-            run_async("isw", "synth", n_workers=2, n_updates=4, seed=3)
-
-    def test_run_sync_bit_identical_to_config(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_sync("isw", "synth", n_workers=3, n_iterations=4, seed=11)
-        modern = run(
-            ExperimentConfig(
-                strategy="isw",
-                workload="synth",
-                mode="sync",
-                n_workers=3,
-                iterations=4,
-                seed=11,
-                telemetry=False,
-            )
-        )
-        assert legacy.elapsed == modern.elapsed
-        for old, new in zip(_weights(legacy), _weights(modern)):
-            assert np.array_equal(old, new)
-
-    def test_run_async_bit_identical_to_config(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_async(
-                "isw", "synth", n_workers=3, n_updates=6, seed=11,
-                staleness_bound=2,
-            )
-        modern = run(
-            ExperimentConfig(
-                strategy="isw",
-                workload="synth",
-                mode="async",
-                n_workers=3,
-                iterations=6,
-                seed=11,
-                staleness_bound=2,
-                telemetry=False,
-            )
-        )
-        assert legacy.elapsed == modern.elapsed
-        assert legacy.mean_staleness == modern.mean_staleness
-        for old, new in zip(_weights(legacy), _weights(modern)):
-            assert np.array_equal(old, new)
-
-    def test_run_sync_rejects_unknown_strategy(self):
-        with pytest.raises(KeyError):
-            with pytest.warns(DeprecationWarning):
-                run_sync("nope", "synth")
-
-
-def _result(**kwargs):
-    return TrainingResult(
-        strategy="isw",
-        workload="synth",
-        n_workers=2,
-        iterations=2,
-        elapsed=1.0,
-        **kwargs,
-    )
-
-
 class TestExtrasAlias:
-    def test_access_warns(self):
-        result = _result()
-        with pytest.warns(DeprecationWarning, match="extras is deprecated"):
-            result.extras
-
-    def test_typed_field_readable_through_alias(self):
-        result = _result(mean_staleness=1.5, commits=7)
-        with pytest.warns(DeprecationWarning):
-            extras = result.extras
-        assert extras["mean_staleness"] == 1.5
-        assert extras["commits"] == 7
-
-    def test_alias_write_updates_typed_field(self):
-        result = _result()
-        with pytest.warns(DeprecationWarning):
-            result.extras["mean_staleness"] = 2.5
-        assert result.mean_staleness == 2.5
-
-    def test_none_typed_field_is_absent_key(self):
-        result = _result()
-        with pytest.warns(DeprecationWarning):
-            extras = result.extras
-        assert "mean_staleness" not in extras
-        with pytest.raises(KeyError):
-            extras["mean_staleness"]
-
-    def test_unknown_keys_round_trip(self):
-        result = _result()
-        with pytest.warns(DeprecationWarning):
-            result.extras["custom_note"] = "hello"
-        with pytest.warns(DeprecationWarning):
-            assert result.extras["custom_note"] == "hello"
-
-    def test_dict_assignment_replaces_contents(self):
-        result = _result(commits=3)
-        with pytest.warns(DeprecationWarning):
-            result.extras = {"mean_staleness": 9.0}
-        assert result.mean_staleness == 9.0
-        assert result.commits is None
+    def test_extras_alias_is_gone(self):
+        result = TrainingResult(
+            strategy="isw", workload="synth", n_workers=2, iterations=2, elapsed=1.0
+        )
+        assert not hasattr(result, "extras")
+        assert result.mean_staleness is None  # unset typed fields read None
 
     def test_typed_fields_preferred_spelling(self):
         result = run(

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.distributed import run_sync
 from repro.workloads import CostModel, get_profile
+
+from .helpers import train
 
 
 @pytest.fixture(scope="module")
 def results():
     """One small run per strategy on the PPO workload (cheap)."""
     return {
-        strategy: run_sync(strategy, "ppo", n_workers=4, n_iterations=6, seed=3)
+        strategy: train(strategy, "ppo", n_workers=4, iterations=6, seed=3)
         for strategy in ("ps", "ar", "isw")
     }
 
@@ -59,7 +60,7 @@ class TestPerStrategyDetails:
 
     def test_big_model_ordering_isw_ar_ps(self):
         measured = {
-            s: run_sync(s, "dqn", n_workers=4, n_iterations=4, seed=1).per_iteration_time
+            s: train(s, "dqn", n_workers=4, iterations=4, seed=1).per_iteration_time
             for s in ("ps", "ar", "isw")
         }
         assert measured["isw"] < measured["ar"] < measured["ps"]
@@ -74,29 +75,29 @@ class TestPerStrategyDetails:
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(KeyError, match="unknown sync strategy"):
-            run_sync("nccl", "ppo")
+            train("nccl", "ppo")
 
     def test_invalid_iterations_rejected(self):
         with pytest.raises(ValueError):
-            run_sync("isw", "ppo", n_iterations=0)
+            train("isw", "ppo", iterations=0)
 
     def test_custom_cost_model_changes_timing(self):
         slow = CostModel(allreduce_step_overhead=50e-3)
-        fast = run_sync("ar", "ppo", n_workers=4, n_iterations=3, seed=1)
-        slowed = run_sync(
-            "ar", "ppo", n_workers=4, n_iterations=3, seed=1, cost_model=slow
+        fast = train("ar", "ppo", n_workers=4, iterations=3, seed=1)
+        slowed = train(
+            "ar", "ppo", n_workers=4, iterations=3, seed=1, cost_model=slow
         )
         assert slowed.per_iteration_time > fast.per_iteration_time
 
     def test_isw_carries_real_aggregated_data(self):
         """The iSwitch path sums actual gradient payloads in the switch."""
-        result = run_sync("isw", "ppo", n_workers=2, n_iterations=2, seed=9)
+        result = train("isw", "ppo", n_workers=2, iterations=2, seed=9)
         assert result.final_average_reward != float("-inf") or True
         # Weight movement proves aggregated (non-zero) gradients arrived.
         assert result.workers[0].algorithm.updates_applied == 2
 
     def test_rack_scale_sync(self):
-        result = run_sync("isw", "ppo", n_workers=6, n_iterations=3, seed=1)
+        result = train("isw", "ppo", n_workers=6, iterations=3, seed=1)
         assert result.n_workers == 6
         reference = result.workers[0].algorithm.get_weights()
         for worker in result.workers[1:]:
