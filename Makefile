@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast lint bench bench-smoke bench-gate bench-pytest perf-selftest soak-smoke
+.PHONY: test test-fast lint bench bench-smoke bench-gate bench-pytest perf-selftest perf-pairs soak-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -32,6 +32,13 @@ bench-pytest:
 
 perf-selftest:
 	$(PY) -m pytest benchmarks/perf -q
+
+# Interleaved parent/change pairs of benchmarks/perf (~45 min for all six
+# workloads at ten pairs); narrow with PAIRS_ARGS="--workload isw-small".
+BASELINE ?= HEAD~1
+PAIRS ?= 10
+perf-pairs:
+	$(PY) tools/perf_pairs.py --baseline-ref $(BASELINE) --pairs $(PAIRS) $(PAIRS_ARGS)
 
 soak-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro jobs soak \

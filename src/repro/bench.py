@@ -18,9 +18,10 @@ fixed scenario matrix —
   sampling, fused optimizer updates)
 
 — and writes a schema'd JSON report (median/p90 wall seconds, events/sec,
-packets/sec, host info).  Training scenarios run the batched transport
-(``transport="train"``); the parameters are recorded per scenario so
-reports stay self-describing.
+packets/sec, host info).  Scenarios run whatever transport ``repro train``
+would pick for the same config (trains where exact, per-packet for the
+chaos and soak scenarios: DESIGN.md §11.2); the parameters are recorded
+per scenario so reports stay self-describing.
 
 ``--baseline`` embeds a previous report plus per-scenario speedups; it
 defaults to the newest checked-in result listed in
@@ -71,10 +72,6 @@ SCHEMA = "repro-bench-v1"
 #: The simulator-bound workload every training scenario uses.
 BENCH_WORKLOAD = "synth"
 BENCH_SEED = 7
-
-#: Transport granularity the scenarios run with: "train" is the batched
-#: path (DESIGN.md §11.2 lists where it differs from "packet").
-BENCH_TRANSPORT = "train"
 
 #: Default fault plan for the chaos scenario (repo-relative).
 CHAOS_PLAN = os.path.join("examples", "chaos_demo.json")
@@ -182,13 +179,15 @@ def _training_fn(
             telemetry=telemetry,
             fault_plan=fault_plan,
             recovery_timeout=recovery_timeout,
-            transport=BENCH_TRANSPORT,
             algorithm_overrides=algorithm_overrides,
         )
 
     def once() -> Dict[str, object]:
         result = run(config(telemetry=False))
-        meta: Dict[str, object] = {"sim_time_s": result.elapsed}
+        meta: Dict[str, object] = {
+            "sim_time_s": result.elapsed,
+            "transport": result.transport,
+        }
         if result.fault_report is not None:
             meta["fault_ok"] = result.fault_report.ok
         return meta
@@ -219,7 +218,6 @@ def _training_scenario(
             "n_workers": n_workers,
             "iterations": iterations,
             "seed": BENCH_SEED,
-            "transport": BENCH_TRANSPORT,
         },
     )
 
@@ -249,7 +247,6 @@ def _compute_training_scenario(
             "n_workers": n_workers,
             "iterations": iterations,
             "seed": BENCH_SEED,
-            "transport": BENCH_TRANSPORT,
             "algorithm_overrides": overrides,
         },
     )
@@ -275,7 +272,6 @@ def _chaos_scenario(iterations: int) -> Scenario:
             "iterations": iterations,
             "seed": BENCH_SEED,
             "fault_plan": CHAOS_PLAN,
-            "transport": BENCH_TRANSPORT,
         },
     )
 
@@ -290,7 +286,6 @@ def _soak_scenario(n_jobs: int) -> Scenario:
             n_jobs=n_jobs,
             seed=BENCH_SEED,
             telemetry=False,
-            transport=BENCH_TRANSPORT,
         )
         if not report.ok:
             raise RuntimeError(
@@ -300,6 +295,7 @@ def _soak_scenario(n_jobs: int) -> Scenario:
             )
         return {
             "sim_time_s": report.sim_elapsed,
+            "transport": report.transport,
             "events": fabric.sim.processed_events,
             "jobs_completed": report.completed,
             "jobs_rejected": report.rejected,
@@ -315,7 +311,6 @@ def _soak_scenario(n_jobs: int) -> Scenario:
             "n_jobs": n_jobs,
             "seed": BENCH_SEED,
             "policy": "fair",
-            "transport": BENCH_TRANSPORT,
         },
     )
 

@@ -224,13 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults from a FaultPlan JSON (see DESIGN.md §6)",
     )
     train.add_argument(
-        "--transport",
-        choices=("packet", "train"),
-        default="packet",
-        help="sim transport granularity: one event per packet (default) or "
-        "batched packet trains (same results, fewer events; DESIGN.md §11)",
-    )
-    train.add_argument(
         "--trace-out",
         metavar="PATH",
         default=None,
@@ -429,7 +422,6 @@ def _run_training(args: argparse.Namespace) -> int:
             ps_shards=args.shards,
             telemetry=want_telemetry,
             fault_plan=args.fault_plan,
-            transport=args.transport,
         )
         result = run(config)
     except (OSError, ValueError, RuntimeError) as exc:
@@ -442,7 +434,7 @@ def _run_training(args: argparse.Namespace) -> int:
     print(f"workload:           {result.workload}")
     print(f"backend:            {'live (loopback UDP)' if live else 'sim'}")
     if not live:
-        print(f"transport:          {config.transport}")
+        print(f"transport:          {result.transport}")
     print(f"workers:            {result.n_workers}")
     print(f"iterations:         {result.iterations}")
     elapsed_label = "train wall time" if live else "simulated time"

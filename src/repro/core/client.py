@@ -90,6 +90,12 @@ class AggregationClient:
         #: is ignored or answered by retransmits the dedup engine drops)
         #: but wastes packets.
         self.recovery_timeout = recovery_timeout
+        if recovery_timeout is not None and host.sim.batch_transport:
+            raise ValueError(
+                f"AggregationClient on {host.name}: loss recovery needs the "
+                "per-packet transport; clients burst packet trains only when "
+                "no recovery is armed (build_cluster(recovery_armed=True))"
+            )
         #: Cap on watchdog firings per round.  ``None`` (default) retries
         #: forever — correct when every round is guaranteed to eventually
         #: complete, but it deadlocks the simulator's event loop if a
@@ -163,63 +169,51 @@ class AggregationClient:
             vector, round_index, sender=self.host.name, commit_id=commit_id
         )
         if self.host.sim.batch_transport:
-            if self.recovery_timeout is None:
-                # Fused stamp + packetize: fresh plan splits always match
-                # the plan's per-chunk wire table, so this inlines
-                # make_data_packet without its off-plan fallback.
-                job = self.job
-                src = self.host.name
-                dst = self.switch_address
-                trusted = Packet.trusted
-                packets = []
-                for segment, (_, payload_size, frames) in zip(
-                    segments, self.plan._wire_info
-                ):
-                    segment.job = job
-                    segment.wire_payload = payload_size
-                    segment.wire_frames = frames
-                    packets.append(
-                        trusted(
-                            src,
-                            dst,
-                            payload_size,
-                            TOS_DATA_UP,
-                            segment,
-                            ISWITCH_UDP_PORT,
-                            ISWITCH_UDP_PORT,
-                            frames,
-                            job,
-                        )
-                    )
-            else:
-                packets = []
-                for segment in segments:
-                    segment.job = self.job
-                    frozen = segment.data.view()
-                    frozen.flags.writeable = False
-                    segment.data = frozen
-                    packets.append(
-                        make_data_packet(
-                            self.host.name, self.switch_address, segment, self.plan
-                        )
-                    )
-            self.host.send_burst(packets)
-        else:
-            for segment in segments:
-                segment.job = self.job
-                if self.recovery_timeout is not None:
-                    # These segments double as the retransmission cache, so
-                    # the engine must not adopt (and sum into) their arrays;
-                    # a read-only view makes it copy on first arrival
-                    # instead.
-                    frozen = segment.data.view()
-                    frozen.flags.writeable = False
-                    segment.data = frozen
-                self.host.send(
-                    make_data_packet(
-                        self.host.name, self.switch_address, segment, self.plan
+            # Fused stamp + packetize: fresh plan splits always match the
+            # plan's per-chunk wire table, so this inlines
+            # make_data_packet without its off-plan fallback.  No recovery
+            # bookkeeping: __init__ refuses an armed client on this path.
+            job = self.job
+            src = self.host.name
+            dst = self.switch_address
+            trusted = Packet.trusted
+            packets = []
+            for segment, (_, payload_size, frames) in zip(
+                segments, self.plan._wire_info
+            ):
+                segment.job = job
+                segment.wire_payload = payload_size
+                segment.wire_frames = frames
+                packets.append(
+                    trusted(
+                        src,
+                        dst,
+                        payload_size,
+                        TOS_DATA_UP,
+                        segment,
+                        ISWITCH_UDP_PORT,
+                        ISWITCH_UDP_PORT,
+                        frames,
+                        job,
                     )
                 )
+            self.host.send_burst(packets)
+            return commit_id
+        for segment in segments:
+            segment.job = self.job
+            if self.recovery_timeout is not None:
+                # These segments double as the retransmission cache, so
+                # the engine must not adopt (and sum into) their arrays;
+                # a read-only view makes it copy on first arrival
+                # instead.
+                frozen = segment.data.view()
+                frozen.flags.writeable = False
+                segment.data = frozen
+            self.host.send(
+                make_data_packet(
+                    self.host.name, self.switch_address, segment, self.plan
+                )
+            )
         if self.recovery_timeout is not None:
             for segment in segments:
                 self._sent[segment.seg] = segment
@@ -293,17 +287,14 @@ class AggregationClient:
         during the same call once its last chunk lands, just without one
         dispatch event per packet.  Result packets (the dominant train
         shape: a whole round's broadcast) take an inlined fast path;
-        anything else goes through the per-packet arbiter.
+        anything else goes through the per-packet arbiter.  No watchdog
+        guarding here: trains only flow where no recovery is armed.
         """
         plan = self.plan
         n_chunks = plan.n_chunks
         job = self.job
         completed = self._completed
         partial = self._partial
-        guard = (
-            self.recovery_timeout is not None
-            and self.on_round_abandoned is not None
-        )
         for packet in train.packets:
             if packet.tos != TOS_DATA_DOWN:
                 self._receive(packet)
@@ -320,8 +311,6 @@ class AggregationClient:
             chunks[chunk] = segment.data
             if len(chunks) == n_chunks:
                 self._finish_round(round_index)
-            elif guard:
-                self._guard_broadcast_rounds(round_index)
 
     def _retransmit(self, seg: int) -> None:
         """Answer a switch-relayed Help: resend our own contribution.

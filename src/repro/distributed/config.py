@@ -19,7 +19,12 @@ from typing import Optional
 from ..workloads.calibration import DEFAULT_COST_MODEL, CostModel
 from ..workloads.profiles import WorkloadProfile, get_profile
 
-__all__ = ["ExperimentConfig", "DEFAULT_RECOVERY_TIMEOUT", "resolve_codec"]
+__all__ = [
+    "ExperimentConfig",
+    "DEFAULT_RECOVERY_TIMEOUT",
+    "choose_transport",
+    "resolve_codec",
+]
 
 #: Worker watchdog period when loss recovery is armed and no explicit
 #: ``recovery_timeout`` was given: comfortably above one aggregation
@@ -28,7 +33,26 @@ DEFAULT_RECOVERY_TIMEOUT = 0.5e-3
 
 _WORKLOADS = ("dqn", "a2c", "ppo", "ddpg", "synth")
 _BACKENDS = ("sim", "live")
-_TRANSPORTS = ("packet", "train")
+
+
+def choose_transport(
+    *, iswitch: bool, recovery_armed: bool = False, shared_fabric: bool = False
+) -> str:
+    """Pick a cluster's ``Simulator.transport``; the label says why.
+
+    iSwitch clients burst packet trains wherever that is proven
+    bit-identical to one event per packet, and stay per-packet in the
+    regimes measured as not equivalent (DESIGN.md §11.2).  The only place
+    the choice is made — ``build_cluster`` and ``SwitchFabric`` call it,
+    nothing user-settable overrides it.
+    """
+    if not iswitch:
+        return "packet (host aggregation)"  # no client, no train ever forms
+    if shared_fabric:
+        return "packet (shared fabric)"  # jobs' bursts interleave on uplinks
+    if recovery_armed:
+        return "packet (loss recovery armed)"  # loss_rate, fault plan, timeout
+    return "train"
 
 
 @dataclass
@@ -80,13 +104,6 @@ class ExperimentConfig:
     #: ``ps-shard`` only: number of shard servers (clamped to the worker
     #: count); ``None`` uses the strategy's default.
     ps_shards: Optional[int] = None
-    #: Simulated transport granularity: ``"packet"`` schedules one event
-    #: per packet (the reference model; the golden regressions pin it),
-    #: ``"train"`` coalesces same-destination bursts into
-    #: :class:`~repro.netsim.packets.PacketTrain` deliveries — one
-    #: vectorized timeline computation and one event per train, for the
-    #: same per-packet arrival times.  Sim backend only.
-    transport: str = "packet"
     #: Collect metrics/spans/events into ``TrainingResult.telemetry``.
     telemetry: bool = True
     #: Scenario-driven fault injection: a
@@ -137,11 +154,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown codec {self.codec!r}; choose one of "
                 f"{sorted(CODECS)}"
-            )
-        self.transport = self.transport.lower()
-        if self.transport not in _TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {_TRANSPORTS}, got {self.transport!r}"
             )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(

@@ -38,6 +38,10 @@ class TrainingResult:
     aggregation_latency: LatencyStats = field(default_factory=LatencyStats)
     #: Which backend produced this result: ``"sim"`` or ``"live"``.
     backend: str = "sim"
+    #: Sim backend, set by ``run()``: the transport that ran and why —
+    #: ``"train"`` or ``"packet (<reason>)"``
+    #: (:func:`repro.distributed.config.choose_transport`).
+    transport: Optional[str] = None
     #: Async strategies: mean/max observed staleness (Algorithm 1's
     #: ``t - ts``) and cumulative PS CPU busy time, ``None`` elsewhere.
     mean_staleness: Optional[float] = None

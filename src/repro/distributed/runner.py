@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.hierarchy import (
-    dedup_iswitch_factory,
-    iswitch_factory,
-    make_iswitch_factory,
-)
+from ..core.hierarchy import make_iswitch_factory
 from ..netsim.events import Simulator, make_simulator
 from ..netsim.topology import build_rack_tree, build_star
 from ..rl.a2c import A2C
@@ -37,7 +33,7 @@ from ..rl.synthetic import SyntheticAlgorithm
 from ..telemetry.hub import TelemetryHub
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .asynchronous import AsyncISwitch, AsyncParameterServer  # noqa: F401
-from .config import ExperimentConfig
+from .config import ExperimentConfig, choose_transport
 from .registry import get_strategy, strategy_names
 from .results import TrainingResult
 from .sharded import ShardedParameterServer  # noqa: F401
@@ -108,7 +104,7 @@ def build_cluster(
     dedup: bool = False,
     telemetry: Optional[TelemetryHub] = None,
     canonical: bool = False,
-    transport: str = "packet",
+    recovery_armed: bool = False,
     codec=None,
 ) -> tuple:
     """Build (network, workers) for one experiment.
@@ -120,20 +116,19 @@ def build_cluster(
     ``seed``); ``dedup`` enables duplicate suppression in the iSwitch
     engines, which loss recovery requires.  ``telemetry`` attaches a
     :class:`~repro.telemetry.TelemetryHub` to the simulator so the hot
-    paths record metrics and spans.
+    paths record metrics and spans.  ``recovery_armed`` says the clients
+    will run the Help/retransmit loop, which keeps the cluster on the
+    per-packet transport (:func:`~repro.distributed.config.choose_transport`).
     """
     sim = make_simulator(telemetry=telemetry)
-    sim.batch_transport = transport == "train"
+    sim.transport = choose_transport(
+        iswitch=use_iswitch, recovery_armed=recovery_armed
+    )
+    kwargs = {}
     if use_iswitch:
-        if canonical or codec is not None:
-            factory = make_iswitch_factory(
-                dedup=dedup, canonical=canonical, codec=codec
-            )
-        else:
-            factory = dedup_iswitch_factory if dedup else iswitch_factory
-        kwargs = {"switch_factory": factory}
-    else:
-        kwargs = {}
+        kwargs["switch_factory"] = make_iswitch_factory(
+            dedup=dedup, canonical=canonical, codec=codec
+        )
     if loss_rate > 0:
         kwargs["loss_rate"] = loss_rate
         kwargs["loss_seed"] = seed
@@ -215,13 +210,6 @@ def run(config: ExperimentConfig) -> TrainingResult:
             "codec != 'fp32' models the switch dataplane and requires an "
             "iSwitch strategy ('isw')"
         )
-    # fp32 stays codec=None end-to-end: the engines, plans and goldens
-    # run the exact pre-codec datapath.
-    codec = None
-    if config.codec != "fp32":
-        from ..core.compression import get_codec
-
-        codec = get_codec(config.codec)
     profile = config.resolved_profile()
     plan = config.resolved_fault_plan()
     hub = TelemetryHub() if config.telemetry else None
@@ -238,8 +226,9 @@ def run(config: ExperimentConfig) -> TrainingResult:
         dedup=spec.requires_iswitch and (config.loss_rate > 0 or plan is not None),
         telemetry=hub,
         canonical=config.deterministic_aggregation and spec.requires_iswitch,
-        transport=config.transport,
-        codec=codec,
+        recovery_armed=config.resolved_recovery_timeout() is not None,
+        # fp32 resolves to None: the exact pre-codec datapath.
+        codec=config.resolved_codec(),
     )
     runner = spec.cls.create(net, workers, profile, config)
     injector = None
@@ -256,6 +245,9 @@ def run(config: ExperimentConfig) -> TrainingResult:
         )
         injector.install()
     result = runner.run(config.iterations)
+    result.transport = net.sim.transport
+    # Replicas the dead cluster no longer pins (SimWorker.detach).
+    result.workers = [worker.detach() for worker in workers]
     if injector is not None:
         injector.finalize(result)
     if hub is not None:
@@ -270,7 +262,7 @@ def run(config: ExperimentConfig) -> TrainingResult:
                 "seed": config.seed,
                 "loss_rate": config.loss_rate,
                 "codec": config.codec,
-                "transport": "train" if net.sim.batch_transport else "packet",
+                "transport": result.transport,
             }
         )
     return result

@@ -137,6 +137,9 @@ class SyncStrategy:
         for worker in self.workers:
             self._start_iteration(worker, 0)
         self.sim.run()
+        # The run is over; keeping the result would pin it (and the
+        # replicas it hands back) to this cluster's reference cycles.
+        self._result = None
         result.elapsed = self.sim.now - start
         for worker in self.workers:
             result.breakdown.totals = {

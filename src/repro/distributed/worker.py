@@ -10,6 +10,8 @@ and simulated timestamps stay consistent.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..netsim.node import Host
@@ -63,6 +65,7 @@ class SimWorker:
         compute: ComputeModel,
     ) -> None:
         self.index = index
+        self.name = host.name
         self.host = host
         self.algorithm = algorithm
         self.compute = compute
@@ -73,12 +76,21 @@ class SimWorker:
         self._episodes_seen = 0
 
     @property
-    def name(self) -> str:
-        return self.host.name
-
-    @property
     def sim(self):
         return self.host.sim
+
+    def detach(self) -> "SimWorker":
+        """Move the replica (algorithm, counters, curves) to a host-less twin.
+
+        A finished cluster is a web of reference cycles only the cycle
+        collector frees, and train runs rarely trigger it; ``run()`` returns
+        detached workers so that dropping the ``TrainingResult`` frees the
+        replicas, replay buffers included, by reference count.
+        """
+        twin = copy.copy(self)
+        twin.host = None
+        self.algorithm = None
+        return twin
 
     def record_reward_sample(self) -> None:
         """Record a (time, avg reward) point when new episodes completed."""

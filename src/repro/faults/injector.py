@@ -83,6 +83,14 @@ class FaultInjector:
         """Schedule every plan event; call once, before the run starts."""
         if self._installed:
             raise RuntimeError("injector already installed")
+        if self.sim.batch_transport:
+            # Under trains a crash abandons in-flight bursts as a unit and
+            # can schedule into the past (DESIGN.md §11.2).
+            raise ValueError(
+                "fault injection needs the per-packet transport; clients "
+                "burst packet trains only when no loss recovery is armed "
+                "(build_cluster(recovery_armed=True), as run() does)"
+            )
         self._installed = True
         for record in self.report.records:
             self.sim.schedule_at(
@@ -90,26 +98,6 @@ class FaultInjector:
                 lambda r=record: self._fire(r),
                 name=f"fault:{record.event.kind}",
             )
-            self._register_train_barriers(record)
-
-    def _register_train_barriers(self, record: FaultRecord) -> None:
-        """Pre-register fault-window edges as train-split boundaries.
-
-        Batched transport coalesces a burst into one delivery event, so a
-        link-property change mid-train would otherwise apply to none of
-        it.  Barriers make ``send_train`` split exactly at the window
-        start/end; splitting is semantically neutral on its own (same
-        loss draws, same busy-time recurrence), so registering them even
-        for records that later skip costs nothing but an extra event.
-        """
-        event = record.event
-        if event.kind not in ("link-burst", "link-degrade"):
-            return
-        duration = event.params.get("duration")
-        for link in self._resolve_links(event.target):
-            link.add_train_barrier(event.time)
-            if duration is not None:
-                link.add_train_barrier(event.time + duration)
 
     def finalize(self, result=None) -> FaultReport:
         """Settle still-open records after the run; attach to ``result``."""

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from ..core.hierarchy import make_iswitch_factory
 from ..distributed.collectives.iswitch import make_plan
+from ..distributed.config import choose_transport
 from ..distributed.results import TrainingResult
 from ..distributed.runner import make_algorithm
 from ..distributed.sync import SyncISwitch
@@ -110,13 +111,13 @@ class SwitchFabric:
         telemetry: bool = True,
         host_bandwidth: float = 10 * GBPS,
         uplink_bandwidth: float = 40 * GBPS,
-        transport: str = "packet",
     ) -> None:
         if n_racks < 1:
             raise ValueError(f"n_racks must be >= 1, got {n_racks}")
         self.hub: Optional[TelemetryHub] = TelemetryHub() if telemetry else None
         self.sim = make_simulator(telemetry=self.hub)
-        self.sim.batch_transport = transport == "train"
+        # Several jobs' bursts interleave on the rack uplinks: per-packet.
+        self.sim.transport = choose_transport(iswitch=True, shared_fabric=True)
         self.host_bandwidth = host_bandwidth
         # Canonical-order engines: the bit-exact isolation guarantee.
         factory = make_iswitch_factory(canonical=True)

@@ -41,6 +41,8 @@ class SoakReport:
     #: Queue waits (simulated seconds) of jobs that had to wait.
     waits: List[float] = field(default_factory=list)
     tenants: int = 0
+    #: The fabric's ``Simulator.transport``: which path ran, and why.
+    transport: str = ""
 
     @property
     def queued_jobs(self) -> int:
@@ -66,6 +68,7 @@ class SoakReport:
             f"  queued at least once: {self.queued_jobs} "
             f"(max wait {self.max_wait * 1e3:.2f} ms simulated)",
             f"  simulated time:  {self.sim_elapsed * 1e3:.2f} ms",
+            f"  transport:       {self.transport}",
             f"  result:          {'OK' if self.ok else 'FAILED'}",
         ]
         return lines
@@ -115,7 +118,6 @@ def run_soak(
     n_tenants: int = 4,
     telemetry: bool = True,
     specs: Optional[List[JobSpec]] = None,
-    transport: str = "packet",
 ) -> Tuple[SwitchFabric, SoakReport]:
     """Generate, submit, and drain a soak load; return fabric + report."""
     fabric = SwitchFabric(
@@ -124,7 +126,6 @@ def run_soak(
         sram_segments_per_engine=sram_segments_per_engine,
         policy=policy,
         telemetry=telemetry,
-        transport=transport,
     )
     if specs is None:
         specs = generate_jobs(
@@ -143,6 +144,7 @@ def run_soak(
         peak_concurrent=fabric.peak_concurrent,
         sim_elapsed=fabric.sim.now,
         tenants=len({spec.tenant for spec in specs}),
+        transport=fabric.sim.transport,
     )
     for handle in handles.values():
         if handle.status is JobStatus.COMPLETED:

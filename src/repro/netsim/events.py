@@ -108,13 +108,14 @@ class Simulator:
     [1.5]
     """
 
-    #: When true, senders that support it coalesce same-destination bursts
-    #: into :class:`~repro.netsim.packets.PacketTrain` transmissions (one
-    #: delivery event per train instead of one per packet).  Off by
-    #: default: the per-packet path is the reference model and the golden
-    #: regressions pin its exact event interleaving.  The runner flips
-    #: this from ``ExperimentConfig.transport``.
-    batch_transport = False
+    #: Which transport the iSwitch senders on this simulator use, and why:
+    #: ``"train"`` (same-destination bursts travel as one
+    #: :class:`~repro.netsim.packets.PacketTrain`, one delivery event per
+    #: train) or ``"packet (<reason>)"`` (one event per packet, the
+    #: reference model).  Whoever builds the cluster sets it once from
+    #: :func:`repro.distributed.config.choose_transport`; a bare
+    #: simulator is per-packet.
+    transport = "packet"
 
     def __init__(self, telemetry: Optional[TelemetryHub] = None) -> None:
         self._now = 0.0
@@ -142,6 +143,11 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def batch_transport(self) -> bool:
+        """Whether senders on this simulator burst packet trains."""
+        return self.transport == "train"
 
     @property
     def processed_events(self) -> int:

@@ -500,8 +500,8 @@ class Link:
         #: :meth:`LinkEnd.send_train`.  Mutating ``bandwidth`` or the loss
         #: knobs mid-run *without* registering a barrier is still legal,
         #: but in-flight trains then keep the state they were computed
-        #: with (the documented approximation; the fault injector always
-        #: registers barriers).
+        #: with.  Nothing registers barriers today: fault plans run on the
+        #: per-packet transport (``choose_transport``).
         self.train_barriers: List[float] = []
         self.ends = (LinkEnd(self, 0), LinkEnd(self, 1))
 

@@ -18,8 +18,16 @@ class TestParser:
         assert args.strategy == "isw"
         assert args.workload == "dqn"
         assert args.workers == 4
-        assert args.transport == "packet"
         assert not hasattr(args, "scheduler")  # one scheduler, no flag
+        assert not hasattr(args, "transport")  # the cluster picks it
+
+    def test_transport_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--transport", "train"])
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--loss-rate" in help_text and "--transport" not in help_text
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -61,7 +69,18 @@ class TestMain:
         assert "sync-isw" in out
         assert "per-iteration time" in out
         # The result block says which transport produced it.
-        assert "transport:          packet" in out
+        assert "transport:          train\n" in out
+
+    def test_train_with_fault_plan_reports_per_packet_and_why(self, capsys):
+        code = main(
+            [
+                "train", "--workload", "dqn", "--iterations", "8",
+                "--fault-plan", "examples/chaos_demo.json",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "transport:          packet (loss recovery armed)\n" in out
 
     def test_train_async(self, capsys):
         code = main(

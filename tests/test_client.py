@@ -78,6 +78,19 @@ class TestRoundAssembly:
 
 
 class TestLossRecovery:
+    def test_armed_client_refused_where_clients_burst(self):
+        # The train path keeps no retransmission cache and arms no
+        # watchdog, so an armed client there would hang on the first drop.
+        sim = Simulator()
+        sim.transport = "train"
+        net = build_star(sim, 2, switch_factory=iswitch_factory)
+        with pytest.raises(ValueError, match="per-packet transport"):
+            AggregationClient(
+                net.workers[0], "tor0", SegmentPlan(1000),
+                recovery_timeout=0.5e-3,
+            )
+        AggregationClient(net.workers[0], "tor0", SegmentPlan(1000))  # unarmed: fine
+
     def _lossy_cluster(self, loss_rate, n_elements=2000):
         """A 2-worker cluster whose *downlink* to worker0 drops packets."""
         sim, net, plan, clients, results = cluster(

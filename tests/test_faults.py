@@ -238,13 +238,28 @@ class TestLossSeedDerivation:
 # Injector unit behaviour
 # ---------------------------------------------------------------------------
 class TestInjectorUnits:
-    def _cluster(self):
+    def _cluster(self, recovery_armed=True):
         from repro.distributed.runner import build_cluster
         from repro.workloads import get_profile
 
         return build_cluster(
-            2, get_profile("dqn"), with_server=False, use_iswitch=True
+            2,
+            get_profile("dqn"),
+            with_server=False,
+            use_iswitch=True,
+            recovery_armed=recovery_armed,
         )
+
+    def test_install_on_a_bursting_cluster_is_a_typed_error(self):
+        # Crash faults under trains used to die deep in the event loop
+        # (SimError: time moves forward); now the combination cannot be
+        # built, and the error names the selection rule.
+        net, workers = self._cluster(recovery_armed=False)
+        assert net.sim.transport == "train"
+        injector = FaultInjector(net, workers, object(), demo_plan())
+        with pytest.raises(ValueError, match="no loss recovery is armed"):
+            injector.install()
+        assert net.sim.pending_events == 0  # nothing was scheduled
 
     def test_install_twice_rejected(self):
         net, workers = self._cluster()

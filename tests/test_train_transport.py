@@ -6,20 +6,28 @@ hooks) promises the **same observable behaviour** as N per-packet
 accumulation (busy window, busy_time, counters), identical loss-rng
 consumption, and — through fault-window *train barriers* — identical
 link state seen by every packet when a fault edge lands mid-train.
-These tests pin that contract at the link level, then end to end: every
-registered strategy must produce bit-identical weights under
-``transport="train"`` and ``transport="packet"``.
+These tests pin that contract at the link level, then end to end: which
+transport a cluster picks (``choose_transport``; nothing user-settable),
+and that wherever it picks trains every observable matches the per-packet
+reference, forced through that same function.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
+from repro.core.accelerator import AggregationEngine
 from repro.distributed import ExperimentConfig, run
+from repro.distributed import runner as runner_module
+from repro.distributed.config import choose_transport
 from repro.faults import demo_plan
+from repro.multitenant import JobSpec, SwitchFabric, run_soak
 from repro.netsim import Host, Link, Simulator
-from repro.netsim.link import GBPS, GilbertElliott
+from repro.netsim.link import GBPS, GilbertElliott, LinkEnd
 from repro.netsim.packets import Packet, PacketTrain
+
+from .helpers import REFERENCE_TRANSPORT, per_packet_reference
 
 PORT = 9000
 
@@ -174,7 +182,7 @@ class TestForwardedTrainFaultSplit:
         packets = burst(self.N)
         ready = self.ready_times()
         if batched:
-            # What the fault injector does for link-window faults.
+            # What whoever mutates a link mid-run must do under trains.
             link.add_train_barrier(t0)
             link.add_train_barrier(t1)
             sim.schedule_fire(
@@ -295,21 +303,104 @@ class TestTrainDelivery:
 
 
 # ---------------------------------------------------------------------------
-# End to end: train transport must be invisible in the results
+# End to end: which transport a cluster gets, and that trains are invisible
 # ---------------------------------------------------------------------------
-def run_e2e(mode, strategy, transport, **kw):
-    kw.setdefault("iterations", 8)
-    kw.setdefault("workload", "dqn")
-    return run(
-        ExperimentConfig(
-            strategy=strategy,
-            mode=mode,
-            n_workers=4,
-            seed=0,
-            transport=transport,
-            **kw,
+TRAIN = "train"
+ARMED = "packet (loss recovery armed)"
+HOST_AGG = "packet (host aggregation)"
+SHARED = "packet (shared fabric)"
+
+#: id -> (ExperimentConfig fields, transport the cluster must pick).
+SELECTION = {
+    "sync-isw": (dict(strategy="isw"), TRAIN),
+    "async-isw": (dict(strategy="isw", mode="async"), TRAIN),
+    "rack-tree-n12": (dict(strategy="isw", n_workers=12), TRAIN),
+    "int32-bs": (dict(strategy="isw", codec="int32-bs"), TRAIN),
+    "canonical": (dict(strategy="isw", deterministic_aggregation=True), TRAIN),
+    "loss-1pct": (dict(strategy="isw", loss_rate=0.01), ARMED),
+    "fault-plan": (dict(strategy="isw", fault_plan=demo_plan()), ARMED),
+    "recovery-timeout": (dict(strategy="isw", recovery_timeout=1e-3), ARMED),
+    "async-loss": (dict(strategy="isw", mode="async", loss_rate=0.01), ARMED),
+    "sync-ps": (dict(strategy="ps"), HOST_AGG),
+    "sync-ar": (dict(strategy="ar"), HOST_AGG),
+    "async-ps": (dict(strategy="ps", mode="async"), HOST_AGG),
+}
+CLEAN = [name for name, (_, transport) in SELECTION.items() if transport == TRAIN]
+
+#: demo_plan() over sync-isw/dqn/N=4/seed 0/16 iterations, recorded at the
+#: last commit whose only default was per-packet (8682df3).
+CHAOS_ELAPSED = "1.5140492887079475"
+CHAOS_WEIGHTS = "fdd1333c8adf847e"
+
+
+def run_synth(fields, **kw):
+    kw.setdefault("iterations", 4)
+    kw.setdefault("n_workers", 4)
+    return run(ExperimentConfig(workload="synth", seed=7, **{**kw, **fields}))
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Counts of the two calls only a train can cause."""
+    calls = {"send_train": 0, "contribute_batch": 0}
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(LinkEnd, "send_train")
+    counting(AggregationEngine, "contribute_batch")
+    return calls
+
+
+class TestTransportSelection:
+    def test_the_rule(self):
+        assert choose_transport(iswitch=True) == TRAIN
+        assert choose_transport(iswitch=True, recovery_armed=True) == ARMED
+        assert choose_transport(iswitch=True, shared_fabric=True) == SHARED
+        # Contention outranks loss: a lossy fabric is still a fabric.
+        assert (
+            choose_transport(iswitch=True, recovery_armed=True, shared_fabric=True)
+            == SHARED
         )
-    )
+        assert choose_transport(iswitch=False) == HOST_AGG
+
+    @pytest.mark.parametrize("name", SELECTION)
+    def test_run_picks_and_reports_the_transport(self, name, train_calls):
+        fields, expected = SELECTION[name]
+        result = run_synth(fields)
+        assert result.transport == expected
+        assert result.telemetry.meta["transport"] == expected
+        # ... and the label is the truth: trains form iff it says so.
+        formed = train_calls["send_train"] > 0
+        assert formed == (expected == TRAIN)
+        assert (train_calls["contribute_batch"] > 0) == formed
+
+    def test_two_job_fabric_stays_per_packet(self, train_calls):
+        specs = [
+            JobSpec(name=f"job{i}", workload="synth", n_workers=2,
+                    iterations=3, seed=i)
+            for i in range(2)
+        ]
+        fabric, report = run_soak(specs=specs, telemetry=False)
+        assert report.ok
+        assert fabric.sim.transport == SHARED
+        assert report.transport == SHARED
+        assert f"  transport:       {SHARED}" in report.summary_lines()
+        assert train_calls == {"send_train": 0, "contribute_batch": 0}
+
+    def test_no_user_settable_transport_remains(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig(transport="packet")
+        with pytest.raises(TypeError):
+            SwitchFabric(transport="train")
+        with pytest.raises(TypeError):
+            run_soak(n_jobs=1, transport="train")
 
 
 def weight_digests(result):
@@ -319,32 +410,116 @@ def weight_digests(result):
     ]
 
 
+def observables(result, net):
+    """Everything a user can read off a run, minus the transport label."""
+    counters = {}
+    for metric in result.telemetry.metrics:
+        if metric["kind"] != "counter":
+            continue
+        # sim.events_processed splits by physical event kind (a train's
+        # one delivery books the rest as "deliver"); the total is the
+        # logical per-packet work and must match.
+        labels = tuple(
+            sorted((k, v) for k, v in metric["labels"].items() if k != "kind")
+        )
+        key = (metric["name"], labels)
+        counters[key] = counters.get(key, 0) + metric["value"]
+    return {
+        "weights": weight_digests(result)[0],
+        "replicas_agree": len(set(weight_digests(result))) == 1,
+        "elapsed": repr(result.elapsed),
+        "links": [
+            (link.name, link.dropped_packets)
+            + tuple(
+                (end.tx_packets, end.tx_bytes, repr(end.busy_time))
+                for end in link.ends
+            )
+            for link in net.links
+        ],
+        "counters": counters,
+    }
+
+
+def run_observed(fields, **kw):
+    """run_synth, also returning the network ``run()`` built."""
+    built = []
+    inner = runner_module.build_cluster
+
+    def spy(*args, **kwargs):
+        built.append(inner(*args, **kwargs))
+        return built[-1]
+
+    with mock.patch.object(runner_module, "build_cluster", spy):
+        result = run_synth(fields, **kw)
+    return result, built[0][0]
+
+
 class TestEndToEndParity:
     @pytest.mark.slow
     @pytest.mark.parametrize("mode,strategy", ALL_STRATEGIES)
     def test_train_transport_is_bit_identical(self, mode, strategy):
-        batched = run_e2e(mode, strategy, "train")
-        legacy = run_e2e(mode, strategy, "packet")
-        assert weight_digests(batched) == weight_digests(legacy)
-        assert batched.elapsed == legacy.elapsed
+        config = ExperimentConfig(
+            strategy=strategy, mode=mode, workload="dqn", n_workers=4,
+            iterations=8, seed=0,
+        )
+        chosen = run(config)
+        with per_packet_reference():
+            reference = run(config)
+        assert reference.transport == REFERENCE_TRANSPORT
+        assert chosen.transport == (TRAIN if strategy == "isw" else HOST_AGG)
+        assert weight_digests(chosen) == weight_digests(reference)
+        assert chosen.elapsed == reference.elapsed
+
+    @pytest.mark.parametrize("name", CLEAN)
+    def test_clean_configs_match_the_per_packet_reference(self, name):
+        fields, _ = SELECTION[name]
+        chosen, net = run_observed(fields)
+        with per_packet_reference():
+            reference, reference_net = run_observed(fields)
+        assert chosen.transport == TRAIN
+        assert reference.transport == REFERENCE_TRANSPORT
+        assert observables(chosen, net) == observables(reference, reference_net)
+
+    def test_paper_size_vector_matches_the_per_packet_reference(self):
+        # One iteration of the paper's 6.41 MB DQN vector: 4,592 frames of
+        # 366 floats per worker, the shape whose trains are longest.
+        fields = dict(
+            strategy="isw", algorithm_overrides={"n_params": 4592 * 366}
+        )
+        chosen, net = run_observed(fields, iterations=1)
+        with per_packet_reference():
+            reference, reference_net = run_observed(fields, iterations=1)
+        assert chosen.transport == TRAIN
+        assert observables(chosen, net) == observables(reference, reference_net)
 
     @pytest.mark.parametrize("transport", ["packet", "train"])
     def test_snapshot_meta_names_the_transport(self, transport):
-        # The one remaining fork: an artefact says which side produced it.
-        result = run_e2e("sync", "isw", transport, iterations=2, workload="synth")
-        assert result.telemetry.meta["transport"] == transport
+        # An artefact says which path produced it, and why.
+        fields = dict(strategy="isw")
+        if transport == "packet":
+            fields["loss_rate"] = 0.01
+        result = run_synth(fields, iterations=2)
+        expected = TRAIN if transport == "train" else ARMED
+        assert result.telemetry.meta["transport"] == expected
+        assert result.transport == expected
 
     @pytest.mark.slow
-    def test_chaos_plan_recovers_under_train_transport(self):
-        # Crash + rejoin, switch Reset, burst-loss window: every fault
-        # must resolve with batched transport exactly as it does with
-        # per-packet transport (barriers split trains at window edges).
-        result = run_e2e(
-            "sync", "isw", "train", iterations=16, fault_plan=demo_plan()
+    def test_chaos_plan_runs_per_packet_and_matches_its_digest(self):
+        # Crash + rejoin, switch Reset, burst-loss window: a fault plan
+        # arms recovery, so the run stays per-packet, says so, and lands
+        # on the digest pinned when that was the only transport.
+        result = run(
+            ExperimentConfig(
+                strategy="isw", workload="dqn", n_workers=4, seed=0,
+                iterations=16, fault_plan=demo_plan(),
+            )
         )
+        assert result.transport == ARMED
+        assert result.telemetry.meta["transport"] == ARMED
         report = result.fault_report
-        assert report is not None
         assert report.ok, report.summary()
         statuses = {r.event.kind: r.status for r in report.records}
         assert statuses["worker-crash"] == "recovered"
         assert statuses["link-burst"] == "recovered"
+        assert repr(result.elapsed) == CHAOS_ELAPSED
+        assert weight_digests(result)[0][:16] == CHAOS_WEIGHTS
