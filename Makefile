@@ -1,12 +1,24 @@
 PY ?= python
 
-.PHONY: test test-fast lint bench bench-smoke bench-gate bench-pytest perf-selftest perf-pairs soak-smoke
+.PHONY: test test-fast live lint bench bench-smoke bench-gate bench-pytest perf-selftest perf-pairs soak-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
 
 test-fast:
 	PYTHONPATH=src $(PY) -m pytest -x -q -m "not slow"
+
+# Exactly the CI `live` job (which runs this target): sim<->live conformance
+# over loopback UDP with a per-test timeout and the repro.live coverage
+# floor; the plugin flags are dropped when the plugins are not installed.
+live:
+	@if $(PY) -c "import pytest_timeout, pytest_cov" 2>/dev/null; then \
+		PYTHONPATH=src $(PY) -m pytest -q -m live --timeout=120 \
+			--cov=repro.live --cov-fail-under=88; \
+	else \
+		echo "pytest-timeout/pytest-cov not installed; running without them"; \
+		PYTHONPATH=src $(PY) -m pytest -q -m live; \
+	fi
 
 lint:
 	$(PY) -m compileall -q src tests benchmarks

@@ -14,72 +14,51 @@ digest stream are pure functions of the gradients.  Staleness is still
 measured from the wire: each push carries the weight version it was
 computed against, and the server records the real gap at apply time.
 
-Framing (host-level, like the sync PS baseline):
-
-=========  ==========================================================
-Tag byte   Body (little-endian)
-=========  ==========================================================
-``J``      u8 rank, u32 n_elements — join
-``A``      — ack (server → worker)
-``G``      — go: all workers joined (server → worker)
-``U``      u8 rank, u32 cycle, u32 chunk, u32 version,
-           float32[] gradient chunk (version = weights the gradient
-           was computed against)
-``W``      u8 rank, u32 cycle, u32 chunk, u32 version,
-           float64[] weights chunk (server → worker; post-apply pull)
-``H``      u8 rank, u32 cycle — resend request for that cycle's pull
-``L``      u8 rank — leave
-=========  ==========================================================
-
-Chunks carry 183 elements, the shared MTU-friendly payload budget.
+Framing is host-level, like the sync PS baseline (DESIGN §9.4): ``U``
+pushes additionally carry the weight version the gradient was computed
+against, ``W`` frames carry the post-apply pull, and ``H`` asks for a
+whole cycle's pull again.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 import struct
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..rl.base import Algorithm
-from .ps import JOIN_DEADLINE, JOIN_RESEND_PERIOD, _chunk_bounds, _n_chunks
+from .driver import (
+    DEFAULT_LIVE_RECOVERY_TIMEOUT,
+    Frames,
+    LiveWorkerBase,
+    chunk_payload,
+    n_chunks,
+    split_chunks,
+)
+from .ps import JOIN_BODY, HostServer
 from .transport import Address, UdpEndpoint
 
 __all__ = ["LiveAsyncPsServer", "LiveAsyncPsWorker"]
 
 _ASYNC_HEADER = struct.Struct("<BIII")  # rank, cycle, chunk, version
-_JOIN_BODY = struct.Struct("<BI")  # rank, n_elements
 _PULL_REQ = struct.Struct("<BI")  # rank, cycle
 
 
-class LiveAsyncPsServer:
+class LiveAsyncPsServer(HostServer):
     """Applies pushes cyclically to a replica; answers with fresh pulls."""
 
     def __init__(
         self,
         n_workers: int,
         replica: Algorithm,
-        endpoint: Optional[UdpEndpoint] = None,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.n_workers = n_workers
+        super().__init__(n_workers, loss_rate, loss_seed)
         self.replica = replica
-        self.endpoint = endpoint
-        self.loss_rate = loss_rate
-        self._drop_rng = random.Random(loss_seed)
         self.n_elements = replica.get_weights().size
-        self.n_chunks = _n_chunks(self.n_elements)
-        self._members: Dict[int, Address] = {}
-        self._left: set = set()
-        self._go_sent = False
+        self.n_chunks = n_chunks(self.n_elements)
         #: Applied-push counter: apply number ``k·N + w`` is next.
         self.server_updates = 0
         #: (cycle, rank) → (chunk → f32 payload, version) partial pushes.
@@ -90,70 +69,13 @@ class LiveAsyncPsServer:
         self._ready: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
         #: rank → (cycle, encoded ``W`` frames) — latest pull, for resends.
         self._pull_cache: Dict[int, Tuple[int, List[bytes]]] = {}
-        self.counters: Dict[str, int] = {
-            "frames_rx": 0,
-            "frames_tx": 0,
-            "updates": 0,
-            "staleness_total": 0,
-            "staleness_max": 0,
-            "duplicates_dropped": 0,
-            "drops_injected": 0,
-            "resends_served": 0,
-            "decode_errors": 0,
-        }
+        self.counters.update(updates=0, staleness_total=0, staleness_max=0)
 
-    @property
-    def done(self) -> bool:
-        return len(self._members) == self.n_workers and len(self._left) == len(
-            self._members
+    def _handle_push(self, rank: int, frame: bytes) -> Frames:
+        _, cycle, chunk, version = _ASYNC_HEADER.unpack_from(frame, 1)
+        data = chunk_payload(
+            frame, 1 + _ASYNC_HEADER.size, "<f4", chunk, self.n_elements
         )
-
-    def handle_frame(
-        self, frame: bytes, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        self.counters["frames_rx"] += 1
-        if not frame:
-            self.counters["decode_errors"] += 1
-            return []
-        tag = frame[:1]
-        try:
-            if tag == b"J":
-                rank, n_elements = _JOIN_BODY.unpack_from(frame, 1)
-                if n_elements != self.n_elements:
-                    self.counters["decode_errors"] += 1
-                    return []
-                return self._handle_join(rank, addr)
-            if tag == b"U":
-                return self._handle_push(frame)
-            if tag == b"H":
-                return self._handle_pull_resend(frame, addr)
-            if tag == b"L":
-                self._left.add(frame[1])
-                return []
-        except (IndexError, struct.error, ValueError):
-            self.counters["decode_errors"] += 1
-        return []
-
-    def _handle_join(
-        self, rank: int, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        self._members[rank] = addr
-        out = [(b"A", addr)]
-        if len(self._members) == self.n_workers and not self._go_sent:
-            self._go_sent = True
-            out.extend(
-                (b"G", a)
-                for _, a in sorted(self._members.items())
-            )
-        elif self._go_sent:
-            out.append((b"G", addr))
-        return out
-
-    def _handle_push(self, frame: bytes) -> List[Tuple[bytes, Address]]:
-        if self.loss_rate > 0 and self._drop_rng.random() < self.loss_rate:
-            self.counters["drops_injected"] += 1
-            return []
-        rank, cycle, chunk, version = _ASYNC_HEADER.unpack_from(frame, 1)
         if cycle * self.n_workers + rank < self.server_updates:
             self.counters["duplicates_dropped"] += 1
             return []  # already applied: a retransmission raced the apply
@@ -165,22 +87,17 @@ class LiveAsyncPsServer:
         if chunk in chunks:
             self.counters["duplicates_dropped"] += 1
             return []
-        chunks[chunk] = np.frombuffer(
-            frame, dtype="<f4", offset=1 + _ASYNC_HEADER.size
-        ).astype(np.float32)
+        chunks[chunk] = data
         if len(chunks) < self.n_chunks:
             return []
         del self._partial[key]
-        gradient = np.empty(self.n_elements, dtype=np.float32)
-        for index, data in chunks.items():
-            start, stop = _chunk_bounds(index, self.n_elements)
-            gradient[start:stop] = data
+        gradient = np.concatenate([chunks[i] for i in range(self.n_chunks)])
         self._ready[key] = (gradient, version)
         return self._apply_ready()
 
-    def _apply_ready(self) -> List[Tuple[bytes, Address]]:
+    def _apply_ready(self) -> Frames:
         """Apply every push whose cyclic turn has come, oldest first."""
-        out: List[Tuple[bytes, Address]] = []
+        out: Frames = []
         while True:
             cycle, rank = divmod(self.server_updates, self.n_workers)
             entry = self._ready.pop((cycle, rank), None)
@@ -197,57 +114,30 @@ class LiveAsyncPsServer:
             self.server_updates += 1
             out.extend(self._send_pull(rank, cycle + 1))
 
-    def _send_pull(
-        self, rank: int, cycle: int
-    ) -> List[Tuple[bytes, Address]]:
+    def _send_pull(self, rank: int, cycle: int) -> Frames:
         """Scatter the post-apply weights back to the pushing worker."""
         weights = np.ascontiguousarray(
             self.replica.get_weights(), dtype="<f8"
         )
-        version = self.server_updates
-        frames = []
-        for chunk in range(self.n_chunks):
-            start, stop = _chunk_bounds(chunk, self.n_elements)
-            frames.append(
-                b"W"
-                + _ASYNC_HEADER.pack(rank, cycle, chunk, version)
-                + weights[start:stop].tobytes()
-            )
+        frames = [
+            b"W"
+            + _ASYNC_HEADER.pack(rank, cycle, chunk, self.server_updates)
+            + data.tobytes()
+            for chunk, data in enumerate(split_chunks(weights))
+        ]
         self._pull_cache[rank] = (cycle, frames)
-        addr = self._members.get(rank)
-        if addr is None:
-            return []
-        return [(frame, addr) for frame in frames]
+        return [(frame, self._members[rank]) for frame in frames]
 
-    def _handle_pull_resend(
-        self, frame: bytes, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        rank, cycle = _PULL_REQ.unpack_from(frame, 1)
+    def _handle_resend(self, rank: int, frame: bytes, addr: Address) -> Frames:
+        _, cycle = _PULL_REQ.unpack_from(frame, 1)
         cached = self._pull_cache.get(rank)
         if cached is None or cached[0] != cycle:
             return []  # push not applied yet; the worker retries its U
         self.counters["resends_served"] += 1
         return [(f, addr) for f in cached[1]]
 
-    def serve(self, deadline: float, poll_interval: float = 0.2) -> None:
-        if self.endpoint is None:
-            raise RuntimeError("serve() needs an endpoint")
-        while not self.done and time.monotonic() < deadline:
-            remaining = deadline - time.monotonic()
-            got = self.endpoint.recv(
-                timeout=min(poll_interval, max(remaining, 0.01))
-            )
-            if got is None:
-                continue
-            for out_frame, out_addr in self.handle_frame(*got):
-                self.endpoint.send(out_frame, out_addr)
-                self.counters["frames_tx"] += 1
 
-    def stats_snapshot(self) -> Dict[str, int]:
-        return dict(self.counters)
-
-
-class LiveAsyncPsWorker:
+class LiveAsyncPsWorker(LiveWorkerBase):
     """Push-pull worker loop of the live async PS baseline."""
 
     def __init__(
@@ -257,134 +147,101 @@ class LiveAsyncPsWorker:
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
         server_addr: Address,
-        recovery_timeout: float = 0.1,
+        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
         max_recovery_attempts: int = 12,
     ) -> None:
-        self.rank = rank
-        self.n_workers = n_workers
-        self.algorithm = algorithm
-        self.endpoint = endpoint
+        super().__init__(
+            rank,
+            n_workers,
+            algorithm,
+            endpoint,
+            recovery_timeout,
+            max_recovery_attempts,
+        )
         self.server_addr = server_addr
-        self.recovery_timeout = recovery_timeout
-        self.max_recovery_attempts = max_recovery_attempts
-        self.n_elements = algorithm.get_weights().size
-        self.n_chunks = _n_chunks(self.n_elements)
         #: The weight version the next gradient is computed against.
         self.version = 0
         self._cycle_frames: List[bytes] = []
-        #: Per-cycle digests of the pulled weights (each rank pulls its
-        #: own versions, so streams differ across ranks by design).
-        self.round_digests: List[str] = []
-        self.counters: Dict[str, int] = {
-            "frames_tx": 0,
-            "frames_rx": 0,
-            "help_sent": 0,
-            "retransmissions": 0,
-            "watchdog_timeouts": 0,
-            "stale_frames": 0,
-            "version_gap_max": 0,
-        }
-        self._joined = False
-
-    def _send(self, frame: bytes) -> None:
-        self.endpoint.send(frame, self.server_addr)
-        self.counters["frames_tx"] += 1
-
-    def join(self) -> None:
-        join = b"J" + _JOIN_BODY.pack(self.rank, self.n_elements)
-        deadline = time.monotonic() + JOIN_DEADLINE
-        while time.monotonic() < deadline:
-            self._send(join)
-            resend_at = time.monotonic() + JOIN_RESEND_PERIOD
-            while time.monotonic() < resend_at:
-                got = self.endpoint.recv(
-                    timeout=max(resend_at - time.monotonic(), 0.01)
-                )
-                if got is None:
-                    break
-                self.counters["frames_rx"] += 1
-                if got[0][:1] == b"G":
-                    self._joined = True
-                    return
-        raise RuntimeError(
-            f"async ps worker {self.rank}: not admitted within "
-            f"{JOIN_DEADLINE:.0f}s"
+        #: The pull being collected: its cycle, chunks and version stamp.
+        self._cycle = 0
+        self._pulled: Dict[int, np.ndarray] = {}
+        self._pulled_version = 0
+        #: ``round_digests`` holds per-cycle digests of the pulled weights
+        #: (each rank pulls its own versions, so streams differ across
+        #: ranks by design).
+        self.counters.update(
+            help_sent=0, retransmissions=0, version_gap_max=0
         )
 
-    def train(self, iterations: int) -> None:
-        """``iterations`` push/pull cycles against the server replica."""
-        if not self._joined:
-            raise RuntimeError("join() the job before training")
-        for cycle in range(iterations):
-            gradient = np.asarray(
-                self.algorithm.compute_gradient(), dtype=np.float32
-            )
-            self._push(gradient, cycle)
-            weights, version = self._pull(cycle + 1)
-            self.round_digests.append(
-                hashlib.sha256(
-                    np.ascontiguousarray(
-                        weights, dtype=np.float64
-                    ).tobytes()
-                ).hexdigest()[:16]
-            )
-            self.algorithm.set_weights(weights)
-            self.counters["version_gap_max"] = max(
-                self.counters["version_gap_max"], version - self.version - 1
-            )
-            self.version = version
-        self._send(b"L" + bytes([self.rank]))
+    def join(self) -> None:
+        self._join_until_go(
+            b"J" + JOIN_BODY.pack(self.rank, self.n_elements),
+            self.server_addr,
+            lambda frame, src: frame[:1] == b"G" and src == self.server_addr,
+        )
 
-    def _push(self, gradient: np.ndarray, cycle: int) -> None:
-        self._cycle_frames = []
-        for chunk in range(self.n_chunks):
-            start, stop = _chunk_bounds(chunk, self.n_elements)
-            frame = (
-                b"U"
-                + _ASYNC_HEADER.pack(self.rank, cycle, chunk, self.version)
-                + gradient[start:stop].astype("<f4", copy=False).tobytes()
-            )
-            self._cycle_frames.append(frame)
-            self._send(frame)
+    def _leave(self) -> None:
+        self._send(b"L" + bytes([self.rank]), self.server_addr)
 
-    def _pull(self, cycle: int) -> Tuple[np.ndarray, int]:
-        received: Dict[int, np.ndarray] = {}
-        version = 0
-        attempts = 0
-        timeout = self.recovery_timeout
-        while len(received) < self.n_chunks:
-            got = self.endpoint.recv(timeout=timeout)
-            if got is None:
-                attempts += 1
-                self.counters["watchdog_timeouts"] += 1
-                if attempts > self.max_recovery_attempts:
-                    raise RuntimeError(
-                        f"async ps worker {self.rank}: cycle {cycle} "
-                        f"abandoned after {attempts - 1} recovery attempts"
-                    )
-                for frame in self._cycle_frames:
-                    self._send(frame)
-                    self.counters["retransmissions"] += 1
-                self._send(b"H" + _PULL_REQ.pack(self.rank, cycle))
-                self.counters["help_sent"] += 1
-                timeout = min(self.recovery_timeout * 2**attempts, 2.0)
-                continue
-            frame = got[0]
-            self.counters["frames_rx"] += 1
-            if frame[:1] != b"W" or len(frame) < 1 + _ASYNC_HEADER.size:
-                continue
-            rank, frame_cycle, chunk, frame_version = (
-                _ASYNC_HEADER.unpack_from(frame, 1)
-            )
-            if rank != self.rank or frame_cycle != cycle or chunk in received:
+    def _submit(self, gradient: np.ndarray, cycle: int) -> None:
+        """Push: the whole gradient, stamped with the version it read."""
+        self._cycle_frames = [
+            b"U"
+            + _ASYNC_HEADER.pack(self.rank, cycle, chunk, self.version)
+            + data.astype("<f4", copy=False).tobytes()
+            for chunk, data in enumerate(split_chunks(gradient))
+        ]
+        for frame in self._cycle_frames:
+            self._send(frame, self.server_addr)
+
+    def _complete(self, cycle: int) -> np.ndarray:
+        """Pull: the server's weights right after it applied that push."""
+        self._cycle = cycle + 1
+        self._pulled = {}
+        self._collect(set(range(len(self._cycle_frames))), cycle)
+        return np.concatenate(
+            [self._pulled[chunk] for chunk in range(len(self._pulled))]
+        )
+
+    def _ingest(self, frame: bytes, addr: Address) -> None:
+        if frame[:1] != b"W":
+            return
+        try:
+            rank, cycle, chunk, version = _ASYNC_HEADER.unpack_from(frame, 1)
+            if (
+                rank != self.rank
+                or cycle != self._cycle
+                or chunk not in self._missing
+            ):
                 self.counters["stale_frames"] += 1
-                continue
-            version = frame_version
-            received[chunk] = np.frombuffer(
-                frame, dtype="<f8", offset=1 + _ASYNC_HEADER.size
-            ).astype(np.float64)
-        weights = np.empty(self.n_elements, dtype=np.float64)
-        for chunk, data in received.items():
-            start, stop = _chunk_bounds(chunk, self.n_elements)
-            weights[start:stop] = data
-        return weights, version
+                return
+            self._pulled[chunk] = chunk_payload(
+                frame,
+                1 + _ASYNC_HEADER.size,
+                "<f8",
+                chunk,
+                self.n_elements,
+            )
+        except (struct.error, ValueError):
+            self.counters["decode_errors"] += 1
+            return
+        self._pulled_version = version
+        self._missing.discard(chunk)
+
+    def _recover(self, missing: set, cycle: int) -> None:
+        """Watchdog fired: push again and ask for the pull again."""
+        for frame in self._cycle_frames:
+            self._send(frame, self.server_addr)
+            self.counters["retransmissions"] += 1
+        self._send(
+            b"H" + _PULL_REQ.pack(self.rank, self._cycle), self.server_addr
+        )
+        self.counters["help_sent"] += 1
+
+    def _apply(self, weights: np.ndarray, cycle: int) -> None:
+        self.algorithm.set_weights(weights)
+        self.counters["version_gap_max"] = max(
+            self.counters["version_gap_max"],
+            self._pulled_version - self.version - 1,
+        )
+        self.version = self._pulled_version

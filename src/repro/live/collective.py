@@ -6,18 +6,10 @@ worker binds its own socket, the runner distributes the
 :class:`~repro.live.transport.PeerTable` once everyone is bound, and the
 exchange proceeds as a schedule of point-to-point messages.
 
-Framing (host-level, like the live PS baseline — not the iSwitch wire
-protocol):
-
-=========  ==========================================================
-Tag byte   Body (little-endian)
-=========  ==========================================================
-``E``      u8 sender_rank, u8 phase, u32 round, u32 step, u32 frag,
-           float64[] payload — one fragment of an exchange message
-``R``      u8 requester_rank, u8 phase, u32 round, u32 step —
-           resend request for a whole exchange message
-``F``      u8 rank — finished: all of this rank's rounds are applied
-=========  ==========================================================
+Framing is host-level, like the live PS baseline — not the iSwitch wire
+protocol (DESIGN §9.4): ``E`` carries one fragment of an exchange
+message, ``R`` asks for a whole message again, ``F`` says this rank has
+applied all of its rounds.
 
 One exchange *message* is the chunk a peer owes us for ``(phase, round,
 step)`` of the schedule; chunks exceed the UDP datagram limit, so they
@@ -45,21 +37,25 @@ simulator all land on bit-identical weight trajectories.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import struct
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..rl.base import Algorithm
+from .driver import (
+    CHUNK_ELEMS,
+    DEFAULT_LIVE_RECOVERY_TIMEOUT,
+    LiveWorkerBase,
+    LossGate,
+    n_chunks,
+    shard_ranges,
+    split_chunks,
+)
 from .transport import Address, UdpEndpoint
 
-__all__ = ["LiveRingWorker", "LiveHdWorker", "COLLECTIVE_FRAG_ELEMS"]
-
-#: float64 elements per ``E`` fragment; 183 × 8 B = 1464 B payload.
-COLLECTIVE_FRAG_ELEMS = 183
+__all__ = ["LiveRingWorker", "LiveHdWorker"]
 
 _DATA_HEADER = struct.Struct("<BBIII")  # sender_rank, phase, round, step, frag
 _REQ_HEADER = struct.Struct("<BBII")  # requester_rank, phase, round, step
@@ -73,7 +69,7 @@ LINGER_DEADLINE = 30.0
 _MsgKey = Tuple[int, int, int, int]  # sender, phase, round, step
 
 
-class _PeerExchangeWorker:
+class _PeerExchangeWorker(LiveWorkerBase):
     """Shared transport machinery for the peer-to-peer collectives."""
 
     def __init__(
@@ -83,7 +79,7 @@ class _PeerExchangeWorker:
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
         peers: Dict[int, Address],
-        recovery_timeout: float = 0.1,
+        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
         max_recovery_attempts: int = 12,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
@@ -97,19 +93,17 @@ class _PeerExchangeWorker:
                 f"peer table must cover ranks 0..{n_workers - 1}, "
                 f"got {sorted(peers)}"
             )
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.rank = rank
-        self.n_workers = n_workers
-        self.algorithm = algorithm
-        self.endpoint = endpoint
+        super().__init__(
+            rank,
+            n_workers,
+            algorithm,
+            endpoint,
+            recovery_timeout,
+            max_recovery_attempts,
+        )
         self.peers = dict(peers)
-        self.recovery_timeout = recovery_timeout
-        self.max_recovery_attempts = max_recovery_attempts
-        self.loss_rate = loss_rate
         # Per-rank stream so every receiver drops an independent sample.
-        self._drop_rng = random.Random(loss_seed * 7919 + rank)
-        self.n_elements = algorithm.get_weights().size
+        self._loss = LossGate(loss_rate, loss_seed * 7919 + rank, self.counters)
         #: Send cache: (phase, round, step) → encoded fragments, for
         #: resend requests.  Current and previous round are retained.
         self._sent: Dict[Tuple[int, int, int], List[bytes]] = {}
@@ -118,17 +112,10 @@ class _PeerExchangeWorker:
         #: Peers whose ``F`` (finished) frame has arrived.
         self._peer_done: set = set()
         self._round = 0
-        self.round_digests: List[str] = []
-        self.counters: Dict[str, int] = {
-            "frames_tx": 0,
-            "frames_rx": 0,
-            "resend_requests_sent": 0,
-            "resends_served": 0,
-            "stale_frames": 0,
-            "decode_errors": 0,
-            "watchdog_timeouts": 0,
-            "drops_injected": 0,
-        }
+        self._accumulator = np.empty(0)
+        self.counters.update(resend_requests_sent=0, resends_served=0)
+        # Receiving the peer table was the rendezvous: nothing to join.
+        self._joined = True
 
     # -- wire helpers ---------------------------------------------------
     def _send_message(
@@ -136,25 +123,15 @@ class _PeerExchangeWorker:
     ) -> None:
         """Fragment ``vector`` (float64) and send it to peer ``dest``."""
         payload = np.ascontiguousarray(vector, dtype="<f8")
-        frames: List[bytes] = []
-        for frag in range(0, max(payload.size, 1), COLLECTIVE_FRAG_ELEMS):
-            chunk = payload[frag : frag + COLLECTIVE_FRAG_ELEMS]
-            frames.append(
-                b"E"
-                + _DATA_HEADER.pack(
-                    self.rank,
-                    phase,
-                    self._round,
-                    step,
-                    frag // COLLECTIVE_FRAG_ELEMS,
-                )
-                + chunk.tobytes()
-            )
+        frames = [
+            b"E"
+            + _DATA_HEADER.pack(self.rank, phase, self._round, step, frag)
+            + chunk.tobytes()
+            for frag, chunk in enumerate(split_chunks(payload))
+        ]
         self._sent[(phase, self._round, step)] = frames
-        addr = self.peers[dest]
         for frame in frames:
-            self.endpoint.send(frame, addr)
-            self.counters["frames_tx"] += 1
+            self._send(frame, self.peers[dest])
 
     def _prune_caches(self) -> None:
         floor = self._round - 1
@@ -169,65 +146,36 @@ class _PeerExchangeWorker:
     ) -> np.ndarray:
         """Block until the message from peer ``src`` is fully assembled."""
         key: _MsgKey = (src, phase, self._round, step)
-        n_frags = -(-n_elements // COLLECTIVE_FRAG_ELEMS)
-        attempts = 0
-        # Deadline-based watchdog: unrelated traffic (peers' resend
-        # requests, finish frames) must not starve recovery, so the timer
-        # runs on wall clock, not on the socket going quiet.  Progress on
-        # the awaited message rewinds it — escalating while fragments
-        # are streaming in would only add stalls.
-        recover_at = time.monotonic() + self.recovery_timeout
-        progress = -1
-        while True:
-            frags = self._pending.get(key)
-            if frags is not None and len(frags) == n_frags:
-                del self._pending[key]
-                out = np.empty(n_elements, dtype=np.float64)
-                for index, payload in frags.items():
-                    start = index * COLLECTIVE_FRAG_ELEMS
-                    out[start : start + payload.size] = payload
-                return out
-            if frags is not None and len(frags) > progress:
-                progress = len(frags)
-                attempts = 0
-                recover_at = time.monotonic() + self.recovery_timeout
-            remaining = recover_at - time.monotonic()
-            if remaining <= 0:
-                attempts += 1
-                self.counters["watchdog_timeouts"] += 1
-                if attempts > self.max_recovery_attempts:
-                    have = len(frags or ())
-                    raise RuntimeError(
-                        f"worker {self.rank}: round {self._round} phase "
-                        f"{phase} step {step} abandoned after "
-                        f"{attempts - 1} recovery attempts "
-                        f"({have}/{n_frags} fragments from rank {src})"
-                    )
-                self.endpoint.send(
-                    b"R" + _REQ_HEADER.pack(self.rank, phase, self._round, step),
-                    self.peers[src],
-                )
-                self.counters["frames_tx"] += 1
-                self.counters["resend_requests_sent"] += 1
-                recover_at = time.monotonic() + min(
-                    self.recovery_timeout * 2**attempts, 2.0
-                )
-                continue
-            got = self.endpoint.recv(timeout=remaining)
-            if got is None:
-                continue
-            self._ingest(got[0])
+        frags = self._pending.setdefault(key, {})
+        self._collect(
+            {
+                (src, phase, step, frag)
+                for frag in range(n_chunks(n_elements))
+                if frag not in frags
+            },
+            self._round,
+        )
+        del self._pending[key]
+        out = np.empty(n_elements, dtype=np.float64)
+        for index, payload in frags.items():
+            start = index * CHUNK_ELEMS
+            out[start : start + payload.size] = payload
+        return out
 
-    def _ingest(self, frame: bytes) -> None:
-        self.counters["frames_rx"] += 1
+    def _recover(self, missing: set, round_index: int) -> None:
+        """Watchdog fired: ask the sender for the whole message again."""
+        src, phase, step, _ = next(iter(missing))
+        self._send(
+            b"R" + _REQ_HEADER.pack(self.rank, phase, round_index, step),
+            self.peers[src],
+        )
+        self.counters["resend_requests_sent"] += 1
+
+    def _ingest(self, frame: bytes, addr: Address) -> None:
         tag = frame[:1]
         try:
             if tag == b"E":
-                if (
-                    self.loss_rate > 0
-                    and self._drop_rng.random() < self.loss_rate
-                ):
-                    self.counters["drops_injected"] += 1
+                if self._loss.drops():
                     return
                 sender, phase, rnd, step, frag = _DATA_HEADER.unpack_from(
                     frame, 1
@@ -241,6 +189,8 @@ class _PeerExchangeWorker:
                 self._pending.setdefault((sender, phase, rnd, step), {})[
                     frag
                 ] = payload.astype(np.float64)
+                if rnd == self._round:
+                    self._missing.discard((sender, phase, step, frag))
             elif tag == b"R":
                 requester, phase, rnd, step = _REQ_HEADER.unpack_from(frame, 1)
                 self._serve_resend(requester, phase, rnd, step)
@@ -261,32 +211,23 @@ class _PeerExchangeWorker:
         if addr is None:
             return
         for frame in frames:
-            self.endpoint.send(frame, addr)
-            self.counters["frames_tx"] += 1
+            self._send(frame, addr)
         self.counters["resends_served"] += 1
 
-    # -- training loop --------------------------------------------------
-    def train(self, iterations: int) -> None:
-        for iteration in range(iterations):
-            self._round = iteration
-            self._prune_caches()
-            gradient = np.asarray(
-                self.algorithm.compute_gradient(), dtype=np.float32
-            )
-            total = self._exchange(gradient.astype(np.float64))
-            self.round_digests.append(
-                hashlib.sha256(
-                    np.ascontiguousarray(total, dtype=np.float64).tobytes()
-                ).hexdigest()[:16]
-            )
-            self.algorithm.apply_update(total / self.n_workers)
-        self._linger()
+    # -- training template hooks ----------------------------------------
+    def _submit(self, gradient: np.ndarray, round_index: int) -> None:
+        self._round = round_index
+        self._prune_caches()
+        self._accumulator = gradient.astype(np.float64)
+
+    def _complete(self, round_index: int) -> np.ndarray:
+        return self._exchange(self._accumulator)
 
     def _exchange(self, accumulator: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _linger(self) -> None:
-        """Serve resend requests until every peer has also finished.
+    def _leave(self) -> None:
+        """Linger: serve resend requests until every peer has finished.
 
         Drops happen at the *receiver*, so this worker's last
         transmissions may still be missing at a peer whose only recovery
@@ -297,35 +238,26 @@ class _PeerExchangeWorker:
         others = [r for r in self.peers if r != self.rank]
         hard_stop = time.monotonic() + LINGER_DEADLINE
         next_finish = 0.0
-        while (
-            not all(r in self._peer_done for r in others)
-            and time.monotonic() < hard_stop
-        ):
+        while True:
+            # Announce first, test second: the last rank to finish already
+            # holds every peer's ``F`` and must still send its own.
             if time.monotonic() >= next_finish:
                 for peer in others:
-                    self.endpoint.send(finish, self.peers[peer])
-                    self.counters["frames_tx"] += 1
+                    self._send(finish, self.peers[peer])
                 next_finish = time.monotonic() + FINISH_RESEND_PERIOD
+            if (
+                all(r in self._peer_done for r in others)
+                or time.monotonic() >= hard_stop
+            ):
+                return
             got = self.endpoint.recv(timeout=0.05)
             if got is None:
                 continue
+            self.counters["frames_rx"] += 1
             if got[0][:1] in (b"R", b"F"):
-                self._ingest(got[0])
+                self._ingest(*got)
             else:
-                self.counters["frames_rx"] += 1
                 self.counters["stale_frames"] += 1
-
-
-def _chunk_bounds(n_elements: int, n_chunks: int) -> List[Tuple[int, int]]:
-    """``n_chunks`` contiguous element ranges (first ranges get the rest)."""
-    base, extra = divmod(n_elements, n_chunks)
-    bounds = []
-    start = 0
-    for index in range(n_chunks):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
 
 
 class LiveRingWorker(_PeerExchangeWorker):
@@ -340,7 +272,7 @@ class LiveRingWorker(_PeerExchangeWorker):
 
     def _exchange(self, accumulator: np.ndarray) -> np.ndarray:
         n = self.n_workers
-        bounds = _chunk_bounds(self.n_elements, n)
+        bounds = shard_ranges(self.n_elements, n)
         right = (self.rank + 1) % n
         left = (self.rank - 1) % n
         # Phase 0: reduce-scatter.

@@ -1,169 +1,130 @@
-"""Live sync-PS baseline: a parameter-server process over loopback UDP.
+"""Live sync-PS baselines: parameter-server processes over loopback UDP.
 
 The paper's PS baseline is ordinary host-level networking, not the
-iSwitch protocol, so this module uses its own minimal framing rather
-than :mod:`repro.core.protocol`:
+iSwitch protocol, so this module uses the minimal host-level framing of
+DESIGN §9.4 (``J``/``A``/``G``/``U``/``D``/``H``/``L``) rather than
+:mod:`repro.core.protocol`.
 
-=========  =====================================================
-Tag byte   Body (little-endian)
-=========  =====================================================
-``J``      u8 rank — join
-``A``      — ack (server → worker)
-``G``      — go: all workers joined (server → worker)
-``U``      u8 rank, u32 round, u32 chunk, float32[] gradient chunk
-``D``      u32 round, u32 chunk, float64[] summed chunk
-``H``      u8 rank, u32 round, u32 chunk — resend request
-``L``      u8 rank — leave
-=========  =====================================================
+A :class:`PsServer` sums each chunk in float64 **rank order** once all
+``N`` contributions arrived.  The simulator's ``SyncParameterServer``
+sums in float64 arrival order; for gradients of one workload's dynamic
+range the float64 sums are exact either way (the repo's golden hashes
+show ps, ring, and halving/doubling — three different orders — already
+agree), so sim and live stay bit-identical without a canonical mode here.
 
-The server sums each chunk in float64 **rank order** once all ``N``
-contributions arrived.  The simulator's ``SyncParameterServer`` sums in
-float64 arrival order; for gradients of one workload's dynamic range the
-float64 sums are exact either way (the repo's golden hashes show ps,
-ring, and halving/doubling — three different orders — already agree), so
-sim and live stay bit-identical without a canonical mode here.
-
-Chunks carry 183 elements in both directions, so one float64 result
-chunk (1464 B) and one float32 gradient chunk (732 B) both fit a single
-MTU-sized datagram and share chunk indexing.
+**ps is ps-shard with one shard.**  Mirroring the simulator's
+``sync-ps-shard`` strategy, the parameter space is split into K
+contiguous element ranges and each range is served by an independent
+:class:`PsServer` process.  The servers are completely stock — each one
+sums its own (round, chunk) keys over all N workers — so sharding lives
+entirely in :class:`LiveShardWorker`: it routes each shard's slice of
+the gradient to that shard's address and reassembles the K float64
+slices into the full summed vector.  Responses are demultiplexed by
+source address (each shard has its own socket), so the per-shard chunk
+index spaces never collide.  Joins run shard-by-shard in shard order on
+every worker, which keeps the K join barriers deadlock-free.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 import struct
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..rl.base import Algorithm
+from .driver import (
+    CHUNK_ELEMS,
+    DEFAULT_LIVE_RECOVERY_TIMEOUT,
+    Frames,
+    LiveWorkerBase,
+    MemberServer,
+    chunk_payload,
+    shard_ranges,
+    split_chunks,
+)
 from .transport import Address, UdpEndpoint
 
-__all__ = ["PsServer", "LivePsWorker", "PS_CHUNK_ELEMS"]
+__all__ = ["HostServer", "PsServer", "LiveShardWorker"]
 
-#: Elements per chunk; 183 float64 = 1464 B, matching the iSwitch
-#: segment payload budget.
-PS_CHUNK_ELEMS = 183
-
-_UP_HEADER = struct.Struct("<BII")
-_DOWN_HEADER = struct.Struct("<II")
-
-JOIN_RESEND_PERIOD = 0.5
-JOIN_DEADLINE = 30.0
+JOIN_BODY = struct.Struct("<BI")  # rank, n_elements
+_UP_HEADER = struct.Struct("<BII")  # rank, round, chunk
+_DOWN_HEADER = struct.Struct("<II")  # round, chunk
 
 
-def _n_chunks(n_elements: int) -> int:
-    return -(-n_elements // PS_CHUNK_ELEMS)
+class HostServer(MemberServer):
+    """Frame dispatch shared by the host-level servers (sync and async PS).
 
+    ``n_elements`` is the length of the vector (or shard slice) this
+    server owns; while it is ``None`` the first Join fixes it.  Every
+    Join must agree with it, so every gradient chunk can be
+    length-checked.
+    """
 
-def _chunk_bounds(chunk: int, n_elements: int) -> Tuple[int, int]:
-    start = chunk * PS_CHUNK_ELEMS
-    return start, min(start + PS_CHUNK_ELEMS, n_elements)
+    def __init__(self, n_workers: int, loss_rate: float, loss_seed: int) -> None:
+        super().__init__(n_workers, loss_rate, loss_seed, ack=b"A", go=b"G")
+        self.n_elements: Optional[int] = None
+        self.counters.update(duplicates_dropped=0, resends_served=0)
 
-
-class PsServer:
-    """Sums each (round, chunk) across all workers, in rank order."""
-
-    def __init__(
-        self,
-        n_workers: int,
-        endpoint: Optional[UdpEndpoint] = None,
-        loss_rate: float = 0.0,
-        loss_seed: int = 0,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.n_workers = n_workers
-        self.endpoint = endpoint
-        #: Injected ingress loss on gradient (``U``) frames, exercising
-        #: the worker watchdog/resend path — the host-networking analogue
-        #: of the switch's ingress drop.
-        self.loss_rate = loss_rate
-        self._drop_rng = random.Random(loss_seed)
-        self._members: Dict[int, Address] = {}
-        self._left: set = set()
-        self._go_sent = False
-        self._contribs: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-        self._results: Dict[Tuple[int, int], bytes] = {}
-        self.counters: Dict[str, int] = {
-            "frames_rx": 0,
-            "frames_tx": 0,
-            "chunks_summed": 0,
-            "duplicates_dropped": 0,
-            "drops_injected": 0,
-            "resends_served": 0,
-            "decode_errors": 0,
-        }
-
-    @property
-    def done(self) -> bool:
-        return len(self._members) == self.n_workers and len(self._left) == len(
-            self._members
-        )
-
-    def _active(self) -> List[Address]:
-        return [
-            addr
-            for rank, addr in sorted(self._members.items())
-            if rank not in self._left
-        ]
-
-    def handle_frame(
-        self, frame: bytes, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
+    def handle_frame(self, frame: bytes, addr: Address) -> Frames:
         self.counters["frames_rx"] += 1
-        if not frame:
-            self.counters["decode_errors"] += 1
-            return []
         tag = frame[:1]
         try:
             if tag == b"J":
-                return self._handle_join(frame[1], addr)
-            if tag == b"U":
-                return self._handle_gradient(frame)
-            if tag == b"H":
-                return self._handle_resend(frame, addr)
-            if tag == b"L":
-                self._left.add(frame[1])
+                rank, n_elements = JOIN_BODY.unpack_from(frame, 1)
+                if self.n_elements is None:
+                    self.n_elements = n_elements
+                if n_elements != self.n_elements:
+                    raise ValueError("join with mismatched model geometry")
+                return self._admit(rank, addr)
+            rank = self._rank_of(addr)
+            if rank is None:
                 return []
-        except (IndexError, struct.error, ValueError):
+            if tag == b"U":
+                # Injected ingress loss on gradient frames — the
+                # host-networking analogue of the switch's ingress drop.
+                if self._loss.drops():
+                    return []
+                return self._handle_push(rank, frame)
+            if tag == b"H":
+                return self._handle_resend(rank, frame, addr)
+            if tag == b"L":
+                self._depart(rank)
+                return []
+            raise ValueError(f"unknown tag {tag!r}")
+        except (struct.error, ValueError):
             self.counters["decode_errors"] += 1
-        return []
-
-    def _handle_join(
-        self, rank: int, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        self._members[rank] = addr
-        out = [(b"A", addr)]
-        if len(self._members) == self.n_workers and not self._go_sent:
-            self._go_sent = True
-            out.extend((b"G", a) for a in self._active())
-        elif self._go_sent:
-            out.append((b"G", addr))
-        return out
-
-    def _handle_gradient(self, frame: bytes) -> List[Tuple[bytes, Address]]:
-        if self.loss_rate > 0 and self._drop_rng.random() < self.loss_rate:
-            self.counters["drops_injected"] += 1
             return []
-        rank, round_index, chunk = _UP_HEADER.unpack_from(frame, 1)
+
+
+class PsServer(HostServer):
+    """Sums each (round, chunk) across all workers, in rank order."""
+
+    def __init__(
+        self, n_workers: int, loss_rate: float = 0.0, loss_seed: int = 0
+    ) -> None:
+        super().__init__(n_workers, loss_rate, loss_seed)
+        self._contribs: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
+        self._results: Dict[Tuple[int, int], bytes] = {}
+        self.counters["chunks_summed"] = 0
+
+    def _handle_push(self, rank: int, frame: bytes) -> Frames:
+        _, round_index, chunk = _UP_HEADER.unpack_from(frame, 1)
+        data = chunk_payload(
+            frame, 1 + _UP_HEADER.size, "<f4", chunk, self.n_elements
+        )
         key = (round_index, chunk)
         if key in self._results:
             self.counters["duplicates_dropped"] += 1
             return []  # already summed: a retransmission raced completion
-        data = np.frombuffer(frame, dtype="<f4", offset=1 + _UP_HEADER.size)
         contribs = self._contribs.setdefault(key, {})
         if rank in contribs:
             self.counters["duplicates_dropped"] += 1
             return []
-        contribs[rank] = data.astype(np.float32)
+        contribs[rank] = data
         if len(contribs) < self.n_workers:
             return []
-        total = np.zeros(contribs[rank].shape, dtype=np.float64)
+        total = np.zeros(data.shape, dtype=np.float64)
         for member_rank in sorted(contribs):
             total += contribs[member_rank]
         del self._contribs[key]
@@ -175,7 +136,7 @@ class PsServer:
         self._results[key] = down
         self.counters["chunks_summed"] += 1
         self._prune_results(round_index)
-        return [(down, addr) for addr in self._active()]
+        return [(down, addr) for _, addr in self._active()]
 
     def _prune_results(self, round_index: int) -> None:
         floor = round_index - 2
@@ -184,9 +145,7 @@ class PsServer:
         for key in [k for k in self._results if k[0] < floor]:
             del self._results[key]
 
-    def _handle_resend(
-        self, frame: bytes, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
+    def _handle_resend(self, rank: int, frame: bytes, addr: Address) -> Frames:
         _, round_index, chunk = _UP_HEADER.unpack_from(frame, 1)
         down = self._results.get((round_index, chunk))
         if down is None:
@@ -194,26 +153,9 @@ class PsServer:
         self.counters["resends_served"] += 1
         return [(down, addr)]
 
-    def serve(self, deadline: float, poll_interval: float = 0.2) -> None:
-        if self.endpoint is None:
-            raise RuntimeError("serve() needs an endpoint")
-        while not self.done and time.monotonic() < deadline:
-            remaining = deadline - time.monotonic()
-            got = self.endpoint.recv(
-                timeout=min(poll_interval, max(remaining, 0.01))
-            )
-            if got is None:
-                continue
-            for out_frame, out_addr in self.handle_frame(*got):
-                self.endpoint.send(out_frame, out_addr)
-                self.counters["frames_tx"] += 1
 
-    def stats_snapshot(self) -> Dict[str, int]:
-        return dict(self.counters)
-
-
-class LivePsWorker:
-    """Worker-side loop of the live PS baseline."""
+class LiveShardWorker(LiveWorkerBase):
+    """Worker-side loop of the live PS strategies (``ps``: one shard)."""
 
     def __init__(
         self,
@@ -221,124 +163,94 @@ class LivePsWorker:
         n_workers: int,
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
-        server_addr: Address,
-        recovery_timeout: float = 0.1,
+        shard_addrs: List[Address],
+        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
         max_recovery_attempts: int = 12,
     ) -> None:
-        self.rank = rank
-        self.n_workers = n_workers
-        self.algorithm = algorithm
-        self.endpoint = endpoint
-        self.server_addr = server_addr
-        self.recovery_timeout = recovery_timeout
-        self.max_recovery_attempts = max_recovery_attempts
-        self.n_elements = algorithm.get_weights().size
-        self.n_chunks = _n_chunks(self.n_elements)
-        self._round_frames: Dict[int, bytes] = {}
-        self.round_digests: List[str] = []
-        self.counters: Dict[str, int] = {
-            "frames_tx": 0,
-            "frames_rx": 0,
-            "help_sent": 0,
-            "retransmissions": 0,
-            "watchdog_timeouts": 0,
-            "stale_frames": 0,
+        if not shard_addrs:
+            raise ValueError("need at least one shard server")
+        super().__init__(
+            rank,
+            n_workers,
+            algorithm,
+            endpoint,
+            recovery_timeout,
+            max_recovery_attempts,
+        )
+        self.shard_addrs = list(shard_addrs)
+        self.ranges = shard_ranges(self.n_elements, len(shard_addrs))
+        self._addr_to_shard = {
+            addr: index for index, addr in enumerate(self.shard_addrs)
         }
-        self._joined = False
-
-    def _send(self, frame: bytes) -> None:
-        self.endpoint.send(frame, self.server_addr)
-        self.counters["frames_tx"] += 1
+        #: (shard, chunk) → encoded ``U`` frame of the current round.
+        self._round_frames: Dict[Tuple[int, int], bytes] = {}
+        #: (shard, chunk) → summed float64 chunk of the current round.
+        self._received: Dict[Tuple[int, int], np.ndarray] = {}
+        self._round = 0
+        self.counters.update(help_sent=0, retransmissions=0)
 
     def join(self) -> None:
-        join = b"J" + bytes([self.rank])
-        deadline = time.monotonic() + JOIN_DEADLINE
-        while time.monotonic() < deadline:
-            self._send(join)
-            resend_at = time.monotonic() + JOIN_RESEND_PERIOD
-            while time.monotonic() < resend_at:
-                got = self.endpoint.recv(
-                    timeout=max(resend_at - time.monotonic(), 0.01)
-                )
-                if got is None:
-                    break
-                self.counters["frames_rx"] += 1
-                if got[0][:1] == b"G":
-                    self._joined = True
-                    return
-        raise RuntimeError(
-            f"ps worker {self.rank}: not admitted within {JOIN_DEADLINE:.0f}s"
-        )
-
-    def train(self, iterations: int) -> None:
-        if not self._joined:
-            raise RuntimeError("join() the job before training")
-        for iteration in range(iterations):
-            gradient = np.asarray(
-                self.algorithm.compute_gradient(), dtype=np.float32
+        """Join every shard, in shard order (the same order on all ranks)."""
+        for addr, (lo, hi) in zip(self.shard_addrs, self.ranges):
+            self._join_until_go(
+                b"J" + JOIN_BODY.pack(self.rank, hi - lo),
+                addr,
+                lambda frame, src, addr=addr: frame[:1] == b"G"
+                and src == addr,
             )
-            total = self._aggregate(gradient, iteration)
-            self.round_digests.append(
-                hashlib.sha256(total.tobytes()).hexdigest()[:16]
-            )
-            self.algorithm.apply_update(total / self.n_workers)
-        self._send(b"L" + bytes([self.rank]))
 
-    def _aggregate(self, gradient: np.ndarray, iteration: int) -> np.ndarray:
+    def _leave(self) -> None:
+        for addr in self.shard_addrs:
+            self._send(b"L" + bytes([self.rank]), addr)
+
+    def _submit(self, gradient: np.ndarray, round_index: int) -> None:
         self._round_frames = {}
-        for chunk in range(self.n_chunks):
-            start, stop = _chunk_bounds(chunk, self.n_elements)
-            frame = (
-                b"U"
-                + _UP_HEADER.pack(self.rank, iteration, chunk)
-                + gradient[start:stop].astype("<f4", copy=False).tobytes()
-            )
-            self._round_frames[chunk] = frame
-            self._send(frame)
-        chunks = self._collect(iteration)
+        for shard, (lo, hi) in enumerate(self.ranges):
+            for chunk, data in enumerate(split_chunks(gradient[lo:hi])):
+                frame = (
+                    b"U"
+                    + _UP_HEADER.pack(self.rank, round_index, chunk)
+                    + data.astype("<f4", copy=False).tobytes()
+                )
+                self._round_frames[(shard, chunk)] = frame
+                self._send(frame, self.shard_addrs[shard])
+
+    def _complete(self, round_index: int) -> np.ndarray:
+        self._round = round_index
+        self._received = {}
+        self._collect(set(self._round_frames), round_index)
         total = np.empty(self.n_elements, dtype=np.float64)
-        for chunk, data in chunks.items():
-            start, stop = _chunk_bounds(chunk, self.n_elements)
-            total[start:stop] = data
+        for (shard, chunk), data in self._received.items():
+            start = self.ranges[shard][0] + chunk * CHUNK_ELEMS
+            total[start : start + data.size] = data
         return total
 
-    def _collect(self, iteration: int) -> Dict[int, np.ndarray]:
-        received: Dict[int, np.ndarray] = {}
-        attempts = 0
-        timeout = self.recovery_timeout
-        while len(received) < self.n_chunks:
-            got = self.endpoint.recv(timeout=timeout)
-            if got is None:
-                attempts += 1
-                self.counters["watchdog_timeouts"] += 1
-                if attempts > self.max_recovery_attempts:
-                    raise RuntimeError(
-                        f"ps worker {self.rank}: round {iteration} abandoned "
-                        f"after {attempts - 1} recovery attempts"
-                    )
-                for chunk in range(self.n_chunks):
-                    if chunk in received:
-                        continue
-                    frame = self._round_frames.get(chunk)
-                    if frame is not None:
-                        self._send(frame)
-                        self.counters["retransmissions"] += 1
-                    self._send(
-                        b"H" + _UP_HEADER.pack(self.rank, iteration, chunk)
-                    )
-                    self.counters["help_sent"] += 1
-                timeout = min(self.recovery_timeout * 2 ** attempts, 2.0)
-                continue
-            frame = got[0]
-            self.counters["frames_rx"] += 1
-            if frame[:1] != b"D" or len(frame) < 1 + _DOWN_HEADER.size:
-                continue
+    def _ingest(self, frame: bytes, addr: Address) -> None:
+        shard = self._addr_to_shard.get(addr)
+        if shard is None or frame[:1] != b"D":
+            return
+        try:
             round_index, chunk = _DOWN_HEADER.unpack_from(frame, 1)
-            if round_index != iteration or chunk in received:
+            key = (shard, chunk)
+            if round_index != self._round or key not in self._missing:
                 self.counters["stale_frames"] += 1
-                continue
-            data = np.frombuffer(
-                frame, dtype="<f8", offset=1 + _DOWN_HEADER.size
+                return
+            lo, hi = self.ranges[shard]
+            self._received[key] = chunk_payload(
+                frame, 1 + _DOWN_HEADER.size, "<f8", chunk, hi - lo
             )
-            received[chunk] = data.astype(np.float64)
-        return received
+        except (struct.error, ValueError):
+            self.counters["decode_errors"] += 1
+            return
+        self._missing.discard(key)
+
+    def _recover(self, missing: set, round_index: int) -> None:
+        """Watchdog fired: resend our own chunks and ask for the sums."""
+        for shard, chunk in sorted(missing):
+            addr = self.shard_addrs[shard]
+            self._send(self._round_frames[(shard, chunk)], addr)
+            self.counters["retransmissions"] += 1
+            self._send(
+                b"H" + _UP_HEADER.pack(self.rank, round_index, chunk), addr
+            )
+            self.counters["help_sent"] += 1

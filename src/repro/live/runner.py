@@ -4,10 +4,11 @@
 :func:`repro.distributed.run` when ``ExperimentConfig(backend="live")``.
 It forks the strategy's server processes (a
 :class:`~repro.live.switch.SoftwareSwitch` for ``isw`` — several of
-them, ToR→AGG, when the worker count overflows one rack — a
-:class:`~repro.live.ps.PsServer` for ``ps``, K of them for ``ps-shard``,
+them, ToR→AGG, when the worker count overflows one rack — K
+:class:`~repro.live.ps.PsServer` shards for ``ps-shard``, one for ``ps``,
 a :class:`~repro.live.async_ps.LiveAsyncPsServer` for async ``ps``, and
-none at all for the peer-to-peer ``ar``/``ar-hd`` collectives) plus
+none at all for the peer-to-peer ``ar``/``ar-hd`` collectives), each
+driven by the one :func:`~repro.live.driver.serve` loop, plus
 ``n_workers`` worker processes, all talking loopback UDP, and folds
 their reports into the same :class:`~repro.distributed.results.TrainingResult`
 shape the simulator returns (``result.backend == "live"``, with the live
@@ -21,7 +22,8 @@ the barrier — every address in it is already bound.
 
 Every child ends with ``("ok", payload)`` or ``("error", traceback)``
 over its pipe; any child failure terminates the fleet and raises
-:class:`LiveRunError` carrying the child's traceback.
+:class:`LiveRunError` carrying the child's traceback and the seed,
+strategy, fleet size and loss rate needed to replay it.
 """
 
 from __future__ import annotations
@@ -33,19 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LiveRunError", "run_live", "LIVE_STRATEGIES"]
-
-#: Live-capable (mode, strategy) pairs; kept in sync with the registry's
-#: ``supports_live`` flags (asserted by the conformance tests).
-LIVE_STRATEGIES = (
-    ("sync", "isw"),
-    ("sync", "ps"),
-    ("sync", "ar"),
-    ("sync", "ar-hd"),
-    ("sync", "ps-shard"),
-    ("async", "isw"),
-    ("async", "ps"),
-)
+__all__ = ["LiveRunError", "run_live"]
 
 #: Hard wall-clock ceiling for one live run.  Conformance runs finish in
 #: seconds; this only bounds pathological hangs.
@@ -99,19 +89,22 @@ def _resolve_live_codec(params: Dict[str, Any]):
     return get_codec(name)
 
 
-def _switch_main(conn, params: Dict[str, Any]) -> None:
-    """Flat star switch, tree aggregation switch, or tree ToR switch."""
-    try:
-        from .switch import SoftwareSwitch
-        from .transport import LOOPBACK, UdpEndpoint
+def _build_server(params: Dict[str, Any]):
+    """Construct the strategy-appropriate server role."""
+    from .transport import LOOPBACK
 
-        endpoint = UdpEndpoint()
+    common = dict(
+        n_workers=params.get("n_members", params["n_workers"]),
+        loss_rate=params["loss_rate"],
+        loss_seed=params["loss_seed"],
+    )
+    if params["strategy"] == "isw":
+        # Flat star switch, tree aggregation switch, or tree ToR switch.
+        from .switch import SoftwareSwitch
+
         parent_port = params.get("parent_port")
-        switch = SoftwareSwitch(
-            n_workers=params["n_members"],
-            endpoint=endpoint,
-            loss_rate=params["loss_rate"],
-            loss_seed=params["loss_seed"],
+        return SoftwareSwitch(
+            **common,
             job=params.get("job", 0),
             codec=_resolve_live_codec(params),
             parent_addr=(
@@ -119,41 +112,9 @@ def _switch_main(conn, params: Dict[str, Any]) -> None:
             ),
             rank=params.get("switch_rank", 0),
         )
-        conn.send(("port", endpoint.port))
-        switch.serve(deadline=time.monotonic() + params["deadline"])
-        conn.send(("ok", switch.stats_snapshot()))
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def _ps_main(conn, params: Dict[str, Any]) -> None:
-    try:
-        from .ps import PsServer
-        from .transport import UdpEndpoint
-
-        endpoint = UdpEndpoint()
-        server = PsServer(
-            n_workers=params["n_workers"],
-            endpoint=endpoint,
-            loss_rate=params["loss_rate"],
-            loss_seed=params["loss_seed"],
-        )
-        conn.send(("port", endpoint.port))
-        server.serve(deadline=time.monotonic() + params["deadline"])
-        conn.send(("ok", server.stats_snapshot()))
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def _async_ps_main(conn, params: Dict[str, Any]) -> None:
-    try:
+    if params["mode"] == "async":
         from ..distributed.runner import make_algorithm
         from .async_ps import LiveAsyncPsServer
-        from .transport import UdpEndpoint
 
         # Same replica construction as the simulator's async PS server.
         replica = make_algorithm(
@@ -161,17 +122,22 @@ def _async_ps_main(conn, params: Dict[str, Any]) -> None:
             seed=params["seed"] + 10_000,
             **(params["algorithm_overrides"] or {}),
         )
+        return LiveAsyncPsServer(**common, replica=replica)
+    from .ps import PsServer
+
+    return PsServer(**common)
+
+
+def _server_main(conn, params: Dict[str, Any]) -> None:
+    try:
+        from .driver import serve
+        from .transport import UdpEndpoint
+
         endpoint = UdpEndpoint()
-        server = LiveAsyncPsServer(
-            n_workers=params["n_workers"],
-            replica=replica,
-            endpoint=endpoint,
-            loss_rate=params["loss_rate"],
-            loss_seed=params["loss_seed"],
-        )
+        role = _build_server(params)
         conn.send(("port", endpoint.port))
-        server.serve(deadline=time.monotonic() + params["deadline"])
-        conn.send(("ok", server.stats_snapshot()))
+        serve(role, endpoint, time.monotonic() + params["deadline"])
+        conn.send(("ok", role.stats_snapshot()))
     except Exception:
         conn.send(("error", traceback.format_exc()))
     finally:
@@ -192,46 +158,34 @@ def _build_worker(rank: int, algorithm, endpoint, conn, params: Dict[str, Any]):
         recovery_timeout=params["recovery_timeout"],
     )
     if strategy == "isw":
-        switch_ports = params["switch_ports"]
-        switch_addr = (
-            LOOPBACK,
-            switch_ports[rank // TREE_RACK_WIDTH]
-            if len(switch_ports) > 1
-            else switch_ports[0],
-        )
-        kwargs = dict(
-            common,
-            switch_addr=switch_addr,
-            job=params.get("job", 0),
-            codec=_resolve_live_codec(params),
-        )
-        if mode == "async":
-            from .async_isw import LiveAsyncWorker
-
-            return LiveAsyncWorker(
-                **kwargs, staleness_bound=params["staleness_bound"]
-            )
         from .worker import LiveWorker
 
-        return LiveWorker(**kwargs)
-    if strategy == "ps":
-        server_addr = (LOOPBACK, params["server_port"])
+        switch_ports = params["switch_ports"]
+        return LiveWorker(
+            **common,
+            switch_addr=(
+                LOOPBACK,
+                switch_ports[rank // TREE_RACK_WIDTH]
+                if len(switch_ports) > 1
+                else switch_ports[0],
+            ),
+            job=params.get("job", 0),
+            codec=_resolve_live_codec(params),
+            # sync-isw is async-isw with no rounds in flight ahead.
+            staleness_bound=(
+                params["staleness_bound"] if mode == "async" else 0
+            ),
+        )
+    if strategy in ("ps", "ps-shard"):
+        server_addrs = [(LOOPBACK, port) for port in params["server_ports"]]
         if mode == "async":
             from .async_ps import LiveAsyncPsWorker
 
-            return LiveAsyncPsWorker(**common, server_addr=server_addr)
-        from .ps import LivePsWorker
+            return LiveAsyncPsWorker(**common, server_addr=server_addrs[0])
+        from .ps import LiveShardWorker
 
-        return LivePsWorker(**common, server_addr=server_addr)
-    if strategy == "ps-shard":
-        from .shard import LiveShardWorker
-
-        return LiveShardWorker(
-            **common,
-            shard_addrs=[
-                (LOOPBACK, port) for port in params["shard_ports"]
-            ],
-        )
+        # ps is ps-shard with one shard.
+        return LiveShardWorker(**common, shard_addrs=server_addrs)
     if strategy in ("ar", "ar-hd"):
         # Peer-to-peer: report our port, then block on the peer table —
         # the rendezvous barrier for the whole fleet.
@@ -344,7 +298,11 @@ def _validate(config, spec, tree: bool) -> str:
     """Reject configurations the live backend cannot execute; returns
     the codec name."""
     if not spec.supports_live:
-        live_names = ", ".join(f"{m}-{s}" for m, s in LIVE_STRATEGIES)
+        from ..distributed.registry import strategy_specs
+
+        live_names = ", ".join(
+            f"{s.mode}-{s.name}" for s in strategy_specs() if s.supports_live
+        )
         raise LiveRunError(
             f"strategy {spec.name!r} has no live backend; choose {live_names}"
         )
@@ -400,10 +358,10 @@ def _spawn_servers(
     processes: List = []
     server_conns: List[Tuple[str, Any]] = []
 
-    def _spawn(name: str, target, child_params: Dict[str, Any]) -> int:
+    def _spawn(name: str, child_params: Dict[str, Any]) -> int:
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=target, args=(child_conn, child_params), daemon=True
+            target=_server_main, args=(child_conn, child_params), daemon=True
         )
         processes.append(proc)
         proc.start()
@@ -415,14 +373,11 @@ def _spawn_servers(
         if tree:
             sizes = _rack_sizes(config.n_workers)
             agg_port = _spawn(
-                "aggregator",
-                _switch_main,
-                dict(params, n_members=len(sizes)),
+                "aggregator", dict(params, n_members=len(sizes))
             )
             tor_ports = [
                 _spawn(
                     f"tor{index}",
-                    _switch_main,
                     dict(
                         params,
                         n_members=size,
@@ -435,22 +390,15 @@ def _spawn_servers(
             ]
             params = dict(params, switch_ports=tor_ports)
         else:
-            port = _spawn(
-                "aggregator",
-                _switch_main,
-                dict(params, n_members=config.n_workers),
-            )
+            port = _spawn("aggregator", params)
             params = dict(params, switch_ports=[port])
     elif config.strategy == "ps":
-        main = _async_ps_main if config.mode == "async" else _ps_main
-        port = _spawn("aggregator", main, params)
-        params = dict(params, server_port=port)
+        params = dict(params, server_ports=[_spawn("aggregator", params)])
     elif config.strategy == "ps-shard":
         n_shards = min(config.ps_shards or 4, config.n_workers)
-        shard_ports = [
+        server_ports = [
             _spawn(
                 f"shard{index}",
-                _ps_main,
                 dict(
                     params,
                     loss_seed=params["loss_seed"] + 101 * (index + 1),
@@ -458,7 +406,7 @@ def _spawn_servers(
             )
             for index in range(n_shards)
         ]
-        params = dict(params, shard_ports=shard_ports)
+        params = dict(params, server_ports=server_ports)
     # ar / ar-hd: no server processes at all.
     return processes, server_conns, params
 
@@ -481,7 +429,7 @@ def run_live(config) -> "TrainingResult":
     ctx = _mp_context()
     recovery_timeout = config.recovery_timeout
     if recovery_timeout is None:
-        from .worker import DEFAULT_LIVE_RECOVERY_TIMEOUT
+        from .driver import DEFAULT_LIVE_RECOVERY_TIMEOUT
 
         recovery_timeout = DEFAULT_LIVE_RECOVERY_TIMEOUT
     params: Dict[str, Any] = {
@@ -545,6 +493,13 @@ def run_live(config) -> "TrainingResult":
             if kind == "error":
                 raise LiveRunError(f"{name} failed:\n{value}")
             server_snapshots.append((name, value))
+    except LiveRunError as exc:
+        # Everything needed to replay the failing run.
+        raise LiveRunError(
+            f"{exc}\n[replay: {config.mode}-{config.strategy} "
+            f"n_workers={config.n_workers} seed={config.seed} "
+            f"loss_rate={config.loss_rate}]"
+        ) from exc
     finally:
         _terminate(processes)
     wall_elapsed = time.monotonic() - wall_start

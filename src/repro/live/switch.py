@@ -23,8 +23,7 @@ without processes.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.accelerator import AggregationEngine
 from ..core.protocol import (
@@ -41,18 +40,18 @@ from ..core.protocol import (
     encode_control,
     encode_data,
 )
-from .transport import Address, UdpEndpoint
+from .driver import JOIN_RESEND_PERIOD, Frames, MemberServer
+from .transport import Address
 
 __all__ = ["SoftwareSwitch"]
 
 
-class SoftwareSwitch:
+class SoftwareSwitch(MemberServer):
     """Aggregates live UDP gradient traffic for one training job."""
 
     def __init__(
         self,
         n_workers: int,
-        endpoint: Optional[UdpEndpoint] = None,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
         cache_size: int = 4096,
@@ -61,16 +60,20 @@ class SoftwareSwitch:
         parent_addr: Optional[Address] = None,
         rank: int = 0,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if codec is not None and codec.wire_tag is None:
             raise ValueError(
                 f"codec {codec.name!r} has no wire format; the live switch "
                 "can only aggregate fp32/fp16/int32-bs/topk frames"
             )
-        self.n_workers = n_workers
+        super().__init__(
+            n_workers,
+            loss_rate,
+            loss_seed,
+            ack=encode_control(ControlMessage(Action.ACK, value=1, job=job)),
+            go=encode_control(
+                ControlMessage(Action.SETH, value=n_workers, job=job)
+            ),
+        )
         #: The single training-job id this switch serves; frames stamped
         #: with a different job are dropped (counted as ``wrong_job``).
         self.job = job
@@ -85,6 +88,8 @@ class SoftwareSwitch:
         #: parent's SetH (all ToRs admitted); completions buffer until
         #: then.  Trivially ready with no parent.
         self._parent_ready = parent_addr is None
+        #: When the next parent ``Join`` is due (see :meth:`on_timer`).
+        self._next_parent_join = 0.0
         self._left_sent = False
         #: Encoded upstream frames by Seg, for parent-relayed Help.
         self._up_cache: Dict[int, bytes] = {}
@@ -92,7 +97,6 @@ class SoftwareSwitch:
         self._up_pending: List[bytes] = []
         #: Parent's final DOWN frames by Seg, for member Help.
         self._down_cache: Dict[int, bytes] = {}
-        self.endpoint = endpoint
         #: Aggregation numerics (``None`` = fp32).  ``canonical_order`` is
         #: only needed where arrival order can change the sum: integer
         #: summation (int32-bs) is associative, so that engine aggregates
@@ -106,27 +110,21 @@ class SoftwareSwitch:
             cache_size=cache_size,
             codec=codec,
         )
-        self.loss_rate = loss_rate
-        self._drop_rng = random.Random(loss_seed)
-        self._members: Dict[int, Address] = {}
-        self._left: set = set()
-        self._go_sent = False
-        self.counters: Dict[str, int] = {
-            "frames_rx": 0,
-            "frames_tx": 0,
-            "data_rx": 0,
-            "drops_injected": 0,
-            "results_broadcast": 0,
-            "help_cache_hits": 0,
-            "help_relayed": 0,
-            "joins": 0,
-            "leaves": 0,
-            "decode_errors": 0,
-            "wrong_job": 0,
-            "wrong_codec": 0,
-            "upstream_forwards": 0,
-            "parent_relays": 0,
-        }
+        self.counters.update(
+            dict.fromkeys(
+                (
+                    "data_rx",
+                    "results_broadcast",
+                    "help_cache_hits",
+                    "help_relayed",
+                    "wrong_job",
+                    "wrong_codec",
+                    "upstream_forwards",
+                    "parent_relays",
+                ),
+                0,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Protocol logic (I/O-free: returns the frames to transmit)
@@ -140,23 +138,30 @@ class SoftwareSwitch:
         needed by then (members only leave once every final result
         reached them, which required the parent to have every partial).
         """
-        members_done = len(self._members) == self.n_workers and len(
-            self._left
-        ) == len(self._members)
         if self.parent_addr is None:
-            return members_done
-        return members_done and self._left_sent and not self._up_pending
+            return self._all_left()
+        return self._all_left() and self._left_sent and not self._up_pending
 
-    def _active_members(self) -> List[Tuple[int, Address]]:
-        return [
-            (rank, addr)
-            for rank, addr in sorted(self._members.items())
-            if rank not in self._left
-        ]
+    def on_timer(self, now: float) -> Frames:
+        """A ToR re-sends its parent ``Join`` until the parent's SetH.
 
-    def handle_frame(
-        self, frame: bytes, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
+        It joins the aggregation switch above it as a member of type
+        "switch"; n_elements is 0 — the parent never needs the gradient
+        geometry, only the membership.
+        """
+        if self._parent_ready or now < self._next_parent_join:
+            return []
+        self._next_parent_join = now + JOIN_RESEND_PERIOD
+        join = ControlMessage(
+            Action.JOIN,
+            JoinInfo(
+                member_type="switch", rank=self.rank, n_elements=0, n_chunks=0
+            ),
+            job=self.job,
+        )
+        return [(encode_control(join), self.parent_addr)]
+
+    def handle_frame(self, frame: bytes, addr: Address) -> Frames:
         """Process one received datagram; return the datagrams to send."""
         self.counters["frames_rx"] += 1
         try:
@@ -169,8 +174,16 @@ class SoftwareSwitch:
             return []
         if self.parent_addr is not None and addr == self.parent_addr:
             return self._handle_parent_frame(tos, message)
+        if tos == TOS_CONTROL and message.action == Action.JOIN:
+            if not isinstance(message.value, JoinInfo):
+                self.counters["decode_errors"] += 1
+                return []
+            return self._admit(message.value.rank, addr)
+        rank = self._rank_of(addr)
+        if rank is None:
+            return []  # not a member (stale socket, fuzzed frame)
         if tos == TOS_CONTROL:
-            return self._handle_control(message, addr)
+            return self._handle_control(message, rank, addr)
         if (tos & ~TOS_NUMERICS_MASK) == TOS_DATA_UP:
             expected_tag = 0 if self.codec is None else self.codec.wire_tag
             if (tos & TOS_NUMERICS_MASK) != expected_tag:
@@ -178,20 +191,18 @@ class SoftwareSwitch:
                 # summing it would silently mix grids, so drop it.
                 self.counters["wrong_codec"] += 1
                 return []
-            return self._handle_contribution(message, addr)
+            return self._handle_contribution(message, rank)
         # TOS_DATA_DOWN at the switch ingress: not ours to aggregate.
         return []
 
-    def _handle_parent_frame(
-        self, tos: int, message
-    ) -> List[Tuple[bytes, Address]]:
+    def _handle_parent_frame(self, tos: int, message) -> Frames:
         """A frame from the aggregation switch above this ToR."""
         if (tos & ~TOS_NUMERICS_MASK) == TOS_DATA_DOWN:
             # Final tree-wide result: cache for member Help, fan out.
             frame = encode_data(message, downstream=True, codec=self.codec)
             self._down_cache[message.seg] = frame
             self.counters["parent_relays"] += 1
-            return [(frame, a) for _, a in self._active_members()]
+            return [(frame, a) for _, a in self._active()]
         if isinstance(message, ControlMessage):
             if message.action == Action.SETH:
                 out = []
@@ -216,20 +227,14 @@ class SoftwareSwitch:
         return []
 
     def _handle_control(
-        self, message: ControlMessage, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        if message.action == Action.JOIN:
-            return self._handle_join(message, addr)
+        self, message: ControlMessage, rank: int, addr: Address
+    ) -> Frames:
         if message.action == Action.LEAVE:
-            rank = self._rank_of(addr)
-            if rank is not None and rank not in self._left:
-                self._left.add(rank)
-                self.counters["leaves"] += 1
+            self._depart(rank)
             if (
                 self.parent_addr is not None
                 and not self._left_sent
-                and len(self._members) == self.n_workers
-                and len(self._left) == len(self._members)
+                and self._all_left()
             ):
                 self._left_sent = True
                 return [
@@ -254,52 +259,7 @@ class SoftwareSwitch:
         # SETH/HALT/ACK arriving at the switch: acknowledge nothing.
         return []
 
-    def _handle_join(
-        self, message: ControlMessage, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        info = message.value
-        if not isinstance(info, JoinInfo):
-            self.counters["decode_errors"] += 1
-            return []
-        known = self._members.get(info.rank)
-        if known is None:
-            self._members[info.rank] = addr
-            self.counters["joins"] += 1
-        else:
-            # A retry (our ACK or the SetH may have raced the worker's
-            # watchdog).  Re-admit idempotently at the latest address.
-            self._members[info.rank] = addr
-        out = [
-            (
-                encode_control(
-                    ControlMessage(Action.ACK, value=1, job=self.job)
-                ),
-                addr,
-            )
-        ]
-        if len(self._members) == self.n_workers and not self._go_sent:
-            self._go_sent = True
-            go = encode_control(
-                ControlMessage(Action.SETH, value=self.n_workers, job=self.job)
-            )
-            out.extend((go, a) for _, a in self._active_members())
-        elif self._go_sent:
-            # Late retry after the broadcast: resend the go signal 1:1.
-            out.append(
-                (
-                    encode_control(
-                        ControlMessage(
-                            Action.SETH, value=self.n_workers, job=self.job
-                        )
-                    ),
-                    addr,
-                )
-            )
-        return out
-
-    def _handle_help(
-        self, message: ControlMessage, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
+    def _handle_help(self, message: ControlMessage, addr: Address) -> Frames:
         seg = int(message.value)
         if self.parent_addr is not None:
             # ToR: the member wants the *final* result, which only the
@@ -346,19 +306,13 @@ class SoftwareSwitch:
         self.counters["help_relayed"] += 1
         return [
             (relay, member_addr)
-            for _, member_addr in self._active_members()
+            for _, member_addr in self._active()
             if member_addr != addr
         ]
 
-    def _handle_contribution(
-        self, segment: DataSegment, addr: Address
-    ) -> List[Tuple[bytes, Address]]:
-        if self.loss_rate > 0 and self._drop_rng.random() < self.loss_rate:
-            self.counters["drops_injected"] += 1
+    def _handle_contribution(self, segment: DataSegment, rank: int) -> Frames:
+        if self._loss.drops():
             return []
-        rank = self._rank_of(addr)
-        if rank is None:
-            return []  # not a member (stale socket, fuzzed frame)
         self.counters["data_rx"] += 1
         # Re-key the contribution with the member's canonical identity;
         # the wire carries only (job, seg), exactly like the hardware.
@@ -373,7 +327,7 @@ class SoftwareSwitch:
             return []
         return self._emit(result)
 
-    def _emit(self, result: DataSegment) -> List[Tuple[bytes, Address]]:
+    def _emit(self, result: DataSegment) -> Frames:
         """Route a completed segment: broadcast, or forward up the tree."""
         if self.parent_addr is None:
             return self._broadcast(result)
@@ -389,71 +343,15 @@ class SoftwareSwitch:
             return []
         return [(frame, self.parent_addr)]
 
-    def _broadcast(self, result: DataSegment) -> List[Tuple[bytes, Address]]:
+    def _broadcast(self, result: DataSegment) -> Frames:
         result.job = self.job
         frame = encode_data(result, downstream=True, codec=self.codec)
         self.counters["results_broadcast"] += 1
-        return [(frame, addr) for _, addr in self._active_members()]
-
-    def _rank_of(self, addr: Address) -> Optional[int]:
-        for rank, member_addr in self._members.items():
-            if member_addr == addr:
-                return rank
-        return None
-
-    # ------------------------------------------------------------------
-    # Serve loop (process mode)
-    # ------------------------------------------------------------------
-    def serve(self, deadline: float, poll_interval: float = 0.2) -> None:
-        """Receive/handle/send until every worker left or time runs out.
-
-        ``deadline`` is an absolute :func:`time.monotonic` timestamp — a
-        hard stop so an orphaned switch process can never outlive the
-        experiment.
-        """
-        import time
-
-        if self.endpoint is None:
-            raise RuntimeError("serve() needs an endpoint")
-        next_parent_join = 0.0
-        parent_join = None
-        if self.parent_addr is not None:
-            # A ToR joins the aggregation switch above it as a member of
-            # type "switch"; n_elements is 0 — the parent never needs the
-            # gradient geometry, only the membership.
-            parent_join = encode_control(
-                ControlMessage(
-                    Action.JOIN,
-                    JoinInfo(
-                        member_type="switch",
-                        rank=self.rank,
-                        n_elements=0,
-                        n_chunks=0,
-                    ),
-                    job=self.job,
-                )
-            )
-        while not self.done and time.monotonic() < deadline:
-            if (
-                parent_join is not None
-                and not self._parent_ready
-                and time.monotonic() >= next_parent_join
-            ):
-                self.endpoint.send(parent_join, self.parent_addr)
-                self.counters["frames_tx"] += 1
-                next_parent_join = time.monotonic() + 0.5
-            remaining = deadline - time.monotonic()
-            got = self.endpoint.recv(timeout=min(poll_interval, max(remaining, 0.01)))
-            if got is None:
-                continue
-            frame, addr = got
-            for out_frame, out_addr in self.handle_frame(frame, addr):
-                self.endpoint.send(out_frame, out_addr)
-                self.counters["frames_tx"] += 1
+        return [(frame, addr) for _, addr in self._active()]
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Counters plus engine statistics, for the parent's telemetry."""
-        snapshot = dict(self.counters)
+        snapshot = super().stats_snapshot()
         stats = self.engine.stats
         snapshot.update(
             engine_contributions=stats.contributions,

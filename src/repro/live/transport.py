@@ -28,25 +28,16 @@ RECV_BUFFER_BYTES = 1 << 20
 class PeerTable:
     """Who is reachable where — the live run's membership directory.
 
-    Built by the runner once every child process has bound its socket and
-    reported its port, then shipped to each child over its pipe (it is a
-    plain picklable dataclass).  Receiving the table doubles as the
+    Built by the runner once every worker process has bound its socket
+    and reported its port, then shipped to each worker over its pipe (it
+    is a plain picklable dataclass).  Receiving the table doubles as the
     rendezvous barrier for peer-to-peer strategies: every address in it
     is already bound, so a worker may transmit to any peer immediately.
 
-    ``workers`` maps rank → address for worker endpoints (peer-to-peer
-    exchange); ``servers`` maps a role name (``"switch"``, ``"shard3"``,
-    ``"tor1"``, ...) → address for aggregator endpoints.
+    ``workers`` maps rank → address of that worker's endpoint.
     """
 
     workers: Dict[int, Address] = field(default_factory=dict)
-    servers: Dict[str, Address] = field(default_factory=dict)
-
-    def worker(self, rank: int) -> Address:
-        return self.workers[rank]
-
-    def server(self, name: str) -> Address:
-        return self.servers[name]
 
 
 class UdpEndpoint:

@@ -1,7 +1,7 @@
 """The live iSwitch worker: real gradients through real UDP frames.
 
 Mirrors the numerics of the simulator's :class:`SyncStrategy` exactly —
-per iteration: ``compute_gradient()`` (float32), stream the vector as
+per round: ``compute_gradient()`` (float32), stream the vector as
 encoded ``TOS_DATA_UP`` frames, collect the switch's aggregated
 ``TOS_DATA_DOWN`` frames, then ``apply_update(sum.astype(float64) / N)``.
 Chunk geometry differs from the simulator (one real frame per chunk here)
@@ -13,19 +13,43 @@ timeout retransmits this worker's own cached frames for the missing
 segments and sends ``Help``; the switch answers from its result cache or
 relays the Help so peers retransmit theirs.  Dedup in the engine makes
 all of it idempotent.
+
+**sync-isw is async-isw with S = 0.**  The switch side is the same
+:class:`~repro.live.switch.SoftwareSwitch` either way (threshold = N,
+dedup, canonical order): asynchrony — the paper's Algorithm 1 — lives
+entirely in the worker schedule, exactly as in the simulator's paced
+mode.  A worker may run up to ``staleness_bound`` rounds ahead of its own
+applied weights: it computes and submits round ``k`` as soon as
+``k ≤ applied + S``, then collects and applies the oldest outstanding
+round.  Under that greedy schedule the gradient for round ``k`` is
+computed against weight version ``max(0, k − S)``, so every applied
+gradient's version gap is ``min(k, S) ≤ S`` — the bound Algorithm 1
+enforces — and the weight trajectory is the simulator's paced trajectory
+bit for bit.
+
+The gap is **measured**, not assumed: at compute time the worker records
+its live applied-version, and at apply time it counts the real gap into
+``version_gap_max`` / ``version_gap_total`` / ``version_gap_count``.
+The conformance suite asserts the bound from those counters, so genuine
+process-arrival jitter (rounds completing out of order, recovery
+retransmissions) is covered by the assertion rather than averaged away.
+
+Pipelining means DOWN frames for round ``k+1`` can arrive while round
+``k`` is still being collected; those are buffered, not dropped, and the
+send cache retains ``S + 2`` rounds so Help retransmissions can serve
+the slowest peer's recovery window.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..core.protocol import (
     Action,
     ControlMessage,
+    DataSegment,
     JoinInfo,
     ProtocolError,
     SegmentPlan,
@@ -34,21 +58,14 @@ from ..core.protocol import (
     encode_data,
 )
 from ..rl.base import Algorithm
+from .driver import DEFAULT_LIVE_RECOVERY_TIMEOUT, LiveWorkerBase
 from .transport import Address, UdpEndpoint
 
-__all__ = ["LiveWorker", "DEFAULT_LIVE_RECOVERY_TIMEOUT"]
-
-#: Base watchdog period for live receives.  The simulator's 0.5 ms models
-#: a quiet 10 GbE round-trip; real processes contend with scheduling, so
-#: the live default is far looser (backoff doubles it per attempt).
-DEFAULT_LIVE_RECOVERY_TIMEOUT = 0.1
-
-JOIN_RESEND_PERIOD = 0.5
-JOIN_DEADLINE = 30.0
+__all__ = ["LiveWorker"]
 
 
-class LiveWorker:
-    """One worker process's protocol state machine."""
+class LiveWorker(LiveWorkerBase):
+    """One iSwitch worker process's protocol state machine."""
 
     def __init__(
         self,
@@ -61,138 +78,108 @@ class LiveWorker:
         max_recovery_attempts: int = 12,
         job: int = 0,
         codec=None,
+        staleness_bound: int = 0,
     ) -> None:
-        if recovery_timeout <= 0:
-            raise ValueError(
-                f"recovery_timeout must be > 0, got {recovery_timeout}"
-            )
+        super().__init__(
+            rank,
+            n_workers,
+            algorithm,
+            endpoint,
+            recovery_timeout,
+            max_recovery_attempts,
+        )
         if codec is not None and codec.wire_tag is None:
             raise ValueError(
                 f"codec {codec.name!r} has no wire format and cannot cross "
                 "real UDP; choose fp16, int32-bs, or topk"
             )
-        self.rank = rank
+        if staleness_bound < 0:
+            raise ValueError(
+                f"staleness_bound must be >= 0, got {staleness_bound}"
+            )
         self.job = job
-        self.n_workers = n_workers
-        self.algorithm = algorithm
-        self.endpoint = endpoint
         self.switch_addr = switch_addr
-        self.recovery_timeout = recovery_timeout
-        self.max_recovery_attempts = max_recovery_attempts
+        self.staleness_bound = staleness_bound
         #: Aggregation numerics; ``None`` streams raw fp32 frames.
         self.codec = codec
-        n_elements = algorithm.get_weights().size
         if codec is None:
-            self.plan = SegmentPlan(n_elements)  # one real frame per chunk
+            self.plan = SegmentPlan(self.n_elements)  # one real frame per chunk
         else:
             self.plan = SegmentPlan(
-                n_elements,
+                self.n_elements,
                 bytes_per_element=codec.bytes_per_element,
                 frame_overhead=codec.frame_overhead,
             )
         self.sender = f"worker{rank}"
-        self.threshold: Optional[int] = None
-        #: Encoded upstream frames of the current and previous round, for
+        #: Encoded upstream frames of the last ``S + 2`` rounds, for
         #: Help-triggered retransmission, keyed by global Seg.
         self._send_cache: Dict[int, bytes] = {}
-        self.round_digests: List[str] = []
-        self.counters: Dict[str, int] = {
-            "frames_tx": 0,
-            "frames_rx": 0,
-            "help_sent": 0,
-            "retransmissions": 0,
-            "stale_frames": 0,
-            "decode_errors": 0,
-            "watchdog_timeouts": 0,
-        }
+        #: Downstream segments of the round being collected and of later
+        #: rounds that completed ahead of it, keyed by global Seg.
+        self._down: Dict[int, DataSegment] = {}
+        #: First Seg of the round being collected; older ones are stale.
+        self._floor = 0
+        #: Applied-version at each round's compute time.
+        self._versions: List[int] = []
+        self.counters.update(
+            help_sent=0,
+            retransmissions=0,
+            version_gap_max=0,
+            version_gap_total=0,
+            version_gap_count=0,
+        )
 
     # ------------------------------------------------------------------
-    def _send(self, frame: bytes) -> None:
-        self.endpoint.send(frame, self.switch_addr)
-        self.counters["frames_tx"] += 1
-
     def join(self) -> None:
-        """Join the job: send ``Join`` until the switch's ``SetH`` arrives.
+        """Join the job: send ``Join`` until the switch's ``SetH`` arrives."""
+        join = ControlMessage(
+            Action.JOIN,
+            JoinInfo(
+                member_type="worker",
+                rank=self.rank,
+                n_elements=self.plan.n_elements,
+                n_chunks=self.plan.n_chunks,
+            ),
+            job=self.job,
+        )
 
-        The SetH broadcast doubles as the start-of-training barrier — the
-        switch only sends it once all expected members joined.  Join is
-        idempotent at the switch, so resending on a quiet socket covers a
-        lost Join, a lost ACK, and a lost SetH alike.
-        """
-        join_frame = encode_control(
-            ControlMessage(
-                Action.JOIN,
-                JoinInfo(
-                    member_type="worker",
-                    rank=self.rank,
-                    n_elements=self.plan.n_elements,
-                    n_chunks=self.plan.n_chunks,
-                ),
-                job=self.job,
+        def is_seth(frame: bytes, addr: Address) -> bool:
+            message = self._decode(frame)
+            return (
+                isinstance(message, ControlMessage)
+                and message.action == Action.SETH
+                and message.job == self.job
             )
-        )
-        deadline = time.monotonic() + JOIN_DEADLINE
-        while time.monotonic() < deadline:
-            self._send(join_frame)
-            resend_at = time.monotonic() + JOIN_RESEND_PERIOD
-            while time.monotonic() < resend_at:
-                got = self.endpoint.recv(
-                    timeout=max(resend_at - time.monotonic(), 0.01)
-                )
-                if got is None:
-                    break
-                message = self._decode(got[0])
-                if (
-                    isinstance(message, ControlMessage)
-                    and message.action == Action.SETH
-                    and message.job == self.job
-                ):
-                    self.threshold = int(message.value)
-                    return
-        raise RuntimeError(
-            f"worker {self.rank}: not admitted within {JOIN_DEADLINE:.0f}s"
-        )
 
-    def leave(self) -> None:
-        self._send(encode_control(ControlMessage(Action.LEAVE, job=self.job)))
+        self._join_until_go(encode_control(join), self.switch_addr, is_seth)
+
+    def _leave(self) -> None:
+        self._send(
+            encode_control(ControlMessage(Action.LEAVE, job=self.job)),
+            self.switch_addr,
+        )
 
     def _decode(self, frame: bytes):
-        self.counters["frames_rx"] += 1
         try:
-            _, message = decode_frame(frame)
+            return decode_frame(frame)[1]
         except ProtocolError:
             self.counters["decode_errors"] += 1
             return None
-        return message
 
     # ------------------------------------------------------------------
-    def train(self, iterations: int) -> None:
-        """Run the full synchronous loop; ``join()`` must have succeeded."""
-        if self.threshold is None:
-            raise RuntimeError("join() the job before training")
-        for iteration in range(iterations):
-            gradient = np.asarray(
-                self.algorithm.compute_gradient(), dtype=np.float32
-            )
-            total = self._aggregate(gradient, iteration)
-            self.round_digests.append(
-                hashlib.sha256(total.tobytes()).hexdigest()[:16]
-            )
-            self.algorithm.apply_update(
-                total.astype(np.float64) / self.n_workers
-            )
-        self.leave()
-
-    def _aggregate(self, gradient: np.ndarray, iteration: int) -> np.ndarray:
-        """One round: stream the vector up, collect the aggregate down."""
-        segments = self.plan.split(gradient, iteration, sender=self.sender)
+    def _submit(self, gradient: np.ndarray, round_index: int) -> None:
+        """Stream one round's frames up without waiting for its result."""
+        self._versions.append(len(self.round_digests))
+        segments = self.plan.split(gradient, round_index, sender=self.sender)
         for s in segments:
             s.job = self.job
         frames = {
             s.seg: encode_data(s, codec=self.codec) for s in segments
         }
-        # Retain this and the previous round for Help retransmission.
-        floor = max(iteration - 1, 0) * self.plan.n_chunks
+        # Retain S + 2 rounds: a peer's collect window can trail this
+        # worker's submit window by the full staleness bound.
+        floor = max(round_index - (self.staleness_bound + 1), 0)
+        floor *= self.plan.n_chunks
         self._send_cache = {
             seg: frame
             for seg, frame in self._send_cache.items()
@@ -200,71 +187,65 @@ class LiveWorker:
         }
         self._send_cache.update(frames)
         for frame in frames.values():
-            self._send(frame)
-        received = self._collect(set(frames), iteration)
-        ordered = [
-            received[iteration * self.plan.n_chunks + chunk]
-            for chunk in range(self.plan.n_chunks)
-        ]
-        return self.plan.assemble(ordered)
+            self._send(frame, self.switch_addr)
 
-    def _collect(self, expected: set, iteration: int) -> Dict[int, object]:
-        received: Dict[int, object] = {}
-        attempts = 0
-        timeout = self.recovery_timeout
-        while len(received) < len(expected):
-            got = self.endpoint.recv(timeout=timeout)
-            if got is None:
-                attempts += 1
-                self.counters["watchdog_timeouts"] += 1
-                if attempts > self.max_recovery_attempts:
-                    missing = sorted(expected - set(received))
-                    raise RuntimeError(
-                        f"worker {self.rank}: round {iteration} abandoned "
-                        f"after {attempts - 1} recovery attempts; "
-                        f"missing segs {missing[:8]}"
-                    )
-                self._recover(expected - set(received))
-                timeout = min(self.recovery_timeout * 2 ** attempts, 2.0)
-                continue
-            message = self._decode(got[0])
-            if message is None:
-                continue
-            if isinstance(message, ControlMessage):
-                if message.action == Action.HELP and message.job == self.job:
-                    self._retransmit(int(message.value))
-                continue
-            # A data segment.  Frames for another tenant's job would be a
-            # switch mis-delivery; drop them like any stale duplicate.
-            # Downstream results for this round are consumed; earlier
-            # rounds' rebroadcasts are stale duplicates.
-            if (
-                message.job == self.job
-                and message.seg in expected
-                and message.seg not in received
-            ):
-                received[message.seg] = message
-            else:
-                self.counters["stale_frames"] += 1
-        return received
+    def _complete(self, round_index: int) -> np.ndarray:
+        """Collect one round's aggregate (part of it may already be here:
+        segments that arrived while collecting earlier rounds)."""
+        self._floor = round_index * self.plan.n_chunks
+        expected = range(self._floor, self._floor + self.plan.n_chunks)
+        self._collect(
+            {seg for seg in expected if seg not in self._down}, round_index
+        )
+        return self.plan.assemble([self._down.pop(seg) for seg in expected])
 
-    def _recover(self, missing: set) -> None:
+    def _ingest(self, frame: bytes, addr: Address) -> None:
+        message = self._decode(frame)
+        if message is None:
+            return
+        if isinstance(message, ControlMessage):
+            if message.action == Action.HELP and message.job == self.job:
+                # A relayed Help: some peer is missing a segment we fed.
+                self._retransmit(int(message.value))
+            return
+        # A data segment.  Frames for another tenant's job would be a
+        # switch mis-delivery; drop them like any stale duplicate.
+        # Results for this round are consumed and a later round that
+        # completed ahead of it is held for its own collect (pipeline
+        # jitter, not staleness); earlier rounds' rebroadcasts are stale.
+        if (
+            message.job == self.job
+            and message.seg >= self._floor
+            and message.seg not in self._down
+        ):
+            self._down[message.seg] = message
+            self._missing.discard(message.seg)
+        else:
+            self.counters["stale_frames"] += 1
+
+    def _recover(self, missing: set, round_index: int) -> None:
         """Watchdog fired: retransmit our own frames and ask for Help."""
         for seg in sorted(missing):
-            frame = self._send_cache.get(seg)
-            if frame is not None:
-                self._send(frame)
-                self.counters["retransmissions"] += 1
+            self._retransmit(seg)
             self._send(
                 encode_control(
                     ControlMessage(Action.HELP, value=seg, job=self.job)
-                )
+                ),
+                self.switch_addr,
             )
             self.counters["help_sent"] += 1
 
     def _retransmit(self, seg: int) -> None:
-        """A relayed Help: some peer is missing a segment we fed."""
         frame = self._send_cache.get(seg)
         if frame is not None:
-            self._send(frame)
+            self._send(frame, self.switch_addr)
             self.counters["retransmissions"] += 1
+
+    def _apply(self, total: np.ndarray, round_index: int) -> None:
+        super()._apply(total, round_index)
+        gap = round_index - self._versions[round_index]
+        self.counters["version_gap_max"] = max(
+            self.counters["version_gap_max"], gap
+        )
+        self.counters["version_gap_total"] += gap
+        self.counters["version_gap_count"] += 1
