@@ -435,6 +435,9 @@ def _run_training(args: argparse.Namespace) -> int:
     print(f"backend:            {'live (loopback UDP)' if live else 'sim'}")
     if not live:
         print(f"transport:          {result.transport}")
+        if result.ingest:
+            counts = " ".join(f"{k}={n}" for k, n in result.ingest.items())
+            print(f"  train ingest:     {counts}")
     print(f"workers:            {result.n_workers}")
     print(f"iterations:         {result.iterations}")
     elapsed_label = "train wall time" if live else "simulated time"

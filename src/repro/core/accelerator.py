@@ -32,12 +32,12 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .protocol import DataSegment
+from .protocol import DataSegment, join_chunks
 
 __all__ = [
     "AcceleratorTiming",
@@ -52,6 +52,11 @@ BUS_BYTES_PER_CYCLE = 32
 CLOCK_HZ = 200e6
 #: Fixed pipeline depth (separator, decoder, output concat), in cycles.
 PIPELINE_CYCLES = 8
+#: Engine settings under which a train takes the per-segment path, in the
+#: order their cause is reported (``clock`` and ``shape`` are per train).
+_BATCH_BAIL_SETTINGS = (
+    "dedup", "canonical_order", "arrival_renumber", "buffer_limit", "codec",
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,19 @@ class AggregationStats:
     evictions: int = 0
     max_live_segments: int = 0
     busy_time: float = 0.0
+    #: Trains that left the batched ingest, by the first cause that applied
+    #: (``dedup``, ``canonical_order``, ``arrival_renumber``,
+    #: ``buffer_limit``, ``clock``, ``codec``, ``shape``).
+    batch_bails: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            _BATCH_BAIL_SETTINGS + ("clock", "shape"), 0
+        )
+    )
+    #: Batched ingests that took a train's parent vector as it was
+    #: (``view``) or had to concatenate its chunks first (``copy``).
+    joins: Dict[str, int] = field(
+        default_factory=lambda: {"view": 0, "copy": 0}
+    )
 
 
 class AggregationEngine:
@@ -187,11 +205,11 @@ class AggregationEngine:
         self._first_arrival: Dict[int, float] = {}
         self._completed_starts: Dict[int, float] = {}
         #: Vectorized-ingest bookkeeping for the batched transport path:
-        #: base Seg -> (n, round buffer, per-seg views into it).  Only
+        #: base Seg -> (round buffer, per-seg views into it).  Only
         #: populated by :meth:`_contribute_batch_fast`; every entry's
         #: validity is re-checked by identity against ``_buffers`` on each
         #: train, so interleaved per-packet traffic can never corrupt it.
-        self._vec_rounds: Dict[int, Tuple[int, np.ndarray, List[np.ndarray]]] = {}
+        self._vec_rounds: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
 
     # ------------------------------------------------------------------
     # Control-plane operations
@@ -368,23 +386,15 @@ class AggregationEngine:
             fast = self._contribute_batch_fast(segments)
             if fast is not None:
                 return fast
+        else:
+            self._bail("clock")
         out: List[Tuple[int, DataSegment]] = []
         contribute = self.contribute
-        if clocks is None:
-            for i, segment in enumerate(segments):
-                result = contribute(segment)
-                if result is None:
-                    continue
-                if isinstance(result, list):
-                    for completed in result:
-                        out.append((i, completed))
-                else:
-                    out.append((i, result))
-            return out
         saved_clock = self.clock
         try:
             for i, segment in enumerate(segments):
-                self.clock = lambda t=clocks[i]: t
+                if clocks is not None:
+                    self.clock = lambda t=clocks[i]: t
                 result = contribute(segment)
                 if result is None:
                     continue
@@ -397,63 +407,76 @@ class AggregationEngine:
             self.clock = saved_clock
         return out
 
+    def _bail(self, cause: str) -> None:
+        """Count one train leaving the batched ingest; returns ``None``."""
+        self.stats.batch_bails[cause] += 1
+
+    def _join(self, segments) -> Tuple[np.ndarray, bool]:
+        """One train's chunks as one vector: ``(vector, is a view)``."""
+        vector, is_view = join_chunks(
+            [segment.data for segment in segments], segments[0].origin
+        )
+        self.stats.joins["view" if is_view else "copy"] += 1
+        return vector, is_view
+
     def _contribute_batch_fast(self, segments) -> Optional[List[Tuple[int, DataSegment]]]:
         """Vectorized ingest for the dominant train shape, or ``None``.
 
         The hot case is one worker's (or one child switch's) whole round
         as a train: ``n`` consecutive Seg numbers, all float32, all at the
-        same contribution count.  Summing then collapses to a single
-        ``concatenate`` + one in-place add on a round-contiguous buffer —
+        same contribution count.  Summing then collapses to one in-place
+        add of the train's parent vector on a round-contiguous buffer
+        (:func:`~repro.core.protocol.join_chunks`: the vector itself when
+        the train still carries it, a concatenation when not) —
         bit-identical to the per-segment adds, because every element still
         receives exactly one addition of the same two float32 operands.
+        The first train's vector *becomes* the round buffer when it is
+        writable, exactly as :meth:`contribute` adopts a first segment.
 
         Per-seg ``_buffers`` / ``_counters`` entries are kept coherent
         (the buffers are views into the round buffer), so interleaved
         per-packet traffic — retransmits, FBcast, mixed transports — works
         unchanged; any train for which those mirrors no longer line up
-        (checked by identity below) falls back by returning ``None``.
+        (checked by identity below) falls back by returning ``None``,
+        counted by cause in ``stats.batch_bails``.
         """
-        if (
-            self.dedup
-            or self.canonical_order
-            or self.arrival_renumber is not None
-            or self.buffer_limit is not None
-            or self.clock is not None
-            or self.codec is not None
-        ):
-            # (Codec engines need the slow path: int32-bs quantizes on
-            # ingest, and every codec's finalize_sum must run per
-            # completion — the inlined completion below skips it.)
-            return None
+        # (Codec engines need the slow path: int32-bs quantizes on ingest,
+        # and every codec's finalize_sum must run per completion — the
+        # inlined completion below skips it.)
+        for cause in _BATCH_BAIL_SETTINGS:
+            if getattr(self, cause) not in (None, False):
+                return self._bail(cause)
         n = len(segments)
         if n < 2:
-            return None
+            return self._bail("shape")
         base = segments[0].seg
         counters = self._counters
         buffers = self._buffers
         stats = self.stats
         c0 = counters.get(base, 0)
         if c0 == 0:
-            # First train of the round: validate, then adopt one
-            # contiguous copy with per-seg views as the buffer mirrors.
+            # First train of the round: validate, then take its vector
+            # (a private copy of a read-only or scattered one) as the
+            # round buffer, with per-seg views as the buffer mirrors.
             for i, segment in enumerate(segments):
                 seg = base + i
                 if segment.seg != seg or seg in counters or seg in buffers:
-                    return None
+                    return self._bail("shape")
                 data = segment.data
                 if (
                     data.dtype != np.float32
                     or data.ndim != 1
                     or segment.wire_payload is None
                 ):
-                    return None
-            datas = [segment.data for segment in segments]
-            buf = np.concatenate(datas)
+                    return self._bail("shape")
+            buf, is_view = self._join(segments)
+            if is_view and not buf.flags.writeable:
+                buf = buf.copy()
             shapes = self._shapes
             views: List[np.ndarray] = []
             pos = 0
             for i, segment in enumerate(segments):
-                end = pos + datas[i].size
+                end = pos + segment.data.size
                 view = buf[pos:end]
                 seg = base + i
                 buffers[seg] = view
@@ -462,17 +485,17 @@ class AggregationEngine:
                 views.append(view)
                 pos = end
             count = 1
-            self._vec_rounds[base] = (n, buf, views)
+            self._vec_rounds[base] = origin = (buf, views)
             if len(self._vec_rounds) > 256:
                 # Rounds that never completed (crashes, evicted jobs);
                 # stale entries are harmless but needn't accumulate.
                 for old in sorted(self._vec_rounds)[:128]:
                     del self._vec_rounds[old]
         else:
-            rec = self._vec_rounds.get(base)
-            if rec is None or rec[0] != n:
-                return None
-            _, buf, views = rec
+            origin = self._vec_rounds.get(base)
+            if origin is None or len(origin[1]) != n:
+                return self._bail("shape")
+            buf, views = origin
             for i, segment in enumerate(segments):
                 data = segment.data
                 view = views[i]
@@ -485,8 +508,8 @@ class AggregationEngine:
                     or data.ndim != 1
                     or data.size != view.size
                 ):
-                    return None
-            buf += np.concatenate([segment.data for segment in segments])
+                    return self._bail("shape")
+            buf += self._join(segments)[0]
             count = c0 + 1
             for i in range(n):
                 counters[base + i] = count
@@ -498,7 +521,9 @@ class AggregationEngine:
             self._vec_rounds.pop(base, None)
             # Inlined _complete for the whole round: same pops, same
             # per-insert Help-cache eviction check, same counter updates —
-            # just without n method-call frames.
+            # just without n method-call frames.  Each result names the
+            # round buffer it is a view of, so a member that receives the
+            # whole round takes the buffer instead of reassembling it.
             shapes = self._shapes
             first_arrival = self._first_arrival
             contributors = self._contributors
@@ -521,6 +546,7 @@ class AggregationEngine:
                 result = trusted(
                     seg, data, wire_payload=shape[0], wire_frames=shape[1]
                 )
+                result.origin = origin
                 result_cache[seg] = result
                 if len(result_cache) > cache_size:
                     for key in sorted(result_cache)[: len(result_cache) // 2]:

@@ -33,6 +33,7 @@ from .protocol import (
     ControlMessage,
     DataSegment,
     SegmentPlan,
+    join_chunks,
     make_control_packet,
     make_data_packet,
 )
@@ -110,7 +111,8 @@ class AggregationClient:
         #: owning strategy can account for the permanently missed update
         #: (e.g. advance its iteration counter) instead of waiting forever.
         self.on_round_abandoned = on_round_abandoned
-        self._partial: Dict[int, Dict[int, np.ndarray]] = {}
+        #: Result segments received so far, per round and chunk offset.
+        self._partial: Dict[int, Dict[int, DataSegment]] = {}
         self._completed: set = set()
         self._watchdogs: Dict[int, Event] = {}
         #: Consecutive watchdog firings per round (drives the exponential
@@ -308,7 +310,7 @@ class AggregationClient:
             chunks = partial.get(round_index)
             if chunks is None:
                 partial[round_index] = chunks = {}
-            chunks[chunk] = segment.data
+            chunks[chunk] = segment
             if len(chunks) == n_chunks:
                 self._finish_round(round_index)
 
@@ -341,7 +343,7 @@ class AggregationClient:
             return  # late duplicate of an already-assembled round
         chunk = self.plan.chunk_of_seg(segment.seg)
         chunks = self._partial.setdefault(round_index, {})
-        chunks[chunk] = segment.data  # duplicate results simply overwrite
+        chunks[chunk] = segment  # duplicate results simply overwrite
         if len(chunks) == self.plan.n_chunks:
             self._finish_round(round_index)
         elif (
@@ -386,11 +388,17 @@ class AggregationClient:
             watchdog.cancel()
         self._watchdog_attempts.pop(round_index, None)
         # Chunks cover [0, n_chunks) exactly once and the plan's bounds are
-        # contiguous in chunk order, so ordered concatenation reproduces
-        # the per-chunk slice assignment in one call.
-        out = np.concatenate(
-            [chunks[chunk] for chunk in range(self.plan.n_chunks)]
+        # contiguous in chunk order, so joining them in order reproduces
+        # the per-chunk slice assignment: as the engine's round buffer
+        # itself when they are its views (a whole round's broadcast), as
+        # one concatenation otherwise.  Read-only either way: the buffer
+        # is shared with the Help cache and every other member.
+        out, _ = join_chunks(
+            [chunks[chunk].data for chunk in range(self.plan.n_chunks)],
+            chunks[0].origin,
         )
+        out = out.view()
+        out.flags.writeable = False
         if out.shape[0] != self.plan.n_elements:
             raise ValueError(
                 f"round {round_index}: assembled {out.shape[0]} elements, "

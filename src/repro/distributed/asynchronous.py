@@ -687,7 +687,7 @@ class AsyncISwitch:
                     hashlib.sha256(vec32.tobytes()).hexdigest()[:16]
                 )
                 worker.algorithm.apply_update(
-                    np.asarray(summed, dtype=np.float64) / self.h
+                    np.divide(summed, self.h, dtype=np.float64)
                 )
                 gap = round_index - self._paced_versions[index][round_index]
                 self.staleness.record(gap)
@@ -863,7 +863,7 @@ class AsyncISwitch:
 
         def apply() -> None:
             worker.algorithm.apply_update(
-                np.asarray(summed, dtype=np.float64) / self.h
+                np.divide(summed, self.h, dtype=np.float64)
             )
             self._ts[worker.index] += 1
             worker.finish_iteration()

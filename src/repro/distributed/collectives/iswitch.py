@@ -102,12 +102,18 @@ class ISwitchStream:
                     "explicit H is only supported on a single-switch topology"
                 )
             switches[0].jobs.get(job).engine.set_threshold(threshold)
-        if arrival_renumber:
-            for switch in switches:
+        for switch in switches:
+            engine = switch.jobs.get(job).engine
+            # Help is only asked about a round some member still waits
+            # for: synchronous members are at most one round apart,
+            # asynchronous ones at most the buffered window.  A cached
+            # result pins its round's whole buffer, so the cache is sized
+            # in rounds — two windows, because eviction halves it.
+            engine.cache_size = self.plan.n_chunks * 2 * (buffer_rounds or 1)
+            if arrival_renumber:
                 # Arrival-order renumbering gives the paper's true async
                 # semantics: the next H arriving vectors form a round,
                 # letting fast workers contribute more than once.
-                engine = switch.jobs.get(job).engine
                 engine.arrival_renumber = self.plan.n_chunks
                 if buffer_rounds is not None:
                     engine.buffer_limit = self.plan.n_chunks * buffer_rounds
@@ -135,12 +141,16 @@ class ISwitchStream:
 
     # ------------------------------------------------------------------
     def submit(self, worker, gradient: np.ndarray, round_index: int) -> None:
-        """Stream one gradient contribution into round ``round_index``."""
+        """Stream one gradient contribution into round ``round_index``.
+
+        ``gradient`` now belongs to the datapath: the switch may sum the
+        round into it, so the caller must not read it again.
+        """
         self.handles.get(round_index, expected=len(self.workers)).mark_started(
             worker.name
         )
         self.clients[worker.index].send_gradient(
-            gradient.astype(np.float32), round_index=round_index
+            gradient, round_index=round_index
         )
 
     def _complete(self, worker, round_index: int, vector: np.ndarray) -> None:

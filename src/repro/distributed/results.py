@@ -42,6 +42,11 @@ class TrainingResult:
     #: ``"train"`` or ``"packet (<reason>)"``
     #: (:func:`repro.distributed.config.choose_transport`).
     transport: Optional[str] = None
+    #: Sim iSwitch runs, set by ``run()``: how the switch engines took the
+    #: trains they were offered — joins served as a ``view`` of the
+    #: sender's vector or as a ``copy``, and trains that left the batched
+    #: ingest by cause (``AggregationStats.batch_bails``); zeros omitted.
+    ingest: Optional[Dict[str, int]] = None
     #: Async strategies: mean/max observed staleness (Algorithm 1's
     #: ``t - ts``) and cumulative PS CPU busy time, ``None`` elsewhere.
     mean_staleness: Optional[float] = None

@@ -64,12 +64,19 @@ INIT_SEED = 12345
 
 
 def make_algorithm(
-    workload: str, seed: int, init_seed: int = INIT_SEED, **overrides
+    workload: str,
+    seed: int,
+    init_seed: int = INIT_SEED,
+    peer: Optional[Algorithm] = None,
+    **overrides,
 ) -> Algorithm:
     """Instantiate the paper workload's algorithm on its stand-in env.
 
     ``seed`` drives exploration/environment randomness (unique per
     worker); ``init_seed`` drives weight init (shared by all replicas).
+    ``peer`` is a replica already built from the same arguments for this
+    cluster: a workload whose init is one large shared draw copies the
+    peer's weights instead of drawing them again.
     """
     name = workload.lower()
     if name == "dqn":
@@ -85,6 +92,8 @@ def make_algorithm(
     if name == "synth":
         # The benchmark harness's simulator-bound workload: near-zero
         # LGC cost so wall-clock timings measure the netsim, not NumPy.
+        if peer is not None:
+            return peer.replica(seed)
         return SyntheticAlgorithm(seed=seed, init_seed=init_seed, **overrides)
     raise KeyError(
         f"unknown workload {workload!r}; choose dqn/a2c/ppo/ddpg/synth"
@@ -142,7 +151,12 @@ def build_cluster(
     overrides = algorithm_overrides or {}
     workers = []
     for index, host in enumerate(net.workers):
-        algorithm = make_algorithm(workload, seed=seed + index, **overrides)
+        algorithm = make_algorithm(
+            workload,
+            seed=seed + index,
+            peer=workers[0].algorithm if workers else None,
+            **overrides,
+        )
         compute = ComputeModel(profile, seed=seed * 1000 + index)
         workers.append(SimWorker(index, host, algorithm, compute))
     return net, workers
@@ -171,15 +185,37 @@ def _register_network_collectors(hub: TelemetryHub, net) -> None:
             if engine is None:
                 continue
             stats = engine.stats
-            for field_name in ("duplicates_dropped", "evictions"):
-                counter = h.metrics.counter(
-                    f"switch.{field_name}", switch=switch.name
-                )
-                missing = getattr(stats, field_name) - counter.value
+            series = [
+                (f"switch.{name}", {}, getattr(stats, name))
+                for name in ("duplicates_dropped", "evictions")
+            ]
+            series += [
+                ("switch.batch_bails", {"cause": cause}, count)
+                for cause, count in stats.batch_bails.items()
+            ]
+            series += [
+                ("switch.joins", {"kind": kind}, count)
+                for kind, count in stats.joins.items()
+            ]
+            for name, labels, value in series:
+                counter = h.metrics.counter(name, switch=switch.name, **labels)
+                missing = value - counter.value
                 if missing > 0:
                     counter.inc(missing)
 
     hub.add_collector(collect)
+
+
+def _ingest_summary(net) -> dict:
+    """Non-zero train-ingest counts summed over the switches' engines."""
+    total: dict = {}
+    for switch in net.switches:
+        for state in switch.jobs:
+            stats = state.engine.stats
+            for key, count in (*stats.joins.items(), *stats.batch_bails.items()):
+                if count:
+                    total[key] = total.get(key, 0) + count
+    return total
 
 
 def run(config: ExperimentConfig) -> TrainingResult:
@@ -246,6 +282,8 @@ def run(config: ExperimentConfig) -> TrainingResult:
         injector.install()
     result = runner.run(config.iterations)
     result.transport = net.sim.transport
+    if spec.requires_iswitch:
+        result.ingest = _ingest_summary(net)
     # Replicas the dead cluster no longer pins (SimWorker.detach).
     result.workers = [worker.detach() for worker in workers]
     if injector is not None:

@@ -162,4 +162,4 @@ class ShardedParameterServer(SyncStrategy):
     def _all_shards_delivered(self, key) -> None:
         iteration, worker_index = key
         worker = self.workers[worker_index]
-        self._deliver_sum(worker, self._round_sum(iteration), iteration)
+        self._deliver_sum(worker, self._shared_round_sum(iteration), iteration)

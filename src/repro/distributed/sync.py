@@ -97,10 +97,12 @@ class SyncStrategy:
         self.n_iterations = 0
         self._agg_start: Dict[int, float] = {}
         self._iter_start: Dict[tuple, float] = {}
+        #: Per round: the gradients awaiting the host-side fold, then what
+        #: every replica shares read-only (the fold, the mean) until the
+        #: round barrier releases it.
         self._round_gradients: Dict[int, Dict[int, np.ndarray]] = {}
-        self._round_done = RoundBarrier(
-            len(workers), self._round_gradients_release
-        )
+        self._round_shared: Dict[int, Dict[str, np.ndarray]] = {}
+        self._round_done = RoundBarrier(len(workers), self._round_release)
         self._result: Optional[TrainingResult] = None
         #: Fault-injection state: workers paused by a crash event, and
         #: the iteration each paused worker will restart at on recovery.
@@ -219,11 +221,22 @@ class SyncStrategy:
     ) -> None:
         self._round_gradients.setdefault(iteration, {})[worker.index] = gradient
 
-    def _round_gradients_release(self, iteration: int) -> None:
+    def _round_release(self, iteration: int) -> None:
         self._round_gradients.pop(iteration, None)
+        self._round_shared.pop(iteration, None)
+
+    def _once_per_round(self, iteration: int, key: str, compute) -> np.ndarray:
+        """What is identical on every replica: computed by the first worker
+        to need it, shared read-only until the round barrier releases it."""
+        shared = self._round_shared.setdefault(iteration, {})
+        value = shared.get(key)
+        if value is None:
+            value = shared[key] = compute()
+            value.flags.writeable = False
+        return value
 
     def _round_sum(self, iteration: int) -> np.ndarray:
-        gradients = self._round_gradients[iteration]
+        gradients = self._round_gradients.pop(iteration, {})
         if len(gradients) != len(self.workers):
             raise RuntimeError(
                 f"round {iteration} incomplete: {len(gradients)} of "
@@ -233,6 +246,11 @@ class SyncStrategy:
         for gradient in gradients.values():
             total += gradient
         return total
+
+    def _shared_round_sum(self, iteration: int) -> np.ndarray:
+        return self._once_per_round(
+            iteration, "sum", lambda: self._round_sum(iteration)
+        )
 
     def _submit_gradient(
         self, worker: SimWorker, gradient: np.ndarray, iteration: int
@@ -261,24 +279,17 @@ class SyncStrategy:
                 iteration=iteration,
             )
 
-        # Hoist the float64 conversion out of the deferred apply: the sum
-        # is never mutated between now and the apply event, so converting
-        # here is value-identical and the copy (when one is needed) can be
-        # divided in place instead of allocating a second array.  A sum
-        # that is already float64 may be shared across workers (PS/AR
-        # broadcast), so only a private copy is divided in place.
-        if summed.dtype == np.float64:
-            summed64, owned = summed, False
-        else:
-            summed64, owned = summed.astype(np.float64), True
-
         def apply() -> None:
-            if owned:
-                update = np.divide(
-                    summed64, self._round_divisor(iteration), out=summed64
+            divisor = self._round_divisor(iteration)
+            if summed.dtype == np.float64:
+                # The host-side fold every replica was handed: one mean.
+                update = self._once_per_round(
+                    iteration, "mean", lambda: summed / divisor
                 )
             else:
-                update = summed64 / self._round_divisor(iteration)
+                # A client's float32 assembly: cast and divide in one pass,
+                # so one float64 vector per worker is ever live.
+                update = np.divide(summed, divisor, dtype=np.float64)
             worker.algorithm.apply_update(update)
             worker.finish_iteration()
             if telemetry.enabled:
@@ -340,7 +351,7 @@ class SyncParameterServer(SyncStrategy):
             self.profile.message_count,
             self.profile.update_cost_factor,
         )
-        summed = self._round_sum(iteration)
+        summed = self._shared_round_sum(iteration)
         self.server_cpu.submit(
             update,
             lambda: self.scatter.broadcast(
@@ -367,7 +378,7 @@ class _ExchangeAllReduce(SyncStrategy):
         self.exchange.start(worker, iteration)
 
     def _finish_exchange(self, worker, iteration) -> None:
-        self._deliver_sum(worker, self._round_sum(iteration), iteration)
+        self._deliver_sum(worker, self._shared_round_sum(iteration), iteration)
 
 
 @register_strategy("sync", "ar", supports_live=True)
@@ -501,6 +512,9 @@ class SyncISwitch(SyncStrategy):
         self.plan = self.stream.plan
         self.clients = self.stream.clients
 
+    def _record_gradient(self, worker, gradient, iteration) -> None:
+        """The switch sums; nothing host-side reads a gradient back."""
+
     def _submit_gradient(self, worker, gradient, iteration) -> None:
         self.stream.submit(worker, gradient, iteration)
 
@@ -592,5 +606,3 @@ class SyncISwitch(SyncStrategy):
             # complete short.
             client.join()
             self._start_iteration(worker, iteration)
-        for stale in [r for r in self._round_gradients if r < iteration]:
-            self._round_gradients.pop(stale, None)

@@ -79,8 +79,8 @@ class _JobRunner(SyncISwitch):
             self._start_iteration(worker, 0)
         return result
 
-    def _round_gradients_release(self, iteration: int) -> None:
-        super()._round_gradients_release(iteration)
+    def _round_release(self, iteration: int) -> None:
+        super()._round_release(iteration)
         if self._on_round is not None:
             self._on_round(iteration)
         if iteration + 1 == self.n_iterations:

@@ -59,13 +59,15 @@ class Algorithm:
     def apply_update(self, mean_gradient: np.ndarray) -> None:
         """Apply one aggregated (already averaged) gradient — the LWU stage.
 
-        Casts the wire vector to float64 once (exact per element) and
-        hands each optimizer its flat slice (``step_flat``) — no
-        per-parameter ``.grad`` scatter, no per-layer intermediates.
+        Takes the vector as float64 (a cast only if it is not already:
+        the strategies deliver float64, possibly shared and read-only)
+        and hands each optimizer its flat slice (``step_flat``, which
+        only reads it) — no per-parameter ``.grad`` scatter, no per-layer
+        intermediates.
         """
         if self._flat_plan is None:
             self._flat_plan = self._build_flat_plan()
-        flat = np.asarray(mean_gradient).astype(np.float64)
+        flat = np.asarray(mean_gradient).astype(np.float64, copy=False)
         for optimizer, start, stop in self._flat_plan:
             optimizer.step_flat(flat[start:stop])
         self.updates_applied += 1

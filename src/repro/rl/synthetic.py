@@ -20,6 +20,7 @@ Sized so one gradient is exactly :data:`SYNTH_N_PARAMS` float32 values =
 
 from __future__ import annotations
 
+import copy
 from typing import List
 
 import numpy as np
@@ -66,6 +67,18 @@ class SyntheticAlgorithm(Algorithm):
         self.updates_applied = 0
         self.episode_rewards: List[float] = []
         self._current_episode_reward = 0.0
+
+    def replica(self, seed: int) -> "SyntheticAlgorithm":
+        """A peer on its own gradient stream that *copies* this untrained
+        replica's weights: the shared ``init_seed`` draw is identical on
+        every replica, so a cluster makes it once."""
+        if self.updates_applied:
+            raise ValueError("replicas are cut from an untrained algorithm")
+        twin = copy.copy(self)
+        twin._weights = self._weights.copy()
+        twin._rng = np.random.default_rng(seed)
+        twin.episode_rewards = []
+        return twin
 
     # ------------------------------------------------------------------
     # The three-stage interface

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+from contextlib import contextmanager
 from unittest import mock
 
 from repro.distributed import ExperimentConfig, run
@@ -19,6 +20,24 @@ def per_packet_reference():
     return mock.patch.object(
         _runner, "choose_transport", lambda **_: REFERENCE_TRANSPORT
     )
+
+
+@contextmanager
+def built_clusters(prepare=None):
+    """Context manager: the ``(net, workers)`` pairs ``run()`` builds inside
+    it, each passed through ``prepare(net, workers)`` first if given."""
+    built = []
+    inner = _runner.build_cluster
+
+    def spy(*args, **kwargs):
+        net, workers = inner(*args, **kwargs)
+        if prepare is not None:
+            prepare(net, workers)
+        built.append((net, workers))
+        return net, workers
+
+    with mock.patch.object(_runner, "build_cluster", spy):
+        yield built
 
 
 def train(strategy, workload, **fields):

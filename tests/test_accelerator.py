@@ -8,7 +8,8 @@ from repro.core.accelerator import (
     AggregationEngine,
     VectorGranularityEngine,
 )
-from repro.core.protocol import DataSegment
+from repro.core.compression import get_codec
+from repro.core.protocol import DataSegment, SegmentPlan
 
 
 def seg(index, values, sender="w", commit=0):
@@ -285,3 +286,64 @@ class TestVectorGranularity:
     def test_invalid_n_chunks(self):
         with pytest.raises(ValueError):
             VectorGranularityEngine(n_chunks=0)
+
+
+class TestBatchIngestCounters:
+    """``stats.batch_bails`` / ``stats.joins``: which per-byte path ran."""
+
+    def train(self, sender="w0", round_index=0, n=4):
+        plan = SegmentPlan(366 * n)
+        vector = np.ones(plan.n_elements, dtype=np.float32)
+        segments = plan.split(vector, round_index, sender=sender, commit_id=1)
+        for segment in segments:
+            segment.wire_payload, segment.wire_frames = 1472, 1
+        return segments
+
+    def test_clean_trains_are_joined_as_views_and_nothing_bails(self):
+        engine = AggregationEngine(threshold=2)
+        engine.contribute_batch(self.train("w0"))
+        assert len(engine.contribute_batch(self.train("w1"))) == 4
+        assert engine.stats.joins == {"view": 2, "copy": 0}
+        assert not any(engine.stats.batch_bails.values())
+
+    def test_chunks_without_their_cut_are_joined_by_copy(self):
+        engine = AggregationEngine(threshold=1)
+        segments = self.train()
+        for segment in segments:
+            segment.origin = None  # e.g. re-framed by a child switch
+        assert len(engine.contribute_batch(segments)) == 4
+        assert engine.stats.joins == {"view": 0, "copy": 1}
+
+    @pytest.mark.parametrize(
+        "cause,kwargs",
+        [
+            ("dedup", dict(dedup=True)),
+            ("canonical_order", dict(canonical_order=True)),
+            ("buffer_limit", dict(buffer_limit=64)),
+            ("codec", dict(codec=get_codec("int32-bs"))),
+        ],
+    )
+    def test_engine_settings_bail_by_name(self, cause, kwargs):
+        engine = AggregationEngine(threshold=1, **kwargs)
+        assert len(engine.contribute_batch(self.train())) == 4
+        bails = {k: v for k, v in engine.stats.batch_bails.items() if v}
+        assert bails == {cause: 1}
+        assert engine.stats.joins == {"view": 0, "copy": 0}
+
+    def test_arrival_renumber_clock_and_shape_bails(self):
+        engine = AggregationEngine(threshold=1)
+        engine.arrival_renumber = 4
+        engine.contribute_batch(self.train())
+        assert engine.stats.batch_bails["arrival_renumber"] == 1
+        engine = AggregationEngine(threshold=1)
+        engine.contribute_batch(self.train(), clocks=[0.0, 1.0, 2.0, 3.0])
+        assert engine.stats.batch_bails["clock"] == 1
+        engine.clock = lambda: 5.0
+        engine.contribute_batch(self.train(round_index=1))
+        assert engine.stats.batch_bails["clock"] == 2
+        engine = AggregationEngine(threshold=1)
+        engine.contribute_batch(self.train()[:1])  # a one-packet train
+        engine.contribute_batch(self.train(round_index=1)[::2])  # Seg gaps
+        assert engine.stats.batch_bails["shape"] == 2
+        # Bails are counted per train, never per segment.
+        assert sum(engine.stats.batch_bails.values()) == 2

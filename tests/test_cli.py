@@ -70,6 +70,8 @@ class TestMain:
         assert "per-iteration time" in out
         # The result block says which transport produced it.
         assert "transport:          train\n" in out
+        # ... and, beneath it, how the switch ingested the trains.
+        assert "  train ingest:     view=20\n" in out
 
     def test_train_with_fault_plan_reports_per_packet_and_why(self, capsys):
         code = main(

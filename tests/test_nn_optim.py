@@ -109,3 +109,30 @@ class TestCommon:
                 optimizer.step()
             runs.append(param.data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda p: SGD(p, lr=0.1),
+            lambda p: SGD(p, lr=0.1, momentum=0.9),
+            lambda p: Adam(p, lr=0.01),
+            lambda p: RMSProp(p, lr=0.01),
+        ],
+        ids=["sgd", "sgd-momentum", "adam", "rmsprop"],
+    )
+    def test_step_flat_only_reads_its_gradient(self, factory):
+        """The strategies hand every replica the same read-only update
+        (``Algorithm.apply_update`` takes it without a copy)."""
+        rng = np.random.default_rng(0)
+        flat = rng.standard_normal(6)
+        frozen = flat.copy()
+        frozen.flags.writeable = False
+        stepped = []
+        for gradient in (flat, frozen):
+            params = [Parameter(np.full((2, 2), 0.5)), Parameter(np.zeros(2))]
+            optimizer = factory(params)
+            for _ in range(3):
+                optimizer.step_flat(gradient)
+            stepped.append(np.concatenate([p.data.ravel() for p in params]))
+        assert frozen.tobytes() == flat.tobytes()
+        assert stepped[0].tobytes() == stepped[1].tobytes()

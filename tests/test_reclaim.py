@@ -106,3 +106,33 @@ def test_peak_rss_plateaus_over_repeated_runs():
     # is left is allocator slack plus the small husks (switch result
     # caches) the collector picks up on its next full pass.
     assert marks[-1] - marks[1] < 10.0, marks
+
+
+#: One ``run()`` of the ``paper-isw-n4`` benchmark leg's config at a given
+#: iteration count, reporting the process's high-water RSS.
+_PAPER_ISW = """
+import resource, sys
+from repro.distributed import ExperimentConfig, run
+run(ExperimentConfig(strategy="isw", workload="synth", n_workers=4,
+                     iterations=int(sys.argv[1]), seed=7, telemetry=False,
+                     algorithm_overrides={"n_params": 4592 * 366}))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+@pytest.mark.slow
+def test_paper_size_isw_peak_rss_does_not_grow_with_iterations():
+    # The Help cache held 4,096 result *segments*, each a view pinning its
+    # round's whole 6.7 MB buffer: +6.5 MB per iteration (215 / 254 / 305 MB
+    # at 2 / 8 / 16 iterations).  Bounded in rounds, the run plateaus.
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), PYTHONHASHSEED="0")
+    marks = [
+        float(
+            subprocess.run(
+                [sys.executable, "-c", _PAPER_ISW, str(iterations)],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            ).stdout.strip().splitlines()[-1]
+        )
+        for iterations in (2, 16)
+    ]
+    assert abs(marks[1] - marks[0]) < 10.0, marks

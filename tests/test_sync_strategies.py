@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distributed.sync import SyncStrategy
 from repro.workloads import CostModel, get_profile
 
 from .helpers import train
@@ -104,3 +105,39 @@ class TestPerStrategyDetails:
             np.testing.assert_allclose(
                 worker.algorithm.get_weights(), reference, atol=1e-4
             )
+
+
+class TestOncePerRound:
+    """What is identical on every replica is computed by one of them."""
+
+    @pytest.mark.parametrize("strategy", ["ps", "ar", "ar-hd", "ps-shard", "isw"])
+    def test_round_sum_runs_once_per_round(self, strategy, monkeypatch):
+        folds = []
+        inner = SyncStrategy._round_sum
+
+        def counting(self, iteration):
+            folds.append(iteration)
+            return inner(self, iteration)
+
+        monkeypatch.setattr(SyncStrategy, "_round_sum", counting)
+        result = train(strategy, "synth", n_workers=4, iterations=5, seed=1)
+        # The switch sums for isw; every host-side strategy folds each
+        # round exactly once, not once per replica.
+        assert folds == ([] if strategy == "isw" else list(range(5)))
+        reference = result.workers[0].algorithm.get_weights()
+        for worker in result.workers[1:]:
+            assert worker.algorithm.get_weights().tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["ps", "ar", "ps-shard", "isw"])
+    def test_nothing_of_a_round_outlives_its_barrier(self, strategy, monkeypatch):
+        runners = []
+        inner = SyncStrategy.run
+
+        def keep(self, n_iterations):
+            runners.append(self)
+            return inner(self, n_iterations)
+
+        monkeypatch.setattr(SyncStrategy, "run", keep)
+        train(strategy, "synth", n_workers=4, iterations=3, seed=1)
+        assert runners[0]._round_gradients == {}
+        assert runners[0]._round_shared == {}

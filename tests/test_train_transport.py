@@ -13,13 +13,11 @@ reference, forced through that same function.
 """
 
 import hashlib
-from unittest import mock
 
 import pytest
 
 from repro.core.accelerator import AggregationEngine
 from repro.distributed import ExperimentConfig, run
-from repro.distributed import runner as runner_module
 from repro.distributed.config import choose_transport
 from repro.faults import demo_plan
 from repro.multitenant import JobSpec, SwitchFabric, run_soak
@@ -27,7 +25,7 @@ from repro.netsim import Host, Link, Simulator
 from repro.netsim.link import GBPS, GilbertElliott, LinkEnd
 from repro.netsim.packets import Packet, PacketTrain
 
-from .helpers import REFERENCE_TRANSPORT, per_packet_reference
+from .helpers import REFERENCE_TRANSPORT, built_clusters, per_packet_reference
 
 PORT = 9000
 
@@ -416,6 +414,8 @@ def observables(result, net):
     for metric in result.telemetry.metrics:
         if metric["kind"] != "counter":
             continue
+        if metric["name"] in ("switch.batch_bails", "switch.joins"):
+            continue  # which ingest path ran: the transport label, counted
         # sim.events_processed splits by physical event kind (a train's
         # one delivery books the rest as "deliver"); the total is the
         # logical per-packet work and must match.
@@ -442,14 +442,7 @@ def observables(result, net):
 
 def run_observed(fields, **kw):
     """run_synth, also returning the network ``run()`` built."""
-    built = []
-    inner = runner_module.build_cluster
-
-    def spy(*args, **kwargs):
-        built.append(inner(*args, **kwargs))
-        return built[-1]
-
-    with mock.patch.object(runner_module, "build_cluster", spy):
+    with built_clusters() as built:
         result = run_synth(fields, **kw)
     return result, built[0][0]
 
