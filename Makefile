@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast live lint bench bench-smoke bench-gate bench-pytest perf-selftest perf-pairs soak-smoke
+.PHONY: test test-fast live lint bench-pytest perf-selftest perf-pairs soak-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -27,17 +27,6 @@ lint:
 	else \
 		echo "ruff not installed; compileall-only lint"; \
 	fi
-
-bench:
-	PYTHONPATH=src $(PY) tools/bench.py --out benchmarks/results/BENCH_PR10.json
-
-bench-smoke:
-	PYTHONPATH=src $(PY) tools/bench.py --smoke --repeats 2 \
-		--out bench-smoke.json --budget 300
-
-bench-gate:
-	PYTHONPATH=src $(PY) tools/bench.py --smoke --repeats 5 \
-		--out bench-smoke.json --max-regression 0.50
 
 bench-pytest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q

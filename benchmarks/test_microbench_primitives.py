@@ -10,7 +10,12 @@ import numpy as np
 from repro.core.accelerator import AggregationEngine
 from repro.core.protocol import FLOATS_PER_SEGMENT, DataSegment, SegmentPlan
 from repro.netsim.events import Simulator
+from repro.netsim.link import Link
+from repro.netsim.node import Device
+from repro.netsim.packets import MAX_UDP_PAYLOAD, Packet
 from repro.nn import Adam, Tensor, mlp
+from repro.rl.envs.vector import make_vector_env
+from repro.rl.replay import ReplayBuffer, Transition
 
 
 def test_engine_contribution_throughput(benchmark):
@@ -73,3 +78,58 @@ def test_autograd_training_step_throughput(benchmark):
 
     loss = benchmark(step)
     assert np.isfinite(loss)
+
+
+class _Sink(Device):
+    """Counts what a bare Link delivers, so the link is timed in isolation."""
+
+    def handle_packet(self, packet, in_port):
+        self._count_rx(packet)
+
+
+def test_link_transmission_throughput(benchmark):
+    """Serializing full data frames across one 10 Gb/s link."""
+
+    def send_2000_frames():
+        sim = Simulator()
+        link = Link(sim, name="bench")
+        src, dst = Device(sim, "src"), _Sink(sim, "dst")
+        link.attach(src, dst)
+        end = link.ends[0]
+        for i in range(2000):
+            end.send(
+                Packet(src="src", dst="dst", payload_size=MAX_UDP_PAYLOAD, packet_id=i)
+            )
+        sim.run()
+        return dst.rx_packets
+
+    delivered = benchmark(send_2000_frames)
+    assert delivered == 2000
+
+
+def test_vector_env_step_throughput(benchmark):
+    """Stepping a 64-wide GridPong batch (the vectorized kernel)."""
+    env = make_vector_env("gridpong", 64, seed=7)
+    actions = np.random.default_rng(7).integers(0, 3, size=(200, 64))
+
+    def step_200_times():
+        env.reset()
+        return sum(len(env.step(row)[0]) for row in actions)
+
+    env_steps = benchmark(step_200_times)
+    assert env_steps == 200 * 64
+
+
+def test_replay_sample_throughput(benchmark):
+    """Minibatch draws from a full 20k-transition ring buffer."""
+    rng = np.random.default_rng(7)
+    buf = ReplayBuffer(20_000, rng)
+    obs = rng.standard_normal((20_000, 8))
+    for i in range(20_000):
+        buf.push(Transition(obs[i], i % 3, float(i), obs[(i + 1) % 20_000], False))
+
+    def draw_2000_batches():
+        return sum(len(buf.sample(32).states) for _ in range(2000))
+
+    samples = benchmark(draw_2000_batches)
+    assert samples == 2000 * 32

@@ -11,8 +11,8 @@ Usage::
     python -m repro jobs submit --name mine --workers 3
     python -m repro jobs status
 
-The command groups are ``exp`` (paper artifacts), ``train``, ``bench``,
-and ``jobs`` (the multi-tenant fabric).
+The command groups are ``exp`` (paper artifacts), ``train`` and ``jobs``
+(the multi-tenant fabric).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .bench import add_bench_arguments, run_bench
 from .distributed.config import ExperimentConfig
 from .distributed.registry import MODES, strategy_specs
 from .distributed.runner import ASYNC_STRATEGIES, SYNC_STRATEGIES, run
@@ -162,12 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="measurement window (iterations or updates)",
     )
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the wall-clock benchmark matrix and write a JSON report",
-    )
-    add_bench_arguments(bench)
 
     train = subparsers.add_parser("train", help="run one distributed training")
     train.add_argument(
@@ -378,6 +371,11 @@ def _write_telemetry(result, args: argparse.Namespace) -> None:
     if args.trace_out:
         write_chrome_trace(snapshot, args.trace_out)
         print(f"trace written:      {args.trace_out}")
+        if not snapshot.spans:
+            print(
+                f"  spans recorded:   0 (the {result.backend} backend records "
+                "counters only; --metrics-out has them)"
+            )
     if args.metrics_out:
         if args.metrics_out.endswith((".prom", ".txt")):
             write_prometheus(snapshot, args.metrics_out)
@@ -680,8 +678,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "train":
         return _run_training(args)
-    if args.command == "bench":
-        return run_bench(args)
     if args.command == "jobs":
         return _run_jobs(args)
     if args.command == "all":

@@ -80,7 +80,6 @@ from .config import resolve_codec as _resolve_codec
 from .metrics import BusyQueue
 from .registry import register_strategy
 from .results import TrainingResult
-from .sync import make_plan  # noqa: F401  (historical re-export)
 from .worker import SimWorker
 
 __all__ = ["AsyncParameterServer", "AsyncISwitch"]

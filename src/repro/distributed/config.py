@@ -171,6 +171,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"ps_shards must be >= 1, got {self.ps_shards}"
             )
+        if self.ps_shards is not None and self.strategy != "ps-shard":
+            raise ValueError(
+                f"strategy {self.strategy!r} has no shard servers; "
+                "ps_shards requires the sharded parameter server ('ps-shard')"
+            )
 
     # ------------------------------------------------------------------
     def resolved_profile(self) -> WorkloadProfile:

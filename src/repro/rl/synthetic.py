@@ -9,13 +9,13 @@ into the noise behind rollouts and backprop.
 :class:`SyntheticAlgorithm` keeps the full Algorithm contract (flat
 float32 gradients out, averaged updates in, bit-reproducible weights for
 a fixed seed) while making LGC nearly free — one seeded ``Generator``
-draw per iteration.  The wall-clock benchmark harness
-(:mod:`repro.bench`) runs every strategy on it so that what gets timed
-is the per-packet and per-event cost of the simulation itself, which is
-what the hot-path optimizations target.
+draw per iteration.  The reference benchmark (``benchmarks/perf``) runs
+every strategy on it so that what gets timed is the per-packet and
+per-event cost of the simulation itself, which is what the hot-path
+optimizations target.
 
 Sized so one gradient is exactly :data:`SYNTH_N_PARAMS` float32 values =
-64 full wire segments (the harness's unit of accelerator work).
+64 full wire segments (the benchmark's unit of accelerator work).
 """
 
 from __future__ import annotations

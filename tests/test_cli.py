@@ -101,6 +101,10 @@ class TestMain:
         assert code == 0
         assert "mean staleness" in capsys.readouterr().out
 
+    def test_shards_rejected_without_ps_shard(self, capsys):
+        assert main(["train", "--strategy", "ps", "--shards", "2"]) == 2
+        assert "ps-shard" in capsys.readouterr().err
+
     def test_train_bad_strategy(self, capsys):
         assert main(["train", "--strategy", "nccl"]) == 2
         assert "sync strategies" in capsys.readouterr().err
@@ -202,6 +206,38 @@ class TestTelemetryFlags:
         doc = json.loads(metrics.read_text())
         assert doc["metrics"]
 
+    def test_live_trace_out_says_it_recorded_no_spans(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The live backend records counters only: the (empty) trace is
+        still written, and the next line says it holds 0 spans."""
+        import json
+
+        import repro.cli as cli
+        from repro.distributed.results import TrainingResult
+        from repro.telemetry.hub import TelemetryHub
+
+        hub = TelemetryHub()
+        hub.inc("live.frames_tx", 260, node="worker0")  # as run_live fills it
+        result = TrainingResult(
+            "sync-isw", "synth", 2, 2, 0.04, backend="live", telemetry=hub.snapshot()
+        )
+        monkeypatch.setattr(cli, "run", lambda config: result)
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
+        out_flags = ["--trace-out", str(trace), "--metrics-out", str(metrics)]
+        assert main(["train", "--backend", "live", *out_flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"trace written:      {trace}"
+        assert lines[1].startswith("  spans recorded:   0 (the live backend")
+        assert lines[2] == f"metrics written:    {metrics}"
+        assert json.loads(trace.read_text())["traceEvents"] == []
+        assert json.loads(metrics.read_text())["metrics"]
+
+    def test_sim_trace_out_has_spans_and_no_caveat(self, tmp_path, capsys):
+        flags = ["--workload", "synth", "--iterations", "2"]
+        assert main(["train", *flags, "--trace-out", str(tmp_path / "t.json")]) == 0
+        assert "spans recorded" not in capsys.readouterr().out
+
     def test_loss_rate_flows_through(self, capsys):
         code = main(
             [
@@ -238,7 +274,7 @@ class TestTelemetryFlags:
 
 
 class TestSubcommandGroups:
-    """The exp/train/bench/jobs command groups."""
+    """The exp/train/jobs command groups."""
 
     def test_exp_group_parses(self):
         args = build_parser().parse_args(["exp", "table1"])
@@ -253,6 +289,17 @@ class TestSubcommandGroups:
         # The pre-group spelling (`repro table1`) is gone; `exp` is the way.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1"])
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        # One way to time the code: benchmarks/perf/run.py, not the CLI.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "bench" not in capsys.readouterr().out
 
     def test_exp_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

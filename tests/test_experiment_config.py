@@ -61,6 +61,13 @@ class TestExperimentConfigValidation:
             == 2e-3
         )
 
+    @pytest.mark.parametrize("strategy", ["ps", "ar", "isw", "async-ps"])
+    def test_shard_count_rejected_without_ps_shard(self, strategy):
+        # Both backends refuse: the check runs before a backend is chosen.
+        for backend in ("sim", "live"):
+            with pytest.raises(ValueError, match="ps-shard"):
+                ExperimentConfig(strategy=strategy, backend=backend, ps_shards=2)
+
     def test_scheduler_knob_is_gone(self):
         # One scheduler: the field must not grow back.
         with pytest.raises(TypeError):
