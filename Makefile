@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast live lint bench-pytest perf-selftest perf-pairs soak-smoke
+.PHONY: test test-fast live lint bench-pytest perf-selftest perf-pairs soak-smoke loss-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -44,3 +44,9 @@ perf-pairs:
 soak-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro jobs soak \
 		--jobs 32 --seed 0 --policy fair
+
+# A rack tree under 1% packet loss must finish, and quickly: until PR 18
+# its switches bounced Help messages between the levels forever (exit 124).
+loss-smoke:
+	timeout 60 env PYTHONPATH=src $(PY) -m repro train --strategy isw \
+		--workload synth -n 12 --iterations 20 --seed 7 --loss-rate 0.01

@@ -44,6 +44,7 @@ __all__ = [
     "AggregationEngine",
     "AggregationStats",
     "VectorGranularityEngine",
+    "trim_result_cache",
 ]
 
 #: 256-bit internal AXI4-Stream bus → 32 bytes per burst (§3.5).
@@ -656,10 +657,15 @@ class AggregationEngine:
     # ------------------------------------------------------------------
     def _cache_result(self, result: DataSegment) -> None:
         self._result_cache[result.seg] = result
-        if len(self._result_cache) > self.cache_size:
-            # Evict the oldest Seg numbers; they belong to finished rounds.
-            for key in sorted(self._result_cache)[: len(self._result_cache) // 2]:
-                del self._result_cache[key]
+        trim_result_cache(self._result_cache, self.cache_size)
+
+
+def trim_result_cache(cache: Dict[int, DataSegment], limit: int) -> None:
+    """Bound a by-Seg result cache: past ``limit``, evict the oldest half
+    (the lowest Seg numbers; they belong to finished rounds)."""
+    if len(cache) > limit:
+        for seg in sorted(cache)[: len(cache) // 2]:
+            del cache[seg]
 
 
 class VectorGranularityEngine(AggregationEngine):

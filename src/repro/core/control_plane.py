@@ -50,6 +50,10 @@ class MembershipTable:
         self._by_id: Dict[int, MemberEntry] = {}
         self._by_address: Dict[str, MemberEntry] = {}
         self._next_id = 0
+        #: All member addresses, in join order: what every result
+        #: broadcast reads, so it is rebuilt on the (rare) Join and Leave
+        #: rather than per read.  Ids only grow, so ``_by_id`` is in order.
+        self.addresses: List[str] = []
 
     def join(
         self,
@@ -74,6 +78,7 @@ class MembershipTable:
         self._next_id += 1
         self._by_id[entry.member_id] = entry
         self._by_address[address] = entry
+        self.addresses = [e.address for e in self._by_id.values()]
         return entry
 
     def leave(self, address: str) -> bool:
@@ -82,6 +87,7 @@ class MembershipTable:
         if entry is None:
             return False
         del self._by_id[entry.member_id]
+        self.addresses = [e.address for e in self._by_id.values()]
         return True
 
     def get(self, address: str) -> Optional[MemberEntry]:
@@ -96,11 +102,6 @@ class MembershipTable:
         return [
             e for e in self._by_id.values() if e.member_type == MemberType.WORKER
         ]
-
-    @property
-    def addresses(self) -> List[str]:
-        """All member addresses, in join order."""
-        return [self._by_id[i].address for i in sorted(self._by_id)]
 
     def __len__(self) -> int:
         return len(self._by_id)

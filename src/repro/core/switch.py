@@ -6,15 +6,20 @@ The input arbiter inspects the IP ToS byte of every packet:
 * untagged packets take the regular forwarding path of the parent
   :class:`~repro.netsim.switch.EthernetSwitch` — iSwitch "does not affect
   the regular network functions";
-* :data:`~repro.core.protocol.TOS_DATA_UP` packets feed the
-  :class:`~repro.core.accelerator.AggregationEngine`; when a segment
-  completes, the summed result is either broadcast to all local members
-  (single-switch mode) or forwarded to the parent switch (hierarchical
-  mode, §3.4);
-* :data:`~repro.core.protocol.TOS_DATA_DOWN` packets (results arriving
-  from a parent switch) are re-broadcast to the local members;
+* :data:`~repro.core.protocol.TOS_DATA_UP` packets feed the job's
+  :class:`~repro.core.accelerator.AggregationEngine`;
+* :data:`~repro.core.protocol.TOS_DATA_DOWN` packets are results arriving
+  from a parent switch;
 * :data:`~repro.core.protocol.TOS_CONTROL` packets go to the control
   plane (Join/Leave/Reset/SetH/FBcast/Help/Halt — Table 2).
+
+This class is the *simulator driver* of the switch role,
+:class:`~repro.core.jobs.JobState`: it owns what is simulation — the
+arbiter, the accelerator's latency on the event loop, ``Packet`` and train
+construction, telemetry, Join/Leave on the ``MembershipTable`` — and asks
+the job's role where everything else goes (broadcast or forward up, the
+Help rules of DESIGN §6.2, Reset/SetH/FBcast/Halt).  The live backend's
+``SoftwareSwitch`` drives the same role from UDP frames.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from ..netsim.packets import Packet, PacketTrain
 from ..netsim.switch import DEFAULT_SWITCH_LATENCY, EthernetSwitch
 from .accelerator import AcceleratorTiming, AggregationEngine
 from .control_plane import MembershipTable, MemberType
-from .jobs import DEFAULT_JOB, JobTable
+from .jobs import DEFAULT_JOB, JobState, JobTable, Routes
 from .protocol import (
     FLOAT_BYTES,
     FLOATS_PER_SEGMENT,
@@ -62,13 +67,10 @@ class ISwitch(EthernetSwitch):
         codec=None,
     ) -> None:
         super().__init__(sim, name, latency=latency)
-        #: Per-job aggregation state; job 0 is the single-tenant default.
+        #: Per-job switch roles; job 0 is the single-tenant default.
         self.jobs = JobTable(
-            dedup=dedup, timing=timing, canonical=canonical, codec=codec
+            dedup=dedup, timing=timing, canonical=canonical, codec=codec, name=name
         )
-        #: Address of the parent iSwitch for hierarchical aggregation,
-        #: or ``None`` if this switch is the (local) aggregation root.
-        self.parent_address: Optional[str] = None
         self.result_broadcasts = 0
         self.upstream_forwards = 0
         self.control_messages = 0
@@ -106,8 +108,14 @@ class ISwitch(EthernetSwitch):
         state.members.join(address, ISWITCH_UDP_PORT, member_type)
         state.engine.set_threshold(len(state.members))
 
+    @property
+    def parent_address(self) -> Optional[str]:
+        """Address of the parent iSwitch for hierarchical aggregation, or
+        ``None`` if this switch is the (local) aggregation root."""
+        return self.jobs.parent
+
     def set_parent(self, address: Optional[str]) -> None:
-        self.parent_address = address
+        self.jobs.set_parent(address)
 
     # ------------------------------------------------------------------
     # Input arbiter
@@ -182,13 +190,7 @@ class ISwitch(EthernetSwitch):
                 # datapath stays timestamp-free while telemetry is off.
                 state.engine.clock = telemetry.now
         latency = state.engine.processing_latency(packet.payload_size)
-        result = state.engine.contribute(segment)
-        if result is None:
-            return
-        # Vector-granularity engines emit a whole round at once.
-        results = result if isinstance(result, list) else [result]
-        for completed in results:
-            completed.job = segment.job
+        for completed in state.contribute(segment):
             if telemetry.enabled:
                 done = self.sim.now + latency
                 started = state.engine.consume_span_start(completed.seg)
@@ -214,7 +216,7 @@ class ISwitch(EthernetSwitch):
                     )
             self.sim.schedule_fire(
                 latency + self.latency,
-                lambda seg=completed: self._emit_result(seg),
+                lambda seg=completed: self._emit(seg.job, [seg]),
                 "agg-complete",
             )
 
@@ -332,107 +334,89 @@ class ISwitch(EthernetSwitch):
         # One logical "agg-complete" event per completion.
         sim.count_batched(len(items), "agg-complete")
         items.sort(key=lambda item: (item[0], item[1]))
-        self._emit_results_train(items)
+        self._emit(
+            job,
+            [item[2] for item in items],
+            ready=np.array([item[0] for item in items], dtype=np.float64),
+        )
         return True
 
     def _fanout_train(self, train: PacketTrain) -> None:
-        """Batched :meth:`_handle_result_from_parent`: re-broadcast a train."""
+        """Batched :meth:`_handle_result_from_parent`: re-broadcast a train,
+        each packet ready one switch latency after its own arrival."""
         arrivals = train.arrivals
         if isinstance(arrivals, np.ndarray):
             arrivals = arrivals.tolist()  # python floats, identical values
-        latency = self.latency
-        items = [
-            (float(arrivals[i]) + latency, i, packet.payload)
-            for i, packet in enumerate(train.packets)
-        ]
-        self.sim.count_batched(len(items), "fanout")
-        self._broadcast_results_train(items)
-
-    def _emit_results_train(
-        self, items: List[Tuple[float, int, DataSegment]]
-    ) -> None:
-        """Train variant of :meth:`_emit_result` for a batch of results.
-
-        ``items`` are ``(emission_time, order, segment)`` sorted by the
-        per-packet event key; emission times become per-packet ready
-        times on the egress trains.
-        """
-        if self.parent_address is None:
-            self._broadcast_results_train(items)
-            return
-        telemetry = self.sim.telemetry
-        egress = self.lookup(self.parent_address)
-        if egress is None:
-            self.dropped_packets += len(items)
-            return
-        packets = []
-        ready = np.empty(len(items), dtype=np.float64)
-        self.upstream_forwards += len(items)
-        log_events = telemetry.enabled
-        for i, (time, _, result) in enumerate(items):
-            if log_events:
-                telemetry.event(
-                    "segment.forward_up",
-                    cat="aggregation",
-                    track=self.name,
-                    seg=result.seg,
-                )
-            up_data = result.data.view()
-            up_data.flags.writeable = False
-            up = DataSegment.trusted(
-                result.seg,
-                up_data,
-                sender=self.name,
-                commit_id=result.seg,
-                job=result.job,
-                wire_payload=result.wire_payload,
-                wire_frames=result.wire_frames,
-            )
-            packets.append(
-                self._data_packet(self.parent_address, up, downstream=False)
-            )
-            ready[i] = time
-        egress.send_train(packets, ready)
-
-    def _broadcast_results_train(
-        self, items: List[Tuple[float, int, DataSegment]]
-    ) -> None:
-        """Train variant of :meth:`_broadcast_result`: one egress train per
-        member carrying every completed segment, with the per-packet
-        emission times as ready times."""
-        telemetry = self.sim.telemetry
+        packets = train.packets
+        self.sim.count_batched(len(packets), "fanout")
         by_job: dict = {}
-        job_order = []
-        for item in items:
-            job = item[2].job
-            group = by_job.get(job)
-            if group is None:
-                by_job[job] = group = []
-                job_order.append(job)
-            group.append(item)
-        for job in job_order:
-            # Same guard as the per-packet path: a job evicted between
-            # completion and fan-out is not resurrected.
-            state = self.jobs.peek(job)
-            if state is None:
-                continue
-            group = by_job[job]
-            self.result_broadcasts += len(group)
+        for i, packet in enumerate(packets):
+            by_job.setdefault(packet.payload.job, []).append(i)
+        latency = self.latency
+        for job, indices in by_job.items():
+            self._emit(
+                job,
+                [packets[i].payload for i in indices],
+                final=True,
+                ready=np.array(
+                    [float(arrivals[i]) + latency for i in indices],
+                    dtype=np.float64,
+                ),
+            )
+
+    def _handle_result_from_parent(self, packet: Packet) -> None:
+        """A globally aggregated segment arrived from above: fan it out."""
+        segment = packet.payload
+        self.sim.schedule_fire(
+            self.latency,
+            lambda: self._emit(segment.job, [segment], final=True),
+            "fanout",
+        )
+
+    # ------------------------------------------------------------------
+    # Egress: what the job's role routes, as packets and trains
+    # ------------------------------------------------------------------
+    def _emit(
+        self,
+        job: int,
+        results: List[DataSegment],
+        final: bool = False,
+        ready: Optional[np.ndarray] = None,
+    ) -> None:
+        """Ship one job's segments at their emission time — now, or with
+        per-segment ``ready`` times as one train per destination.
+
+        ``final`` ones arrived from the parent; the others completed here
+        and the job's role decides: up the hierarchy, or down to the
+        members it has *now* (Figure 1c).  This driver only accounts for
+        what it was told to send.
+        """
+        # The job may have been evicted (last member left) between the
+        # segment completing and this delayed fan-out; don't resurrect it.
+        role = self.jobs.peek(job)
+        if role is None:
+            return
+        routes = role.deliver(results) if final else role.emit(results)
+        telemetry = self.sim.telemetry
+        n = len(results)
+        if routes and routes[0][0] == role.parent:
+            self.upstream_forwards += n
             if telemetry.enabled:
-                if job:
-                    telemetry.inc(
-                        "switch.result_broadcasts",
-                        len(group),
-                        switch=self.name,
-                        job=job,
+                for result in results:
+                    telemetry.event(
+                        "segment.forward_up",
+                        cat="aggregation",
+                        track=self.name,
+                        seg=result.seg,
                     )
-                else:
-                    telemetry.inc(
-                        "switch.result_broadcasts",
-                        len(group),
-                        switch=self.name,
-                    )
-                for _, _, result in group:
+        else:
+            self.result_broadcasts += n
+            if telemetry.enabled:
+                labels = {"job": job} if job else {}
+                telemetry.inc(
+                    "switch.result_broadcasts", n, switch=self.name, **labels
+                )
+                for result in results:
                     telemetry.event(
                         "segment.broadcast",
                         cat="aggregation",
@@ -440,96 +424,46 @@ class ISwitch(EthernetSwitch):
                         seg=result.seg,
                         job=job,
                     )
-            ready = np.empty(len(group), dtype=np.float64)
-            for i, item in enumerate(group):
-                ready[i] = item[0]
-            # Every member gets an identical train except for the packet
-            # destinations: build it once, clone per member.  The template
-            # itself is never sent (transmission stamps hops/created_at).
-            template = [
-                self._data_packet("", item[2], downstream=True)
-                for item in group
-            ]
-            for entry in state.members.addresses:
-                egress = self.lookup(entry)
-                if egress is None:
-                    self.dropped_packets += len(group)
-                    continue
+        self._transmit(role, routes, ready)
+
+    def _transmit(
+        self, role: JobState, routes: Routes, ready: Optional[np.ndarray] = None
+    ) -> None:
+        """Put a role's routes on the wire: one packet per message, or —
+        given the messages' ``ready`` times — one train per destination."""
+        built_for = template = None
+        parent = role.parent
+        for dst, messages in routes:
+            egress = self.lookup(dst)
+            if egress is None:
+                self.dropped_packets += len(messages)
+                continue
+            downstream = dst != parent
+            if ready is None:
+                for message in messages:
+                    egress.send(self._packet(dst, message, downstream))
+            elif len(routes) == 1:
                 egress.send_train(
-                    [packet.clone_to(entry) for packet in template], ready
-                )
-
-    def _emit_result(self, result: DataSegment) -> None:
-        """Ship a completed segment: up the hierarchy, or down to members."""
-        if self.parent_address is not None:
-            self.upstream_forwards += 1
-            telemetry = self.sim.telemetry
-            if telemetry.enabled:
-                telemetry.event(
-                    "segment.forward_up",
-                    cat="aggregation",
-                    track=self.name,
-                    seg=result.seg,
-                )
-            # A read-only view: the parent's engine must copy on first
-            # arrival rather than adopt this array, because it also backs
-            # this switch's Help cache and the eventual fanout payloads.
-            up_data = result.data.view()
-            up_data.flags.writeable = False
-            up = DataSegment(
-                seg=result.seg,
-                data=up_data,
-                sender=self.name,
-                commit_id=result.seg,
-                job=result.job,
-                wire_payload=result.wire_payload,
-                wire_frames=result.wire_frames,
-            )
-            self._send_data(self.parent_address, up, downstream=False)
-        else:
-            self._broadcast_result(result)
-
-    def _broadcast_result(self, result: DataSegment) -> None:
-        """Send the summed segment to every local member (Figure 1c)."""
-        # The job may have been evicted (last member left) between the
-        # segment completing and this delayed fan-out; don't resurrect it.
-        state = self.jobs.peek(result.job)
-        if state is None:
-            return
-        self.result_broadcasts += 1
-        telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            if result.job:
-                telemetry.inc(
-                    "switch.result_broadcasts",
-                    1,
-                    switch=self.name,
-                    job=result.job,
+                    [self._packet(dst, m, downstream) for m in messages], ready
                 )
             else:
-                telemetry.inc("switch.result_broadcasts", 1, switch=self.name)
-            telemetry.event(
-                "segment.broadcast",
-                cat="aggregation",
-                track=self.name,
-                seg=result.seg,
-                job=result.job,
-            )
-        for entry in state.members.addresses:
-            self._send_data(entry, result, downstream=True)
+                # Every member gets an identical train except for the
+                # packet destinations: build it once, clone per member.
+                # The template itself is never sent (transmission stamps
+                # hops/created_at).
+                if messages is not built_for:
+                    built_for = messages
+                    template = [
+                        self._packet("", m, downstream) for m in messages
+                    ]
+                egress.send_train(
+                    [packet.clone_to(dst) for packet in template], ready
+                )
 
-    def _handle_result_from_parent(self, packet: Packet) -> None:
-        """A globally aggregated segment arrived from above: fan it out."""
-        segment = packet.payload
-        self.sim.schedule_fire(
-            self.latency,
-            lambda: self._broadcast_result(segment),
-            "fanout",
-        )
-
-    def _data_packet(
-        self, dst: str, segment: DataSegment, downstream: bool
-    ) -> Packet:
+    def _packet(self, dst: str, message, downstream: bool) -> Packet:
+        if isinstance(message, ControlMessage):
+            return make_control_packet(self.name, dst, message)
+        segment = message
         if segment.wire_payload is not None and segment.wire_frames is not None:
             payload_size, frames = segment.wire_payload, segment.wire_frames
         else:
@@ -553,15 +487,8 @@ class ISwitch(EthernetSwitch):
             0,
         )
 
-    def _send_data(self, dst: str, segment: DataSegment, downstream: bool) -> None:
-        egress = self.lookup(dst)
-        if egress is None:
-            self.dropped_packets += 1
-            return
-        egress.send(self._data_packet(dst, segment, downstream))
-
     # ------------------------------------------------------------------
-    # Control plane
+    # Control plane: Join/Leave here, everything else is the role's
     # ------------------------------------------------------------------
     def _handle_control(self, packet: Packet) -> None:
         message = packet.payload
@@ -580,106 +507,37 @@ class ISwitch(EthernetSwitch):
                 switch=self.name,
                 action=action.name.lower(),
             )
-        state = self.jobs.get(message.job)
+        job = message.job
+        role = self.jobs.get(job)
+        members = role.members
+        completed: List[DataSegment] = []
         if action == Action.JOIN:
             member_type = message.value or MemberType.WORKER
-            state.members.join(packet.src, packet.src_port, member_type)
-            state.engine.set_threshold(len(state.members))
-            self._ack(packet.src, success=True, job=message.job)
+            members.join(packet.src, packet.src_port, member_type)
+            role.engine.set_threshold(len(members))
+            routes = [role.ack(packet.src)]
         elif action == Action.LEAVE:
-            removed = state.members.leave(packet.src)
-            if state.members:
-                state.engine.set_threshold(len(state.members))
-                self._sweep_after_threshold_change(state, message.job)
-            elif message.job != DEFAULT_JOB:
-                self.jobs.remove(message.job)
-            self._ack(packet.src, success=removed, job=message.job)
-        elif action == Action.RESET:
-            state.engine.reset()
-            self._ack(packet.src, success=True, job=message.job)
-        elif action == Action.SETH:
-            state.engine.set_threshold(int(message.value))
-            self._sweep_after_threshold_change(state, message.job)
-            self._ack(packet.src, success=True, job=message.job)
-        elif action == Action.FBCAST:
-            result = state.engine.force_broadcast(int(message.value))
-            if result is not None:
-                result.job = message.job
-                self._emit_result(result)
-        elif action == Action.HELP:
-            self._handle_help(packet.src, int(message.value), message.job)
-        elif action == Action.HALT:
-            # Relay the suspension to every member (and down the tree).
-            for address in state.members.addresses:
-                self._send_control(
-                    address, ControlMessage(Action.HALT, job=message.job)
-                )
-        elif action == Action.ACK:
-            pass  # terminal; counted above
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown control action: {action}")
-
-    def _sweep_after_threshold_change(self, state, job: int) -> None:
-        """Emit segments stranded by a threshold decrease (Leave/SetH).
-
-        Lowering H never triggers :meth:`AggregationEngine.contribute`'s
-        completion check, so a segment sitting at ``count >= H`` would
-        otherwise wait forever for a contribution that is not coming —
-        exactly the stall a departing member leaves behind mid-round.
-        """
-        for completed in state.engine.sweep_completed():
-            completed.job = job
-            telemetry = self.sim.telemetry
+            routes = [role.ack(packet.src, members.leave(packet.src))]
+            if members:
+                completed = role.set_threshold(len(members))
+            elif job != DEFAULT_JOB:
+                self.jobs.remove(job)
+        else:
+            routes, completed = role.control(message, packet.src)
+        for segment in completed:
+            # Completed by a control message (a lowered H, an FBcast), not
+            # an arrival: same egress, one switch latency from now.
             if telemetry.enabled:
                 telemetry.event(
                     "segment.swept",
                     cat="aggregation",
                     track=self.name,
-                    seg=completed.seg,
+                    seg=segment.seg,
                     job=job,
                 )
             self.sim.schedule_fire(
                 self.latency,
-                lambda seg=completed: self._emit_result(seg),
+                lambda seg=segment: self._emit(job, [seg]),
                 "agg-sweep",
             )
-
-    def _handle_help(self, requester: str, seg: int, job: int = DEFAULT_JOB) -> None:
-        """Retransmit a lost result, or escalate the request (§3.3).
-
-        The switch keeps only "simple tasks such as accepting/forwarding
-        control messages":
-
-        * if the segment result is cached (the downstream copy was what
-          got lost), resend it to the requester alone;
-        * otherwise the *aggregation itself* is incomplete — some worker's
-          contribution was lost — so relay the Help to the parent switch
-          (whose cache may hold the global copy) and to all local members,
-          asking them to retransmit their contribution for that segment.
-          Workers store recent commits and resend; duplicate suppression
-          in the engine (dedup mode) makes the retransmissions idempotent.
-        """
-        state = self.jobs.get(job)
-        cached = state.engine.cached_result(seg)
-        if cached is not None:
-            cached.job = job
-            self._send_data(requester, cached, downstream=True)
-            return
-        if self.parent_address is not None:
-            self._send_control(
-                self.parent_address, ControlMessage(Action.HELP, seg, job=job)
-            )
-        for address in state.members.addresses:
-            self._send_control(
-                address, ControlMessage(Action.HELP, seg, job=job)
-            )
-
-    def _ack(self, dst: str, success: bool, job: int = DEFAULT_JOB) -> None:
-        self._send_control(dst, ControlMessage(Action.ACK, success, job=job))
-
-    def _send_control(self, dst: str, message: ControlMessage) -> None:
-        egress = self.lookup(dst)
-        if egress is None:
-            self.dropped_packets += 1
-            return
-        egress.send(make_control_packet(self.name, dst, message))
+        self._transmit(role, routes)

@@ -23,6 +23,7 @@ from .results import TrainingResult
 from .runner import (
     ASYNC_STRATEGIES,
     SYNC_STRATEGIES,
+    SimRunError,
     build_cluster,
     make_algorithm,
     run,
@@ -41,6 +42,7 @@ from .worker import ComputeModel, SimWorker
 
 __all__ = [
     "run",
+    "SimRunError",
     "ExperimentConfig",
     "build_cluster",
     "make_algorithm",

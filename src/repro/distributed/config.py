@@ -225,6 +225,13 @@ class ExperimentConfig:
 
         return get_codec(self.codec)
 
+    def replay_line(self) -> str:
+        """What a typed run failure ends in: enough to replay the run."""
+        return (
+            f"[replay: {self.mode}-{self.strategy} n_workers={self.n_workers} "
+            f"seed={self.seed} loss_rate={self.loss_rate}]"
+        )
+
     def with_overrides(self, **changes) -> "ExperimentConfig":
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)

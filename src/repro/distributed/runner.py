@@ -49,6 +49,7 @@ __all__ = [
     "make_algorithm",
     "build_cluster",
     "run",
+    "SimRunError",
     "SYNC_STRATEGIES",
     "ASYNC_STRATEGIES",
 ]
@@ -61,6 +62,23 @@ ASYNC_STRATEGIES = strategy_names("async")
 
 #: Default initialization seed shared by all replicas of a run.
 INIT_SEED = 12345
+
+
+class SimRunError(RuntimeError):
+    """A simulated run went quiet before every replica finished training."""
+
+    def __init__(self, worker: str, round_index: int, config) -> None:
+        super().__init__(worker, round_index, config)
+        self.worker = worker
+        self.round_index = round_index
+        self.config = config
+
+    def __str__(self) -> str:
+        return (
+            f"{self.worker}: round {self.round_index} never completed; the "
+            f"event queue drained after {self.round_index} of "
+            f"{self.config.iterations} iterations\n{self.config.replay_line()}"
+        )
 
 
 def make_algorithm(
@@ -281,6 +299,12 @@ def run(config: ExperimentConfig) -> TrainingResult:
         )
         injector.install()
     result = runner.run(config.iterations)
+    if injector is None and config.mode == "sync":
+        # The queue drained; without a fault plan to report through, a
+        # replica short of its iterations is an error, not a result.
+        for worker in workers:
+            if worker.iterations_done < config.iterations:
+                raise SimRunError(worker.name, worker.iterations_done, config)
     result.transport = net.sim.transport
     if spec.requires_iswitch:
         result.ingest = _ingest_summary(net)

@@ -73,6 +73,13 @@ __all__ = [
 #: keeps its historical 7801).
 HD_PORT = 7802
 
+#: Watchdog firings after which a sync-isw worker gives a round up as
+#: unsatisfiable, so no run can keep the event loop alive forever.  Far
+#: above what recovery takes (the backoff reaches 256x the base timeout
+#: by the ninth firing); ``run()`` turns the stall into a ``SimRunError``,
+#: or a fault plan's ``FaultReport`` into the structured failure.
+MAX_RECOVERY_ATTEMPTS = 64
+
 
 class SyncStrategy:
     """Template for synchronous training over a simulated network."""
@@ -484,16 +491,13 @@ class SyncISwitch(SyncStrategy):
 
     @classmethod
     def create(cls, net, workers, profile, config) -> "SyncISwitch":
-        fault_armed = getattr(config, "fault_plan", None) is not None
         return cls(
             net,
             workers,
             profile,
             config.cost_model,
             recovery_timeout=config.resolved_recovery_timeout(),
-            # Bounded retries keep the event loop drainable when a fault
-            # leaves a round permanently unsatisfiable.
-            max_recovery_attempts=64 if fault_armed else None,
+            max_recovery_attempts=MAX_RECOVERY_ATTEMPTS,
             job=getattr(config, "job_id", 0),
             codec=_resolve_codec(config),
         )

@@ -188,6 +188,9 @@ class MemberServer:
         self._go = go
         self._members: Dict[int, Address] = {}
         self._left: set = set()
+        #: Members that have not left, in rank order (what a broadcast
+        #: reads once per result; rebuilt on the rare Join and Leave).
+        self.addresses: List[Address] = []
         self._go_sent = False
         self.counters: Dict[str, int] = dict.fromkeys(
             (
@@ -230,6 +233,7 @@ class MemberServer:
         if rank not in self._members:
             self.counters["joins"] += 1
         self._members[rank] = addr
+        self.addresses = [a for _, a in self._active()]
         out = [(self._ack, addr)]
         if self._go_sent:
             out.append((self._go, addr))
@@ -242,6 +246,7 @@ class MemberServer:
         if rank not in self._left:
             self._left.add(rank)
             self.counters["leaves"] += 1
+            self.addresses = [a for _, a in self._active()]
 
     def on_timer(self, now: float) -> Frames:
         """Timer expiry: frames due at monotonic time ``now`` (none here)."""

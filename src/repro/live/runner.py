@@ -494,12 +494,7 @@ def run_live(config) -> "TrainingResult":
                 raise LiveRunError(f"{name} failed:\n{value}")
             server_snapshots.append((name, value))
     except LiveRunError as exc:
-        # Everything needed to replay the failing run.
-        raise LiveRunError(
-            f"{exc}\n[replay: {config.mode}-{config.strategy} "
-            f"n_workers={config.n_workers} seed={config.seed} "
-            f"loss_rate={config.loss_rate}]"
-        ) from exc
+        raise LiveRunError(f"{exc}\n{config.replay_line()}") from exc
     finally:
         _terminate(processes)
     wall_elapsed = time.monotonic() - wall_start

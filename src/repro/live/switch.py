@@ -1,12 +1,17 @@
-"""The software switch: the AggregationEngine behind a real UDP socket.
+"""The software switch: the iSwitch switch role behind a real UDP socket.
 
 One process (or thread, in the in-process tests) runs a
-:class:`SoftwareSwitch`: it admits workers via real ``Join`` control
-packets, broadcasts ``SetH`` once the expected membership is complete
-(doubling as the start-of-training signal), sums ``TOS_DATA_UP`` frames
-with the *same* :class:`~repro.core.accelerator.AggregationEngine` the
-simulator uses, and broadcasts each completed segment to every member as
-a ``TOS_DATA_DOWN`` frame.
+:class:`SoftwareSwitch`, the *live driver* of
+:class:`~repro.core.jobs.JobState` — the same role, around the same
+:class:`~repro.core.accelerator.AggregationEngine`, that the simulator's
+``ISwitch`` drives from packets.  This class owns what is live: frame
+decode/encode, the job and codec-tag filters, the ingress
+:class:`~repro.live.driver.LossGate`, re-keying each contribution with its
+member's rank, the N-member ``Join`` barrier whose ``SetH`` doubles as the
+start-of-training signal, and — for a ToR — the parent ``Join`` timer and
+the queue of frames awaiting the parent's barrier.  Where a completed
+segment goes, and what a ``Help``, ``Reset``, ``SetH``, ``FBcast`` or
+``Halt`` does, is the role's (DESIGN §6.2).
 
 The engine runs ``canonical_order=True``: UDP arrival order is
 nondeterministic, so on-the-fly summation would make the result depend on
@@ -14,18 +19,15 @@ scheduling noise.  Canonical (rank-order) summation makes the aggregate a
 pure function of the contributions — and lets a simulator run with
 ``deterministic_aggregation=True`` reproduce it bit-for-bit.
 
-Loss injection (``loss_rate``) drops incoming data frames at ingress with
-a seeded RNG, exercising the watchdog/Help recovery path over real
-sockets.  ``handle_frame`` is side-effect-free with respect to I/O — it
-returns the frames to transmit — so the protocol logic is unit-testable
-without processes.
+``handle_frame`` is side-effect-free with respect to I/O — it returns the
+frames to transmit — so the driver is unit-testable without processes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.accelerator import AggregationEngine
+from ..core.jobs import JobState, Routes
 from ..core.protocol import (
     Action,
     ControlMessage,
@@ -77,53 +79,38 @@ class SoftwareSwitch(MemberServer):
         #: The single training-job id this switch serves; frames stamped
         #: with a different job are dropped (counted as ``wrong_job``).
         self.job = job
-        #: ToR mode (hierarchical tree): completed local partials are
-        #: forwarded upstream to the aggregation switch at ``parent_addr``
-        #: instead of broadcast, and the parent's final results are
-        #: relayed down to the members.  ``rank`` is this switch's member
-        #: rank at the parent (the ToR index).
+        #: ToR mode (hierarchical tree): the aggregation switch above, and
+        #: this switch's member rank there (the ToR index).
         self.parent_addr = parent_addr
         self.rank = rank
-        #: Parent-membership barrier: upstream forwarding waits for the
-        #: parent's SetH (all ToRs admitted); completions buffer until
+        #: Parent-membership barrier: nothing goes upstream before the
+        #: parent's SetH (all ToRs admitted); frames for it queue until
         #: then.  Trivially ready with no parent.
         self._parent_ready = parent_addr is None
+        self._up_pending: List[bytes] = []
         #: When the next parent ``Join`` is due (see :meth:`on_timer`).
         self._next_parent_join = 0.0
         self._left_sent = False
-        #: Encoded upstream frames by Seg, for parent-relayed Help.
-        self._up_cache: Dict[int, bytes] = {}
-        #: Completed partials (encoded) awaiting the parent barrier.
-        self._up_pending: List[bytes] = []
-        #: Parent's final DOWN frames by Seg, for member Help.
-        self._down_cache: Dict[int, bytes] = {}
         #: Aggregation numerics (``None`` = fp32).  ``canonical_order`` is
         #: only needed where arrival order can change the sum: integer
         #: summation (int32-bs) is associative, so that engine aggregates
         #: in true arrival order, exactly like the switch ALU — and still
         #: matches the canonical-order simulator bit for bit (DESIGN §12).
         self.codec = codec
-        self.engine = AggregationEngine(
-            threshold=n_workers,
+        self.role = JobState(
+            job,
             dedup=True,  # Help retransmissions must be idempotent
-            canonical_order=codec is None or not codec.order_independent,
-            cache_size=cache_size,
+            canonical=codec is None or not codec.order_independent,
             codec=codec,
+            parent=parent_addr,
+            members=self,
+            counters=self.counters,
         )
+        self.engine = self.role.engine
+        self.engine.set_threshold(n_workers)
+        self.engine.cache_size = cache_size
         self.counters.update(
-            dict.fromkeys(
-                (
-                    "data_rx",
-                    "results_broadcast",
-                    "help_cache_hits",
-                    "help_relayed",
-                    "wrong_job",
-                    "wrong_codec",
-                    "upstream_forwards",
-                    "parent_relays",
-                ),
-                0,
-            )
+            dict.fromkeys(("data_rx", "wrong_job", "wrong_codec"), 0)
         )
 
     # ------------------------------------------------------------------
@@ -172,182 +159,89 @@ class SoftwareSwitch(MemberServer):
         if getattr(message, "job", 0) != self.job:
             self.counters["wrong_job"] += 1
             return []
-        if self.parent_addr is not None and addr == self.parent_addr:
-            return self._handle_parent_frame(tos, message)
-        if tos == TOS_CONTROL and message.action == Action.JOIN:
-            if not isinstance(message.value, JoinInfo):
-                self.counters["decode_errors"] += 1
-                return []
-            return self._admit(message.value.rank, addr)
-        rank = self._rank_of(addr)
-        if rank is None:
-            return []  # not a member (stale socket, fuzzed frame)
+        role = self.role
+        from_parent = addr == self.parent_addr
         if tos == TOS_CONTROL:
-            return self._handle_control(message, rank, addr)
-        if (tos & ~TOS_NUMERICS_MASK) == TOS_DATA_UP:
-            expected_tag = 0 if self.codec is None else self.codec.wire_tag
-            if (tos & TOS_NUMERICS_MASK) != expected_tag:
-                # A frame in the wrong numerics for this job's engine:
-                # summing it would silently mix grids, so drop it.
-                self.counters["wrong_codec"] += 1
-                return []
-            return self._handle_contribution(message, rank)
-        # TOS_DATA_DOWN at the switch ingress: not ours to aggregate.
-        return []
-
-    def _handle_parent_frame(self, tos: int, message) -> Frames:
-        """A frame from the aggregation switch above this ToR."""
-        if (tos & ~TOS_NUMERICS_MASK) == TOS_DATA_DOWN:
-            # Final tree-wide result: cache for member Help, fan out.
-            frame = encode_data(message, downstream=True, codec=self.codec)
-            self._down_cache[message.seg] = frame
-            self.counters["parent_relays"] += 1
-            return [(frame, a) for _, a in self._active()]
-        if isinstance(message, ControlMessage):
-            if message.action == Action.SETH:
-                out = []
-                if not self._parent_ready:
-                    self._parent_ready = True
-                    out = [
-                        (frame, self.parent_addr)
-                        for frame in self._up_pending
-                    ]
-                    self._up_pending = []
+            action = message.action
+            if from_parent and action == Action.SETH:
+                # The parent's barrier opened: flush what queued for it.
+                self._parent_ready = True
+                out = [(queued, addr) for queued in self._up_pending]
+                self._up_pending = []
                 return out
-            if message.action == Action.HELP:
-                # The parent lost (or never got) our partial for a Seg.
-                frame = self._up_cache.get(int(message.value))
-                if frame is None:
-                    return []
-                self.counters["retransmissions_up"] = (
-                    self.counters.get("retransmissions_up", 0) + 1
-                )
-                return [(frame, self.parent_addr)]
-        # ACKs and anything else from the parent: no action needed.
-        return []
-
-    def _handle_control(
-        self, message: ControlMessage, rank: int, addr: Address
-    ) -> Frames:
-        if message.action == Action.LEAVE:
-            self._depart(rank)
-            if (
-                self.parent_addr is not None
-                and not self._left_sent
-                and self._all_left()
-            ):
-                self._left_sent = True
-                return [
-                    (
-                        encode_control(
-                            ControlMessage(Action.LEAVE, job=self.job)
-                        ),
-                        self.parent_addr,
-                    )
-                ]
-            return []
-        if message.action == Action.HELP:
-            return self._handle_help(message, addr)
-        if message.action == Action.RESET:
-            self.engine.reset()
-            return []
-        if message.action == Action.FBCAST:
-            result = self.engine.force_broadcast(int(message.value))
-            if result is None:
+            if not from_parent:
+                if action == Action.JOIN:
+                    if not isinstance(message.value, JoinInfo):
+                        self.counters["decode_errors"] += 1
+                        return []
+                    return self._admit(message.value.rank, addr)
+                rank = self._rank_of(addr)
+                if rank is None:
+                    return []  # not a member (stale socket, fuzzed frame)
+                if action == Action.LEAVE:
+                    return self._leave(rank)
+            routes, completed = role.control(message, addr)
+            return self._frames(routes + role.emit(completed))
+        direction = tos & ~TOS_NUMERICS_MASK
+        if from_parent:
+            if direction != TOS_DATA_DOWN:
                 return []
-            return self._emit(result)
-        # SETH/HALT/ACK arriving at the switch: acknowledge nothing.
-        return []
-
-    def _handle_help(self, message: ControlMessage, addr: Address) -> Frames:
-        seg = int(message.value)
-        if self.parent_addr is not None:
-            # ToR: the member wants the *final* result, which only the
-            # parent computes.  The engine cache holds local partials —
-            # serving one of those would double-count this rack.
-            down = self._down_cache.get(seg)
-            if down is not None:
-                self.counters["help_cache_hits"] += 1
-                return [(down, addr)]
-            up = self._up_cache.get(seg)
-            if up is not None and self._parent_ready:
-                # Our partial is complete but the final never came back:
-                # re-offer it upstream and ask the parent for help.
-                self.counters["help_relayed"] += 1
-                return [
-                    (up, self.parent_addr),
-                    (
-                        encode_control(
-                            ControlMessage(
-                                Action.HELP, value=seg, job=self.job
-                            )
-                        ),
-                        self.parent_addr,
-                    ),
-                ]
-            # Our own partial is incomplete: a member's contribution was
-            # lost — fall through to the member relay below.
-        else:
-            cached = self.engine.cached_result(seg)
-            if cached is not None:
-                self.counters["help_cache_hits"] += 1
-                cached.job = self.job
-                return [
-                    (
-                        encode_data(cached, downstream=True, codec=self.codec),
-                        addr,
-                    )
-                ]
-        # Not completed yet: some contribution was lost.  Relay the Help
-        # to every other member; each retransmits its cached frames.
-        relay = encode_control(
-            ControlMessage(Action.HELP, value=seg, job=self.job)
-        )
-        self.counters["help_relayed"] += 1
-        return [
-            (relay, member_addr)
-            for _, member_addr in self._active()
-            if member_addr != addr
-        ]
-
-    def _handle_contribution(self, segment: DataSegment, rank: int) -> Frames:
+            # The tree-wide result: the role caches it and fans it out.
+            return self._frames(role.deliver([message]))
+        rank = self._rank_of(addr)
+        # TOS_DATA_DOWN at the switch ingress is not ours to aggregate.
+        if rank is None or direction != TOS_DATA_UP:
+            return []
+        expected_tag = 0 if self.codec is None else self.codec.wire_tag
+        if (tos & TOS_NUMERICS_MASK) != expected_tag:
+            # A frame in the wrong numerics for this job's engine:
+            # summing it would silently mix grids, so drop it.
+            self.counters["wrong_codec"] += 1
+            return []
         if self._loss.drops():
             return []
         self.counters["data_rx"] += 1
         # Re-key the contribution with the member's canonical identity;
         # the wire carries only (job, seg), exactly like the hardware.
         contribution = DataSegment(
-            seg=segment.seg,
-            data=segment.data,
+            seg=message.seg,
+            data=message.data,
             sender=f"worker{rank}",
             job=self.job,
         )
-        result = self.engine.contribute(contribution)
-        if result is None:
-            return []
-        return self._emit(result)
+        completed = role.contribute(contribution)
+        return self._frames(role.emit(completed)) if completed else []
 
-    def _emit(self, result: DataSegment) -> Frames:
-        """Route a completed segment: broadcast, or forward up the tree."""
-        if self.parent_addr is None:
-            return self._broadcast(result)
-        # ToR: the local sum is a *partial*; send it upstream as a fresh
-        # contribution.  The parent re-keys it under this ToR's rank, so
-        # the aggregate stays a pure function of (tor, seg).
-        result.job = self.job
-        frame = encode_data(result, downstream=False, codec=self.codec)
-        self._up_cache[result.seg] = frame
-        self.counters["upstream_forwards"] += 1
-        if not self._parent_ready:
-            self._up_pending.append(frame)
+    def _leave(self, rank: int) -> Frames:
+        """A member left; the last one out tells the parent, once."""
+        self._depart(rank)
+        if self.parent_addr is None or self._left_sent or not self._all_left():
             return []
-        return [(frame, self.parent_addr)]
+        self._left_sent = True
+        leave = encode_control(ControlMessage(Action.LEAVE, job=self.job))
+        return [(leave, self.parent_addr)]
 
-    def _broadcast(self, result: DataSegment) -> Frames:
-        result.job = self.job
-        frame = encode_data(result, downstream=True, codec=self.codec)
-        self.counters["results_broadcast"] += 1
-        return [(frame, addr) for _, addr in self._active()]
+    def _frames(self, routes: Routes) -> Frames:
+        """Encode the role's routes (each shared message list once); what
+        is bound for a parent that has not opened its barrier queues."""
+        out: Frames = []
+        encoded_for = None
+        frames: List[bytes] = []
+        for dst, messages in routes:
+            upstream = dst == self.parent_addr
+            if messages is not encoded_for:
+                encoded_for = messages
+                frames = [
+                    encode_control(m)
+                    if isinstance(m, ControlMessage)
+                    else encode_data(m, downstream=not upstream, codec=self.codec)
+                    for m in messages
+                ]
+            if upstream and not self._parent_ready:
+                self._up_pending.extend(frames)
+            else:
+                out += [(frame, dst) for frame in frames]
+        return out
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Counters plus engine statistics, for the parent's telemetry."""

@@ -1029,6 +1029,10 @@ class TestSoftwareSwitchLogic:
         assert switch.handle_frame(frame, stranger) == []
         assert switch.counters["data_rx"] == 0
         assert switch.counters["non_member"] == 1
+        # ...and a stranger's control message never reaches the role.
+        reset = encode_control(ControlMessage(Action.RESET))
+        assert switch.handle_frame(reset, stranger) == []
+        assert switch.counters["non_member"] == 2
         assert switch.handle_frame(b"\xde\xad\xbe\xef", self.addr(0)) == []
         assert switch.counters["decode_errors"] == 1
         # Downstream frames at the switch ingress are not aggregated.
@@ -1037,41 +1041,6 @@ class TestSoftwareSwitchLogic:
             downstream=True,
         )
         assert switch.handle_frame(down, self.addr(0)) == []
-
-    def test_help_cache_hit_and_relay(self):
-        switch = SoftwareSwitch(n_workers=2)
-        self.join_all(switch, 2)
-        vector = np.ones(5, dtype=np.float32)
-        switch.handle_frame(segment_frames(0, 0, vector)[0], self.addr(0))
-        # Seg 0 incomplete: Help from worker1 is relayed to worker0 only.
-        help_frame = encode_control(ControlMessage(Action.HELP, value=0))
-        relayed = switch.handle_frame(help_frame, self.addr(1))
-        assert [a for _, a in relayed] == [self.addr(0)]
-        assert decode_frame(relayed[0][0])[1].action == Action.HELP
-        assert switch.counters["help_relayed"] == 1
-        # Complete it; now a Help is served from the result cache 1:1.
-        switch.handle_frame(segment_frames(1, 0, vector)[0], self.addr(1))
-        served = switch.handle_frame(help_frame, self.addr(1))
-        assert [a for _, a in served] == [self.addr(1)]
-        _, cached = decode_frame(served[0][0])
-        np.testing.assert_array_equal(cached.data, 2 * vector)
-        assert switch.counters["help_cache_hits"] == 1
-
-    def test_dedup_makes_retransmission_idempotent(self):
-        switch = SoftwareSwitch(n_workers=2)
-        self.join_all(switch, 2)
-        frame = segment_frames(0, 0, np.ones(5, dtype=np.float32))[0]
-        switch.handle_frame(frame, self.addr(0))
-        switch.handle_frame(frame, self.addr(0))  # retransmission
-        assert switch.stats_snapshot()["engine_duplicates_dropped"] == 1
-        out = switch.handle_frame(
-            segment_frames(1, 0, np.ones(5, dtype=np.float32))[0],
-            self.addr(1),
-        )
-        _, result = decode_frame(out[0][0])
-        np.testing.assert_array_equal(
-            result.data, np.full(5, 2.0, dtype=np.float32)
-        )
 
     def test_loss_injection_drops_before_the_engine(self):
         # random.Random(0).random() == 0.844..., below a 0.9 loss rate.
@@ -1082,30 +1051,9 @@ class TestSoftwareSwitchLogic:
         assert switch.counters["drops_injected"] == 1
         assert switch.counters["data_rx"] == 0
 
-    def test_reset_fbcast_and_leave(self):
+    def test_all_members_leaving_ends_the_job(self):
         switch = SoftwareSwitch(n_workers=2)
         self.join_all(switch, 2)
-        vector = np.ones(5, dtype=np.float32)
-        switch.handle_frame(segment_frames(0, 0, vector)[0], self.addr(0))
-        # FBcast flushes the partial aggregate to both members.
-        out = switch.handle_frame(
-            encode_control(ControlMessage(Action.FBCAST, value=0)),
-            self.addr(0),
-        )
-        assert len(out) == 2
-        np.testing.assert_array_equal(decode_frame(out[0][0])[1].data, vector)
-        # FBcast of an unknown seg is a no-op.
-        assert (
-            switch.handle_frame(
-                encode_control(ControlMessage(Action.FBCAST, value=99)),
-                self.addr(0),
-            )
-            == []
-        )
-        switch.handle_frame(
-            encode_control(ControlMessage(Action.RESET)), self.addr(0)
-        )
-        assert switch.engine.live_segments == 0
         assert not switch.done
         for rank in range(2):
             switch.handle_frame(
@@ -1136,9 +1084,12 @@ class TestSoftwareSwitchLogic:
         bad_join = bytes((TOS_CONTROL, Action.JOIN))
         assert switch.handle_frame(bad_join, self.addr(0)) == []
         assert switch.counters["decode_errors"] == 1
-        # A stray SetH at a flat switch is acknowledged with nothing.
+        # A member's SetH is the shared role's, as on the simulator's
+        # switch: applied and ACKed (the live twin used to ignore it).
         seth = encode_control(ControlMessage(Action.SETH, value=2))
-        assert switch.handle_frame(seth, self.addr(0)) == []
+        (ack, to), = switch.handle_frame(seth, self.addr(0))
+        assert (decode_frame(ack)[1].action, to) == (Action.ACK, self.addr(0))
+        assert switch.engine.threshold == 2
 
     def test_simulator_only_codec_rejected(self):
         from repro.core.compression import get_codec
@@ -1203,7 +1154,9 @@ class TestSoftwareSwitchLogic:
 
 
 class TestTreeSwitchLogic:
-    """ToR-mode SoftwareSwitch protocol paths, driven frame by frame."""
+    """What is the *driver's* in ToR mode — the parent barrier and its
+    queue, the parent-Join timer, Leave propagation — frame by frame; the
+    ToR rules themselves are tests/test_switch_role.py."""
 
     PARENT = (LOOPBACK, 45000)
 
@@ -1251,71 +1204,25 @@ class TestTreeSwitchLogic:
         tor.handle_frame(segment_frames(0, 1, vector)[0], self.addr(0))
         out = tor.handle_frame(segment_frames(1, 1, vector)[0], self.addr(1))
         assert [a for _, a in out] == [self.PARENT]
+        # The parent is not a member: a contribution from it is dropped.
+        assert tor.handle_frame(segment_frames(0, 2, vector)[0], self.PARENT) == []
+        assert tor.engine.live_segments == 0
 
-    def test_parent_down_relayed_and_cached_for_help(self):
+    def test_help_before_the_parent_barrier_queues_with_the_partial(self):
         tor = self.make_tor()
-        tor.handle_frame(
-            encode_control(ControlMessage(Action.SETH, value=2)), self.PARENT
-        )
-        self.complete_seg0(tor)
-        final = encode_data(
-            DataSegment(seg=0, data=np.full(5, 6.0, dtype=np.float32)),
-            downstream=True,
-        )
-        out = tor.handle_frame(final, self.PARENT)
-        assert [a for _, a in out] == [self.addr(0), self.addr(1)]
-        assert tor.counters["parent_relays"] == 1
-        # A member Help for the relayed Seg is a down-cache hit — the
-        # engine's *partial* must never be served as a final.
+        assert self.complete_seg0(tor) == []
+        # A member times out while the parent is still admitting ToRs: the
+        # role re-offers the partial and asks the parent; both wait in the
+        # queue behind the partial itself and flush on the parent's SetH.
         help_frame = encode_control(ControlMessage(Action.HELP, value=0))
-        served = tor.handle_frame(help_frame, self.addr(1))
-        assert [a for _, a in served] == [self.addr(1)]
-        _, cached = decode_frame(served[0][0])
-        np.testing.assert_array_equal(
-            cached.data, np.full(5, 6.0, dtype=np.float32)
-        )
-        assert tor.counters["help_cache_hits"] == 1
-
-    def test_member_help_before_final_reoffers_partial_upstream(self):
-        tor = self.make_tor()
-        tor.handle_frame(
+        assert tor.handle_frame(help_frame, self.addr(0)) == []
+        out = tor.handle_frame(
             encode_control(ControlMessage(Action.SETH, value=2)), self.PARENT
         )
-        self.complete_seg0(tor)
-        # Final lost: the ToR has a complete partial, so it re-offers it
-        # upstream and asks the parent for help — both to the parent.
-        out = tor.handle_frame(
-            encode_control(ControlMessage(Action.HELP, value=0)), self.addr(0)
-        )
-        assert [a for _, a in out] == [self.PARENT, self.PARENT]
-        assert decode_frame(out[1][0])[1].action == Action.HELP
-        # An *incomplete* Seg falls back to the member relay.
-        vector = np.ones(5, dtype=np.float32)
-        tor.handle_frame(segment_frames(0, 1, vector)[0], self.addr(0))
-        relayed = tor.handle_frame(
-            encode_control(ControlMessage(Action.HELP, value=1)), self.addr(1)
-        )
-        assert [a for _, a in relayed] == [self.addr(0)]
-
-    def test_parent_help_retransmits_cached_partial(self):
-        tor = self.make_tor()
-        tor.handle_frame(
-            encode_control(ControlMessage(Action.SETH, value=2)), self.PARENT
-        )
-        self.complete_seg0(tor)
-        out = tor.handle_frame(
-            encode_control(ControlMessage(Action.HELP, value=0)), self.PARENT
-        )
-        assert [a for _, a in out] == [self.PARENT]
-        assert tor.counters["retransmissions_up"] == 1
-        # Unknown Seg: nothing cached, nothing sent.
-        assert (
-            tor.handle_frame(
-                encode_control(ControlMessage(Action.HELP, value=9)),
-                self.PARENT,
-            )
-            == []
-        )
+        assert [a for _, a in out] == [self.PARENT] * 3
+        kinds = [type(decode_frame(f)[1]).__name__ for f, _ in out]
+        assert kinds == ["DataSegment", "DataSegment", "ControlMessage"]
+        assert not tor._up_pending
 
     def test_parent_join_is_a_timer_until_the_parent_seth(self):
         """The ToR's periodic parent Join is a timer-expiry on the role
