@@ -6,6 +6,7 @@ blocks — useful when profiling why a large simulation is slow.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.accelerator import AggregationEngine
 from repro.core.protocol import FLOATS_PER_SEGMENT, DataSegment, SegmentPlan
@@ -13,9 +14,19 @@ from repro.netsim.events import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Device
 from repro.netsim.packets import MAX_UDP_PAYLOAD, Packet
-from repro.nn import Adam, Tensor, mlp
+from repro.nn import (
+    Adam,
+    Tensor,
+    fused_a2c_grad,
+    fused_ddpg_grad,
+    fused_ppo_grad,
+    mlp,
+)
+from repro.rl import A2C, DDPG, PPO
+from repro.rl.envs import Cheetah1D, GridQbert, Hopper1D
 from repro.rl.envs.vector import make_vector_env
 from repro.rl.replay import ReplayBuffer, Transition
+from tests.oracles import tape_a2c_gradient, tape_ddpg_gradient, tape_ppo_gradient
 
 
 def test_engine_contribution_throughput(benchmark):
@@ -78,6 +89,79 @@ def test_autograd_training_step_throughput(benchmark):
 
     loss = benchmark(step)
     assert np.isfinite(loss)
+
+
+def _a2c_steps():
+    algo = A2C(GridQbert(seed=0), seed=0)
+    c, rng = algo.container, np.random.default_rng(1)
+    n = algo.rollout_steps
+    data = (
+        rng.standard_normal((n, algo.env.observation_size)),
+        rng.integers(0, algo.env.action_space.n, size=n),
+        rng.standard_normal(n),
+        algo.value_coef,
+        algo.entropy_coef,
+    )
+    return (
+        c,
+        lambda: tape_a2c_gradient(c, *data),
+        lambda: fused_a2c_grad(c.policy, c.value, *data),
+    )
+
+
+def _ppo_steps():
+    algo = PPO(Hopper1D(seed=0), seed=0)
+    c, rng = algo.container, np.random.default_rng(1)
+    n = algo.rollout_steps
+    states = rng.standard_normal((n, algo.env.observation_size))
+    actions = rng.uniform(-1.0, 1.0, size=(n, algo.env.action_space.dim))
+    data = (
+        states,
+        actions,
+        c.log_prob_infer(states, actions) + rng.normal(0.0, 0.1, size=n),
+        rng.standard_normal(n),
+        rng.standard_normal(n),
+        algo.clip_epsilon,
+        algo.value_coef,
+        algo.entropy_coef,
+    )
+    return (
+        c,
+        lambda: tape_ppo_gradient(c, *data),
+        lambda: fused_ppo_grad(c.mean, c.log_std, c.value, *data),
+    )
+
+
+def _ddpg_steps():
+    algo = DDPG(Cheetah1D(seed=0), seed=0)
+    c, rng = algo.container, np.random.default_rng(1)
+    n = algo.batch_size
+    data = (
+        rng.standard_normal((n, algo.env.observation_size)),
+        rng.uniform(-1.0, 1.0, size=(n, algo.env.action_space.dim)),
+        rng.standard_normal(n),
+    )
+    return (
+        c,
+        lambda: tape_ddpg_gradient(c, *data),
+        lambda: fused_ddpg_grad(c.actor, c.critic, *data),
+    )
+
+
+_GRADIENT_STEPS = {"a2c": _a2c_steps, "ppo": _ppo_steps, "ddpg": _ddpg_steps}
+
+
+@pytest.mark.parametrize("side", ["tape", "kernel"])
+@pytest.mark.parametrize("algorithm", sorted(_GRADIENT_STEPS))
+def test_policy_gradient_step_throughput(benchmark, algorithm, side):
+    """One A2C / PPO / DDPG gradient (forward + backward into the ``.grad``
+    slots) at the algorithm's default shapes: the autograd-tape oracle
+    (``tests/oracles.py``) and the closed-form kernel training runs, in
+    one session, so their ratio is free of host drift."""
+    benchmark.group = f"{algorithm}-gradient"
+    container, tape, kernel = _GRADIENT_STEPS[algorithm]()
+    benchmark(tape if side == "tape" else kernel)
+    assert all(np.isfinite(p.grad).all() for p in container.parameters())
 
 
 class _Sink(Device):

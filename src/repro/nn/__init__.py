@@ -5,10 +5,15 @@ the substrate replacing the paper's PyTorch dependency.
 from .checkpoint import load_algorithm, load_model, save_algorithm, save_model
 from .functional import (
     entropy_from_logits,
+    fused_a2c_grad,
+    fused_ddpg_grad,
     fused_huber_loss,
     fused_mse_loss,
+    fused_ppo_grad,
     fused_qnet_grad,
     huber_loss,
+    mlp_backward,
+    mlp_forward,
     mse_loss,
     nll_from_logits,
     td_targets,
@@ -45,7 +50,12 @@ __all__ = [
     "huber_loss",
     "fused_mse_loss",
     "fused_huber_loss",
+    "mlp_forward",
+    "mlp_backward",
     "fused_qnet_grad",
+    "fused_a2c_grad",
+    "fused_ppo_grad",
+    "fused_ddpg_grad",
     "td_targets",
     "nll_from_logits",
     "entropy_from_logits",

@@ -5,11 +5,16 @@ single flat float32 vector — exactly the "gradient vector" the paper's
 switch aggregates.  Round order follows ``Module.parameters()``, which is
 deterministic (attribute-assignment order), so every worker agrees on the
 layout without negotiation.
+
+``flatten_params``, ``load_flat_params`` and ``flatten_grads_into`` take a
+``Module`` or the parameter list it would walk to: an ``Algorithm``'s
+containers are fixed after construction, so it walks its module tree once
+and passes the list on every iteration.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +31,13 @@ __all__ = [
 ]
 
 
+ParamSource = Union[Module, Sequence[Parameter]]
+
+
+def _parameters(source: ParamSource) -> Sequence[Parameter]:
+    return source.parameters() if isinstance(source, Module) else source
+
+
 def param_vector_size(module: Module) -> int:
     """Number of scalar parameters in the module."""
     return module.n_parameters
@@ -36,16 +48,16 @@ def model_wire_bytes(module: Module) -> int:
     return module.n_parameters * 4
 
 
-def flatten_params(module: Module) -> np.ndarray:
+def flatten_params(module: ParamSource) -> np.ndarray:
     """Concatenate all parameters into one float32 vector."""
     return np.concatenate(
-        [p.data.ravel() for p in module.parameters()]
+        [p.data.ravel() for p in _parameters(module)]
     ).astype(np.float32)
 
 
-def load_flat_params(module: Module, vector: np.ndarray) -> None:
+def load_flat_params(module: ParamSource, vector: np.ndarray) -> None:
     """Overwrite the module's parameters from a flat vector (any float dtype)."""
-    _scatter(module.parameters(), vector, into_grad=False)
+    _scatter(_parameters(module), vector, into_grad=False)
 
 
 def flatten_grads(module: Module) -> np.ndarray:
@@ -63,7 +75,7 @@ def flatten_grads(module: Module) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def flatten_grads_into(module: Module) -> np.ndarray:
+def flatten_grads_into(module: ParamSource) -> np.ndarray:
     """:func:`flatten_grads` without the per-parameter intermediates.
 
     One freshly allocated float32 output buffer, filled by casting slice
@@ -73,7 +85,7 @@ def flatten_grads_into(module: Module) -> np.ndarray:
     contribution it receives, so handing it a reused scratch buffer
     would let the engine scribble over the worker's next gradient.
     """
-    params = module.parameters()
+    params = _parameters(module)
     out = np.empty(sum(p.size for p in params), dtype=np.float32)
     offset = 0
     for param in params:

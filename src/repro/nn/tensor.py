@@ -8,7 +8,11 @@ with ``requires_grad=True``.
 
 Only the operations the four RL algorithms need are implemented, each with
 an exact vector-Jacobian product (checked against finite differences in
-``tests/test_nn_autograd.py``).  Arrays are float64 internally; gradients
+``tests/test_nn_autograd.py``).  The algorithms no longer train through
+the tape: their gradients are the closed-form kernels of
+``functional.py``, each written op for op in this module's order and
+pinned byte for byte against the graph built here (DESIGN.md §13.4), so
+this module is the definition those kernels are held to.  Arrays are float64 internally; gradients
 cross the simulated network as float32, matching the paper's "raw
 float-point format".
 """

@@ -9,10 +9,12 @@ Policy and value networks are separate MLPs held in one container so the
 whole model travels as a single gradient vector.
 
 Action selection and the tail bootstrap run through ``Sequential.infer``
-(raw NumPy, no tape) and the value loss uses the fused MSE kernel
-(DESIGN.md §13).  With a :class:`~repro.rl.envs.vector.VectorEnv` the
-rollout advances K envs per step and flattens time-major into one graph
-pass; K = 1 reproduces scalar stepping bit-for-bit on the same rng stream.
+(raw NumPy, no tape) and the gradient is one closed-form kernel
+(``fused_a2c_grad``, pinned against the autograd tape in
+``tests/test_compute_parity.py``; DESIGN.md §13).  With a
+:class:`~repro.rl.envs.vector.VectorEnv` the rollout advances K envs per
+step and flattens time-major into one batch; K = 1 reproduces scalar
+stepping bit-for-bit on the same rng stream.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import (
-    Adam,
-    Tensor,
-    entropy_from_logits,
-    fused_mse_loss,
-    nll_from_logits,
-    mlp,
-)
+from ..nn import Adam, fused_a2c_grad, mlp
 from ..nn.layers import Module
 from .base import Algorithm
 from .envs.base import Environment
@@ -168,13 +163,13 @@ class A2C(Algorithm):
             rewards_arr, dones_arr, bootstrap, self.gamma
         ).reshape(-1)
 
-        self.container.zero_grad()
-        values = self.container.value(Tensor(states)).reshape(-1)
-        advantages = returns - values.numpy()  # stop-gradient advantage
-        logits = self.container.policy(Tensor(states))
-        pg_loss = (nll_from_logits(logits, actions_flat) * Tensor(advantages)).mean()
-        value_loss = fused_mse_loss(values, returns)
-        entropy = entropy_from_logits(logits)
-        loss = pg_loss + self.value_coef * value_loss - self.entropy_coef * entropy
-        loss.backward()
+        fused_a2c_grad(
+            self.container.policy,
+            self.container.value,
+            states,
+            actions_flat,
+            returns,
+            self.value_coef,
+            self.entropy_coef,
+        )
         return self.gradient_vector()

@@ -44,6 +44,10 @@ class Algorithm:
         #: Single module holding *all* learnable parameters (policy, value,
         #: critics, ...) so one flat vector covers the whole model.
         self.container = container
+        #: ``container.parameters()``, walked once: containers are fixed
+        #: after construction, and every per-iteration flatten / load goes
+        #: through this list instead of recursing over the module tree.
+        self._params = container.parameters()
         self.updates_applied = 0
         self.episode_rewards: List[float] = []
         self._current_episode_reward = 0.0
@@ -84,7 +88,7 @@ class Algorithm:
 
         optimizers = [v for v in vars(self).values() if isinstance(v, Optimizer)]
         stepped = [id(p) for opt in optimizers for p in opt.params]
-        if stepped != [id(p) for p in self.container.parameters()]:
+        if stepped != [id(p) for p in self._params]:
             raise TypeError(
                 f"{type(self).__name__}: the optimizer attributes, in order, "
                 "must cover container.parameters() exactly"
@@ -112,10 +116,10 @@ class Algorithm:
         return self.n_params * 4
 
     def get_weights(self) -> np.ndarray:
-        return flatten_params(self.container)
+        return flatten_params(self._params)
 
     def set_weights(self, vector: np.ndarray) -> None:
-        load_flat_params(self.container, np.asarray(vector))
+        load_flat_params(self._params, np.asarray(vector))
         self._after_set_weights()
 
     def _after_set_weights(self) -> None:
@@ -131,7 +135,7 @@ class Algorithm:
         self.updates_applied = server_updates
 
     def gradient_vector(self) -> np.ndarray:
-        return flatten_grads_into(self.container)
+        return flatten_grads_into(self._params)
 
     # ------------------------------------------------------------------
     # Reward accounting

@@ -14,8 +14,10 @@ deterministic in the update count, so decentralized replicas stay
 identical.
 
 Gradient-free forwards go through ``Sequential.infer`` (raw NumPy, no
-tape), the critic TD loss is the fused MSE kernel, and replay is the
-ring buffer (DESIGN.md §13).  A :class:`~repro.rl.envs.vector.VectorEnv`
+tape), both gradients are one closed-form kernel (``fused_ddpg_grad``,
+pinned against the autograd tape in ``tests/test_compute_parity.py``),
+and replay is the ring buffer (DESIGN.md §13).  A
+:class:`~repro.rl.envs.vector.VectorEnv`
 steps K environments per call with one batched actor forward and a (K, dim)
 Ornstein–Uhlenbeck state; K = 1 consumes the same rng stream as scalar
 stepping and reproduces it bit-for-bit.
@@ -27,14 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import (
-    Adam,
-    Tensor,
-    concat,
-    fused_mse_loss,
-    mlp,
-    td_targets,
-)
+from ..nn import Adam, concat, fused_ddpg_grad, mlp, td_targets
 from ..nn.layers import Module
 from ..nn.serialize import flatten_params, load_flat_params
 from .base import Algorithm
@@ -118,7 +113,10 @@ class ActorCriticPair(Module):
         )
         self.critic = mlp([obs_size + action_dim, *hidden, 1], rng=rng)
 
-    def q_value(self, states: Tensor, actions: Tensor) -> Tensor:
+    def q_value(self, states, actions):
+        """Q(s, a) as an autograd graph over ``Tensor`` inputs — the tape
+        oracle ``fused_ddpg_grad`` is pinned against; training never
+        calls it."""
         return self.critic(concat([states, actions], axis=1)).reshape(-1)
 
     def q_value_infer(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -171,6 +169,7 @@ class DDPG(Algorithm):
             rng=np.random.default_rng(0),
         )
         load_flat_params(self.targets, flatten_params(container))
+        self._target_params = self.targets.parameters()
         self.actor_optimizer = Adam(container.actor.parameters(), lr=actor_lr)
         self.critic_optimizer = Adam(container.critic.parameters(), lr=critic_lr)
         if self._venv is not None:
@@ -234,32 +233,17 @@ class DDPG(Algorithm):
             self._env_step()
 
         batch = self.buffer.sample(self.batch_size)
-        states = Tensor(batch.states)
-        actions = Tensor(batch.actions.astype(np.float64))
-
         next_actions = self.targets.actor.infer(batch.next_states)
         next_q = self.targets.q_value_infer(batch.next_states, next_actions)
-        targets = td_targets(batch.rewards, next_q, batch.dones, self.gamma)
-
-        # Critic gradient.
-        self.container.zero_grad()
-        critic_loss = fused_mse_loss(self.container.q_value(states, actions), targets)
-        critic_loss.backward()
-        critic_grads = {
-            id(p): p.grad.copy()
-            for p in self.container.critic.parameters()
-            if p.grad is not None
-        }
-
-        # Actor gradient: maximize Q(s, π(s)); the chain rule pushes
-        # gradients into the critic too, but DDPG only applies the actor's
-        # share, so the critic slots are restored afterwards.
-        self.container.zero_grad()
-        actor_actions = self.container.actor(states)
-        actor_loss = -self.container.q_value(states, actor_actions).mean()
-        actor_loss.backward()
-        for param in self.container.critic.parameters():
-            param.grad = critic_grads.get(id(param))
+        # Critic: ∇ MSE(Q(s, a), targets).  Actor: ∇ −mean Q(s, π(s)),
+        # of which DDPG applies the actor's share only.
+        fused_ddpg_grad(
+            self.container.actor,
+            self.container.critic,
+            batch.states,
+            batch.actions,
+            td_targets(batch.rewards, next_q, batch.dones, self.gamma),
+        )
         return self.gradient_vector()
 
     # ------------------------------------------------------------------
@@ -274,9 +258,13 @@ class DDPG(Algorithm):
         self._soft_update_targets()
 
     def _soft_update_targets(self) -> None:
-        # Polyak soft update of the targets.
-        online = flatten_params(self.container).astype(np.float64)
-        target = flatten_params(self.targets).astype(np.float64)
-        load_flat_params(
-            self.targets, (1.0 - self.tau) * target + self.tau * online
-        )
+        # Polyak soft update of the targets, one parameter at a time.  Both
+        # sides are rounded through float32 first: the update used to read
+        # them with ``flatten_params`` (the wire format), and every pinned
+        # DDPG number includes that rounding (DESIGN.md §13.4, a known
+        # quirk — not to be "fixed" without re-pinning).
+        keep = 1.0 - self.tau
+        for target, online in zip(self._target_params, self._params):
+            target32 = target.data.astype(np.float32).astype(np.float64)
+            online32 = online.data.astype(np.float32).astype(np.float64)
+            target.data = keep * target32 + self.tau * online32

@@ -279,7 +279,6 @@ class DQN(Algorithm):
         # bootstrap therefore discounts by gamma^n.
         discount = self.gamma**self.n_step
 
-        self.container.zero_grad()
         # Closed-form fused forward+backward over the whole graph — no
         # tape nodes at all (DESIGN.md §13).
         fused_qnet_grad(

@@ -15,7 +15,8 @@ iteration, so the aggregation pattern is unchanged.
 
 Acting, the rollout's values / bootstrap, and the old-policy log-probs
 run as closed-form NumPy (mirroring the autograd expressions op for op),
-and the value term uses the fused MSE kernel (DESIGN.md §13).  A
+and so does the surrogate gradient (``fused_ppo_grad``, pinned against
+the autograd tape in ``tests/test_compute_parity.py``; DESIGN.md §13).  A
 :class:`~repro.rl.envs.vector.VectorEnv` collects K envs per rollout
 step (flattened time-major); K = 1 reproduces scalar stepping
 bit-for-bit on the same rng stream.
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Adam, Tensor, fused_mse_loss, mlp
+from ..nn import Adam, fused_ppo_grad, mlp
 from ..nn.layers import Module, Parameter
 from .base import Algorithm
 from .envs.base import Environment
@@ -49,15 +50,16 @@ class GaussianActorCritic(Module):
         self.log_std = Parameter(np.full(action_dim, -0.5), name="log_std")
         self.value = mlp([obs_size, *hidden, 1], rng=rng, activation="tanh")
 
-    def log_prob(self, states: Tensor, actions: np.ndarray) -> Tensor:
-        """Per-sample log π(a|s) under the current parameters."""
+    def log_prob(self, states, actions: np.ndarray):
+        """Per-sample log π(a|s) as an autograd graph over a ``Tensor`` of
+        states — the tape oracle ``fused_ppo_grad`` is pinned against;
+        training never calls it.  Arrays and floats are lifted onto the
+        tape by the ``Tensor`` operators."""
         mean = self.mean(states)
         std = self.log_std.exp()
-        normalized = (Tensor(actions) - mean) / std
+        normalized = (actions - mean) / std
         per_dim = (
-            -0.5 * (normalized * normalized)
-            - self.log_std
-            - Tensor(0.5 * _LOG_2PI)
+            -0.5 * (normalized * normalized) - self.log_std - 0.5 * _LOG_2PI
         )
         return per_dim.sum(axis=-1)
 
@@ -70,9 +72,10 @@ class GaussianActorCritic(Module):
         per_dim = -0.5 * (normalized * normalized) - log_std - 0.5 * _LOG_2PI
         return per_dim.sum(axis=-1)
 
-    def entropy(self) -> Tensor:
-        """Differential entropy of the diagonal Gaussian (state-free)."""
-        return (self.log_std + Tensor(0.5 * (_LOG_2PI + 1.0))).sum()
+    def entropy(self):
+        """Differential entropy of the diagonal Gaussian (state-free), as
+        an autograd graph (tape oracle, like :meth:`log_prob`)."""
+        return (self.log_std + 0.5 * (_LOG_2PI + 1.0)).sum()
 
 
 def gae_advantages(
@@ -226,23 +229,17 @@ class PPO(Algorithm):
     def _surrogate_gradient(
         self, states, actions_arr, old_log_probs, advantages, returns
     ) -> np.ndarray:
-        states = np.asarray(states)
-        self.container.zero_grad()
-        log_probs = self.container.log_prob(Tensor(states), actions_arr)
-        ratio = (log_probs - Tensor(old_log_probs)).exp()
-        adv = Tensor(advantages)
-        unclipped = ratio * adv
-        clipped = ratio.clip(1.0 - self.clip_epsilon, 1.0 + self.clip_epsilon) * adv
-        # min(a, b) = b + (a - b) clipped to (-inf, 0]; avoid needing a
-        # dedicated minimum op by using the standard identity
-        # min(a,b) = 0.5*(a + b - |a - b|).
-        surrogate = 0.5 * (unclipped + clipped - (unclipped - clipped).abs())
-        policy_loss = -surrogate.mean()
-        value_loss = fused_mse_loss(
-            self.container.value(Tensor(states)).reshape(-1), returns
+        fused_ppo_grad(
+            self.container.mean,
+            self.container.log_std,
+            self.container.value,
+            states,
+            actions_arr,
+            old_log_probs,
+            advantages,
+            returns,
+            self.clip_epsilon,
+            self.value_coef,
+            self.entropy_coef,
         )
-        loss = policy_loss + self.value_coef * value_loss
-        if self.entropy_coef:
-            loss = loss - self.entropy_coef * self.container.entropy()
-        loss.backward()
         return self.gradient_vector()

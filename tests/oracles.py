@@ -1,15 +1,18 @@
 """Test-only reference implementations (oracles) for the compute tier.
 
 These are the straightforward versions of what ``src/`` implements with
-preallocated rings and fused in-place math: a list-of-tuples replay buffer
-and textbook per-parameter optimizer steps.  They used to live in ``src/``
-as the "legacy" compute path; the differential suites
-(``test_compute_parity.py``, ``test_replay.py``) pin the production code
-bit-for-bit against them.
+preallocated rings, fused in-place math and closed-form gradient kernels:
+a list-of-tuples replay buffer, textbook per-parameter optimizer steps,
+and the autograd-tape gradients of A2C, PPO and DDPG.  They used to live
+in ``src/`` as the "legacy" compute path (the tape tails were the
+algorithms' own ``compute_gradient`` until PR 19); the differential
+suites (``test_compute_parity.py``, ``test_replay.py``) pin the
+production code bit-for-bit against them.
 """
 
 import numpy as np
 
+from repro.nn import Tensor, entropy_from_logits, fused_mse_loss, nll_from_logits
 from repro.rl.replay import Batch, Transition
 
 
@@ -128,3 +131,86 @@ def reference_adam_step_flat(self, flat_grad) -> None:
         param.grad = np.asarray(chunk, dtype=np.float64).reshape(param.data.shape)
         offset += param.data.size
     oracle.step()
+
+
+# ---------------------------------------------------------------------------
+# Autograd-tape gradients: the graph-building tails A2C / PPO / DDPG trained
+# through before the closed-form kernels (``repro.nn.functional.fused_*_grad``),
+# lifted verbatim.  Each leaves the gradients in the container's ``.grad``
+# slots and returns the loss value(s) as 0-d arrays.
+# ---------------------------------------------------------------------------
+
+
+def tape_a2c_gradient(
+    container, states, actions, returns, value_coef, entropy_coef
+) -> np.ndarray:
+    """``A2C.compute_gradient``'s tail over an ``ActorCritic`` container."""
+    container.zero_grad()
+    values = container.value(Tensor(states)).reshape(-1)
+    advantages = returns - values.numpy()  # stop-gradient advantage
+    logits = container.policy(Tensor(states))
+    pg_loss = (nll_from_logits(logits, actions) * Tensor(advantages)).mean()
+    value_loss = fused_mse_loss(values, returns)
+    entropy = entropy_from_logits(logits)
+    loss = pg_loss + value_coef * value_loss - entropy_coef * entropy
+    loss.backward()
+    return loss.numpy()
+
+
+def tape_ppo_gradient(
+    container,
+    states,
+    actions,
+    old_log_probs,
+    advantages,
+    returns,
+    clip_epsilon,
+    value_coef,
+    entropy_coef,
+) -> np.ndarray:
+    """``PPO._surrogate_gradient`` over a ``GaussianActorCritic`` container."""
+    states = np.asarray(states)
+    container.zero_grad()
+    log_probs = container.log_prob(Tensor(states), actions)
+    ratio = (log_probs - Tensor(old_log_probs)).exp()
+    adv = Tensor(advantages)
+    unclipped = ratio * adv
+    clipped = ratio.clip(1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv
+    # min(a, b) without a dedicated minimum op, by the standard identity
+    # min(a, b) = 0.5*(a + b - |a - b|).
+    surrogate = 0.5 * (unclipped + clipped - (unclipped - clipped).abs())
+    policy_loss = -surrogate.mean()
+    value_loss = fused_mse_loss(container.value(Tensor(states)).reshape(-1), returns)
+    loss = policy_loss + value_coef * value_loss
+    if entropy_coef:
+        loss = loss - entropy_coef * container.entropy()
+    loss.backward()
+    return loss.numpy()
+
+
+def tape_ddpg_gradient(container, states, actions, targets) -> tuple:
+    """``DDPG.compute_gradient``'s tail over an ``ActorCriticPair``:
+    critic pass, actor pass, then the critic slots restored."""
+    states = Tensor(states)
+    actions = Tensor(actions.astype(np.float64))
+
+    # Critic gradient.
+    container.zero_grad()
+    critic_loss = fused_mse_loss(container.q_value(states, actions), targets)
+    critic_loss.backward()
+    critic_grads = {
+        id(p): p.grad.copy()
+        for p in container.critic.parameters()
+        if p.grad is not None
+    }
+
+    # Actor gradient: maximize Q(s, π(s)); the chain rule pushes
+    # gradients into the critic too, but DDPG only applies the actor's
+    # share, so the critic slots are restored afterwards.
+    container.zero_grad()
+    actor_actions = container.actor(states)
+    actor_loss = -container.q_value(states, actor_actions).mean()
+    actor_loss.backward()
+    for param in container.critic.parameters():
+        param.grad = critic_grads.get(id(param))
+    return critic_loss.numpy(), actor_loss.numpy()

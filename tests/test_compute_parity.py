@@ -12,6 +12,10 @@ distinguishes ``-0.0`` from ``0.0``):
 * optimizers: ``step_flat`` vs the textbook per-parameter oracle step,
 * losses: fused kernels vs the composed-primitive graphs,
 * ``fused_qnet_grad``: closed-form backward vs the autograd tape,
+* ``mlp_forward`` / ``mlp_backward`` and the A2C / PPO / DDPG heads on
+  them: closed-form gradients vs the tape tails the algorithms trained
+  through until PR 19 (``tests/oracles.py``), plus the structural pins
+  that training builds no ``Tensor`` and has no tape to fall back to,
 * envs: kernel ``VectorEnv`` vs the sequential reference over 1k steps,
 * end to end: whole training runs per algorithm vs digests recorded at
   the last commit that carried the legacy twins (where both agreed).
@@ -19,31 +23,47 @@ distinguishes ``-0.0`` from ``0.0``):
 DESIGN.md §13 documents the bit-identity argument each block asserts.
 """
 
+import ast
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.rl.a2c
+import repro.rl.ddpg
+import repro.rl.dqn
+import repro.rl.ppo
 from repro.nn import (
     SGD,
     Adam,
     RMSProp,
     Tensor,
     flatten_params,
+    fused_a2c_grad,
+    fused_ddpg_grad,
     fused_huber_loss,
     fused_mse_loss,
+    fused_ppo_grad,
     fused_qnet_grad,
     huber_loss,
     load_flat_grads,
     mlp,
+    mlp_backward,
+    mlp_forward,
     mse_loss,
     no_grad,
 )
-from repro.nn.layers import Module
+from repro.nn.layers import Activation, Linear, Module, Sequential
 from repro.rl import A2C, DDPG, DQN, PPO
+from repro.rl.a2c import ActorCritic
+from repro.rl.ddpg import ActorCriticPair
 from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D, make_vector_env
 from repro.rl.envs.vector import VectorEnv
 from repro.rl.envs.wrappers import FrameStack, NormalizeObservation, ScaleReward
+from repro.rl.ppo import GaussianActorCritic
 from repro.rl.replay import ReplayBuffer, Transition
 
 from .oracles import (
@@ -51,6 +71,9 @@ from .oracles import (
     ReferenceAdam,
     ReferenceRMSProp,
     ReferenceSGD,
+    tape_a2c_gradient,
+    tape_ddpg_gradient,
+    tape_ppo_gradient,
 )
 
 
@@ -293,14 +316,8 @@ class TestFusedQNetGrad:
                 assert_bytes_equal(tg, cg, f"{activation} trial {trial} param {i}")
 
     def test_rejects_unsupported_layer(self):
-        class Opaque(Module):
-            def forward(self, x):
-                return x
-
         net = mlp([4, 8, 2], rng=np.random.default_rng(0))
-        net._order.append("layerx")
-        object.__setattr__(net, "layerx", Opaque())
-        net._modules["layerx"] = net.layerx
+        _opaque_tail(net)
         with pytest.raises(TypeError, match="Linear/Activation"):
             fused_qnet_grad(net, np.zeros((2, 4)), np.zeros(2, dtype=int), np.zeros(2))
 
@@ -310,6 +327,381 @@ class TestFusedQNetGrad:
             fused_qnet_grad(
                 net, np.zeros((2, 4)), np.zeros(2, dtype=int), np.zeros(2), delta=-1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# The shared MLP kernel and the A2C / PPO / DDPG heads vs the autograd tape
+# ---------------------------------------------------------------------------
+
+ACTIVATIONS = ["relu", "tanh", "sigmoid"]
+
+
+def _net(sizes, activation, bias, rng, output_activation=None) -> Sequential:
+    """``mlp()`` with the bias switch it does not expose, and biases that
+    are not all zero (``Linear`` initialises them to 0)."""
+    layers = []
+    for i in range(len(sizes) - 1):
+        linear = Linear(sizes[i], sizes[i + 1], rng=rng, bias=bias)
+        if bias:
+            linear.bias.data = rng.standard_normal(sizes[i + 1]) * 0.3
+        layers.append(linear)
+        if i < len(sizes) - 2:
+            layers.append(Activation(activation))
+        elif output_activation is not None:
+            layers.append(Activation(output_activation))
+    return Sequential(*layers)
+
+
+def _opaque_tail(net: Sequential) -> None:
+    """Append a layer ``mlp()`` never builds."""
+
+    class Opaque(Module):
+        def forward(self, x):
+            return x
+
+    net._order.append("layerx")
+    object.__setattr__(net, "layerx", Opaque())
+    net._modules["layerx"] = net.layerx
+
+
+def _states(rng, batch, obs_size) -> np.ndarray:
+    """``batch`` rows; ``"4x16"`` is 16 steps of a K=4 ``VectorEnv`` rollout
+    flattened time-major, built the way the algorithms build it."""
+    if batch == "4x16":
+        steps = [rng.standard_normal((4, obs_size)) for _ in range(16)]
+        return np.asarray(steps).reshape(16 * 4, -1)
+    return np.stack([rng.standard_normal(obs_size) for _ in range(batch)])
+
+
+def _assert_same_gradient(container, kernel, tape, context) -> None:
+    """Run ``tape`` then ``kernel`` on one container; compare every byte."""
+    tape_losses = np.atleast_1d(tape())
+    tape_grads = _tape_grads(container)
+    for p in container.parameters():
+        p.grad = None
+    kernel_losses = np.atleast_1d(kernel())
+    assert_bytes_equal(
+        np.asarray(kernel_losses, dtype=np.float64),
+        np.asarray(tape_losses, dtype=np.float64),
+        f"{context} loss",
+    )
+    names = [name for name, _ in container.named_parameters()]
+    for name, tg, kg in zip(names, tape_grads, _tape_grads(container)):
+        assert_bytes_equal(kg, tg, f"{context} {name}")
+
+
+BATCHES = [1, 16, 64, "4x16"]
+KERNEL_MATRIX = [
+    pytest.param(a, b, n, id=f"{a}-{'bias' if b else 'nobias'}-B{n}")
+    for a in ACTIVATIONS
+    for b in (True, False)
+    for n in BATCHES
+]
+TRIALS = 4
+
+
+class TestFusedPolicyGrads:
+    """Loss and every parameter gradient ``tobytes``-equal to the tape."""
+
+    @pytest.mark.parametrize("activation,bias,batch", KERNEL_MATRIX)
+    def test_a2c_matches_tape(self, activation, bias, batch):
+        obs_size, n_actions, hidden = 6, 4, (12, 12)
+        for trial in range(TRIALS):
+            rng = np.random.default_rng(1000 + trial)
+            container = ActorCritic(obs_size, n_actions, hidden, rng=rng)
+            container.policy = _net(
+                [obs_size, *hidden, n_actions], activation, bias, rng
+            )
+            container.value = _net([obs_size, *hidden, 1], activation, bias, rng)
+            states = _states(rng, batch, obs_size)
+            n = len(states)
+            actions = rng.integers(0, n_actions, size=n)
+            returns = rng.standard_normal(n) * 2.0
+            if trial % 2 == 0:
+                # The same action in many rows (the scatter must stay
+                # np.add.at-equivalent) and exact-zero advantages, whose
+                # -0.0 the tape's add.at turns into +0.0.
+                actions[: n // 2 + 1] = actions[0]
+                zero_rows = slice(0, max(1, n // 4))
+                returns[zero_rows] = container.value.infer(states)[zero_rows, 0]
+            value_coef = [0.5, 1.0, 0.25, 0.5][trial]
+            entropy_coef = [0.01, 0.0, 0.05, 0.01][trial]
+            _assert_same_gradient(
+                container,
+                lambda: fused_a2c_grad(
+                    container.policy, container.value, states, actions,
+                    returns, value_coef, entropy_coef,
+                ),
+                lambda: tape_a2c_gradient(
+                    container, states, actions, returns, value_coef, entropy_coef
+                ),
+                f"a2c {activation} bias={bias} B={batch} trial {trial}",
+            )
+
+    @pytest.mark.parametrize("activation,bias,batch", KERNEL_MATRIX)
+    def test_ppo_matches_tape(self, activation, bias, batch):
+        obs_size, action_dim, hidden = 5, 3, (10, 10)
+        for trial in range(TRIALS):
+            rng = np.random.default_rng(2000 + trial)
+            container = GaussianActorCritic(obs_size, action_dim, hidden, rng=rng)
+            container.mean = _net(
+                [obs_size, *hidden, action_dim], activation, bias, rng
+            )
+            container.value = _net([obs_size, *hidden, 1], activation, bias, rng)
+            container.log_std.data = rng.uniform(-1.0, 0.0, size=action_dim)
+            states = _states(rng, batch, obs_size)
+            n = len(states)
+            actions = np.clip(rng.standard_normal((n, action_dim)), -1.0, 1.0)
+            advantages = rng.standard_normal(n)
+            returns = rng.standard_normal(n)
+            # ratio != 1, as on the second epoch of epochs=2: the policy
+            # has moved since old_log_probs was recorded.  A third of the
+            # rows stay at ratio == 1, the rest land inside and outside
+            # the clip range on both sides.
+            log_probs = container.log_prob_infer(states, actions)
+            old_log_probs = log_probs + rng.normal(0.0, 0.25, size=n) * (
+                rng.random(n) > 0.33
+            )
+            clip_epsilon = 0.2
+            ratio = np.exp(log_probs - old_log_probs)
+            if trial == 1:  # one row exactly on the upper clip boundary
+                above = ratio[(ratio > 1.0) & (ratio < 2.0)]
+                if above.size:
+                    clip_epsilon = float(above[0] - 1.0)
+                    assert 1.0 + clip_epsilon == above[0]
+            if trial == 2:  # one row exactly on the lower clip boundary
+                below = ratio[(ratio > 0.5) & (ratio < 1.0)]
+                if below.size:
+                    clip_epsilon = float(1.0 - below[0])
+                    assert 1.0 - clip_epsilon == below[0]
+            if trial == 3:
+                advantages[: max(1, n // 4)] = 0.0
+            # Three contributions reach log_std when the entropy bonus is
+            # on, so their order shows; the default 0.0 runs two.
+            entropy_coef = [0.01, 0.0, 0.01, 0.02][trial]
+            args = (
+                states, actions, old_log_probs, advantages, returns,
+                clip_epsilon, 0.5, entropy_coef,
+            )
+            _assert_same_gradient(
+                container,
+                lambda: fused_ppo_grad(
+                    container.mean, container.log_std, container.value, *args
+                ),
+                lambda: tape_ppo_gradient(container, *args),
+                f"ppo {activation} bias={bias} B={batch} trial {trial}",
+            )
+
+    @pytest.mark.parametrize("activation,bias,batch", KERNEL_MATRIX)
+    def test_ddpg_matches_tape(self, activation, bias, batch):
+        obs_size, action_dim, hidden = 4, 2, (12, 12)
+        for trial in range(TRIALS):
+            rng = np.random.default_rng(3000 + trial)
+            container = ActorCriticPair(obs_size, action_dim, hidden, rng=rng)
+            container.actor = _net(
+                [obs_size, *hidden, action_dim], activation, bias, rng,
+                output_activation="tanh",
+            )
+            container.critic = _net(
+                [obs_size + action_dim, *hidden, 1], activation, bias, rng
+            )
+            states = _states(rng, batch, obs_size)
+            n = len(states)
+            actions = np.clip(rng.standard_normal((n, action_dim)), -1.0, 1.0)
+            if trial % 2 == 1:
+                # Drive π(s) to the tanh saturation (out == ±1 exactly, so
+                # 1 - out² == 0) in most rows, and replay actions that sit
+                # on the Box bounds.
+                last = [m for m in container.actor if isinstance(m, Linear)][-1]
+                last.weight.data = last.weight.data * 1e6
+                actions[: n // 2 + 1] = np.sign(actions[: n // 2 + 1])
+                saturated = np.abs(container.actor.infer(states)) == 1.0
+                assert saturated.any() or n == 1
+            targets = rng.standard_normal(n)
+            _assert_same_gradient(
+                container,
+                lambda: fused_ddpg_grad(
+                    container.actor, container.critic, states, actions, targets
+                ),
+                lambda: tape_ddpg_gradient(container, states, actions, targets),
+                f"ddpg {activation} bias={bias} B={batch} trial {trial}",
+            )
+
+    @pytest.mark.parametrize("head", ["a2c", "ppo", "ddpg"])
+    def test_unsupported_layer_raises(self, head):
+        """No silent fallback: a layer ``mlp()`` does not build is an error
+        (``TestFusedQNetGrad`` has the DQN head's)."""
+        rng = np.random.default_rng(0)
+        bad = mlp([4, 8, 2], rng=rng)
+        _opaque_tail(bad)
+        good = mlp([4, 8, 1], rng=rng)
+        states, vec = np.zeros((2, 4)), np.zeros(2)
+        calls = {
+            "a2c": lambda: fused_a2c_grad(
+                bad, good, states, np.zeros(2, dtype=int), vec, 0.5, 0.01
+            ),
+            "ppo": lambda: fused_ppo_grad(
+                bad, GaussianActorCritic(4, 2, (8,), rng).log_std, good,
+                states, np.zeros((2, 2)), vec, vec, vec, 0.2, 0.5, 0.0,
+            ),
+            "ddpg": lambda: fused_ddpg_grad(
+                bad, mlp([6, 8, 1], rng=rng), states, np.zeros((2, 2)), vec
+            ),
+        }
+        with pytest.raises(TypeError, match="Linear/Activation.*Opaque"):
+            calls[head]()
+
+
+@st.composite
+def _mlp_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(ACTIVATIONS + [None]),
+            min_size=len(sizes) - 1,
+            max_size=len(sizes) - 1,
+        )
+    )
+    return (
+        sizes,
+        kinds,
+        draw(st.booleans()),
+        draw(st.integers(1, 17)),
+        draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+class TestMlpKernel:
+    @given(case=_mlp_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_forward_and_backward_match_the_tape(self, case):
+        """Any Linear/Activation stack: output, every parameter gradient
+        and the input gradient equal the tape's, byte for byte."""
+        sizes, kinds, bias, batch, seed = case
+        rng = np.random.default_rng(seed)
+        layers = []
+        for n_in, n_out, kind in zip(sizes, sizes[1:], kinds):
+            layers.append(Linear(n_in, n_out, rng=rng, bias=bias))
+            if bias:
+                layers[-1].bias.data = rng.standard_normal(n_out)
+            if kind is not None:
+                layers.append(Activation(kind))
+        net = Sequential(*layers)
+        x = rng.standard_normal((batch, sizes[0]))
+        seed_grad = rng.standard_normal((batch, sizes[-1]))
+
+        tape_in = Tensor(x, requires_grad=True)
+        tape_out = net(tape_in)
+        tape_out.backward(seed_grad)
+        tape_grads = _tape_grads(net)
+
+        for p in net.parameters():
+            p.grad = None
+        out, steps = mlp_forward(net, x)
+        assert_bytes_equal(out, tape_out.numpy(), "forward")
+        assert mlp_backward(steps, seed_grad, param_grads=False) is None
+        assert all(p.grad is None for p in net.parameters())
+        d_input = mlp_backward(steps, seed_grad, input_grad=True)
+        assert_bytes_equal(d_input, tape_in.grad, "input gradient")
+        for i, (tg, kg) in enumerate(zip(tape_grads, _tape_grads(net))):
+            assert_bytes_equal(kg, tg, f"param {i}")
+
+
+def _env(name, scalar_cls, num_envs):
+    if num_envs == 1:
+        return scalar_cls(seed=5)
+    return make_vector_env(name, num_envs, seed=5)
+
+
+#: algorithm -> K -> a trainer whose settings reach every branch of its
+#: kernel (PPO: a second epoch, so ratio != 1, and the entropy bonus).
+TRAINERS = {
+    "dqn": lambda k: DQN(_env("gridpong", GridPong, k), seed=5, warmup=64),
+    "a2c": lambda k: A2C(_env("gridqbert", GridQbert, k), seed=5),
+    "ppo": lambda k: PPO(
+        _env("hopper1d", Hopper1D, k), seed=5, epochs=2, rollout_steps=16,
+        entropy_coef=0.01, lr=3e-3,
+    ),
+    "ddpg": lambda k: DDPG(_env("cheetah1d", Cheetah1D, k), seed=5, warmup=64),
+}
+
+#: algorithm -> (module, the kernel's name there, how many leading network
+#: arguments the tape oracle replaces with the container, the oracle).
+SHADOWS = {
+    "a2c": (repro.rl.a2c, "fused_a2c_grad", 2, tape_a2c_gradient),
+    "ppo": (repro.rl.ppo, "fused_ppo_grad", 3, tape_ppo_gradient),
+    "ddpg": (repro.rl.ddpg, "fused_ddpg_grad", 2, tape_ddpg_gradient),
+}
+
+
+class TestTrainingAgainstTheTape:
+    @pytest.mark.parametrize("num_envs", [1, 4], ids=["scalar", "K4"])
+    @pytest.mark.parametrize("algorithm", sorted(SHADOWS))
+    def test_every_iteration_matches_tape(self, monkeypatch, algorithm, num_envs):
+        """Real rollouts (repeated actions, PPO's second epoch, K=4
+        batches): on each iteration's own inputs the kernel's gradient
+        equals the tape tail the algorithm used to run."""
+        module, name, n_nets, tape = SHADOWS[algorithm]
+        algo = TRAINERS[algorithm](num_envs)
+        kernel = getattr(module, name)
+        compared = []
+
+        def both(*args):
+            _assert_same_gradient(
+                algo.container,
+                lambda: kernel(*args),
+                lambda: tape(algo.container, *args[n_nets:]),
+                f"{algorithm} K={num_envs} iteration {len(compared)}",
+            )
+            compared.append(args)
+
+        monkeypatch.setattr(module, name, both)
+        for _ in range(8):
+            algo.apply_update(algo.compute_gradient())
+        assert len(compared) == 8
+
+
+class TestTapeFree:
+    @pytest.mark.parametrize("num_envs", [1, 4], ids=["scalar", "K4"])
+    @pytest.mark.parametrize("algorithm", sorted(TRAINERS))
+    def test_training_constructs_no_tensor(self, monkeypatch, algorithm, num_envs):
+        algo = TRAINERS[algorithm](num_envs)
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        algo.container.parameters()[0].exp()
+        assert built == ["Tensor"], "the counter must see tape ops"
+        del built[:]
+        for _ in range(4):
+            algo.apply_update(algo.compute_gradient())
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "module", [repro.rl.dqn, repro.rl.a2c, repro.rl.ppo, repro.rl.ddpg],
+        ids=lambda m: m.__name__,
+    )
+    def test_algorithm_modules_do_not_import_tensor(self, module):
+        """No tape to fall back to: the four algorithm modules cannot name
+        ``Tensor`` (the oracle methods they keep lift through its operators)."""
+        tree = ast.parse(inspect.getsource(module))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "Tensor" not in imported
+        assert not any(
+            isinstance(node, (ast.Name, ast.Attribute))
+            and (getattr(node, "id", None) or getattr(node, "attr", None)) == "Tensor"
+            for node in ast.walk(tree)
+        )
+        assert "Tensor" not in vars(module)
 
 
 class TestInferParity:
