@@ -10,10 +10,12 @@ import pytest
 
 from repro.core.accelerator import AggregationEngine
 from repro.core.protocol import FLOATS_PER_SEGMENT, DataSegment, SegmentPlan
+from repro.distributed.transport import VectorReceiver, send_vector
 from repro.netsim.events import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Device
 from repro.netsim.packets import MAX_UDP_PAYLOAD, Packet
+from repro.netsim.topology import build_rack_tree
 from repro.nn import (
     Adam,
     Tensor,
@@ -189,6 +191,32 @@ def test_link_transmission_throughput(benchmark):
 
     delivered = benchmark(send_2000_frames)
     assert delivered == 2000
+
+
+def _incast(transport):
+    """Eight workers each push one 64-chunk vector to the server behind the
+    root of a rack tree; returns ``(completion times, events counted)``."""
+    sim = Simulator()
+    sim.transport = transport
+    net = build_rack_tree(sim, 8, with_server=True)
+    done = []
+    VectorReceiver(net.server, lambda src, *_: done.append((src, repr(sim.now))))
+    for worker in net.workers:
+        send_vector(worker, "server", tag=0, vector=None, wire_bytes=64 * MAX_UDP_PAYLOAD)
+    sim.run()
+    return done, sim.processed_events
+
+
+@pytest.mark.parametrize("transport", ["packet", "train"])
+def test_incast_forwarding_throughput(benchmark, transport):
+    """The parameter server's ingress (the paper's bottleneck) two ways in
+    one session: an event per packet per hop, and trains forwarded through
+    the switches' queue — same completion times, to the bit, and the same
+    logical event count; only the wall time per event differs."""
+    benchmark.group = "incast-forwarding"
+    assert _incast("train") == _incast("packet")
+    done, events = benchmark(_incast, transport)
+    assert len(done) == 8 and events == 8 * 64 * 5
 
 
 def test_vector_env_step_throughput(benchmark):

@@ -56,6 +56,10 @@ __all__ = ["ISwitch"]
 class ISwitch(EthernetSwitch):
     """An Ethernet switch extended with in-switch gradient aggregation."""
 
+    #: Aggregation depends on what has arrived so far, so every train
+    #: gets its delivery event (none is forwarded ahead of time).
+    reacts = True
+
     def __init__(
         self,
         sim: Simulator,

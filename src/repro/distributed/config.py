@@ -36,18 +36,17 @@ _BACKENDS = ("sim", "live")
 
 
 def choose_transport(
-    *, iswitch: bool, recovery_armed: bool = False, shared_fabric: bool = False
+    *, recovery_armed: bool = False, shared_fabric: bool = False
 ) -> str:
     """Pick a cluster's ``Simulator.transport``; the label says why.
 
-    iSwitch clients burst packet trains wherever that is proven
-    bit-identical to one event per packet, and stay per-packet in the
-    regimes measured as not equivalent (DESIGN.md §11.2).  The only place
-    the choice is made — ``build_cluster`` and ``SwitchFabric`` call it,
-    nothing user-settable overrides it.
+    Senders burst packet trains — iSwitch clients their segments,
+    ``send_vector`` its chunks — wherever that is proven bit-identical to
+    one event per packet, and stay per-packet in the regimes measured as
+    not equivalent (DESIGN.md §11.2).  The only place the choice is made —
+    ``build_cluster`` and ``SwitchFabric`` call it, nothing user-settable
+    overrides it.
     """
-    if not iswitch:
-        return "packet (host aggregation)"  # no client, no train ever forms
     if shared_fabric:
         return "packet (shared fabric)"  # jobs' bursts interleave on uplinks
     if recovery_armed:

@@ -143,14 +143,13 @@ def build_cluster(
     ``seed``); ``dedup`` enables duplicate suppression in the iSwitch
     engines, which loss recovery requires.  ``telemetry`` attaches a
     :class:`~repro.telemetry.TelemetryHub` to the simulator so the hot
-    paths record metrics and spans.  ``recovery_armed`` says the clients
-    will run the Help/retransmit loop, which keeps the cluster on the
-    per-packet transport (:func:`~repro.distributed.config.choose_transport`).
+    paths record metrics and spans.  ``recovery_armed`` says packets can go
+    missing (a loss rate, a fault plan, an explicit recovery timeout), which
+    keeps the cluster on the per-packet transport
+    (:func:`~repro.distributed.config.choose_transport`).
     """
     sim = make_simulator(telemetry=telemetry)
-    sim.transport = choose_transport(
-        iswitch=use_iswitch, recovery_armed=recovery_armed
-    )
+    sim.transport = choose_transport(recovery_armed=recovery_armed)
     kwargs = {}
     if use_iswitch:
         kwargs["switch_factory"] = make_iswitch_factory(

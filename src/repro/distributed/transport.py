@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..netsim.node import Host
-from ..netsim.packets import MAX_UDP_PAYLOAD, Packet
+from ..netsim.packets import MAX_UDP_PAYLOAD, TOS_DEFAULT, Packet, PacketTrain
 
 __all__ = ["VECTOR_PORT", "VectorChunk", "send_vector", "VectorReceiver"]
 
@@ -36,8 +37,13 @@ class VectorChunk:
     meta: Any = None
 
 
+@lru_cache(maxsize=256)
 def _chunk_shapes(wire_bytes: int, max_chunks: int) -> List[Tuple[int, int]]:
-    """Split ``wire_bytes`` into <= max_chunks (payload, frame_count) trains."""
+    """Split ``wire_bytes`` into <= max_chunks (payload, frame_count) trains.
+
+    Pure, and asked the same few questions thousands of times a run:
+    memoised, so the list it returns is shared — read it, do not change it.
+    """
     n_frames = max(1, math.ceil(wire_bytes / MAX_UDP_PAYLOAD))
     frames_per_chunk = max(1, math.ceil(n_frames / max_chunks))
     shapes = []
@@ -69,27 +75,27 @@ def send_vector(
     """
     if wire_bytes < 1:
         raise ValueError(f"wire_bytes must be >= 1, got {wire_bytes}")
+    if max_chunks < 1:
+        raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
     shapes = _chunk_shapes(wire_bytes, max_chunks)
     total = len(shapes)
-    for index, (payload_size, frames) in enumerate(shapes):
-        is_last = index == total - 1
-        host.send(
-            Packet(
-                src=host.name,
-                dst=dst,
-                payload_size=payload_size,
-                payload=VectorChunk(
-                    tag=tag,
-                    index=index,
-                    total=total,
-                    data=vector if is_last else None,
-                    meta=meta if is_last else None,
-                ),
-                src_port=port,
-                dst_port=port,
-                frame_count=frames,
-            )
+    src = host.name
+    # Shapes from _chunk_shapes fit their frames by construction.
+    packets = [
+        Packet.trusted(
+            src, dst, payload_size, TOS_DEFAULT,
+            VectorChunk(tag, index, total),
+            port, port, frames, 0,
         )
+        for index, (payload_size, frames) in enumerate(shapes)
+    ]
+    last = packets[-1].payload
+    last.data, last.meta = vector, meta
+    if host.sim.batch_transport:
+        host.send_burst(packets)
+    else:
+        for packet in packets:
+            host.send(packet)
     return total
 
 
@@ -110,6 +116,27 @@ class VectorReceiver:
         self.on_vector = on_vector
         self._progress: Dict[Tuple[str, Any], int] = {}
         host.bind(port, self._receive)
+        host.bind_train(port, self._receive_train)
+
+    def _receive_train(self, train: PacketTrain) -> None:
+        """A train delivered in one event: normally one whole flow, which
+        completes here without counting chunks; anything else (part of a
+        flow, several flows, a stray payload) is counted chunk by chunk."""
+        packets = train.packets
+        first, last = packets[0], packets[-1]
+        head, tail = first.payload, last.payload
+        if (
+            isinstance(head, VectorChunk)
+            and isinstance(tail, VectorChunk)
+            and head.index == 0
+            and tail.index == tail.total - 1 == len(packets) - 1
+            and (first.src, head.tag) == (last.src, tail.tag)
+            and (last.src, tail.tag) not in self._progress
+        ):
+            self.on_vector(last.src, tail.tag, tail.data, tail.meta)
+            return
+        for packet in packets:
+            self._receive(packet)
 
     def _receive(self, packet: Packet) -> None:
         chunk = packet.payload

@@ -117,7 +117,7 @@ class SwitchFabric:
         self.hub: Optional[TelemetryHub] = TelemetryHub() if telemetry else None
         self.sim = make_simulator(telemetry=self.hub)
         # Several jobs' bursts interleave on the rack uplinks: per-packet.
-        self.sim.transport = choose_transport(iswitch=True, shared_fabric=True)
+        self.sim.transport = choose_transport(shared_fabric=True)
         self.host_bandwidth = host_bandwidth
         # Canonical-order engines: the bit-exact isolation guarantee.
         factory = make_iswitch_factory(canonical=True)

@@ -53,9 +53,13 @@ class PacketCapture:
         self.dropped_records = 0
         self._inner = device.handle_packet
         device.handle_packet = self._tap  # type: ignore[method-assign]
-        self._inner_train = getattr(device, "handle_train", None)
-        if self._inner_train is not None:
+        self._inner_train = device.handle_train
+        if device.reacts:
             device.handle_train = self._tap_train  # type: ignore[method-assign]
+        else:
+            # A plain switch forwards trains without delivery events; the
+            # forwarding queue reports each one as it books it.
+            device.train_tap = self._record_train
 
     def _record(self, packet: Packet, time: float) -> None:
         if self.packet_filter is None or self.packet_filter(packet):
@@ -80,19 +84,23 @@ class PacketCapture:
         self._inner(packet, in_port)
 
     def _tap_train(self, train, in_port) -> None:
+        self._record_train(train.packets, train.arrivals)
+        self._inner_train(train, in_port)
+
+    def _record_train(self, packets, arrivals) -> None:
         # Batched transport delivers the whole train in one event at the
         # last arrival; the trace records each packet at its *carried*
         # per-packet arrival so captures are transport-independent.
-        arrivals = train.arrivals
-        for i, packet in enumerate(train.packets):
-            self._record(packet, float(arrivals[i]))
-        self._inner_train(train, in_port)
+        for packet, arrival in zip(packets, arrivals):
+            self._record(packet, float(arrival))
 
     def detach(self) -> None:
         """Stop capturing and restore the device's original handler."""
         self.device.handle_packet = self._inner  # type: ignore[method-assign]
-        if self._inner_train is not None:
+        if self.device.reacts:
             self.device.handle_train = self._inner_train  # type: ignore[method-assign]
+        else:
+            self.device.train_tap = None
 
     # ------------------------------------------------------------------
     # Analysis helpers

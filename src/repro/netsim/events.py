@@ -108,13 +108,15 @@ class Simulator:
     [1.5]
     """
 
-    #: Which transport the iSwitch senders on this simulator use, and why:
+    #: Which transport the senders on this simulator use (iSwitch clients
+    #: for their segments, ``send_vector`` for its chunks), and why:
     #: ``"train"`` (same-destination bursts travel as one
-    #: :class:`~repro.netsim.packets.PacketTrain`, one delivery event per
-    #: train) or ``"packet (<reason>)"`` (one event per packet, the
+    #: :class:`~repro.netsim.packets.PacketTrain`: one delivery event per
+    #: train at a device that reacts, none at a plain switch) or
+    #: ``"packet (<reason>)"`` (one event per packet per hop, the
     #: reference model).  Whoever builds the cluster sets it once from
-    #: :func:`repro.distributed.config.choose_transport`; a bare
-    #: simulator is per-packet.
+    #: :func:`repro.distributed.config.choose_transport`, before it builds
+    #: the switches; a bare simulator is per-packet.
     transport = "packet"
 
     def __init__(self, telemetry: Optional[TelemetryHub] = None) -> None:
@@ -128,6 +130,11 @@ class Simulator:
         #: every component can unconditionally do ``sim.telemetry.inc(...)``
         #: behind an ``enabled`` check at zero configuration cost.
         self.telemetry: TelemetryHub = NULL_HUB
+        #: The :class:`~repro.netsim.switch.ForwardingQueue` of a simulator
+        #: whose plain switches forward packet trains without events, or
+        #: ``None``: a per-packet simulator never has one, so what
+        #: ``LinkEnd.send`` pays to ask is one attribute load.
+        self.forwarding = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 
@@ -379,6 +386,10 @@ class Simulator:
             return self._now
         finally:
             self._running = False
+            if self.forwarding is not None:
+                # Forwarding is computed when something asks; whoever reads
+                # a link after a partial run must find it up to date.
+                self.forwarding.drain()
 
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
@@ -386,6 +397,8 @@ class Simulator:
         self._cancelled[0] = 0
         self._now = 0.0
         self._processed = 0
+        if self.forwarding is not None:
+            self.forwarding.clear()
 
 
 def make_simulator(*, telemetry: Optional[TelemetryHub] = None) -> Simulator:

@@ -140,6 +140,25 @@ class GilbertElliott:
         return rate > 0.0 and rng.random() < rate
 
 
+def _record_tx(telemetry, link_name: str, packets: Sequence[Packet]) -> None:
+    """Book a train's transmission on ``link.tx_packets`` / ``link.tx_bytes``,
+    attributed per job as the per-packet path attributes it."""
+    per_job: dict = {}
+    for packet in packets:
+        entry = per_job.get(packet.job)
+        if entry is None:
+            per_job[packet.job] = [1, packet.wire_size]
+        else:
+            entry[0] += 1
+            entry[1] += packet.wire_size
+    for job, (count, nbytes) in per_job.items():
+        # Multi-tenant traffic carries its job, so per-tenant telemetry
+        # can separate shared-link usage; job 0 stays unlabelled.
+        labels = {"job": job} if job else {}
+        telemetry.inc("link.tx_packets", count, link=link_name, **labels)
+        telemetry.inc("link.tx_bytes", nbytes, link=link_name, **labels)
+
+
 class LinkEnd:
     """One attachment point of a :class:`Link`.
 
@@ -176,7 +195,12 @@ class LinkEnd:
 
     @property
     def queue_depth(self) -> int:
-        """Packets queued or in flight on this transmitter right now."""
+        """Packets queued or in flight on this transmitter right now.
+
+        Counts what has a delivery event pending; trains forwarded through
+        a :class:`~repro.netsim.switch.ForwardingQueue` have none and are
+        transmitted as the clock reaches them, so they never show here.
+        """
         return self._queued_packets
 
     def utilization(self, elapsed: float) -> float:
@@ -192,6 +216,15 @@ class LinkEnd:
         """
         link = self.link
         sim = link.sim
+        if sim.forwarding is not None:
+            # Trains cross this simulator's plain switches without events
+            # (ForwardingQueue): bring every link up to date before this
+            # one moves, and let a plain switch take a lone packet the way
+            # it takes a train, so both are merged in one order.
+            sim.forwarding.drain(inclusive=False)
+            peer = self._peer_device
+            if peer is not None and not peer.reacts:
+                return self.send_train([packet])
         now = sim.now
         if packet.created_at is None:
             packet.created_at = now
@@ -289,12 +322,26 @@ class LinkEnd:
         equivalent also commits all loss draws and reads the bandwidth in
         a single event at send time.
 
+        A peer that does not react to packets (a plain
+        :class:`~repro.netsim.switch.EthernetSwitch`) is handed the train
+        in this call, with the arrival times it will have, and no delivery
+        event is scheduled: the switch's forwarding queue transmits each
+        packet when the clock reaches it.
+
         Returns the arrival time of the last packet transmitted now (or
         the barrier time when the whole train was deferred).
         """
         link = self.link
         sim = link.sim
+        if sim.forwarding is not None:
+            sim.forwarding.drain(inclusive=False)
         now = sim.now
+        peer = self._peer_device
+        # A peer that does not react takes the train now, with its future
+        # arrival times, instead of in a delivery event.
+        hand_over = peer is not None and not peer.reacts
+        if hand_over:
+            link.require_lossless()
         barriers = link.train_barriers
         if barriers:
             while barriers and barriers[0] <= now:
@@ -314,7 +361,7 @@ class LinkEnd:
                 packets = packets[:split]
                 ready = ready[:split]
         n = len(packets)
-        if n == 1 and ready is None:
+        if n == 1 and ready is None and not hand_over:
             return self.send(packets[0])
         wire = np.empty(n, dtype=np.float64)
         total_wire = 0
@@ -363,6 +410,13 @@ class LinkEnd:
         arrivals = ends + link.propagation
         self.tx_packets += n
         self.tx_bytes += total_wire
+        telemetry = sim.telemetry
+        if hand_over:
+            if telemetry.enabled:
+                _record_tx(telemetry, link.name, packets)
+            # Through the instance, so a PacketCapture on the peer sees it.
+            peer.handle_train(PacketTrain(packets, arrivals), self._peer_end)
+            return float(arrivals[-1])
         self._queued_packets += n
         # Loss draws, per packet in transmission order — the same rng
         # consumption as N per-packet sends.
@@ -381,27 +435,8 @@ class LinkEnd:
             for i in range(n):
                 dropped_mask[i] = rng.random() < rate
             n_dropped = int(dropped_mask.sum())
-        telemetry = sim.telemetry
         if telemetry.enabled:
-            per_job: dict = {}
-            for packet in packets:
-                entry = per_job.get(packet.job)
-                if entry is None:
-                    per_job[packet.job] = [1, packet.wire_size]
-                else:
-                    entry[0] += 1
-                    entry[1] += packet.wire_size
-            for job, (count, nbytes) in per_job.items():
-                if job:
-                    telemetry.inc(
-                        "link.tx_packets", count, link=link.name, job=job
-                    )
-                    telemetry.inc(
-                        "link.tx_bytes", nbytes, link=link.name, job=job
-                    )
-                else:
-                    telemetry.inc("link.tx_packets", count, link=link.name)
-                    telemetry.inc("link.tx_bytes", nbytes, link=link.name)
+            _record_tx(telemetry, link.name, packets)
             telemetry.set_gauge(
                 "link.queue_depth", self._queued_packets, link=link.name
             )
@@ -418,12 +453,10 @@ class LinkEnd:
                     telemetry.inc(
                         "link.packets_dropped", dropped_count, link=link.name
                     )
-            # Each packet's delivery was one event on the per-packet path
-            # (dropped ones included); this physical event already counts 1.
-            sim.count_batched(n - 1, "deliver")
             if dropped_count:
                 link.dropped_packets += dropped_count
                 if dropped_count == n:
+                    sim.count_batched(n - 1, "deliver")
                     return
                 survivors = [
                     packet
@@ -434,21 +467,27 @@ class LinkEnd:
             else:
                 survivors = packets
                 survivor_arrivals = arrivals
-            device = self._peer_device
-            if device is None:  # unattached link: keep the loud error path
-                device = self.peer_device
-            train = PacketTrain(survivors, survivor_arrivals)
-            in_port = self._peer_end or self.peer
-            handle_train = getattr(device, "handle_train", None)
-            if handle_train is not None:
-                handle_train(train, in_port)
-            else:
-                for packet in survivors:
-                    device.handle_packet(packet, in_port)
+            self._deliver_train(survivors, survivor_arrivals, dropped_count)
 
         last_arrival = float(arrivals[-1])
         sim.schedule_fire_at(last_arrival, deliver_train, "deliver")
         return last_arrival
+
+    def _deliver_train(self, packets: List[Packet], arrivals, lost: int = 0) -> None:
+        """A train's one delivery event: the peer gets every packet that
+        survived, each with its own arrival time.
+
+        Each packet's delivery was one event on the per-packet path (the
+        ``lost`` ones included); the physical event already counts 1.
+        """
+        self.link.sim.count_batched(len(packets) + lost - 1, "deliver")
+        device = self._peer_device
+        if device is None:  # unattached link: keep the loud error path
+            device = self.peer_device
+        device.handle_train(
+            PacketTrain(packets, np.asarray(arrivals, dtype=np.float64)),
+            self._peer_end or self.peer,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         owner = self.device.name if self.device else "?"
@@ -504,6 +543,17 @@ class Link:
         #: per-packet transport (``choose_transport``).
         self.train_barriers: List[float] = []
         self.ends = (LinkEnd(self, 0), LinkEnd(self, 1))
+
+    def require_lossless(self) -> None:
+        """Raise unless this link drops nothing: a train forwarded without
+        events (:class:`~repro.netsim.switch.ForwardingQueue`) draws no
+        losses, and skipping the draws silently would be a different run."""
+        if self.loss_model is not None or self.loss_rate > 0.0:
+            raise ValueError(
+                f"{self.name}: trains forwarded without events draw no "
+                "losses; a lossy link needs the per-packet transport (a "
+                "simulator with no forwarding queue)"
+            )
 
     def add_train_barrier(self, time: float) -> None:
         """Register a future property-change instant for train splitting."""

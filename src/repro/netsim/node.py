@@ -26,6 +26,13 @@ TrainHandler = Callable[[PacketTrain], None]
 class Device:
     """Base class for anything attached to links."""
 
+    #: Whether what this device does with a packet can depend on when it
+    #: arrives and on what else has: such a device needs a delivery event.
+    #: A plain store-and-forward switch does not react — every departure
+    #: is fixed by the arrivals — so trains bound for one are handed over
+    #: ahead of time (:class:`repro.netsim.switch.ForwardingQueue`).
+    reacts = True
+
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
@@ -127,7 +134,8 @@ class Host(Device):
         return uplink.send(packet)
 
     def send_burst(self, packets: List[Packet]) -> float:
-        """Offer a same-destination burst to the NIC as one packet train."""
+        """Offer a burst to the NIC as one packet train: exactly what one
+        :meth:`send` per packet, all in this event, puts on the wire."""
         uplink = self._uplink
         if uplink is None:
             raise RuntimeError(f"host {self.name} has no link attached")

@@ -14,25 +14,309 @@ Forwarding model
   populated by the topology builder (static routing — the experiments do
   not exercise MAC learning, and the paper's switches are statically
   configured too).
+* Two drivers, one model: a packet delivered by an event is forwarded by
+  an event one latency later (:meth:`EthernetSwitch.process`); a packet
+  *train* is handed over ahead of time and forwarded by the simulator's
+  :class:`ForwardingQueue` with no event per packet — same departure
+  times, same counters (DESIGN.md §11.1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import partial
+from heapq import heappop, heappush, heapreplace
+from math import inf, nextafter
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .events import Simulator
-from .link import LinkEnd
+from .events import SimError, Simulator
+from .link import LinkEnd, _record_tx
 from .node import Device
 from .packets import Packet, PacketTrain
 
-__all__ = ["EthernetSwitch", "DEFAULT_SWITCH_LATENCY"]
+__all__ = ["EthernetSwitch", "ForwardingQueue", "DEFAULT_SWITCH_LATENCY"]
 
 #: Port-to-port latency of a commodity 10 GbE ToR switch (~1 µs).
 DEFAULT_SWITCH_LATENCY = 1e-6
 
+class _Hop:
+    """One train's packets at one plain switch, bound for one egress.
+
+    ``arrivals`` and ``seqs`` grow as the hop before this one transmits
+    (the first hop of a train knows them all when it is offered);
+    ``sent`` of them have left through ``egress``.
+    """
+
+    __slots__ = (
+        "switch", "latency", "egress", "link", "packets", "nbytes",
+        "arrivals", "seqs", "sent", "queued", "forward", "down",
+    )
+
+    def __init__(
+        self, switch: "EthernetSwitch", egress: LinkEnd, packets: List[Packet],
+        nbytes: int,
+    ) -> None:
+        self.switch = switch
+        self.latency = switch.latency
+        self.egress = egress
+        self.link = egress.link
+        self.packets = packets
+        self.nbytes = nbytes
+        self.arrivals: List[float] = []
+        self.seqs: Sequence[int] = []
+        self.sent = 0
+        #: Whether the hop has a packet waiting and so sits in the heap.
+        self.queued = False
+        #: Whether the far end of ``egress`` is the next plain switch on
+        #: the path — ``down`` is then its :class:`_Hop` — or a device the
+        #: train is delivered to in one event (also where a plain switch
+        #: drops it): ``down`` is then the arrival times there, one per
+        #: packet sent.
+        self.forward = False
+        self.down = None
+
+
+class ForwardingQueue:
+    """Every packet a plain switch holds but has not yet sent, in the order
+    the per-packet path would send them — one queue per simulator.
+
+    An :class:`EthernetSwitch` never reacts to a packet: given what the
+    hosts offer, every departure is fixed by the FIFO recurrence ``end =
+    max(busy, ready) + serialization`` applied in event order.  So a train
+    handed to a plain switch (:meth:`accept`) costs no events of its own.
+    Its packets wait here keyed ``(ready, arrival, seq)`` — exactly the
+    event loop's ``(time, seq)`` for their ``fwd`` events:
+
+    * ``ready = arrival + latency`` is when the event would fire;
+    * two events at one time fire in the order they were scheduled, which
+      is the order their packets arrived (``arrival``: two different
+      arrivals can round to one ready time), and for one arrival time the
+      order the upstream sends happened — ``seq``, handed out as sends
+      are computed, which is that same order one hop earlier.
+
+    :meth:`drain` transmits whatever is ready by ``sim.now`` with the
+    same float operations and the same link and switch counters as the
+    per-packet path; it runs before anything else moves a link
+    (``LinkEnd.send`` / ``send_train`` call it) and in the **wake events**,
+    the only events forwarding schedules: one per hop at the ready time of
+    the train's *last* packet (kind ``fwd``: it stands for that packet's
+    own event and books the others with ``count_batched``), and one
+    delivery where the path reaches a device that reacts.  The heap holds
+    one entry per hop, keyed by its next packet, so trains contending for
+    an egress interleave packet by packet.
+
+    Losses are not drawn here: a lossy link raises, naming the rule.
+    Whoever changes a link mid-run (a fault window) must :meth:`drain`
+    first, so packets ready before the change are sent by the old state.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._heap: list = []
+        self._seq = 0
+
+    def clear(self) -> None:
+        """Forget every waiting packet (``Simulator.reset``)."""
+        self._heap.clear()
+
+    # ------------------------------------------------------------------
+    def accept(
+        self,
+        switch: "EthernetSwitch",
+        packets: List[Packet],
+        arrivals: List[float],
+        in_port: LinkEnd,
+    ) -> None:
+        """Queue a train reaching ``switch`` at ``arrivals`` (now or later)."""
+        sim = self.sim
+        if arrivals[0] < sim.now:
+            raise SimError(
+                f"{switch.name}: a train must be handed over before it "
+                f"arrives (first arrival t={arrivals[0]}, now={sim.now})"
+            )
+        first = self._seq
+        self._seq = first + len(packets)
+        dst = packets[0].dst
+        nbytes = 0
+        for packet in packets:
+            nbytes += packet.wire_size
+            if packet.dst != dst:
+                break
+        else:
+            self._enqueue(
+                switch, packets, nbytes, arrivals,
+                range(first, first + len(packets)), in_port,
+            )
+            return
+        # A burst for several destinations: one hop per destination.
+        groups: Dict[str, tuple] = {}
+        for i, packet in enumerate(packets):
+            group = groups.get(packet.dst)
+            if group is None:
+                groups[packet.dst] = group = ([], [], [])
+            group[0].append(packet)
+            group[1].append(arrivals[i])
+            group[2].append(first + i)
+        for group_packets, group_arrivals, seqs in groups.values():
+            nbytes = sum(packet.wire_size for packet in group_packets)
+            self._enqueue(
+                switch, group_packets, nbytes, group_arrivals, seqs, in_port
+            )
+
+    def _enqueue(self, switch, packets, nbytes, arrivals, seqs, in_port) -> None:
+        sim = self.sim
+        hop = self._route(switch, packets, nbytes, in_port)
+        if hop is None:
+            sim.schedule_fire_at(
+                arrivals[-1],
+                partial(self._dropped, switch, packets, nbytes, arrivals),
+                "deliver",
+            )
+            return
+        hop.arrivals = arrivals
+        hop.seqs = seqs
+        hop.queued = True
+        latency = hop.latency
+        heappush(self._heap, (arrivals[0] + latency, arrivals[0], seqs[0], hop))
+        sim.schedule_fire_at(
+            arrivals[-1] + latency, partial(self._wake, hop), "fwd"
+        )
+
+    def _route(self, switch, packets, nbytes, in_port) -> Optional[_Hop]:
+        """The hops from ``switch`` to where the path leaves the plain
+        switches, or ``None`` where ``switch`` drops the train."""
+        egress = switch.lookup(packets[0].dst)
+        if egress is None or egress is in_port:
+            return None
+        hop = _Hop(switch, egress, packets, nbytes)
+        hop.link.require_lossless()
+        peer = egress.peer_device
+        if not peer.reacts:
+            hop.down = self._route(peer, packets, nbytes, egress.peer)
+            hop.forward = hop.down is not None
+        if not hop.forward:
+            hop.down = []  # arrivals where the train is delivered, or dropped
+        return hop
+
+    # ------------------------------------------------------------------
+    def drain(self, inclusive: bool = True) -> None:
+        """Transmit everything ready by ``sim.now``, in heap order.
+
+        ``inclusive=False`` leaves what is ready *at* ``sim.now`` to its
+        own wake event: a host event at that same instant comes first,
+        as it does whenever it was scheduled before the packet arrived.
+        """
+        heap = self._heap
+        if not heap:
+            return
+        now = self.sim.now
+        limit = now if inclusive else nextafter(now, -inf)
+        seq = self._seq
+        while heap:
+            head = heap[0]
+            ready = head[0]
+            if ready > limit:
+                break
+            hop = head[3]
+            i = hop.sent
+            packet = hop.packets[i]
+            egress = hop.egress
+            link = hop.link
+            # LinkEnd.send, operation for operation.
+            wire_size = packet.wire_size
+            serialization = wire_size * link._seconds_per_byte
+            busy = egress._busy_until
+            busy = (busy if busy > ready else ready) + serialization
+            egress._busy_until = busy
+            egress.busy_time += serialization
+            egress.tx_packets += 1
+            egress.tx_bytes += wire_size
+            packet.hops += 1
+            arrival = busy + link.propagation
+            down = hop.down
+            if hop.forward:
+                down.arrivals.append(arrival)
+                down.seqs.append(seq)
+                if not down.queued:
+                    down.queued = True
+                    heappush(heap, (arrival + down.latency, arrival, seq, down))
+                seq += 1
+            else:
+                down.append(arrival)
+            hop.sent = i = i + 1
+            # The hop is still the head: what was pushed is ready later.
+            arrivals = hop.arrivals
+            if i < len(arrivals):
+                upcoming = arrivals[i]
+                heapreplace(
+                    heap, (upcoming + hop.latency, upcoming, hop.seqs[i], hop)
+                )
+                continue
+            heappop(heap)
+            hop.queued = False
+            if i == len(hop.packets):
+                self._finish(hop, arrival)
+        self._seq = seq
+
+    def _finish(self, hop: _Hop, arrival: float) -> None:
+        """``hop`` has sent its last packet, which lands at ``arrival``:
+        schedule the one event the far end of its egress needs."""
+        sim = self.sim
+        down = hop.down
+        if hop.forward:
+            sim.schedule_fire_at(
+                arrival + down.latency, partial(self._wake, down), "fwd"
+            )
+            return
+        peer = hop.egress.peer_device
+        if peer.reacts:
+            deliver = partial(hop.egress._deliver_train, hop.packets, down)
+        else:
+            deliver = partial(self._dropped, peer, hop.packets, hop.nbytes, down)
+        sim.schedule_fire_at(arrival, deliver, "deliver")
+
+    # ------------------------------------------------------------------
+    def _wake(self, hop: _Hop) -> None:
+        """The ``fwd`` event of a hop's last packet: everything ready is
+        sent, and the hop is booked where its per-packet events were."""
+        self.drain()
+        hop.link.require_lossless()  # not turned lossy with the train in flight
+        switch = hop.switch
+        packets = hop.packets
+        n = len(packets)
+        switch.rx_packets += n
+        switch.rx_bytes += hop.nbytes
+        switch.forwarded_packets += n
+        if switch.train_tap is not None:
+            switch.train_tap(packets, hop.arrivals)
+        sim = self.sim
+        # n deliveries to the switch, n forwarding events; this is one.
+        sim.count_batched(n, "deliver")
+        sim.count_batched(n - 1, "fwd")
+        if sim.telemetry.enabled:
+            _record_tx(sim.telemetry, hop.link.name, packets)
+
+    def _dropped(self, switch, packets, nbytes, arrivals) -> None:
+        """The delivery of the last packet of a train ``switch`` has no
+        route for (or would send back where it came from)."""
+        n = len(packets)
+        switch.rx_packets += n
+        switch.rx_bytes += nbytes
+        switch.dropped_packets += n
+        if switch.train_tap is not None:
+            switch.train_tap(packets, arrivals)
+        self.sim.count_batched(n - 1, "deliver")
+
 
 class EthernetSwitch(Device):
     """An N-port store-and-forward switch with a static forwarding table."""
+
+    reacts = False
+
+    #: ``(packets, arrivals)`` of every train forwarded through the
+    #: :class:`ForwardingQueue` is passed to this callable when set — how
+    #: a :class:`~repro.netsim.capture.PacketCapture` sees packets that no
+    #: event delivers.
+    train_tap: Optional[Callable[[List[Packet], List[float]], None]] = None
 
     def __init__(
         self,
@@ -48,6 +332,10 @@ class EthernetSwitch(Device):
         self._default_route: Optional[LinkEnd] = None
         self.forwarded_packets = 0
         self.dropped_packets = 0
+        if sim.batch_transport and not self.reacts and sim.forwarding is None:
+            # From the start, so that a lone packet sent before the first
+            # train is already merged in the same order.
+            sim.forwarding = ForwardingQueue(sim)
 
     # ------------------------------------------------------------------
     # Forwarding table
@@ -96,42 +384,18 @@ class EthernetSwitch(Device):
         )
 
     def handle_train(self, train: PacketTrain, in_port: LinkEnd) -> None:
-        """Forward a whole train without per-packet events.
+        """Take a whole train — normally ahead of time, with the arrival
+        times it *will* have — and forward it without per-packet events.
 
         Each packet's forwarding event would have fired at
-        ``arrival + latency`` on the per-packet path; the egress trains
-        carry exactly those times as per-packet ready times, so the
-        egress transmitter reproduces the same serialization schedule.
+        ``arrival + latency`` on the per-packet path; the simulator's
+        :class:`ForwardingQueue` transmits it then, merged packet by
+        packet with whatever else is ready at the same egress.
         """
-        packets = train.packets
-        n = len(packets)
-        self.rx_packets += n
-        nbytes = 0
-        for packet in packets:
-            nbytes += packet.wire_size
-        self.rx_bytes += nbytes
-        ready = train.arrivals + self.latency
-        # Group by egress preserving order (normally one group: trains are
-        # same-destination by construction).
-        groups: Dict[int, list] = {}
-        order = []
-        for i, packet in enumerate(packets):
-            egress = self.lookup(packet.dst)
-            if egress is None or egress is in_port:
-                self.dropped_packets += 1
-                continue
-            key = id(egress)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = [egress, [], []]
-                order.append(key)
-            group[1].append(packet)
-            group[2].append(ready[i])
-        forwarded = 0
-        for key in order:
-            egress, group_packets, group_ready = groups[key]
-            forwarded += len(group_packets)
-            self.forwarded_packets += len(group_packets)
-            egress.send_train(group_packets, group_ready)
-        # One logical "fwd" event per forwarded packet on the reference path.
-        self.sim.count_batched(forwarded, "fwd")
+        queue = self.sim.forwarding
+        if queue is None:
+            queue = self.sim.forwarding = ForwardingQueue(self.sim)
+        arrivals = train.arrivals
+        if not isinstance(arrivals, list):
+            arrivals = arrivals.tolist()  # python floats, identical values
+        queue.accept(self, train.packets, arrivals, in_port)

@@ -1,0 +1,343 @@
+"""The forwarding queue against the per-packet event loop, at the netsim level.
+
+A plain ``EthernetSwitch`` forwards a train without an event per packet
+(``repro.netsim.switch.ForwardingQueue``).  The claim is exactness, ties
+included: whatever hosts offer — bursts, lone packets, several flows per
+host in both directions, unroutable destinations — every packet reaches
+its host at the time the per-packet path delivers it, every transmitter
+ends on the same clock, and the simulator has counted the same events.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.netsim import (
+    Host,
+    Link,
+    Packet,
+    PacketCapture,
+    SimError,
+    Simulator,
+    build_rack_tree,
+    build_star,
+)
+from repro.netsim.link import GBPS
+from repro.netsim.packets import MAX_UDP_PAYLOAD, PacketTrain
+from repro.netsim.switch import EthernetSwitch, ForwardingQueue
+from repro.telemetry import TelemetryHub
+
+PORT = 9100
+#: One 1000-byte payload on a 10 Gb/s host link: the start-time grid, so
+#: that equal-size bursts line up packet for packet.
+PACKET_TIME = (1000 + 50) * 8 / (10 * GBPS)
+
+
+# ---------------------------------------------------------------------------
+# One scenario, run both ways
+# ---------------------------------------------------------------------------
+def build(topology, sim, delays):
+    """``(hosts by name, every link, switches)`` of the drawn topology."""
+    latency, propagation = delays
+
+    def switch(sim, name):
+        return EthernetSwitch(sim, name, latency=latency)
+
+    kind, n = topology
+    if kind == "pair":
+        a, b = Host(sim, "worker0"), Host(sim, "worker1")
+        link = Link(sim, name="pair", propagation=propagation)
+        link.attach(a, b)
+        return {"worker0": a, "worker1": b}, [link], []
+    if kind == "star":
+        net = build_star(sim, n, with_server=True, switch_factory=switch)
+    else:
+        net = build_rack_tree(
+            sim, n, workers_per_rack=2, with_server=True, switch_factory=switch
+        )
+    for link in net.links:
+        link.propagation = propagation
+    return net.hosts, net.links, net.switches
+
+
+def play(scenario, batched, telemetry=False):
+    """Run ``scenario`` and return everything a user could read off it."""
+    topology, delays, flows = scenario
+    hub = TelemetryHub() if telemetry else None
+    sim = Simulator(telemetry=hub)
+    if batched:
+        sim.transport = "train"  # before the switches: they bring the queue
+    hosts, links, switches = build(topology, sim, delays)
+    names = sorted(hosts)
+    arrivals, completed, seen = {}, {}, {}
+
+    def note(host, packet, time):
+        flow, index, total = packet.payload
+        arrivals[(host, flow, index)] = repr(time)
+        key = (host, flow)
+        seen[key] = seen.get(key, 0) + 1
+        if seen[key] == total:
+            # (A burst for two destinations has no one completion time: on
+            # a host-to-host link both halves are one train; total is 0.)
+            completed[key] = repr(sim.now)
+
+    for name, host in hosts.items():
+        host.bind(PORT, lambda p, name=name: note(name, p, sim.now))
+
+        def on_train(train, name=name):
+            for packet, arrival in zip(train.packets, train.arrivals):
+                note(name, packet, float(arrival))
+
+        host.bind_train(PORT, on_train)
+
+    for flow, (src, dsts, shapes, start, burst) in enumerate(flows):
+        host = hosts[names[src % len(names)]]
+        per_dst = {}
+        packets = []
+        for index, (payload, frames) in enumerate(shapes):
+            dst = dsts[index % len(dsts)]
+            dst = "nowhere" if dst < 0 else names[dst % len(names)]
+            per_dst[dst] = per_dst.get(dst, 0) + 1
+            packets.append((dst, payload, frames))
+        counts = dict.fromkeys(per_dst, 0)
+        built = []
+        for dst, payload, frames in packets:
+            built.append(
+                Packet(
+                    host.name, dst, min(payload, frames * MAX_UDP_PAYLOAD),
+                    dst_port=PORT, frame_count=frames,
+                    payload=(
+                        flow, counts[dst], per_dst[dst] if len(per_dst) == 1 else 0
+                    ),
+                )
+            )
+            counts[dst] += 1
+
+        def offer(host=host, built=built, burst=burst):
+            if batched and burst:
+                host.send_burst(built)
+            else:
+                for packet in built:
+                    host.send(packet)
+
+        sim.schedule_fire_at(start * PACKET_TIME, offer, "offer")
+    sim.run()
+    observed = {
+        "arrivals": arrivals,
+        "completed": completed,
+        "ends": [
+            (link.name, i, repr(end.busy_time), repr(end._busy_until),
+             end.tx_packets, end.tx_bytes)
+            for link in links
+            for i, end in enumerate(link.ends)
+        ],
+        "switches": [
+            (s.name, s.rx_packets, s.rx_bytes, s.forwarded_packets, s.dropped_packets)
+            for s in switches
+        ],
+        "hosts": [(name, hosts[name].rx_packets, hosts[name].rx_bytes) for name in names],
+        "processed_events": sim.processed_events,
+        "now": repr(sim.now),
+    }
+    if hub is not None:
+        observed["counters"] = sorted(
+            (m["name"], sorted(m["labels"].items()), m["value"])
+            for m in hub.snapshot().metrics
+            if m["kind"] == "counter"
+        )
+    return observed, sim
+
+
+topologies = st.one_of(
+    st.just(("pair", 2)),
+    st.tuples(st.just("star"), st.integers(2, 4)),
+    st.tuples(st.just("tree"), st.integers(3, 6)),
+)
+#: Mostly the grid's own size, so that bursts tie packet for packet.
+shapes = st.one_of(
+    st.just((1000, 1)),
+    st.tuples(st.integers(1, 3 * MAX_UDP_PAYLOAD), st.integers(1, 3)),
+)
+flows = st.tuples(
+    st.integers(0, 7),  # source host
+    st.lists(st.integers(-1, 7), min_size=1, max_size=2),  # -1: no such host
+    st.lists(shapes, min_size=1, max_size=10),
+    st.integers(0, 6),  # start, in packet-times
+    st.booleans(),  # one burst, or one Host.send per packet
+)
+#: (switch latency, link propagation).  With both zero every ready time
+#: is a sum of packet-times, so forwarding ties with the hosts' own events
+#: (scheduled up front here, so they go first) as well as with each other.
+DEFAULT_DELAYS = (1e-6, 100e-9)
+delays = st.sampled_from([DEFAULT_DELAYS, (0.0, 100e-9), (2.5e-7, 0.0), (0.0, 0.0)])
+scenarios = st.tuples(topologies, delays, st.lists(flows, min_size=1, max_size=8))
+
+
+class TestAgainstThePerPacketPath:
+    @given(scenarios, st.booleans())
+    # A host's send at the very instant a forwarded packet is ready goes
+    # first (it was scheduled before that packet arrived): draining up to
+    # and *including* now before the send is keyed gets this one wrong.
+    @example(
+        (
+            ("tree", 3),
+            (0.0, 0.0),
+            [
+                (0, [0], [(1000, 1)], 0, False),
+                (0, [3], [(1000, 1)], 1, False),
+                (1, [3], [(1000, 1)], 0, False),
+            ],
+        ),
+        False,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_observable_is_equal(self, scenario, telemetry):
+        chosen, sim = play(scenario, batched=True, telemetry=telemetry)
+        reference, reference_sim = play(scenario, batched=False, telemetry=telemetry)
+        assert reference_sim.forwarding is None
+        assert chosen == reference
+
+    @pytest.mark.parametrize("topology", [("star", 4), ("tree", 6)])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_equal_bursts_into_one_host(self, topology, offset):
+        # An incast of equal-size bursts, offered at one instant or one
+        # packet-time apart: every packet of one ties with a packet of
+        # another at the shared egress.
+        flows = [
+            (src, [0], [(1000, 1)] * 8, src * offset, True) for src in range(1, 5)
+        ]
+        scenario = (topology, DEFAULT_DELAYS, flows)
+        chosen, sim = play(scenario, batched=True)
+        reference, _ = play(scenario, batched=False)
+        assert chosen == reference
+        assert len(chosen["completed"]) == 4
+        # Nothing ran per packet: a wake per hop and a delivery per flow.
+        assert sim.forwarding is not None
+        hops = 2 if topology[0] == "tree" else 1  # the server hangs off the root
+        assert reference["processed_events"] == 4 + 4 * 8 * (2 * hops + 1)
+
+    def test_unroutable_train_is_dropped_and_counted(self):
+        scenario = (("tree", 4), DEFAULT_DELAYS, [(0, [-1], [(1000, 1)] * 5, 0, True)])
+        chosen, _ = play(scenario, batched=True)
+        reference, _ = play(scenario, batched=False)
+        assert chosen == reference
+        assert chosen["completed"] == {}
+        root = [s for s in chosen["switches"] if s[0] == "root"][0]
+        assert root[1] == 5 and root[4] == 5  # reached the root, died there
+
+
+# ---------------------------------------------------------------------------
+# The queue's own rules
+# ---------------------------------------------------------------------------
+def star(transport="train", n=3):
+    sim = Simulator()
+    sim.transport = transport
+    return sim, build_star(sim, n)
+
+
+def burst(src, dst, n, size=1000):
+    return [Packet(src, dst, size, dst_port=PORT, payload=i) for i in range(n)]
+
+
+class TestQueueRules:
+    def test_only_a_bursting_simulator_of_plain_switches_has_a_queue(self):
+        from repro.core.hierarchy import iswitch_factory
+
+        assert star("packet")[0].forwarding is None
+        assert isinstance(star("train")[0].forwarding, ForwardingQueue)
+        sim = Simulator()
+        sim.transport = "train"
+        build_star(sim, 3, switch_factory=iswitch_factory)
+        assert sim.forwarding is None  # an ISwitch reacts: delivery events
+
+    def test_a_lone_send_goes_through_the_queue(self):
+        sim, net = star()
+        got = []
+        net.workers[1].bind(PORT, lambda p: got.append(sim.now))
+        sim.schedule_fire_at(
+            0.0, lambda: net.workers[0].send(burst("worker0", "worker1", 1)[0])
+        )
+        sim.run()
+        reference_sim, reference = star("packet")
+        expected = []
+        reference.workers[1].bind(PORT, lambda p: expected.append(reference_sim.now))
+        reference.workers[0].send(burst("worker0", "worker1", 1)[0])
+        reference_sim.run()
+        assert got == expected
+        assert sim.processed_events == reference_sim.processed_events + 1
+
+    def test_a_partial_run_leaves_links_up_to_date(self):
+        states = []
+        for transport in ("train", "packet"):
+            sim, net = star(transport)
+            packets = burst("worker0", "worker1", 16)
+            if transport == "train":
+                net.workers[0].send_burst(packets)
+            else:
+                for packet in packets:
+                    net.workers[0].send(packet)
+            sim.run(until=8 * PACKET_TIME)
+            egress = net.links[1].ends[1]  # tor0 -> worker1
+            states.append(
+                (repr(egress._busy_until), repr(egress.busy_time),
+                 egress.tx_packets, egress.tx_bytes)
+            )
+        assert states[0] == states[1]
+        assert 0 < states[0][2] < 16
+
+    def test_a_lossy_link_raises_instead_of_skipping_the_draw(self):
+        sim, net = star()
+        net.links[1].loss_rate = 0.1  # tor0 -> worker1, under the queue
+        with pytest.raises(ValueError, match="draw no losses"):
+            net.workers[0].send_burst(burst("worker0", "worker1", 4))
+        sim, net = star()
+        net.links[0].loss_rate = 0.1  # the offering link itself
+        with pytest.raises(ValueError, match="draw no losses"):
+            net.workers[0].send_burst(burst("worker0", "worker1", 4))
+        sim, net = star()
+        net.workers[0].send_burst(burst("worker0", "worker1", 4))
+        net.links[1].loss_rate = 0.1  # turned lossy with the train in flight
+        with pytest.raises(ValueError, match="draw no losses"):
+            sim.run()
+
+    def test_a_train_cannot_be_handed_over_after_it_arrived(self):
+        sim, net = star()
+        sim.run(until=1.0)
+        packets = burst("worker0", "worker1", 2)
+        with pytest.raises(SimError, match="before it"):
+            net.switches[0].handle_train(
+                PacketTrain(packets, np.array([0.5, 0.6])), net.links[0].ends[1]
+            )
+
+    def test_reset_forgets_waiting_packets(self):
+        sim, net = star()
+        net.workers[0].send_burst(burst("worker0", "worker1", 4))
+        sim.reset()
+        sim.run()
+        assert net.workers[1].rx_packets == 0
+
+    @pytest.mark.parametrize("where", ["root", "tor1"])
+    def test_a_capture_on_a_plain_switch_sees_forwarded_trains(self, where):
+        records = []
+        for transport in ("train", "packet"):
+            sim = Simulator()
+            sim.transport = transport
+            net = build_rack_tree(sim, 4, workers_per_rack=2)
+            switch = {s.name: s for s in net.switches}[where]
+            capture = PacketCapture(switch)
+            for src, dst in (("worker0", "worker3"), ("worker1", "worker2")):
+                packets = burst(src, dst, 6)
+                if transport == "train":
+                    net.hosts[src].send_burst(packets)
+                else:
+                    for packet in packets:
+                        net.hosts[src].send(packet)
+            sim.run()
+            records.append(
+                sorted((repr(r.time), r.src, r.dst) for r in capture.records)
+            )
+            capture.detach()
+            assert switch.train_tap is None
+        assert records[0] == records[1]
+        assert len(records[0]) == 12

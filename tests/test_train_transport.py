@@ -19,7 +19,8 @@ import pytest
 from repro.core.accelerator import AggregationEngine
 from repro.distributed import ExperimentConfig, run
 from repro.distributed.config import choose_transport
-from repro.faults import demo_plan
+from repro.distributed.transport import VectorChunk
+from repro.faults import FaultEvent, FaultPlan, demo_plan
 from repro.multitenant import JobSpec, SwitchFabric, run_soak
 from repro.netsim import Host, Link, Simulator
 from repro.netsim.link import GBPS, GilbertElliott, LinkEnd
@@ -305,8 +306,19 @@ class TestTrainDelivery:
 # ---------------------------------------------------------------------------
 TRAIN = "train"
 ARMED = "packet (loss recovery armed)"
-HOST_AGG = "packet (host aggregation)"
 SHARED = "packet (shared fabric)"
+
+
+def host_plan():
+    """Faults a host-aggregation strategy rides out: a degraded fabric,
+    then a paused worker."""
+    return FaultPlan(
+        [
+            FaultEvent(5e-3, "link-degrade", "*", {"factor": 4.0, "duration": 10e-3}),
+            FaultEvent(12e-3, "worker-crash", "worker1", {"down_for": 8e-3}),
+        ]
+    )
+
 
 #: id -> (ExperimentConfig fields, transport the cluster must pick).
 SELECTION = {
@@ -319,11 +331,25 @@ SELECTION = {
     "fault-plan": (dict(strategy="isw", fault_plan=demo_plan()), ARMED),
     "recovery-timeout": (dict(strategy="isw", recovery_timeout=1e-3), ARMED),
     "async-loss": (dict(strategy="isw", mode="async", loss_rate=0.01), ARMED),
-    "sync-ps": (dict(strategy="ps"), HOST_AGG),
-    "sync-ar": (dict(strategy="ar"), HOST_AGG),
-    "async-ps": (dict(strategy="ps", mode="async"), HOST_AGG),
+    "sync-ps": (dict(strategy="ps"), TRAIN),
+    "sync-ar": (dict(strategy="ar"), TRAIN),
+    "async-ps": (dict(strategy="ps", mode="async"), TRAIN),
+    "ps-fault-plan": (dict(strategy="ps", fault_plan=host_plan()), ARMED),
+    "ar-fault-plan": (dict(strategy="ar", fault_plan=host_plan()), ARMED),
+    "ps-recovery-timeout": (dict(strategy="ps", recovery_timeout=1e-3), ARMED),
 }
-CLEAN = [name for name, (_, transport) in SELECTION.items() if transport == TRAIN]
+CLEAN = [
+    name
+    for name, (fields, transport) in SELECTION.items()
+    if transport == TRAIN and fields["strategy"] == "isw"
+]
+
+#: host_plan() over synth/N=4/seed 7/4 iterations at the last commit where
+#: ps/ar had no burst form (9770a19): (repr(elapsed), weights).
+HOST_PLAN_DIGESTS = {
+    "ps": ("0.04578821000013577", "7096d2212cd2e612"),
+    "ar": ("0.045868804668572204", "7096d2212cd2e612"),
+}
 
 #: demo_plan() over sync-isw/dqn/N=4/seed 0/16 iterations, recorded at the
 #: last commit whose only default was per-packet (8682df3).
@@ -339,8 +365,9 @@ def run_synth(fields, **kw):
 
 @pytest.fixture
 def train_calls(monkeypatch):
-    """Counts of the two calls only a train can cause."""
-    calls = {"send_train": 0, "contribute_batch": 0}
+    """Counts of the two calls only a train can cause, and of the vector
+    chunks that went out one ``LinkEnd.send`` at a time."""
+    calls = {"send_train": 0, "contribute_batch": 0, "chunk_sends": 0}
 
     def counting(owner, name):
         inner = getattr(owner, name)
@@ -353,20 +380,26 @@ def train_calls(monkeypatch):
 
     counting(LinkEnd, "send_train")
     counting(AggregationEngine, "contribute_batch")
+    send = LinkEnd.send
+
+    def spying_send(end, packet):
+        calls["chunk_sends"] += isinstance(packet.payload, VectorChunk)
+        return send(end, packet)
+
+    monkeypatch.setattr(LinkEnd, "send", spying_send)
     return calls
 
 
 class TestTransportSelection:
     def test_the_rule(self):
-        assert choose_transport(iswitch=True) == TRAIN
-        assert choose_transport(iswitch=True, recovery_armed=True) == ARMED
-        assert choose_transport(iswitch=True, shared_fabric=True) == SHARED
+        assert choose_transport() == TRAIN
+        assert choose_transport(recovery_armed=True) == ARMED
+        assert choose_transport(shared_fabric=True) == SHARED
         # Contention outranks loss: a lossy fabric is still a fabric.
-        assert (
-            choose_transport(iswitch=True, recovery_armed=True, shared_fabric=True)
-            == SHARED
-        )
-        assert choose_transport(iswitch=False) == HOST_AGG
+        assert choose_transport(recovery_armed=True, shared_fabric=True) == SHARED
+        # Which switches a cluster has no longer decides anything.
+        with pytest.raises(TypeError):
+            choose_transport(iswitch=False)
 
     @pytest.mark.parametrize("name", SELECTION)
     def test_run_picks_and_reports_the_transport(self, name, train_calls):
@@ -377,7 +410,25 @@ class TestTransportSelection:
         # ... and the label is the truth: trains form iff it says so.
         formed = train_calls["send_train"] > 0
         assert formed == (expected == TRAIN)
-        assert (train_calls["contribute_batch"] > 0) == formed
+        if fields["strategy"] == "isw":
+            assert (train_calls["contribute_batch"] > 0) == formed
+            assert train_calls["chunk_sends"] == 0
+        else:
+            # Host aggregation: every vector chunk went out in a burst, or
+            # every one on its own.
+            assert train_calls["contribute_batch"] == 0
+            assert (train_calls["chunk_sends"] == 0) == formed
+
+    @pytest.mark.parametrize("strategy", sorted(HOST_PLAN_DIGESTS))
+    def test_host_aggregation_under_a_fault_plan_keeps_its_digest(self, strategy):
+        # Fault windows change links mid-run; the forwarding queue is not
+        # drained before them yet, so these stay per-packet, bit for bit.
+        result = run_synth(dict(strategy=strategy, fault_plan=host_plan()))
+        assert result.transport == ARMED
+        assert result.fault_report.ok, result.fault_report.summary()
+        elapsed, weights = HOST_PLAN_DIGESTS[strategy]
+        assert repr(result.elapsed) == elapsed
+        assert weight_digests(result)[0][:16] == weights
 
     def test_two_job_fabric_stays_per_packet(self, train_calls):
         specs = [
@@ -390,7 +441,9 @@ class TestTransportSelection:
         assert fabric.sim.transport == SHARED
         assert report.transport == SHARED
         assert f"  transport:       {SHARED}" in report.summary_lines()
-        assert train_calls == {"send_train": 0, "contribute_batch": 0}
+        assert train_calls == {
+            "send_train": 0, "contribute_batch": 0, "chunk_sends": 0,
+        }
 
     def test_no_user_settable_transport_remains(self):
         with pytest.raises(TypeError):
@@ -459,7 +512,7 @@ class TestEndToEndParity:
         with per_packet_reference():
             reference = run(config)
         assert reference.transport == REFERENCE_TRANSPORT
-        assert chosen.transport == (TRAIN if strategy == "isw" else HOST_AGG)
+        assert chosen.transport == TRAIN
         assert weight_digests(chosen) == weight_digests(reference)
         assert chosen.elapsed == reference.elapsed
 
@@ -516,3 +569,99 @@ class TestEndToEndParity:
         assert statuses["link-burst"] == "recovered"
         assert repr(result.elapsed) == CHAOS_ELAPSED
         assert weight_digests(result)[0][:16] == CHAOS_WEIGHTS
+
+
+# ---------------------------------------------------------------------------
+# Host aggregation: vectors as trains through plain switches (no delivery or
+# forwarding event per packet), against the forced per-packet reference
+# ---------------------------------------------------------------------------
+HOST_AGGREGATION = [
+    ("sync", "ps"),
+    ("sync", "ar"),
+    ("sync", "ps-shard"),
+    ("sync", "ar-hd"),
+    ("async", "ps"),
+]
+
+
+def strict_observables(result, net):
+    """``observables`` with nothing folded: every counter keeps its labels
+    (``sim.events_processed`` per kind — the queue books exactly the
+    ``deliver`` and ``fwd`` events it stands for), plus the event total,
+    every transmitter's clock and the switches' own counters."""
+    return {
+        "weights": weight_digests(result),
+        "elapsed": repr(result.elapsed),
+        "links": [
+            (link.name, link.dropped_packets)
+            + tuple(
+                (
+                    end.tx_packets, end.tx_bytes,
+                    repr(end.busy_time), repr(end._busy_until),
+                )
+                for end in link.ends
+            )
+            for link in net.links
+        ],
+        "switches": [
+            (s.name, s.rx_packets, s.rx_bytes, s.forwarded_packets, s.dropped_packets)
+            for s in net.switches
+        ],
+        "hosts": [(h.name, h.rx_packets, h.rx_bytes) for h in net.hosts.values()],
+        "counters": sorted(
+            (m["name"], sorted(m["labels"].items()), m["value"])
+            for m in result.telemetry.metrics
+            if m["kind"] == "counter"
+        ),
+        "processed_events": net.sim.processed_events,
+    }
+
+
+class TestHostAggregationParity:
+    @pytest.mark.parametrize("n_workers", [4, 8])  # build_star, build_rack_tree
+    @pytest.mark.parametrize("mode,strategy", HOST_AGGREGATION)
+    def test_trains_match_the_per_packet_reference(self, mode, strategy, n_workers):
+        fields = dict(strategy=strategy, mode=mode, n_workers=n_workers)
+        iterations = 12 if mode == "async" else 4
+        chosen, net = run_observed(fields, iterations=iterations)
+        with per_packet_reference():
+            reference, reference_net = run_observed(fields, iterations=iterations)
+        assert chosen.transport == TRAIN
+        assert reference.transport == REFERENCE_TRANSPORT
+        assert net.sim.forwarding is not None
+        assert reference_net.sim.forwarding is None
+        assert strict_observables(chosen, net) == strict_observables(
+            reference, reference_net
+        )
+
+    def test_paper_size_vector_matches_the_per_packet_reference(self):
+        # One sync-ps iteration of the 6.41 MB vector: 64 chunks of 72
+        # frames per flow, eight flows through one switch.
+        fields = dict(
+            strategy="ps", algorithm_overrides={"n_params": 4592 * 366}
+        )
+        chosen, net = run_observed(fields, iterations=1)
+        with per_packet_reference():
+            reference, reference_net = run_observed(fields, iterations=1)
+        assert chosen.transport == TRAIN
+        assert strict_observables(chosen, net) == strict_observables(
+            reference, reference_net
+        )
+
+    def test_forwarding_costs_a_few_events_per_flow(self, monkeypatch):
+        # One wake per switch hop per flow and one delivery per flow, in
+        # place of two events per packet per hop.
+        from repro.netsim.events import Simulator
+
+        pushes = []
+        inner = Simulator.schedule_fire_at
+
+        def counting(sim, time, callback, kind=""):
+            pushes.append(kind)
+            return inner(sim, time, callback, kind)
+
+        monkeypatch.setattr(Simulator, "schedule_fire_at", counting)
+        run_synth(dict(strategy="ps"), telemetry=False)
+        flows = 4 * 2 * 4  # push and pull, four workers, four iterations
+        assert pushes.count("fwd") == flows  # one switch on a star
+        assert pushes.count("deliver") == flows

@@ -134,3 +134,86 @@ class TestSendReceive:
         a.send(Packet(src="a", dst="b", payload_size=10, dst_port=7777, payload="junk"))
         with pytest.raises(TypeError, match="VectorChunk"):
             sim.run()
+
+
+class TestBurstForm:
+    """What changes when the cluster's transport is ``train``: one burst per
+    vector out, one call per flow in — and nothing a receiver can see."""
+
+    def bursting_pair(self):
+        sim, a, b = linked_pair()
+        sim.transport = "train"
+        return sim, a, b
+
+    def test_a_bursting_host_offers_one_train_per_vector(self, monkeypatch):
+        sim, a, b = self.bursting_pair()
+        bursts, singles = [], []
+        monkeypatch.setattr(a, "send_burst", lambda packets: bursts.append(len(packets)))
+        monkeypatch.setattr(a, "send", singles.append)
+        assert send_vector(a, "b", tag=0, vector=None, wire_bytes=500_000) == 57
+        assert (bursts, singles) == ([57], [])
+        sim.transport = "packet (test reference)"
+        assert send_vector(a, "b", tag=1, vector=None, wire_bytes=500_000) == 57
+        assert (bursts, len(singles)) == ([57], 57)
+
+    @pytest.mark.parametrize("wire_bytes", [1, 10_000, 500_000])
+    def test_a_flow_is_received_at_the_time_its_last_chunk_lands(self, wire_bytes):
+        done = {}
+        for transport in ("train", "packet"):
+            sim, a, b = linked_pair()
+            sim.transport = transport
+            got = []
+            VectorReceiver(
+                b, lambda src, tag, vec, meta: got.append((sim.now, src, tag, vec, meta))
+            )
+            vector = np.arange(4.0)
+            send_vector(a, "b", tag="g", vector=vector, wire_bytes=wire_bytes, meta=3)
+            sim.run()
+            assert len(got) == 1 and got[0][3] is vector
+            done[transport] = (got[0][:3], got[0][4], sim.processed_events)
+        assert done["train"] == done["packet"]
+
+    def test_a_train_that_is_not_one_whole_flow_is_counted_chunk_by_chunk(self):
+        from repro.netsim.packets import Packet, PacketTrain
+        from repro.distributed.transport import VectorChunk
+
+        sim, a, b = self.bursting_pair()
+        got = []
+        receiver = VectorReceiver(b, lambda src, tag, vec, meta: got.append(tag))
+
+        def chunk(tag, index, total):
+            return Packet(
+                "a", "b", 10, dst_port=7777,
+                payload=VectorChunk(tag, index, total, data=index == total - 1),
+            )
+
+        # The tail of one flow and the head of the next, in one train.
+        receiver._receive_train(
+            PacketTrain([chunk(1, 0, 2)], [0.0])
+        )
+        assert got == []
+        receiver._receive_train(
+            PacketTrain([chunk(1, 1, 2), chunk(2, 0, 2)], [0.0, 0.0])
+        )
+        assert got == [1]
+        receiver._receive_train(PacketTrain([chunk(2, 1, 2)], [0.0]))
+        assert got == [1, 2]
+        with pytest.raises(TypeError, match="VectorChunk"):
+            receiver._receive_train(
+                PacketTrain([Packet("a", "b", 10, payload="junk")], [0.0])
+            )
+
+    @pytest.mark.parametrize("max_chunks", [0, -1, -64])
+    def test_max_chunks_below_one_is_refused(self, max_chunks):
+        # Zero used to divide by zero; a negative cap was silently no cap.
+        _, a, _ = linked_pair()
+        with pytest.raises(ValueError, match="max_chunks"):
+            send_vector(a, "b", tag=0, vector=None, wire_bytes=10, max_chunks=max_chunks)
+
+    def test_chunk_shapes_are_computed_once_per_size(self):
+        _chunk_shapes.cache_clear()
+        _, a, _ = linked_pair()
+        for tag in range(5):
+            send_vector(a, "b", tag=tag, vector=None, wire_bytes=123_456, max_chunks=8)
+        info = _chunk_shapes.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
