@@ -24,8 +24,8 @@ from repro.nn import (
     fused_ppo_grad,
     mlp,
 )
-from repro.rl import A2C, DDPG, PPO
-from repro.rl.envs import Cheetah1D, GridQbert, Hopper1D
+from repro.rl import A2C, DDPG, DQN, PPO
+from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D
 from repro.rl.envs.vector import make_vector_env
 from repro.rl.replay import ReplayBuffer, Transition
 from tests.oracles import tape_a2c_gradient, tape_ddpg_gradient, tape_ppo_gradient
@@ -164,6 +164,44 @@ def test_policy_gradient_step_throughput(benchmark, algorithm, side):
     container, tape, kernel = _GRADIENT_STEPS[algorithm]()
     benchmark(tape if side == "tape" else kernel)
     assert all(np.isfinite(p.grad).all() for p in container.parameters())
+
+
+_ROLLOUT_ENVS = {
+    "dqn": (DQN, "gridpong", GridPong),
+    "a2c": (A2C, "gridqbert", GridQbert),
+    "ppo": (PPO, "hopper1d", Hopper1D),
+    "ddpg": (DDPG, "cheetah1d", Cheetah1D),
+}
+
+
+def _trained(algorithm, width):
+    """The algorithm at default shapes after 20 updates (replay warm)."""
+    cls, name, scalar_env = _ROLLOUT_ENVS[algorithm]
+    if width == "scalar":
+        env = scalar_env(seed=7)
+    else:
+        env = make_vector_env(name, int(width[1:]), seed=7)
+    algo = cls(env, seed=7)
+    for _ in range(20):
+        algo.apply_update(algo.compute_gradient())
+    return algo
+
+
+@pytest.mark.parametrize("width", ["scalar", "K1", "K4"])
+@pytest.mark.parametrize("algorithm", sorted(_ROLLOUT_ENVS))
+def test_rollout_throughput(benchmark, algorithm, width):
+    """One ``compute_gradient()`` — rollout plus gradient — through the
+    scalar env and through ``make_vector_env(name, K)``.  Scalar and K1 are
+    the same computation (equal weights after 20 updates, checked here);
+    their ratio is what "the scalar rollout is ``VectorEnv(K=1)``" would
+    cost (ROADMAP, "One rollout path").  K4 does four envs' work per call."""
+    benchmark.group = f"{algorithm}-rollout"
+    algo = _trained(algorithm, width)
+    if width == "K1":
+        assert np.array_equal(
+            algo.get_weights(), _trained(algorithm, "scalar").get_weights()
+        )
+    benchmark(algo.compute_gradient)
 
 
 class _Sink(Device):

@@ -292,12 +292,13 @@ class Int32BlockScaledCodec(GradientCodec):
     _M_MAX = 32767  # int16 saturation bound
 
     def _mantissa(self, vector: np.ndarray, exponent: int) -> np.ndarray:
-        x = np.asarray(vector, dtype=np.float32)
-        scaled = np.where(np.isnan(x), 0.0, x).astype(np.float64)
+        # One working copy, updated in place; NaN survives rint and clip.
+        scaled = np.asarray(vector, dtype=np.float32).astype(np.float64)
         scaled *= float(1 << exponent)
-        return np.clip(
-            np.rint(scaled), -self._M_MAX, self._M_MAX
-        ).astype(np.int32)
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -self._M_MAX, self._M_MAX, out=scaled)
+        scaled[np.isnan(scaled)] = 0.0
+        return scaled.astype(np.int32)
 
     @staticmethod
     def _dequantize(mantissa: np.ndarray, exponent: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .layers import Activation, Linear, Parameter, Sequential
+from .layers import Parameter, Sequential
 from .tensor import Tensor
 
 __all__ = [
@@ -136,38 +136,14 @@ def fused_huber_loss(
 def mlp_forward(net: Sequential, x: np.ndarray) -> Tuple[np.ndarray, list]:
     """Closed-form forward of a ``Sequential`` of Linear/Activation layers.
 
-    Returns the output and, per layer in forward order, ``(layer, cache)``
-    with exactly what the tape's backward closures capture: a Linear's
-    input, the relu mask, the tanh/sigmoid output.  The forward halves
-    are the expressions of ``Tensor.__matmul__`` / ``__add__`` / ``relu``
-    / ``tanh`` / ``sigmoid``, so the output is bit-identical to
-    ``net(Tensor(x)).numpy()``.  Anything ``mlp()`` does not build
-    raises ``TypeError``.
+    ``Sequential.infer``'s walk, collecting per layer in forward order
+    ``((kind, layer), cache)`` with exactly what the tape's backward
+    closures capture: a Linear's input, the relu mask, the tanh/sigmoid
+    output.  The output is bit-identical to ``net(Tensor(x)).numpy()``;
+    anything ``mlp()`` does not build raises ``TypeError``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    steps = []
-    for layer in net:
-        if isinstance(layer, Linear):
-            steps.append((layer, x))
-            x = x @ layer.weight.data
-            if layer.bias is not None:
-                x = x + layer.bias.data
-        elif isinstance(layer, Activation):
-            if layer.kind == "relu":
-                act_mask = x > 0
-                x = x * act_mask
-                steps.append((layer, act_mask))
-            elif layer.kind == "tanh":
-                x = np.tanh(x)
-                steps.append((layer, x))
-            else:
-                x = 1.0 / (1.0 + np.exp(-x))
-                steps.append((layer, x))
-        else:
-            raise TypeError(
-                f"mlp_forward supports Linear/Activation only, got {layer!r}"
-            )
-    return x, steps
+    steps: list = []
+    return net.infer(x, steps), steps
 
 
 def mlp_backward(
@@ -195,17 +171,18 @@ def mlp_backward(
     input, unless ``input_grad`` asks for it; it is then returned.
     """
     first = steps[0][0]
-    for layer, cache in reversed(steps):
-        if isinstance(layer, Linear):
+    for entry, cache in reversed(steps):
+        kind, layer = entry
+        if kind == "linear":
             if param_grads:
                 if layer.bias is not None:
                     layer.bias.grad = grad.sum(axis=0)
                 layer.weight.grad = cache.swapaxes(-1, -2) @ grad
-            if input_grad or layer is not first:
+            if input_grad or entry is not first:
                 grad = grad @ layer.weight.data.swapaxes(-1, -2)
-        elif layer.kind == "relu":
+        elif kind == "relu":
             grad = grad * cache
-        elif layer.kind == "tanh":
+        elif kind == "tanh":
             grad = grad * (1.0 - cache**2)
         else:
             grad = grad * cache * (1.0 - cache)

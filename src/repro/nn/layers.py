@@ -138,25 +138,66 @@ class Activation(Module):
 
 
 class Sequential(Module):
-    """Apply modules in order."""
+    """Apply modules in order.  ``infer`` walks a flat plan — ``(kind,
+    child)`` per child — compiled on first use and dropped when a child is
+    (re)assigned; a Linear's ``weight`` / ``bias`` and their ``.data`` are
+    read per call, so optimizer steps, weight loads and a Parameter
+    assigned on the child are all seen."""
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self._order: List[str] = []
+        self._plan: Optional[list] = None
         for i, module in enumerate(modules):
             name = f"layer{i}"
             setattr(self, name, module)
             self._order.append(name)
+
+    def __setattr__(self, key: str, value) -> None:
+        super().__setattr__(key, value)
+        if isinstance(value, Module):
+            self._plan = None
 
     def forward(self, x: Tensor) -> Tensor:
         for name in self._order:
             x = getattr(self, name)(x)
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, steps: Optional[list] = None) -> np.ndarray:
+        """The one closed-form forward walk (the Tensor ops' forward halves).
+        ``functional.mlp_forward`` passes ``steps`` to collect ``(plan entry,
+        cache)`` per layer; a child with no closed form is then an error."""
+        if self._plan is None:
+            self._plan = [
+                ("linear", m) if type(m) is Linear
+                else (m.kind, m) if type(m) is Activation
+                else (None, m)  # anything else runs its own ``infer``
+                for m in self
+            ]
         out = np.asarray(x, dtype=np.float64)
-        for name in self._order:
-            out = getattr(self, name).infer(out)
+        for entry in self._plan:
+            kind, layer = entry
+            if kind == "linear":
+                cache = out
+                out = out @ layer.weight.data
+                if layer.bias is not None:
+                    out = out + layer.bias.data
+            elif kind == "relu":
+                cache = out > 0
+                out = out * cache
+            elif kind == "tanh":
+                cache = out = np.tanh(out)
+            elif kind == "sigmoid":
+                cache = out = 1.0 / (1.0 + np.exp(-out))
+            elif steps is None:
+                out = layer.infer(out)
+                continue
+            else:
+                raise TypeError(
+                    f"mlp_forward supports Linear/Activation only, got {layer!r}"
+                )
+            if steps is not None:
+                steps.append((entry, cache))
         return out
 
     def __iter__(self) -> Iterator[Module]:

@@ -33,6 +33,18 @@ from .spaces import Discrete
 __all__ = ["A2C", "ActorCritic", "discounted_returns"]
 
 
+def sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """``rng.choice(len(probs), p=probs)`` minus its validation — same cdf,
+    same single uniform — except that NaN probabilities (a diverged
+    policy) still raise instead of picking an index."""
+    cdf = probs.cumsum()
+    total = cdf[-1]
+    if not 0.0 < total < np.inf:
+        raise ValueError("probabilities contain NaN")
+    cdf /= total
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class ActorCritic(Module):
     """Separate policy and value MLPs in one parameter container."""
 
@@ -95,15 +107,15 @@ class A2C(Algorithm):
         self._obs = env.reset()
 
     # ------------------------------------------------------------------
-    def _policy_logits(self, obs_batch: np.ndarray) -> np.ndarray:
-        return self.container.policy.infer(obs_batch)
-
-    def act(self, obs: np.ndarray) -> int:
-        logits = self._policy_logits(obs[None, :])[0]
+    def _draw(self, logits: np.ndarray) -> int:
+        """Softmax one row of logits and sample an action from it."""
         logits = logits - logits.max()
         probs = np.exp(logits)
         probs /= probs.sum()
-        return int(self.rng.choice(len(probs), p=probs))
+        return sample_index(self.rng, probs)
+
+    def act(self, obs: np.ndarray) -> int:
+        return self._draw(self.container.policy.infer(obs[None, :])[0])
 
     def act_batch(self, obs_batch: np.ndarray) -> np.ndarray:
         """Sample actions for a batch of observations (one net forward).
@@ -111,30 +123,28 @@ class A2C(Algorithm):
         Per-row softmax and rng draws run in env index order; a single
         row consumes the rng stream exactly as :meth:`act` does.
         """
-        all_logits = self._policy_logits(obs_batch)
-        actions = np.empty(len(obs_batch), dtype=np.int64)
-        for i in range(len(obs_batch)):
-            logits = all_logits[i] - all_logits[i].max()
-            probs = np.exp(logits)
-            probs /= probs.sum()
-            actions[i] = self.rng.choice(len(probs), p=probs)
-        return actions
+        draw = self._draw
+        logits = self.container.policy.infer(obs_batch)
+        return np.array([draw(row) for row in logits], dtype=np.int64)
 
     def _bootstrap_values(self, obs_batch: np.ndarray) -> np.ndarray:
         return self.container.value.infer(obs_batch)[:, 0]
 
     def compute_gradient(self) -> np.ndarray:
+        env_step, obs = self.env.step, self._obs  # read once per rollout
         if self._venv is not None:
+            act_batch, track = self.act_batch, self._track_rewards_batch
             obs_buf, act_buf, rew_buf, done_buf = [], [], [], []
             for _ in range(self.rollout_steps):
-                actions = self.act_batch(self._obs)
-                next_obs, rewards, dones, _ = self.env.step(actions)
-                obs_buf.append(self._obs)
+                actions = act_batch(obs)
+                next_obs, rewards, dones, _ = env_step(actions)
+                obs_buf.append(obs)
                 act_buf.append(actions)
                 rew_buf.append(rewards)
                 done_buf.append(dones)
-                self._track_rewards_batch(rewards, dones)
-                self._obs = next_obs
+                track(rewards, dones)
+                obs = next_obs
+            self._obs = obs
             num_envs = self.env.num_envs
             states = np.asarray(obs_buf).reshape(self.rollout_steps * num_envs, -1)
             actions_flat = np.asarray(act_buf, dtype=np.int64).reshape(-1)
@@ -142,16 +152,18 @@ class A2C(Algorithm):
             dones_arr = np.asarray(done_buf, dtype=np.float64)
             bootstrap = self._bootstrap_values(self._obs)
         else:
+            act, reset, track = self.act, self.env.reset, self._track_reward
             observations, actions, rewards, dones = [], [], [], []
             for _ in range(self.rollout_steps):
-                action = self.act(self._obs)
-                next_obs, reward, done, _ = self.env.step(action)
-                observations.append(self._obs)
+                action = act(obs)
+                next_obs, reward, done, _ = env_step(action)
+                observations.append(obs)
                 actions.append(action)
                 rewards.append(reward)
                 dones.append(done)
-                self._track_reward(reward, done)
-                self._obs = self.env.reset() if done else next_obs
+                track(reward, done)
+                obs = reset() if done else next_obs
+            self._obs = obs
             states = np.stack(observations)
             actions_flat = np.asarray(actions, dtype=np.int64)
             rewards_arr = np.asarray(rewards, dtype=np.float64)

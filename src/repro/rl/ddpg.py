@@ -42,11 +42,16 @@ __all__ = ["DDPG", "OUNoise", "ActorCriticPair"]
 
 
 class OUNoise:
-    """Ornstein–Uhlenbeck process, DDPG's temporally correlated noise."""
+    """Ornstein–Uhlenbeck process, DDPG's temporally correlated noise.
+
+    ``dim`` is the state's shape: an int for one env, ``(K, action_dim)``
+    for a ``VectorEnv`` — the normal draw fills row-major, so with one row
+    the rng stream is the scalar one.
+    """
 
     def __init__(
         self,
-        dim: int,
+        dim,
         rng: np.random.Generator,
         theta: float = 0.15,
         sigma: float = 0.2,
@@ -60,35 +65,6 @@ class OUNoise:
     def reset(self) -> None:
         self.state = np.zeros(self.dim)
 
-    def sample(self) -> np.ndarray:
-        self.state = (
-            self.state
-            - self.theta * self.state
-            + self.sigma * self.rng.standard_normal(self.dim)
-        )
-        return self.state
-
-
-class _BatchedOUNoise:
-    """OU noise with one state row per env.
-
-    The (K, dim) normal draw fills row-major, so with one row the rng
-    stream matches the scalar :class:`OUNoise` draw exactly.
-    """
-
-    def __init__(
-        self,
-        num_envs: int,
-        dim: int,
-        rng: np.random.Generator,
-        theta: float = 0.15,
-        sigma: float = 0.2,
-    ) -> None:
-        self.rng = rng
-        self.theta = theta
-        self.sigma = sigma
-        self.state = np.zeros((num_envs, dim))
-
     def reset_rows(self, rows: np.ndarray) -> None:
         self.state[rows] = 0.0
 
@@ -96,7 +72,7 @@ class _BatchedOUNoise:
         self.state = (
             self.state
             - self.theta * self.state
-            + self.sigma * self.rng.standard_normal(self.state.shape)
+            + self.sigma * self.rng.standard_normal(self.dim)
         )
         return self.state
 
@@ -172,21 +148,15 @@ class DDPG(Algorithm):
         self._target_params = self.targets.parameters()
         self.actor_optimizer = Adam(container.actor.parameters(), lr=actor_lr)
         self.critic_optimizer = Adam(container.critic.parameters(), lr=critic_lr)
-        if self._venv is not None:
-            self.noise = _BatchedOUNoise(
-                self.env.num_envs, env.action_space.dim, self.rng
-            )
-        else:
-            self.noise = OUNoise(env.action_space.dim, self.rng)
+        dim = env.action_space.dim
+        shape = dim if self._venv is None else (env.num_envs, dim)
+        self.noise = OUNoise(shape, self.rng)
         self.buffer = make_replay_buffer(buffer_capacity, self.rng)
         self._obs = env.reset()
 
     # ------------------------------------------------------------------
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = self.container.actor.infer(obs[None, :])[0]
-        if explore:
-            action = action + self.noise.sample()
-        return self.env.action_space.clip(action)
+        return self.act_batch(obs[None, :], explore)[0]
 
     def act_batch(self, obs_batch: np.ndarray, explore: bool = True) -> np.ndarray:
         """Deterministic actions for a batch of observations plus OU noise."""
@@ -195,42 +165,50 @@ class DDPG(Algorithm):
             actions = actions + self.noise.sample()
         return self.env.action_space.clip(actions)
 
-    def _env_step(self) -> None:
+    def _env_steps(self) -> None:
+        """Fill replay to ``warmup``, then ``env_steps_per_iter`` more steps."""
+        env_step, buffer, noise = self.env.step, self.buffer, self.noise
         if self._venv is not None:
-            self._env_step_batch()
-            return
-        action = self.act(self._obs)
-        next_obs, reward, done, _ = self.env.step(action)
-        self.buffer.push(Transition(self._obs, action, reward, next_obs, done))
-        self._track_reward(reward, done)
-        if done:
-            self._obs = self.env.reset()
-            self.noise.reset()
-        else:
-            self._obs = next_obs
+            act_batch, track = self.act_batch, self._track_rewards_batch
 
-    def _env_step_batch(self) -> None:
-        actions = self.act_batch(self._obs)
-        next_obs, rewards, dones, infos = self.env.step(actions)
-        # Replay must see the terminal observation, not the autoreset one.
-        bootstrap_obs = next_obs
-        done_rows = np.nonzero(dones)[0]
-        if done_rows.size:
-            bootstrap_obs = next_obs.copy()
-            for i in done_rows:
-                bootstrap_obs[i] = infos[i]["terminal_observation"]
-        self.buffer.push_batch(self._obs, actions, rewards, bootstrap_obs, dones)
-        self._track_rewards_batch(rewards, dones)
-        if done_rows.size:
-            self.noise.reset_rows(done_rows)
-        self._obs = next_obs
+            def step(obs):
+                actions = act_batch(obs)
+                next_obs, rewards, dones, infos = env_step(actions)
+                # Replay must see the terminal observation, not the autoreset one.
+                bootstrap_obs = next_obs
+                done_rows = np.nonzero(dones)[0]
+                if done_rows.size:
+                    bootstrap_obs = next_obs.copy()
+                    for i in done_rows:
+                        bootstrap_obs[i] = infos[i]["terminal_observation"]
+                    noise.reset_rows(done_rows)
+                buffer.push_batch(obs, actions, rewards, bootstrap_obs, dones)
+                track(rewards, dones)
+                return next_obs
+        else:
+            act, reset = self.act, self.env.reset
+            push, track = buffer.push, self._track_reward
+
+            def step(obs):
+                action = act(obs)
+                next_obs, reward, done, _ = env_step(action)
+                push(Transition(obs, action, reward, next_obs, done))
+                track(reward, done)
+                if done:
+                    next_obs = reset()
+                    noise.reset()
+                return next_obs
+
+        obs = self._obs
+        while len(buffer) < self.warmup:
+            obs = step(obs)
+        for _ in range(self.env_steps_per_iter):
+            obs = step(obs)
+        self._obs = obs
 
     # ------------------------------------------------------------------
     def compute_gradient(self) -> np.ndarray:
-        while len(self.buffer) < self.warmup:
-            self._env_step()
-        for _ in range(self.env_steps_per_iter):
-            self._env_step()
+        self._env_steps()
 
         batch = self.buffer.sample(self.batch_size)
         next_actions = self.targets.actor.infer(batch.next_states)

@@ -152,47 +152,58 @@ class DQN(Algorithm):
             actions[exploit] = np.argmax(q_values, axis=1)
         return actions
 
-    def _env_step(self, greedy: bool = False) -> None:
+    def _env_steps(self) -> None:
+        """Fill replay to ``warmup``, then ``env_steps_per_iter`` more steps."""
+        env_step, buffer, one_step = self.env.step, self.buffer, self.n_step == 1
         if self._venv is not None:
-            self._env_step_batch(greedy)
-            return
-        action = self.act(self._obs, greedy=greedy)
-        next_obs, reward, done, _ = self.env.step(action)
-        if self.n_step == 1:
-            self.buffer.push(
-                Transition(self._obs, action, reward, next_obs, done)
-            )
-        else:
-            self._accumulate_n_step_fast(self._obs, action, reward, next_obs, done)
-        self._track_reward(reward, done)
-        self._obs = self.env.reset() if done else next_obs
+            act_batch, track = self.act_batch, self._track_rewards_batch
 
-    def _env_step_batch(self, greedy: bool = False) -> None:
-        actions = self.act_batch(self._obs, greedy=greedy)
-        next_obs, rewards, dones, infos = self.env.step(actions)
-        # Replay must see the terminal observation, not the autoreset one.
-        bootstrap_obs = next_obs
-        done_rows = np.nonzero(dones)[0]
-        if done_rows.size:
-            bootstrap_obs = next_obs.copy()
-            for i in done_rows:
-                bootstrap_obs[i] = infos[i]["terminal_observation"]
-        if self.n_step == 1:
-            self.buffer.push_batch(self._obs, actions, rewards, bootstrap_obs, dones)
+            def step(obs):
+                actions = act_batch(obs)
+                next_obs, rewards, dones, infos = env_step(actions)
+                # Replay must see the terminal observation, not the autoreset one.
+                bootstrap_obs = next_obs
+                done_rows = np.nonzero(dones)[0]
+                if done_rows.size:
+                    bootstrap_obs = next_obs.copy()
+                    for i in done_rows:
+                        bootstrap_obs[i] = infos[i]["terminal_observation"]
+                if one_step:
+                    buffer.push_batch(obs, actions, rewards, bootstrap_obs, dones)
+                else:
+                    if self._pending_per_env is None:
+                        self._pending_per_env = [deque() for _ in range(len(actions))]
+                    for i in range(len(actions)):
+                        self._accumulate_n_step(
+                            np.array(obs[i]),
+                            int(actions[i]),
+                            float(rewards[i]),
+                            np.array(bootstrap_obs[i]),
+                            bool(dones[i]),
+                            pending=self._pending_per_env[i],
+                        )
+                track(rewards, dones)
+                return next_obs
         else:
-            if self._pending_per_env is None:
-                self._pending_per_env = [deque() for _ in range(len(actions))]
-            for i in range(len(actions)):
-                self._accumulate_n_step(
-                    np.array(self._obs[i]),
-                    int(actions[i]),
-                    float(rewards[i]),
-                    np.array(bootstrap_obs[i]),
-                    bool(dones[i]),
-                    pending=self._pending_per_env[i],
-                )
-        self._track_rewards_batch(rewards, dones)
-        self._obs = next_obs
+            act, reset, track = self.act, self.env.reset, self._track_reward
+            push, fold = buffer.push, self._accumulate_n_step_fast
+
+            def step(obs):
+                action = act(obs)
+                next_obs, reward, done, _ = env_step(action)
+                if one_step:
+                    push(Transition(obs, action, reward, next_obs, done))
+                else:
+                    fold(obs, action, reward, next_obs, done)
+                track(reward, done)
+                return reset() if done else next_obs
+
+        obs = self._obs
+        while len(buffer) < self.warmup:
+            obs = step(obs)
+        for _ in range(self.env_steps_per_iter):
+            obs = step(obs)
+        self._obs = obs
 
     def _accumulate_n_step(
         self, obs, action, reward, next_obs, done, pending: Optional[deque] = None
@@ -261,10 +272,7 @@ class DQN(Algorithm):
     # The LGC stage
     # ------------------------------------------------------------------
     def compute_gradient(self) -> np.ndarray:
-        while len(self.buffer) < self.warmup:
-            self._env_step()
-        for _ in range(self.env_steps_per_iter):
-            self._env_step()
+        self._env_steps()
 
         batch = self.buffer.sample(self.batch_size)
         next_q = self.target_net.infer(batch.next_states)

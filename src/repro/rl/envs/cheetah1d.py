@@ -48,7 +48,7 @@ class Cheetah1D(Environment):
         return self._observe()
 
     def _step(self, action) -> StepResult:
-        front, back = self.action_space.clip(np.atleast_1d(action))
+        front, back = self.action_space.clip(np.atleast_1d(action)).tolist()
         self._steps += 1
 
         # Antisymmetric component drives; symmetric component pitches.
@@ -56,14 +56,14 @@ class Cheetah1D(Environment):
         pitch_torque = 0.5 * (front + back)
 
         # A pitched body converts less drive into forward motion.
-        efficiency = max(0.0, np.cos(self._pitch))
+        efficiency = max(0.0, float(np.cos(self._pitch)))
         self._velocity += 4.0 * drive * efficiency * self.DT
         self._velocity = max(0.0, self._velocity * (1.0 - self.DRAG))
 
         self._pitch_rate += self.PITCH_COUPLING * pitch_torque * self.DT
         self._pitch_rate *= 0.9  # damping
-        self._pitch = float(
-            np.clip(self._pitch + self._pitch_rate * self.DT, -1.2, 1.2)
+        self._pitch = min(
+            max(float(self._pitch + self._pitch_rate * self.DT), -1.2), 1.2
         )
 
         control_cost = 0.05 * (front * front + back * back)

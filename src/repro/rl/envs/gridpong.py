@@ -59,13 +59,13 @@ class GridPong(Environment):
             raise ValueError(f"invalid GridPong action: {action!r}")
         self._steps += 1
         self._paddle_x += (int(action) - 1) * self.PADDLE_SPEED
-        self._paddle_x = float(np.clip(self._paddle_x, 0.0, 1.0))
+        self._paddle_x = min(max(self._paddle_x, 0.0), 1.0)
 
         self._ball += self._vel
         # Side walls reflect.
         for axis, position in ((0, self._ball[0]),):
             if position < 0.0 or position > 1.0:
-                self._ball[axis] = float(np.clip(position, 0.0, 1.0))
+                self._ball[axis] = min(max(float(position), 0.0), 1.0)
                 self._vel[axis] = -self._vel[axis]
         # Ceiling reflects.
         if self._ball[1] > 1.0:
@@ -83,8 +83,8 @@ class GridPong(Environment):
                 self._vel[1] = abs(self._vel[1])
                 # English: hitting off-center deflects the ball.
                 offset = (self._ball[0] - self._paddle_x) / self.PADDLE_HALF_WIDTH
-                self._vel[0] = float(
-                    np.clip(self._vel[0] + 0.03 * offset, -0.09, 0.09)
+                self._vel[0] = min(
+                    max(float(self._vel[0] + 0.03 * offset), -0.09), 0.09
                 )
             else:
                 reward = -1.0

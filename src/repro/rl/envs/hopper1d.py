@@ -50,7 +50,8 @@ class Hopper1D(Environment):
         return self._observe()
 
     def _step(self, action) -> StepResult:
-        thrust = float(self.action_space.clip(np.atleast_1d(action))[0])
+        low, high = self.action_space.low, self.action_space.high
+        thrust = min(max(float(np.asarray(action).reshape(-1)[0]), low), high)
         self._steps += 1
 
         in_contact = self._height <= 1e-6

@@ -147,11 +147,16 @@ class PPO(Algorithm):
         self._obs = env.reset()
 
     # ------------------------------------------------------------------
+    def _act(self, obs_batch: np.ndarray, std: np.ndarray) -> np.ndarray:
+        """One mean-net forward and a Gaussian draw per row, clipped to the
+        action box; ``std = exp(log_std)`` only moves with an update, so a
+        rollout computes it once."""
+        mean = self.container.mean.infer(obs_batch)
+        actions = mean + std * self.rng.standard_normal(mean.shape)
+        return self.env.action_space.clip(actions)
+
     def act(self, obs: np.ndarray) -> np.ndarray:
-        mean = self.container.mean.infer(obs[None, :])[0]
-        std = np.exp(self.container.log_std.data)
-        action = mean + std * self.rng.standard_normal(mean.shape)
-        return self.env.action_space.clip(action)
+        return self.act_batch(obs[None, :])[0]
 
     def act_batch(self, obs_batch: np.ndarray) -> np.ndarray:
         """Sample a batch of Gaussian actions (one mean-net forward).
@@ -159,10 +164,7 @@ class PPO(Algorithm):
         The (K, action_dim) noise draw consumes the rng stream row-major
         — with one row, exactly the scalar :meth:`act` draw.
         """
-        mean = self.container.mean.infer(obs_batch)
-        std = np.exp(self.container.log_std.data)
-        actions = mean + std * self.rng.standard_normal(mean.shape)
-        return self.env.action_space.clip(actions)
+        return self._act(obs_batch, np.exp(self.container.log_std.data))
 
     def compute_gradient(self) -> np.ndarray:
         if self._stored_rollout is not None and self._epochs_used < self.epochs:
@@ -177,17 +179,21 @@ class PPO(Algorithm):
         return self.container.value.infer(states)[:, 0]
 
     def _collect_rollout(self):
+        env_step, act, obs = self.env.step, self._act, self._obs
+        std = np.exp(self.container.log_std.data)  # fixed until the next update
         if self._venv is not None:
+            track = self._track_rewards_batch
             obs_buf, act_buf, rew_buf, done_buf = [], [], [], []
             for _ in range(self.rollout_steps):
-                batch_actions = self.act_batch(self._obs)
-                next_obs, rewards, dones, _ = self.env.step(batch_actions)
-                obs_buf.append(self._obs)
+                batch_actions = act(obs, std)
+                next_obs, rewards, dones, _ = env_step(batch_actions)
+                obs_buf.append(obs)
                 act_buf.append(batch_actions)
                 rew_buf.append(rewards)
                 done_buf.append(dones)
-                self._track_rewards_batch(rewards, dones)
-                self._obs = next_obs
+                track(rewards, dones)
+                obs = next_obs
+            self._obs = obs
             num_envs = self.env.num_envs
             states = np.asarray(obs_buf).reshape(self.rollout_steps * num_envs, -1)
             actions_arr = np.asarray(act_buf).reshape(states.shape[0], -1)
@@ -200,16 +206,18 @@ class PPO(Algorithm):
             )
             bootstrap = self._state_values(self._obs)
         else:
+            reset, track = self.env.reset, self._track_reward
             observations, actions, rewards, dones = [], [], [], []
             for _ in range(self.rollout_steps):
-                action = self.act(self._obs)
-                next_obs, reward, done, _ = self.env.step(action)
-                observations.append(self._obs)
+                action = act(obs[None, :], std)[0]
+                next_obs, reward, done, _ = env_step(action)
+                observations.append(obs)
                 actions.append(action)
                 rewards.append(reward)
                 dones.append(done)
-                self._track_reward(reward, done)
-                self._obs = self.env.reset() if done else next_obs
+                track(reward, done)
+                obs = reset() if done else next_obs
+            self._obs = obs
             states = np.stack(observations)
             actions_arr = np.stack(actions)
             rewards_arr = np.asarray(rewards, dtype=np.float64)

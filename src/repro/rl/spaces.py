@@ -49,4 +49,7 @@ class Box:
         )
 
     def clip(self, action: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(action, dtype=np.float64), self.low, self.high)
+        # np.clip's documented definition without its wrapper frames.
+        return np.minimum(
+            np.maximum(np.asarray(action, dtype=np.float64), self.low), self.high
+        )

@@ -3,16 +3,21 @@
 These are the straightforward versions of what ``src/`` implements with
 preallocated rings, fused in-place math and closed-form gradient kernels:
 a list-of-tuples replay buffer, textbook per-parameter optimizer steps,
-and the autograd-tape gradients of A2C, PPO and DDPG.  They used to live
-in ``src/`` as the "legacy" compute path (the tape tails were the
-algorithms' own ``compute_gradient`` until PR 19); the differential
-suites (``test_compute_parity.py``, ``test_replay.py``) pin the
-production code bit-for-bit against them.
+the autograd-tape gradients of A2C, PPO and DDPG, and (from PR 21) the
+per-step primitives of acting: the layer-by-layer forward walks,
+``np.clip`` at every site that now clips with min/max, ``Generator.choice``
+as A2C's sampler, the three ``act`` bodies and the int32-bs mantissa.
+They used to live in ``src/`` as the "legacy" compute path (the tape tails
+were the algorithms' own ``compute_gradient`` until PR 19); the
+differential suites (``test_compute_parity.py``, ``test_replay.py``,
+``test_spaces.py``, ``test_compression.py``) pin the production code
+bit-for-bit against them.
 """
 
 import numpy as np
 
 from repro.nn import Tensor, entropy_from_logits, fused_mse_loss, nll_from_logits
+from repro.nn.layers import Activation, Linear
 from repro.rl.replay import Batch, Transition
 
 
@@ -214,3 +219,98 @@ def tape_ddpg_gradient(container, states, actions, targets) -> tuple:
     for param in container.critic.parameters():
         param.grad = critic_grads.get(id(param))
     return critic_loss.numpy(), actor_loss.numpy()
+
+
+# ---------------------------------------------------------------------------
+# The per-step primitives of acting as they were before PR 21 compiled the
+# forward walk and replaced np.clip / Generator.choice with exact equivalents.
+# ---------------------------------------------------------------------------
+
+
+def layerwise_infer(net, x) -> np.ndarray:
+    """``Sequential.infer`` as a chain of per-layer ``infer`` calls found
+    by ``getattr`` — one cast, then every child's own forward."""
+    out = np.asarray(x, dtype=np.float64)
+    for name in net._order:
+        out = getattr(net, name).infer(out)
+    return out
+
+
+def isinstance_mlp_forward(net, x) -> tuple:
+    """``mlp_forward`` as an ``isinstance`` chain over the children; returns
+    the output and the per-layer caches (a Linear's input, the relu mask,
+    the tanh/sigmoid output)."""
+    x = np.asarray(x, dtype=np.float64)
+    caches = []
+    for layer in net:
+        if isinstance(layer, Linear):
+            caches.append(x)
+            x = x @ layer.weight.data
+            if layer.bias is not None:
+                x = x + layer.bias.data
+        elif isinstance(layer, Activation):
+            if layer.kind == "relu":
+                act_mask = x > 0
+                x = x * act_mask
+                caches.append(act_mask)
+            elif layer.kind == "tanh":
+                x = np.tanh(x)
+                caches.append(x)
+            else:
+                x = 1.0 / (1.0 + np.exp(-x))
+                caches.append(x)
+        else:
+            raise TypeError(
+                f"mlp_forward supports Linear/Activation only, got {layer!r}"
+            )
+    return x, caches
+
+
+def np_clip_box(space, action) -> np.ndarray:
+    """``Box.clip`` through ``np.clip``."""
+    return np.clip(np.asarray(action, dtype=np.float64), space.low, space.high)
+
+
+def np_clip_scalar(value, low: float, high: float) -> float:
+    """The scalar env sites (GridPong x3, Cheetah1D's pitch) through ``np.clip``."""
+    return float(np.clip(value, low, high))
+
+
+def np_clip_thrust(space, action) -> float:
+    """``Hopper1D._step``'s clip of the action it is handed."""
+    return float(np_clip_box(space, np.atleast_1d(action))[0])
+
+
+def choice_index(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """A2C's action draw through ``Generator.choice``."""
+    return int(rng.choice(len(probs), p=probs))
+
+
+def a2c_act(algo, obs) -> int:
+    logits = algo.container.policy.infer(obs[None, :])[0]
+    logits = logits - logits.max()
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    return choice_index(algo.rng, probs)
+
+
+def ppo_act(algo, obs) -> np.ndarray:
+    mean = algo.container.mean.infer(obs[None, :])[0]
+    std = np.exp(algo.container.log_std.data)
+    action = mean + std * algo.rng.standard_normal(mean.shape)
+    return np_clip_box(algo.env.action_space, action)
+
+
+def ddpg_act(algo, obs, explore: bool = True) -> np.ndarray:
+    action = algo.container.actor.infer(obs[None, :])[0]
+    if explore:
+        action = action + algo.noise.sample()
+    return np_clip_box(algo.env.action_space, action)
+
+
+def where_mantissa(vector, exponent: int, m_max: int = 32767) -> np.ndarray:
+    """``Int32BlockScaledCodec._mantissa`` with one temporary per step."""
+    x = np.asarray(vector, dtype=np.float32)
+    scaled = np.where(np.isnan(x), 0.0, x).astype(np.float64)
+    scaled *= float(1 << exponent)
+    return np.clip(np.rint(scaled), -m_max, m_max).astype(np.int32)

@@ -20,6 +20,8 @@ from repro.core import (
 from repro.core.compression import CODECS, WIRE_CODECS, codec_for_tag
 from repro.netsim import Simulator, build_star
 
+from .oracles import where_mantissa
+
 
 class TestCodecs:
     def test_lookup(self):
@@ -62,6 +64,34 @@ class TestCodecs:
             once = codec.roundtrip(vector)
             twice = codec.roundtrip(once)
             np.testing.assert_array_equal(once, twice)
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, width=32),
+                st.sampled_from([1e30, -1e30, 7.99988, -8.0, 0.5 / 4096, -0.0]),
+                st.floats(-9.0, 9.0),
+            ),
+            max_size=40,
+        ),
+        exponent=st.integers(1, 24),
+        as_float64=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_int32bs_mantissa_matches_the_expression_it_replaced(
+        self, values, exponent, as_float64
+    ):
+        """The in-place mantissa (PR 21) gives the int32 the five-temporary
+        ``np.where`` form gave: finite values, ties to even, saturation,
+        NaN -> 0, +-inf and 1e30 -> +-32767; and leaves its input alone."""
+        vector = np.array(values, dtype=np.float64 if as_float64 else np.float32)
+        before = vector.copy()
+        with np.errstate(over="ignore"):  # float64 1e300 -> float32 inf
+            got = Int32BlockScaledCodec()._mantissa(vector, exponent)
+            want = where_mantissa(vector, exponent)
+        assert got.dtype == want.dtype == np.int32
+        assert got.tobytes() == want.tobytes()
+        assert vector.tobytes() == before.tobytes()
 
     def test_int32bs_error_bounded_by_grid(self):
         codec = Int32BlockScaledCodec()

@@ -42,6 +42,9 @@ from repro.nn import (
     RMSProp,
     Tensor,
     flatten_params,
+    load_flat_params,
+    load_model,
+    save_model,
     fused_a2c_grad,
     fused_ddpg_grad,
     fused_huber_loss,
@@ -56,9 +59,9 @@ from repro.nn import (
     mse_loss,
     no_grad,
 )
-from repro.nn.layers import Activation, Linear, Module, Sequential
+from repro.nn.layers import Activation, Linear, Module, Parameter, Sequential
 from repro.rl import A2C, DDPG, DQN, PPO
-from repro.rl.a2c import ActorCritic
+from repro.rl.a2c import ActorCritic, sample_index
 from repro.rl.ddpg import ActorCriticPair
 from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D, make_vector_env
 from repro.rl.envs.vector import VectorEnv
@@ -71,6 +74,12 @@ from .oracles import (
     ReferenceAdam,
     ReferenceRMSProp,
     ReferenceSGD,
+    a2c_act,
+    choice_index,
+    ddpg_act,
+    isinstance_mlp_forward,
+    layerwise_infer,
+    ppo_act,
     tape_a2c_gradient,
     tape_ddpg_gradient,
     tape_ppo_gradient,
@@ -571,22 +580,28 @@ def _mlp_cases(draw):
     )
 
 
+def _stack(case, rng) -> Sequential:
+    """The Linear/Activation stack a ``_mlp_cases`` draw describes."""
+    sizes, kinds, bias = case[:3]
+    layers = []
+    for n_in, n_out, kind in zip(sizes, sizes[1:], kinds):
+        layers.append(Linear(n_in, n_out, rng=rng, bias=bias))
+        if bias:
+            layers[-1].bias.data = rng.standard_normal(n_out)
+        if kind is not None:
+            layers.append(Activation(kind))
+    return Sequential(*layers)
+
+
 class TestMlpKernel:
     @given(case=_mlp_cases())
     @settings(max_examples=80, deadline=None)
     def test_forward_and_backward_match_the_tape(self, case):
         """Any Linear/Activation stack: output, every parameter gradient
         and the input gradient equal the tape's, byte for byte."""
-        sizes, kinds, bias, batch, seed = case
+        sizes, _, _, batch, seed = case
         rng = np.random.default_rng(seed)
-        layers = []
-        for n_in, n_out, kind in zip(sizes, sizes[1:], kinds):
-            layers.append(Linear(n_in, n_out, rng=rng, bias=bias))
-            if bias:
-                layers[-1].bias.data = rng.standard_normal(n_out)
-            if kind is not None:
-                layers.append(Activation(kind))
-        net = Sequential(*layers)
+        net = _stack(case, rng)
         x = rng.standard_normal((batch, sizes[0]))
         seed_grad = rng.standard_normal((batch, sizes[-1]))
 
@@ -717,6 +732,222 @@ class TestInferParity:
         with no_grad():
             graph = net(Tensor(x)).numpy()
         assert_bytes_equal(net.infer(x), graph)
+
+
+def _tape_forward(net, x) -> np.ndarray:
+    with no_grad():
+        return net(Tensor(np.asarray(x, dtype=np.float64))).numpy()
+
+
+class _Doubler(Module):
+    """A child with no closed form in the plan (tape forward only)."""
+
+    def forward(self, x):
+        return x * 2.0
+
+
+class _ShiftedLinear(Linear):
+    """A Linear *subclass* with its own ``infer``: not the plan's business."""
+
+    def forward(self, x):
+        return super().forward(x) + 1.0
+
+    def infer(self, x):
+        return super().infer(x) + 1.0
+
+
+class TestPlanWalk:
+    """``Sequential.infer``'s compiled plan against the walks it replaced
+    (``tests/oracles.py``) and against the tape."""
+
+    @given(case=_mlp_cases(), float32=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_walk_matches_layerwise_chain_and_tape(self, case, float32):
+        sizes, _, _, batch, seed = case
+        rng = np.random.default_rng(seed)
+        net = _stack(case, rng)
+        x = rng.standard_normal((batch, sizes[0]))
+        if float32:
+            x = x.astype(np.float32)  # cast once on entry, as before
+        out = net.infer(x)
+        assert_bytes_equal(out, layerwise_infer(net, x), "vs layer-by-layer")
+        assert_bytes_equal(out, _tape_forward(net, x), "vs tape")
+        # One row is its own case, not a slice of the batch result: BLAS may
+        # round a (1, n) product differently from row 0 of a (B, n) one.
+        row = x[0][None, :]
+        assert_bytes_equal(net.infer(row), layerwise_infer(net, row), "one row")
+
+        kernel_out, steps = mlp_forward(net, x)
+        oracle_out, caches = isinstance_mlp_forward(net, x)
+        assert_bytes_equal(kernel_out, oracle_out, "mlp_forward")
+        assert len(steps) == len(caches)
+        for (_, cache), expected in zip(steps, caches):
+            assert_bytes_equal(cache, expected, "cache")
+
+    @pytest.mark.parametrize(
+        "child",
+        [
+            lambda rng: Sequential(Activation("tanh"), Linear(6, 6, rng=rng)),
+            lambda rng: _Doubler(),
+            lambda rng: _ShiftedLinear(6, 6, rng=rng),
+        ],
+        ids=["nested-sequential", "opaque-module", "linear-subclass"],
+    )
+    def test_other_children_run_their_own_infer(self, child):
+        rng = np.random.default_rng(4)
+        net = Sequential(
+            Linear(3, 6, rng=rng), child(rng), Activation("relu"), Linear(6, 2, rng=rng)
+        )
+        x = rng.standard_normal((5, 3))
+        assert_bytes_equal(net.infer(x), layerwise_infer(net, x))
+        assert_bytes_equal(net.infer(x), _tape_forward(net, x))
+        with pytest.raises(TypeError, match="Linear/Activation"):
+            mlp_forward(net, x)
+
+    def test_plan_reads_arrays_at_call_time(self, tmp_path):
+        """The plan holds the child modules and reads ``weight`` / ``bias``
+        and their ``.data`` per call, so everything that rewrites weights —
+        in place or by assigning on a child — reaches the next ``infer``."""
+        rng = np.random.default_rng(6)
+        net = mlp([4, 8, 3], rng=rng)
+        x = rng.standard_normal((2, 4))
+        seen = [net.infer(x)]  # compiles the plan
+
+        def check(context):
+            out = net.infer(x)
+            assert_bytes_equal(out, layerwise_infer(net, x), context)
+            assert all(out.tobytes() != old.tobytes() for old in seen), context
+            seen.append(out)
+
+        load_flat_params(net, rng.standard_normal(net.n_parameters))
+        check("load_flat_params")
+
+        for p in net.parameters():
+            p.grad = rng.standard_normal(p.data.shape)
+        Adam(net.parameters(), lr=0.1).step()
+        check("Adam.step")
+
+        source = mlp([4, 8, 3], rng=rng)
+        save_model(source, tmp_path / "m.npz")
+        load_model(net, tmp_path / "m.npz")
+        check("checkpoint round-trip")
+        assert_bytes_equal(net.infer(x), source.infer(x))
+
+        net.layer0 = Linear(4, 8, rng=rng)
+        check("child reassigned")
+        net.layer1 = Activation("tanh")
+        check("activation reassigned")
+
+        # Assigning on a child does not pass through Sequential.__setattr__.
+        net.layer0.weight = Parameter(rng.standard_normal((4, 8)))
+        check("Parameter assigned on a child")
+        net.layer2.bias = Parameter(rng.standard_normal(3))
+        check("bias assigned on a child")
+        net.layer2.bias = None  # back to an output already in ``seen``
+        assert_bytes_equal(net.infer(x), layerwise_infer(net, x), "bias removed")
+        assert_bytes_equal(net.infer(x), _tape_forward(net, x))
+        assert_bytes_equal(mlp_forward(net, x)[0], _tape_forward(net, x))
+
+    def test_set_weights_reaches_the_compiled_plan(self):
+        algo = DQN(GridPong(seed=1), seed=1, warmup=64)
+        obs = algo._obs[None, :]
+        before = algo.q_net.infer(obs)
+        algo.set_weights(np.random.default_rng(2).standard_normal(algo.n_params))
+        after = algo.q_net.infer(obs)
+        assert before.tobytes() != after.tobytes()
+        assert_bytes_equal(after, layerwise_infer(algo.q_net, obs))
+
+
+# ---------------------------------------------------------------------------
+# Acting: A2C's sampler vs Generator.choice, and the three act bodies
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _probabilities(draw):
+    """A normalised probability vector with exact zeros and denormals."""
+    n = draw(st.integers(1, 8))
+    raw = np.array(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
+                    st.floats(1e-12, 1.0),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    if raw.sum() < 1e-12:
+        raw[draw(st.integers(0, n - 1))] = 1.0
+    return raw / raw.sum()
+
+
+class TestSampler:
+    @given(probs=_probabilities(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_index_and_generator_state_as_choice(self, probs, seed):
+        """Draw for draw what ``Generator.choice`` does on the installed
+        NumPy: the index *and* where the bit generator is left."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert sample_index(ours, probs) == choice_index(theirs, probs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "all-minus-inf"])
+    def test_diverged_policy_raises_instead_of_acting(self, bad):
+        """``choice`` refused NaN probabilities; a bare ``searchsorted`` on a
+        NaN cdf would return an index.  All-``-inf`` logits become NaN in
+        the softmax shift."""
+        algo = A2C(GridQbert(seed=0), seed=0)
+        obs = algo._obs
+        algo.act(obs)  # healthy policy: fine
+        algo.container.policy.layer4.bias.data[:] = bad
+        state = algo.rng.bit_generator.state
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN"):
+                algo.act(obs)
+            with pytest.raises(ValueError, match="NaN"):
+                algo.act_batch(np.stack([obs, obs]))
+            with pytest.raises(ValueError, match="NaN"):
+                a2c_act(algo, obs)  # the same failure as before
+        assert algo.rng.bit_generator.state == state  # nothing was drawn
+
+
+class TestActAgainstReplacedBodies:
+    """``act`` and a one-row ``act_batch`` against the pre-PR 21 bodies in
+    ``tests/oracles.py``: same action bytes, same rng stream afterwards."""
+
+    def test_a2c(self):
+        new, old = (A2C(GridQbert(seed=2), seed=2) for _ in range(2))
+        obs = new._obs
+        for _ in range(50):
+            assert new.act(obs) == a2c_act(old, obs)
+        for _ in range(50):
+            assert new.act_batch(obs[None, :])[0] == a2c_act(old, obs)
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+    def test_ppo(self):
+        new, old = (PPO(Hopper1D(seed=2), seed=2) for _ in range(2))
+        new.container.log_std.data[:] = 0.5  # wide enough to reach the clip
+        old.container.log_std.data[:] = 0.5
+        obs = new._obs
+        for _ in range(50):
+            assert_bytes_equal(new.act(obs), ppo_act(old, obs))
+        for _ in range(50):
+            assert_bytes_equal(new.act_batch(obs[None, :])[0], ppo_act(old, obs))
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+    @pytest.mark.parametrize("explore", [True, False])
+    def test_ddpg(self, explore):
+        new, old = (DDPG(Cheetah1D(seed=2), seed=2, warmup=64) for _ in range(2))
+        obs = new._obs
+        for _ in range(50):
+            assert_bytes_equal(new.act(obs, explore), ddpg_act(old, obs, explore))
+        assert_bytes_equal(new.noise.state, old.noise.state)
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
