@@ -47,6 +47,15 @@ soak-smoke:
 
 # A rack tree under 1% packet loss must finish, and quickly: until PR 18
 # its switches bounced Help messages between the levels forever (exit 124).
+# Emergent async-isw arms no recovery: light loss must still finish, heavy
+# loss must stop as a typed error with a replay line (until PR 22 it ran
+# forever, holding every partial round it had ever seen).
+ASYNC_LOSSY = timeout 60 env PYTHONPATH=src $(PY) -m repro train --mode async \
+	--strategy isw --workload synth -n 4 --iterations 20 --seed 7
+
 loss-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro train --strategy isw \
 		--workload synth -n 12 --iterations 20 --seed 7 --loss-rate 0.01
+	$(ASYNC_LOSSY) --loss-rate 0.01
+	err=$$($(ASYNC_LOSSY) --loss-rate 0.2 2>&1 >/dev/null); status=$$?; \
+		echo "$$err"; test $$status -eq 2 && echo "$$err" | grep -q "replay:"

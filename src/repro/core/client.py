@@ -113,6 +113,12 @@ class AggregationClient:
         self.on_round_abandoned = on_round_abandoned
         #: Result segments received so far, per round and chunk offset.
         self._partial: Dict[int, Dict[int, DataSegment]] = {}
+        #: With no recovery armed a round that lost a broadcast chunk is
+        #: never completed, and pins its round buffer.  The owner of a
+        #: bounded engine window sets this (in rounds): a partial round
+        #: older than the newest seen by more is dropped and counted.
+        self.partial_window: Optional[int] = None
+        self.rounds_dropped = 0
         self._completed: set = set()
         self._watchdogs: Dict[int, Event] = {}
         #: Consecutive watchdog firings per round (drives the exponential
@@ -229,9 +235,12 @@ class AggregationClient:
     # Control operations
     # ------------------------------------------------------------------
     def join(self, member_type: str = "worker") -> None:
+        # Broadcast fragments of rounds missed while away can never complete.
+        self._partial.clear()
         self._control(Action.JOIN, member_type)
 
     def leave(self) -> None:
+        self.cancel_recovery()  # a departed member's rounds stay unanswered
         self._control(Action.LEAVE)
 
     def reset_switch(self) -> None:
@@ -342,7 +351,14 @@ class AggregationClient:
         if round_index in self._completed:
             return  # late duplicate of an already-assembled round
         chunk = self.plan.chunk_of_seg(segment.seg)
-        chunks = self._partial.setdefault(round_index, {})
+        chunks = self._partial.get(round_index)
+        if chunks is None:
+            chunks = self._partial[round_index] = {}
+            if self.partial_window is not None:
+                horizon = round_index - self.partial_window
+                for stale in [r for r in self._partial if r < horizon]:
+                    del self._partial[stale]
+                    self.rounds_dropped += 1
         chunks[chunk] = segment  # duplicate results simply overwrite
         if len(chunks) == self.plan.n_chunks:
             self._finish_round(round_index)
@@ -503,12 +519,9 @@ class AggregationClient:
         )
 
     def cancel_recovery(self) -> None:
-        """Silence every armed watchdog (e.g. when this worker crashes).
-
-        A departed member can never satisfy its pending rounds, and its
-        timers would otherwise keep the event loop alive; the fault
-        injector calls this when it takes a worker down.
-        """
+        """Silence every armed watchdog (``leave()`` does: a departed member
+        can never satisfy its pending rounds, and its timers would otherwise
+        keep the event loop alive)."""
         for watchdog in self._watchdogs.values():
             watchdog.cancel()
         self._watchdogs.clear()

@@ -40,23 +40,26 @@ reach H again; the accelerator's bounded buffer evicts them, modelling
 both the BRAM budget and async training's tolerance for dropped stale
 gradients.
 
-**Paced mode** (``ExperimentConfig(deterministic_aggregation=True)``):
-both strategies additionally support a deterministic schedule used by the
-sim↔live conformance suite (DESIGN.md §9.4).  Default async behaviour is
-emergent — staleness depends on event timing, so two backends cannot be
-bit-compared.  Paced mode fixes the *schedule* while leaving the data
-path untouched:
+**Deterministic schedule** (``ExperimentConfig(deterministic_aggregation=True)``):
+default async behaviour is emergent — staleness depends on event timing,
+so two backends cannot be bit-compared.  The sim↔live conformance suite
+(DESIGN.md §9.4) fixes the *schedule* while leaving the data path
+untouched:
 
-* paced async-isw: worker ``w`` computes gradient ``k`` against weights
-  at version exactly ``max(0, k - S)`` and applies round ``r`` only after
-  rounds ``< r``; every applied gradient's version gap is ``min(r, S)``,
-  which makes the staleness bound ``S`` tight and checkable.
-* paced async-ps: the server applies pushes in rank-cyclic order
+* async-isw has no schedule of its own here: :meth:`AsyncISwitch.create`
+  hands the run to the synchronous template with its staleness window
+  opened to S — :meth:`repro.distributed.sync.SyncStrategy._step`, the
+  rule the live ``LiveWorkerBase.train`` loop runs, and at S = 0 sync-isw
+  itself.  Every applied gradient's version gap is ``min(r, S)``, which
+  makes the bound tight and checkable.
+* async-ps (``paced``): the server applies pushes in rank-cyclic order
   ``(cycle 0, w0) .. (cycle 0, wN-1), (cycle 1, w0) ..`` (buffering
   out-of-order arrivals) and ships the post-apply weights straight back
   to the pushing worker, so worker ``w``'s cycle-``k`` pull is
   deterministically version ``(k-1)·N + w + 1`` and its staleness is
-  exactly ``N - 1`` (``w`` on the cold-start cycle).
+  exactly ``N - 1`` (``w`` on the cold-start cycle).  The worker loop is
+  the emergent one; who asks for the pull and which buffered push the
+  server applies next are all that differ.
 
 Arrival jitter still exists in both backends — it just moves *when*
 values land, never *which* values, so live processes under real
@@ -70,6 +73,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..netsim.packets import Packet
 from ..netsim.topology import Network
 from ..netsim.trace import LatencyStats
 from ..rl.base import Algorithm
@@ -80,6 +84,7 @@ from .config import resolve_codec as _resolve_codec
 from .metrics import BusyQueue
 from .registry import register_strategy
 from .results import TrainingResult
+from .sync import MAX_RECOVERY_ATTEMPTS, ISwitchResetFault, SyncISwitch
 from .worker import SimWorker
 
 __all__ = ["AsyncParameterServer", "AsyncISwitch"]
@@ -91,6 +96,12 @@ PULL_REQUEST_BYTES = 64
 PUSH_PORT = 7811
 PULL_REQUEST_PORT = 7812
 WEIGHTS_PORT = 7813
+
+
+def _digest(vector, dtype) -> str:
+    """The differential artifact both backends record per aggregate."""
+    data = np.ascontiguousarray(vector, dtype=dtype)
+    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
 @register_strategy("async", "ps", requires_server=True, supports_live=True)
@@ -123,9 +134,9 @@ class AsyncParameterServer:
         #: The server-side replica holding the authoritative weights.
         self.replica = server_algorithm
         self.server_updates = 0
-        self.target_updates = 0
+        #: ``run(n)``'s n: server applies (paced: cycles per worker).
+        self.target = 0
         self.staleness = LatencyStats()
-        self._version_at_pull: Dict[int, int] = {}
         self._push_seq = 0
         self._done = False
         #: Fault-injection state: paused worker indices, and those whose
@@ -139,9 +150,7 @@ class AsyncParameterServer:
         #: straight back, so staleness is a closed-form quantity (module
         #: docstring).  ``run(n)`` then means n *cycles per worker*.
         self.paced = paced
-        self.target_cycles = 0
-        self._paced_pending: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
-        self._paced_version = [0 for _ in workers]
+        self._pending: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
         #: Per-worker sha256 digests of each pulled weight vector (paced
         #: mode only) — the live backend's differential artifact.
         self.worker_digests: List[List[str]] = [[] for _ in workers]
@@ -159,7 +168,7 @@ class AsyncParameterServer:
             self.server,
             self.server_cpu,
             ingest_cost=busy,
-            on_vector=self._gradient_applied,
+            on_vector=self._gradient_arrived,
             port=PUSH_PORT,
         )
         self.server.bind(PULL_REQUEST_PORT, self._server_on_pull_request)
@@ -210,125 +219,31 @@ class AsyncParameterServer:
         if n_updates < 1:
             raise ValueError(f"n_updates must be >= 1, got {n_updates}")
         start = self.sim.now
-        if self.paced:
-            self.target_cycles = n_updates
-            self.target_updates = n_updates * len(self.workers)
-            for worker in self.workers:
-                self._paced_compute(worker, 0)
-        else:
-            self.target_updates = n_updates
-            for worker in self.workers:
+        self.target = n_updates
+        for worker in self.workers:
+            if self.paced:
+                # Cycle 0 computes against the worker's own init, which is
+                # the server's by ``init_seed``: nothing to pull.
+                self._compute_and_push(worker, 0, start)
+            else:
                 self._send_pull(worker)
         self.sim.run()
-        elapsed = self.sim.now - start
-        result = TrainingResult(
-            strategy=self.name,
-            workload=self.profile.name,
-            n_workers=len(self.workers),
-            iterations=(
-                self.target_cycles if self.paced else self.server_updates
-            ),
-            elapsed=elapsed,
-            workers=self.workers,
+        result = TrainingResult.of(
+            self,
+            self.target if self.paced else self.server_updates,
+            self.sim.now - start,
         )
         result.mean_staleness = self.staleness.mean
         result.max_staleness = self.staleness.max
         result.server_busy_time = self.server_cpu.busy_time
         if self.paced:
-            result.worker_digests = {
-                worker.index: list(self.worker_digests[worker.index])
-                for worker in self.workers
-            }
+            result.worker_digests = dict(enumerate(self.worker_digests))
         return result
 
     # ------------------------------------------------------------------
-    # Paced schedule (deterministic_aggregation — conformance runs)
-    # ------------------------------------------------------------------
-    def _paced_compute(self, worker: SimWorker, cycle: int) -> None:
-        """One paced cycle: compute against the current replica weights
-        (cycle 0 uses the worker's own init, identical by ``init_seed``),
-        then push tagged with the cycle index."""
-        duration = worker.compute.lgc_duration()
-
-        def lgc_done() -> None:
-            worker.breakdown.add_compute(self.profile, duration)
-            telemetry = self.sim.telemetry
-            if telemetry.enabled:
-                telemetry.span_at(
-                    "compute.lgc",
-                    self.sim.now - duration,
-                    self.sim.now,
-                    cat="training",
-                    track=worker.name,
-                    version=self._paced_version[worker.index],
-                )
-            gradient = worker.algorithm.compute_gradient()
-            worker.finish_iteration()
-            self._push_seq += 1
-            self.gather.submit(
-                worker,
-                self._push_seq,
-                gradient,
-                wire_bytes=self.wire_bytes,
-                meta=(worker.index, cycle, self._paced_version[worker.index]),
-            )
-
-        self.sim.schedule(duration, lgc_done, name=f"alg:w{worker.index}")
-
-    def _paced_apply_ready(self) -> None:
-        """Apply every buffered push that is next in rank-cyclic order."""
-        n = len(self.workers)
-        telemetry = self.sim.telemetry
-        while True:
-            cycle, rank = divmod(self.server_updates, n)
-            entry = self._paced_pending.pop((cycle, rank), None)
-            if entry is None:
-                return
-            gradient, version_at_compute = entry
-            staleness = self.server_updates - version_at_compute
-            self.staleness.record(staleness)
-            if telemetry.enabled:
-                telemetry.inc("server.updates", 1)
-                telemetry.observe("server.staleness", float(staleness))
-            self.replica.apply_update(np.asarray(gradient, dtype=np.float64))
-            self.server_updates += 1
-            # Push-triggered weight delivery: the pulled version is a pure
-            # function of (cycle, rank), never of arrival timing.
-            self.scatter.send_to(
-                self.workers[rank],
-                tag=("w", self.server_updates, rank),
-                vector=self.replica.get_weights(),
-                wire_bytes=self.wire_bytes,
-                meta=(self.server_updates, cycle + 1),
-            )
-
-    def _paced_on_weights(self, worker: SimWorker, weights, meta) -> None:
-        version, cycle = meta
-        ingest = self.cost.worker_ingest(
-            self.wire_bytes, self.profile.message_count
-        )
-
-        def start() -> None:
-            vec = np.ascontiguousarray(
-                np.asarray(weights, dtype=np.float64)
-            )
-            self.worker_digests[worker.index].append(
-                hashlib.sha256(vec.tobytes()).hexdigest()[:16]
-            )
-            worker.algorithm.set_weights(weights)
-            worker.algorithm.on_weights_pulled(version)
-            self._paced_version[worker.index] = version
-            if cycle < self.target_cycles:
-                self._paced_compute(worker, cycle)
-
-        self.sim.schedule(ingest, start)
-
-    # ------------------------------------------------------------------
-    # Worker side
+    # Worker side: ingest weights -> compute -> push
     # ------------------------------------------------------------------
     def _send_pull(self, worker: SimWorker) -> None:
-        from ..netsim.packets import Packet
-
         worker.host.send(
             Packet(
                 src=worker.name,
@@ -340,61 +255,71 @@ class AsyncParameterServer:
             )
         )
 
-    def _worker_on_weights(self, worker: SimWorker, weights, version) -> None:
-        if self.paced:
-            self._paced_on_weights(worker, weights, version)
-            return
+    def _loop_alive(self, worker: SimWorker) -> bool:
+        """Checkpoint of a worker's loop: it dies here once the run is
+        done, or while paused (``fault_restore_worker`` re-pulls)."""
         if self._done:
-            return
+            return False
         if worker.index in self._paused:
-            # The loop dies here; fault_restore_worker re-pulls.
             self._pause_dropped.add(worker.index)
+            return False
+        return True
+
+    def _worker_on_weights(self, worker: SimWorker, weights, version) -> None:
+        if not self._loop_alive(worker):
             return
         ingest = self.cost.worker_ingest(
             self.wire_bytes, self.profile.message_count
         )
-        telemetry = self.sim.telemetry
         pulled_at = self.sim.now
 
-        def start_lgc() -> None:
+        def ingested() -> None:
+            if self.paced:
+                self.worker_digests[worker.index].append(
+                    _digest(weights, np.float64)
+                )
             worker.algorithm.set_weights(weights)
             worker.algorithm.on_weights_pulled(version)
-            self._version_at_pull[worker.index] = version
-            duration = worker.compute.lgc_duration()
+            if not self.paced or worker.iterations_done < self.target:
+                self._compute_and_push(worker, version, pulled_at)
 
-            def lgc_done() -> None:
-                if self._done:
-                    return
-                if worker.index in self._paused:
-                    self._pause_dropped.add(worker.index)
-                    return
-                worker.breakdown.add_compute(self.profile, duration)
-                if telemetry.enabled:
-                    telemetry.span_at(
-                        "compute.lgc",
-                        self.sim.now - duration,
-                        self.sim.now,
-                        cat="training",
-                        track=worker.name,
-                        version=version,
-                    )
-                    # Async "iteration": one pull -> compute -> push cycle.
-                    telemetry.span_at(
-                        "iteration",
-                        pulled_at,
-                        self.sim.now,
-                        cat="training",
-                        track=worker.name,
-                        version=version,
-                    )
-                gradient = worker.algorithm.compute_gradient()
-                worker.finish_iteration()
-                self._push_gradient(worker, gradient)
+        self.sim.schedule(ingest, ingested)
+
+    def _compute_and_push(
+        self, worker: SimWorker, version: int, pulled_at: float
+    ) -> None:
+        """One cycle against the weights just ingested (``version``)."""
+
+        def push(gradient: np.ndarray) -> None:
+            telemetry = self.sim.telemetry
+            if telemetry.enabled:
+                # Async "iteration": one pull -> compute -> push cycle.
+                telemetry.span_at(
+                    "iteration",
+                    pulled_at,
+                    self.sim.now,
+                    cat="training",
+                    track=worker.name,
+                    version=version,
+                )
+            cycle = worker.iterations_done
+            worker.finish_iteration()
+            self._push_seq += 1
+            self.gather.submit(
+                worker,
+                self._push_seq,
+                gradient,
+                wire_bytes=self.wire_bytes,
+                meta=(worker.index, cycle, version),
+            )
+            # Who asks for the next weights: the worker, unless the paced
+            # server answers every applied push on its own.
+            if not self.paced:
                 self._send_pull(worker)
 
-            self.sim.schedule(duration, lgc_done, name=f"alg:w{worker.index}")
-
-        self.sim.schedule(ingest, start_lgc)
+        worker.start_lgc(
+            push, alive=lambda: self._loop_alive(worker), version=version
+        )
 
     # ------------------------------------------------------------------
     # Fault hooks (driven by repro.faults.FaultInjector)
@@ -424,50 +349,47 @@ class AsyncParameterServer:
                 self._send_pull(worker)
         return True
 
-    def _push_gradient(self, worker: SimWorker, gradient: np.ndarray) -> None:
-        self._push_seq += 1
-        self.gather.submit(
-            worker,
-            self._push_seq,
-            gradient,
-            wire_bytes=self.wire_bytes,
-            meta=(worker.index, self._version_at_pull.get(worker.index, 0)),
-        )
-
     # ------------------------------------------------------------------
     # Server side
     # ------------------------------------------------------------------
     def _server_on_pull_request(self, packet) -> None:
-        worker_index = packet.payload
-
-        def serve() -> None:
-            self.scatter.send_to(
-                self.workers[worker_index],
-                tag=("w", self.server_updates, worker_index),
-                vector=self.replica.get_weights(),
-                wire_bytes=self.wire_bytes,
-                meta=self.server_updates,
-            )
-
         self.server_cpu.submit(
             self.cost.pull_serve(self.wire_bytes, self.profile.message_count),
-            serve,
+            lambda: self._send_weights(packet.payload),
         )
 
-    def _gradient_applied(self, src, tag, gradient, meta) -> None:
-        """Fires when one push has finished its server CPU occupancy."""
-        if self.paced:
-            worker_index, cycle, version_at_compute = meta
-            self._paced_pending[(cycle, worker_index)] = (
-                gradient,
-                version_at_compute,
-            )
-            self._paced_apply_ready()
-            return
+    def _send_weights(self, worker_index: int) -> None:
+        self.scatter.send_to(
+            self.workers[worker_index],
+            tag=("w", self.server_updates, worker_index),
+            vector=self.replica.get_weights(),
+            wire_bytes=self.wire_bytes,
+            meta=self.server_updates,
+        )
+
+    def _gradient_arrived(self, src, tag, gradient, meta) -> None:
+        """Fires when one push has finished its server CPU occupancy.
+
+        Which push the server applies next: the one that just arrived —
+        or, paced, every buffered one that is next in rank-cyclic order
+        (a pure function of (cycle, rank), never of arrival timing).
+        """
         if self._done:
             return
-        worker_index, version_at_pull = meta
-        staleness = self.server_updates - version_at_pull
+        worker_index, cycle, version = meta
+        if not self.paced:
+            self._apply(gradient, version)
+            if self.server_updates >= self.target:
+                self._done = True
+            return
+        self._pending[(cycle, worker_index)] = (gradient, version)
+        n = len(self.workers)
+        while (due := divmod(self.server_updates, n)) in self._pending:
+            self._apply(*self._pending.pop(due))
+            self._send_weights(due[1])  # the pushing rank's personal pull
+
+    def _apply(self, gradient: np.ndarray, version: int) -> None:
+        staleness = self.server_updates - version
         self.staleness.record(staleness)
         telemetry = self.sim.telemetry
         if telemetry.enabled:
@@ -475,8 +397,49 @@ class AsyncParameterServer:
             telemetry.observe("server.staleness", float(staleness))
         self.replica.apply_update(np.asarray(gradient, dtype=np.float64))
         self.server_updates += 1
-        if self.server_updates >= self.target_updates:
-            self._done = True
+
+
+class _WindowedAsyncISwitch(SyncISwitch):
+    """async-isw on a fixed schedule: sync-isw's own skeleton with the
+    staleness window open (``create`` sets S).  What asynchronous training
+    measures on top — commits, every applied gradient's version gap, the
+    per-round digest live is compared on — hangs off the submit and apply
+    steps, so no synchronous run pays for it."""
+
+    name = "async-isw"
+
+    def _setup(self) -> None:
+        super()._setup()
+        self.staleness = LatencyStats()
+        self.commits = 0
+        #: Per worker: the rounds applied when gradient k was computed,
+        #: and the digest of every sum applied.
+        self._versions: List[List[int]] = [[] for _ in self.workers]
+        self._digests: List[List[str]] = [[] for _ in self.workers]
+
+    def _submit_gradient(self, worker, gradient, iteration) -> None:
+        self._versions[worker.index].append(self._applied[worker.index])
+        self.commits += 1
+        telemetry = self.sim.telemetry
+        if telemetry.enabled:
+            telemetry.inc("worker.commits", 1, worker=worker.name)
+        super()._submit_gradient(worker, gradient, iteration)
+
+    def _apply_sum(self, worker, summed, iteration) -> None:
+        self._digests[worker.index].append(_digest(summed, np.float32))
+        self.staleness.record(iteration - self._versions[worker.index][iteration])
+        super()._apply_sum(worker, summed, iteration)
+
+    def _finalize(self, result: TrainingResult) -> None:
+        super()._finalize(result)
+        result.mean_staleness = self.staleness.mean
+        result.max_staleness = self.staleness.max
+        result.commits = self.commits
+        result.skipped_commits = 0
+        # Every replica applies the same broadcast stream, so the digest
+        # lists must agree — surface rank 0's as the run's.
+        result.round_digests = self._digests[0]
+        result.worker_digests = dict(enumerate(self._digests))
 
 
 @register_strategy(
@@ -486,7 +449,7 @@ class AsyncParameterServer:
     supports_multijob=True,
     supports_live=True,
 )
-class AsyncISwitch:
+class AsyncISwitch(ISwitchResetFault):
     """Algorithm 1: decentralized asynchronous training through the switch."""
 
     name = "async-isw"
@@ -503,7 +466,6 @@ class AsyncISwitch:
         max_recovery_attempts: Optional[int] = None,
         job: int = 0,
         codec=None,
-        paced: bool = False,
     ) -> None:
         self.net = net
         self.job = job
@@ -528,30 +490,21 @@ class AsyncISwitch:
         self._ts: List[int] = [0 for _ in workers]
         #: Per-worker simulated time of the last applied update (telemetry).
         self._last_update: List[float] = [self.sim.now for _ in workers]
-        #: Paced (deterministic) schedule: explicit round tags instead of
-        #: arrival renumbering, computes gated on applied version (module
-        #: docstring; the live backend runs the same schedule).
-        self.paced = paced
-        self._paced_k: List[int] = [0 for _ in workers]
-        self._paced_busy: List[bool] = [False for _ in workers]
-        self._paced_buf: List[Dict[int, np.ndarray]] = [{} for _ in workers]
-        #: Version the weights were at when round r's gradient was
-        #: computed, per worker — the measured side of the gap assertion.
-        self._paced_versions: List[List[int]] = [[] for _ in workers]
-        self.worker_round_digests: List[List[str]] = [[] for _ in workers]
+        #: With no recovery armed nothing else bounds the wait for a lost
+        #: broadcast: per worker, the gradients committed since it last
+        #: applied an update (``MAX_RECOVERY_ATTEMPTS`` of them end the run).
+        self._unanswered: Optional[List[int]] = (
+            [0 for _ in workers] if recovery_timeout is None else None
+        )
 
         self.stream = ISwitchStream(
             net,
             workers,
             self.wire_bytes,
-            on_round=(
-                self._paced_on_round
-                if paced
-                else (lambda w, rnd, vec: self._lwu(w, vec))
-            ),
+            on_round=lambda w, rnd, vec: self._lwu(w, vec),
             threshold=threshold,
-            arrival_renumber=not paced,
-            buffer_rounds=None if paced else staleness_bound + 4,
+            arrival_renumber=True,
+            buffer_rounds=staleness_bound + 4,
             recovery_timeout=recovery_timeout,
             max_recovery_attempts=max_recovery_attempts,
             on_round_abandoned=self._round_abandoned,
@@ -563,11 +516,15 @@ class AsyncISwitch:
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls, net: Network, workers: List[SimWorker], profile, config
-    ) -> "AsyncISwitch":
+    def create(cls, net: Network, workers: List[SimWorker], profile, config):
         """Registry hook: build a runner from an ExperimentConfig."""
         fault_armed = getattr(config, "fault_plan", None) is not None
+        if config.deterministic_aggregation and not fault_armed:
+            # A fixed schedule is the synchronous template with S > 0
+            # (module docstring) — and with it sync-isw's loss recovery.
+            runner = _WindowedAsyncISwitch.create(net, workers, profile, config)
+            runner.staleness_bound = config.staleness_bound
+            return runner
         return cls(
             net,
             workers,
@@ -585,7 +542,6 @@ class AsyncISwitch:
             max_recovery_attempts=12 if fault_armed else None,
             job=getattr(config, "job_id", 0),
             codec=_resolve_codec(config),
-            paced=(config.deterministic_aggregation and not fault_armed),
         )
 
     def run(self, n_updates: int) -> TrainingResult:
@@ -595,167 +551,37 @@ class AsyncISwitch:
         self.target_updates = n_updates
         start = self.sim.now
         for worker in self.workers:
-            if self.paced:
-                self._paced_step(worker)
-            else:
-                self._start_lgc(worker)
+            self._start_lgc(worker)
         self.sim.run()
-        elapsed = self.sim.now - start
-        iterations = min(self._ts)
-        result = TrainingResult(
-            strategy=self.name,
-            workload=self.profile.name,
-            n_workers=len(self.workers),
-            iterations=iterations,
-            elapsed=elapsed,
-            workers=self.workers,
-        )
+        result = TrainingResult.of(self, min(self._ts), self.sim.now - start)
         result.mean_staleness = self.staleness.mean
         result.max_staleness = self.staleness.max
         result.commits = self.commits
         result.skipped_commits = self.skipped_commits
-        if self.paced:
-            # Every replica applies the same broadcast stream, so the
-            # digest lists must agree — surface rank 0's as the run's.
-            result.round_digests = list(self.worker_round_digests[0])
-            result.worker_digests = {
-                worker.index: list(self.worker_round_digests[worker.index])
-                for worker in self.workers
-            }
         return result
-
-    # ------------------------------------------------------------------
-    # Paced schedule (deterministic_aggregation — conformance runs)
-    # ------------------------------------------------------------------
-    def _paced_step(self, worker: SimWorker) -> None:
-        """Advance one worker's paced pipeline by at most one action.
-
-        Compute ``k`` starts only once exactly ``max(0, k - S)`` rounds
-        are applied — which means the live weights *are* the version the
-        gradient must see, no snapshot juggling.  Otherwise the next
-        pending broadcast (if buffered) is applied.  Both re-enter here,
-        so the pipeline alternates compute/apply deterministically.
-        """
-        index = worker.index
-        if self._paced_busy[index]:
-            return
-        k = self._paced_k[index]
-        applied = self._ts[index]
-        bound = self.staleness_bound
-        if k < self.target_updates and applied == max(0, k - bound):
-            self._paced_busy[index] = True
-            duration = worker.compute.lgc_duration()
-
-            def lgc_done() -> None:
-                worker.breakdown.add_compute(self.profile, duration)
-                telemetry = self.sim.telemetry
-                if telemetry.enabled:
-                    telemetry.span_at(
-                        "compute.lgc",
-                        self.sim.now - duration,
-                        self.sim.now,
-                        cat="training",
-                        track=worker.name,
-                        ts=k,
-                    )
-                    telemetry.inc("worker.commits", 1, worker=worker.name)
-                gradient = worker.algorithm.compute_gradient()
-                self._paced_versions[index].append(self._ts[index])
-                self.commits += 1
-                self.stream.submit(worker, gradient, k)
-                self._paced_k[index] = k + 1
-                self._paced_busy[index] = False
-                self._paced_step(worker)
-
-            self.sim.schedule(duration, lgc_done, name=f"lgc:w{index}")
-            return
-        if applied < self.target_updates and applied in self._paced_buf[index]:
-            summed = self._paced_buf[index].pop(applied)
-            self._paced_busy[index] = True
-            ingest = self.cost.worker_ingest(
-                self.wire_bytes, self.profile.message_count
-            )
-            lwu = worker.compute.lwu_duration()
-
-            def apply() -> None:
-                round_index = self._ts[index]
-                vec32 = np.ascontiguousarray(
-                    np.asarray(summed, dtype=np.float32)
-                )
-                self.worker_round_digests[index].append(
-                    hashlib.sha256(vec32.tobytes()).hexdigest()[:16]
-                )
-                worker.algorithm.apply_update(
-                    np.divide(summed, self.h, dtype=np.float64)
-                )
-                gap = round_index - self._paced_versions[index][round_index]
-                self.staleness.record(gap)
-                self._ts[index] = round_index + 1
-                worker.finish_iteration()
-                telemetry = self.sim.telemetry
-                if telemetry.enabled:
-                    telemetry.span_at(
-                        "iteration",
-                        self._last_update[index],
-                        self.sim.now,
-                        cat="training",
-                        track=worker.name,
-                        ts=self._ts[index],
-                    )
-                self._last_update[index] = self.sim.now
-                if min(self._ts) >= self.target_updates:
-                    self._done = True
-                self._paced_busy[index] = False
-                self._paced_step(worker)
-
-            self.sim.schedule(ingest + lwu, apply, name=f"lwu:w{index}")
-
-    def _paced_on_round(self, worker: SimWorker, rnd: int, vec) -> None:
-        """Broadcast landed: buffer it and let the pipeline apply in order."""
-        self._paced_buf[worker.index][rnd] = vec
-        self._paced_step(worker)
 
     # ------------------------------------------------------------------
     # LGC thread
     # ------------------------------------------------------------------
     def _start_lgc(self, worker: SimWorker) -> None:
-        if self._done:
-            return
-        if worker.index in self._down:
+        if self._done or worker.index in self._down:
             return  # crashed: the loop restarts from fault_restore_worker
-        tw = self._ts[worker.index]
-        snapshot = worker.algorithm.get_weights()
-        duration = worker.compute.lgc_duration()
+        index = worker.index
+        tw = self._ts[index]
 
-        def lgc_done() -> None:
-            if self._done:
-                return
-            ts = self._ts[worker.index]
-            worker.breakdown.add_compute(self.profile, duration)
+        def commit(gradient: np.ndarray) -> None:
+            ts = self._ts[index]
             telemetry = self.sim.telemetry
-            if telemetry.enabled:
-                telemetry.span_at(
-                    "compute.lgc",
-                    self.sim.now - duration,
-                    self.sim.now,
-                    cat="training",
-                    track=worker.name,
-                    ts=ts,
-                )
-            # The gradient is computed against the weights the LGC thread
-            # copied at iteration tw (Algorithm 1 line "copy updated
-            # weight"); the LWU thread may have moved the live weights on.
-            current = worker.algorithm.get_weights()
-            worker.algorithm.set_weights(snapshot)
-            gradient = worker.algorithm.compute_gradient()
-            worker.algorithm.set_weights(current)
-            staleness = ts - tw
-            if staleness <= self.staleness_bound:
-                self.staleness.record(staleness)
+            if ts - tw <= self.staleness_bound:
+                self.staleness.record(ts - tw)
                 self.commits += 1
                 if telemetry.enabled:
                     telemetry.inc("worker.commits", 1, worker=worker.name)
                 self.stream.submit(worker, gradient, ts)
+                if self._unanswered is not None:
+                    self._unanswered[index] += 1
+                    if self._unanswered[index] >= MAX_RECOVERY_ATTEMPTS:
+                        self._done = True  # run() reports the short replica
             else:
                 self.skipped_commits += 1
                 if telemetry.enabled:
@@ -764,7 +590,14 @@ class AsyncISwitch:
                     )
             self._start_lgc(worker)  # non-blocking commit: pipeline on
 
-        self.sim.schedule(duration, lgc_done, name=f"lgc:w{worker.index}")
+        # The gradient is computed against the weights the LGC thread copies
+        # now, at iteration tw (Algorithm 1 line "copy updated weight").
+        worker.start_lgc(
+            commit,
+            alive=lambda: not self._done,
+            against=worker.algorithm.get_weights(),
+            tw=tw,
+        )
 
     # ------------------------------------------------------------------
     # Fault hooks (driven by repro.faults.FaultInjector)
@@ -782,9 +615,7 @@ class AsyncISwitch:
         if worker.index in self._down:
             return False
         self._down.add(worker.index)
-        client = self.clients[worker.index]
-        client.cancel_recovery()
-        client.leave()
+        self.clients[worker.index].leave()
         if self.h > 1:
             self.h -= 1  # future rounds sum one fewer gradient
         return True
@@ -812,21 +643,9 @@ class AsyncISwitch:
             clone_training_state(source.algorithm, worker.algorithm)
             self._ts[worker.index] = self._ts[source.index]
         self._last_update[worker.index] = self.sim.now
-        client = self.clients[worker.index]
-        client._partial.clear()
-        client.join()
+        self.clients[worker.index].join()
         self.h = min(len(self.workers), self.h + 1)
         self._start_lgc(worker)
-        return True
-
-    def fault_reset_switch(self, switch) -> bool:
-        # A real Reset control packet from a live member of that switch;
-        # out-of-band engine reset if none of our members sit under it.
-        for index, tor in enumerate(self.net.tor_of_worker):
-            if tor.name == switch.name and index not in self._down:
-                self.clients[index].reset_switch()
-                return True
-        switch.engine.reset()
         return True
 
     def _round_abandoned(self, worker: SimWorker, round_index: int) -> None:
@@ -865,6 +684,8 @@ class AsyncISwitch:
                 np.divide(summed, self.h, dtype=np.float64)
             )
             self._ts[worker.index] += 1
+            if self._unanswered is not None:
+                self._unanswered[worker.index] = 0
             worker.finish_iteration()
             telemetry = self.sim.telemetry
             if telemetry.enabled:

@@ -137,6 +137,10 @@ class ISwitchStream:
                     else lambda rnd, w=worker_self: on_round_abandoned(w, rnd)
                 ),
             )
+            if recovery_timeout is None:
+                # No Help will ever complete a round that lost a chunk;
+                # past the engine's buffered window it is dead weight.
+                client.partial_window = buffer_rounds
             self.clients.append(client)
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ Fields mirror the paper's experiment knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..workloads.calibration import DEFAULT_COST_MODEL, CostModel
@@ -225,11 +225,20 @@ class ExperimentConfig:
         return get_codec(self.codec)
 
     def replay_line(self) -> str:
-        """What a typed run failure ends in: enough to replay the run."""
-        return (
-            f"[replay: {self.mode}-{self.strategy} n_workers={self.n_workers} "
-            f"seed={self.seed} loss_rate={self.loss_rate}]"
-        )
+        """What a typed run failure ends in: enough to replay the run —
+        every scalar field that is not at its default, after the five
+        that are always worth reading."""
+        shown = {"workload", "n_workers", "iterations", "seed", "loss_rate"}
+        parts = [f"{self.mode}-{self.strategy}"]
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in ("mode", "strategy") or not (
+                value is None or isinstance(value, (str, int, float))
+            ):
+                continue
+            if spec.name in shown or value != spec.default:
+                parts.append(f"{spec.name}={value}")
+        return f"[replay: {' '.join(parts)}]"
 
     def with_overrides(self, **changes) -> "ExperimentConfig":
         """A copy with the given fields replaced (re-validated)."""

@@ -82,6 +82,18 @@ class TrainingResult:
     #: configured with a ``fault_plan``; ``None`` otherwise.
     fault_report: Optional[Any] = None
 
+    @classmethod
+    def of(cls, runner, iterations: int, elapsed: float = 0.0) -> "TrainingResult":
+        """A result labelled from the strategy object that produced it."""
+        return cls(
+            strategy=runner.name,
+            workload=runner.profile.name,
+            n_workers=len(runner.workers),
+            iterations=iterations,
+            elapsed=elapsed,
+            workers=runner.workers,
+        )
+
     @property
     def per_iteration_time(self) -> float:
         return self.elapsed / self.iterations if self.iterations else 0.0

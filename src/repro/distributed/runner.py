@@ -42,6 +42,7 @@ from .sync import (  # noqa: F401
     RingAllReduce,
     SyncISwitch,
     SyncParameterServer,
+    SyncStrategy,
 )
 from .worker import ComputeModel, SimWorker
 
@@ -76,7 +77,7 @@ class SimRunError(RuntimeError):
     def __str__(self) -> str:
         return (
             f"{self.worker}: round {self.round_index} never completed; the "
-            f"event queue drained after {self.round_index} of "
+            f"run went quiet after {self.round_index} of "
             f"{self.config.iterations} iterations\n{self.config.replay_line()}"
         )
 
@@ -298,9 +299,10 @@ def run(config: ExperimentConfig) -> TrainingResult:
         )
         injector.install()
     result = runner.run(config.iterations)
-    if injector is None and config.mode == "sync":
-        # The queue drained; without a fault plan to report through, a
+    if injector is None and isinstance(runner, (SyncStrategy, AsyncISwitch)):
+        # The run went quiet; without a fault plan to report through, a
         # replica short of its iterations is an error, not a result.
+        # (async-ps counts server updates, not iterations per worker.)
         for worker in workers:
             if worker.iterations_done < config.iterations:
                 raise SimRunError(worker.name, worker.iterations_done, config)

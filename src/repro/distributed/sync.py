@@ -82,9 +82,16 @@ MAX_RECOVERY_ATTEMPTS = 64
 
 
 class SyncStrategy:
-    """Template for synchronous training over a simulated network."""
+    """Template for synchronous training over a simulated network.
+
+    The iteration schedule is Algorithm 1's with a staleness window
+    (:meth:`_step`); every synchronous strategy runs it with S = 0.
+    """
 
     name = "sync-base"
+    #: Algorithm 1's staleness bound S: how many rounds a worker's LGC may
+    #: run ahead of the rounds it has applied.  0 is synchronous training.
+    staleness_bound = 0
 
     def __init__(
         self,
@@ -102,8 +109,14 @@ class SyncStrategy:
         self.cost = cost_model
         self.wire_bytes = profile.model_bytes
         self.n_iterations = 0
-        self._agg_start: Dict[int, float] = {}
-        self._iter_start: Dict[tuple, float] = {}
+        #: Per worker: the next LGC's index, the rounds applied, whether an
+        #: LGC or LWU is in progress, and the sums that landed early; per
+        #: (worker, round) in flight, when its LGC began and ended.
+        self._next_lgc = [0 for _ in workers]
+        self._applied = [0 for _ in workers]
+        self._busy = [False for _ in workers]
+        self._inbox: List[Dict[int, tuple]] = [{} for _ in workers]
+        self._in_flight: Dict[tuple, tuple] = {}
         #: Per round: the gradients awaiting the host-side fold, then what
         #: every replica shares read-only (the fold, the mean) until the
         #: round barrier releases it.
@@ -111,10 +124,8 @@ class SyncStrategy:
         self._round_shared: Dict[int, Dict[str, np.ndarray]] = {}
         self._round_done = RoundBarrier(len(workers), self._round_release)
         self._result: Optional[TrainingResult] = None
-        #: Fault-injection state: workers paused by a crash event, and
-        #: the iteration each paused worker will restart at on recovery.
-        self._paused: Dict[int, bool] = {}
-        self._deferred: Dict[int, int] = {}
+        #: Fault-injection state: workers paused by a crash event.
+        self._paused: set = set()
         self._setup()
 
     # ------------------------------------------------------------------
@@ -128,41 +139,40 @@ class SyncStrategy:
     def _setup(self) -> None:
         """Strategy-specific wiring: compose collective primitives here."""
 
-    def run(self, n_iterations: int) -> TrainingResult:
-        """Simulate ``n_iterations`` synchronous training iterations."""
+    def launch(self, n_iterations: int) -> TrainingResult:
+        """Schedule every worker's first action; whoever owns the event loop
+        (:meth:`run`, or a fabric shared by many runners) drains it."""
         if n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
         self.n_iterations = n_iterations
-        result = TrainingResult(
-            strategy=self.name,
-            workload=self.profile.name,
-            n_workers=len(self.workers),
-            iterations=n_iterations,
-            elapsed=0.0,
-            workers=self.workers,
-        )
-        self._result = result
-        start = self.sim.now
+        self._result = result = TrainingResult.of(self, n_iterations)
+        self._launched_at = self.sim.now
         for worker in self.workers:
-            self._start_iteration(worker, 0)
+            self._step(worker)
+        return result
+
+    def run(self, n_iterations: int) -> TrainingResult:
+        """Simulate ``n_iterations`` training iterations."""
+        result = self.launch(n_iterations)
         self.sim.run()
         # The run is over; keeping the result would pin it (and the
         # replicas it hands back) to this cluster's reference cycles.
         self._result = None
-        result.elapsed = self.sim.now - start
-        for worker in self.workers:
-            result.breakdown.totals = {
-                k: result.breakdown.totals[k] + worker.breakdown.totals[k]
-                for k in result.breakdown.totals
-            }
-            result.breakdown.iterations += worker.breakdown.iterations
+        self._finalize(result)
         return result
+
+    def _finalize(self, result: TrainingResult) -> None:
+        result.elapsed = self.sim.now - self._launched_at
+        for worker in self.workers:
+            for component, seconds in worker.breakdown.totals.items():
+                result.breakdown.totals[component] += seconds
+            result.breakdown.iterations += worker.breakdown.iterations
 
     # ------------------------------------------------------------------
     # Fault hooks (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
     def _fault_admit(self, worker: SimWorker, iteration: int) -> bool:
-        """Gate on iteration start: False stops this worker's progression.
+        """Gate on LGC start: False stops this worker's progression.
 
         The base (barrier) semantics of a crash are a *pause*: the worker
         defers its next iteration, the round barrier stalls every peer
@@ -170,10 +180,7 @@ class SyncStrategy:
         on restore the deferred iteration runs — no math changes, so the
         final weights are bit-identical to the fault-free run.
         """
-        if self._paused.get(worker.index, False):
-            self._deferred[worker.index] = iteration
-            return False
-        return True
+        return worker.index not in self._paused
 
     def _round_divisor(self, iteration: int) -> int:
         """Contributor count the round's summed gradient is divided by.
@@ -184,44 +191,53 @@ class SyncStrategy:
         return len(self.workers)
 
     def fault_crash_worker(self, worker: SimWorker) -> bool:
-        self._paused[worker.index] = True
+        self._paused.add(worker.index)
         return True
 
     def fault_restore_worker(self, worker: SimWorker) -> bool:
-        self._paused.pop(worker.index, None)
-        deferred = self._deferred.pop(worker.index, None)
-        if deferred is not None:
-            self._start_iteration(worker, deferred)
+        self._paused.discard(worker.index)
+        self._step(worker)  # a no-op unless the pause held an LGC back
         return True
 
     # ------------------------------------------------------------------
     # Iteration skeleton
     # ------------------------------------------------------------------
-    def _start_iteration(self, worker: SimWorker, iteration: int) -> None:
-        if not self._fault_admit(worker, iteration):
-            return
-        duration = worker.compute.lgc_duration()
-        telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            self._iter_start[(worker.index, iteration)] = self.sim.now
+    def _step(self, worker: SimWorker) -> None:
+        """Advance one worker by at most one action — the windowed rule.
 
-        def lgc_done() -> None:
-            worker.breakdown.add_compute(self.profile, duration)
-            if telemetry.enabled:
-                telemetry.span_at(
-                    "compute.lgc",
-                    self.sim.now - duration,
-                    self.sim.now,
-                    cat="training",
-                    track=worker.name,
-                    iteration=iteration,
-                )
-            gradient = worker.algorithm.compute_gradient()
-            self._agg_start[worker.index] = self.sim.now
+        LGC ``k`` starts once exactly ``max(0, k - S)`` rounds are applied
+        (the live weights *are* the version the gradient must see) and
+        nothing else is in progress; otherwise the next round in order is
+        applied if its sum has landed.  Both re-enter here and draw their
+        durations as they are scheduled.  ``S = 0`` alternates LGC ``k`` /
+        LWU ``k``: synchronous training.
+        """
+        index = worker.index
+        if self._busy[index]:
+            return
+        k = self._next_lgc[index]
+        applied = self._applied[index]
+        if k < self.n_iterations and applied == max(0, k - self.staleness_bound):
+            if self._fault_admit(worker, k):
+                self._busy[index] = True
+                self._start_lgc(worker, k)
+        elif applied in self._inbox[index]:
+            self._busy[index] = True
+            self._start_lwu(worker, applied)
+
+    def _start_lgc(self, worker: SimWorker, iteration: int) -> None:
+        index = worker.index
+        started = self.sim.now
+
+        def submit(gradient: np.ndarray) -> None:
+            self._in_flight[(index, iteration)] = (started, self.sim.now)
             self._record_gradient(worker, gradient, iteration)
             self._submit_gradient(worker, gradient, iteration)
+            self._next_lgc[index] = iteration + 1
+            self._busy[index] = False
+            self._step(worker)
 
-        self.sim.schedule(duration, lgc_done, name=f"lgc:w{worker.index}:i{iteration}")
+        worker.start_lgc(submit, iteration=iteration)
 
     def _record_gradient(
         self, worker: SimWorker, gradient: np.ndarray, iteration: int
@@ -267,56 +283,71 @@ class SyncStrategy:
     def _deliver_sum(
         self, worker: SimWorker, summed: np.ndarray, iteration: int
     ) -> None:
-        """Called when the summed gradient has fully arrived at a worker."""
-        ingest = self.cost.worker_ingest(
-            self.wire_bytes, self.profile.message_count
-        )
-        lwu = worker.compute.lwu_duration()
-        agg_time = self.sim.now - self._agg_start.pop(worker.index)
-        worker.breakdown.add("grad_aggregation", agg_time + ingest)
-        worker.breakdown.add("weight_update", lwu)
+        """Called when the summed gradient has fully arrived at a worker;
+        it waits in the inbox until the worker's schedule reaches it."""
+        started, submitted = self._in_flight.pop((worker.index, iteration))
         telemetry = self.sim.telemetry
         if telemetry.enabled:
             telemetry.span_at(
                 "grad.aggregation",
-                self.sim.now - agg_time,
+                submitted,
                 self.sim.now,
                 cat="training",
                 track=worker.name,
                 iteration=iteration,
             )
+        self._inbox[worker.index][iteration] = (
+            summed, self.sim.now - submitted, started
+        )
+        self._step(worker)
+
+    def _apply_sum(
+        self, worker: SimWorker, summed: np.ndarray, iteration: int
+    ) -> None:
+        """The weight update itself: the round's mean gradient, applied."""
+        divisor = self._round_divisor(iteration)
+        if summed.dtype == np.float64:
+            # The host-side fold every replica was handed: one mean.
+            update = self._once_per_round(
+                iteration, "mean", lambda: summed / divisor
+            )
+        else:
+            # A client's float32 assembly: cast and divide in one pass,
+            # so one float64 vector per worker is ever live.
+            update = np.divide(summed, divisor, dtype=np.float64)
+        worker.algorithm.apply_update(update)
+
+    def _start_lwu(self, worker: SimWorker, iteration: int) -> None:
+        index = worker.index
+        summed, agg_time, started = self._inbox[index].pop(iteration)
+        ingest = self.cost.worker_ingest(
+            self.wire_bytes, self.profile.message_count
+        )
+        lwu = worker.compute.lwu_duration()
+        worker.breakdown.add("grad_aggregation", agg_time + ingest)
+        worker.breakdown.add("weight_update", lwu)
 
         def apply() -> None:
-            divisor = self._round_divisor(iteration)
-            if summed.dtype == np.float64:
-                # The host-side fold every replica was handed: one mean.
-                update = self._once_per_round(
-                    iteration, "mean", lambda: summed / divisor
-                )
-            else:
-                # A client's float32 assembly: cast and divide in one pass,
-                # so one float64 vector per worker is ever live.
-                update = np.divide(summed, divisor, dtype=np.float64)
-            worker.algorithm.apply_update(update)
+            self._apply_sum(worker, summed, iteration)
             worker.finish_iteration()
+            telemetry = self.sim.telemetry
             if telemetry.enabled:
-                started = self._iter_start.pop((worker.index, iteration), None)
-                if started is not None:
-                    telemetry.span_at(
-                        "iteration",
-                        started,
-                        self.sim.now,
-                        cat="training",
-                        track=worker.name,
-                        iteration=iteration,
-                    )
+                telemetry.span_at(
+                    "iteration",
+                    started,
+                    self.sim.now,
+                    cat="training",
+                    track=worker.name,
+                    iteration=iteration,
+                )
             if self._result is not None:
                 self._result.aggregation_latency.record(agg_time + ingest)
+            self._applied[index] = iteration + 1
+            self._busy[index] = False
             self._round_done.arrive(iteration)
-            if iteration + 1 < self.n_iterations:
-                self._start_iteration(worker, iteration + 1)
+            self._step(worker)
 
-        self.sim.schedule(ingest + lwu, apply, name=f"lwu:w{worker.index}")
+        self.sim.schedule(ingest + lwu, apply, name=f"lwu:w{index}")
 
 
 @register_strategy("sync", "ps", requires_server=True, supports_live=True)
@@ -440,6 +471,21 @@ class HalvingDoublingAllReduce(_ExchangeAllReduce):
         )
 
 
+class ISwitchResetFault:
+    """One copy for both iSwitch runners (``net``, ``clients``, ``_down``)."""
+
+    def fault_reset_switch(self, switch) -> bool:
+        # Prefer a real Reset control packet from a live member of that
+        # switch; fall back to an out-of-band engine reset (models an
+        # operator reset of a switch none of our members sit under).
+        for index, tor in enumerate(self.net.tor_of_worker):
+            if tor.name == switch.name and index not in self._down:
+                self.clients[index].reset_switch()
+                return True
+        switch.engine.reset()
+        return True
+
+
 @register_strategy(
     "sync",
     "isw",
@@ -447,7 +493,7 @@ class HalvingDoublingAllReduce(_ExchangeAllReduce):
     supports_live=True,
     supports_multijob=True,
 )
-class SyncISwitch(SyncStrategy):
+class SyncISwitch(ISwitchResetFault, SyncStrategy):
     """Figure 1c: in-switch aggregation = one ``iswitch_stream``.
 
     Fault behaviour (the paper's membership management, §3.4): a worker
@@ -510,8 +556,8 @@ class SyncISwitch(SyncStrategy):
             on_round=lambda w, rnd, vec: self._deliver_sum(w, vec, rnd),
             recovery_timeout=self.recovery_timeout,
             max_recovery_attempts=self.max_recovery_attempts,
-            job=getattr(self, "job", 0),
-            codec=getattr(self, "codec", None),
+            job=self.job,
+            codec=self.codec,
         )
         self.plan = self.stream.plan
         self.clients = self.stream.clients
@@ -569,23 +615,10 @@ class SyncISwitch(SyncStrategy):
             self._pending_rejoins.append(worker.index)
         return True
 
-    def fault_reset_switch(self, switch) -> bool:
-        # Prefer a real Reset control packet from a live member of that
-        # switch; fall back to an out-of-band engine reset (models an
-        # operator reset of a switch none of our members sit under).
-        for index, tor in enumerate(self.net.tor_of_worker):
-            if tor.name == switch.name and index not in self._down:
-                self.clients[index].reset_switch()
-                return True
-        switch.engine.reset()
-        return True
-
     def _apply_crash(self, worker, iteration: int) -> None:
         self._down.add(worker.index)
         self._divisor_changes.append((iteration, self._active_count()))
-        client = self.clients[worker.index]
-        client.cancel_recovery()
-        client.leave()
+        self.clients[worker.index].leave()
 
     def _apply_rejoin(self, trigger, iteration: int) -> None:
         from ..faults.resync import clone_training_state
@@ -600,13 +633,11 @@ class SyncISwitch(SyncStrategy):
             # replica holds exactly the weights round `iteration` starts
             # from; clone weights + optimizer state (+ target nets).
             clone_training_state(trigger.algorithm, worker.algorithm)
-            client = self.clients[index]
-            # Broadcast fragments of rounds missed while down can never
-            # complete; drop them before re-entering.
-            client._partial.clear()
             # The Join lands at the switch in microseconds — long before
             # any live worker's ~ms LGC for `iteration` finishes — so H
             # is back at full strength before round `iteration` can
             # complete short.
-            client.join()
-            self._start_iteration(worker, iteration)
+            self.clients[index].join()
+            self._next_lgc[index] = self._applied[index] = iteration
+            self._inbox[index].clear()
+            self._step(worker)

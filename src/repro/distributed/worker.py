@@ -101,6 +101,41 @@ class SimWorker:
                 self.sim.now, self.algorithm.final_average_reward()
             )
 
+    def start_lgc(self, on_gradient, alive=None, against=None, **labels) -> None:
+        """One local gradient computation: its duration is drawn now; when
+        it has elapsed (and ``alive()`` still holds) it is accounted, its
+        span recorded and the gradient handed to ``on_gradient`` — computed
+        against the live weights, or against the snapshot ``against``
+        (Algorithm 1's LGC thread copies the weights it starts from; the LWU
+        thread may have moved the live ones on by the time it ends)."""
+        duration = self.compute.lgc_duration()
+
+        def lgc_done() -> None:
+            if alive is not None and not alive():
+                return
+            self.breakdown.add_compute(self.compute.profile, duration)
+            telemetry = self.sim.telemetry
+            if telemetry.enabled:
+                telemetry.span_at(
+                    "compute.lgc",
+                    self.sim.now - duration,
+                    self.sim.now,
+                    cat="training",
+                    track=self.name,
+                    **labels,
+                )
+            algorithm = self.algorithm
+            if against is None:
+                on_gradient(algorithm.compute_gradient())
+                return
+            current = algorithm.get_weights()
+            algorithm.set_weights(against)
+            gradient = algorithm.compute_gradient()
+            algorithm.set_weights(current)
+            on_gradient(gradient)
+
+        self.sim.schedule(duration, lgc_done, name=f"lgc:w{self.index}")
+
     def finish_iteration(self) -> None:
         self.iterations_done += 1
         self.breakdown.finish_iteration()

@@ -5,7 +5,7 @@ replica: each worker pushes its gradient, the server applies it to the
 replica immediately (no barrier with other workers), and the pushing
 worker pulls the fresh post-apply weights before computing again.
 
-To stay bit-comparable with the simulator's paced mode, the server
+To stay bit-comparable with the simulator's paced server, the server
 applies pushes in **rank-cyclic order** — apply number ``k·N + w`` is
 worker ``w``'s cycle-``k`` push — buffering pushes that arrive early.
 Arrival jitter moves *when* an apply happens, never *which weights* it

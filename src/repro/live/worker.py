@@ -17,15 +17,15 @@ all of it idempotent.
 **sync-isw is async-isw with S = 0.**  The switch side is the same
 :class:`~repro.live.switch.SoftwareSwitch` either way (threshold = N,
 dedup, canonical order): asynchrony — the paper's Algorithm 1 — lives
-entirely in the worker schedule, exactly as in the simulator's paced
-mode.  A worker may run up to ``staleness_bound`` rounds ahead of its own
+entirely in the worker schedule, and the simulator runs the same windowed
+rule (:meth:`repro.distributed.sync.SyncStrategy._step`, event-driven
+where :meth:`LiveWorkerBase.train` blocks).  A worker may run up to ``staleness_bound`` rounds ahead of its own
 applied weights: it computes and submits round ``k`` as soon as
 ``k ≤ applied + S``, then collects and applies the oldest outstanding
 round.  Under that greedy schedule the gradient for round ``k`` is
 computed against weight version ``max(0, k − S)``, so every applied
 gradient's version gap is ``min(k, S) ≤ S`` — the bound Algorithm 1
-enforces — and the weight trajectory is the simulator's paced trajectory
-bit for bit.
+enforces — and the weight trajectory is the simulator's, bit for bit.
 
 The gap is **measured**, not assumed: at compute time the worker records
 its live applied-version, and at apply time it counts the real gap into

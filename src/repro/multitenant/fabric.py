@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 from ..core.hierarchy import make_iswitch_factory
 from ..distributed.collectives.iswitch import make_plan
 from ..distributed.config import choose_transport
-from ..distributed.results import TrainingResult
 from ..distributed.runner import make_algorithm
 from ..distributed.sync import SyncISwitch
 from ..distributed.worker import ComputeModel, SimWorker
@@ -47,56 +46,23 @@ __all__ = ["SwitchFabric", "Cluster"]
 
 
 class _JobRunner(SyncISwitch):
-    """A SyncISwitch that can be launched without draining the simulator.
-
-    The single-tenant ``run()`` owns the event loop; on a shared fabric
-    many runners coexist, so ``launch()`` only schedules the first
-    iterations and the fabric drains the simulator once for everyone.
-    Completion is detected at the final round's barrier release.
-    """
+    """A SyncISwitch on a simulator it does not own: the fabric
+    ``launch()``es each runner and drains the event loop once for everyone.
+    Completion is detected at the final round's barrier release."""
 
     def __init__(self, *args, on_complete=None, on_round=None, **kwargs):
         self._on_complete = on_complete
         self._on_round = on_round
-        self._launched_at: Optional[float] = None
         super().__init__(*args, **kwargs)
-
-    def launch(self, n_iterations: int) -> TrainingResult:
-        if n_iterations < 1:
-            raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-        self.n_iterations = n_iterations
-        result = TrainingResult(
-            strategy=self.name,
-            workload=self.profile.name,
-            n_workers=len(self.workers),
-            iterations=n_iterations,
-            elapsed=0.0,
-            workers=self.workers,
-        )
-        self._result = result
-        self._launched_at = self.sim.now
-        for worker in self.workers:
-            self._start_iteration(worker, 0)
-        return result
 
     def _round_release(self, iteration: int) -> None:
         super()._round_release(iteration)
         if self._on_round is not None:
             self._on_round(iteration)
         if iteration + 1 == self.n_iterations:
-            self._finalize()
-
-    def _finalize(self) -> None:
-        result = self._result
-        result.elapsed = self.sim.now - self._launched_at
-        for worker in self.workers:
-            result.breakdown.totals = {
-                k: result.breakdown.totals[k] + worker.breakdown.totals[k]
-                for k in result.breakdown.totals
-            }
-            result.breakdown.iterations += worker.breakdown.iterations
-        if self._on_complete is not None:
-            self._on_complete()
+            self._finalize(self._result)
+            if self._on_complete is not None:
+                self._on_complete()
 
 
 class SwitchFabric:

@@ -104,7 +104,8 @@ def live_config(strategy, n_workers, mode="sync", **overrides):
 
 def sim_config(strategy, n_workers, mode="sync", **overrides):
     # Canonical (rank-order) aggregation is what the live switch always
-    # does, and paced scheduling is what the live async workers replay;
+    # does, and a fixed schedule (the windowed template for async-isw, the
+    # paced server for async-ps) is what the live async workers replay;
     # the sim opts in so float32 sums and async apply orders match
     # bit-exactly.  The float64 PS-family sums are order-independent.
     return ExperimentConfig(

@@ -568,5 +568,6 @@ class TestNoUnboundedWait:
         assert (error.worker, error.round_index) == ("worker0", 0)
         assert "worker0: round 0 never completed" in str(error)
         assert str(error).endswith(
-            "[replay: sync-isw n_workers=2 seed=3 loss_rate=0.01]"
+            "[replay: sync-isw workload=synth n_workers=2 iterations=3 seed=3 "
+            "loss_rate=0.01 telemetry=False]"
         )
