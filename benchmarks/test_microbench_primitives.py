@@ -5,11 +5,14 @@ single round), these measure the *host* performance of the building
 blocks — useful when profiling why a large simulation is slow.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.accelerator import AggregationEngine
 from repro.core.protocol import FLOATS_PER_SEGMENT, DataSegment, SegmentPlan
+from repro.distributed import ExperimentConfig, run
 from repro.distributed.transport import VectorReceiver, send_vector
 from repro.netsim.events import Simulator
 from repro.netsim.link import Link
@@ -28,6 +31,7 @@ from repro.rl import A2C, DDPG, DQN, PPO
 from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D
 from repro.rl.envs.vector import make_vector_env
 from repro.rl.replay import ReplayBuffer, Transition
+from tests.helpers import per_packet_reference
 from tests.oracles import tape_a2c_gradient, tape_ddpg_gradient, tape_ppo_gradient
 
 
@@ -255,6 +259,32 @@ def test_incast_forwarding_throughput(benchmark, transport):
     assert _incast("train") == _incast("packet")
     done, events = benchmark(_incast, transport)
     assert len(done) == 8 and events == 8 * 64 * 5
+
+
+def _isw_rounds(reference):
+    """Ten sync-isw n=4 synth iterations, telemetry off: worker 0's weight
+    hash and ``repr(elapsed)``.  ``reference`` forces the per-packet path."""
+    config = ExperimentConfig(
+        strategy="isw", workload="synth", n_workers=4, iterations=10, seed=7,
+        telemetry=False,
+    )
+    if reference:
+        with per_packet_reference():
+            result = run(config)
+    else:
+        result = run(config)
+    weights = result.workers[0].algorithm.get_weights()
+    return hashlib.sha256(weights.tobytes()).hexdigest(), repr(result.elapsed)
+
+
+@pytest.mark.parametrize("transport", ["packet", "train"])
+def test_isw_round_throughput(benchmark, transport):
+    """The iSwitch datapath two ways in one session: 64 packets per
+    gradient per hop, and one run end to end — same weights and simulated
+    time, to the bit; only the wall time per round differs."""
+    benchmark.group = "isw-round"
+    assert _isw_rounds(reference=False) == _isw_rounds(reference=True)
+    benchmark(_isw_rounds, transport == "packet")
 
 
 def test_vector_env_step_throughput(benchmark):

@@ -32,12 +32,12 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .protocol import DataSegment, join_chunks
+from .protocol import DataSegment, SegmentRun, cached_segment
 
 __all__ = [
     "AcceleratorTiming",
@@ -53,11 +53,8 @@ BUS_BYTES_PER_CYCLE = 32
 CLOCK_HZ = 200e6
 #: Fixed pipeline depth (separator, decoder, output concat), in cycles.
 PIPELINE_CYCLES = 8
-#: Engine settings under which a train takes the per-segment path, in the
-#: order their cause is reported (``clock`` and ``shape`` are per train).
-_BATCH_BAIL_SETTINGS = (
-    "dedup", "canonical_order", "arrival_renumber", "buffer_limit", "codec",
-)
+#: Why a train can leave the batched ingest: the condition that failed.
+_BATCH_BAIL_CAUSES = ("clock", "shape", "buffer_limit")
 
 
 @dataclass(frozen=True)
@@ -87,19 +84,32 @@ class AggregationStats:
     evictions: int = 0
     max_live_segments: int = 0
     busy_time: float = 0.0
-    #: Trains that left the batched ingest, by the first cause that applied
-    #: (``dedup``, ``canonical_order``, ``arrival_renumber``,
-    #: ``buffer_limit``, ``clock``, ``codec``, ``shape``).
+    #: Trains that left the batched ingest, by the condition that failed:
+    #: ``clock`` (telemetry stamps each segment's own arrival), ``shape`` (not
+    #: a run of 2+ chunks lined up with its round), ``buffer_limit`` (exceeded).
     batch_bails: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(
-            _BATCH_BAIL_SETTINGS + ("clock", "shape"), 0
-        )
+        default_factory=lambda: dict.fromkeys(_BATCH_BAIL_CAUSES, 0)
     )
-    #: Batched ingests that took a train's parent vector as it was
-    #: (``view``) or had to concatenate its chunks first (``copy``).
+    #: Batched ingests that summed or adopted a run's vector as it was
+    #: (``view``) or had to gather it into contiguous float32 first (``copy``).
     joins: Dict[str, int] = field(
         default_factory=lambda: {"view": 0, "copy": 0}
     )
+
+
+@dataclass(slots=True)
+class _Round:
+    """One round's live state while all of it arrived as matching runs: the
+    sum (or, in canonical order, the held vectors), once for the round."""
+
+    #: The chunks, numbered as this engine numbers the round.
+    run: SegmentRun
+    buffer: Optional[np.ndarray] = None
+    count: int = 0
+    #: canonical order: ``(sender, commit_id, vector)`` per contribution.
+    held: list = field(default_factory=list)
+    #: dedup: the ``(sender, commit_id)`` pairs seen.
+    keys: set = field(default_factory=set)
 
 
 class AggregationEngine:
@@ -197,7 +207,8 @@ class AggregationEngine:
         self._counters: Dict[int, int] = {}
         self._latency_cache: Dict[int, float] = {}
         self._contributors: Dict[int, Set[Tuple[str, int]]] = {}
-        self._result_cache: Dict[int, DataSegment] = {}
+        #: By Seg: a completed segment, or the result run that holds it.
+        self._result_cache: Dict[int, object] = {}
         #: Telemetry hook: when the owning switch sets a clock, the engine
         #: stamps each segment's first arrival so completions can be
         #: reported as first-arrival -> complete spans.  ``None`` (the
@@ -205,12 +216,11 @@ class AggregationEngine:
         self.clock: Optional[Callable[[], float]] = None
         self._first_arrival: Dict[int, float] = {}
         self._completed_starts: Dict[int, float] = {}
-        #: Vectorized-ingest bookkeeping for the batched transport path:
-        #: base Seg -> (round buffer, per-seg views into it).  Only
-        #: populated by :meth:`_contribute_batch_fast`; every entry's
-        #: validity is re-checked by identity against ``_buffers`` on each
-        #: train, so interleaved per-packet traffic can never corrupt it.
-        self._vec_rounds: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
+        #: Rounds fed by runs only (:meth:`contribute_batch`), by first Seg:
+        #: one record each in place of the per-Seg entries above, which a
+        #: round gets (:meth:`_explode`) once per-packet traffic touches it.
+        self._rounds: Dict[int, _Round] = {}
+        self._run_live = 0  # segments those records stand for
 
     # ------------------------------------------------------------------
     # Control-plane operations
@@ -242,7 +252,8 @@ class AggregationEngine:
         self._shapes.clear()
         self._first_arrival.clear()
         self._completed_starts.clear()
-        self._vec_rounds.clear()
+        self._rounds.clear()
+        self._run_live = 0
 
     def sweep_completed(self) -> List[DataSegment]:
         """Emit every live segment whose counter already meets the threshold.
@@ -254,6 +265,8 @@ class AggregationEngine:
         change; the returned segments are emitted exactly as if their last
         contribution had just landed.
         """
+        for record in list(self._rounds.values()):
+            self._explode(record)  # H changes under it: per segment from here
         ready = [
             seg
             for seg, count in self._counters.items()
@@ -277,14 +290,9 @@ class AggregationEngine:
             order = self._arrivals.get(chunk, 0)
             self._arrivals[chunk] = order + 1
             seg = (order // self.threshold) * n_chunks + chunk
-            segment = DataSegment(
-                seg=seg,
-                data=segment.data,
-                sender=segment.sender,
-                commit_id=segment.commit_id,
-                wire_payload=segment.wire_payload,
-                wire_frames=segment.wire_frames,
-            )
+            segment = replace(segment, seg=seg)
+        if self._rounds:
+            self._explode(self._round_at(seg))
         if self.dedup:
             key = (segment.sender, segment.commit_id)
             contributors = self._contributors.setdefault(seg, set())
@@ -314,7 +322,7 @@ class AggregationEngine:
                 )
             )
             self._counters[seg] = len(entries)
-            n_live = len(self._pending)
+            n_live = len(self._pending) + self._run_live
             if n_live > stats.max_live_segments:
                 stats.max_live_segments = n_live
             if len(entries) >= self.threshold:
@@ -357,25 +365,27 @@ class AggregationEngine:
                 buffer += segment.data
             self._counters[seg] += 1
 
-        n_live = len(self._buffers)
+        n_live = len(self._buffers) + self._run_live
         if n_live > stats.max_live_segments:
             stats.max_live_segments = n_live
         if self._counters[seg] >= self.threshold:
             return self._complete(seg)
-        if self.buffer_limit is not None and len(self._buffers) > self.buffer_limit:
+        if self.buffer_limit is not None and n_live > self.buffer_limit:
             self._evict_oldest()
         return None
 
-    def contribute_batch(
-        self, segments, clocks=None
-    ) -> List[Tuple[int, DataSegment]]:
+    def contribute_batch(self, segments, clocks=None):
         """Batch-ingest a train's worth of contributions in one call.
 
         Semantically exactly ``[contribute(s) for s in segments]`` — same
         per-segment state transitions, same float32 summation order — but
-        one entry point for the batched transport path.  Returns
-        ``(index, completed)`` pairs: which input triggered each completed
-        segment (vector-granularity engines may emit several per input).
+        one entry point for the batched transport path.  ``segments`` is a
+        :class:`~repro.core.protocol.SegmentRun` or a sequence of
+        segments.  Returns ``(index, completed)`` pairs: which input
+        triggered each completed segment (vector-granularity engines may
+        emit several per input) — or, when a run completed its whole
+        round in this one step, that round's result run (chunk ``i``
+        completed by input ``i``).
 
         ``clocks`` (optional, one float per segment) stamps each
         contribution with its own carried arrival time instead of the
@@ -383,12 +393,17 @@ class AggregationEngine:
         event, so ``clock()`` would report the *last* packet's arrival
         for every first-arrival record.
         """
-        if clocks is None and self.clock is None:
-            fast = self._contribute_batch_fast(segments)
-            if fast is not None:
-                return fast
-        else:
+        if clocks is not None or self.clock is not None:
             self._bail("clock")
+        elif isinstance(segments, SegmentRun):
+            done = self._contribute_run(segments)
+            if done is not None:
+                return done
+        else:
+            self._bail("shape")
+        return self._contribute_each(segments, clocks)
+
+    def _contribute_each(self, segments, clocks) -> List[Tuple[int, DataSegment]]:
         out: List[Tuple[int, DataSegment]] = []
         contribute = self.contribute
         saved_clock = self.clock
@@ -412,153 +427,149 @@ class AggregationEngine:
         """Count one train leaving the batched ingest; returns ``None``."""
         self.stats.batch_bails[cause] += 1
 
-    def _join(self, segments) -> Tuple[np.ndarray, bool]:
-        """One train's chunks as one vector: ``(vector, is a view)``."""
-        vector, is_view = join_chunks(
-            [segment.data for segment in segments], segments[0].origin
-        )
-        self.stats.joins["view" if is_view else "copy"] += 1
-        return vector, is_view
+    def _contribute_run(self, run: SegmentRun):
+        """Ingest a whole run in one step, or count why not and return
+        ``None`` — before touching any state.
 
-    def _contribute_batch_fast(self, segments) -> Optional[List[Tuple[int, DataSegment]]]:
-        """Vectorized ingest for the dominant train shape, or ``None``.
-
-        The hot case is one worker's (or one child switch's) whole round
-        as a train: ``n`` consecutive Seg numbers, all float32, all at the
-        same contribution count.  Summing then collapses to one in-place
-        add of the train's parent vector on a round-contiguous buffer
-        (:func:`~repro.core.protocol.join_chunks`: the vector itself when
-        the train still carries it, a concatenation when not) —
-        bit-identical to the per-segment adds, because every element still
-        receives exactly one addition of the same two float32 operands.
-        The first train's vector *becomes* the round buffer when it is
-        writable, exactly as :meth:`contribute` adopts a first segment.
-
-        Per-seg ``_buffers`` / ``_counters`` entries are kept coherent
-        (the buffers are views into the round buffer), so interleaved
-        per-packet traffic — retransmits, FBcast, mixed transports — works
-        unchanged; any train for which those mirrors no longer line up
-        (checked by identity below) falls back by returning ``None``,
-        counted by cause in ``stats.batch_bails``.
+        Every operation the engine applies is elementwise — a float32 add,
+        an int32 add, the codecs' ingest/emit/finalize maps with their
+        constructor-constant exponent — so applying it to the run's vector
+        is bit-identical to applying it chunk by chunk: each element still
+        receives the same operands in the same order.  The round is one
+        :class:`_Round` record; completing it yields one result run over
+        its buffer (the first run's own vector, adopted when writable
+        exactly as :meth:`contribute` adopts a first segment).
         """
-        # (Codec engines need the slow path: int32-bs quantizes on ingest,
-        # and every codec's finalize_sum must run per completion — the
-        # inlined completion below skips it.)
-        for cause in _BATCH_BAIL_SETTINGS:
-            if getattr(self, cause) not in (None, False):
-                return self._bail(cause)
-        n = len(segments)
+        n = len(run)
         if n < 2:
             return self._bail("shape")
-        base = segments[0].seg
-        counters = self._counters
-        buffers = self._buffers
-        stats = self.stats
-        c0 = counters.get(base, 0)
-        if c0 == 0:
-            # First train of the round: validate, then take its vector
-            # (a private copy of a read-only or scattered one) as the
-            # round buffer, with per-seg views as the buffer mirrors.
-            for i, segment in enumerate(segments):
-                seg = base + i
-                if segment.seg != seg or seg in counters or seg in buffers:
-                    return self._bail("shape")
-                data = segment.data
-                if (
-                    data.dtype != np.float32
-                    or data.ndim != 1
-                    or segment.wire_payload is None
-                ):
-                    return self._bail("shape")
-            buf, is_view = self._join(segments)
-            if is_view and not buf.flags.writeable:
-                buf = buf.copy()
-            shapes = self._shapes
-            views: List[np.ndarray] = []
-            pos = 0
-            for i, segment in enumerate(segments):
-                end = pos + segment.data.size
-                view = buf[pos:end]
-                seg = base + i
-                buffers[seg] = view
-                counters[seg] = 1
-                shapes[seg] = (segment.wire_payload, segment.wire_frames)
-                views.append(view)
-                pos = end
-            count = 1
-            self._vec_rounds[base] = origin = (buf, views)
-            if len(self._vec_rounds) > 256:
-                # Rounds that never completed (crashes, evicted jobs);
-                # stale entries are harmless but needn't accumulate.
-                for old in sorted(self._vec_rounds)[:128]:
-                    del self._vec_rounds[old]
-        else:
-            origin = self._vec_rounds.get(base)
-            if origin is None or len(origin[1]) != n:
+        seg = run.seg
+        renumber = self.arrival_renumber
+        if renumber is not None:
+            # One round for the run only if all its chunks have seen the
+            # same number of arrivals (None: none yet).
+            chunks = range(seg % renumber, seg % renumber + n)
+            orders = set(map(self._arrivals.get, chunks))
+            if len(orders) != 1 or chunks[-1] >= renumber:
                 return self._bail("shape")
-            buf, views = origin
-            for i, segment in enumerate(segments):
-                data = segment.data
-                view = views[i]
-                seg = base + i
-                if (
-                    segment.seg != seg
-                    or counters.get(seg) != c0
-                    or buffers.get(seg) is not view
-                    or data.dtype != np.float32
-                    or data.ndim != 1
-                    or data.size != view.size
-                ):
-                    return self._bail("shape")
-            buf += self._join(segments)[0]
-            count = c0 + 1
-            for i in range(n):
-                counters[base + i] = count
+            order = orders.pop() or 0
+            seg = (order // self.threshold) * renumber + chunks[0]
+        record = self._rounds.get(seg)
+        segs = range(seg, seg + n)
+        if record is not None:
+            first = record.run
+            if (first.plan, first.lo, first.hi) != (run.plan, run.lo, run.hi):
+                return self._bail("shape")
+        elif self._round_at(seg, n) or not self._counters.keys().isdisjoint(segs):
+            return self._bail("shape")  # some of these Segs are live already
+        grown = n if record is None else 0
+        limit = self.buffer_limit
+        if limit is not None and self.live_segments + grown > limit:
+            return self._bail("buffer_limit")
+        # Validated: from here on the run is consumed.
+        if renumber is not None:
+            self._arrivals.update(dict.fromkeys(chunks, order + 1))
+        stats = self.stats
+        key = (run.sender, run.commit_id)
+        if self.dedup and record is not None and key in record.keys:
+            stats.duplicates_dropped += n
+            return []
+        data = run.data
+        if data.dtype == np.float32 and data.flags.c_contiguous:
+            stats.joins["view"] += 1
+        else:
+            data = np.ascontiguousarray(data, dtype=np.float32)
+            stats.joins["copy"] += 1
         stats.contributions += n
-        n_live = len(buffers)
+        if record is None:
+            record = self._rounds[seg] = _Round(
+                run if seg == run.seg else replace(run, seg=seg)
+            )
+            self._run_live += n
+        if self.dedup:
+            record.keys.add(key)
+        if self.canonical_order:
+            record.held.append((*key, data))
+        elif self._int_sum:
+            mantissas = self.codec.engine_ingest(data)
+            if record.count:
+                record.buffer += mantissas
+            else:
+                record.buffer = mantissas
+        elif record.count:
+            record.buffer += data
+        else:
+            # Adopted as the round buffer unless read-only (see contribute).
+            record.buffer = data if data.flags.writeable else data.copy()
+        record.count += 1
+        done = record.count >= self.threshold
+        n_live = self.live_segments
+        if done and grown:
+            n_live -= n - 1  # segment by segment: one in, one out
         if n_live > stats.max_live_segments:
             stats.max_live_segments = n_live
-        if count >= self.threshold:
-            self._vec_rounds.pop(base, None)
-            # Inlined _complete for the whole round: same pops, same
-            # per-insert Help-cache eviction check, same counter updates —
-            # just without n method-call frames.  Each result names the
-            # round buffer it is a view of, so a member that receives the
-            # whole round takes the buffer instead of reassembling it.
-            shapes = self._shapes
-            first_arrival = self._first_arrival
-            contributors = self._contributors
-            result_cache = self._result_cache
-            cache_size = self.cache_size
-            trusted = DataSegment.trusted
-            out: List[Tuple[int, DataSegment]] = []
-            for i in range(n):
-                seg = base + i
-                data = buffers.pop(seg)
-                counters.pop(seg, None)
-                contributors.pop(seg, None)
-                started = first_arrival.pop(seg, None)
-                if started is not None:
-                    self._completed_starts[seg] = started
-                    if len(self._completed_starts) > 1024:
-                        for old in sorted(self._completed_starts)[:512]:
-                            del self._completed_starts[old]
-                shape = shapes.pop(seg, (None, None))
-                result = trusted(
-                    seg, data, wire_payload=shape[0], wire_frames=shape[1]
+        if not done:
+            return []
+        self._forget(record)
+        result = replace(
+            record.run, data=self._sum(record.held, record.buffer),
+            sender="", commit_id=0,
+        )
+        cache, limit = self._result_cache, self.cache_size
+        for seg in segs:
+            # Trimmed per insert, as _complete does: what an eviction
+            # drops depends on how full the cache is just then.
+            cache[seg] = result
+            if len(cache) > limit:
+                trim_result_cache(cache, limit)
+        stats.completions += n
+        return result
+
+    def _round_at(self, seg: int, n: int = 1) -> Optional[_Round]:
+        """The record of a round with a Seg in ``[seg, seg + n)``, if any."""
+        for record in self._rounds.values():
+            first = record.run.seg
+            if first < seg + n and seg < first + len(record.run):
+                return record
+        return None
+
+    def _forget(self, record: _Round) -> None:
+        del self._rounds[record.run.seg]
+        self._run_live -= len(record.run)
+
+    def _explode(self, record: Optional[_Round]) -> None:
+        """Turn a round's record into the per-Seg entries it stands for —
+        what :meth:`contribute` would have built from the same packets —
+        because per-packet traffic (a retransmission, an FBcast, a lone
+        packet, a lowered H) is about to touch it."""
+        if record is None:
+            return
+        self._forget(record)
+        if self.canonical_order:
+            for sender, commit_id, vector in record.held:
+                held = replace(
+                    record.run, data=vector, sender=sender, commit_id=commit_id
                 )
-                result.origin = origin
-                result_cache[seg] = result
-                if len(result_cache) > cache_size:
-                    for key in sorted(result_cache)[: len(result_cache) // 2]:
-                        del result_cache[key]
-                out.append((i, result))
-            stats.completions += n
-            return out
-        return []
+                for part in held.segments():
+                    self._pending.setdefault(part.seg, []).append(
+                        (sender, part.commit_id, np.array(part.data))
+                    )
+        else:
+            for part in replace(record.run, data=record.buffer).segments():
+                self._buffers[part.seg] = part.data
+        for part in record.run.segments():
+            self._counters[part.seg] = record.count
+            self._shapes[part.seg] = (part.wire_payload, part.wire_frames)
+            if self.dedup:
+                self._contributors[part.seg] = {
+                    (sender, part.seg if commit_id is None else commit_id)
+                    for sender, commit_id in record.keys
+                }
 
     def _evict_oldest(self) -> None:
         """Drop the stalest partial buffers to honour ``buffer_limit``."""
+        for record in list(self._rounds.values()):
+            self._explode(record)
         store = self._pending if self.canonical_order else self._buffers
         excess = len(store) - self.buffer_limit
         for seg in sorted(store)[:excess]:
@@ -569,28 +580,31 @@ class AggregationEngine:
             self._first_arrival.pop(seg, None)
             self.stats.evictions += 1
 
-    def _complete(self, seg: int) -> DataSegment:
-        """Emit the summed segment, zero the buffer, reset the counter."""
+    def _sum(self, held: list, buffer: Optional[np.ndarray]) -> np.ndarray:
+        """What a completing segment (or round) emits: its canonical-order
+        ``held`` contributions summed, or its accumulation ``buffer``."""
         if self.canonical_order:
-            entries = self._pending.pop(seg)
             # Canonical order: shortest-then-lexicographic sender name, so
             # "worker2" < "worker10", then commit id.  This is rank order
             # for every naming scheme the repo uses.
-            entries.sort(key=lambda e: (len(e[0]), e[0], e[1]))
-            data = entries[0][2]
-            for _, _, contribution in entries[1:]:
+            held.sort(key=lambda e: (len(e[0]), e[0], e[1] or 0))
+            data = held[0][2]
+            if not data.flags.writeable:  # a held run's vector is not a copy
+                data = data.copy()
+            for _, _, contribution in held[1:]:
                 data += contribution
-            if self.codec is not None:
-                data = self.codec.finalize_sum(data)
+        elif self._int_sum:
+            # Renormalize the int32 accumulator back to float32 —
+            # bit-identical to finalize_sum() of the exact float sum
+            # (DESIGN.md §12), so canonical and integer paths agree.
+            return self.codec.engine_emit(buffer)
         else:
-            data = self._buffers.pop(seg)
-            if self._int_sum:
-                # Renormalize the int32 accumulator back to float32 —
-                # bit-identical to finalize_sum() of the exact float sum
-                # (DESIGN.md §12), so canonical and integer paths agree.
-                data = self.codec.engine_emit(data)
-            elif self.codec is not None:
-                data = self.codec.finalize_sum(data)
+            data = buffer
+        return data if self.codec is None else self.codec.finalize_sum(data)
+
+    def _complete(self, seg: int) -> DataSegment:
+        """Emit the summed segment, zero the buffer, reset the counter."""
+        data = self._sum(self._pending.pop(seg, None), self._buffers.pop(seg, None))
         self._counters.pop(seg, None)
         self._contributors.pop(seg, None)
         started = self._first_arrival.pop(seg, None)
@@ -605,7 +619,8 @@ class AggregationEngine:
         result = DataSegment.trusted(
             seg, data, wire_payload=shape[0], wire_frames=shape[1]
         )
-        self._cache_result(result)
+        self._result_cache[seg] = result
+        trim_result_cache(self._result_cache, self.cache_size)
         self.stats.completions += 1
         return result
 
@@ -615,6 +630,7 @@ class AggregationEngine:
         Returns ``None`` if nothing has arrived for ``seg`` (including the
         case where it already completed and was flushed).
         """
+        self._explode(self._round_at(seg))
         if seg not in self._buffers and seg not in self._pending:
             return None
         self.stats.forced_broadcasts += 1
@@ -622,7 +638,7 @@ class AggregationEngine:
 
     def cached_result(self, seg: int) -> Optional[DataSegment]:
         """Handle ``Help``: look up a recently completed segment."""
-        return self._result_cache.get(seg)
+        return cached_segment(self._result_cache, seg)
 
     def consume_span_start(self, seg: int) -> Optional[float]:
         """Telemetry: pop the first-arrival time of a just-completed seg.
@@ -634,12 +650,13 @@ class AggregationEngine:
 
     def pending_count(self, seg: int) -> int:
         """How many contributions segment ``seg`` has so far."""
-        return self._counters.get(seg, 0)
+        record = self._round_at(seg)
+        return self._counters.get(seg, 0) if record is None else record.count
 
     @property
     def live_segments(self) -> int:
         """Number of partially aggregated segments currently buffered."""
-        return len(self._buffers) + len(self._pending)
+        return len(self._buffers) + len(self._pending) + self._run_live
 
     def processing_latency(self, payload_bytes: int) -> float:
         """Datapath occupancy for a packet of ``payload_bytes`` (seconds)."""
@@ -652,15 +669,8 @@ class AggregationEngine:
         self.stats.busy_time += latency
         return latency
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _cache_result(self, result: DataSegment) -> None:
-        self._result_cache[result.seg] = result
-        trim_result_cache(self._result_cache, self.cache_size)
 
-
-def trim_result_cache(cache: Dict[int, DataSegment], limit: int) -> None:
+def trim_result_cache(cache: Dict[int, object], limit: int) -> None:
     """Bound a by-Seg result cache: past ``limit``, evict the oldest half
     (the lowest Seg numbers; they belong to finished rounds)."""
     if len(cache) > limit:
@@ -699,6 +709,11 @@ class VectorGranularityEngine(AggregationEngine):
             return None
         del self._held[round_index]
         return sorted(held, key=lambda s: s.seg)
+
+    def contribute_batch(self, segments, clocks=None):
+        # Completions are held back per vector in contribute(): a train
+        # goes through it segment by segment.
+        return self._contribute_each(segments, clocks)
 
     def reset(self) -> None:
         super().reset()

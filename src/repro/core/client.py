@@ -23,7 +23,7 @@ import numpy as np
 
 from ..netsim.events import Event
 from ..netsim.node import Host
-from ..netsim.packets import Packet
+from ..netsim.packets import Packet, PacketTrain
 from .protocol import (
     ISWITCH_UDP_PORT,
     TOS_CONTROL,
@@ -33,7 +33,6 @@ from .protocol import (
     ControlMessage,
     DataSegment,
     SegmentPlan,
-    join_chunks,
     make_control_packet,
     make_data_packet,
 )
@@ -173,40 +172,21 @@ class AggregationClient:
                 del self._round_started[old]
         if self.codec is not None:
             vector = self.codec.roundtrip(vector)
+        if self.host.sim.batch_transport:
+            # One run, no packets unless someone downstream asks.  No recovery
+            # bookkeeping: __init__ refuses an armed client on this path.
+            src, job = self.host.name, self.job
+            run = self.plan.run(vector, round_index, src, commit_id, job)
+            self.host.send_burst(
+                PacketTrain(
+                    run=run, src=src, dst=self.switch_address,
+                    tos=TOS_DATA_UP, port=ISWITCH_UDP_PORT, job=job,
+                )
+            )
+            return commit_id
         segments = self.plan.split(
             vector, round_index, sender=self.host.name, commit_id=commit_id
         )
-        if self.host.sim.batch_transport:
-            # Fused stamp + packetize: fresh plan splits always match the
-            # plan's per-chunk wire table, so this inlines
-            # make_data_packet without its off-plan fallback.  No recovery
-            # bookkeeping: __init__ refuses an armed client on this path.
-            job = self.job
-            src = self.host.name
-            dst = self.switch_address
-            trusted = Packet.trusted
-            packets = []
-            for segment, (_, payload_size, frames) in zip(
-                segments, self.plan._wire_info
-            ):
-                segment.job = job
-                segment.wire_payload = payload_size
-                segment.wire_frames = frames
-                packets.append(
-                    trusted(
-                        src,
-                        dst,
-                        payload_size,
-                        TOS_DATA_UP,
-                        segment,
-                        ISWITCH_UDP_PORT,
-                        ISWITCH_UDP_PORT,
-                        frames,
-                        job,
-                    )
-                )
-            self.host.send_burst(packets)
-            return commit_id
         for segment in segments:
             segment.job = self.job
             if self.recovery_timeout is not None:
@@ -291,37 +271,24 @@ class AggregationClient:
                 self.on_control(message)
 
     def _receive_train(self, train) -> None:
-        """Batched receive: process a result train's packets in order.
-
-        Per-packet semantics are preserved exactly — chunks land in
-        ``_partial`` in the train's (arrival) order and the round finishes
-        during the same call once its last chunk lands, just without one
-        dispatch event per packet.  Result packets (the dominant train
-        shape: a whole round's broadcast) take an inlined fast path;
-        anything else goes through the per-packet arbiter.  No watchdog
-        guarding here: trains only flow where no recovery is armed.
-        """
-        plan = self.plan
-        n_chunks = plan.n_chunks
-        job = self.job
-        completed = self._completed
-        partial = self._partial
+        """Batched receive.  The dominant shape, a whole round's broadcast
+        as one run, finishes the round on the run's own vector; anything
+        else is received packet by packet, in the train's (arrival) order
+        and within this call — per-packet semantics without a dispatch
+        event each.  No watchdog is due here: trains only flow where no
+        recovery is armed."""
+        run = train.run
+        if run is not None and train.tos == TOS_DATA_DOWN:
+            if run.job != self.job:
+                return  # another tenant's results on a shared host
+            n_chunks = self.plan.n_chunks
+            round_index, chunk = divmod(run.seg, n_chunks)
+            if chunk == 0 and len(run) == n_chunks and round_index not in self._partial:
+                if round_index not in self._completed:
+                    self._finish_round(round_index, run.data)
+                return
         for packet in train.packets:
-            if packet.tos != TOS_DATA_DOWN:
-                self._receive(packet)
-                continue
-            segment = packet.payload
-            if segment.job != job:
-                continue
-            round_index, chunk = divmod(segment.seg, n_chunks)
-            if round_index in completed:
-                continue
-            chunks = partial.get(round_index)
-            if chunks is None:
-                partial[round_index] = chunks = {}
-            chunks[chunk] = segment
-            if len(chunks) == n_chunks:
-                self._finish_round(round_index)
+            self._receive(packet)
 
     def _retransmit(self, seg: int) -> None:
         """Answer a switch-relayed Help: resend our own contribution.
@@ -392,8 +359,9 @@ class AggregationClient:
             ):
                 self._arm_watchdog(guarded)
 
-    def _finish_round(self, round_index: int) -> None:
-        chunks = self._partial.pop(round_index)
+    def _finish_round(self, round_index: int, out: Optional[np.ndarray] = None) -> None:
+        """Hand a finished round to its owner: ``out`` when it came as one
+        run, the chunks collected in ``_partial`` otherwise."""
         self._completed.add(round_index)
         if len(self._completed) > 1024:
             # Old rounds can never resurface; keep the set bounded.
@@ -403,16 +371,16 @@ class AggregationClient:
         if watchdog is not None:
             watchdog.cancel()
         self._watchdog_attempts.pop(round_index, None)
-        # Chunks cover [0, n_chunks) exactly once and the plan's bounds are
-        # contiguous in chunk order, so joining them in order reproduces
-        # the per-chunk slice assignment: as the engine's round buffer
-        # itself when they are its views (a whole round's broadcast), as
-        # one concatenation otherwise.  Read-only either way: the buffer
-        # is shared with the Help cache and every other member.
-        out, _ = join_chunks(
-            [chunks[chunk].data for chunk in range(self.plan.n_chunks)],
-            chunks[0].origin,
-        )
+        if out is None:
+            # Chunks cover [0, n_chunks) exactly once and the plan's bounds
+            # are contiguous in chunk order, so joining them in order
+            # reproduces the per-chunk slice assignment.
+            chunks = self._partial.pop(round_index)
+            out = np.concatenate(
+                [chunks[chunk].data for chunk in range(self.plan.n_chunks)]
+            )
+        # Read-only: a run's vector is the engine's round buffer, shared
+        # with the Help cache and every other member.
         out = out.view()
         out.flags.writeable = False
         if out.shape[0] != self.plan.n_elements:

@@ -25,11 +25,12 @@ default), so all single-tenant code paths work unchanged.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .accelerator import AcceleratorTiming, AggregationEngine, trim_result_cache
 from .control_plane import MembershipTable
-from .protocol import Action, ControlMessage, DataSegment
+from .protocol import Action, ControlMessage, DataSegment, SegmentRun, cached_segment
 
 __all__ = ["JobState", "JobTable", "DEFAULT_JOB", "Routes"]
 
@@ -38,8 +39,8 @@ MAX_JOB_ID = 0xFFFF
 
 #: What a role asks its driver to send, in order: every message of a route
 #: goes to that route's destination.  Routes of one broadcast share their
-#: message list, so a driver can build the wire form once.
-Routes = List[Tuple[Any, list]]
+#: messages — a list, or the one :class:`SegmentRun` a round completed as.
+Routes = List[Tuple[Any, Any]]
 
 
 class JobState:
@@ -80,8 +81,9 @@ class JobState:
         #: Below the root only: the parent's final results by Seg, for
         #: member Help — the engine's own cache holds this rack's
         #: *partials*, and serving one as a final would double-count it.
-        #: Bounded like the engine's cache (``engine.cache_size``).
-        self._finals: Dict[int, DataSegment] = {}
+        #: Bounded like the engine's cache (``engine.cache_size``), and
+        #: like it holding segments or the run a whole round came as.
+        self._finals: Dict[int, Any] = {}
         self.counters = {} if counters is None else counters
         self.counters.update(
             dict.fromkeys(
@@ -125,6 +127,8 @@ class JobState:
         if self.parent is None:
             return self.deliver(completed)
         self.counters["upstream_forwards"] += len(completed)
+        if isinstance(completed, SegmentRun):
+            return [(self.parent, self._partial(completed))]
         return [(self.parent, [self._partial(s) for s in completed])]
 
     def deliver(self, finals: List[DataSegment]) -> Routes:
@@ -133,17 +137,23 @@ class JobState:
             self.counters["results_broadcast"] += len(finals)
         else:
             self.counters["parent_relays"] += len(finals)
-            for final in finals:
-                self._finals[final.seg] = final
+            if isinstance(finals, SegmentRun):
+                segs = range(finals.seg, finals.seg + len(finals))
+                self._finals.update(dict.fromkeys(segs, finals))
+            else:
+                for final in finals:
+                    self._finals[final.seg] = final
             trim_result_cache(self._finals, self.engine.cache_size)
         return [(member, finals) for member in self.members.addresses]
 
-    def _partial(self, result: DataSegment) -> DataSegment:
+    def _partial(self, result):
         # A read-only view: the parent's engine must copy on first arrival
         # rather than adopt this array, because it also backs this
         # switch's Help cache.
         data = result.data.view()
         data.flags.writeable = False
+        if isinstance(result, SegmentRun):
+            return replace(result, data=data, sender=self.name, commit_id=None)
         seg = result.seg  # also the commit id: one partial per Seg
         return DataSegment.trusted(
             seg, data, self.name, seg, self.job_id,
@@ -220,7 +230,7 @@ class JobState:
             counters["retransmissions_up"] += 1
             return [(self.parent, [self._partial(partial)])]
         else:
-            final = self._finals.get(seg)
+            final = cached_segment(self._finals, seg)
         if final is not None:
             # The downstream copy was what got lost: resend it 1:1.
             counters["help_cache_hits"] += 1

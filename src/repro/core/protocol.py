@@ -24,15 +24,15 @@ never confuses two rounds' worth of the same vector offset.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..netsim.packets import MAX_UDP_PAYLOAD, Packet
+from ..netsim.packets import MAX_UDP_PAYLOAD, PER_FRAME_OVERHEAD, Packet
 
 __all__ = [
     "TOS_CONTROL",
@@ -52,8 +52,9 @@ __all__ = [
     "JoinInfo",
     "ControlMessage",
     "DataSegment",
+    "SegmentRun",
     "SegmentPlan",
-    "join_chunks",
+    "cached_segment",
     "encode_control",
     "encode_data",
     "decode_frame",
@@ -174,12 +175,6 @@ class DataSegment:
     #: footprint the contributions had — including any wire multiplier.
     wire_payload: Optional[int] = None
     wire_frames: Optional[int] = None
-    #: ``(vector, views)`` when ``data`` is one of the ``views`` its maker
-    #: cut, back to back, from the contiguous ``vector`` (a plan's split,
-    #: an engine's round buffer); see :func:`join_chunks`.  Not a wire field.
-    origin: Optional[Tuple[np.ndarray, List[np.ndarray]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.seg < 0:
@@ -226,30 +221,93 @@ class DataSegment:
         s.job = job
         s.wire_payload = wire_payload
         s.wire_frames = wire_frames
-        s.origin = None
         return s
 
 
-def join_chunks(
-    chunks: Sequence[np.ndarray],
-    origin: Optional[Tuple[np.ndarray, List[np.ndarray]]],
-) -> Tuple[np.ndarray, bool]:
-    """``np.concatenate(chunks)``, without the copy where that is exact.
-
-    Returns ``(vector, True)`` when ``chunks`` are, one for one and in
-    order, the very views ``origin`` records as cut from ``vector``, and
-    ``(a fresh concatenation, False)`` otherwise.  Identity is the test
-    because it is the only one cheaper than the copy it saves: reading 64
-    data pointers to prove adjacency costs ten times a 64-chunk
-    ``concatenate`` of small frames.
+@dataclass(slots=True, eq=False)
+class SegmentRun:
+    """Consecutive chunks ``[lo, hi)`` of one plan-cut vector, as one object:
+    a header (``job``, the first chunk's ``seg``, ``sender``, ``commit_id``)
+    plus the float32 ``data`` of exactly those chunks; the geometry is the
+    plan's, built once.  The datapath moves, sums and emits runs; per-chunk
+    :class:`DataSegment` objects exist only for a consumer that asks
+    (:meth:`segments`): a capture, the per-packet arbiter, a Help cache.
+    ``commit_id=None`` means "each chunk's own Seg" (a switch's partials).
+    Validated by :meth:`SegmentPlan.run`; ``run[a:b]`` and
+    ``dataclasses.replace`` keep it valid.
     """
-    if (
-        origin is not None
-        and len(chunks) == len(origin[1])
-        and all(map(operator.is_, chunks, origin[1]))
-    ):
-        return origin[0], True
-    return np.concatenate(chunks), False
+
+    plan: "SegmentPlan"
+    lo: int
+    hi: int
+    seg: int
+    data: np.ndarray
+    sender: str = ""
+    commit_id: Optional[int] = 0
+    job: int = 0
+    _segments: Optional[List[DataSegment]] = field(default=None, init=False)
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self):
+        return iter(self.segments())
+
+    def __getitem__(self, part: slice) -> "SegmentRun":
+        """Chunks ``[a, b)`` of this run — still a run (a barrier split)."""
+        a, b, step = part.indices(self.hi - self.lo)
+        if step != 1 or b <= a:
+            raise ValueError(f"a run is cut into contiguous runs, got {part}")
+        offsets = self.plan._offsets
+        first = offsets[self.lo]
+        return SegmentRun(
+            self.plan, self.lo + a, self.lo + b, self.seg + a,
+            self.data[offsets[self.lo + a] - first : offsets[self.lo + b] - first],
+            self.sender, self.commit_id, self.job,
+        )
+
+    # What :class:`repro.netsim.packets.PacketTrain` reads of its run.
+    @property
+    def wire_sizes(self) -> np.ndarray:
+        """Per-chunk bytes on the wire, headers included (float64)."""
+        return self.plan._wire_sizes[self.lo : self.hi]
+
+    @property
+    def wire_total(self) -> int:
+        cumulative = self.plan._wire_cumulative
+        return cumulative[self.hi] - cumulative[self.lo]
+
+    @property
+    def payload_sizes(self) -> List[int]:
+        return self.plan._wire_payloads[self.lo : self.hi]
+
+    def segments(self) -> List[DataSegment]:
+        """Its per-chunk segments, wire-stamped; built once, then shared."""
+        if self._segments is None:
+            plan = self.plan
+            offsets = plan._offsets
+            first = offsets[self.lo]
+            self._segments = [
+                DataSegment.trusted(
+                    seg,
+                    self.data[offsets[chunk] - first : offsets[chunk + 1] - first],
+                    self.sender,
+                    seg if self.commit_id is None else self.commit_id,
+                    self.job,
+                    plan._wire_payloads[chunk],
+                    plan._wire_frames[chunk],
+                )
+                for seg, chunk in enumerate(range(self.lo, self.hi), self.seg)
+            ]
+        return self._segments
+
+
+def cached_segment(cache: dict, seg: int) -> Optional[DataSegment]:
+    """``seg`` from a by-Seg cache of segments and (whole-round) runs."""
+    entry = cache.get(seg)
+    if isinstance(entry, SegmentRun):
+        return entry.segments()[seg - entry.seg]
+    return entry
 
 
 class SegmentPlan:
@@ -306,36 +364,32 @@ class SegmentPlan:
         self.n_frames = math.ceil(n_elements / self.elements_per_frame)
         self.n_chunks = math.ceil(self.n_frames / frames_per_chunk)
         self.elements_per_chunk = self.elements_per_frame * frames_per_chunk
-        # Per-chunk geometry tables.  ``split``/``make_data_packet`` run once
-        # per chunk per round on the hot path; all chunks but the last are
-        # identical, so the ceil arithmetic is hoisted here.
-        bounds = []
-        frames = []
-        for chunk in range(self.n_chunks):
-            start = chunk * self.elements_per_chunk
-            stop = min(start + self.elements_per_chunk, n_elements)
-            bounds.append((start, stop))
-            frames.append(math.ceil((stop - start) / self.elements_per_frame))
-        self._chunk_bounds = bounds
-        self._chunk_frames = frames
-        # Per-chunk wire footprint (elements, UDP payload bytes, frames):
-        # the values make_data_packet stamps on every outgoing chunk,
-        # keyed by the chunk's expected element count so an off-plan
-        # segment still falls back to explicit arithmetic.
-        mult = wire_multiplier
-        per_frame = SEG_HEADER_BYTES + frame_overhead
-        self._wire_info = [
-            (
-                bounds[chunk][1] - bounds[chunk][0],
-                mult
-                * (
-                    frames[chunk] * per_frame
-                    + (bounds[chunk][1] - bounds[chunk][0]) * bytes_per_element
-                ),
-                frames[chunk] * mult,
-            )
-            for chunk in range(self.n_chunks)
+        # Per-chunk geometry, as columns, built once: every run and every
+        # data packet of this plan reads its element bounds, its wire
+        # footprint (UDP payload bytes, frames — the values stamped on
+        # outgoing chunks) and its bytes on the wire here.
+        per_chunk = self.elements_per_chunk
+        self._offsets = [
+            min(chunk * per_chunk, n_elements) for chunk in range(self.n_chunks + 1)
         ]
+        sizes = [stop - start for start, stop in zip(self._offsets, self._offsets[1:])]
+        self._chunk_frames = [
+            math.ceil(size / self.elements_per_frame) for size in sizes
+        ]
+        per_frame = SEG_HEADER_BYTES + frame_overhead
+        self._wire_payloads = [
+            wire_multiplier * (frames * per_frame + size * bytes_per_element)
+            for frames, size in zip(self._chunk_frames, sizes)
+        ]
+        self._wire_frames = [frames * wire_multiplier for frames in self._chunk_frames]
+        wire = [
+            frames * PER_FRAME_OVERHEAD + payload
+            for frames, payload in zip(self._wire_frames, self._wire_payloads)
+        ]
+        self._wire_sizes = np.array(wire, dtype=np.float64)
+        self._wire_sizes.flags.writeable = False
+        #: Running total of ``wire``: any part of a run knows its bytes.
+        self._wire_cumulative = [0, *itertools.accumulate(wire)]
 
     @property
     def wire_bytes(self) -> int:
@@ -349,7 +403,7 @@ class SegmentPlan:
         """(start, stop) element indices of chunk ``chunk``."""
         if not 0 <= chunk < self.n_chunks:
             raise IndexError(f"chunk {chunk} out of range [0, {self.n_chunks})")
-        return self._chunk_bounds[chunk]
+        return self._offsets[chunk], self._offsets[chunk + 1]
 
     def chunk_frames(self, chunk: int) -> int:
         """Number of real Ethernet frames this chunk stands for."""
@@ -357,14 +411,16 @@ class SegmentPlan:
             raise IndexError(f"chunk {chunk} out of range [0, {self.n_chunks})")
         return self._chunk_frames[chunk]
 
-    def split(
+    def run(
         self,
         vector: np.ndarray,
         round_index: int,
         sender: str = "",
         commit_id: int = 0,
-    ) -> List[DataSegment]:
-        """Slice a gradient vector into per-chunk :class:`DataSegment`\\ s.
+        job: int = 0,
+    ) -> SegmentRun:
+        """One gradient vector as one :class:`SegmentRun` (no copy of a
+        contiguous float32 vector, and no per-chunk object).
 
         Seg numbers are offset by ``round_index * n_chunks`` so they are
         globally unique across aggregation rounds.
@@ -375,24 +431,25 @@ class SegmentPlan:
             )
         if round_index < 0:
             raise ValueError(f"round_index must be >= 0, got {round_index}")
-        base = round_index * self.n_chunks
         if vector.dtype != np.float32:
             vector = vector.astype(np.float32)
         else:
             vector = np.ascontiguousarray(vector)
-        # Trusted construction: ``vector`` was just coerced to a contiguous
-        # float32 array, so every slice satisfies the segment invariants.
-        trusted = DataSegment.trusted
-        views = [vector[start:stop] for start, stop in self._chunk_bounds]
-        origin = (vector, views)
-        segments = []
-        for chunk, view in enumerate(views):
-            segment = trusted(
-                base + chunk, view, sender=sender, commit_id=commit_id
-            )
-            segment.origin = origin
-            segments.append(segment)
-        return segments
+        return SegmentRun(
+            self, 0, self.n_chunks, round_index * self.n_chunks, vector,
+            sender, commit_id, job,
+        )
+
+    def split(
+        self,
+        vector: np.ndarray,
+        round_index: int,
+        sender: str = "",
+        commit_id: int = 0,
+    ) -> List[DataSegment]:
+        """Slice a gradient vector into per-chunk :class:`DataSegment`
+        objects: :meth:`run`, as the segments it stands for."""
+        return self.run(vector, round_index, sender, commit_id).segments()
 
     def assemble(self, segments: Sequence[DataSegment]) -> np.ndarray:
         """Reassemble one round's segments into a full vector.
@@ -701,8 +758,8 @@ def make_data_packet(
 ) -> Packet:
     """Build a ToS-tagged data packet (train) for one chunk (Figure 5b)."""
     chunk = segment.seg % plan.n_chunks
-    n_elements, payload_size, frames = plan._wire_info[chunk]
-    if segment.data.size != n_elements:
+    payload_size, frames = plan._wire_payloads[chunk], plan._wire_frames[chunk]
+    if segment.data.size != plan._offsets[chunk + 1] - plan._offsets[chunk]:
         # Off-plan segment (e.g. a truncated retransmission): recompute.
         mult = plan.wire_multiplier
         chunk_frames = plan._chunk_frames[chunk]

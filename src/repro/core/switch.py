@@ -47,6 +47,7 @@ from .protocol import (
     Action,
     ControlMessage,
     DataSegment,
+    SegmentRun,
     make_control_packet,
 )
 
@@ -146,28 +147,29 @@ class ISwitch(EthernetSwitch):
         Trains are single-flow by construction (one sender burst, or one
         switch's result emissions), so the common cases are a uniform
         ``TOS_DATA_UP`` train into the aggregation engine and a uniform
-        ``TOS_DATA_DOWN`` train fanned out to members.  Anything mixed
-        falls back to the per-packet arbiter.
+        ``TOS_DATA_DOWN`` train fanned out to members (a run says which in
+        its header).  Anything mixed falls back to the per-packet arbiter.
         """
-        packets = train.packets
-        n = len(packets)
+        run = train.run
+        if run is not None:
+            n, nbytes, tos = len(run), run.wire_total, train.tos
+        else:
+            packets = train.packets
+            n, nbytes, tos = len(packets), 0, packets[0].tos
+            for packet in packets:
+                nbytes += packet.wire_size
+                if packet.tos != tos:
+                    tos = None  # mixed
         self.rx_packets += n
-        nbytes = 0
-        tos = packets[0].tos
-        uniform = True
-        for packet in packets:
-            nbytes += packet.wire_size
-            if packet.tos != tos:
-                uniform = False
         self.rx_bytes += nbytes
-        if n > 1 and uniform:
+        if n > 1:
             if tos == TOS_DATA_UP:
                 if self._ingest_contribution_train(train, in_port):
                     return
             elif tos == TOS_DATA_DOWN:
                 self._fanout_train(train)
                 return
-        for packet in packets:
+        for packet in train.packets:
             self._arbitrate(packet, in_port)
 
     # ------------------------------------------------------------------
@@ -183,12 +185,8 @@ class ISwitch(EthernetSwitch):
         state = self.jobs.get(segment.job)
         telemetry = self.sim.telemetry
         if telemetry.enabled:
-            if segment.job:
-                telemetry.inc(
-                    "switch.contributions", 1, switch=self.name, job=segment.job
-                )
-            else:
-                telemetry.inc("switch.contributions", 1, switch=self.name)
+            labels = {"job": segment.job} if segment.job else {}
+            telemetry.inc("switch.contributions", 1, switch=self.name, **labels)
             if state.engine.clock is None:
                 # Arm the engine's first-arrival stamping lazily so the
                 # datapath stays timestamp-free while telemetry is off.
@@ -196,28 +194,8 @@ class ISwitch(EthernetSwitch):
         latency = state.engine.processing_latency(packet.payload_size)
         for completed in state.contribute(segment):
             if telemetry.enabled:
-                done = self.sim.now + latency
-                started = state.engine.consume_span_start(completed.seg)
-                telemetry.span_at(
-                    "segment.aggregate",
-                    started if started is not None else self.sim.now,
-                    done,
-                    cat="aggregation",
-                    track=self.name,
-                    seg=completed.seg,
-                    job=completed.job,
-                )
-                if completed.job:
-                    telemetry.inc(
-                        "switch.segments_completed",
-                        1,
-                        switch=self.name,
-                        job=completed.job,
-                    )
-                else:
-                    telemetry.inc(
-                        "switch.segments_completed", 1, switch=self.name
-                    )
+                now = self.sim.now
+                self._trace_completion(state.engine, completed, now, now + latency)
             self.sim.schedule_fire(
                 latency + self.latency,
                 lambda seg=completed: self._emit(seg.job, [seg]),
@@ -240,103 +218,79 @@ class ISwitch(EthernetSwitch):
         ``(time, completion order)`` — the key the event heap would have
         used for the per-packet emission events.
         """
-        packets = train.packets
-        segments = []
-        job = None
-        size0 = packets[0].payload_size
-        uniform_size = True
-        for packet in packets:
-            segment = packet.payload
-            if not isinstance(segment, DataSegment):
-                return False
-            if job is None:
-                job = segment.job
-            elif segment.job != job:
-                return False
-            if packet.payload_size != size0:
-                uniform_size = False
-            segments.append(segment)
+        segments = train.run
+        if segments is not None:
+            job = segments.job
+            sizes = segments.payload_sizes
+        else:
+            segments = []
+            sizes = []
+            job = None
+            for packet in train.packets:
+                segment = packet.payload
+                if not isinstance(segment, DataSegment):
+                    return False
+                if job is None:
+                    job = segment.job
+                elif segment.job != job:
+                    return False
+                segments.append(segment)
+                sizes.append(packet.payload_size)
         state = self.jobs.get(job)
         engine = state.engine
         sim = self.sim
         telemetry = sim.telemetry
-        n = len(packets)
+        n = len(sizes)
         clocks = None
         if telemetry.enabled:
-            if job:
-                telemetry.inc(
-                    "switch.contributions", n, switch=self.name, job=job
-                )
-            else:
-                telemetry.inc("switch.contributions", n, switch=self.name)
+            labels = {"job": job} if job else {}
+            telemetry.inc("switch.contributions", n, switch=self.name, **labels)
             # Stamp each contribution with its own carried arrival: one
             # train = one simulator event, so the engine's shared clock
             # would record the last packet's arrival for every segment.
-            clocks = [float(a) for a in train.arrivals]
+            clocks = train.arrivals.tolist()
         # One processing_latency accrual per packet, exactly like the
         # per-packet path (it also accumulates the engine's busy_time).
-        if uniform_size:
-            latency0 = engine.processing_latency(size0)
-            stats = engine.stats
-            for _ in range(n - 1):
+        size0 = sizes[0]
+        latency0 = engine.processing_latency(size0)
+        latencies = [latency0] * n
+        stats = engine.stats
+        for i in range(1, n):
+            if sizes[i] == size0:
                 # Repeated adds, not one multiply: busy_time must match
                 # the per-packet accumulation bit for bit.
                 stats.busy_time += latency0
-            latencies = [latency0] * n
-        else:
-            latencies = [
-                engine.processing_latency(packet.payload_size)
-                for packet in packets
-            ]
+            else:
+                latencies[i] = engine.processing_latency(sizes[i])
         completions = engine.contribute_batch(segments, clocks=clocks)
         if not completions:
             return True
-        arrivals = train.arrivals
-        if isinstance(arrivals, np.ndarray):
-            arrivals = arrivals.tolist()  # python floats, identical values
+        # One logical "agg-complete" event per completion.
+        sim.count_batched(len(completions), "agg-complete")
         switch_latency = self.latency
+        if isinstance(completions, SegmentRun):
+            # The run completed its round: chunk i leaves one summed delay
+            # after packet i arrived (schedule_fire's float association).
+            ready = train.arrivals + (np.array(latencies) + switch_latency)
+            if (ready[1:] >= ready[:-1]).all():
+                self._emit(job, completions, ready=ready)
+                return True
+            # A short last chunk overtakes its neighbour in the pipeline:
+            # no longer one run on the wire.
+            completions = list(enumerate(completions))
+        arrivals = train.arrivals.tolist()  # python floats, identical values
         items: List[Tuple[float, int, DataSegment]] = []
         for order, (i, completed) in enumerate(completions):
             completed.job = job
-            arrival = float(arrivals[i])
+            arrival = arrivals[i]
             latency = latencies[i]
             # Match the per-packet float association exactly:
             # schedule_fire(latency + self.latency) adds the *summed*
             # delay to the arrival in one operation.
             emit_delay = latency + switch_latency
             if telemetry.enabled:
-                started = engine.consume_span_start(completed.seg)
-                done = arrival + latency
-                # Trains from different links deliver in last-arrival
-                # order, so under retransmission a completion can carry
-                # an earlier logical arrival than the recorded first
-                # arrival; clamp so the span stays well-formed.
-                span_start = started if started is not None else arrival
-                if span_start > done:
-                    span_start = done
-                telemetry.span_at(
-                    "segment.aggregate",
-                    span_start,
-                    done,
-                    cat="aggregation",
-                    track=self.name,
-                    seg=completed.seg,
-                    job=completed.job,
-                )
-                if completed.job:
-                    telemetry.inc(
-                        "switch.segments_completed",
-                        1,
-                        switch=self.name,
-                        job=completed.job,
-                    )
-                else:
-                    telemetry.inc(
-                        "switch.segments_completed", 1, switch=self.name
-                    )
+                self._trace_completion(engine, completed, arrival, arrival + latency)
             items.append((arrival + emit_delay, order, completed))
-        # One logical "agg-complete" event per completion.
-        sim.count_batched(len(items), "agg-complete")
         items.sort(key=lambda item: (item[0], item[1]))
         self._emit(
             job,
@@ -345,25 +299,50 @@ class ISwitch(EthernetSwitch):
         )
         return True
 
+    def _trace_completion(self, engine, completed, arrival, done) -> None:
+        """Telemetry for one completion: its first arrival -> ``done`` span
+        (from ``arrival`` if the stamp aged out) and the per-job count."""
+        telemetry = self.sim.telemetry
+        started = engine.consume_span_start(completed.seg)
+        # Trains from different links deliver in last-arrival order, so
+        # under retransmission a completion can carry an earlier logical
+        # arrival than the recorded first arrival; clamp so the span stays
+        # well-formed.
+        telemetry.span_at(
+            "segment.aggregate",
+            min(arrival if started is None else started, done),
+            done,
+            cat="aggregation",
+            track=self.name,
+            seg=completed.seg,
+            job=completed.job,
+        )
+        labels = {"job": completed.job} if completed.job else {}
+        telemetry.inc("switch.segments_completed", 1, switch=self.name, **labels)
+
     def _fanout_train(self, train: PacketTrain) -> None:
         """Batched :meth:`_handle_result_from_parent`: re-broadcast a train,
         each packet ready one switch latency after its own arrival."""
-        arrivals = train.arrivals
-        if isinstance(arrivals, np.ndarray):
-            arrivals = arrivals.tolist()  # python floats, identical values
+        self.sim.count_batched(len(train), "fanout")
+        latency = self.latency
+        if train.run is not None:
+            self._emit(
+                train.run.job, train.run, final=True,
+                ready=train.arrivals + latency,
+            )
+            return
+        arrivals = train.arrivals.tolist()  # python floats, identical values
         packets = train.packets
-        self.sim.count_batched(len(packets), "fanout")
         by_job: dict = {}
         for i, packet in enumerate(packets):
             by_job.setdefault(packet.payload.job, []).append(i)
-        latency = self.latency
         for job, indices in by_job.items():
             self._emit(
                 job,
                 [packets[i].payload for i in indices],
                 final=True,
                 ready=np.array(
-                    [float(arrivals[i]) + latency for i in indices],
+                    [arrivals[i] + latency for i in indices],
                     dtype=np.float64,
                 ),
             )
@@ -434,8 +413,8 @@ class ISwitch(EthernetSwitch):
         self, role: JobState, routes: Routes, ready: Optional[np.ndarray] = None
     ) -> None:
         """Put a role's routes on the wire: one packet per message, or —
-        given the messages' ``ready`` times — one train per destination."""
-        built_for = template = None
+        given the messages' ``ready`` times — one train per destination;
+        a run goes out as it is, the same one to every destination."""
         parent = role.parent
         for dst, messages in routes:
             egress = self.lookup(dst)
@@ -443,25 +422,21 @@ class ISwitch(EthernetSwitch):
                 self.dropped_packets += len(messages)
                 continue
             downstream = dst != parent
-            if ready is None:
+            if isinstance(messages, SegmentRun):
+                egress.send_train(
+                    PacketTrain(
+                        run=messages, src=self.name, dst=dst,
+                        tos=TOS_DATA_DOWN if downstream else TOS_DATA_UP,
+                        port=ISWITCH_UDP_PORT,
+                    ),
+                    ready,
+                )
+            elif ready is None:
                 for message in messages:
                     egress.send(self._packet(dst, message, downstream))
-            elif len(routes) == 1:
+            else:
                 egress.send_train(
                     [self._packet(dst, m, downstream) for m in messages], ready
-                )
-            else:
-                # Every member gets an identical train except for the
-                # packet destinations: build it once, clone per member.
-                # The template itself is never sent (transmission stamps
-                # hops/created_at).
-                if messages is not built_for:
-                    built_for = messages
-                    template = [
-                        self._packet("", m, downstream) for m in messages
-                    ]
-                egress.send_train(
-                    [packet.clone_to(dst) for packet in template], ready
                 )
 
     def _packet(self, dst: str, message, downstream: bool) -> Packet:

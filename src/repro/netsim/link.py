@@ -36,7 +36,7 @@ bit-reproducible for a fixed topology and seed — see
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -152,11 +152,15 @@ def _record_tx(telemetry, link_name: str, packets: Sequence[Packet]) -> None:
             entry[0] += 1
             entry[1] += packet.wire_size
     for job, (count, nbytes) in per_job.items():
-        # Multi-tenant traffic carries its job, so per-tenant telemetry
-        # can separate shared-link usage; job 0 stays unlabelled.
-        labels = {"job": job} if job else {}
-        telemetry.inc("link.tx_packets", count, link=link_name, **labels)
-        telemetry.inc("link.tx_bytes", nbytes, link=link_name, **labels)
+        _record_job_tx(telemetry, link_name, job, count, nbytes)
+
+
+def _record_job_tx(telemetry, link_name: str, job: int, count: int, nbytes: int):
+    # Multi-tenant traffic carries its job, so per-tenant telemetry
+    # can separate shared-link usage; job 0 stays unlabelled.
+    labels = {"job": job} if job else {}
+    telemetry.inc("link.tx_packets", count, link=link_name, **labels)
+    telemetry.inc("link.tx_bytes", nbytes, link=link_name, **labels)
 
 
 class LinkEnd:
@@ -290,7 +294,7 @@ class LinkEnd:
 
     def send_train(
         self,
-        packets: List[Packet],
+        packets: Union[List[Packet], PacketTrain],
         ready: Optional[Sequence[float]] = None,
     ) -> float:
         """Transmit a burst of packets toward the peer as **one** train.
@@ -298,7 +302,9 @@ class LinkEnd:
         This is the batched-transport fast path: all serialization and
         propagation arithmetic happens in one pass and a single delivery
         event fires at the last packet's arrival, with the per-packet
-        arrival times carried on the :class:`PacketTrain`.  Two shapes:
+        arrival times carried on the :class:`PacketTrain`.  ``packets`` is
+        a list, or an unsent train (one of header and arrays is sent
+        without building a packet).  Two shapes:
 
         * ``ready=None`` — an *offered burst*: every packet hits the
           transmit queue right now, exactly like N back-to-back
@@ -342,6 +348,7 @@ class LinkEnd:
         hand_over = peer is not None and not peer.reacts
         if hand_over:
             link.require_lossless()
+        train = packets if isinstance(packets, PacketTrain) else PacketTrain(packets)
         barriers = link.train_barriers
         if barriers:
             while barriers and barriers[0] <= now:
@@ -349,7 +356,7 @@ class LinkEnd:
             if barriers and ready is not None and ready[-1] >= barriers[0]:
                 boundary = barriers[0]
                 split = int(np.searchsorted(ready, boundary, side="left"))
-                deferred = packets[split:]
+                deferred = train[split:]
                 deferred_ready = ready[split:]
                 sim.schedule_fire_at(
                     boundary,
@@ -358,18 +365,29 @@ class LinkEnd:
                 )
                 if split == 0:
                     return boundary
-                packets = packets[:split]
+                train = train[:split]
                 ready = ready[:split]
-        n = len(packets)
+        n = len(train)
         if n == 1 and ready is None and not hand_over:
-            return self.send(packets[0])
-        wire = np.empty(n, dtype=np.float64)
-        total_wire = 0
-        for i, packet in enumerate(packets):
-            size = packet.wire_size
-            wire[i] = size
-            total_wire += size
-            packet.hops += 1
+            return self.send(train.packets[0])
+        packets = train._packets
+        if packets is None:
+            # Header and arrays: the run states every wire size, and the
+            # hop is stamped on the train (into packets if ever built).
+            wire = train.run.wire_sizes
+            total_wire = train.run.wire_total
+            train.hops += 1
+            train.created_at = now if ready is None else ready
+        else:
+            wire = np.empty(n, dtype=np.float64)
+            total_wire = 0
+            for i, packet in enumerate(packets):
+                size = packet.wire_size
+                wire[i] = size
+                total_wire += size
+                packet.hops += 1
+                if packet.created_at is None:
+                    packet.created_at = now if ready is None else float(ready[i])
         serialization = wire * link._seconds_per_byte
         # Python-float view: keeps np.float64 from leaking into
         # ``_busy_until``/``created_at``/``busy_time`` (same IEEE doubles,
@@ -377,9 +395,6 @@ class LinkEnd:
         ser_list = serialization.tolist()
         busy = self._busy_until
         if ready is None:
-            for packet in packets:
-                if packet.created_at is None:
-                    packet.created_at = now
             # Fold the first start time into element 0, then accumulate:
             # ufunc.accumulate sums strictly left to right, so arr[k]
             # reproduces the sequential e_k = e_{k-1} + ser_k recurrence
@@ -391,15 +406,14 @@ class LinkEnd:
         else:
             # Gap-capable recurrence (max against each ready time); plain
             # float loop to preserve the per-packet operation order.
-            ends = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                packet = packets[i]
-                r = float(ready[i])
-                if packet.created_at is None:
-                    packet.created_at = r
-                start = busy if busy > r else r
-                busy = start + ser_list[i]
-                ends[i] = busy
+            ends = []
+            for r, ser in zip(
+                ready.tolist() if isinstance(ready, np.ndarray) else ready,
+                ser_list,
+            ):
+                busy = (busy if busy > r else r) + ser
+                ends.append(busy)
+            ends = np.array(ends, dtype=np.float64)
             self._busy_until = busy
         busy_time = self.busy_time
         for s in ser_list:
@@ -407,41 +421,41 @@ class LinkEnd:
             # accumulation bit for bit.
             busy_time += s
         self.busy_time = busy_time
-        arrivals = ends + link.propagation
+        train.arrivals = arrivals = ends + link.propagation
         self.tx_packets += n
         self.tx_bytes += total_wire
         telemetry = sim.telemetry
-        if hand_over:
-            if telemetry.enabled:
+        if telemetry.enabled:
+            if packets is None:
+                _record_job_tx(telemetry, link.name, train.job, n, total_wire)
+            else:
                 _record_tx(telemetry, link.name, packets)
+        if hand_over:
             # Through the instance, so a PacketCapture on the peer sees it.
-            peer.handle_train(PacketTrain(packets, arrivals), self._peer_end)
+            peer.handle_train(train, self._peer_end)
             return float(arrivals[-1])
         self._queued_packets += n
         # Loss draws, per packet in transmission order — the same rng
         # consumption as N per-packet sends.
         loss_model = link.loss_model
         rng = link.loss_rng
-        dropped_mask = None
-        n_dropped = 0
+        mask = None
+        dropped_count = 0
         if loss_model is not None:
-            dropped_mask = np.empty(n, dtype=bool)
+            mask = np.empty(n, dtype=bool)
             for i in range(n):
-                dropped_mask[i] = loss_model.should_drop(rng)
-            n_dropped = int(dropped_mask.sum())
+                mask[i] = loss_model.should_drop(rng)
+            dropped_count = int(mask.sum())
         elif link.loss_rate > 0.0:
             rate = link.loss_rate
-            dropped_mask = np.empty(n, dtype=bool)
+            mask = np.empty(n, dtype=bool)
             for i in range(n):
-                dropped_mask[i] = rng.random() < rate
-            n_dropped = int(dropped_mask.sum())
+                mask[i] = rng.random() < rate
+            dropped_count = int(mask.sum())
         if telemetry.enabled:
-            _record_tx(telemetry, link.name, packets)
             telemetry.set_gauge(
                 "link.queue_depth", self._queued_packets, link=link.name
             )
-        mask = dropped_mask
-        dropped_count = n_dropped
 
         def deliver_train() -> None:
             self._queued_packets -= n
@@ -453,27 +467,23 @@ class LinkEnd:
                     telemetry.inc(
                         "link.packets_dropped", dropped_count, link=link.name
                     )
-            if dropped_count:
-                link.dropped_packets += dropped_count
-                if dropped_count == n:
-                    sim.count_batched(n - 1, "deliver")
-                    return
-                survivors = [
-                    packet
-                    for packet, gone in zip(packets, mask)
-                    if not gone
-                ]
-                survivor_arrivals = arrivals[~mask]
-            else:
-                survivors = packets
-                survivor_arrivals = arrivals
-            self._deliver_train(survivors, survivor_arrivals, dropped_count)
+            if not dropped_count:
+                self._deliver_train(train, arrivals)
+                return
+            link.dropped_packets += dropped_count
+            if dropped_count == n:
+                sim.count_batched(n - 1, "deliver")
+                return
+            survivors = [
+                packet for packet, gone in zip(train.packets, mask) if not gone
+            ]
+            self._deliver_train(survivors, arrivals[~mask], dropped_count)
 
         last_arrival = float(arrivals[-1])
         sim.schedule_fire_at(last_arrival, deliver_train, "deliver")
         return last_arrival
 
-    def _deliver_train(self, packets: List[Packet], arrivals, lost: int = 0) -> None:
+    def _deliver_train(self, packets, arrivals, lost: int = 0) -> None:
         """A train's one delivery event: the peer gets every packet that
         survived, each with its own arrival time.
 
@@ -484,10 +494,10 @@ class LinkEnd:
         device = self._peer_device
         if device is None:  # unattached link: keep the loud error path
             device = self.peer_device
-        device.handle_train(
-            PacketTrain(packets, np.asarray(arrivals, dtype=np.float64)),
-            self._peer_end or self.peer,
-        )
+        train = packets
+        if not isinstance(train, PacketTrain):
+            train = PacketTrain(packets, np.asarray(arrivals, dtype=np.float64))
+        device.handle_train(train, self._peer_end or self.peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         owner = self.device.name if self.device else "?"

@@ -11,7 +11,7 @@ their traffic over the simulated network.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from .events import Simulator
 from .link import LinkEnd
@@ -133,9 +133,9 @@ class Host(Device):
             raise RuntimeError(f"host {self.name} has no link attached")
         return uplink.send(packet)
 
-    def send_burst(self, packets: List[Packet]) -> float:
-        """Offer a burst to the NIC as one packet train: exactly what one
-        :meth:`send` per packet, all in this event, puts on the wire."""
+    def send_burst(self, packets: Union[List[Packet], PacketTrain]) -> float:
+        """Offer a burst (list or unsent train) to the NIC as one train: what
+        one :meth:`send` per packet, all in this event, puts on the wire."""
         uplink = self._uplink
         if uplink is None:
             raise RuntimeError(f"host {self.name} has no link attached")
@@ -151,23 +151,25 @@ class Host(Device):
         # socket; tests assert on rx counters to detect misrouting.
 
     def handle_train(self, train: PacketTrain, in_port: LinkEnd) -> None:
-        packets = train.packets
-        self.rx_packets += len(packets)
-        nbytes = 0
-        port = packets[0].dst_port
-        uniform = True
-        for packet in packets:
-            nbytes += packet.wire_size
-            if packet.dst_port != port:
-                uniform = False
+        run = train.run
+        if run is not None:  # header and arrays: one port, sizes stated
+            n, nbytes, port = len(run), run.wire_total, train.port
+        else:
+            packets = train.packets
+            n, nbytes, port = len(packets), 0, packets[0].dst_port
+            for packet in packets:
+                nbytes += packet.wire_size
+                if packet.dst_port != port:
+                    port = None  # mixed: no train handler takes it
+        self.rx_packets += n
         self.rx_bytes += nbytes
         train_handler = self._train_handlers.get(port)
-        if train_handler is not None and uniform:
+        if train_handler is not None:
             train_handler(train)
             return
         default = self._default_handler
         handlers = self._handlers
-        for packet in packets:
+        for packet in train.packets:
             handler = handlers.get(packet.dst_port, default)
             if handler is not None:
                 handler(packet)

@@ -131,28 +131,6 @@ class Packet:
             created_at=self.created_at,
         )
 
-    def clone_to(self, dst: str) -> "Packet":
-        """Broadcast-hot clone: like :meth:`copy_for` without re-validation.
-
-        The source packet already passed ``__post_init__`` and only the
-        destination changes, so the size/ToS invariants cannot break.
-        """
-        p = object.__new__(Packet)
-        p.src = self.src
-        p.dst = dst
-        p.payload_size = self.payload_size
-        p.tos = self.tos
-        p.payload = self.payload
-        p.src_port = self.src_port
-        p.dst_port = self.dst_port
-        p.frame_count = self.frame_count
-        p.job = self.job
-        p.packet_id = next(_packet_ids)
-        p.hops = self.hops
-        p.created_at = self.created_at
-        p.wire_size = self.wire_size
-        return p
-
     @classmethod
     def trusted(
         cls,
@@ -208,31 +186,77 @@ class PacketTrain:
     consumers that care about per-packet timing — on-the-fly aggregation,
     store-and-forward switches, packet capture — stay timestamp-accurate.
 
-    Invariants: ``len(packets) == len(arrivals) >= 1`` and ``arrivals`` is
-    sorted ascending (link FIFO order).  All packets share one destination
-    device; dropped packets are removed before the train is handed to it.
+    A train is a list of packets, or a *header and arrays*: the fields all
+    packets of one flow share (``src``, ``dst``, ``tos``, ``port``, ``job``,
+    ``hops``, ``created_at``) plus a ``run`` that states the rest —
+    ``len(run)``, ``run[a:b]``, ``run.wire_sizes`` (float64 array),
+    ``run.wire_total`` and ``run.segments()``, the packets' payloads, each
+    with its ``wire_payload`` and ``wire_frames``.  :attr:`packets` builds
+    such a train's packets on first use, for whoever needs the objects.
+
+    Invariants: ``len(train) == len(arrivals) >= 1`` once sent, and
+    ``arrivals`` is sorted ascending (link FIFO order).  All packets share
+    one destination device; dropped packets are removed before the train
+    is handed to it.
     """
 
-    __slots__ = ("packets", "arrivals")
+    __slots__ = (
+        "_packets", "arrivals", "run",
+        "src", "dst", "tos", "port", "job", "hops", "created_at",
+    )
 
-    def __init__(self, packets: List[Packet], arrivals) -> None:
-        if len(packets) != len(arrivals):
-            raise ValueError(
-                f"train has {len(packets)} packets but "
-                f"{len(arrivals)} arrival times"
-            )
-        if not packets:
-            raise ValueError("a train carries at least one packet")
-        self.packets = packets
-        #: Per-packet receiver-side arrival times (float64 ndarray).
+    def __init__(
+        self, packets: Optional[List[Packet]] = None, arrivals=None, *,
+        run=None, src: str = "", dst: str = "", tos: int = TOS_DEFAULT,
+        port: int = 0, job: int = 0,
+    ) -> None:
+        if run is None:
+            if arrivals is not None and len(packets) != len(arrivals):
+                raise ValueError(
+                    f"train has {len(packets)} packets but "
+                    f"{len(arrivals)} arrival times"
+                )
+            if not packets:
+                raise ValueError("a train carries at least one packet")
+        self._packets = packets
+        #: Per-packet receiver-side arrival times (float64 ndarray), once
+        #: the train has been transmitted.
         self.arrivals = arrivals
+        self.run = run
+        self.src, self.dst, self.tos, self.port, self.job = src, dst, tos, port, job
+        self.hops = 0
+        #: When a run's packets entered their first transmit queue: one
+        #: time for an offered burst, one per packet for a forwarded train.
+        self.created_at = None
+
+    @property
+    def packets(self) -> List[Packet]:
+        if self._packets is None:
+            created = self.created_at
+            if created is None or isinstance(created, float):
+                created = [created] * len(self.run)
+            self._packets = []
+            for payload, stamp in zip(self.run.segments(), created):
+                packet = Packet.trusted(
+                    self.src, self.dst, payload.wire_payload, self.tos, payload,
+                    self.port, self.port, payload.wire_frames, self.job,
+                )
+                packet.hops = self.hops
+                packet.created_at = None if stamp is None else float(stamp)
+                self._packets.append(packet)
+        return self._packets
 
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.run) if self._packets is None else len(self._packets)
+
+    def __getitem__(self, part: slice) -> "PacketTrain":
+        """Packets ``[a, b)`` of a train not yet sent, in the same form."""
+        if self._packets is not None:
+            return PacketTrain(self._packets[part])
+        return PacketTrain(
+            run=self.run[part], src=self.src, dst=self.dst, tos=self.tos,
+            port=self.port, job=self.job,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        first, last = self.packets[0], self.packets[-1]
-        return (
-            f"PacketTrain({len(self.packets)}p {first.src}->{last.dst} "
-            f"t=[{self.arrivals[0]:.9f}, {self.arrivals[-1]:.9f}])"
-        )
+        return f"PacketTrain({len(self)}p, arrivals={self.arrivals})"

@@ -1,7 +1,11 @@
 """Unit tests for the in-switch aggregation engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accelerator import (
     AcceleratorTiming,
@@ -292,27 +296,32 @@ class TestBatchIngestCounters:
     """``stats.batch_bails`` / ``stats.joins``: which per-byte path ran."""
 
     def train(self, sender="w0", round_index=0, n=4):
-        plan = SegmentPlan(366 * n)
+        plan = getattr(self, "plan", None)
+        if plan is None or plan.n_chunks != n:
+            plan = self.plan = SegmentPlan(366 * n)
         vector = np.ones(plan.n_elements, dtype=np.float32)
-        segments = plan.split(vector, round_index, sender=sender, commit_id=1)
-        for segment in segments:
-            segment.wire_payload, segment.wire_frames = 1472, 1
-        return segments
+        return plan.run(vector, round_index, sender=sender, commit_id=1)
 
     def test_clean_trains_are_joined_as_views_and_nothing_bails(self):
         engine = AggregationEngine(threshold=2)
-        engine.contribute_batch(self.train("w0"))
+        assert engine.contribute_batch(self.train("w0")) == []
+        assert engine.live_segments == 4 and engine.pending_count(2) == 1
         assert len(engine.contribute_batch(self.train("w1"))) == 4
         assert engine.stats.joins == {"view": 2, "copy": 0}
         assert not any(engine.stats.batch_bails.values())
+        assert engine.stats.contributions == 8 and engine.stats.completions == 4
+        assert engine.stats.max_live_segments == 4 and engine.live_segments == 0
 
     def test_chunks_without_their_cut_are_joined_by_copy(self):
+        # A run whose vector is not one contiguous float32 array (here every
+        # other element of a float64 one) is gathered before it is summed.
         engine = AggregationEngine(threshold=1)
-        segments = self.train()
-        for segment in segments:
-            segment.origin = None  # e.g. re-framed by a child switch
-        assert len(engine.contribute_batch(segments)) == 4
+        run = self.train()
+        scattered = np.arange(2 * run.data.size, dtype=np.float64)[::2]
+        done = engine.contribute_batch(replace(run, data=scattered))
         assert engine.stats.joins == {"view": 0, "copy": 1}
+        assert done.data.dtype == np.float32 and done.data.flags.c_contiguous
+        assert done.data.tobytes() == scattered.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize(
         "cause,kwargs",
@@ -324,17 +333,43 @@ class TestBatchIngestCounters:
         ],
     )
     def test_engine_settings_bail_by_name(self, cause, kwargs):
+        """A setting is named as a cause only when its condition failed:
+        merely being configured sends no train to the per-segment path."""
         engine = AggregationEngine(threshold=1, **kwargs)
         assert len(engine.contribute_batch(self.train())) == 4
-        bails = {k: v for k, v in engine.stats.batch_bails.items() if v}
-        assert bails == {cause: 1}
-        assert engine.stats.joins == {"view": 0, "copy": 0}
+        assert not any(engine.stats.batch_bails.values())
+        assert engine.stats.joins == {"view": 1, "copy": 0}
+        if cause == "buffer_limit":
+            # ... and it fails exactly when this train would exceed it.
+            engine = AggregationEngine(threshold=2, buffer_limit=7)
+            engine.contribute_batch(self.train(round_index=0))
+            engine.contribute_batch(self.train(round_index=1))
+            bails = {k: v for k, v in engine.stats.batch_bails.items() if v}
+            assert bails == {"buffer_limit": 1}
+            assert engine.stats.evictions == 1 and engine.live_segments == 7
+            # A later run of a round already held adds no buffer.
+            engine.contribute_batch(self.train("w1", round_index=1))
+            assert bails == {"buffer_limit": 1}
+        if cause == "dedup":
+            engine = AggregationEngine(threshold=2, dedup=True)
+            engine.contribute_batch(self.train())
+            assert engine.contribute_batch(self.train()) == []
+            assert engine.stats.duplicates_dropped == 4
+            assert len(engine.contribute_batch(self.train("w1"))) == 4
 
     def test_arrival_renumber_clock_and_shape_bails(self):
         engine = AggregationEngine(threshold=1)
         engine.arrival_renumber = 4
-        engine.contribute_batch(self.train())
-        assert engine.stats.batch_bails["arrival_renumber"] == 1
+        first = engine.contribute_batch(self.train())
+        again = engine.contribute_batch(self.train())  # the next round
+        assert (first.seg, again.seg) == (0, 4)
+        assert not any(engine.stats.batch_bails.values())
+        # A lone packet leaves chunk 0 one arrival ahead of the others: a
+        # run no longer maps onto one round.
+        engine.contribute(self.train().segments()[0])
+        done = engine.contribute_batch(self.train())
+        assert sorted(s.seg for _, s in done) == [9, 10, 11, 12]
+        assert engine.stats.batch_bails["shape"] == 1
         engine = AggregationEngine(threshold=1)
         engine.contribute_batch(self.train(), clocks=[0.0, 1.0, 2.0, 3.0])
         assert engine.stats.batch_bails["clock"] == 1
@@ -343,7 +378,112 @@ class TestBatchIngestCounters:
         assert engine.stats.batch_bails["clock"] == 2
         engine = AggregationEngine(threshold=1)
         engine.contribute_batch(self.train()[:1])  # a one-packet train
-        engine.contribute_batch(self.train(round_index=1)[::2])  # Seg gaps
+        engine.contribute_batch(self.train(round_index=1).segments()[::2])  # gaps
         assert engine.stats.batch_bails["shape"] == 2
         # Bails are counted per train, never per segment.
         assert sum(engine.stats.batch_bails.values()) == 2
+
+
+# ----------------------------------------------------------------------
+# A run ingested whole equals the same packets ingested one by one, in every
+# engine mode and with per-packet traffic landing on half-aggregated rounds
+# ----------------------------------------------------------------------
+ENGINE_MODES = {
+    "plain": dict(),
+    "canonical": dict(canonical_order=True),
+    "dedup": dict(dedup=True),
+    "int32-bs": dict(codec=get_codec("int32-bs")),
+    "fp16": dict(codec=get_codec("fp16")),
+    "canonical-int32-bs": dict(canonical_order=True, codec=get_codec("int32-bs")),
+    "buffer-limit": dict(buffer_limit=5),
+}
+
+
+@st.composite
+def engine_scripts(draw):
+    mode = draw(st.sampled_from(sorted(ENGINE_MODES)))
+    renumber = draw(st.booleans())
+    n_chunks = draw(st.integers(2, 4))
+    plan = SegmentPlan(366 * (n_chunks - 1) + draw(st.integers(1, 366)))
+    senders = st.sampled_from(["w0", "w1", "w2", "w10"])
+    rounds = st.integers(0, 2)
+    op = st.one_of(
+        st.tuples(st.just("run"), senders, rounds),
+        st.tuples(st.just("run"), senders, rounds),
+        st.tuples(st.just("part"), senders, rounds, st.integers(1, n_chunks - 1)),
+        st.tuples(st.just("packet"), senders, rounds, st.integers(0, n_chunks - 1)),
+        st.tuples(st.just("fbcast"), st.integers(0, 3 * n_chunks - 1)),
+        st.tuples(st.just("seth"), st.integers(1, 3)),
+    )
+    return mode, renumber, plan, draw(st.integers(1, 3)), draw(st.lists(op, max_size=14))
+
+
+def drive(engine, plan, ops, whole_runs):
+    """Apply ``ops``; every completion as ``(seg, bytes, footprint)``, per op."""
+
+    def vector(sender, round_index):
+        rng = np.random.default_rng([ord(c) for c in sender] + [round_index])
+        return engine_grid(rng.standard_normal(plan.n_elements).astype(np.float32))
+
+    engine_grid = (
+        engine.codec.roundtrip if engine.codec is not None else lambda v: v
+    )
+    log = []
+    for op in ops:
+        if op[0] in ("run", "part"):
+            run = plan.run(vector(op[1], op[2]), op[2], op[1], commit_id=op[2] + 1)
+            if op[0] == "part":  # a run split at a barrier: both parts, in order
+                runs = [run[: op[3]], run[op[3] :]]
+            else:
+                runs = [run]
+            done = []
+            for run in runs:
+                if whole_runs:
+                    out = engine.contribute_batch(run)
+                    done += out.segments() if hasattr(out, "segments") else [
+                        segment for _, segment in out
+                    ]
+                else:
+                    done += [
+                        d for d in map(engine.contribute, run.segments()) if d
+                    ]
+        elif op[0] == "packet":
+            run = plan.run(vector(op[1], op[2]), op[2], op[1], commit_id=op[2] + 1)
+            done = [engine.contribute(run.segments()[op[3]])]
+        elif op[0] == "fbcast":
+            done = [engine.force_broadcast(op[1])]
+        else:
+            engine.set_threshold(op[1])
+            done = engine.sweep_completed()
+        log.append(sorted(
+            (d.seg, d.data.tobytes(), d.wire_payload, d.wire_frames)
+            for d in done if d is not None
+        ))
+    stats = engine.stats
+    return log, (
+        stats.contributions, stats.completions, stats.forced_broadcasts,
+        stats.duplicates_dropped, stats.evictions, stats.max_live_segments,
+        engine.live_segments,
+        [engine.pending_count(seg) for seg in range(3 * plan.n_chunks)],
+        [
+            None if cached is None else cached.data.tobytes()
+            for cached in map(engine.cached_result, range(3 * plan.n_chunks))
+        ],
+    )
+
+
+class TestRunIngestEqualsPerSegmentIngest:
+    @given(engine_scripts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_completions_same_state(self, script):
+        mode, renumber, plan, threshold, ops = script
+        outcomes = []
+        for whole_runs in (True, False):
+            engine = AggregationEngine(
+                threshold=threshold, cache_size=2 * plan.n_chunks,
+                **ENGINE_MODES[mode],
+            )
+            if renumber:
+                engine.arrival_renumber = plan.n_chunks
+            outcomes.append(drive(engine, plan, ops, whole_runs))
+        assert outcomes[0] == outcomes[1]

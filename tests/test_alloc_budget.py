@@ -10,10 +10,15 @@ pinned every round buffer), 18.7 V (ps) and 24.7 V (ar).
 """
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from repro.core.protocol import DataSegment
 from repro.distributed import ExperimentConfig, run
+from repro.netsim import Packet, PacketCapture
+
+from .helpers import built_clusters
 
 N_PARAMS = 366_000
 V = 4 * N_PARAMS
@@ -51,3 +56,69 @@ def test_sharing_the_round_results_does_not_raise_the_host_side_peak(strategy):
     long = peak_in_vectors(strategy, 12)
     assert short <= 16.0, short
     assert abs(long - short) <= 1.0, (short, long)
+
+
+# ----------------------------------------------------------------------
+# Objects: a gradient on the clean iSwitch path is one run, not 64 packets
+# ----------------------------------------------------------------------
+def constructions_per_iteration(capture):
+    """``Packet`` + ``DataSegment`` objects built per warm iteration of a
+    clean sync-isw n=4 synth run (10 iterations after 2 of warm-up), and
+    what a capture on worker 0 recorded per iteration."""
+    built = {"count": 0}
+    iteration_marks = []
+    captures = []
+
+    def counting(cls):
+        # Both ways either class is built: validated (the dataclass
+        # __init__ ends in __post_init__) and trusted.
+        trusted, validated = cls.trusted.__func__, cls.__post_init__
+
+        def spy_trusted(klass, *args, **kwargs):
+            built["count"] += 1
+            return trusted(klass, *args, **kwargs)
+
+        def spy_validated(self):
+            built["count"] += 1
+            validated(self)
+
+        return mock.patch.multiple(
+            cls, trusted=classmethod(spy_trusted), __post_init__=spy_validated
+        )
+
+    def tap(net, workers):
+        if capture:
+            captures.append(PacketCapture(workers[0].host))
+        finish = workers[0].finish_iteration
+
+        def marked(*args, **kwargs):
+            iteration_marks.append(built["count"])
+            return finish(*args, **kwargs)
+
+        workers[0].finish_iteration = marked
+
+    with counting(Packet), counting(DataSegment), built_clusters(tap):
+        run(
+            ExperimentConfig(
+                strategy="isw", workload="synth", n_workers=4, iterations=12,
+                seed=7, telemetry=False,
+            )
+        )
+    assert len(iteration_marks) == 12
+    per_iteration = (iteration_marks[-1] - iteration_marks[1]) / 10
+    records = len(captures[0].records) / 12 if capture else 0
+    return per_iteration, records
+
+
+def test_a_clean_iteration_builds_a_handful_of_packet_objects():
+    # O(members), not O(members x chunks): the parent built ~900 (320
+    # Packet.trusted, 256 clone_to, 320 DataSegment.trusted).
+    per_iteration, _ = constructions_per_iteration(capture=False)
+    assert per_iteration <= 32, per_iteration
+
+
+def test_a_capture_still_sees_every_packet_of_every_train():
+    # Whoever asks for packets gets them: 64 per result train, built then.
+    per_iteration, records = constructions_per_iteration(capture=True)
+    assert records == 64
+    assert 128 <= per_iteration <= 128 + 32, per_iteration

@@ -3,14 +3,15 @@
 One ownership rule: *a gradient handed to a strategy belongs to the
 datapath; a result handed back is read-only and may be shared*.  These
 tests pin what the rule must not change — every simulated observable of
-the parent commit, on every transport — and what it promises: the chunk
-join is a view exactly when the chunks are the cut it was given, nothing
-upstream reads a gradient after ``submit``, and a replica that scribbles on
-a shared result raises.
+the parent commit, on every transport — and what it promises: a run's
+chunks are views of the one vector it carries (the join is the vector),
+nothing upstream reads a gradient after ``submit``, and a replica that
+scribbles on a shared result raises.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import AggregationEngine
-from repro.core.protocol import SegmentPlan, join_chunks
+from repro.core.protocol import SegmentPlan, SegmentRun, make_data_packet
 from repro.distributed import ExperimentConfig, run
 from repro.distributed import runner as runner_module
 from repro.distributed.sync import SyncISwitch
@@ -31,93 +32,78 @@ PAPER_N_PARAMS = 4592 * 366
 
 
 # ----------------------------------------------------------------------
-# (a) the chunk join equals np.concatenate, and is a view only for the cut
+# (a) a run is its vector: every cut of it equals np.concatenate, as a view
 # ----------------------------------------------------------------------
-def cut(vector, sizes):
-    """Back-to-back views of ``vector``, as ``SegmentPlan.split`` cuts them."""
-    views, pos = [], 0
-    for size in sizes:
-        views.append(vector[pos : pos + size])
-        pos += size
-    return vector[:pos], views
-
-
 @st.composite
-def chunk_lists(draw):
-    """(chunks, origin, is the cut): every way a list can miss being it."""
-    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
-    base = np.arange(sum(sizes) + 4, dtype=np.float32)
-    other = base + 100.0
-    vector, views = cut(base, sizes)
-    origin = (vector, views)
-    case = draw(
-        st.sampled_from(
-            [
-                "cut", "recut", "gap", "out-of-order", "overlap", "two-bases",
-                "strided", "mixed-dtype", "short", "no-origin",
-            ]
-        )
+def run_cuts(draw):
+    """(plan, vector, a, b): chunks ``[a, b)`` of a plan of any geometry."""
+    frames_per_chunk = draw(st.integers(1, 3))
+    n_chunks = draw(st.integers(1, 7))
+    tail = draw(st.integers(1, 366 * frames_per_chunk))
+    plan = SegmentPlan(
+        366 * frames_per_chunk * (n_chunks - 1) + tail,
+        frames_per_chunk=frames_per_chunk,
+        wire_multiplier=draw(st.integers(1, 3)),
     )
-    chunks = list(views)
-    k = draw(st.integers(0, len(views) - 1))
-    if case == "recut":  # the same memory, but not the recorded objects
-        chunks = cut(base, sizes)[1]
-    elif case == "gap":
-        chunks[k] = base[k + 2 : k + 2 + sizes[k]]
-    elif case == "out-of-order":
-        chunks = chunks[::-1] if len(chunks) > 1 else [chunks[0][:]]
-    elif case == "overlap":
-        chunks[k] = base[max(0, k - 1) : max(0, k - 1) + sizes[k]]
-    elif case == "two-bases":
-        chunks[k] = cut(other, sizes)[1][k]
-    elif case == "strided":
-        chunks[k] = base[::2][: sizes[k]]
-    elif case == "mixed-dtype":
-        chunks[k] = chunks[k].astype(np.float64)
-    elif case == "short":
-        chunks = chunks[:-1] or [other[:1]]
-    elif case == "no-origin":
-        origin = None
-    return chunks, origin, case == "cut"
+    assert plan.n_chunks == n_chunks
+    a = draw(st.integers(0, n_chunks - 1))
+    b = draw(st.integers(a + 1, n_chunks))
+    vector = np.arange(plan.n_elements, dtype=np.float32)
+    return plan, vector, a, b
 
 
 class TestJoinChunks:
-    @given(chunk_lists())
-    @settings(max_examples=300, deadline=None)
+    @given(run_cuts())
+    @settings(max_examples=200, deadline=None)
     def test_equals_concatenate_and_is_a_view_only_for_the_cut(self, case):
-        chunks, origin, is_cut = case
-        expected = np.concatenate(chunks)
-        joined, is_view = join_chunks(chunks, origin)
-        assert joined.dtype == expected.dtype
-        assert joined.tobytes() == expected.tobytes()
-        assert is_view == is_cut
-        if is_cut:
-            assert joined is origin[0]
-        else:
-            assert not any(np.shares_memory(joined, c) for c in chunks)
+        plan, vector, a, b = case
+        chunks = plan.split(vector, round_index=2, sender="w", commit_id=5)
+        part = plan.run(vector, 2, sender="w", commit_id=5, job=3)[a:b]
+        expected = np.concatenate([c.data for c in chunks[a:b]])
+        assert len(part) == b - a and part.seg == chunks[a].seg
+        assert part.data.tobytes() == expected.tobytes()
+        assert np.shares_memory(part.data, vector)
+        # Materialised, it is split()'s segments, stamped as
+        # make_data_packet stamps them, and its wire sizes are the packets'.
+        packets = [make_data_packet("w", "s", c, plan) for c in chunks[a:b]]
+        for made, chunk, packet in zip(part.segments(), chunks[a:b], packets):
+            assert (made.seg, made.sender, made.commit_id, made.job) == (
+                chunk.seg, "w", 5, 3
+            )
+            assert made.data.tobytes() == chunk.data.tobytes()
+            assert np.shares_memory(made.data, vector)
+            assert (made.wire_payload, made.wire_frames) == (
+                packet.payload_size, packet.frame_count
+            )
+        assert part.wire_sizes.tolist() == [p.wire_size for p in packets]
+        assert part.wire_total == sum(p.wire_size for p in packets)
+        assert part.payload_sizes == [p.payload_size for p in packets]
+        with pytest.raises(ValueError):
+            part[::2]
 
     def test_a_single_chunk_cut_is_its_own_join(self):
+        plan = SegmentPlan(5)
         vector = np.arange(5, dtype=np.float32)
-        joined, is_view = join_chunks([vector[:]], None)
-        assert not is_view and not np.shares_memory(joined, vector)
-        origin = cut(vector, [5])
-        joined, is_view = join_chunks(origin[1], origin)
-        assert is_view and joined is origin[0]
+        run = plan.run(vector, round_index=1)
+        assert len(run) == 1 and run.data is vector and run.seg == 1
+        assert run[0:1].data.tobytes() == vector.tobytes()
+        (only,) = run.segments()
+        assert np.shares_memory(only.data, vector) and only.seg == 1
 
     def test_split_records_its_cut(self):
         plan = SegmentPlan(1000, frames_per_chunk=1)
         vector = np.arange(1000, dtype=np.float32)
-        segments = plan.split(vector, round_index=3)
-        joined, is_view = join_chunks(
-            [s.data for s in segments], segments[0].origin
-        )
-        assert is_view and joined is vector
-        # A retransmission cache freezes its chunks: no longer the cut.
-        segments[1].data = segments[1].data.view()
-        joined, is_view = join_chunks(
-            [s.data for s in segments], segments[0].origin
-        )
-        assert not is_view and joined.tobytes() == vector.tobytes()
+        run = plan.run(vector, round_index=3)
+        assert run.data is vector  # float32 and contiguous: never copied
+        assert [s.seg for s in run.segments()] == [9, 10, 11]
+        assert run.segments() is run.segments()  # built once, then shared
+        # A switch's partial: the same chunks, read-only, one commit per Seg.
+        partial = replace(run, sender="tor0", commit_id=None)
+        assert [s.commit_id for s in partial.segments()] == [9, 10, 11]
+        # Other dtypes are converted once, by the plan.
+        assert plan.run(vector.astype(np.float64), 0).data.dtype == np.float32
+        with pytest.raises(ValueError, match="shape"):
+            plan.run(vector[:-1], 0)
 
     def test_one_pass_divide_is_cast_then_divide(self):
         rng = np.random.default_rng(3)
@@ -131,39 +117,31 @@ class TestJoinChunks:
 
 
 class TestEngineAdoptsTheTrain:
-    def make_segments(self, plan, vector, sender):
-        segments = plan.split(vector, 0, sender=sender, commit_id=1)
-        for segment in segments:
-            segment.wire_payload, segment.wire_frames = 100, 1
-        return segments
-
     def test_first_vector_becomes_the_round_buffer_and_results_are_its_cut(self):
         plan = SegmentPlan(366 * 4)
         engine = AggregationEngine(threshold=2)
         a = np.arange(plan.n_elements, dtype=np.float32)
         b = np.ones(plan.n_elements, dtype=np.float32)
         expected = a + b
-        assert engine.contribute_batch(self.make_segments(plan, a, "w0")) == []
-        done = engine.contribute_batch(self.make_segments(plan, b, "w1"))
-        results = [segment for _, segment in done]
-        joined, is_view = join_chunks(
-            [r.data for r in results], results[0].origin
-        )
-        assert is_view and joined is a  # summed in place, never copied
-        assert joined.tobytes() == expected.tobytes()
+        assert engine.contribute_batch(plan.run(a, 0, "w0", 1)) == []
+        done = engine.contribute_batch(plan.run(b, 0, "w1", 1))
+        assert isinstance(done, SegmentRun) and len(done) == 4
+        assert done.data is a  # summed in place, never copied
+        assert a.tobytes() == expected.tobytes()
         assert b.tobytes() == np.ones_like(b).tobytes()  # only read
         assert engine.stats.joins == {"view": 2, "copy": 0}
+        # Help is answered from the run, one segment at a time.
+        assert engine.cached_result(2) is done.segments()[2]
 
     def test_a_read_only_vector_is_copied_not_adopted(self):
         plan = SegmentPlan(366 * 2)
         engine = AggregationEngine(threshold=2)
         a = np.arange(plan.n_elements, dtype=np.float32)
         a.flags.writeable = False
-        engine.contribute_batch(self.make_segments(plan, a, "w0"))
-        done = engine.contribute_batch(self.make_segments(plan, a, "w1"))
+        engine.contribute_batch(plan.run(a, 0, "w0", 1))
+        done = engine.contribute_batch(plan.run(a, 0, "w1", 1))
         assert a.tobytes() == np.arange(plan.n_elements, dtype=np.float32).tobytes()
-        total = np.concatenate([segment.data for _, segment in done])
-        assert total.tobytes() == (a + a).tobytes()
+        assert done.data.tobytes() == (a + a).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -495,23 +473,33 @@ class TestIngestReport:
         # Telemetry stamps every segment's own arrival: per-segment ingest.
         assert on.ingest == {"clock": 12}
         assert on.telemetry.value("switch.batch_bails", cause="clock") == 12
-        assert on.telemetry.value("switch.batch_bails", cause="dedup") == 0
+        assert on.telemetry.value("switch.batch_bails", cause="shape") == 0
         assert on.telemetry.value("switch.joins", kind="view") == 0
         assert self.run(strategy="ps", telemetry=False).ingest is None
 
     def test_fallback_paths_are_named_by_cause(self):
-        assert self.run(telemetry=False, codec="int32-bs").ingest == {"codec": 12}
-        assert self.run(
-            telemetry=False, deterministic_aggregation=True
-        ).ingest == {"canonical_order": 12}
-        assert set(self.run(telemetry=False, mode="async").ingest) == {
-            "arrival_renumber"
-        }
+        # No engine setting is a cause: every clean run reports joins only.
+        for fields in (
+            dict(codec="int32-bs"),
+            dict(codec="fp16"),
+            dict(deterministic_aggregation=True),
+            dict(mode="async", deterministic_aggregation=True, staleness_bound=2),
+        ):
+            assert self.run(telemetry=False, **fields).ingest == {"view": 12}, fields
+        emergent = self.run(telemetry=False, mode="async", iterations=15)
+        assert set(emergent.ingest) == {"view"}
         # Armed recovery keeps the cluster per-packet: no trains at all.
         assert self.run(telemetry=False, loss_rate=0.01).ingest == {}
-        # The rack tree re-frames leaf results for the root: root joins copy.
-        tree = self.run(telemetry=False, n_workers=12)
-        assert tree.ingest == {"view": 36, "copy": 12}
+        # A ToR's partial travels to the root as a run: its join is a view.
+        tree = run(ExperimentConfig(
+            strategy="isw", workload="synth", n_workers=12, iterations=15,
+            seed=7, telemetry=False,
+        ))
+        assert tree.ingest == {"view": 240}
+        # A short last chunk overtakes its neighbour inside a ToR: what the
+        # root gets is no longer a run.
+        ddpg = self.run(telemetry=False, workload="ddpg", n_workers=12)
+        assert ddpg.ingest == {"view": 36, "shape": 12}
 
 
 class TestHelpCacheIsBoundedInRounds:
