@@ -33,6 +33,7 @@ from .protocol import (
     ControlMessage,
     DataSegment,
     SegmentPlan,
+    SegmentRun,
     make_control_packet,
     make_data_packet,
 )
@@ -179,8 +180,8 @@ class AggregationClient:
             run = self.plan.run(vector, round_index, src, commit_id, job)
             self.host.send_burst(
                 PacketTrain(
-                    run=run, src=src, dst=self.switch_address,
-                    tos=TOS_DATA_UP, port=ISWITCH_UDP_PORT, job=job,
+                    run, src, self.switch_address, TOS_DATA_UP,
+                    ISWITCH_UDP_PORT, job,
                 )
             )
             return commit_id
@@ -278,7 +279,7 @@ class AggregationClient:
         event each.  No watchdog is due here: trains only flow where no
         recovery is armed."""
         run = train.run
-        if run is not None and train.tos == TOS_DATA_DOWN:
+        if isinstance(run, SegmentRun) and train.tos == TOS_DATA_DOWN:
             if run.job != self.job:
                 return  # another tenant's results on a shared host
             n_chunks = self.plan.n_chunks

@@ -267,6 +267,10 @@ class SegmentRun:
         )
 
     # What :class:`repro.netsim.packets.PacketTrain` reads of its run.
+    def packets(self, header) -> List[Packet]:
+        """Its packets under a train's ``header``, built now."""
+        return header.stamped(self.segments())
+
     @property
     def wire_sizes(self) -> np.ndarray:
         """Per-chunk bytes on the wire, headers included (float64)."""

@@ -145,28 +145,19 @@ class ISwitch(EthernetSwitch):
         """Batched arbiter: ingest or fan out a whole train in one call.
 
         Trains are single-flow by construction (one sender burst, or one
-        switch's result emissions), so the common cases are a uniform
-        ``TOS_DATA_UP`` train into the aggregation engine and a uniform
-        ``TOS_DATA_DOWN`` train fanned out to members (a run says which in
-        its header).  Anything mixed falls back to the per-packet arbiter.
+        switch's result emissions), so the common cases are a
+        ``TOS_DATA_UP`` train into the aggregation engine and a
+        ``TOS_DATA_DOWN`` train fanned out to members, as its header says.
+        Anything else goes to the per-packet arbiter.
         """
-        run = train.run
-        if run is not None:
-            n, nbytes, tos = len(run), run.wire_total, train.tos
-        else:
-            packets = train.packets
-            n, nbytes, tos = len(packets), 0, packets[0].tos
-            for packet in packets:
-                nbytes += packet.wire_size
-                if packet.tos != tos:
-                    tos = None  # mixed
+        n = len(train)
         self.rx_packets += n
-        self.rx_bytes += nbytes
+        self.rx_bytes += train.run.wire_total
         if n > 1:
-            if tos == TOS_DATA_UP:
+            if train.tos == TOS_DATA_UP:
                 if self._ingest_contribution_train(train, in_port):
                     return
-            elif tos == TOS_DATA_DOWN:
+            elif train.tos == TOS_DATA_DOWN:
                 self._fanout_train(train)
                 return
         for packet in train.packets:
@@ -219,23 +210,18 @@ class ISwitch(EthernetSwitch):
         used for the per-packet emission events.
         """
         segments = train.run
-        if segments is not None:
+        if isinstance(segments, SegmentRun):
             job = segments.job
             sizes = segments.payload_sizes
-        else:
-            segments = []
-            sizes = []
-            job = None
-            for packet in train.packets:
-                segment = packet.payload
-                if not isinstance(segment, DataSegment):
-                    return False
-                if job is None:
-                    job = segment.job
-                elif segment.job != job:
-                    return False
-                segments.append(segment)
-                sizes.append(packet.payload_size)
+        else:  # a switch's results out of Seg order (a short last chunk)
+            packets = train.packets
+            segments = [packet.payload for packet in packets]
+            sizes = [packet.payload_size for packet in packets]
+            job = getattr(segments[0], "job", None)
+            if not all(
+                isinstance(s, DataSegment) and s.job == job for s in segments
+            ):
+                return False
         state = self.jobs.get(job)
         engine = state.engine
         sim = self.sim
@@ -324,28 +310,13 @@ class ISwitch(EthernetSwitch):
         """Batched :meth:`_handle_result_from_parent`: re-broadcast a train,
         each packet ready one switch latency after its own arrival."""
         self.sim.count_batched(len(train), "fanout")
-        latency = self.latency
-        if train.run is not None:
-            self._emit(
-                train.run.job, train.run, final=True,
-                ready=train.arrivals + latency,
-            )
-            return
-        arrivals = train.arrivals.tolist()  # python floats, identical values
-        packets = train.packets
-        by_job: dict = {}
-        for i, packet in enumerate(packets):
-            by_job.setdefault(packet.payload.job, []).append(i)
-        for job, indices in by_job.items():
-            self._emit(
-                job,
-                [packets[i].payload for i in indices],
-                final=True,
-                ready=np.array(
-                    [arrivals[i] + latency for i in indices],
-                    dtype=np.float64,
-                ),
-            )
+        results = train.run
+        if isinstance(results, SegmentRun):
+            job = results.job
+        else:  # the parent's results out of Seg order: one job's segments
+            results = [packet.payload for packet in train.packets]
+            job = results[0].job
+        self._emit(job, results, final=True, ready=train.arrivals + self.latency)
 
     def _handle_result_from_parent(self, packet: Packet) -> None:
         """A globally aggregated segment arrived from above: fan it out."""
@@ -425,9 +396,9 @@ class ISwitch(EthernetSwitch):
             if isinstance(messages, SegmentRun):
                 egress.send_train(
                     PacketTrain(
-                        run=messages, src=self.name, dst=dst,
-                        tos=TOS_DATA_DOWN if downstream else TOS_DATA_UP,
-                        port=ISWITCH_UDP_PORT,
+                        messages, self.name, dst,
+                        TOS_DATA_DOWN if downstream else TOS_DATA_UP,
+                        ISWITCH_UDP_PORT,
                     ),
                     ready,
                 )
@@ -436,7 +407,10 @@ class ISwitch(EthernetSwitch):
                     egress.send(self._packet(dst, message, downstream))
             else:
                 egress.send_train(
-                    [self._packet(dst, m, downstream) for m in messages], ready
+                    PacketTrain.of(
+                        [self._packet(dst, m, downstream) for m in messages]
+                    ),
+                    ready,
                 )
 
     def _packet(self, dst: str, message, downstream: bool) -> Packet:

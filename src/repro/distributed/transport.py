@@ -1,16 +1,19 @@
 """Vector transport for the baseline strategies (PS push/pull, AllReduce).
 
 The baselines exchange whole gradient/weight vectors as UDP flows.  A
-flow of ``wire_bytes`` is carried as a train of chunk packets whose byte
-counts exactly match per-frame framing; the *data* (a NumPy vector)
-rides in the final chunk, since the simulated network never reorders a
-FIFO flow and never corrupts payloads.  (iSwitch traffic instead uses the
-per-segment protocol in :mod:`repro.core.protocol`, where packet-level
-slicing is semantically load-bearing.)
+flow of ``wire_bytes`` is carried as chunk packets whose byte counts
+exactly match per-frame framing; the *data* (a NumPy vector) rides in the
+final chunk, since the simulated network never reorders a FIFO flow and
+never corrupts payloads.  A flow is one :class:`VectorRun` — the chunk
+geometry plus the data, once — and its packets are built only for whoever
+asks.  (iSwitch traffic instead uses the per-segment protocol in
+:mod:`repro.core.protocol`, where packet-level slicing is semantically
+load-bearing.)
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,9 +22,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..netsim.node import Host
-from ..netsim.packets import MAX_UDP_PAYLOAD, TOS_DEFAULT, Packet, PacketTrain
+from ..netsim.packets import (
+    MAX_UDP_PAYLOAD,
+    PER_FRAME_OVERHEAD,
+    TOS_DEFAULT,
+    Packet,
+    PacketTrain,
+)
 
-__all__ = ["VECTOR_PORT", "VectorChunk", "send_vector", "VectorReceiver"]
+__all__ = ["VECTOR_PORT", "VectorChunk", "VectorRun", "send_vector", "VectorReceiver"]
 
 VECTOR_PORT = 7777
 
@@ -35,14 +44,30 @@ class VectorChunk:
     total: int
     data: Optional[np.ndarray] = None
     meta: Any = None
+    #: UDP payload bytes and frames, stamped by the run it comes from.
+    wire_payload: Optional[int] = None
+    wire_frames: Optional[int] = None
+
+
+class _Shapes(list):
+    """``[(payload, frames), ...]`` of one flow, plus the columns a
+    :class:`VectorRun` reads: ``wire_sizes`` (bytes on the wire, headers
+    included; read-only float64) and ``cumulative``, their running total."""
+
+    def __init__(self, shapes) -> None:
+        super().__init__(shapes)
+        wire = [frames * PER_FRAME_OVERHEAD + payload for payload, frames in self]
+        self.wire_sizes = np.array(wire, dtype=np.float64)
+        self.wire_sizes.flags.writeable = False
+        self.cumulative = [0, *itertools.accumulate(wire)]
 
 
 @lru_cache(maxsize=256)
-def _chunk_shapes(wire_bytes: int, max_chunks: int) -> List[Tuple[int, int]]:
+def _chunk_shapes(wire_bytes: int, max_chunks: int) -> _Shapes:
     """Split ``wire_bytes`` into <= max_chunks (payload, frame_count) trains.
 
     Pure, and asked the same few questions thousands of times a run:
-    memoised, so the list it returns is shared — read it, do not change it.
+    memoised, so what it returns is shared — read it, do not change it.
     """
     n_frames = max(1, math.ceil(wire_bytes / MAX_UDP_PAYLOAD))
     frames_per_chunk = max(1, math.ceil(n_frames / max_chunks))
@@ -55,7 +80,60 @@ def _chunk_shapes(wire_bytes: int, max_chunks: int) -> List[Tuple[int, int]]:
         shapes.append((payload, frames))
         remaining_bytes -= payload
         remaining_frames -= frames
-    return shapes
+    return _Shapes(shapes)
+
+
+@dataclass(slots=True, eq=False)
+class VectorRun:
+    """Chunks ``[lo, hi)`` of one vector flow as one object: the flow's
+    geometry (:func:`_chunk_shapes`, shared by every flow of its size) plus
+    ``tag``, ``data`` and ``meta``, stored once.  :class:`VectorChunk`
+    payloads are built only for whoever asks (:meth:`chunks`)."""
+
+    shapes: _Shapes
+    lo: int
+    hi: int
+    tag: Any
+    data: Optional[np.ndarray] = None
+    meta: Any = None
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, part: slice) -> "VectorRun":
+        """Chunks ``[a, b)`` of this run — still a run (a barrier split)."""
+        a, b, step = part.indices(self.hi - self.lo)
+        if step != 1 or b <= a:
+            raise ValueError(f"a run is cut into contiguous runs, got {part}")
+        return VectorRun(
+            self.shapes, self.lo + a, self.lo + b, self.tag, self.data, self.meta
+        )
+
+    # What :class:`repro.netsim.packets.PacketTrain` reads of its run.
+    def packets(self, header: PacketTrain) -> List[Packet]:
+        """Its packets under a train's ``header``, built now."""
+        return header.stamped(self.chunks())
+
+    @property
+    def wire_sizes(self) -> np.ndarray:
+        """Per-chunk bytes on the wire, headers included (float64)."""
+        return self.shapes.wire_sizes[self.lo : self.hi]
+
+    @property
+    def wire_total(self) -> int:
+        cumulative = self.shapes.cumulative
+        return cumulative[self.hi] - cumulative[self.lo]
+
+    def chunks(self) -> List[VectorChunk]:
+        """Its wire-stamped chunks; the last of the flow carries the data."""
+        total = len(self.shapes)
+        chunks = [
+            VectorChunk(self.tag, index, total, None, None, *self.shapes[index])
+            for index in range(self.lo, self.hi)
+        ]
+        if self.hi == total:
+            chunks[-1].data, chunks[-1].meta = self.data, self.meta
+        return chunks
 
 
 def send_vector(
@@ -78,25 +156,16 @@ def send_vector(
     if max_chunks < 1:
         raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
     shapes = _chunk_shapes(wire_bytes, max_chunks)
-    total = len(shapes)
-    src = host.name
-    # Shapes from _chunk_shapes fit their frames by construction.
-    packets = [
-        Packet.trusted(
-            src, dst, payload_size, TOS_DEFAULT,
-            VectorChunk(tag, index, total),
-            port, port, frames, 0,
-        )
-        for index, (payload_size, frames) in enumerate(shapes)
-    ]
-    last = packets[-1].payload
-    last.data, last.meta = vector, meta
+    train = PacketTrain(
+        VectorRun(shapes, 0, len(shapes), tag, vector, meta),
+        host.name, dst, TOS_DEFAULT, port,
+    )
     if host.sim.batch_transport:
-        host.send_burst(packets)
+        host.send_burst(train)
     else:
-        for packet in packets:
+        for packet in train.packets:
             host.send(packet)
-    return total
+    return len(shapes)
 
 
 class VectorReceiver:
@@ -119,23 +188,18 @@ class VectorReceiver:
         host.bind_train(port, self._receive_train)
 
     def _receive_train(self, train: PacketTrain) -> None:
-        """A train delivered in one event: normally one whole flow, which
-        completes here without counting chunks; anything else (part of a
-        flow, several flows, a stray payload) is counted chunk by chunk."""
-        packets = train.packets
-        first, last = packets[0], packets[-1]
-        head, tail = first.payload, last.payload
+        """A train delivered in one event: normally one whole flow's run,
+        which completes here without counting chunks; anything else (part
+        of a flow, packets built elsewhere) is counted chunk by chunk."""
+        run = train.run
         if (
-            isinstance(head, VectorChunk)
-            and isinstance(tail, VectorChunk)
-            and head.index == 0
-            and tail.index == tail.total - 1 == len(packets) - 1
-            and (first.src, head.tag) == (last.src, tail.tag)
-            and (last.src, tail.tag) not in self._progress
+            isinstance(run, VectorRun)
+            and len(run) == len(run.shapes)
+            and (train.src, run.tag) not in self._progress
         ):
-            self.on_vector(last.src, tail.tag, tail.data, tail.meta)
+            self.on_vector(train.src, run.tag, run.data, run.meta)
             return
-        for packet in packets:
+        for packet in train.packets:
             self._receive(packet)
 
     def _receive(self, packet: Packet) -> None:

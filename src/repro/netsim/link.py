@@ -36,12 +36,12 @@ bit-reproducible for a fixed topology and seed — see
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from .events import Simulator
-from .packets import Packet, PacketTrain
+from .packets import Packet, PacketRun, PacketTrain
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Device
@@ -140,21 +140,6 @@ class GilbertElliott:
         return rate > 0.0 and rng.random() < rate
 
 
-def _record_tx(telemetry, link_name: str, packets: Sequence[Packet]) -> None:
-    """Book a train's transmission on ``link.tx_packets`` / ``link.tx_bytes``,
-    attributed per job as the per-packet path attributes it."""
-    per_job: dict = {}
-    for packet in packets:
-        entry = per_job.get(packet.job)
-        if entry is None:
-            per_job[packet.job] = [1, packet.wire_size]
-        else:
-            entry[0] += 1
-            entry[1] += packet.wire_size
-    for job, (count, nbytes) in per_job.items():
-        _record_job_tx(telemetry, link_name, job, count, nbytes)
-
-
 def _record_job_tx(telemetry, link_name: str, job: int, count: int, nbytes: int):
     # Multi-tenant traffic carries its job, so per-tenant telemetry
     # can separate shared-link usage; job 0 stays unlabelled.
@@ -228,10 +213,8 @@ class LinkEnd:
             sim.forwarding.drain(inclusive=False)
             peer = self._peer_device
             if peer is not None and not peer.reacts:
-                return self.send_train([packet])
+                return self.send_train(PacketTrain.of([packet]))
         now = sim.now
-        if packet.created_at is None:
-            packet.created_at = now
         busy = self._busy_until
         wire_size = packet.wire_size
         serialization = wire_size * link._seconds_per_byte
@@ -252,21 +235,7 @@ class LinkEnd:
             )
         telemetry = sim.telemetry
         if telemetry.enabled:
-            if packet.job:
-                # Multi-tenant traffic: attribute tx volume to the job so
-                # per-tenant telemetry can separate shared-link usage.
-                telemetry.inc(
-                    "link.tx_packets", 1, link=link.name, job=packet.job
-                )
-                telemetry.inc(
-                    "link.tx_bytes",
-                    packet.wire_size,
-                    link=link.name,
-                    job=packet.job,
-                )
-            else:
-                telemetry.inc("link.tx_packets", 1, link=link.name)
-                telemetry.inc("link.tx_bytes", packet.wire_size, link=link.name)
+            _record_job_tx(telemetry, link.name, packet.job, 1, wire_size)
             telemetry.set_gauge(
                 "link.queue_depth", self._queued_packets, link=link.name
             )
@@ -293,18 +262,15 @@ class LinkEnd:
         return arrival
 
     def send_train(
-        self,
-        packets: Union[List[Packet], PacketTrain],
-        ready: Optional[Sequence[float]] = None,
+        self, train: PacketTrain, ready: Optional[Sequence[float]] = None
     ) -> float:
-        """Transmit a burst of packets toward the peer as **one** train.
+        """Transmit an unsent train toward the peer as **one** burst.
 
         This is the batched-transport fast path: all serialization and
-        propagation arithmetic happens in one pass and a single delivery
-        event fires at the last packet's arrival, with the per-packet
-        arrival times carried on the :class:`PacketTrain`.  ``packets`` is
-        a list, or an unsent train (one of header and arrays is sent
-        without building a packet).  Two shapes:
+        propagation arithmetic happens in one pass over the run's wire
+        sizes and a single delivery event fires at the last packet's
+        arrival, with the per-packet arrival times carried on the train.
+        No packet is built.  Two shapes:
 
         * ``ready=None`` — an *offered burst*: every packet hits the
           transmit queue right now, exactly like N back-to-back
@@ -348,7 +314,6 @@ class LinkEnd:
         hand_over = peer is not None and not peer.reacts
         if hand_over:
             link.require_lossless()
-        train = packets if isinstance(packets, PacketTrain) else PacketTrain(packets)
         barriers = link.train_barriers
         if barriers:
             while barriers and barriers[0] <= now:
@@ -370,28 +335,12 @@ class LinkEnd:
         n = len(train)
         if n == 1 and ready is None and not hand_over:
             return self.send(train.packets[0])
-        packets = train._packets
-        if packets is None:
-            # Header and arrays: the run states every wire size, and the
-            # hop is stamped on the train (into packets if ever built).
-            wire = train.run.wire_sizes
-            total_wire = train.run.wire_total
-            train.hops += 1
-            train.created_at = now if ready is None else ready
-        else:
-            wire = np.empty(n, dtype=np.float64)
-            total_wire = 0
-            for i, packet in enumerate(packets):
-                size = packet.wire_size
-                wire[i] = size
-                total_wire += size
-                packet.hops += 1
-                if packet.created_at is None:
-                    packet.created_at = now if ready is None else float(ready[i])
-        serialization = wire * link._seconds_per_byte
+        run = train.run
+        train.hops += 1
+        serialization = run.wire_sizes * link._seconds_per_byte
         # Python-float view: keeps np.float64 from leaking into
-        # ``_busy_until``/``created_at``/``busy_time`` (same IEEE doubles,
-        # wrong type for downstream scheduling and stats).
+        # ``_busy_until``/``busy_time`` (same IEEE doubles, wrong type for
+        # downstream scheduling and stats).
         ser_list = serialization.tolist()
         busy = self._busy_until
         if ready is None:
@@ -422,14 +371,12 @@ class LinkEnd:
             busy_time += s
         self.busy_time = busy_time
         train.arrivals = arrivals = ends + link.propagation
+        total_wire = run.wire_total
         self.tx_packets += n
         self.tx_bytes += total_wire
         telemetry = sim.telemetry
         if telemetry.enabled:
-            if packets is None:
-                _record_job_tx(telemetry, link.name, train.job, n, total_wire)
-            else:
-                _record_tx(telemetry, link.name, packets)
+            _record_job_tx(telemetry, link.name, train.job, n, total_wire)
         if hand_over:
             # Through the instance, so a PacketCapture on the peer sees it.
             peer.handle_train(train, self._peer_end)
@@ -468,35 +415,33 @@ class LinkEnd:
                         "link.packets_dropped", dropped_count, link=link.name
                     )
             if not dropped_count:
-                self._deliver_train(train, arrivals)
+                self._deliver_train(train)
                 return
             link.dropped_packets += dropped_count
             if dropped_count == n:
                 sim.count_batched(n - 1, "deliver")
                 return
-            survivors = [
-                packet for packet, gone in zip(train.packets, mask) if not gone
-            ]
-            self._deliver_train(survivors, arrivals[~mask], dropped_count)
+            survivors = train.carrying(PacketRun(
+                [packet for packet, gone in zip(train.packets, mask) if not gone]
+            ))
+            survivors.arrivals = arrivals[~mask]
+            self._deliver_train(survivors, dropped_count)
 
         last_arrival = float(arrivals[-1])
         sim.schedule_fire_at(last_arrival, deliver_train, "deliver")
         return last_arrival
 
-    def _deliver_train(self, packets, arrivals, lost: int = 0) -> None:
+    def _deliver_train(self, train: PacketTrain, lost: int = 0) -> None:
         """A train's one delivery event: the peer gets every packet that
         survived, each with its own arrival time.
 
         Each packet's delivery was one event on the per-packet path (the
         ``lost`` ones included); the physical event already counts 1.
         """
-        self.link.sim.count_batched(len(packets) + lost - 1, "deliver")
+        self.link.sim.count_batched(len(train) + lost - 1, "deliver")
         device = self._peer_device
         if device is None:  # unattached link: keep the loud error path
             device = self.peer_device
-        train = packets
-        if not isinstance(train, PacketTrain):
-            train = PacketTrain(packets, np.asarray(arrivals, dtype=np.float64))
         device.handle_train(train, self._peer_end or self.peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -11,7 +11,7 @@ their traffic over the simulated network.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from .events import Simulator
 from .link import LinkEnd
@@ -117,9 +117,9 @@ class Host(Device):
         """Register a whole-train handler for UDP dst port ``port``.
 
         Complements :meth:`bind` (which must also be bound for the port):
-        when a :class:`PacketTrain` arrives whose packets all target
-        ``port``, the train handler gets it in one call; mixed trains and
-        individual packets fall back to the per-packet handler.
+        when a :class:`PacketTrain` for ``port`` arrives, the train handler
+        gets it in one call; a train whose packets target several ports
+        and individual packets go to the per-packet handlers.
         """
         self._train_handlers[port] = handler
 
@@ -133,13 +133,13 @@ class Host(Device):
             raise RuntimeError(f"host {self.name} has no link attached")
         return uplink.send(packet)
 
-    def send_burst(self, packets: Union[List[Packet], PacketTrain]) -> float:
-        """Offer a burst (list or unsent train) to the NIC as one train: what
-        one :meth:`send` per packet, all in this event, puts on the wire."""
+    def send_burst(self, train: PacketTrain) -> float:
+        """Offer an unsent train to the NIC: what one :meth:`send` per
+        packet, all in this event, puts on the wire."""
         uplink = self._uplink
         if uplink is None:
             raise RuntimeError(f"host {self.name} has no link attached")
-        return uplink.send_train(packets)
+        return uplink.send_train(train)
 
     def handle_packet(self, packet: Packet, in_port: LinkEnd) -> None:
         self.rx_packets += 1
@@ -151,19 +151,9 @@ class Host(Device):
         # socket; tests assert on rx counters to detect misrouting.
 
     def handle_train(self, train: PacketTrain, in_port: LinkEnd) -> None:
-        run = train.run
-        if run is not None:  # header and arrays: one port, sizes stated
-            n, nbytes, port = len(run), run.wire_total, train.port
-        else:
-            packets = train.packets
-            n, nbytes, port = len(packets), 0, packets[0].dst_port
-            for packet in packets:
-                nbytes += packet.wire_size
-                if packet.dst_port != port:
-                    port = None  # mixed: no train handler takes it
-        self.rx_packets += n
-        self.rx_bytes += nbytes
-        train_handler = self._train_handlers.get(port)
+        self.rx_packets += len(train)
+        self.rx_bytes += train.run.wire_total
+        train_handler = self._train_handlers.get(train.port)
         if train_handler is not None:
             train_handler(train)
             return

@@ -26,6 +26,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+import numpy as np
+
 __all__ = [
     "ETHERNET_OVERHEAD",
     "VLAN_TAG",
@@ -38,6 +40,7 @@ __all__ = [
     "PER_FRAME_OVERHEAD",
     "Packet",
     "PacketTrain",
+    "PacketRun",
 ]
 
 ETHERNET_OVERHEAD = 18  # 14-byte header + 4-byte FCS
@@ -89,7 +92,6 @@ class Packet:
     job: int = 0
     packet_id: int = field(default_factory=_packet_ids.__next__)
     hops: int = 0
-    created_at: Optional[float] = None
     #: Total bytes on the wire, headers included (per-frame overheads).
     #: Precomputed: the link layer reads it once per hop and neither
     #: ``payload_size`` nor ``frame_count`` changes after construction.
@@ -128,7 +130,6 @@ class Packet:
             frame_count=self.frame_count,
             job=self.job,
             hops=self.hops,
-            created_at=self.created_at,
         )
 
     @classmethod
@@ -164,7 +165,6 @@ class Packet:
         p.job = job
         p.packet_id = next(_packet_ids)
         p.hops = 0
-        p.created_at = None
         p.wire_size = frame_count * PER_FRAME_OVERHEAD + payload_size
         return p
 
@@ -176,7 +176,7 @@ class Packet:
 
 
 class PacketTrain:
-    """A burst of same-destination packets delivered as **one** event.
+    """A burst of packets of one flow, delivered as **one** event.
 
     The batched transport path (:meth:`repro.netsim.link.LinkEnd.send_train`)
     computes every packet's arrival time in one vectorized expression and
@@ -186,77 +186,114 @@ class PacketTrain:
     consumers that care about per-packet timing — on-the-fly aggregation,
     store-and-forward switches, packet capture — stay timestamp-accurate.
 
-    A train is a list of packets, or a *header and arrays*: the fields all
-    packets of one flow share (``src``, ``dst``, ``tos``, ``port``, ``job``,
-    ``hops``, ``created_at``) plus a ``run`` that states the rest —
-    ``len(run)``, ``run[a:b]``, ``run.wire_sizes`` (float64 array),
-    ``run.wire_total`` and ``run.segments()``, the packets' payloads, each
-    with its ``wire_payload`` and ``wire_frames``.  :attr:`packets` builds
-    such a train's packets on first use, for whoever needs the objects.
+    A train is a header — what its packets share: ``src``, ``dst``,
+    ``tos``, ``port`` (source and destination), ``job``, ``hops`` — plus a
+    ``run`` that states the rest: ``len(run)``, ``run[a:b]``,
+    ``run.wire_sizes`` (float64), ``run.wire_total`` and
+    ``run.packets(header)``.  The run is a gradient's
+    :class:`~repro.core.protocol.SegmentRun`, a baseline vector's
+    :class:`~repro.distributed.transport.VectorRun`, or a :class:`PacketRun`
+    of packets already built (:meth:`of`); :attr:`packets` builds the
+    packets whenever someone asks (a capture, a per-packet handler).
 
     Invariants: ``len(train) == len(arrivals) >= 1`` once sent, and
-    ``arrivals`` is sorted ascending (link FIFO order).  All packets share
-    one destination device; dropped packets are removed before the train
-    is handed to it.
+    ``arrivals`` is sorted ascending (link FIFO order).  Dropped packets
+    are removed before the train is handed to its destination.
     """
 
-    __slots__ = (
-        "_packets", "arrivals", "run",
-        "src", "dst", "tos", "port", "job", "hops", "created_at",
-    )
+    __slots__ = ("run", "arrivals", "src", "dst", "tos", "port", "job", "hops")
 
     def __init__(
-        self, packets: Optional[List[Packet]] = None, arrivals=None, *,
-        run=None, src: str = "", dst: str = "", tos: int = TOS_DEFAULT,
-        port: int = 0, job: int = 0,
+        self, run, src: str, dst: str, tos: Optional[int] = TOS_DEFAULT,
+        port: Optional[int] = 0, job: int = 0, hops: int = 0,
     ) -> None:
-        if run is None:
-            if arrivals is not None and len(packets) != len(arrivals):
-                raise ValueError(
-                    f"train has {len(packets)} packets but "
-                    f"{len(arrivals)} arrival times"
-                )
-            if not packets:
-                raise ValueError("a train carries at least one packet")
-        self._packets = packets
-        #: Per-packet receiver-side arrival times (float64 ndarray), once
-        #: the train has been transmitted.
-        self.arrivals = arrivals
         self.run = run
         self.src, self.dst, self.tos, self.port, self.job = src, dst, tos, port, job
-        self.hops = 0
-        #: When a run's packets entered their first transmit queue: one
-        #: time for an offered burst, one per packet for a forwarded train.
-        self.created_at = None
+        self.hops = hops
+        #: Per-packet receiver-side arrival times (float64 ndarray), once
+        #: the train has been transmitted.
+        self.arrivals = None
+
+    @classmethod
+    def of(cls, packets: List[Packet]) -> "PacketTrain":
+        """Packets already built, for one destination and one job, as a
+        train.  A ToS or port they do not share is ``None`` in the header:
+        no handler keyed on it takes the train whole."""
+        run = PacketRun(packets)
+        first = packets[0]
+        train = cls(
+            run, first.src, first.dst, first.tos, first.dst_port, first.job,
+            first.hops,
+        )
+        for packet in packets:
+            if (packet.dst, packet.job) != (first.dst, first.job):
+                raise ValueError(
+                    f"a train has one destination and one job: {packet!r} "
+                    f"after {first!r}"
+                )
+            if packet.tos != first.tos:
+                train.tos = None
+            if packet.dst_port != first.dst_port:
+                train.port = None
+        return train
+
+    def carrying(self, run) -> "PacketTrain":
+        """A train not yet sent with this header over ``run``."""
+        return PacketTrain(
+            run, self.src, self.dst, self.tos, self.port, self.job, self.hops
+        )
 
     @property
     def packets(self) -> List[Packet]:
-        if self._packets is None:
-            created = self.created_at
-            if created is None or isinstance(created, float):
-                created = [created] * len(self.run)
-            self._packets = []
-            for payload, stamp in zip(self.run.segments(), created):
-                packet = Packet.trusted(
-                    self.src, self.dst, payload.wire_payload, self.tos, payload,
-                    self.port, self.port, payload.wire_frames, self.job,
-                )
-                packet.hops = self.hops
-                packet.created_at = None if stamp is None else float(stamp)
-                self._packets.append(packet)
-        return self._packets
+        return self.run.packets(self)
+
+    def stamped(self, payloads) -> List[Packet]:
+        """Packets under this header, one per payload stamped with its
+        ``wire_payload`` bytes and ``wire_frames``."""
+        packets = []
+        for payload in payloads:
+            packet = Packet.trusted(
+                self.src, self.dst, payload.wire_payload, self.tos, payload,
+                self.port, self.port, payload.wire_frames, self.job,
+            )
+            packet.hops = self.hops
+            packets.append(packet)
+        return packets
 
     def __len__(self) -> int:
-        return len(self.run) if self._packets is None else len(self._packets)
+        return len(self.run)
 
     def __getitem__(self, part: slice) -> "PacketTrain":
-        """Packets ``[a, b)`` of a train not yet sent, in the same form."""
-        if self._packets is not None:
-            return PacketTrain(self._packets[part])
-        return PacketTrain(
-            run=self.run[part], src=self.src, dst=self.dst, tos=self.tos,
-            port=self.port, job=self.job,
-        )
+        """Packets ``[a, b)`` of a train not yet sent."""
+        return self.carrying(self.run[part])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PacketTrain({len(self)}p, arrivals={self.arrivals})"
+
+
+class PacketRun:
+    """Packets already built, as a run: a lone packet toward a plain
+    switch, the survivors of a lossy link, an iSwitch's results out of Seg
+    order."""
+
+    __slots__ = ("_packets", "wire_sizes", "wire_total")
+
+    def __init__(self, packets: List[Packet]) -> None:
+        if not packets:
+            raise ValueError("a train carries at least one packet")
+        self._packets = packets
+        sizes = [packet.wire_size for packet in packets]
+        self.wire_sizes = np.array(sizes, dtype=np.float64)
+        self.wire_total = sum(sizes)
+
+    def __len__(self) -> int:
+        return len(self._packets)
+
+    def __getitem__(self, part: slice) -> "PacketRun":
+        return PacketRun(self._packets[part])
+
+    def packets(self, header: PacketTrain) -> List[Packet]:
+        """The packets themselves, with the links their train crossed."""
+        for packet in self._packets:
+            packet.hops = header.hops
+        return self._packets

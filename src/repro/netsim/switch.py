@@ -28,8 +28,10 @@ from heapq import heappop, heappush, heapreplace
 from math import inf, nextafter
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .events import SimError, Simulator
-from .link import LinkEnd, _record_tx
+from .link import LinkEnd, _record_job_tx
 from .node import Device
 from .packets import Packet, PacketTrain
 
@@ -39,28 +41,28 @@ __all__ = ["EthernetSwitch", "ForwardingQueue", "DEFAULT_SWITCH_LATENCY"]
 DEFAULT_SWITCH_LATENCY = 1e-6
 
 class _Hop:
-    """One train's packets at one plain switch, bound for one egress.
+    """One train at one plain switch, bound for one egress.
 
     ``arrivals`` and ``seqs`` grow as the hop before this one transmits
     (the first hop of a train knows them all when it is offered);
-    ``sent`` of them have left through ``egress``.
+    ``sent`` of them, of the wire ``sizes``, have left through ``egress``.
     """
 
     __slots__ = (
-        "switch", "latency", "egress", "link", "packets", "nbytes",
+        "switch", "latency", "egress", "link", "train", "sizes",
         "arrivals", "seqs", "sent", "queued", "forward", "down",
     )
 
     def __init__(
-        self, switch: "EthernetSwitch", egress: LinkEnd, packets: List[Packet],
-        nbytes: int,
+        self, switch: "EthernetSwitch", egress: LinkEnd, train: PacketTrain,
+        sizes: List[int],
     ) -> None:
         self.switch = switch
         self.latency = switch.latency
         self.egress = egress
         self.link = egress.link
-        self.packets = packets
-        self.nbytes = nbytes
+        self.train = train
+        self.sizes = sizes
         self.arrivals: List[float] = []
         self.seqs: Sequence[int] = []
         self.sent = 0
@@ -122,76 +124,47 @@ class ForwardingQueue:
     def accept(
         self,
         switch: "EthernetSwitch",
-        packets: List[Packet],
-        arrivals: List[float],
+        train: PacketTrain,
         in_port: LinkEnd,
     ) -> None:
-        """Queue a train reaching ``switch`` at ``arrivals`` (now or later)."""
+        """Queue a train reaching ``switch`` at its arrivals (now or later)."""
         sim = self.sim
+        arrivals = train.arrivals.tolist()  # python floats, identical values
         if arrivals[0] < sim.now:
             raise SimError(
                 f"{switch.name}: a train must be handed over before it "
                 f"arrives (first arrival t={arrivals[0]}, now={sim.now})"
             )
         first = self._seq
-        self._seq = first + len(packets)
-        dst = packets[0].dst
-        nbytes = 0
-        for packet in packets:
-            nbytes += packet.wire_size
-            if packet.dst != dst:
-                break
-        else:
-            self._enqueue(
-                switch, packets, nbytes, arrivals,
-                range(first, first + len(packets)), in_port,
-            )
-            return
-        # A burst for several destinations: one hop per destination.
-        groups: Dict[str, tuple] = {}
-        for i, packet in enumerate(packets):
-            group = groups.get(packet.dst)
-            if group is None:
-                groups[packet.dst] = group = ([], [], [])
-            group[0].append(packet)
-            group[1].append(arrivals[i])
-            group[2].append(first + i)
-        for group_packets, group_arrivals, seqs in groups.values():
-            nbytes = sum(packet.wire_size for packet in group_packets)
-            self._enqueue(
-                switch, group_packets, nbytes, group_arrivals, seqs, in_port
-            )
-
-    def _enqueue(self, switch, packets, nbytes, arrivals, seqs, in_port) -> None:
-        sim = self.sim
-        hop = self._route(switch, packets, nbytes, in_port)
+        self._seq = first + len(arrivals)
+        sizes = train.run.wire_sizes.astype(np.int64).tolist()
+        hop = self._route(switch, train, sizes, in_port)
         if hop is None:
             sim.schedule_fire_at(
-                arrivals[-1],
-                partial(self._dropped, switch, packets, nbytes, arrivals),
+                arrivals[-1], partial(self._dropped, switch, train, arrivals),
                 "deliver",
             )
             return
         hop.arrivals = arrivals
-        hop.seqs = seqs
+        hop.seqs = range(first, first + len(arrivals))
         hop.queued = True
         latency = hop.latency
-        heappush(self._heap, (arrivals[0] + latency, arrivals[0], seqs[0], hop))
+        heappush(self._heap, (arrivals[0] + latency, arrivals[0], first, hop))
         sim.schedule_fire_at(
             arrivals[-1] + latency, partial(self._wake, hop), "fwd"
         )
 
-    def _route(self, switch, packets, nbytes, in_port) -> Optional[_Hop]:
+    def _route(self, switch, train, sizes, in_port) -> Optional[_Hop]:
         """The hops from ``switch`` to where the path leaves the plain
         switches, or ``None`` where ``switch`` drops the train."""
-        egress = switch.lookup(packets[0].dst)
+        egress = switch.lookup(train.dst)
         if egress is None or egress is in_port:
             return None
-        hop = _Hop(switch, egress, packets, nbytes)
+        hop = _Hop(switch, egress, train, sizes)
         hop.link.require_lossless()
         peer = egress.peer_device
         if not peer.reacts:
-            hop.down = self._route(peer, packets, nbytes, egress.peer)
+            hop.down = self._route(peer, train, sizes, egress.peer)
             hop.forward = hop.down is not None
         if not hop.forward:
             hop.down = []  # arrivals where the train is delivered, or dropped
@@ -218,11 +191,10 @@ class ForwardingQueue:
                 break
             hop = head[3]
             i = hop.sent
-            packet = hop.packets[i]
             egress = hop.egress
             link = hop.link
             # LinkEnd.send, operation for operation.
-            wire_size = packet.wire_size
+            wire_size = hop.sizes[i]
             serialization = wire_size * link._seconds_per_byte
             busy = egress._busy_until
             busy = (busy if busy > ready else ready) + serialization
@@ -230,7 +202,6 @@ class ForwardingQueue:
             egress.busy_time += serialization
             egress.tx_packets += 1
             egress.tx_bytes += wire_size
-            packet.hops += 1
             arrival = busy + link.propagation
             down = hop.down
             if hop.forward:
@@ -253,7 +224,7 @@ class ForwardingQueue:
                 continue
             heappop(heap)
             hop.queued = False
-            if i == len(hop.packets):
+            if i == len(hop.sizes):
                 self._finish(hop, arrival)
         self._seq = seq
 
@@ -262,6 +233,8 @@ class ForwardingQueue:
         schedule the one event the far end of its egress needs."""
         sim = self.sim
         down = hop.down
+        train = hop.train
+        train.hops += 1
         if hop.forward:
             sim.schedule_fire_at(
                 arrival + down.latency, partial(self._wake, down), "fwd"
@@ -269,9 +242,10 @@ class ForwardingQueue:
             return
         peer = hop.egress.peer_device
         if peer.reacts:
-            deliver = partial(hop.egress._deliver_train, hop.packets, down)
+            train.arrivals = np.array(down, dtype=np.float64)
+            deliver = partial(hop.egress._deliver_train, train)
         else:
-            deliver = partial(self._dropped, peer, hop.packets, hop.nbytes, down)
+            deliver = partial(self._dropped, peer, train, down)
         sim.schedule_fire_at(arrival, deliver, "deliver")
 
     # ------------------------------------------------------------------
@@ -281,29 +255,30 @@ class ForwardingQueue:
         self.drain()
         hop.link.require_lossless()  # not turned lossy with the train in flight
         switch = hop.switch
-        packets = hop.packets
-        n = len(packets)
+        train = hop.train
+        n = len(train)
+        nbytes = train.run.wire_total
         switch.rx_packets += n
-        switch.rx_bytes += hop.nbytes
+        switch.rx_bytes += nbytes
         switch.forwarded_packets += n
         if switch.train_tap is not None:
-            switch.train_tap(packets, hop.arrivals)
+            switch.train_tap(train.packets, hop.arrivals)
         sim = self.sim
         # n deliveries to the switch, n forwarding events; this is one.
         sim.count_batched(n, "deliver")
         sim.count_batched(n - 1, "fwd")
         if sim.telemetry.enabled:
-            _record_tx(sim.telemetry, hop.link.name, packets)
+            _record_job_tx(sim.telemetry, hop.link.name, train.job, n, nbytes)
 
-    def _dropped(self, switch, packets, nbytes, arrivals) -> None:
+    def _dropped(self, switch, train, arrivals) -> None:
         """The delivery of the last packet of a train ``switch`` has no
         route for (or would send back where it came from)."""
-        n = len(packets)
+        n = len(train)
         switch.rx_packets += n
-        switch.rx_bytes += nbytes
+        switch.rx_bytes += train.run.wire_total
         switch.dropped_packets += n
         if switch.train_tap is not None:
-            switch.train_tap(packets, arrivals)
+            switch.train_tap(train.packets, arrivals)
         self.sim.count_batched(n - 1, "deliver")
 
 
@@ -395,7 +370,4 @@ class EthernetSwitch(Device):
         queue = self.sim.forwarding
         if queue is None:
             queue = self.sim.forwarding = ForwardingQueue(self.sim)
-        arrivals = train.arrivals
-        if not isinstance(arrivals, list):
-            arrivals = arrivals.tolist()  # python floats, identical values
-        queue.accept(self, train.packets, arrivals, in_port)
+        queue.accept(self, train, in_port)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.protocol import DataSegment
 from repro.distributed import ExperimentConfig, run
+from repro.distributed.transport import VectorChunk
 from repro.netsim import Packet, PacketCapture
 
 from .helpers import built_clusters
@@ -59,17 +60,27 @@ def test_sharing_the_round_results_does_not_raise_the_host_side_peak(strategy):
 
 
 # ----------------------------------------------------------------------
-# Objects: a gradient on the clean iSwitch path is one run, not 64 packets
+# Objects: a vector on a clean path is one run, not 64 packets
 # ----------------------------------------------------------------------
-def constructions_per_iteration(capture):
-    """``Packet`` + ``DataSegment`` objects built per warm iteration of a
-    clean sync-isw n=4 synth run (10 iterations after 2 of warm-up), and
-    what a capture on worker 0 recorded per iteration."""
+def constructions_per_iteration(
+    capture, strategy="isw", n_workers=4, payload=DataSegment
+):
+    """``Packet`` + ``payload`` objects built per warm iteration of a clean
+    sync synth run (10 iterations after 2 of warm-up), and what a capture
+    on worker 0 recorded per iteration."""
     built = {"count": 0}
     iteration_marks = []
     captures = []
 
     def counting(cls):
+        if not hasattr(cls, "trusted"):  # a plain dataclass: one way in
+            init = cls.__init__
+
+            def spy_init(self, *args, **kwargs):
+                built["count"] += 1
+                init(self, *args, **kwargs)
+
+            return mock.patch.object(cls, "__init__", spy_init)
         # Both ways either class is built: validated (the dataclass
         # __init__ ends in __post_init__) and trusted.
         trusted, validated = cls.trusted.__func__, cls.__post_init__
@@ -97,11 +108,11 @@ def constructions_per_iteration(capture):
 
         workers[0].finish_iteration = marked
 
-    with counting(Packet), counting(DataSegment), built_clusters(tap):
+    with counting(Packet), counting(payload), built_clusters(tap):
         run(
             ExperimentConfig(
-                strategy="isw", workload="synth", n_workers=4, iterations=12,
-                seed=7, telemetry=False,
+                strategy=strategy, workload="synth", n_workers=n_workers,
+                iterations=12, seed=7, telemetry=False,
             )
         )
     assert len(iteration_marks) == 12
@@ -122,3 +133,29 @@ def test_a_capture_still_sees_every_packet_of_every_train():
     per_iteration, records = constructions_per_iteration(capture=True)
     assert records == 64
     assert 128 <= per_iteration <= 128 + 32, per_iteration
+
+
+#: Chunks worker 0 receives per sync iteration at n=8: the pulled vector
+#: (64 one-frame chunks), or 2·7 ring steps of an eighth of it (8 each).
+BASELINE_CHUNKS = {"ps": 64, "ar": 112}
+
+
+@pytest.mark.parametrize("strategy", sorted(BASELINE_CHUNKS))
+def test_a_clean_baseline_iteration_builds_no_packet_per_chunk(strategy):
+    # O(members), not O(members x chunks): the parent built 1,024 Packet +
+    # 1,024 VectorChunk (ps) and 896 + 896 (ar) per iteration.
+    per_iteration, _ = constructions_per_iteration(
+        False, strategy, n_workers=8, payload=VectorChunk
+    )
+    assert per_iteration <= 2 * 8, per_iteration
+
+
+@pytest.mark.parametrize("strategy", sorted(BASELINE_CHUNKS))
+def test_a_capture_still_sees_every_chunk_of_every_flow(strategy):
+    # Whoever asks for packets gets them: a Packet and a VectorChunk per
+    # chunk worker 0 receives, built then.
+    per_iteration, records = constructions_per_iteration(
+        True, strategy, n_workers=8, payload=VectorChunk
+    )
+    assert records == BASELINE_CHUNKS[strategy]
+    assert 2 * records <= per_iteration <= 2 * records + 2 * 8, per_iteration

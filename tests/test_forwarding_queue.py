@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from repro.netsim import (
     Host,
     Link,
-    Packet,
     PacketCapture,
     SimError,
     Simulator,
     build_rack_tree,
     build_star,
 )
+from repro.distributed.transport import VectorRun, _Shapes
 from repro.netsim.link import GBPS
 from repro.netsim.packets import MAX_UDP_PAYLOAD, PacketTrain
 from repro.netsim.switch import EthernetSwitch, ForwardingQueue
@@ -73,13 +73,11 @@ def play(scenario, batched, telemetry=False):
     arrivals, completed, seen = {}, {}, {}
 
     def note(host, packet, time):
-        flow, index, total = packet.payload
-        arrivals[(host, flow, index)] = repr(time)
-        key = (host, flow)
+        chunk = packet.payload
+        arrivals[(host, chunk.tag, chunk.index)] = repr(time)
+        key = (host, chunk.tag)
         seen[key] = seen.get(key, 0) + 1
-        if seen[key] == total:
-            # (A burst for two destinations has no one completion time: on
-            # a host-to-host link both halves are one train; total is 0.)
+        if seen[key] == chunk.total:
             completed[key] = repr(sim.now)
 
     for name, host in hosts.items():
@@ -91,34 +89,25 @@ def play(scenario, batched, telemetry=False):
 
         host.bind_train(PORT, on_train)
 
-    for flow, (src, dsts, shapes, start, burst) in enumerate(flows):
+    for flow, (src, dst, shapes, start, burst) in enumerate(flows):
         host = hosts[names[src % len(names)]]
-        per_dst = {}
-        packets = []
-        for index, (payload, frames) in enumerate(shapes):
-            dst = dsts[index % len(dsts)]
-            dst = "nowhere" if dst < 0 else names[dst % len(names)]
-            per_dst[dst] = per_dst.get(dst, 0) + 1
-            packets.append((dst, payload, frames))
-        counts = dict.fromkeys(per_dst, 0)
-        built = []
-        for dst, payload, frames in packets:
-            built.append(
-                Packet(
-                    host.name, dst, min(payload, frames * MAX_UDP_PAYLOAD),
-                    dst_port=PORT, frame_count=frames,
-                    payload=(
-                        flow, counts[dst], per_dst[dst] if len(per_dst) == 1 else 0
-                    ),
-                )
-            )
-            counts[dst] += 1
+        dst = "nowhere" if dst < 0 else names[dst % len(names)]
+        train = PacketTrain(
+            VectorRun(
+                _Shapes(
+                    (min(payload, frames * MAX_UDP_PAYLOAD), frames)
+                    for payload, frames in shapes
+                ),
+                0, len(shapes), flow,
+            ),
+            host.name, dst, port=PORT,
+        )
 
-        def offer(host=host, built=built, burst=burst):
+        def offer(host=host, train=train, burst=burst):
             if batched and burst:
-                host.send_burst(built)
+                host.send_burst(train)
             else:
-                for packet in built:
+                for packet in train.packets:
                     host.send(packet)
 
         sim.schedule_fire_at(start * PACKET_TIME, offer, "offer")
@@ -161,7 +150,7 @@ shapes = st.one_of(
 )
 flows = st.tuples(
     st.integers(0, 7),  # source host
-    st.lists(st.integers(-1, 7), min_size=1, max_size=2),  # -1: no such host
+    st.integers(-1, 7),  # destination host; -1: no such host
     st.lists(shapes, min_size=1, max_size=10),
     st.integers(0, 6),  # start, in packet-times
     st.booleans(),  # one burst, or one Host.send per packet
@@ -184,9 +173,9 @@ class TestAgainstThePerPacketPath:
             ("tree", 3),
             (0.0, 0.0),
             [
-                (0, [0], [(1000, 1)], 0, False),
-                (0, [3], [(1000, 1)], 1, False),
-                (1, [3], [(1000, 1)], 0, False),
+                (0, 0, [(1000, 1)], 0, False),
+                (0, 3, [(1000, 1)], 1, False),
+                (1, 3, [(1000, 1)], 0, False),
             ],
         ),
         False,
@@ -205,7 +194,7 @@ class TestAgainstThePerPacketPath:
         # packet-time apart: every packet of one ties with a packet of
         # another at the shared egress.
         flows = [
-            (src, [0], [(1000, 1)] * 8, src * offset, True) for src in range(1, 5)
+            (src, 0, [(1000, 1)] * 8, src * offset, True) for src in range(1, 5)
         ]
         scenario = (topology, DEFAULT_DELAYS, flows)
         chosen, sim = play(scenario, batched=True)
@@ -218,7 +207,7 @@ class TestAgainstThePerPacketPath:
         assert reference["processed_events"] == 4 + 4 * 8 * (2 * hops + 1)
 
     def test_unroutable_train_is_dropped_and_counted(self):
-        scenario = (("tree", 4), DEFAULT_DELAYS, [(0, [-1], [(1000, 1)] * 5, 0, True)])
+        scenario = (("tree", 4), DEFAULT_DELAYS, [(0, -1, [(1000, 1)] * 5, 0, True)])
         chosen, _ = play(scenario, batched=True)
         reference, _ = play(scenario, batched=False)
         assert chosen == reference
@@ -237,7 +226,9 @@ def star(transport="train", n=3):
 
 
 def burst(src, dst, n, size=1000):
-    return [Packet(src, dst, size, dst_port=PORT, payload=i) for i in range(n)]
+    """An unsent train of ``n`` equal packets (``.packets``: one by one)."""
+    run = VectorRun(_Shapes([(size, 1)] * n), 0, n, tag=(src, dst))
+    return PacketTrain(run, src, dst, port=PORT)
 
 
 class TestQueueRules:
@@ -256,13 +247,13 @@ class TestQueueRules:
         got = []
         net.workers[1].bind(PORT, lambda p: got.append(sim.now))
         sim.schedule_fire_at(
-            0.0, lambda: net.workers[0].send(burst("worker0", "worker1", 1)[0])
+            0.0, lambda: net.workers[0].send(burst("worker0", "worker1", 1).packets[0])
         )
         sim.run()
         reference_sim, reference = star("packet")
         expected = []
         reference.workers[1].bind(PORT, lambda p: expected.append(reference_sim.now))
-        reference.workers[0].send(burst("worker0", "worker1", 1)[0])
+        reference.workers[0].send(burst("worker0", "worker1", 1).packets[0])
         reference_sim.run()
         assert got == expected
         assert sim.processed_events == reference_sim.processed_events + 1
@@ -271,11 +262,11 @@ class TestQueueRules:
         states = []
         for transport in ("train", "packet"):
             sim, net = star(transport)
-            packets = burst("worker0", "worker1", 16)
+            train = burst("worker0", "worker1", 16)
             if transport == "train":
-                net.workers[0].send_burst(packets)
+                net.workers[0].send_burst(train)
             else:
-                for packet in packets:
+                for packet in train.packets:
                     net.workers[0].send(packet)
             sim.run(until=8 * PACKET_TIME)
             egress = net.links[1].ends[1]  # tor0 -> worker1
@@ -304,11 +295,10 @@ class TestQueueRules:
     def test_a_train_cannot_be_handed_over_after_it_arrived(self):
         sim, net = star()
         sim.run(until=1.0)
-        packets = burst("worker0", "worker1", 2)
+        train = burst("worker0", "worker1", 2)
+        train.arrivals = np.array([0.5, 0.6])
         with pytest.raises(SimError, match="before it"):
-            net.switches[0].handle_train(
-                PacketTrain(packets, np.array([0.5, 0.6])), net.links[0].ends[1]
-            )
+            net.switches[0].handle_train(train, net.links[0].ends[1])
 
     def test_reset_forgets_waiting_packets(self):
         sim, net = star()
@@ -316,6 +306,27 @@ class TestQueueRules:
         sim.reset()
         sim.run()
         assert net.workers[1].rx_packets == 0
+
+    def test_hops_count_every_link_a_train_crossed(self):
+        # A train counts its hops on its header, once per link; the packets
+        # a receiver builds carry the count the per-packet path stamps.
+        hops = []
+        for transport in ("train", "packet"):
+            sim = Simulator()
+            sim.transport = transport
+            net = build_rack_tree(sim, 4, workers_per_rack=2)
+            seen = []
+            net.hosts["worker3"].bind(PORT, lambda p: seen.append(p.hops))
+            for src in ("worker0", "worker2"):  # across the root; one ToR
+                train = burst(src, "worker3", 3)
+                if transport == "train":
+                    net.hosts[src].send_burst(train)
+                else:
+                    for packet in train.packets:
+                        net.hosts[src].send(packet)
+            sim.run()
+            hops.append(sorted(seen))
+        assert hops[0] == hops[1] == [2, 2, 2, 4, 4, 4]
 
     @pytest.mark.parametrize("where", ["root", "tor1"])
     def test_a_capture_on_a_plain_switch_sees_forwarded_trains(self, where):
@@ -327,11 +338,11 @@ class TestQueueRules:
             switch = {s.name: s for s in net.switches}[where]
             capture = PacketCapture(switch)
             for src, dst in (("worker0", "worker3"), ("worker1", "worker2")):
-                packets = burst(src, dst, 6)
+                train = burst(src, dst, 6)
                 if transport == "train":
-                    net.hosts[src].send_burst(packets)
+                    net.hosts[src].send_burst(train)
                 else:
-                    for packet in packets:
+                    for packet in train.packets:
                         net.hosts[src].send(packet)
             sim.run()
             records.append(

@@ -1,10 +1,13 @@
-"""Tests for ``tools/perf_pairs.py::summarise``, the only verdict on a
-performance change (DESIGN.md §7).
+"""Tests for ``tools/perf_pairs.py``: ``summarise``, the only verdict on a
+performance change (DESIGN.md §7), and the environment each run gets.
 
 Synthetic samples only: no subprocess, no git, nothing timed.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,31 @@ def test_each_metric_is_judged_by_its_own_bound():
         row = summarise((name, list), PARENT, shifted([22] * 10))
         expected = "regressed" if name == "peak_rss_mb" else "within bound"
         assert row["verdict"] == expected, name
+
+
+def test_each_run_is_pyc_free(monkeypatch, tmp_path):
+    """Both trees run with no ``.pyc`` to read and none written: the
+    condition a fresh checkout measures in."""
+    seen = {}
+
+    def fake_run(command, **kwargs):
+        env = kwargs["env"]
+        seen.update(
+            command=command,
+            cwd=kwargs["cwd"],
+            env=env,
+            cache_listing=os.listdir(env["PYTHONPYCACHEPREFIX"]),
+        )
+        line = json.dumps({"metrics": {}})
+        return subprocess.CompletedProcess(command, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_run)
+    assert perf_pairs.run_once(tmp_path, "isw-small", 7, 1.0) == {"metrics": {}}
+    env = seen["env"]
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["cache_listing"] == []  # an empty prefix: nothing to import
+    assert not Path(env["PYTHONPYCACHEPREFIX"]).exists()  # and removed after
+    assert env["PATH"] == os.environ["PATH"]  # the rest is inherited
+    assert seen["cwd"] == tmp_path
+    assert seen["command"][1:3] == ["benchmarks/perf/run.py", "--workload"]

@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.core.accelerator import AggregationEngine
 from repro.core.hierarchy import dedup_iswitch_factory
-from repro.core.protocol import Action
+from repro.core.protocol import Action, SegmentRun
 from repro.distributed import ExperimentConfig, run
 from repro.distributed.config import choose_transport
 from repro.distributed.transport import VectorChunk
@@ -106,7 +106,7 @@ class TestOfferedBurstParity:
 
     def run_train(self, n, **link_kw):
         sim, a, b, link, delivered = make_pair(**link_kw)
-        sim.schedule_fire(0.0, lambda: a.send_burst(burst(n)))
+        sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(burst(n))))
         sim.run()
         return delivered, link_state(a.uplink, link), (b.rx_packets, b.rx_bytes)
 
@@ -132,7 +132,7 @@ class TestOfferedBurstParity:
             link.loss_model = GilbertElliott.from_mean_loss(0.2)
             packets = burst(64)
             if runner is self.run_train:
-                sim.schedule_fire(0.0, lambda: a.send_burst(packets))
+                sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(packets)))
             else:
                 sim.schedule_fire(0.0, lambda: [a.send(p) for p in packets])
             sim.run()
@@ -145,8 +145,8 @@ class TestOfferedBurstParity:
             sim, a, b, link, delivered = make_pair()
             first, second = burst(8), burst(8, size=200)
             if batched:
-                sim.schedule_fire(0.0, lambda: a.send_burst(first))
-                sim.schedule_fire(0.0, lambda: a.send_burst(second))
+                sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(first)))
+                sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(second)))
             else:
                 sim.schedule_fire(0.0, lambda: [a.send(p) for p in first])
                 sim.schedule_fire(0.0, lambda: [a.send(p) for p in second])
@@ -161,14 +161,14 @@ class TestOfferedBurstParity:
         # pending barrier must not defer any of it.
         sim, a, b, link, delivered = make_pair()
         link.add_train_barrier(1e-9)  # far before the burst finishes
-        sim.schedule_fire(0.0, lambda: a.send_burst(burst(16)))
+        sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(burst(16))))
         sim.run()
         assert len(delivered) == 16
 
     def test_stale_barriers_are_consumed(self):
         sim, a, b, link, delivered = make_pair()
         link.add_train_barrier(1e-6)
-        sim.schedule_fire(2e-6, lambda: a.send_burst(burst(4)))
+        sim.schedule_fire(2e-6, lambda: a.send_burst(PacketTrain.of(burst(4))))
         sim.run()
         assert link.train_barriers == []
 
@@ -198,7 +198,7 @@ class TestForwardedTrainFaultSplit:
             link.add_train_barrier(t0)
             link.add_train_barrier(t1)
             sim.schedule_fire(
-                0.0, lambda: a.uplink.send_train(packets, ready)
+                0.0, lambda: a.uplink.send_train(PacketTrain.of(packets), ready)
             )
         else:
             for packet, r in zip(packets, ready):
@@ -248,7 +248,7 @@ class TestForwardedTrainFaultSplit:
             if batched:
                 link.add_train_barrier(t0)
                 sim.schedule_fire(
-                    0.0, lambda: a.uplink.send_train(packets, ready)
+                    0.0, lambda: a.uplink.send_train(PacketTrain.of(packets), ready)
                 )
             else:
                 for packet, r in zip(packets, ready):
@@ -266,7 +266,7 @@ class TestTrainDelivery:
         b.bind(PORT + 1, lambda p: other.append(p.payload))
         packets = burst(4)
         packets.append(Packet("a", "b", 10, dst_port=PORT + 1, payload="x"))
-        sim.schedule_fire(0.0, lambda: a.send_burst(packets))
+        sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(packets)))
         sim.run()
         # No uniform dst port: the train handler is bypassed, both
         # per-packet handlers fire, counters still cover every packet.
@@ -274,9 +274,19 @@ class TestTrainDelivery:
         assert other == ["x"]
         assert b.rx_packets == 5
 
+    def test_a_train_has_one_destination_and_one_job(self):
+        for stray in (
+            Packet("a", "c", 10, dst_port=PORT),
+            Packet("a", "b", 10, dst_port=PORT, job=3),
+        ):
+            with pytest.raises(ValueError, match="one destination and one job"):
+                PacketTrain.of(burst(2) + [stray])
+        with pytest.raises(ValueError, match="at least one packet"):
+            PacketTrain.of([])
+
     def test_all_packets_dropped_delivers_nothing(self):
         sim, a, b, link, delivered = make_pair(loss_rate=0.999999, loss_seed=1)
-        sim.schedule_fire(0.0, lambda: a.send_burst(burst(8)))
+        sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(burst(8))))
         sim.run()
         assert delivered == []
         assert link.dropped_packets == 8
@@ -290,7 +300,7 @@ class TestTrainDelivery:
             sim, a, b, link, delivered = make_pair()
             packets = burst(16)
             if batched:
-                sim.schedule_fire(0.0, lambda: a.send_burst(packets))
+                sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(packets)))
             else:
                 sim.schedule_fire(0.0, lambda: [a.send(p) for p in packets])
             sim.run()
@@ -304,7 +314,7 @@ class TestTrainDelivery:
         b.bind(PORT, lambda p: None)
         b.bind_train(PORT, lambda train: seen.setdefault("train", train))
         packets = burst(5)
-        sim.schedule_fire(0.0, lambda: a.send_burst(packets))
+        sim.schedule_fire(0.0, lambda: a.send_burst(PacketTrain.of(packets)))
         sim.run()
         train = seen["train"]
         assert isinstance(train, PacketTrain)
@@ -900,7 +910,7 @@ class TestAResultRunSplitsAtATrainBarrier:
         host = net.workers[1]
         inner = host.handle_train
         host.handle_train = lambda train, port: (
-            trains.append((len(train), train.run is not None)),
+            trains.append((len(train), isinstance(train.run, SegmentRun))),
             inner(train, port),
         )
         # What the injector's link-degrade does (it refuses a bursting

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.distributed.transport import VectorReceiver, _chunk_shapes, send_vector
+from repro.distributed.transport import (
+    VECTOR_PORT,
+    VectorReceiver,
+    VectorRun,
+    _chunk_shapes,
+    send_vector,
+)
 from repro.netsim import Link, Simulator, Host
-from repro.netsim.packets import MAX_UDP_PAYLOAD
+from repro.netsim.packets import MAX_UDP_PAYLOAD, Packet, PacketTrain
 
 
 def linked_pair():
@@ -51,6 +59,46 @@ class TestChunkShapes:
         payload, frames = shapes[0]
         assert payload == 10 * MAX_UDP_PAYLOAD + 3
         assert frames == 11
+
+
+class TestVectorRun:
+    @given(st.integers(1, 300_000), st.integers(1, 80), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_run_and_its_slices_build_the_packets_chunk_shapes_describes(
+        self, wire_bytes, max_chunks, data
+    ):
+        shapes = _chunk_shapes(wire_bytes, max_chunks)
+        n = len(shapes)
+        vector = np.arange(3, dtype=np.float32)
+        run = VectorRun(shapes, 0, n, "g", vector, "meta")
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(a + 1, n), label="b")
+        c = data.draw(st.integers(0, b - a - 1), label="c")
+        for lo, part in ((0, run), (a, run[a:b]), (a + c, run[a:b][c:])):
+            hi = lo + len(part)
+            train = PacketTrain(part, "x", "y", port=VECTOR_PORT)
+            packets = train.packets
+            assert len(train) == len(packets) == hi - lo
+            # Each packet is the one the shape describes, validated afresh.
+            assert [
+                (p.src, p.dst, p.tos, p.src_port, p.dst_port, p.job) for p in packets
+            ] == [("x", "y", 0, VECTOR_PORT, VECTOR_PORT, 0)] * (hi - lo)
+            assert [(p.payload_size, p.frame_count) for p in packets] == shapes[lo:hi]
+            assert [p.wire_size for p in packets] == [
+                Packet("x", "y", payload, frame_count=frames).wire_size
+                for payload, frames in shapes[lo:hi]
+            ]
+            assert part.wire_sizes.tolist() == [p.wire_size for p in packets]
+            assert not part.wire_sizes.flags.writeable
+            assert part.wire_total == sum(p.wire_size for p in packets)
+            chunks = [p.payload for p in packets]
+            assert [(k.tag, k.index, k.total) for k in chunks] == [
+                ("g", index, n) for index in range(lo, hi)
+            ]
+            for chunk in chunks:
+                last = chunk.index == n - 1
+                assert chunk.data is (vector if last else None)
+                assert chunk.meta == ("meta" if last else None)
 
 
 class TestSendReceive:
@@ -129,8 +177,6 @@ class TestSendReceive:
     def test_wrong_payload_type_raises(self):
         sim, a, b = linked_pair()
         VectorReceiver(b, lambda *args: None, port=7777)
-        from repro.netsim.packets import Packet
-
         a.send(Packet(src="a", dst="b", payload_size=10, dst_port=7777, payload="junk"))
         with pytest.raises(TypeError, match="VectorChunk"):
             sim.run()
@@ -174,7 +220,6 @@ class TestBurstForm:
         assert done["train"] == done["packet"]
 
     def test_a_train_that_is_not_one_whole_flow_is_counted_chunk_by_chunk(self):
-        from repro.netsim.packets import Packet, PacketTrain
         from repro.distributed.transport import VectorChunk
 
         sim, a, b = self.bursting_pair()
@@ -188,19 +233,15 @@ class TestBurstForm:
             )
 
         # The tail of one flow and the head of the next, in one train.
-        receiver._receive_train(
-            PacketTrain([chunk(1, 0, 2)], [0.0])
-        )
+        receiver._receive_train(PacketTrain.of([chunk(1, 0, 2)]))
         assert got == []
-        receiver._receive_train(
-            PacketTrain([chunk(1, 1, 2), chunk(2, 0, 2)], [0.0, 0.0])
-        )
+        receiver._receive_train(PacketTrain.of([chunk(1, 1, 2), chunk(2, 0, 2)]))
         assert got == [1]
-        receiver._receive_train(PacketTrain([chunk(2, 1, 2)], [0.0]))
+        receiver._receive_train(PacketTrain.of([chunk(2, 1, 2)]))
         assert got == [1, 2]
         with pytest.raises(TypeError, match="VectorChunk"):
             receiver._receive_train(
-                PacketTrain([Packet("a", "b", 10, payload="junk")], [0.0])
+                PacketTrain.of([Packet("a", "b", 10, payload="junk")])
             )
 
     @pytest.mark.parametrize("max_chunks", [0, -1, -64])

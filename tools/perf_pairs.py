@@ -10,7 +10,10 @@ choosing-metrics guide §8).  For each pair this runs
 once in a checkout of ``--baseline-ref`` (made with ``git worktree add`` and
 removed afterwards) and once in this tree, alternating which side goes
 first, and prints per end-to-end metric: how many pairs the change won, both
-medians, and the distance between the parent's quartiles.  A gain counts
+medians, and the distance between the parent's quartiles.  Every run is
+pyc-free (``PYTHONDONTWRITEBYTECODE=1``, ``PYTHONPYCACHEPREFIX`` at an empty
+temporary directory), so neither tree imports a stale or a warm ``.pyc``:
+both pay the same compile cost, as in a fresh checkout.  A gain counts
 only when the change wins at least nine tenths of the pairs (ties count for
 neither) and the medians differ by more than that distance.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -42,14 +46,21 @@ METRICS = {m["name"]: m for m in SPEC["end_to_end"]}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One driver-form run in ``tree``; the parsed last output line."""
-    proc = subprocess.run(
-        [
-            sys.executable, "benchmarks/perf/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-        ],
-        cwd=tree, capture_output=True, text=True,
-    )
+    """One ``run.py`` run in ``tree``, pyc-free; the parsed last output
+    line."""
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-pyc-") as pycache:
+        env = {
+            **os.environ,
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONPYCACHEPREFIX": pycache,
+        }
+        proc = subprocess.run(
+            [
+                sys.executable, "benchmarks/perf/run.py", "--workload", workload,
+                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            ],
+            cwd=tree, capture_output=True, text=True, env=env,
+        )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(
