@@ -6,14 +6,28 @@ blocks — useful when profiling why a large simulation is slow.
 """
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.accelerator import AggregationEngine
-from repro.core.protocol import FLOATS_PER_SEGMENT, DataSegment, SegmentPlan
+from repro.core.protocol import (
+    FLOATS_PER_SEGMENT,
+    Action,
+    ControlMessage,
+    DataSegment,
+    JoinInfo,
+    SegmentPlan,
+    encode_control,
+    encode_data,
+)
 from repro.distributed import ExperimentConfig, run
 from repro.distributed.transport import VectorReceiver, send_vector
+from repro.live.driver import CHUNK_ELEMS
+from repro.live.ps import PsServer
+from repro.live.switch import SoftwareSwitch
+from repro.live.transport import UdpEndpoint, loopback_available
 from repro.netsim.events import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Device
@@ -313,3 +327,83 @@ def test_replay_sample_throughput(benchmark):
 
     samples = benchmark(draw_2000_batches)
     assert samples == 2000 * 32
+
+
+# ----------------------------------------------------------------------
+# The live datapath, I/O-free (switch, PS) and at the socket (drain)
+# ----------------------------------------------------------------------
+_MEMBERS = [("127.0.0.1", 40000 + rank) for rank in range(2)]
+
+
+def _live_round(server, join, frames):
+    """A fresh ``server`` with both members joined, and one round's
+    ``frames`` (rank-interleaved, as they cross the wire)."""
+
+    def setup():
+        role = server()
+        for rank, addr in enumerate(_MEMBERS):
+            role.handle_frame(join(rank), addr)
+        return (role,), {}
+
+    def feed(role):
+        return sum(len(role.handle_frame(frame, addr)) for frame, addr in frames)
+
+    return setup, feed
+
+
+def test_live_switch_round_throughput(benchmark):
+    """128 fp32 data frames (two workers' 64-chunk gradients) through
+    ``SoftwareSwitch.handle_frame``; 128 result frames come out."""
+    plan = SegmentPlan(64 * FLOATS_PER_SEGMENT)
+    rng = np.random.default_rng(7)
+    per_rank = []
+    for _ in _MEMBERS:
+        gradient = rng.standard_normal(plan.n_elements).astype(np.float32)
+        per_rank.append([encode_data(s) for s in plan.split(gradient, 0)])
+    frames = [(f, a) for pair in zip(*per_rank) for f, a in zip(pair, _MEMBERS)]
+    setup, feed = _live_round(
+        lambda: SoftwareSwitch(n_workers=2),
+        lambda rank: encode_control(ControlMessage(Action.JOIN, JoinInfo(rank=rank))),
+        frames,
+    )
+    assert benchmark.pedantic(feed, setup=setup, rounds=50) == 128
+
+
+def test_live_ps_round_throughput(benchmark):
+    """256 ``U`` gradient chunks (two workers x 128 chunks of 183) through
+    ``PsServer.handle_frame``; 256 ``D`` sums come out."""
+    n_elements = 128 * CHUNK_ELEMS
+    rng = np.random.default_rng(7)
+    frames = []
+    gradients = [rng.standard_normal(n_elements).astype("<f4") for _ in _MEMBERS]
+    for chunk in range(128):
+        for rank, addr in enumerate(_MEMBERS):
+            data = gradients[rank][chunk * CHUNK_ELEMS : (chunk + 1) * CHUNK_ELEMS]
+            frames.append(
+                (b"U" + struct.pack("<BII", rank, 0, chunk) + data.tobytes(), addr)
+            )
+    setup, feed = _live_round(
+        lambda: PsServer(n_workers=2),
+        lambda rank: b"J" + struct.pack("<BI", rank, n_elements),
+        frames,
+    )
+    assert benchmark.pedantic(feed, setup=setup, rounds=50) == 256
+
+
+def test_udp_drain_throughput(benchmark):
+    """128 queued 1.5 kB datagrams through ``UdpEndpoint.recv``: one
+    ``recvfrom`` each while the socket holds datagrams."""
+    if not loopback_available():
+        pytest.skip("loopback UDP unavailable")
+    frame = bytes(1 + 8 + 4 * FLOATS_PER_SEGMENT)
+    with UdpEndpoint() as sender, UdpEndpoint() as receiver:
+
+        def setup():
+            for _ in range(128):
+                sender.send(frame, receiver.address)
+            return (), {}
+
+        def drain():
+            return sum(receiver.recv(timeout=1.0) is not None for _ in range(128))
+
+        assert benchmark.pedantic(drain, setup=setup, rounds=50) == 128

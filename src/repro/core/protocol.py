@@ -58,6 +58,8 @@ __all__ = [
     "encode_control",
     "encode_data",
     "decode_frame",
+    "decode_data_header",
+    "decode_payload",
     "make_control_packet",
     "make_data_packet",
 ]
@@ -516,6 +518,9 @@ _JOIN_STRUCT = struct.Struct("<BBHIII")
 
 _SETH_H_BITS = 24  # low bits of the 32-bit SETH Value; high 8 carry the job
 
+_CONTROL_PREFIX = bytes((TOS_CONTROL,))
+_F4 = np.dtype("<f4")
+
 
 def encode_control(message: ControlMessage) -> bytes:
     """Serialize a control message to its wire frame.
@@ -630,14 +635,55 @@ def decode_frame(
     exception escapes.
     """
     buf = bytes(frame)
-    if not buf:
-        raise ProtocolError("empty frame")
-    tos = buf[0]
-    if tos == TOS_CONTROL:
-        return tos, _decode_control(buf)
-    if (tos & ~TOS_NUMERICS_MASK) in (TOS_DATA_UP, TOS_DATA_DOWN):
-        return tos, _decode_data(buf)
-    raise ProtocolError(f"unknown ToS tag 0x{tos:02x}")
+    if buf[:1] == _CONTROL_PREFIX:
+        return TOS_CONTROL, _decode_control(buf)
+    tos, job, seg = decode_data_header(buf)
+    # A fresh, writable, native-order copy: the caller owns the message.
+    return tos, DataSegment(seg=seg, data=np.array(decode_payload(buf)), job=job)
+
+
+def decode_data_header(frame: bytes) -> Tuple[int, int, int]:
+    """``(tos, job, seg)`` of a data frame — the header half of
+    :func:`decode_frame`, with every length and job check it makes, so
+    :func:`decode_payload` can only fail inside a codec's own layout."""
+    body_len = len(frame) - 1 - SEG_HEADER_BYTES
+    if body_len < 0:
+        raise ProtocolError(
+            f"frame of {len(frame)} B is shorter than a data frame's header"
+        )
+    tos = frame[0]
+    if (tos & ~TOS_NUMERICS_MASK) not in (TOS_DATA_UP, TOS_DATA_DOWN):
+        raise ProtocolError(f"unknown ToS tag 0x{tos:02x}")
+    if not tos & TOS_NUMERICS_MASK:
+        if body_len % FLOAT_BYTES:
+            raise ProtocolError(
+                f"data payload of {body_len} B is not whole float32 elements"
+            )
+        if body_len > SEG_PAYLOAD_BYTES:
+            raise ProtocolError(
+                f"data payload of {body_len} B exceeds one frame "
+                f"({SEG_PAYLOAD_BYTES} B max)"
+            )
+    word = struct.unpack_from("<Q", frame, 1)[0]
+    return tos, _decode_job(word >> 56), word & MAX_SEG_INDEX
+
+
+def decode_payload(frame: bytes) -> np.ndarray:
+    """The float32 payload of a data frame :func:`decode_data_header`
+    accepted: a read-only view of the frame's own bytes (fp32), or the
+    dense values the codec's grid represents (the ToS numerics tag)."""
+    tag = frame[0] & TOS_NUMERICS_MASK
+    if not tag:  # positional: NumPy parses keyword arguments slowly
+        return np.frombuffer(frame, _F4, -1, 1 + SEG_HEADER_BYTES)
+    # The codec registered for the tag owns the payload layout (PROTOCOL.md
+    # §8).  Imported lazily — compression builds on this module's constants.
+    from .compression import codec_for_tag
+
+    data = codec_for_tag(tag).decode_payload(
+        frame[1 + SEG_HEADER_BYTES :],
+        downstream=(frame[0] & ~TOS_NUMERICS_MASK) == TOS_DATA_DOWN,
+    )
+    return np.ascontiguousarray(data, dtype=np.float32)
 
 
 def _decode_job(word_high: int) -> int:
@@ -691,48 +737,6 @@ def _decode_control(buf: bytes) -> ControlMessage:
     word = struct.unpack("<Q", body)[0]
     return ControlMessage(
         action=action, value=word & MAX_SEG_INDEX, job=_decode_job(word >> 56)
-    )
-
-
-def _decode_data(buf: bytes) -> DataSegment:
-    if len(buf) < 1 + SEG_HEADER_BYTES:
-        raise ProtocolError(
-            f"data frame shorter than its {SEG_HEADER_BYTES}-byte Seg header"
-        )
-    tag = buf[0] & TOS_NUMERICS_MASK
-    body_len = len(buf) - 1 - SEG_HEADER_BYTES
-    if tag:
-        # Compressed frame: the codec registered for the numerics tag owns
-        # the payload layout (PROTOCOL.md §8).  Imported lazily — the
-        # compression module builds on this one's constants.
-        from .compression import codec_for_tag
-
-        codec = codec_for_tag(tag)
-        downstream = (buf[0] & ~TOS_NUMERICS_MASK) == TOS_DATA_DOWN
-        word = struct.unpack_from("<Q", buf, 1)[0]
-        data = codec.decode_payload(
-            buf[1 + SEG_HEADER_BYTES :], downstream=downstream
-        )
-        return DataSegment(
-            seg=word & MAX_SEG_INDEX,
-            data=np.ascontiguousarray(data, dtype=np.float32),
-            job=_decode_job(word >> 56),
-        )
-    if body_len % FLOAT_BYTES:
-        raise ProtocolError(
-            f"data payload of {body_len} B is not whole float32 elements"
-        )
-    if body_len > SEG_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"data payload of {body_len} B exceeds one frame "
-            f"({SEG_PAYLOAD_BYTES} B max)"
-        )
-    word = struct.unpack_from("<Q", buf, 1)[0]
-    data = np.frombuffer(buf, dtype="<f4", offset=1 + SEG_HEADER_BYTES)
-    return DataSegment(
-        seg=word & MAX_SEG_INDEX,
-        data=data.astype(np.float32),  # a fresh, writable, native-order copy
-        job=_decode_job(word >> 56),
     )
 
 

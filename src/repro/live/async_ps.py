@@ -29,7 +29,7 @@ import numpy as np
 
 from ..rl.base import Algorithm
 from .driver import (
-    DEFAULT_LIVE_RECOVERY_TIMEOUT,
+    CHUNK_ELEMS,
     Frames,
     LiveWorkerBase,
     chunk_payload,
@@ -147,24 +147,16 @@ class LiveAsyncPsWorker(LiveWorkerBase):
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
         server_addr: Address,
-        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
-        max_recovery_attempts: int = 12,
+        **watchdog,
     ) -> None:
-        super().__init__(
-            rank,
-            n_workers,
-            algorithm,
-            endpoint,
-            recovery_timeout,
-            max_recovery_attempts,
-        )
+        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
         self.server_addr = server_addr
         #: The weight version the next gradient is computed against.
         self.version = 0
         self._cycle_frames: List[bytes] = []
-        #: The pull being collected: its cycle, chunks and version stamp.
+        #: The pull being collected: its cycle, weights and version stamp.
         self._cycle = 0
-        self._pulled: Dict[int, np.ndarray] = {}
+        self._pulled = np.empty(0)
         self._pulled_version = 0
         #: ``round_digests`` holds per-cycle digests of the pulled weights
         #: (each rank pulls its own versions, so streams differ across
@@ -197,11 +189,9 @@ class LiveAsyncPsWorker(LiveWorkerBase):
     def _complete(self, cycle: int) -> np.ndarray:
         """Pull: the server's weights right after it applied that push."""
         self._cycle = cycle + 1
-        self._pulled = {}
+        self._pulled = np.empty(self.n_elements, dtype=np.float64)
         self._collect(set(range(len(self._cycle_frames))), cycle)
-        return np.concatenate(
-            [self._pulled[chunk] for chunk in range(len(self._pulled))]
-        )
+        return self._pulled
 
     def _ingest(self, frame: bytes, addr: Address) -> None:
         if frame[:1] != b"W":
@@ -215,16 +205,14 @@ class LiveAsyncPsWorker(LiveWorkerBase):
             ):
                 self.counters["stale_frames"] += 1
                 return
-            self._pulled[chunk] = chunk_payload(
-                frame,
-                1 + _ASYNC_HEADER.size,
-                "<f8",
-                chunk,
-                self.n_elements,
+            data = chunk_payload(
+                frame, 1 + _ASYNC_HEADER.size, "<f8", chunk, self.n_elements
             )
         except (struct.error, ValueError):
             self.counters["decode_errors"] += 1
             return
+        start = chunk * CHUNK_ELEMS
+        self._pulled[start : start + data.size] = data
         self._pulled_version = version
         self._missing.discard(chunk)
 

@@ -46,7 +46,6 @@ import numpy as np
 from ..rl.base import Algorithm
 from .driver import (
     CHUNK_ELEMS,
-    DEFAULT_LIVE_RECOVERY_TIMEOUT,
     LiveWorkerBase,
     LossGate,
     n_chunks,
@@ -79,10 +78,9 @@ class _PeerExchangeWorker(LiveWorkerBase):
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
         peers: Dict[int, Address],
-        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
-        max_recovery_attempts: int = 12,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
+        **watchdog,
     ) -> None:
         if n_workers < 2:
             raise ValueError(
@@ -93,14 +91,7 @@ class _PeerExchangeWorker(LiveWorkerBase):
                 f"peer table must cover ranks 0..{n_workers - 1}, "
                 f"got {sorted(peers)}"
             )
-        super().__init__(
-            rank,
-            n_workers,
-            algorithm,
-            endpoint,
-            recovery_timeout,
-            max_recovery_attempts,
-        )
+        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
         self.peers = dict(peers)
         # Per-rank stream so every receiver drops an independent sample.
         self._loss = LossGate(loss_rate, loss_seed * 7919 + rank, self.counters)

@@ -104,20 +104,20 @@ def split_chunks(vector: np.ndarray) -> List[np.ndarray]:
 def chunk_payload(
     frame: bytes, offset: int, dtype: str, chunk: int, n_elements: int
 ) -> np.ndarray:
-    """Decode the payload (``"<f4"`` or ``"<f8"``) of chunk ``chunk`` of
-    an ``n_elements`` vector.
+    """The payload (``"<f4"`` or ``"<f8"``) of chunk ``chunk`` of an
+    ``n_elements`` vector, as a read-only view of ``frame``.
 
     Raises :class:`ValueError` for a chunk index outside the vector or a
     payload of the wrong length, so a truncated chunk is rejected
     *before* anything stores it.
     """
-    data = np.frombuffer(frame, dtype=dtype, offset=offset)
+    data = np.frombuffer(frame, dtype, -1, offset)  # keywords parse slowly
     expected = min(CHUNK_ELEMS, n_elements - chunk * CHUNK_ELEMS)
     if chunk >= n_chunks(n_elements) or data.size != expected:
         raise ValueError(
             f"chunk {chunk} carries {data.size} elements, expected {expected}"
         )
-    return data.astype(dtype)
+    return data
 
 
 def shard_ranges(n_elements: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -126,13 +126,8 @@ def shard_ranges(n_elements: int, n_shards: int) -> List[Tuple[int, int]]:
     Matches the simulator's sharding (``np.array_split`` semantics).
     """
     base, extra = divmod(n_elements, n_shards)
-    ranges = []
-    start = 0
-    for index in range(n_shards):
-        size = base + (1 if index < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
+    bounds = [base * index + min(index, extra) for index in range(n_shards + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +164,9 @@ class MemberServer:
     ``n_workers``-th distinct rank joined (and 1:1 to any later retry),
     doubling as the start-of-training signal.  After the Join a member
     *is* its address: :meth:`_rank_of` maps the datagram's source back to
-    the joined rank, and frames from anyone else are counted
-    (``non_member``) and dropped, whatever rank they claim.
+    the joined rank (a rank that re-joined elsewhere loses its old one),
+    and frames from anyone else are counted (``non_member``) and dropped,
+    whatever rank they claim.
     """
 
     def __init__(
@@ -187,6 +183,7 @@ class MemberServer:
         self._ack = ack
         self._go = go
         self._members: Dict[int, Address] = {}
+        self._ranks: Dict[Address, int] = {}
         self._left: set = set()
         #: Members that have not left, in rank order (what a broadcast
         #: reads once per result; rebuilt on the rare Join and Leave).
@@ -213,19 +210,20 @@ class MemberServer:
         """All expected members joined and all of them have left."""
         return self._all_left()
 
-    def _active(self) -> List[Tuple[int, Address]]:
-        return [
-            (rank, addr)
-            for rank, addr in sorted(self._members.items())
-            if rank not in self._left
+    def _refresh(self) -> None:
+        """Rebuild what the rare Join and Leave change: ``addresses``, and
+        address → rank (reversed, so an address two ranks joined from
+        stays the first's; a member that left still owns its address)."""
+        self.addresses = [
+            a for r, a in sorted(self._members.items()) if r not in self._left
         ]
+        self._ranks = {a: r for r, a in reversed(self._members.items())}
 
     def _rank_of(self, addr: Address) -> Optional[int]:
-        for rank, member_addr in self._members.items():
-            if member_addr == addr:
-                return rank
-        self.counters["non_member"] += 1
-        return None
+        rank = self._ranks.get(addr)
+        if rank is None:
+            self.counters["non_member"] += 1
+        return rank
 
     def _admit(self, rank: int, addr: Address) -> Frames:
         """A Join.  Idempotent: a retry (our ack or the go may have raced
@@ -233,20 +231,20 @@ class MemberServer:
         if rank not in self._members:
             self.counters["joins"] += 1
         self._members[rank] = addr
-        self.addresses = [a for _, a in self._active()]
+        self._refresh()
         out = [(self._ack, addr)]
         if self._go_sent:
             out.append((self._go, addr))
         elif len(self._members) == self.n_workers:
             self._go_sent = True
-            out.extend((self._go, a) for _, a in self._active())
+            out.extend((self._go, a) for a in self.addresses)
         return out
 
     def _depart(self, rank: int) -> None:
         if rank not in self._left:
             self._left.add(rank)
             self.counters["leaves"] += 1
-            self.addresses = [a for _, a in self._active()]
+            self._refresh()
 
     def on_timer(self, now: float) -> Frames:
         """Timer expiry: frames due at monotonic time ``now`` (none here)."""
@@ -289,6 +287,8 @@ class LiveWorkerBase:
     gradient), ``_complete`` (collect that round's result), ``_ingest``
     (one received datagram; removes what it satisfied from
     ``self._missing``), ``_recover`` (the watchdog fired) and ``_leave``.
+    Their constructors take the strategy's own arguments and pass the
+    watchdog's (``recovery_timeout``, ``max_recovery_attempts``) through.
     """
 
     #: Rounds a worker may submit ahead of its own applied weights.

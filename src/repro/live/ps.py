@@ -35,7 +35,6 @@ import numpy as np
 from ..rl.base import Algorithm
 from .driver import (
     CHUNK_ELEMS,
-    DEFAULT_LIVE_RECOVERY_TIMEOUT,
     Frames,
     LiveWorkerBase,
     MemberServer,
@@ -104,8 +103,11 @@ class PsServer(HostServer):
         self, n_workers: int, loss_rate: float = 0.0, loss_seed: int = 0
     ) -> None:
         super().__init__(n_workers, loss_rate, loss_seed)
+        #: (round, chunk) → rank → the f32 chunk, a view of its frame.
         self._contribs: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
         self._results: Dict[Tuple[int, int], bytes] = {}
+        #: The newest round a sum completed in; the cache is pruned on advance.
+        self._newest = 0
         self.counters["chunks_summed"] = 0
 
     def _handle_push(self, rank: int, frame: bytes) -> Frames:
@@ -124,6 +126,7 @@ class PsServer(HostServer):
         contribs[rank] = data
         if len(contribs) < self.n_workers:
             return []
+        # Rank order from +0.0, so even the sign of a zero sum is pinned.
         total = np.zeros(data.shape, dtype=np.float64)
         for member_rank in sorted(contribs):
             total += contribs[member_rank]
@@ -135,15 +138,12 @@ class PsServer(HostServer):
         )
         self._results[key] = down
         self.counters["chunks_summed"] += 1
-        self._prune_results(round_index)
-        return [(down, addr) for _, addr in self._active()]
-
-    def _prune_results(self, round_index: int) -> None:
-        floor = round_index - 2
-        if floor <= 0:
-            return
-        for key in [k for k in self._results if k[0] < floor]:
-            del self._results[key]
+        if round_index > self._newest:
+            # Keep the last three rounds' sums for resend requests.
+            self._newest = round_index
+            for old in [k for k in self._results if k[0] < round_index - 2]:
+                del self._results[old]
+        return [(down, addr) for addr in self.addresses]
 
     def _handle_resend(self, rank: int, frame: bytes, addr: Address) -> Frames:
         _, round_index, chunk = _UP_HEADER.unpack_from(frame, 1)
@@ -164,19 +164,11 @@ class LiveShardWorker(LiveWorkerBase):
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
         shard_addrs: List[Address],
-        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
-        max_recovery_attempts: int = 12,
+        **watchdog,
     ) -> None:
         if not shard_addrs:
             raise ValueError("need at least one shard server")
-        super().__init__(
-            rank,
-            n_workers,
-            algorithm,
-            endpoint,
-            recovery_timeout,
-            max_recovery_attempts,
-        )
+        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
         self.shard_addrs = list(shard_addrs)
         self.ranges = shard_ranges(self.n_elements, len(shard_addrs))
         self._addr_to_shard = {
@@ -184,9 +176,9 @@ class LiveShardWorker(LiveWorkerBase):
         }
         #: (shard, chunk) → encoded ``U`` frame of the current round.
         self._round_frames: Dict[Tuple[int, int], bytes] = {}
-        #: (shard, chunk) → summed float64 chunk of the current round.
-        self._received: Dict[Tuple[int, int], np.ndarray] = {}
+        #: The round being collected, and its float64 sum, filled in place.
         self._round = 0
+        self._total = np.empty(0)
         self.counters.update(help_sent=0, retransmissions=0)
 
     def join(self) -> None:
@@ -217,13 +209,9 @@ class LiveShardWorker(LiveWorkerBase):
 
     def _complete(self, round_index: int) -> np.ndarray:
         self._round = round_index
-        self._received = {}
+        self._total = np.empty(self.n_elements, dtype=np.float64)
         self._collect(set(self._round_frames), round_index)
-        total = np.empty(self.n_elements, dtype=np.float64)
-        for (shard, chunk), data in self._received.items():
-            start = self.ranges[shard][0] + chunk * CHUNK_ELEMS
-            total[start : start + data.size] = data
-        return total
+        return self._total
 
     def _ingest(self, frame: bytes, addr: Address) -> None:
         shard = self._addr_to_shard.get(addr)
@@ -236,12 +224,14 @@ class LiveShardWorker(LiveWorkerBase):
                 self.counters["stale_frames"] += 1
                 return
             lo, hi = self.ranges[shard]
-            self._received[key] = chunk_payload(
+            data = chunk_payload(
                 frame, 1 + _DOWN_HEADER.size, "<f8", chunk, hi - lo
             )
         except (struct.error, ValueError):
             self.counters["decode_errors"] += 1
             return
+        start = lo + chunk * CHUNK_ELEMS
+        self._total[start : start + data.size] = data
         self._missing.discard(key)
 
     def _recover(self, missing: set, round_index: int) -> None:

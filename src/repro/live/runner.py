@@ -64,12 +64,10 @@ def _rack_sizes(n_workers: int) -> List[int]:
     """Per-rack worker counts for the tree (rank ``r`` sits in rack
     ``r // TREE_RACK_WIDTH``, exactly like the simulator's contiguous
     assignment)."""
-    sizes = []
-    remaining = n_workers
-    while remaining > 0:
-        sizes.append(min(TREE_RACK_WIDTH, remaining))
-        remaining -= TREE_RACK_WIDTH
-    return sizes
+    return [
+        min(TREE_RACK_WIDTH, n_workers - start)
+        for start in range(0, n_workers, TREE_RACK_WIDTH)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +126,13 @@ def _build_server(params: Dict[str, Any]):
     return PsServer(**common)
 
 
+def _cost(cpu_start: float, endpoint) -> Dict[str, float]:
+    """A child's own attribution: its loop's process CPU (ms since
+    ``cpu_start``) and the receives that blocked in a poll."""
+    cpu_ms = round((time.process_time() - cpu_start) * 1e3, 3)
+    return {"cpu_ms": cpu_ms, "waits": endpoint.waits}
+
+
 def _server_main(conn, params: Dict[str, Any]) -> None:
     try:
         from .driver import serve
@@ -136,8 +141,9 @@ def _server_main(conn, params: Dict[str, Any]) -> None:
         endpoint = UdpEndpoint()
         role = _build_server(params)
         conn.send(("port", endpoint.port))
+        cpu = time.process_time()
         serve(role, endpoint, time.monotonic() + params["deadline"])
-        conn.send(("ok", role.stats_snapshot()))
+        conn.send(("ok", dict(role.stats_snapshot(), **_cost(cpu, endpoint))))
     except Exception:
         conn.send(("error", traceback.format_exc()))
     finally:
@@ -223,9 +229,10 @@ def _worker_main(conn, rank: int, params: Dict[str, Any]) -> None:
         worker = _build_worker(rank, algorithm, endpoint, conn, params)
         if hasattr(worker, "join"):
             worker.join()
-        started = time.monotonic()
+        started, cpu = time.monotonic(), time.process_time()
         worker.train(params["iterations"])
         train_seconds = time.monotonic() - started
+        worker.counters.update(_cost(cpu, endpoint))
         reward = algorithm.final_average_reward()
         conn.send(
             (
@@ -282,8 +289,6 @@ def _merge_server_stats(
 ) -> Dict[str, int]:
     """Fold several servers' counters into one dict (sums; maxima for
     high-watermark counters)."""
-    if len(snapshots) == 1:
-        return dict(snapshots[0][1])
     merged: Dict[str, int] = {}
     for _node, snap in snapshots:
         for key, value in snap.items():
@@ -543,13 +548,9 @@ def run_live(config) -> "TrainingResult":
 
     hub = TelemetryHub() if config.telemetry else None
     if hub is not None:
-        for report in worker_reports:
-            node = f"worker{report['rank']}"
-            for name, amount in report["counters"].items():
-                if amount:
-                    hub.inc(f"live.{name}", amount, node=node)
-        for node, snapshot in server_snapshots:
-            for name, amount in snapshot.items():
+        children = [(f"worker{r['rank']}", r["counters"]) for r in worker_reports]
+        for node, counters in children + server_snapshots:
+            for name, amount in counters.items():
                 if amount:
                     hub.inc(f"live.{name}", amount, node=node)
 

@@ -38,7 +38,9 @@ from ..core.protocol import (
     TOS_DATA_DOWN,
     TOS_DATA_UP,
     TOS_NUMERICS_MASK,
+    decode_data_header,
     decode_frame,
+    decode_payload,
     encode_control,
     encode_data,
 )
@@ -46,6 +48,8 @@ from .driver import JOIN_RESEND_PERIOD, Frames, MemberServer
 from .transport import Address
 
 __all__ = ["SoftwareSwitch"]
+
+_CONTROL = bytes((TOS_CONTROL,))
 
 
 class SoftwareSwitch(MemberServer):
@@ -97,6 +101,9 @@ class SoftwareSwitch(MemberServer):
         #: in true arrival order, exactly like the switch ALU — and still
         #: matches the canonical-order simulator bit for bit (DESIGN §12).
         self.codec = codec
+        self._tag = 0 if codec is None else codec.wire_tag
+        #: Each rank's canonical sender identity (ranks fit the Join's byte).
+        self._senders = [f"worker{rank}" for rank in range(256)]
         self.role = JobState(
             job,
             dedup=True,  # Help retransmissions must be idempotent
@@ -149,14 +156,21 @@ class SoftwareSwitch(MemberServer):
         return [(encode_control(join), self.parent_addr)]
 
     def handle_frame(self, frame: bytes, addr: Address) -> Frames:
-        """Process one received datagram; return the datagrams to send."""
+        """Process one received datagram; return the datagrams to send.
+        A data frame is a header and a view (DESIGN §9.4): its payload is
+        not copied before the engine's own hold."""
         self.counters["frames_rx"] += 1
         try:
-            tos, message = decode_frame(frame)
+            if frame[:1] == _CONTROL:
+                tos, message = decode_frame(frame)
+                job = message.job
+            else:
+                tos, job, seg = decode_data_header(frame)
+                data = decode_payload(frame)
         except ProtocolError:
             self.counters["decode_errors"] += 1
             return []
-        if getattr(message, "job", 0) != self.job:
+        if job != self.job:
             self.counters["wrong_job"] += 1
             return []
         role = self.role
@@ -187,13 +201,13 @@ class SoftwareSwitch(MemberServer):
             if direction != TOS_DATA_DOWN:
                 return []
             # The tree-wide result: the role caches it and fans it out.
-            return self._frames(role.deliver([message]))
+            final = DataSegment.trusted(seg, data, job=job)
+            return self._frames(role.deliver([final]))
         rank = self._rank_of(addr)
         # TOS_DATA_DOWN at the switch ingress is not ours to aggregate.
         if rank is None or direction != TOS_DATA_UP:
             return []
-        expected_tag = 0 if self.codec is None else self.codec.wire_tag
-        if (tos & TOS_NUMERICS_MASK) != expected_tag:
+        if (tos & TOS_NUMERICS_MASK) != self._tag:
             # A frame in the wrong numerics for this job's engine:
             # summing it would silently mix grids, so drop it.
             self.counters["wrong_codec"] += 1
@@ -201,15 +215,12 @@ class SoftwareSwitch(MemberServer):
         if self._loss.drops():
             return []
         self.counters["data_rx"] += 1
-        # Re-key the contribution with the member's canonical identity;
-        # the wire carries only (job, seg), exactly like the hardware.
-        contribution = DataSegment(
-            seg=message.seg,
-            data=message.data,
-            sender=f"worker{rank}",
-            job=self.job,
+        # Keyed by the member's canonical identity; the wire carries only
+        # (job, seg), exactly like the hardware.  The decoder's checks made
+        # ``data`` 1-D contiguous float32, so the segment needs no validation.
+        completed = role.contribute(
+            DataSegment.trusted(seg, data, self._senders[rank], 0, job)
         )
-        completed = role.contribute(contribution)
         return self._frames(role.emit(completed)) if completed else []
 
     def _leave(self, rank: int) -> Frames:

@@ -1,13 +1,16 @@
 """Loopback UDP endpoints for the live backend.
 
-One :class:`UdpEndpoint` per process: bound to an ephemeral port on
-127.0.0.1, blocking receives with a timeout (the worker watchdog is
-implemented directly on top of that timeout).  Datagram boundaries map
-one-to-one onto protocol frames, so no additional framing is needed.
+One :class:`UdpEndpoint` per process: a non-blocking socket bound to an
+ephemeral port on 127.0.0.1, whose receives take what is queued before
+they wait (DESIGN §9.4).  Datagram boundaries map one-to-one onto
+protocol frames, so no additional framing is needed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import select
 import socket
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -41,7 +44,7 @@ class PeerTable:
 
 
 class UdpEndpoint:
-    """A bound loopback UDP socket with timeout-based receives."""
+    """A bound, non-blocking loopback UDP socket with timeout receives."""
 
     def __init__(self, port: int = 0, recv_buffer: int = RECV_BUFFER_BYTES) -> None:
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -52,25 +55,48 @@ class UdpEndpoint:
         except OSError:
             pass  # caps vary by platform; the default still works
         self.sock.bind((LOOPBACK, port))
+        self.sock.setblocking(False)
         self.address: Address = self.sock.getsockname()
+        self._poll = select.poll()
+        self._poll.register(self.sock, select.POLLIN)
+        #: Receives that found the socket empty and blocked in a poll.
+        self.waits = 0
 
     @property
     def port(self) -> int:
         return self.address[1]
 
     def send(self, frame: bytes, addr: Address) -> None:
-        self.sock.sendto(frame, addr)
+        try:
+            self.sock.sendto(frame, addr)
+        except BlockingIOError:
+            # A transiently full send buffer: wait up to a second for room,
+            # as a blocking socket would; past that the datagram is lost.
+            if select.select((), (self.sock,), (), 1.0)[1]:
+                with contextlib.suppress(BlockingIOError):
+                    self.sock.sendto(frame, addr)
 
     def recv(self, timeout: Optional[float]) -> Optional[Tuple[bytes, Address]]:
-        """One datagram, or ``None`` if ``timeout`` seconds pass first."""
-        self.sock.settimeout(timeout)
+        """One datagram — at once if one is queued — or ``None`` if
+        ``timeout`` seconds pass first (or on close).  An empty socket
+        yields the CPU once before it polls: where processes outnumber
+        cores the peer about to send runs first, and what it sent is taken
+        with no sleep and no wakeup."""
+        for retry in (False, True):
+            try:
+                return self.sock.recvfrom(65536)
+            except BlockingIOError:
+                if not retry:
+                    os.sched_yield()
+            except OSError:
+                return None  # closed from another thread during shutdown
+        self.waits += 1
         try:
-            frame, addr = self.sock.recvfrom(65536)
-        except socket.timeout:
-            return None
+            if not self._poll.poll(None if timeout is None else max(timeout, 0) * 1e3):
+                return None
+            return self.sock.recvfrom(65536)
         except OSError:
-            return None  # closed from another thread during shutdown
-        return frame, addr
+            return None  # closed meanwhile, or a wakeup with nothing to read
 
     def close(self) -> None:
         try:

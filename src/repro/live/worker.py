@@ -42,26 +42,30 @@ the slowest peer's recovery window.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from ..core.protocol import (
+    TOS_CONTROL,
     Action,
     ControlMessage,
-    DataSegment,
     JoinInfo,
     ProtocolError,
     SegmentPlan,
+    decode_data_header,
     decode_frame,
+    decode_payload,
     encode_control,
     encode_data,
 )
 from ..rl.base import Algorithm
-from .driver import DEFAULT_LIVE_RECOVERY_TIMEOUT, LiveWorkerBase
+from .driver import LiveWorkerBase
 from .transport import Address, UdpEndpoint
 
 __all__ = ["LiveWorker"]
+
+_CONTROL = bytes((TOS_CONTROL,))
 
 
 class LiveWorker(LiveWorkerBase):
@@ -74,20 +78,12 @@ class LiveWorker(LiveWorkerBase):
         algorithm: Algorithm,
         endpoint: UdpEndpoint,
         switch_addr: Address,
-        recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
-        max_recovery_attempts: int = 12,
         job: int = 0,
         codec=None,
         staleness_bound: int = 0,
+        **watchdog,
     ) -> None:
-        super().__init__(
-            rank,
-            n_workers,
-            algorithm,
-            endpoint,
-            recovery_timeout,
-            max_recovery_attempts,
-        )
+        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
         if codec is not None and codec.wire_tag is None:
             raise ValueError(
                 f"codec {codec.name!r} has no wire format and cannot cross "
@@ -110,15 +106,12 @@ class LiveWorker(LiveWorkerBase):
                 bytes_per_element=codec.bytes_per_element,
                 frame_overhead=codec.frame_overhead,
             )
-        self.sender = f"worker{rank}"
-        #: Encoded upstream frames of the last ``S + 2`` rounds, for
-        #: Help-triggered retransmission, keyed by global Seg.
-        self._send_cache: Dict[int, bytes] = {}
-        #: Downstream segments of the round being collected and of later
-        #: rounds that completed ahead of it, keyed by global Seg.
-        self._down: Dict[int, DataSegment] = {}
-        #: First Seg of the round being collected; older ones are stale.
-        self._floor = 0
+        #: Round → its encoded upstream frames, by chunk: the last ``S + 2``
+        #: rounds', for Help-triggered retransmission.
+        self._sent: Dict[int, List[bytes]] = {}
+        #: Round → (its result, the Segs it still misses) for each round
+        #: submitted and not yet collected; results land there in place.
+        self._results: Dict[int, Tuple[np.ndarray, Set[int]]] = {}
         #: Applied-version at each round's compute time.
         self._versions: List[int] = []
         self.counters.update(
@@ -144,7 +137,11 @@ class LiveWorker(LiveWorkerBase):
         )
 
         def is_seth(frame: bytes, addr: Address) -> bool:
-            message = self._decode(frame)
+            try:
+                message = decode_frame(frame)[1]
+            except ProtocolError:
+                self.counters["decode_errors"] += 1
+                return False
             return (
                 isinstance(message, ControlMessage)
                 and message.action == Action.SETH
@@ -159,69 +156,60 @@ class LiveWorker(LiveWorkerBase):
             self.switch_addr,
         )
 
-    def _decode(self, frame: bytes):
-        try:
-            return decode_frame(frame)[1]
-        except ProtocolError:
-            self.counters["decode_errors"] += 1
-            return None
-
     # ------------------------------------------------------------------
     def _submit(self, gradient: np.ndarray, round_index: int) -> None:
         """Stream one round's frames up without waiting for its result."""
         self._versions.append(len(self.round_digests))
-        segments = self.plan.split(gradient, round_index, sender=self.sender)
-        for s in segments:
-            s.job = self.job
-        frames = {
-            s.seg: encode_data(s, codec=self.codec) for s in segments
-        }
+        run = self.plan.run(gradient, round_index, job=self.job)
+        frames = [encode_data(s, codec=self.codec) for s in run.segments()]
         # Retain S + 2 rounds: a peer's collect window can trail this
         # worker's submit window by the full staleness bound.
-        floor = max(round_index - (self.staleness_bound + 1), 0)
-        floor *= self.plan.n_chunks
-        self._send_cache = {
-            seg: frame
-            for seg, frame in self._send_cache.items()
-            if seg >= floor
-        }
-        self._send_cache.update(frames)
-        for frame in frames.values():
+        self._sent[round_index] = frames
+        self._sent.pop(round_index - self.staleness_bound - 2, None)
+        self._results[round_index] = (
+            np.empty(self.n_elements, dtype=np.float32),
+            set(range(run.seg, run.seg + len(run))),
+        )
+        for frame in frames:
             self._send(frame, self.switch_addr)
 
     def _complete(self, round_index: int) -> np.ndarray:
         """Collect one round's aggregate (part of it may already be here:
         segments that arrived while collecting earlier rounds)."""
-        self._floor = round_index * self.plan.n_chunks
-        expected = range(self._floor, self._floor + self.plan.n_chunks)
-        self._collect(
-            {seg for seg in expected if seg not in self._down}, round_index
-        )
-        return self.plan.assemble([self._down.pop(seg) for seg in expected])
+        result, missing = self._results[round_index]
+        self._collect(missing, round_index)
+        del self._results[round_index]
+        return result
 
     def _ingest(self, frame: bytes, addr: Address) -> None:
-        message = self._decode(frame)
-        if message is None:
+        try:
+            if frame[:1] == _CONTROL:
+                message = decode_frame(frame)[1]
+                if message.action == Action.HELP and message.job == self.job:
+                    # A relayed Help: some peer is missing a segment we fed.
+                    self._retransmit(int(message.value))
+                return
+            _, job, seg = decode_data_header(frame)
+            data = decode_payload(frame)
+        except ProtocolError:
+            self.counters["decode_errors"] += 1
             return
-        if isinstance(message, ControlMessage):
-            if message.action == Action.HELP and message.job == self.job:
-                # A relayed Help: some peer is missing a segment we fed.
-                self._retransmit(int(message.value))
-            return
-        # A data segment.  Frames for another tenant's job would be a
-        # switch mis-delivery; drop them like any stale duplicate.
-        # Results for this round are consumed and a later round that
-        # completed ahead of it is held for its own collect (pipeline
-        # jitter, not staleness); earlier rounds' rebroadcasts are stale.
-        if (
-            message.job == self.job
-            and message.seg >= self._floor
-            and message.seg not in self._down
-        ):
-            self._down[message.seg] = message
-            self._missing.discard(message.seg)
-        else:
+        # A result lands at its chunk's offset in its round's array — the
+        # round being collected, or a later one that completed ahead of it
+        # (pipeline jitter, not staleness).  Earlier rounds' rebroadcasts,
+        # duplicates and another tenant's job (a switch mis-delivery) are
+        # stale.
+        n_chunks = self.plan.n_chunks
+        entry = self._results.get(seg // n_chunks) if job == self.job else None
+        if entry is None or seg not in entry[1]:
             self.counters["stale_frames"] += 1
+            return
+        start, stop = self.plan.chunk_bounds(seg % n_chunks)
+        if data.size != stop - start:
+            self.counters["decode_errors"] += 1
+            return
+        entry[0][start:stop] = data
+        entry[1].discard(seg)
 
     def _recover(self, missing: set, round_index: int) -> None:
         """Watchdog fired: retransmit our own frames and ask for Help."""
@@ -236,9 +224,9 @@ class LiveWorker(LiveWorkerBase):
             self.counters["help_sent"] += 1
 
     def _retransmit(self, seg: int) -> None:
-        frame = self._send_cache.get(seg)
-        if frame is not None:
-            self._send(frame, self.switch_addr)
+        frames = self._sent.get(seg // self.plan.n_chunks)
+        if frames is not None:
+            self._send(frames[seg % self.plan.n_chunks], self.switch_addr)
             self.counters["retransmissions"] += 1
 
     def _apply(self, total: np.ndarray, round_index: int) -> None:

@@ -9,14 +9,26 @@ runs peaked at 24.8 V (isw, growing by 1 V per iteration as the Help cache
 pinned every round buffer), 18.7 V (ps) and 24.7 V (ar).
 """
 
+import collections
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from repro.core.protocol import DataSegment
+from repro.core.protocol import (
+    Action,
+    ControlMessage,
+    DataSegment,
+    JoinInfo,
+    SegmentPlan,
+    encode_control,
+)
 from repro.distributed import ExperimentConfig, run
+from repro.distributed.runner import make_algorithm
 from repro.distributed.transport import VectorChunk
+from repro.live import worker as live_worker
+from repro.live.switch import SoftwareSwitch
 from repro.netsim import Packet, PacketCapture
 
 from .helpers import built_clusters
@@ -159,3 +171,70 @@ def test_a_capture_still_sees_every_chunk_of_every_flow(strategy):
     )
     assert records == BASELINE_CHUNKS[strategy]
     assert 2 * records <= per_iteration <= 2 * records + 2 * 8, per_iteration
+
+
+# ----------------------------------------------------------------------
+# Live: a data frame is a header and a view, on the switch and the worker
+# ----------------------------------------------------------------------
+class _Inbox:
+    """An endpoint without a socket: sends are kept, receives pop a queue."""
+
+    def __init__(self):
+        self.sent, self.queued = [], collections.deque()
+
+    def send(self, frame, addr):
+        self.sent.append((frame, addr))
+
+    def recv(self, timeout):
+        return self.queued.popleft() if self.queued else None
+
+
+def calls_counted(owner, name, calls):
+    """Patch ``owner.name`` with a wrapper that counts into ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return mock.patch.object(owner, name, counted)
+
+
+def test_a_clean_live_round_builds_no_validated_segment_and_assembles_nothing():
+    # The parent ran two validating DataSegments per data frame on the
+    # switch (decode_frame's, then the rank re-key) — 256 for this round —
+    # and a worker decoded each of its 64 results and assembled them.
+    switch_addr = ("127.0.0.1", 45000)
+    addrs = [("127.0.0.1", 40000 + rank) for rank in range(2)]
+    switch = SoftwareSwitch(n_workers=2)
+    workers = []
+    for rank, addr in enumerate(addrs):
+        join = ControlMessage(Action.JOIN, JoinInfo(rank=rank))
+        switch.handle_frame(encode_control(join), addr)
+        algorithm = make_algorithm("synth", seed=7 + rank)
+        workers.append(
+            live_worker.LiveWorker(rank, 2, algorithm, _Inbox(), switch_addr)
+        )
+    gradients = [
+        np.asarray(w.algorithm.compute_gradient(), dtype=np.float32)
+        for w in workers
+    ]
+    for worker, gradient in zip(workers, gradients):
+        worker._submit(gradient, 0)
+    calls = collections.Counter()
+    with calls_counted(DataSegment, "__post_init__", calls):
+        for frames in zip(*(w.endpoint.sent for w in workers)):
+            for (frame, _), addr in zip(frames, addrs):
+                for result, dst in switch.handle_frame(frame, addr):
+                    workers[addrs.index(dst)].endpoint.queued.append(
+                        (result, switch_addr)
+                    )
+    assert switch.counters["results_broadcast"] == 64
+    assert calls["__post_init__"] == 0
+    with calls_counted(live_worker, "decode_frame", calls), calls_counted(
+        SegmentPlan, "assemble", calls
+    ):
+        totals = [w._complete(0) for w in workers]
+    assert calls["decode_frame"] == calls["assemble"] == 0
+    for total in totals:
+        np.testing.assert_array_equal(total, gradients[0] + gradients[1])

@@ -22,18 +22,26 @@ coverage backbone for the ``repro.live`` package.
 import hashlib
 import multiprocessing
 import os
+import struct
 import threading
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.protocol import (
+    MAX_SEG_INDEX,
+    SEG_PAYLOAD_BYTES,
+    TOS_DATA_UP,
+    TOS_NUMERICS_MASK,
     Action,
     ControlMessage,
     DataSegment,
     JoinInfo,
+    ProtocolError,
     SegmentPlan,
     decode_frame,
     encode_control,
@@ -607,6 +615,17 @@ class TestLiveRunPlumbing:
         snapshot = result.telemetry
         assert snapshot is not None
         assert snapshot.meta["backend"] == "live"
+        # Every child attributes its own cost: loop CPU and blocking polls.
+        children = {"aggregator": stats}
+        children.update(
+            (f"worker{rank}", counters)
+            for rank, counters in result.worker_counters.items()
+        )
+        assert len(children) == 3
+        for node, counters in children.items():
+            for name in ("cpu_ms", "waits"):
+                assert counters[name] > 0, (node, name)
+                assert snapshot.value(f"live.{name}", node=node) == counters[name]
 
     def test_cli_live_run(self, capsys):
         from repro.cli import main
@@ -1042,6 +1061,24 @@ class TestSoftwareSwitchLogic:
             downstream=True,
         )
         assert switch.handle_frame(down, self.addr(0)) == []
+
+    def test_rejoined_rank_no_longer_owns_its_old_address(self):
+        switch = SoftwareSwitch(n_workers=2)
+        self.join_all(switch, 2)
+        moved = (LOOPBACK, 40099)
+        switch.handle_frame(
+            encode_control(ControlMessage(Action.JOIN, JoinInfo(rank=0))),
+            moved,
+        )
+        assert switch.counters["joins"] == 2
+        frame = segment_frames(0, 0, np.ones(5, dtype=np.float32))[0]
+        assert switch.handle_frame(frame, self.addr(0)) == []
+        assert switch.counters["non_member"] == 1
+        assert switch.counters["data_rx"] == 0
+        assert switch.engine.stats.contributions == 0
+        # From its new address the same frame is rank 0's contribution.
+        assert switch.handle_frame(frame, moved) == []
+        assert switch.engine.stats.contributions == 1
 
     def test_loss_injection_drops_before_the_engine(self):
         # random.Random(0).random() == 0.844..., below a 0.9 loss rate.
@@ -1935,6 +1972,21 @@ class TestPsServerLogic:
         total = np.frombuffer(out[0][0], dtype="<f8", offset=9)
         np.testing.assert_array_equal(total, [2.0, 4.0, 6.0])
 
+    def test_rejoined_rank_no_longer_owns_its_old_address(self):
+        server = PsServer(n_workers=2)
+        self.join_all(server, 2)
+        moved = (LOOPBACK, 41998)
+        server.handle_frame(self.join(0, 3), moved)
+        vector = np.ones(3, dtype=np.float32)
+        assert server.handle_frame(self.up(0, 0, 0, vector), self.addr(0)) == []
+        assert server.counters["non_member"] == 1
+        assert server._contribs == {}
+        # Rank 0 speaks from its new address; its old one stays a stranger.
+        assert server.handle_frame(self.up(0, 0, 0, vector), moved) == []
+        assert list(server._contribs[(0, 0)]) == [0]
+        out = server.handle_frame(self.up(1, 0, 0, vector), self.addr(1))
+        assert [addr for _, addr in out] == [moved, self.addr(1)]
+
     def test_stranger_leave_does_not_end_the_job(self):
         """Hostile wire (b): ``L\\x05`` from a stranger plus rank 0's real
         Leave used to make ``done`` true while rank 1 was still training."""
@@ -2028,6 +2080,132 @@ class TestPsServerLogic:
             PsServer(n_workers=1, loss_rate=1.0)
 
 
+class TestHostileFrames:
+    """Valid data frames, mutated, against the I/O-free servers.  Each one
+    lands in the counter the wire format predicts — for the switch,
+    ``decode_frame``'s own verdict, taken in the switch's filter order —
+    and no malformed frame reaches the engine or the PS sum."""
+
+    MEMBERS = [(LOOPBACK, 44000), (LOOPBACK, 44001)]
+    STRANGER = (LOOPBACK, 44999)
+    #: The PS vector: chunks of 183, 183 and 40 elements.
+    PS_ELEMENTS = 2 * CHUNK_ELEMS + 40
+
+    def mutate(self, data, frame, mutations):
+        """One drawn mutation of ``frame``; returns (frame, source)."""
+        mutation = data.draw(st.sampled_from(mutations), label="mutation")
+        addr = self.MEMBERS[0]
+        if mutation == "truncate":
+            frame = frame[: data.draw(st.integers(0, len(frame) - 1))]
+        elif mutation == "pad":  # a payload that is not whole float32s
+            frame += bytes(data.draw(st.integers(1, 3)))
+        elif mutation == "oversize":  # one float32 past a frame's budget
+            frame += bytes(1 + 8 + SEG_PAYLOAD_BYTES + 4 - len(frame))
+        elif mutation == "tag":  # a host-level tag byte, one bit flipped
+            frame = bytes((frame[0] ^ 1 << data.draw(st.integers(0, 7)),)) + frame[1:]
+        elif mutation == "direction":  # upstream <-> downstream
+            frame = bytes((frame[0] ^ 0x04,)) + frame[1:]
+        elif mutation == "codec":  # another numerics tag
+            frame = bytes((frame[0] ^ data.draw(st.integers(1, 3)),)) + frame[1:]
+        elif mutation == "job":  # a foreign job; above 127, no job at all
+            job = data.draw(st.integers(1, 255))
+            word = int.from_bytes(frame[1:9], "little") & MAX_SEG_INDEX
+            frame = frame[:1] + ((job << 56) | word).to_bytes(8, "little") + frame[9:]
+        elif mutation == "rank":  # the informational rank byte of a U
+            frame = frame[:1] + bytes((data.draw(st.integers(0, 255)),)) + frame[2:]
+        elif mutation == "stranger":
+            addr = self.STRANGER
+        return frame, addr
+
+    def switch_verdict(self, switch, frame, addr):
+        try:
+            tos, message = decode_frame(frame)
+        except ProtocolError:
+            return "decode_errors"
+        if message.job != switch.job:
+            return "wrong_job"
+        if addr not in self.MEMBERS:
+            return "non_member"
+        if tos & ~TOS_NUMERICS_MASK != TOS_DATA_UP:
+            return None  # downstream at the ingress: not ours to sum
+        expected_tag = switch.codec.wire_tag if switch.codec else 0
+        if tos & TOS_NUMERICS_MASK != expected_tag:
+            return "wrong_codec"
+        return "data_rx"
+
+    @pytest.mark.parametrize("codec", ["fp32", "fp16"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_switch_counts_each_mutation_where_the_decoder_says(self, codec, data):
+        from repro.core.compression import get_codec
+
+        codec = None if codec == "fp32" else get_codec(codec)
+        switch = SoftwareSwitch(n_workers=2, codec=codec)
+        for rank, addr in enumerate(self.MEMBERS):
+            join = ControlMessage(Action.JOIN, JoinInfo(rank=rank))
+            switch.handle_frame(encode_control(join), addr)
+        values = np.arange(data.draw(st.integers(1, 40)), dtype=np.float32)
+        segment = DataSegment(seg=data.draw(st.integers(0, 200)), data=values)
+        frame, addr = self.mutate(
+            data,
+            encode_data(segment, codec=codec),
+            ["none", "truncate", "pad", "oversize", "direction", "codec",
+             "job", "stranger"],
+        )
+        verdict = self.switch_verdict(switch, frame, addr)
+        before = dict(switch.counters)
+        assert switch.handle_frame(frame, addr) == []  # N=2: nothing completes
+        moved = {name for name, n in switch.counters.items() if n != before[name]}
+        assert moved == {"frames_rx"} | ({verdict} if verdict else set())
+        assert switch.engine.stats.contributions == (verdict == "data_rx")
+
+    def ps_verdict(self, frame, addr):
+        """DESIGN §9.4's ``U`` row: u8 rank, u32 round, u32 chunk, then
+        exactly that chunk's float32 elements."""
+        if addr not in self.MEMBERS:
+            return "non_member"
+        if frame[:1] != b"U" or len(frame) < 10:
+            return "decode_errors"
+        _, _, chunk = struct.unpack_from("<BII", frame, 1)
+        expected = min(CHUNK_ELEMS, self.PS_ELEMENTS - chunk * CHUNK_ELEMS)
+        if chunk >= 3 or len(frame) - 10 != 4 * expected:
+            return "decode_errors"
+        return None  # held until the other rank's chunk arrives
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ps_counts_each_mutation_where_the_frame_table_says(self, data):
+        server = PsServer(n_workers=2)
+        for rank, addr in enumerate(self.MEMBERS):
+            server.handle_frame(
+                b"J" + struct.pack("<BI", rank, self.PS_ELEMENTS), addr
+            )
+        chunk = data.draw(st.integers(0, 2))
+        size = min(CHUNK_ELEMS, self.PS_ELEMENTS - chunk * CHUNK_ELEMS)
+        frame = (
+            b"U"
+            + struct.pack("<BII", 0, data.draw(st.integers(0, 9)), chunk)
+            + np.arange(size, dtype="<f4").tobytes()
+        )
+        frame, addr = self.mutate(
+            data,
+            frame,
+            ["none", "truncate", "pad", "oversize", "tag", "rank", "stranger"],
+        )
+        verdict = self.ps_verdict(frame, addr)
+        before = dict(server.counters)
+        assert server.handle_frame(frame, addr) == []
+        moved = {name for name, n in server.counters.items() if n != before[name]}
+        assert moved == {"frames_rx"} | ({verdict} if verdict else set())
+        # Held under the rank that joined from the source, whatever the
+        # rank byte says; anything malformed is never held at all.
+        held = {key: list(ranks) for key, ranks in server._contribs.items()}
+        if verdict:
+            assert held == {}
+        else:
+            assert held == {struct.unpack_from("<II", frame, 2): [0]}
+
+
 @needs_loopback
 class TestTransport:
     def test_send_recv_round_trip(self):
@@ -2042,6 +2220,48 @@ class TestTransport:
     def test_recv_timeout_returns_none(self):
         with UdpEndpoint() as endpoint:
             assert endpoint.recv(timeout=0.05) is None
+
+    def test_queued_datagram_returns_without_a_poll(self):
+        import select
+
+        with UdpEndpoint() as a, UdpEndpoint() as b:
+            a.send(b"queued", b.address)
+            assert select.select([b.sock], [], [], 2.0)[0]  # it is there now
+            assert b.recv(timeout=2.0)[0] == b"queued"
+            assert b.waits == 0
+
+    def test_send_waits_out_a_full_buffer_instead_of_raising(self):
+        with UdpEndpoint() as a, UdpEndpoint() as b:
+            real = a.sock
+            attempts = []
+
+            class FullOnce:
+                """The socket, except that its first send finds no room."""
+
+                def sendto(self, frame, addr):
+                    attempts.append(frame)
+                    if len(attempts) == 1:
+                        raise BlockingIOError
+                    return real.sendto(frame, addr)
+
+                def fileno(self):
+                    return real.fileno()
+
+            a.sock = FullOnce()
+            a.send(b"late", b.address)
+            a.sock = real
+            assert attempts == [b"late", b"late"]
+            assert b.recv(timeout=2.0)[0] == b"late"
+
+    def test_empty_socket_returns_none_within_its_timeout(self):
+        with UdpEndpoint() as endpoint:
+            started = time.monotonic()
+            assert endpoint.recv(timeout=0.05) is None
+            elapsed = time.monotonic() - started
+            assert 0.04 <= elapsed < 1.0
+            assert endpoint.waits == 1
+            assert endpoint.recv(timeout=0.0) is None  # a zero wait polls once
+            assert endpoint.waits == 2
 
     def test_double_close_is_harmless(self):
         endpoint = UdpEndpoint()
