@@ -610,9 +610,7 @@ class AggregationEngine:
         started = self._first_arrival.pop(seg, None)
         if started is not None:
             self._completed_starts[seg] = started
-            if len(self._completed_starts) > 1024:
-                for old in sorted(self._completed_starts)[:512]:
-                    del self._completed_starts[old]
+            trim_result_cache(self._completed_starts, 1024)
         shape = self._shapes.pop(seg, (None, None))
         # Trusted: ``data`` is an adopted contribution array or a float32
         # copy the engine made itself — both already validated.
@@ -671,8 +669,8 @@ class AggregationEngine:
 
 
 def trim_result_cache(cache: Dict[int, object], limit: int) -> None:
-    """Bound a by-Seg result cache: past ``limit``, evict the oldest half
-    (the lowest Seg numbers; they belong to finished rounds)."""
+    """Bound a cache keyed by Seg or round: past ``limit``, evict the
+    oldest half (the lowest keys; they belong to finished rounds)."""
     if len(cache) > limit:
         for seg in sorted(cache)[: len(cache) // 2]:
             del cache[seg]

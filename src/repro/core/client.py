@@ -1,55 +1,140 @@
-"""Worker-side endpoint of the iSwitch protocol.
+"""The iSwitch member role (paper §3.4), and its simulator driver.
 
-Each training worker owns an :class:`AggregationClient` bound to its
-host's iSwitch UDP port.  The client
+:class:`MemberRounds` is a member's per-round state — what it sent, which
+results it still misses, which rounds are closed — with no host, packet,
+socket or clock.  The simulator's :class:`AggregationClient` and the live
+:class:`~repro.live.worker.LiveWorker` both drive it, as ``ISwitch`` and
+``SoftwareSwitch`` drive :class:`~repro.core.jobs.JobState`; loops and
+timers stay with each driver.  Both follow one recovery rule (DESIGN
+§6.2): a timer expiry sends ``Help`` for each missing Seg, and a member
+retransmits only when the switch relays a ``Help``.
 
-* streams a gradient vector to the switch as a train of ToS-tagged data
-  packets (the NIC serializes them back to back, which is what lets the
-  accelerator aggregate on the fly while later packets are still in
-  flight);
-* collects the aggregated segments broadcast back by the switch,
-  reassembles them into full vectors per aggregation round, and invokes a
-  completion callback;
-* speaks the control protocol (Join/Leave/Reset/SetH/Help) and can run a
-  timeout-driven loss-recovery loop, implementing the paper's "offload
-  the majority of tasks of handling lossy packets to workers".
+An :class:`AggregationClient` binds its host's iSwitch UDP port, streams
+each gradient as ToS-tagged data packets the NIC serializes back to back
+(what lets the switch aggregate on the fly), lands the broadcast results
+and speaks the control protocol (Join/Leave/Reset/SetH/Help).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from ..netsim.events import Event
-from ..netsim.node import Host
-from ..netsim.packets import Packet, PacketTrain
+from .accelerator import trim_result_cache
 from .protocol import (
     ISWITCH_UDP_PORT,
     TOS_CONTROL,
     TOS_DATA_DOWN,
-    TOS_DATA_UP,
     Action,
     ControlMessage,
     DataSegment,
+    ProtocolError,
     SegmentPlan,
     SegmentRun,
     make_control_packet,
     make_data_packet,
+    make_data_train,
 )
 
-__all__ = ["AggregationClient"]
+__all__ = ["AggregationClient", "MemberRounds"]
 
 RoundCallback = Callable[[int, np.ndarray], None]
 ControlCallback = Callable[[ControlMessage], None]
 
 
+class MemberRounds:
+    """One member's rounds, whichever wire carries them.
+
+    * ``sent``: each round's upstream items by chunk, opaque here (a
+      ``DataSegment`` in the simulator, an encoded frame live), for
+      :meth:`resend`; past ``keep_sent`` rounds the oldest half goes.
+    * ``pending``: each open round's float32 result and the Segs it
+      still misses.  When a round opens is the driver's call.
+    * ``closed``: completed or abandoned rounds, bounded the same way at
+      ``keep_closed``.  A closed round never reopens and takes no chunk.
+    """
+
+    keep_closed = 1024
+
+    def __init__(self, plan: SegmentPlan, keep_sent: int = 8) -> None:
+        self.plan = plan
+        self._n_chunks = plan.n_chunks
+        self._bounds = [plan.chunk_bounds(c) for c in range(self._n_chunks)]
+        self.keep_sent = keep_sent
+        self.sent: Dict[int, list] = {}
+        self.pending: Dict[int, Tuple[np.ndarray, Set[int]]] = {}
+        self.closed: Dict[int, None] = {}
+        #: With no recovery armed, a round that lost a result chunk never
+        #: completes.  The owner of a bounded engine window sets this (in
+        #: rounds): opening a round drops, and counts, any open round older
+        #: than it by more.
+        self.partial_window: Optional[int] = None
+        self.rounds_dropped = 0
+
+    def record(self, round_index: int, items: list) -> None:
+        self.sent[round_index] = items
+        trim_result_cache(self.sent, self.keep_sent)
+
+    def resend(self, seg: int):
+        """The item that answers a relayed ``Help(seg)``, or ``None``."""
+        items = self.sent.get(seg // self._n_chunks)
+        return None if items is None else items[seg % self._n_chunks]
+
+    def open(self, round_index: int) -> Set[int]:
+        """Open a round unless it is open or closed; the Segs it misses."""
+        entry = self.pending.get(round_index)
+        if entry is not None:
+            return entry[1]
+        missing = self.missing(round_index)
+        if round_index not in self.closed:
+            if self.partial_window is not None:
+                horizon = round_index - self.partial_window
+                for stale in [r for r in self.pending if r < horizon]:
+                    del self.pending[stale]
+                    self.rounds_dropped += 1
+            result = np.empty(self.plan.n_elements, dtype=np.float32)
+            self.pending[round_index] = (result, missing)
+        return missing
+
+    def missing(self, round_index: int) -> Set[int]:
+        """The Segs a round misses: all before it opens, none once closed."""
+        entry = self.pending.get(round_index)
+        if entry is not None:
+            return entry[1]
+        if round_index in self.closed:
+            return set()
+        base = round_index * self._n_chunks
+        return set(range(base, base + self._n_chunks))
+
+    def land(self, seg: int, data: np.ndarray) -> bool:
+        """Copy a result chunk to its offset in its open round; whether the
+        Seg was still missing.  A duplicate overwrites: the last copy wins."""
+        entry = self.pending.get(seg // self._n_chunks)
+        if entry is None:
+            return False
+        start, stop = self._bounds[seg % self._n_chunks]
+        if data.size != stop - start:
+            raise ProtocolError(f"Seg {seg}: {data.size} elements, not {stop - start}")
+        entry[0][start:stop] = data
+        fresh = seg in entry[1]
+        entry[1].discard(seg)
+        return fresh
+
+    def close(self, round_index: int) -> Optional[np.ndarray]:
+        """Close a round; its result array, if it was open."""
+        self.closed[round_index] = None
+        trim_result_cache(self.closed, self.keep_closed)
+        entry = self.pending.pop(round_index, None)
+        return None if entry is None else entry[0]
+
+
 class AggregationClient:
-    """The per-worker protocol endpoint for in-switch aggregation."""
+    """The simulator's driver of the member role, on one worker host."""
 
     def __init__(
         self,
-        host: Host,
+        host,
         switch_address: str,
         plan: SegmentPlan,
         on_round_complete: Optional[RoundCallback] = None,
@@ -64,10 +149,9 @@ class AggregationClient:
         self.switch_address = switch_address
         self.plan = plan
         self.job = job
-        #: Optional :class:`repro.core.compression.GradientCodec`; when
-        #: set, gradients suffer its quantization loss before leaving the
-        #: worker (the wire width itself comes from the plan's
-        #: ``bytes_per_element``).
+        #: Optional :class:`repro.core.compression.GradientCodec`: gradients
+        #: suffer its quantization before leaving the worker (the wire width
+        #: comes from the plan's ``bytes_per_element``).
         self.codec = codec
         if codec is not None and (
             plan.bytes_per_element != codec.bytes_per_element
@@ -84,12 +168,10 @@ class AggregationClient:
             )
         self.on_round_complete = on_round_complete
         self.on_control = on_control
-        #: Base Help-retry timeout (seconds of simulated time), or ``None``
-        #: to disable the loss-recovery loop entirely.  Should comfortably
-        #: exceed one round-trip *plus* the slowest peer's compute time —
-        #: a premature watchdog is harmless (Help on an incomplete segment
-        #: is ignored or answered by retransmits the dedup engine drops)
-        #: but wastes packets.
+        #: Base Help-retry timeout (simulated seconds), or ``None`` for no
+        #: recovery at all.  A premature watchdog is harmless but wastes
+        #: packets, so it should exceed a round trip plus the slowest
+        #: peer's compute time.
         self.recovery_timeout = recovery_timeout
         if recovery_timeout is not None and host.sim.batch_transport:
             raise ValueError(
@@ -97,37 +179,21 @@ class AggregationClient:
                 "per-packet transport; clients burst packet trains only when "
                 "no recovery is armed (build_cluster(recovery_armed=True))"
             )
-        #: Cap on watchdog firings per round.  ``None`` (default) retries
-        #: forever — correct when every round is guaranteed to eventually
-        #: complete, but it deadlocks the simulator's event loop if a
-        #: round becomes *unsatisfiable* (e.g. membership shrank and the
-        #: round was force-completed elsewhere).  Fault-injected runs set
-        #: a finite cap so abandoned rounds go quiet instead of keeping
-        #: the run alive.
+        #: Cap on watchdog firings per round (``None``: retry forever).  A
+        #: round that became unsatisfiable — membership shrank, a Reset —
+        #: would otherwise keep the event loop alive.
         self.max_recovery_attempts = max_recovery_attempts
         #: Rounds whose watchdog hit ``max_recovery_attempts`` and gave up.
         self.abandoned_rounds: set = set()
-        #: Called with the round index when a round is abandoned, so the
-        #: owning strategy can account for the permanently missed update
-        #: (e.g. advance its iteration counter) instead of waiting forever.
+        #: Called with an abandoned round's index, so the owning strategy
+        #: can account for the missed update instead of waiting forever.
         self.on_round_abandoned = on_round_abandoned
-        #: Result segments received so far, per round and chunk offset.
-        self._partial: Dict[int, Dict[int, DataSegment]] = {}
-        #: With no recovery armed a round that lost a broadcast chunk is
-        #: never completed, and pins its round buffer.  The owner of a
-        #: bounded engine window sets this (in rounds): a partial round
-        #: older than the newest seen by more is dropped and counted.
-        self.partial_window: Optional[int] = None
-        self.rounds_dropped = 0
-        self._completed: set = set()
-        self._watchdogs: Dict[int, Event] = {}
-        #: Consecutive watchdog firings per round (drives the exponential
-        #: backoff so a round gated on slow peers doesn't spam Help).
+        #: This member's rounds; the send log (kept only when recovery is
+        #: armed) holds the last 8 at least.
+        self.rounds = MemberRounds(plan)
+        self._watchdogs: Dict[int, object] = {}
+        #: Consecutive watchdog firings per round (the backoff exponent).
         self._watchdog_attempts: Dict[int, int] = {}
-        #: Recently sent segments by global Seg number, kept only when
-        #: loss recovery is armed, so a relayed Help can be answered by
-        #: retransmitting the original contribution.
-        self._sent: Dict[int, DataSegment] = {}
         #: Simulated time each round's gradient left this client, kept so
         #: the completion span covers stream + in-switch + broadcast.
         self._round_started: Dict[int, float] = {}
@@ -143,7 +209,7 @@ class AggregationClient:
             registry = []
             host._iswitch_clients = registry
 
-            def dispatch(packet: Packet) -> None:
+            def dispatch(packet) -> None:
                 for client in registry:
                     client._receive(packet)
 
@@ -154,6 +220,12 @@ class AggregationClient:
             host.bind(ISWITCH_UDP_PORT, dispatch)
             host.bind_train(ISWITCH_UDP_PORT, dispatch_train)
         registry.append(self)
+
+    partial_window = property(
+        lambda self: self.rounds.partial_window,
+        lambda self, window: setattr(self.rounds, "partial_window", window),
+    )
+    rounds_dropped = property(lambda self: self.rounds.rounds_dropped)
 
     # ------------------------------------------------------------------
     # Sending
@@ -168,22 +240,16 @@ class AggregationClient:
         self._commit_counter += 1
         commit_id = self._commit_counter
         self._round_started.setdefault(round_index, self.host.sim.now)
-        if len(self._round_started) > 1024:
-            for old in sorted(self._round_started)[:512]:
-                del self._round_started[old]
+        trim_result_cache(self._round_started, 1024)
         if self.codec is not None:
             vector = self.codec.roundtrip(vector)
         if self.host.sim.batch_transport:
             # One run, no packets unless someone downstream asks.  No recovery
             # bookkeeping: __init__ refuses an armed client on this path.
-            src, job = self.host.name, self.job
-            run = self.plan.run(vector, round_index, src, commit_id, job)
-            self.host.send_burst(
-                PacketTrain(
-                    run, src, self.switch_address, TOS_DATA_UP,
-                    ISWITCH_UDP_PORT, job,
-                )
+            run = self.plan.run(
+                vector, round_index, self.host.name, commit_id, self.job
             )
+            self.host.send_burst(make_data_train(run, self.switch_address))
             return commit_id
         segments = self.plan.split(
             vector, round_index, sender=self.host.name, commit_id=commit_id
@@ -191,10 +257,9 @@ class AggregationClient:
         for segment in segments:
             segment.job = self.job
             if self.recovery_timeout is not None:
-                # These segments double as the retransmission cache, so
-                # the engine must not adopt (and sum into) their arrays;
-                # a read-only view makes it copy on first arrival
-                # instead.
+                # These segments double as the send log, so the engine
+                # must not adopt (and sum into) their arrays; a read-only
+                # view makes it copy on first arrival instead.
                 frozen = segment.data.view()
                 frozen.flags.writeable = False
                 segment.data = frozen
@@ -204,11 +269,7 @@ class AggregationClient:
                 )
             )
         if self.recovery_timeout is not None:
-            for segment in segments:
-                self._sent[segment.seg] = segment
-            if len(self._sent) > 8 * self.plan.n_chunks:
-                for old in sorted(self._sent)[: 4 * self.plan.n_chunks]:
-                    del self._sent[old]
+            self.rounds.record(round_index, segments)
             self._arm_watchdog(round_index)
         return commit_id
 
@@ -217,7 +278,7 @@ class AggregationClient:
     # ------------------------------------------------------------------
     def join(self, member_type: str = "worker") -> None:
         # Broadcast fragments of rounds missed while away can never complete.
-        self._partial.clear()
+        self.rounds.pending.clear()
         self._control(Action.JOIN, member_type)
 
     def leave(self) -> None:
@@ -254,50 +315,45 @@ class AggregationClient:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _receive(self, packet: Packet) -> None:
+    def _receive(self, packet) -> None:
         if packet.tos == TOS_DATA_DOWN:
             if packet.payload.job != self.job:
                 return  # another tenant's results on a shared host
             self._receive_result(packet.payload)
         elif packet.tos == TOS_CONTROL:
             message = packet.payload
-            if isinstance(message, ControlMessage) and message.job != self.job:
+            control = isinstance(message, ControlMessage)
+            if control and message.job != self.job:
                 return
-            if (
-                isinstance(message, ControlMessage)
-                and message.action == Action.HELP
-            ):
+            if control and message.action == Action.HELP:
                 self._retransmit(int(message.value))
             elif self.on_control is not None:
                 self.on_control(message)
 
     def _receive_train(self, train) -> None:
         """Batched receive.  The dominant shape, a whole round's broadcast
-        as one run, finishes the round on the run's own vector; anything
-        else is received packet by packet, in the train's (arrival) order
-        and within this call — per-packet semantics without a dispatch
-        event each.  No watchdog is due here: trains only flow where no
-        recovery is armed."""
+        as one run, finishes a round never opened on the run's own vector
+        (no copy); anything else is received packet by packet, in arrival
+        order, within this call.  No watchdog is due here: trains only
+        flow where no recovery is armed."""
         run = train.run
         if isinstance(run, SegmentRun) and train.tos == TOS_DATA_DOWN:
             if run.job != self.job:
                 return  # another tenant's results on a shared host
             n_chunks = self.plan.n_chunks
             round_index, chunk = divmod(run.seg, n_chunks)
-            if chunk == 0 and len(run) == n_chunks and round_index not in self._partial:
-                if round_index not in self._completed:
+            rounds = self.rounds
+            if chunk == 0 and len(run) == n_chunks and round_index not in rounds.pending:
+                if round_index not in rounds.closed:
                     self._finish_round(round_index, run.data)
                 return
         for packet in train.packets:
             self._receive(packet)
 
     def _retransmit(self, seg: int) -> None:
-        """Answer a switch-relayed Help: resend our own contribution.
-
-        The engine's dedup mode drops the copy if the original did arrive,
-        so retransmission is always safe.
-        """
-        segment = self._sent.get(seg)
+        """Answer a relayed Help: resend our own contribution (the engine's
+        dedup drops it if the original did arrive)."""
+        segment = self.rounds.resend(seg)
         if segment is None:
             return
         self.retransmissions += 1
@@ -315,20 +371,15 @@ class AggregationClient:
         )
 
     def _receive_result(self, segment: DataSegment) -> None:
-        round_index = self.plan.round_of_seg(segment.seg)
-        if round_index in self._completed:
-            return  # late duplicate of an already-assembled round
-        chunk = self.plan.chunk_of_seg(segment.seg)
-        chunks = self._partial.get(round_index)
-        if chunks is None:
-            chunks = self._partial[round_index] = {}
-            if self.partial_window is not None:
-                horizon = round_index - self.partial_window
-                for stale in [r for r in self._partial if r < horizon]:
-                    del self._partial[stale]
-                    self.rounds_dropped += 1
-        chunks[chunk] = segment  # duplicate results simply overwrite
-        if len(chunks) == self.plan.n_chunks:
+        rounds, seg = self.rounds, segment.seg
+        round_index = seg // self.plan.n_chunks
+        if round_index in rounds.closed:
+            return  # a late copy of a closed round
+        # A round opens with its first result: arrival renumbering (async
+        # mode) delivers rounds this member never submitted.
+        missing = rounds.open(round_index)
+        rounds.land(seg, segment.data)
+        if not missing:
             self._finish_round(round_index)
         elif (
             self.recovery_timeout is not None
@@ -339,62 +390,34 @@ class AggregationClient:
     def _guard_broadcast_rounds(self, round_index: int) -> None:
         """Arm watchdogs for a partially received round *and* recent gaps.
 
-        :meth:`send_gradient` only guards rounds this client submitted
-        under its own numbering; with arrival renumbering (async mode)
-        the switch's round indices are assigned on arrival, so a
-        broadcast whose packets were *all* lost here leaves no partial
-        state and no timer.  Rounds complete in renumbered order, so a
-        chunk for round ``r`` means every nearby earlier round's
-        broadcast already happened — guard the small trailing window so
-        fully-dropped rounds get Help-recovered too.
-
-        Only armed when an abandonment callback is wired (async mode):
-        under submission numbering every receivable round already has a
-        watchdog from :meth:`send_gradient`, and guarding gaps would
-        resurrect rounds a rejoined member deliberately skipped.
+        Under arrival renumbering (async mode, the one that wires an
+        abandonment callback) a broadcast lost whole leaves no open round
+        and no timer.  Rounds complete in renumbered order, so a chunk of
+        round ``r`` means the nearby earlier rounds were broadcast already:
+        guard that trailing window too.  Under submission numbering every
+        receivable round has its watchdog from :meth:`send_gradient`, and
+        guarding gaps would resurrect rounds a rejoined member skipped.
         """
         for guarded in range(max(0, round_index - 8), round_index + 1):
-            if (
-                guarded not in self._completed
-                and guarded not in self.abandoned_rounds
-            ):
+            if guarded not in self.rounds.closed:
                 self._arm_watchdog(guarded)
 
     def _finish_round(self, round_index: int, out: Optional[np.ndarray] = None) -> None:
         """Hand a finished round to its owner: ``out`` when it came as one
-        run, the chunks collected in ``_partial`` otherwise."""
-        self._completed.add(round_index)
-        if len(self._completed) > 1024:
-            # Old rounds can never resurface; keep the set bounded.
-            for done in sorted(self._completed)[:512]:
-                self._completed.discard(done)
+        run, the array its chunks landed in otherwise."""
+        landed = self.rounds.close(round_index)
         watchdog = self._watchdogs.pop(round_index, None)
         if watchdog is not None:
             watchdog.cancel()
         self._watchdog_attempts.pop(round_index, None)
-        if out is None:
-            # Chunks cover [0, n_chunks) exactly once and the plan's bounds
-            # are contiguous in chunk order, so joining them in order
-            # reproduces the per-chunk slice assignment.
-            chunks = self._partial.pop(round_index)
-            out = np.concatenate(
-                [chunks[chunk].data for chunk in range(self.plan.n_chunks)]
-            )
         # Read-only: a run's vector is the engine's round buffer, shared
         # with the Help cache and every other member.
-        out = out.view()
+        out = (landed if out is None else out).view()
         out.flags.writeable = False
-        if out.shape[0] != self.plan.n_elements:
-            raise ValueError(
-                f"round {round_index}: assembled {out.shape[0]} elements, "
-                f"expected {self.plan.n_elements}"
-            )
         self.rounds_completed += 1
         telemetry = self.host.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc(
-                "client.rounds_completed", 1, worker=self.host.name
-            )
+            telemetry.inc("client.rounds_completed", 1, worker=self.host.name)
             started = self._round_started.pop(round_index, None)
             if started is not None:
                 telemetry.span_at(
@@ -414,35 +437,20 @@ class AggregationClient:
     # Loss recovery
     # ------------------------------------------------------------------
     def _arm_watchdog(self, round_index: int) -> None:
-        """(Re)arm the per-round loss-recovery timer.
+        """(Re)arm a round's recovery timer (the cycle is DESIGN §6.2).
 
-        This is the worker half of the paper's loss handling ("offload
-        the majority of tasks of handling lossy packets to workers").
-        The cycle is:
-
-        1. :meth:`send_gradient` arms a watchdog for the round (only when
-           ``recovery_timeout`` is set) and records every sent segment in
-           ``_sent``.
-        2. If the round's broadcast completes in time,
-           :meth:`_finish_round` cancels the timer.  Otherwise ``check``
-           fires: for each chunk still missing from ``_partial`` it sends
-           ``Help(seg)`` to the switch.
-        3. The switch answers from its result cache (covers a lost
-           *downstream* broadcast) or relays the Help to all members,
-           whose clients re-send their original contribution from
-           ``_sent`` (covers a lost *upstream* contribution; the engine's
-           dedup mode makes the re-send idempotent).
-        4. The watchdog rearms with exponential backoff —
-           ``recovery_timeout * 2**min(attempts, 8)`` — so a round merely
-           gated on slow peers doesn't generate a Help storm, and stops
-           for good after ``max_recovery_attempts`` firings (if set).
+        On expiry it sends ``Help(seg)`` for each Seg the round misses and
+        rearms with exponential backoff — ``recovery_timeout *
+        2**min(attempts, 8)``, so a round merely gated on slow peers
+        starts no Help storm — until ``max_recovery_attempts`` firings
+        abandon the round.  :meth:`_finish_round` cancels it.
         """
         if round_index in self._watchdogs:
             return
 
         def check() -> None:
             self._watchdogs.pop(round_index, None)
-            if round_index in self._completed:
+            if round_index in self.rounds.closed:
                 return
             telemetry = self.host.sim.telemetry
             if telemetry.enabled:
@@ -458,13 +466,12 @@ class AggregationClient:
                 self.max_recovery_attempts is not None
                 and attempts > self.max_recovery_attempts
             ):
-                # Give up: the round is presumed unsatisfiable (e.g. it
-                # straddled a membership change or switch Reset).  Going
-                # quiet lets the simulator drain instead of retrying an
-                # outcome that cannot happen.
+                # Give up: the round is presumed unsatisfiable (it straddled
+                # a membership change or a Reset).  Going quiet lets the
+                # simulator drain.
                 self.abandoned_rounds.add(round_index)
                 self._watchdog_attempts.pop(round_index, None)
-                self._partial.pop(round_index, None)
+                self.rounds.close(round_index)
                 if telemetry.enabled:
                     telemetry.inc(
                         "client.rounds_abandoned", 1, worker=self.host.name
@@ -472,15 +479,10 @@ class AggregationClient:
                 if self.on_round_abandoned is not None:
                     self.on_round_abandoned(round_index)
                 return
-            received = set(self._partial.get(round_index, {}))
-            missing = set(range(self.plan.n_chunks)) - received
-            base = round_index * self.plan.n_chunks
-            for chunk in sorted(missing):
-                self.request_help(base + chunk)
+            for seg in sorted(self.rounds.missing(round_index)):
+                self.request_help(seg)
             self._arm_watchdog(round_index)
 
-        # Exponential backoff: a round stalled on slow peers (not loss)
-        # shouldn't generate a Help storm while it waits.
         attempts = self._watchdog_attempts.get(round_index, 0)
         timeout = self.recovery_timeout * (2 ** min(attempts, 8))
         self._watchdogs[round_index] = self.host.sim.schedule(
@@ -501,4 +503,4 @@ class AggregationClient:
     # ------------------------------------------------------------------
     def pending_rounds(self) -> int:
         """Rounds with at least one received chunk but not yet complete."""
-        return len(self._partial)
+        return len(self.rounds.pending)

@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..netsim.packets import MAX_UDP_PAYLOAD, PER_FRAME_OVERHEAD, Packet
+from ..netsim.packets import MAX_UDP_PAYLOAD, PER_FRAME_OVERHEAD, Packet, PacketTrain
 
 __all__ = [
     "TOS_CONTROL",
@@ -791,3 +791,9 @@ def make_data_packet(
         frames,
         segment.job,
     )
+
+
+def make_data_train(run: SegmentRun, dst: str) -> PacketTrain:
+    """Build the upstream train of one gradient run: a header plus the run
+    (DESIGN §11.1), from ``run.sender`` in ``run.job``."""
+    return PacketTrain(run, run.sender, dst, TOS_DATA_UP, ISWITCH_UDP_PORT, run.job)

@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.protocol import Action, ControlMessage, ProtocolError, decode_frame
 from ..rl.base import Algorithm
 from .transport import Address, UdpEndpoint
 
@@ -42,6 +43,7 @@ __all__ = [
     "LossGate",
     "MemberServer",
     "chunk_payload",
+    "decode_control",
     "n_chunks",
     "serve",
     "shard_ranges",
@@ -118,6 +120,19 @@ def chunk_payload(
             f"chunk {chunk} carries {data.size} elements, expected {expected}"
         )
     return data
+
+
+def decode_control(frame: bytes) -> ControlMessage:
+    """An iSwitch control frame a live switch or worker acts on.  ``HELP``,
+    ``FBCAST`` or ``SETH`` without a Value, or ``SETH`` 0, would kill it
+    (``int(None)``, an engine with H = 0): a :class:`ProtocolError`."""
+    message = decode_frame(frame)[1]
+    action, value = message.action, message.value
+    if action in (Action.HELP, Action.FBCAST, Action.SETH) and (
+        value is None or action == Action.SETH and not value
+    ):
+        raise ProtocolError(f"{action.name} with Value {value!r}")
+    return message
 
 
 def shard_ranges(n_elements: int, n_shards: int) -> List[Tuple[int, int]]:

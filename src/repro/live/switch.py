@@ -39,12 +39,11 @@ from ..core.protocol import (
     TOS_DATA_UP,
     TOS_NUMERICS_MASK,
     decode_data_header,
-    decode_frame,
     decode_payload,
     encode_control,
     encode_data,
 )
-from .driver import JOIN_RESEND_PERIOD, Frames, MemberServer
+from .driver import JOIN_RESEND_PERIOD, Frames, MemberServer, decode_control
 from .transport import Address
 
 __all__ = ["SoftwareSwitch"]
@@ -162,7 +161,7 @@ class SoftwareSwitch(MemberServer):
         self.counters["frames_rx"] += 1
         try:
             if frame[:1] == _CONTROL:
-                tos, message = decode_frame(frame)
+                tos, message = TOS_CONTROL, decode_control(frame)
                 job = message.job
             else:
                 tos, job, seg = decode_data_header(frame)

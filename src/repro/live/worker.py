@@ -8,11 +8,11 @@ Chunk geometry differs from the simulator (one real frame per chunk here)
 but elementwise sums are partition-independent, so the trajectories stay
 bit-identical.
 
-Loss recovery is the paper's worker-driven watchdog (§3.4): a receive
-timeout retransmits this worker's own cached frames for the missing
-segments and sends ``Help``; the switch answers from its result cache or
-relays the Help so peers retransmit theirs.  Dedup in the engine makes
-all of it idempotent.
+The worker drives the member role the simulator's ``AggregationClient``
+drives: per-round state in :class:`~repro.core.client.MemberRounds`, and
+one recovery rule (DESIGN §6.2): a receive timeout only sends ``Help``
+for each missing segment, and a frame goes again only when the switch
+relays a Help (to every member, requester included).
 
 **sync-isw is async-isw with S = 0.**  The switch side is the same
 :class:`~repro.live.switch.SoftwareSwitch` either way (threshold = N,
@@ -35,17 +35,17 @@ process-arrival jitter (rounds completing out of order, recovery
 retransmissions) is covered by the assertion rather than averaged away.
 
 Pipelining means DOWN frames for round ``k+1`` can arrive while round
-``k`` is still being collected; those are buffered, not dropped, and the
-send cache retains ``S + 2`` rounds so Help retransmissions can serve
-the slowest peer's recovery window.
+``k`` is still being collected; they land in round ``k+1``'s array, and
+the send log keeps ``S + 2`` rounds at least for the slowest peer's Help.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 import numpy as np
 
+from ..core.client import MemberRounds
 from ..core.protocol import (
     TOS_CONTROL,
     Action,
@@ -60,7 +60,7 @@ from ..core.protocol import (
     encode_data,
 )
 from ..rl.base import Algorithm
-from .driver import LiveWorkerBase
+from .driver import LiveWorkerBase, decode_control
 from .transport import Address, UdpEndpoint
 
 __all__ = ["LiveWorker"]
@@ -106,12 +106,10 @@ class LiveWorker(LiveWorkerBase):
                 bytes_per_element=codec.bytes_per_element,
                 frame_overhead=codec.frame_overhead,
             )
-        #: Round → its encoded upstream frames, by chunk: the last ``S + 2``
-        #: rounds', for Help-triggered retransmission.
-        self._sent: Dict[int, List[bytes]] = {}
-        #: Round → (its result, the Segs it still misses) for each round
-        #: submitted and not yet collected; results land there in place.
-        self._results: Dict[int, Tuple[np.ndarray, Set[int]]] = {}
+        #: This member's rounds, each opened at submit (a forged future
+        #: round allocates nothing).  The send log keeps ``S + 2`` rounds at
+        #: least: a peer's collect can trail this submit by the whole bound.
+        self.rounds = MemberRounds(self.plan, keep_sent=2 * (staleness_bound + 2))
         #: Applied-version at each round's compute time.
         self._versions: List[int] = []
         self.counters.update(
@@ -162,78 +160,54 @@ class LiveWorker(LiveWorkerBase):
         self._versions.append(len(self.round_digests))
         run = self.plan.run(gradient, round_index, job=self.job)
         frames = [encode_data(s, codec=self.codec) for s in run.segments()]
-        # Retain S + 2 rounds: a peer's collect window can trail this
-        # worker's submit window by the full staleness bound.
-        self._sent[round_index] = frames
-        self._sent.pop(round_index - self.staleness_bound - 2, None)
-        self._results[round_index] = (
-            np.empty(self.n_elements, dtype=np.float32),
-            set(range(run.seg, run.seg + len(run))),
-        )
+        self.rounds.record(round_index, frames)
+        self.rounds.open(round_index)
         for frame in frames:
             self._send(frame, self.switch_addr)
 
     def _complete(self, round_index: int) -> np.ndarray:
         """Collect one round's aggregate (part of it may already be here:
         segments that arrived while collecting earlier rounds)."""
-        result, missing = self._results[round_index]
-        self._collect(missing, round_index)
-        del self._results[round_index]
-        return result
+        self._collect(self.rounds.missing(round_index), round_index)
+        return self.rounds.close(round_index)
 
     def _ingest(self, frame: bytes, addr: Address) -> None:
         try:
             if frame[:1] == _CONTROL:
-                message = decode_frame(frame)[1]
+                message = decode_control(frame)
                 if message.action == Action.HELP and message.job == self.job:
-                    # A relayed Help: some peer is missing a segment we fed.
-                    self._retransmit(int(message.value))
+                    # A relayed Help: some member misses a segment we fed.
+                    self._retransmit(message.value)
                 return
             _, job, seg = decode_data_header(frame)
             data = decode_payload(frame)
+            # A result lands in its open round (maybe one ahead: pipeline
+            # jitter).  Closed rounds' rebroadcasts, duplicates and another
+            # tenant's job (a switch mis-delivery) are stale.
+            fresh = job == self.job and self.rounds.land(seg, data)
         except ProtocolError:
             self.counters["decode_errors"] += 1
             return
-        # A result lands at its chunk's offset in its round's array — the
-        # round being collected, or a later one that completed ahead of it
-        # (pipeline jitter, not staleness).  Earlier rounds' rebroadcasts,
-        # duplicates and another tenant's job (a switch mis-delivery) are
-        # stale.
-        n_chunks = self.plan.n_chunks
-        entry = self._results.get(seg // n_chunks) if job == self.job else None
-        if entry is None or seg not in entry[1]:
+        if not fresh:
             self.counters["stale_frames"] += 1
-            return
-        start, stop = self.plan.chunk_bounds(seg % n_chunks)
-        if data.size != stop - start:
-            self.counters["decode_errors"] += 1
-            return
-        entry[0][start:stop] = data
-        entry[1].discard(seg)
 
     def _recover(self, missing: set, round_index: int) -> None:
-        """Watchdog fired: retransmit our own frames and ask for Help."""
+        """Watchdog fired: ask for Help with each missing Seg; this
+        worker's own frames go again only when the switch relays one."""
         for seg in sorted(missing):
-            self._retransmit(seg)
-            self._send(
-                encode_control(
-                    ControlMessage(Action.HELP, value=seg, job=self.job)
-                ),
-                self.switch_addr,
-            )
+            help_ = ControlMessage(Action.HELP, value=seg, job=self.job)
+            self._send(encode_control(help_), self.switch_addr)
             self.counters["help_sent"] += 1
 
     def _retransmit(self, seg: int) -> None:
-        frames = self._sent.get(seg // self.plan.n_chunks)
-        if frames is not None:
-            self._send(frames[seg % self.plan.n_chunks], self.switch_addr)
+        frame = self.rounds.resend(seg)
+        if frame is not None:
+            self._send(frame, self.switch_addr)
             self.counters["retransmissions"] += 1
 
     def _apply(self, total: np.ndarray, round_index: int) -> None:
         super()._apply(total, round_index)
         gap = round_index - self._versions[round_index]
-        self.counters["version_gap_max"] = max(
-            self.counters["version_gap_max"], gap
-        )
+        self.counters["version_gap_max"] = max(self.counters["version_gap_max"], gap)
         self.counters["version_gap_total"] += gap
         self.counters["version_gap_count"] += 1

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro.core.protocol import (
     MAX_SEG_INDEX,
     SEG_PAYLOAD_BYTES,
+    TOS_CONTROL,
     TOS_DATA_UP,
     TOS_NUMERICS_MASK,
     Action,
@@ -55,6 +56,7 @@ from repro.live.collective import LiveHdWorker, LiveRingWorker
 from repro.live.driver import (
     CHUNK_ELEMS,
     LiveRoundAbandoned,
+    decode_control,
     serve,
     shard_ranges,
 )
@@ -2113,6 +2115,8 @@ class TestHostileFrames:
             frame = frame[:1] + ((job << 56) | word).to_bytes(8, "little") + frame[9:]
         elif mutation == "rank":  # the informational rank byte of a U
             frame = frame[:1] + bytes((data.draw(st.integers(0, 255)),)) + frame[2:]
+        elif mutation == "zero":  # a control frame's Value, all zero bits
+            frame = frame[:2] + bytes(len(frame) - 2)
         elif mutation == "stranger":
             addr = self.STRANGER
         return frame, addr
@@ -2140,10 +2144,7 @@ class TestHostileFrames:
         from repro.core.compression import get_codec
 
         codec = None if codec == "fp32" else get_codec(codec)
-        switch = SoftwareSwitch(n_workers=2, codec=codec)
-        for rank, addr in enumerate(self.MEMBERS):
-            join = ControlMessage(Action.JOIN, JoinInfo(rank=rank))
-            switch.handle_frame(encode_control(join), addr)
+        switch = self.joined_switch(codec=codec)
         values = np.arange(data.draw(st.integers(1, 40)), dtype=np.float32)
         segment = DataSegment(seg=data.draw(st.integers(0, 200)), data=values)
         frame, addr = self.mutate(
@@ -2158,6 +2159,74 @@ class TestHostileFrames:
         moved = {name for name, n in switch.counters.items() if n != before[name]}
         assert moved == {"frames_rx"} | ({verdict} if verdict else set())
         assert switch.engine.stats.contributions == (verdict == "data_rx")
+
+    def joined_switch(self, **kwargs):
+        switch = SoftwareSwitch(n_workers=2, **kwargs)
+        for rank, addr in enumerate(self.MEMBERS):
+            join = ControlMessage(Action.JOIN, JoinInfo(rank=rank))
+            switch.handle_frame(encode_control(join), addr)
+        return switch
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_control_mutations_are_counted_never_fatal(self, data):
+        """Control frames, mutated, against the switch and a worker.  A
+        Value-less ``HELP``/``FBCAST``/``SETH`` or ``SETH 0`` used to
+        raise out of ``handle_frame`` and ``_ingest`` — killing the
+        process — where it now lands in ``decode_errors``."""
+        switch = self.joined_switch()
+        worker = LiveWorker(0, 2, TinyAlgorithm(), None, self.MEMBERS[0])
+        action = data.draw(
+            st.sampled_from(
+                [Action.HELP, Action.FBCAST, Action.SETH, Action.RESET, Action.HALT]
+            )
+        )
+        message = ControlMessage(action, data.draw(st.integers(1, 200)))
+        frame, addr = self.mutate(
+            data, encode_control(message), ["none", "truncate", "zero", "stranger"]
+        )
+        try:
+            decode_control(frame)
+            verdict = None if addr in self.MEMBERS else "non_member"
+        except ProtocolError:
+            verdict = "decode_errors"
+        before = dict(switch.counters)
+        switch.handle_frame(frame, addr)
+        moved = {name for name, n in switch.counters.items() if n != before[name]}
+        if verdict:
+            assert moved == {"frames_rx", verdict}
+        assert switch.engine.threshold >= 1
+        worker._ingest(frame, addr)
+        assert worker.counters["decode_errors"] == (verdict == "decode_errors")
+
+    #: Control frames the wire decodes but no live process can act on.
+    UNACTIONABLE = {
+        "help": bytes((TOS_CONTROL, Action.HELP)),
+        "fbcast": bytes((TOS_CONTROL, Action.FBCAST)),
+        "seth": bytes((TOS_CONTROL, Action.SETH)),
+        "seth0": encode_control(ControlMessage(Action.SETH, value=0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNACTIONABLE))
+    def test_member_control_without_a_usable_value_is_dropped(self, name):
+        switch = self.joined_switch()
+        assert switch.handle_frame(self.UNACTIONABLE[name], self.MEMBERS[0]) == []
+        assert switch.counters["decode_errors"] == 1
+        assert switch.engine.threshold == 2
+        # ...and the switch still works.
+        help_ = encode_control(ControlMessage(Action.HELP, value=0))
+        assert len(switch.handle_frame(help_, self.MEMBERS[0])) == 2
+
+    def test_parent_help_without_a_value_is_dropped_at_a_tor(self):
+        parent = (LOOPBACK, 45000)
+        tor = self.joined_switch(parent_addr=parent)
+        assert tor.handle_frame(self.UNACTIONABLE["help"], parent) == []
+        assert tor.counters["decode_errors"] == 1
+
+    def test_relayed_help_without_a_value_is_dropped_at_a_worker(self):
+        worker = LiveWorker(0, 2, TinyAlgorithm(), None, self.MEMBERS[0])
+        worker._ingest(self.UNACTIONABLE["help"], self.MEMBERS[0])
+        assert worker.counters["decode_errors"] == 1
 
     def ps_verdict(self, frame, addr):
         """DESIGN §9.4's ``U`` row: u8 rank, u32 round, u32 chunk, then
