@@ -54,9 +54,10 @@ ASYNC_LOSSY = timeout 60 env PYTHONPATH=src $(PY) -m repro train --mode async \
 	--strategy isw --workload synth -n 4 --iterations 20 --seed 7
 # A live worker retransmits only when its switch relays a Help (DESIGN
 # §6.2), so live recovery under loss rests on that relay: flat (-n 4) and
-# the ToR tree (-n 6).
+# the ToR tree (-n 6).  The host-level baselines recover on their own
+# (H / R resend requests): ring, halving/doubling, sync PS and async PS.
 LIVE_LOSSY = timeout 60 env PYTHONPATH=src $(PY) -m repro train --backend live \
-	--strategy isw --iterations 20 --loss-rate 0.05
+	--iterations 20 --loss-rate 0.05
 
 loss-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro train --strategy isw \
@@ -64,5 +65,9 @@ loss-smoke:
 	$(ASYNC_LOSSY) --loss-rate 0.01
 	err=$$($(ASYNC_LOSSY) --loss-rate 0.2 2>&1 >/dev/null); status=$$?; \
 		echo "$$err"; test $$status -eq 2 && echo "$$err" | grep -q "replay:"
-	$(LIVE_LOSSY) -n 4
-	$(LIVE_LOSSY) -n 6
+	$(LIVE_LOSSY) --strategy isw -n 4
+	$(LIVE_LOSSY) --strategy isw -n 6
+	$(LIVE_LOSSY) --strategy ar -n 4
+	$(LIVE_LOSSY) --strategy ar-hd -n 4
+	$(LIVE_LOSSY) --strategy ps -n 4
+	$(LIVE_LOSSY) --mode async --strategy ps -n 4

@@ -54,7 +54,8 @@ untouched:
   makes the bound tight and checkable.
 * async-ps (``paced``): the server applies pushes in rank-cyclic order
   ``(cycle 0, w0) .. (cycle 0, wN-1), (cycle 1, w0) ..`` (buffering
-  out-of-order arrivals) and ships the post-apply weights straight back
+  out-of-order arrivals in ``core.baselines.RankCyclicOrder``, the order
+  the live server keeps too) and ships the post-apply weights straight back
   to the pushing worker, so worker ``w``'s cycle-``k`` pull is
   deterministically version ``(k-1)·N + w + 1`` and its staleness is
   exactly ``N - 1`` (``w`` on the cold-start cycle).  The worker loop is
@@ -69,10 +70,11 @@ scheduling noise must reproduce the simulator bit for bit.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
+from ..core.baselines import RankCyclicOrder
 from ..netsim.packets import Packet
 from ..netsim.topology import Network
 from ..netsim.trace import LatencyStats
@@ -150,7 +152,7 @@ class AsyncParameterServer:
         #: straight back, so staleness is a closed-form quantity (module
         #: docstring).  ``run(n)`` then means n *cycles per worker*.
         self.paced = paced
-        self._pending: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+        self._order = RankCyclicOrder(len(workers))
         #: Per-worker sha256 digests of each pulled weight vector (paced
         #: mode only) — the live backend's differential artifact.
         self.worker_digests: List[List[str]] = [[] for _ in workers]
@@ -382,11 +384,10 @@ class AsyncParameterServer:
             if self.server_updates >= self.target:
                 self._done = True
             return
-        self._pending[(cycle, worker_index)] = (gradient, version)
-        n = len(self.workers)
-        while (due := divmod(self.server_updates, n)) in self._pending:
-            self._apply(*self._pending.pop(due))
-            self._send_weights(due[1])  # the pushing rank's personal pull
+        self._order.offer(cycle, worker_index, (gradient, version))
+        for _, rank, (gradient, version) in self._order.drain():
+            self._apply(gradient, version)
+            self._send_weights(rank)  # the pushing rank's personal pull
 
     def _apply(self, gradient: np.ndarray, version: int) -> None:
         staleness = self.server_updates - version

@@ -51,17 +51,14 @@ class PsGather:
         self.cpu = cpu
         self.ingest_cost = ingest_cost
         self.on_vector = on_vector
-        self.on_round = on_round
         self.port = port
         self.name = name
         self.handles = HandleLedger(name, self.sim)
         self._expected = threshold if threshold is not None else 1
         self._barrier = (
-            RoundBarrier(threshold, self._round_complete)
-            if threshold is not None
-            else None
+            RoundBarrier(threshold, on_round) if threshold is not None else None
         )
-        VectorReceiver(hub, self._receive, port=port)
+        VectorReceiver(hub, self._ingest, port=port)
 
     # ------------------------------------------------------------------
     def submit(
@@ -96,9 +93,6 @@ class PsGather:
         self._ingest(worker.name, tag, vector, meta)
 
     # ------------------------------------------------------------------
-    def _receive(self, src: str, tag: Any, vector, meta) -> None:
-        self._ingest(src, tag, vector, meta)
-
     def _ingest(self, src: str, tag: Any, vector, meta) -> None:
         cost = self.ingest_cost
         busy = cost(src, tag, vector, meta) if callable(cost) else cost
@@ -111,10 +105,6 @@ class PsGather:
                 self._barrier.arrive(tag)
 
         self.cpu.submit(busy, ingested)
-
-    def _round_complete(self, tag: Any) -> None:
-        if self.on_round is not None:
-            self.on_round(tag)
 
 
 class PsScatter:
@@ -141,10 +131,9 @@ class PsScatter:
         self.name = name
         self.handles = HandleLedger(name, self.sim)
         for worker in workers:
-            worker_self = worker
             VectorReceiver(
                 worker.host,
-                lambda src, tag, vec, meta, w=worker_self: self._deliver(
+                lambda src, tag, vec, meta, w=worker: self._deliver(
                     w, tag, vec, meta
                 ),
                 port=port,

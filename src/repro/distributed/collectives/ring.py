@@ -9,7 +9,9 @@ once, at completion, by the strategy — every worker folds the identical
 sum, which is what keeps all synchronous data paths on the same weight
 trajectory.
 
-Two schedule families are provided:
+Two schedule families are provided, their peers read from the tables
+the live backend runs too (:func:`repro.core.baselines.ring_schedule`,
+:func:`~repro.core.baselines.hd_schedule`):
 
 * **Ring** (Figure 1b): :func:`ring_reduce_scatter` +
   :func:`ring_all_gather` — 2(N−1) steps of M/N bytes to the next
@@ -22,10 +24,11 @@ Two schedule families are provided:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, NamedTuple
 
+from ...core.baselines import hd_schedule, log2_exact, ring_schedule
 from ..transport import VectorReceiver, send_vector
-from .base import HandleLedger
+from .base import HandleLedger, RoundBarrier
 
 __all__ = [
     "RingSchedule",
@@ -41,28 +44,14 @@ __all__ = [
 RING_PORT = 7801
 
 
-class RingSchedule:
-    """One phase of a chained exchange: per-step peers and byte counts.
+class RingSchedule(NamedTuple):
+    """One phase of a chained exchange: ``n_steps`` steps, the peer
+    ``peer_of(worker_index, step)`` a worker sends to at each (phase-local)
+    step, and the bytes ``bytes_of(step)`` it moves."""
 
-    ``peer_of(worker_index, step)`` must be symmetric — if ``a`` sends to
-    ``b`` at a step, ``b`` sends to ``a`` — or, for the classic ring,
-    form a single cycle so every send has a matching receive.
-    ``step`` is phase-local (0-based within the phase).
-    """
-
-    def __init__(
-        self,
-        n_steps: int,
-        peer_of: Callable[[int, int], int],
-        bytes_of: Callable[[int], int],
-        label: str = "phase",
-    ) -> None:
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        self.n_steps = n_steps
-        self.peer_of = peer_of
-        self.bytes_of = bytes_of
-        self.label = label
+    n_steps: int
+    peer_of: Callable[[int, int], int]
+    bytes_of: Callable[[int], int]
 
 
 class RingExchange:
@@ -86,8 +75,6 @@ class RingExchange:
         max_chunks: int = 8,
         name: str = "ring",
     ) -> None:
-        if not phases:
-            raise ValueError("need at least one phase")
         self.sim = sim
         self.workers = workers
         self.phases = phases
@@ -99,16 +86,15 @@ class RingExchange:
         self.total_steps = sum(p.n_steps for p in phases)
         self.handles = HandleLedger(name, sim)
         self._ready: Dict[Any, set] = {}
-        self._finished: Dict[Any, int] = {}
+        self._finished = RoundBarrier(
+            len(workers), lambda tag: self._ready.pop(tag, None)
+        )
         #: Chunks that arrived before the receiver entered the round.
         self._stalled: Dict[tuple, list] = {}
         for worker in workers:
-            worker_self = worker
             VectorReceiver(
                 worker.host,
-                lambda src, tag, vec, meta, w=worker_self: self._on_message(
-                    w, tag
-                ),
+                lambda src, tag, vec, meta, w=worker: self._on_message(w, tag),
                 port=port,
             )
 
@@ -141,8 +127,6 @@ class RingExchange:
             self._process(worker, tag, step)
 
     def _send_step(self, worker, tag: Any, step: int) -> None:
-        if step >= self.total_steps:
-            return
         peer = self.workers[self.peer_of(worker.index, step)]
         send_vector(
             worker.host,
@@ -175,56 +159,39 @@ class RingExchange:
         self.sim.schedule(self.step_cost(self.bytes_of(step)), reduced)
 
     def _finish(self, worker, tag: Any) -> None:
-        done = self._finished.get(tag, 0) + 1
-        if done >= len(self.workers):
-            self._finished.pop(tag, None)
-            self._ready.pop(tag, None)
-        else:
-            self._finished[tag] = done
+        self._finished.arrive(tag)
         self.handles.complete(tag, worker.name)
         self.on_complete(worker, tag)
 
 
 # ----------------------------------------------------------------------
-# Ring schedules (Figure 1b)
+# Peers come from the shared schedules (``core.baselines``); bytes per step
+# are this simulator's cost model.
 # ----------------------------------------------------------------------
+def _phase(schedule, n_workers: int, phase: int, message_count: int, bytes_of):
+    """One phase of ``schedule``, repeated once per exchanged tensor."""
+    table = [
+        [row.send_to for row in schedule(n_workers, rank) if row.phase == phase]
+        for rank in range(n_workers)
+    ]
+    steps = len(table[0])
+    return RingSchedule(
+        steps * message_count, lambda i, s: table[i][s % steps], bytes_of
+    )
+
+
 def ring_reduce_scatter(
     n_workers: int, chunk_bytes: int, message_count: int = 1
 ) -> RingSchedule:
     """(N−1)·message_count steps of ``chunk_bytes`` to the next neighbour."""
-    if n_workers < 2:
-        raise ValueError("ring collectives need at least 2 workers")
-    return RingSchedule(
-        (n_workers - 1) * message_count,
-        lambda i, s: (i + 1) % n_workers,
-        lambda s: chunk_bytes,
-        label="reduce_scatter",
-    )
+    return _phase(ring_schedule, n_workers, 0, message_count, lambda s: chunk_bytes)
 
 
 def ring_all_gather(
     n_workers: int, chunk_bytes: int, message_count: int = 1
 ) -> RingSchedule:
     """(N−1)·message_count steps circulating the reduced chunks."""
-    if n_workers < 2:
-        raise ValueError("ring collectives need at least 2 workers")
-    return RingSchedule(
-        (n_workers - 1) * message_count,
-        lambda i, s: (i + 1) % n_workers,
-        lambda s: chunk_bytes,
-        label="all_gather",
-    )
-
-
-# ----------------------------------------------------------------------
-# Hypercube schedules (recursive halving / doubling)
-# ----------------------------------------------------------------------
-def _log2_exact(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise ValueError(
-            f"halving/doubling needs a power-of-two worker count, got {n}"
-        )
-    return n.bit_length() - 1
+    return _phase(ring_schedule, n_workers, 1, message_count, lambda s: chunk_bytes)
 
 
 def hd_reduce_scatter(
@@ -232,13 +199,11 @@ def hd_reduce_scatter(
 ) -> RingSchedule:
     """log2(N)·message_count halving steps: step k pairs ``i`` with
     ``i XOR 2^k`` and moves half the previous step's bytes."""
-    levels = _log2_exact(n_workers)
+    levels = log2_exact(n_workers)
     per_tensor = max(1, wire_bytes // message_count)
-    return RingSchedule(
-        levels * message_count,
-        lambda i, s: i ^ (1 << (s % levels)),
+    return _phase(
+        hd_schedule, n_workers, 0, message_count,
         lambda s: max(1, per_tensor >> ((s % levels) + 1)),
-        label="hd_reduce_scatter",
     )
 
 
@@ -246,11 +211,9 @@ def hd_all_gather(
     n_workers: int, wire_bytes: int, message_count: int = 1
 ) -> RingSchedule:
     """log2(N)·message_count doubling steps mirroring the halving phase."""
-    levels = _log2_exact(n_workers)
+    levels = log2_exact(n_workers)
     per_tensor = max(1, wire_bytes // message_count)
-    return RingSchedule(
-        levels * message_count,
-        lambda i, s: i ^ (1 << (levels - 1 - (s % levels))),
+    return _phase(
+        hd_schedule, n_workers, 1, message_count,
         lambda s: max(1, per_tensor >> (levels - (s % levels))),
-        label="hd_all_gather",
     )

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.baselines import RoundSums
 from ..netsim.topology import Network
 from ..workloads.calibration import DEFAULT_COST_MODEL, CostModel
 from ..workloads.profiles import WorkloadProfile
@@ -117,10 +118,10 @@ class SyncStrategy:
         self._busy = [False for _ in workers]
         self._inbox: List[Dict[int, tuple]] = [{} for _ in workers]
         self._in_flight: Dict[tuple, tuple] = {}
-        #: Per round: the gradients awaiting the host-side fold, then what
-        #: every replica shares read-only (the fold, the mean) until the
-        #: round barrier releases it.
-        self._round_gradients: Dict[int, Dict[int, np.ndarray]] = {}
+        #: Per round: the host-side fold of its gradients (in rank order,
+        #: ``core.baselines``), then what every replica shares read-only
+        #: (the fold, the mean) until the round barrier releases it.
+        self._round_sums = RoundSums(len(workers))
         self._round_shared: Dict[int, Dict[str, np.ndarray]] = {}
         self._round_done = RoundBarrier(len(workers), self._round_release)
         self._result: Optional[TrainingResult] = None
@@ -242,10 +243,10 @@ class SyncStrategy:
     def _record_gradient(
         self, worker: SimWorker, gradient: np.ndarray, iteration: int
     ) -> None:
-        self._round_gradients.setdefault(iteration, {})[worker.index] = gradient
+        self._round_sums.add(iteration, worker.index, gradient)
 
     def _round_release(self, iteration: int) -> None:
-        self._round_gradients.pop(iteration, None)
+        self._round_sums.release(iteration)
         self._round_shared.pop(iteration, None)
 
     def _once_per_round(self, iteration: int, key: str, compute) -> np.ndarray:
@@ -259,16 +260,8 @@ class SyncStrategy:
         return value
 
     def _round_sum(self, iteration: int) -> np.ndarray:
-        gradients = self._round_gradients.pop(iteration, {})
-        if len(gradients) != len(self.workers):
-            raise RuntimeError(
-                f"round {iteration} incomplete: {len(gradients)} of "
-                f"{len(self.workers)} gradients present"
-            )
-        total = np.zeros_like(next(iter(gradients.values())), dtype=np.float64)
-        for gradient in gradients.values():
-            total += gradient
-        return total
+        """The round's rank-order sum, summed when its last gradient landed."""
+        return self._round_sums.results[iteration]
 
     def _shared_round_sum(self, iteration: int) -> np.ndarray:
         return self._once_per_round(

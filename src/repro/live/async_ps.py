@@ -1,22 +1,17 @@
 """Live async-PS: a parameter-server process applying pushes one by one.
 
-The asynchronous PS baseline holds the authoritative weights in a server
-replica: each worker pushes its gradient, the server applies it to the
-replica immediately (no barrier with other workers), and the pushing
-worker pulls the fresh post-apply weights before computing again.
+The server holds the authoritative weights in a replica: each worker
+pushes its gradient, the server applies it at once (no barrier with
+other workers), and the pushing worker pulls the post-apply weights
+before computing again.  Pushes are applied in **rank-cyclic order** —
+apply number ``k·N + w`` is worker ``w``'s cycle-``k`` push — by the
+:class:`repro.core.baselines.RankCyclicOrder` the simulator's paced
+server drains too, so arrival jitter moves *when* an apply happens,
+never *which weights* it reads.  Staleness is still measured from the
+wire: each push carries the weight version it was computed against.
 
-To stay bit-comparable with the simulator's paced server, the server
-applies pushes in **rank-cyclic order** — apply number ``k·N + w`` is
-worker ``w``'s cycle-``k`` push — buffering pushes that arrive early.
-Arrival jitter moves *when* an apply happens, never *which weights* it
-reads, so the replica trajectory and every worker's pulled-weights
-digest stream are pure functions of the gradients.  Staleness is still
-measured from the wire: each push carries the weight version it was
-computed against, and the server records the real gap at apply time.
-
-Framing is host-level, like the sync PS baseline (DESIGN §9.4): ``U``
-pushes additionally carry the weight version the gradient was computed
-against, ``W`` frames carry the post-apply pull, and ``H`` asks for a
+Framing is host-level (DESIGN §9.4): ``U`` pushes also carry that
+version, ``W`` frames carry the post-apply pull, and ``H`` asks for a
 whole cycle's pull again.
 """
 
@@ -27,6 +22,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.baselines import RankCyclicOrder
 from ..rl.base import Algorithm
 from .driver import (
     CHUNK_ELEMS,
@@ -65,8 +61,8 @@ class LiveAsyncPsServer(HostServer):
         self._partial: Dict[
             Tuple[int, int], Tuple[Dict[int, np.ndarray], int]
         ] = {}
-        #: (cycle, rank) → (full f32 gradient, version) awaiting its turn.
-        self._ready: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+        #: Full pushes, (f32 gradient, version), awaiting their turn.
+        self._order = RankCyclicOrder(n_workers)
         #: rank → (cycle, encoded ``W`` frames) — latest pull, for resends.
         self._pull_cache: Dict[int, Tuple[int, List[bytes]]] = {}
         self.counters.update(updates=0, staleness_total=0, staleness_max=0)
@@ -76,13 +72,10 @@ class LiveAsyncPsServer(HostServer):
         data = chunk_payload(
             frame, 1 + _ASYNC_HEADER.size, "<f4", chunk, self.n_elements
         )
-        if cycle * self.n_workers + rank < self.server_updates:
-            self.counters["duplicates_dropped"] += 1
-            return []  # already applied: a retransmission raced the apply
         key = (cycle, rank)
-        if key in self._ready:
+        if not self._order.wants(cycle, rank):
             self.counters["duplicates_dropped"] += 1
-            return []
+            return []  # applied already (a retransmission raced it), or buffered
         chunks, _ = self._partial.setdefault(key, ({}, version))
         if chunk in chunks:
             self.counters["duplicates_dropped"] += 1
@@ -92,18 +85,9 @@ class LiveAsyncPsServer(HostServer):
             return []
         del self._partial[key]
         gradient = np.concatenate([chunks[i] for i in range(self.n_chunks)])
-        self._ready[key] = (gradient, version)
-        return self._apply_ready()
-
-    def _apply_ready(self) -> Frames:
-        """Apply every push whose cyclic turn has come, oldest first."""
+        self._order.offer(cycle, rank, (gradient, version))
         out: Frames = []
-        while True:
-            cycle, rank = divmod(self.server_updates, self.n_workers)
-            entry = self._ready.pop((cycle, rank), None)
-            if entry is None:
-                return out
-            gradient, version = entry
+        for cycle, rank, (gradient, version) in self._order.drain():
             staleness = self.server_updates - version
             self.counters["updates"] += 1
             self.counters["staleness_total"] += staleness
@@ -113,6 +97,7 @@ class LiveAsyncPsServer(HostServer):
             self.replica.apply_update(np.asarray(gradient, dtype=np.float64))
             self.server_updates += 1
             out.extend(self._send_pull(rank, cycle + 1))
+        return out
 
     def _send_pull(self, rank: int, cycle: int) -> Frames:
         """Scatter the post-apply weights back to the pushing worker."""

@@ -1,28 +1,19 @@
 """Live sync-PS baselines: parameter-server processes over loopback UDP.
 
-The paper's PS baseline is ordinary host-level networking, not the
-iSwitch protocol, so this module uses the minimal host-level framing of
-DESIGN §9.4 (``J``/``A``/``G``/``U``/``D``/``H``/``L``) rather than
-:mod:`repro.core.protocol`.
+The PS baseline is host-level networking, so it speaks the minimal
+host-level framing of DESIGN §9.4 (``J``/``A``/``G``/``U``/``D``/``H``/
+``L``), not :mod:`repro.core.protocol`.  A :class:`PsServer` sums each
+``(round, chunk)`` with :class:`repro.core.baselines.RoundSums` — in
+float64 rank order once all ``N`` contributions arrived — the store the
+simulator folds every host-level round with, so ps and ps-shard agree
+with the simulator by construction.
 
-A :class:`PsServer` sums each chunk in float64 **rank order** once all
-``N`` contributions arrived.  The simulator's ``SyncParameterServer``
-sums in float64 arrival order; for gradients of one workload's dynamic
-range the float64 sums are exact either way (the repo's golden hashes
-show ps, ring, and halving/doubling — three different orders — already
-agree), so sim and live stay bit-identical without a canonical mode here.
-
-**ps is ps-shard with one shard.**  Mirroring the simulator's
-``sync-ps-shard`` strategy, the parameter space is split into K
-contiguous element ranges and each range is served by an independent
-:class:`PsServer` process.  The servers are completely stock — each one
-sums its own (round, chunk) keys over all N workers — so sharding lives
-entirely in :class:`LiveShardWorker`: it routes each shard's slice of
-the gradient to that shard's address and reassembles the K float64
-slices into the full summed vector.  Responses are demultiplexed by
-source address (each shard has its own socket), so the per-shard chunk
-index spaces never collide.  Joins run shard-by-shard in shard order on
-every worker, which keeps the K join barriers deadlock-free.
+**ps is ps-shard with one shard.**  The parameter space is split into K
+contiguous element ranges, each summed by a stock :class:`PsServer`, so
+sharding lives entirely in :class:`LiveShardWorker`: it routes each
+shard's slice to that shard's address and reassembles the K float64
+slices, telling responses apart by source address.  Joins run in shard
+order on every worker, which keeps the K join barriers deadlock-free.
 """
 
 from __future__ import annotations
@@ -32,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.baselines import RoundSums
 from ..rl.base import Algorithm
 from .driver import (
     CHUNK_ELEMS,
@@ -103,11 +95,9 @@ class PsServer(HostServer):
         self, n_workers: int, loss_rate: float = 0.0, loss_seed: int = 0
     ) -> None:
         super().__init__(n_workers, loss_rate, loss_seed)
-        #: (round, chunk) → rank → the f32 chunk, a view of its frame.
-        self._contribs: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-        self._results: Dict[Tuple[int, int], bytes] = {}
-        #: The newest round a sum completed in; the cache is pruned on advance.
-        self._newest = 0
+        #: (round, chunk) → its f32 chunks (views of their frames), then
+        #: its sum, kept for resends over the last three rounds.
+        self._sums = RoundSums(n_workers, self.counters)
         self.counters["chunks_summed"] = 0
 
     def _handle_push(self, rank: int, frame: bytes) -> Frames:
@@ -115,43 +105,26 @@ class PsServer(HostServer):
         data = chunk_payload(
             frame, 1 + _UP_HEADER.size, "<f4", chunk, self.n_elements
         )
-        key = (round_index, chunk)
-        if key in self._results:
-            self.counters["duplicates_dropped"] += 1
-            return []  # already summed: a retransmission raced completion
-        contribs = self._contribs.setdefault(key, {})
-        if rank in contribs:
-            self.counters["duplicates_dropped"] += 1
+        total = self._sums.add((round_index, chunk), rank, data)
+        if total is None:
             return []
-        contribs[rank] = data
-        if len(contribs) < self.n_workers:
-            return []
-        # Rank order from +0.0, so even the sign of a zero sum is pinned.
-        total = np.zeros(data.shape, dtype=np.float64)
-        for member_rank in sorted(contribs):
-            total += contribs[member_rank]
-        del self._contribs[key]
-        down = (
-            b"D"
-            + _DOWN_HEADER.pack(round_index, chunk)
-            + total.astype("<f8", copy=False).tobytes()
-        )
-        self._results[key] = down
         self.counters["chunks_summed"] += 1
-        if round_index > self._newest:
-            # Keep the last three rounds' sums for resend requests.
-            self._newest = round_index
-            for old in [k for k in self._results if k[0] < round_index - 2]:
-                del self._results[old]
+        self._sums.release((round_index - 3, chunk))
+        down = _down_frame(round_index, chunk, total)
         return [(down, addr) for addr in self.addresses]
 
     def _handle_resend(self, rank: int, frame: bytes, addr: Address) -> Frames:
         _, round_index, chunk = _UP_HEADER.unpack_from(frame, 1)
-        down = self._results.get((round_index, chunk))
-        if down is None:
+        total = self._sums.results.get((round_index, chunk))
+        if total is None:
             return []  # still waiting on some worker; the sender retries
         self.counters["resends_served"] += 1
-        return [(down, addr)]
+        return [(_down_frame(round_index, chunk, total), addr)]
+
+
+def _down_frame(round_index: int, chunk: int, total: np.ndarray) -> bytes:
+    header = b"D" + _DOWN_HEADER.pack(round_index, chunk)
+    return header + total.astype("<f8", copy=False).tobytes()
 
 
 class LiveShardWorker(LiveWorkerBase):

@@ -35,6 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.baselines import hd_schedule, ring_schedule
+
 __all__ = ["LiveRunError", "run_live"]
 
 #: Hard wall-clock ceiling for one live run.  Conformance runs finish in
@@ -318,18 +320,10 @@ def _validate(config, spec, tree: bool) -> str:
             f"strategy {config.strategy!r} has no per-job switch state; "
             "job_id > 0 requires an iSwitch strategy ('isw')"
         )
-    if config.strategy in ("ar", "ar-hd") and config.n_workers < 2:
-        raise ValueError(
-            f"strategy {config.strategy!r} is peer-to-peer and needs "
-            f">= 2 workers, got {config.n_workers}"
-        )
-    if config.strategy == "ar-hd" and (
-        config.n_workers & (config.n_workers - 1)
-    ):
-        raise ValueError(
-            "strategy 'ar-hd' needs a power-of-two worker count, "
-            f"got {config.n_workers}"
-        )
+    if config.strategy in ("ar", "ar-hd"):
+        # The exchange schedule refuses a worker count it cannot run.
+        schedule = ring_schedule if config.strategy == "ar" else hd_schedule
+        schedule(config.n_workers, 0)
     if config.mode == "async" and tree:
         raise LiveRunError(
             "the live hierarchical tree only runs synchronous rounds; "

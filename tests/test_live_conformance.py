@@ -1351,7 +1351,8 @@ class TestPeerExchangeLogic:
 
         peer = self.peers(2)[1]
         worker = LiveRingWorker(0, 2, TinyAlgorithm(), None, self.peers(2))
-        payload = np.zeros(3, dtype="<f8").tobytes()
+        # A whole fragment: rank 1's step-0 block is 2 of the 5 elements.
+        payload = np.zeros(2, dtype="<f8").tobytes()
         worker._ingest(
             b"E" + struct.pack("<BBIII", 1, 0, 0, 0, 0) + payload, peer
         )
@@ -1982,10 +1983,10 @@ class TestPsServerLogic:
         vector = np.ones(3, dtype=np.float32)
         assert server.handle_frame(self.up(0, 0, 0, vector), self.addr(0)) == []
         assert server.counters["non_member"] == 1
-        assert server._contribs == {}
+        assert server._sums.pending == {}
         # Rank 0 speaks from its new address; its old one stays a stranger.
         assert server.handle_frame(self.up(0, 0, 0, vector), moved) == []
-        assert list(server._contribs[(0, 0)]) == [0]
+        assert list(server._sums.pending[(0, 0)]) == [0]
         out = server.handle_frame(self.up(1, 0, 0, vector), self.addr(1))
         assert [addr for _, addr in out] == [moved, self.addr(1)]
 
@@ -2016,7 +2017,7 @@ class TestPsServerLogic:
         short = self.up(0, 0, 0, vector[:2])
         assert server.handle_frame(short, self.addr(0)) == []
         assert server.counters["decode_errors"] == 1
-        assert server._contribs == {}
+        assert server._sums.pending == {}
         # A chunk index outside the vector is refused the same way.
         assert server.handle_frame(self.up(0, 0, 4, vector), self.addr(0)) == []
         assert server.counters["decode_errors"] == 2
@@ -2064,7 +2065,7 @@ class TestPsServerLogic:
             server.handle_frame(
                 self.up(0, round_index, 0, vector), self.addr(0)
             )
-        assert sorted(r for r, _ in server._results) == [2, 3, 4]
+        assert sorted(r for r, _ in server._sums.results) == [2, 3, 4]
 
     def test_malformed_frames_counted_not_fatal(self):
         server = PsServer(n_workers=1)
@@ -2268,11 +2269,139 @@ class TestHostileFrames:
         assert moved == {"frames_rx"} | ({verdict} if verdict else set())
         # Held under the rank that joined from the source, whatever the
         # rank byte says; anything malformed is never held at all.
-        held = {key: list(ranks) for key, ranks in server._contribs.items()}
+        held = {key: list(ranks) for key, ranks in server._sums.pending.items()}
         if verdict:
             assert held == {}
         else:
             assert held == {struct.unpack_from("<II", frame, 2): [0]}
+
+    #: The exchange vector: two blocks of 223 elements, so every message
+    #: is a 183-element and a 40-element fragment.
+    EXCHANGE_ELEMENTS = 2 * (CHUNK_ELEMS + 40)
+
+    class QueuedEndpoint:
+        """No socket: sends are kept, receives pop a script."""
+
+        def __init__(self, script=()):
+            self.sent, self.queued = [], list(script)
+
+        def send(self, frame, addr):
+            self.sent.append((frame, addr))
+
+        def recv(self, timeout):
+            return self.queued.pop(0) if self.queued else None
+
+    def exchange_worker(self, endpoint=None):
+        """Rank 1 of a two-rank ring; the only peer is ``MEMBERS[0]``."""
+        algorithm = TinyAlgorithm(self.EXCHANGE_ELEMENTS)
+        return LiveRingWorker(1, 2, algorithm, endpoint, dict(enumerate(self.MEMBERS)))
+
+    @staticmethod
+    def fragments(phase, values, sender=0):
+        """One exchange message, as its ``E`` fragments."""
+        return [
+            b"E"
+            + struct.pack("<BBIII", sender, phase, 0, 0, frag)
+            + np.asarray(part, dtype="<f8").tobytes()
+            for frag, part in enumerate((values[:CHUNK_ELEMS], values[CHUNK_ELEMS:]))
+        ]
+
+    def exchange_verdict(self, frame, addr):
+        """DESIGN §9.4's ``E`` row: u8 sender, u8 phase, u32 round, u32
+        step, u32 frag, then exactly that fragment of the message the
+        schedule has the sender owe rank 1 — rank 0, at step 0 of either
+        phase, one 223-element block."""
+        if addr not in self.MEMBERS:
+            return "non_member"
+        if frame[:1] != b"E" or len(frame) < 15:
+            return "decode_errors"
+        _, phase, _, step, frag = struct.unpack_from("<BBIII", frame, 1)
+        if phase > 1 or step != 0 or frag > 1:
+            return "decode_errors"
+        if len(frame) - 15 != 8 * (CHUNK_ELEMS, 40)[frag]:
+            return "decode_errors"
+        return None
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_peer_exchange_counts_each_mutation_where_the_frame_table_says(
+        self, data
+    ):
+        """A malformed ``E`` fragment used to raise out of ``_ingest`` (not
+        whole float64s) or be stored and blow up its message's assembly;
+        a stranger's fragment was taken for the peer's."""
+        worker = self.exchange_worker()
+        phase = data.draw(st.integers(0, 2))
+        step = data.draw(st.integers(0, 1))
+        frag = data.draw(st.integers(0, 2))
+        size = data.draw(st.sampled_from([CHUNK_ELEMS, CHUNK_ELEMS + 1, 40, 41]))
+        frame = (
+            b"E"
+            + struct.pack("<BBIII", 0, phase, data.draw(st.integers(0, 9)), step, frag)
+            + np.arange(size, dtype="<f8").tobytes()
+        )
+        frame, addr = self.mutate(
+            data, frame, ["none", "truncate", "pad", "tag", "rank", "stranger"]
+        )
+        verdict = self.exchange_verdict(frame, addr)
+        before = dict(worker.counters)
+        worker._ingest(frame, addr)
+        moved = {name for name, n in worker.counters.items() if n != before[name]}
+        assert moved == ({verdict} if verdict else set())
+        # Held under the rank the peer table gives the source address,
+        # whatever the rank byte says; anything malformed is never held.
+        held = {key: list(frags) for key, frags in worker._pending.items()}
+        if verdict:
+            assert held == {}
+        else:
+            _, phase, rnd, step, frag = struct.unpack_from("<BBIII", frame, 1)
+            assert held == {(0, phase, rnd, step): [frag]}
+
+    def test_malformed_fragments_ahead_of_the_real_ones_are_not_fatal(self):
+        """Each of these used to end the worker: a payload that is not
+        whole float64s raised out of ``_ingest``; a fragment past the
+        message's end, or one element too long, was stored and made the
+        assembly raise ("could not broadcast")."""
+        peer = self.MEMBERS[0]
+        block = np.arange(self.EXCHANGE_ELEMENTS // 2, dtype=np.float64)
+        first, second = self.fragments(0, block)
+        bad = [
+            first + b"\x00",
+            b"E" + struct.pack("<BBIII", 0, 0, 0, 0, 2) + second[15:],
+            second + bytes(8),
+        ]
+        script = bad + self.fragments(0, block) + self.fragments(1, block)
+        endpoint = self.QueuedEndpoint([(f, peer) for f in script + [b"F\x00"]])
+        worker = self.exchange_worker(endpoint)
+        gradient = TinyAlgorithm(self.EXCHANGE_ELEMENTS).compute_gradient()
+        worker.train(1)
+        assert worker.counters["decode_errors"] == 3
+        # Rank 1 reduces block 0 and gathers block 1.
+        total = np.concatenate([gradient[: block.size] + block, block])
+        np.testing.assert_array_equal(worker.algorithm.get_weights(), -total / 2)
+
+    def test_a_stranger_is_not_a_peer(self):
+        """Any address used to pass for any rank: a stranger's ``E``
+        completed the peer's message, its ``R`` drew a resend."""
+        peer, stranger = self.MEMBERS[0], self.STRANGER
+        block = np.arange(self.EXCHANGE_ELEMENTS // 2, dtype=np.float64)
+        script = [(f, stranger) for f in self.fragments(0, np.full(block.size, 1e9))]
+        script += [(f, peer) for f in self.fragments(0, block) + self.fragments(1, block)]
+        script += [(b"F\x00", stranger), (b"F\x00", peer)]
+        endpoint = self.QueuedEndpoint(script)
+        worker = self.exchange_worker(endpoint)
+        gradient = TinyAlgorithm(self.EXCHANGE_ELEMENTS).compute_gradient()
+        worker.train(1)
+        total = np.concatenate([gradient[: block.size] + block, block])
+        np.testing.assert_array_equal(worker.algorithm.get_weights(), -total / 2)
+        assert worker.counters["non_member"] == 3
+        sent = len(endpoint.sent)
+        resend = b"R" + struct.pack("<BBII", 0, 0, 0, 0)
+        worker._ingest(resend, stranger)
+        assert len(endpoint.sent) == sent and worker.counters["non_member"] == 4
+        worker._ingest(resend, peer)  # the peer's: both fragments again
+        assert [addr for _, addr in endpoint.sent[sent:]] == [peer, peer]
+        assert worker.counters["resends_served"] == 1
 
 
 @needs_loopback

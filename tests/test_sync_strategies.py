@@ -139,5 +139,5 @@ class TestOncePerRound:
 
         monkeypatch.setattr(SyncStrategy, "run", keep)
         train(strategy, "synth", n_workers=4, iterations=3, seed=1)
-        assert runners[0]._round_gradients == {}
+        assert runners[0]._round_sums.pending == {}
         assert runners[0]._round_shared == {}
