@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast live lint bench-pytest perf-selftest perf-pairs soak-smoke loss-smoke
+.PHONY: test test-fast live lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -30,6 +30,12 @@ lint:
 
 bench-pytest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q
+
+# The K=1 rollout cost: one compute_gradient() per algorithm through the
+# scalar rollout oracle (tests/oracles.py) and the one rollout path on the
+# same bare env (plus a four-env kernel), in one session.
+rollout-bench:
+	PYTHONPATH=src $(PY) -m pytest benchmarks/test_microbench_primitives.py -k rollout --benchmark-only
 
 perf-selftest:
 	$(PY) -m pytest benchmarks/perf -q

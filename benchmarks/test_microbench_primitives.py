@@ -46,7 +46,12 @@ from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D
 from repro.rl.envs.vector import make_vector_env
 from repro.rl.replay import ReplayBuffer, Transition
 from tests.helpers import per_packet_reference
-from tests.oracles import tape_a2c_gradient, tape_ddpg_gradient, tape_ppo_gradient
+from tests.oracles import (
+    install_scalar_rollout,
+    tape_a2c_gradient,
+    tape_ddpg_gradient,
+    tape_ppo_gradient,
+)
 
 
 def test_engine_contribution_throughput(benchmark):
@@ -193,13 +198,17 @@ _ROLLOUT_ENVS = {
 
 
 def _trained(algorithm, width):
-    """The algorithm at default shapes after 20 updates (replay warm)."""
+    """The algorithm at default shapes after 20 updates (replay warm):
+    ``scalar`` is the scalar rollout loop of ``tests/oracles.py`` on a bare
+    env, ``K1`` the same bare env through the one rollout path
+    (``VectorEnv([env])``), ``K4`` the four-env kernel."""
     cls, name, scalar_env = _ROLLOUT_ENVS[algorithm]
-    if width == "scalar":
-        env = scalar_env(seed=7)
+    if width == "K4":
+        algo = cls(make_vector_env(name, 4, seed=7), seed=7)
     else:
-        env = make_vector_env(name, int(width[1:]), seed=7)
-    algo = cls(env, seed=7)
+        algo = cls(scalar_env(seed=7), seed=7)
+        if width == "scalar":
+            install_scalar_rollout(algo)
     for _ in range(20):
         algo.apply_update(algo.compute_gradient())
     return algo
@@ -209,10 +218,11 @@ def _trained(algorithm, width):
 @pytest.mark.parametrize("algorithm", sorted(_ROLLOUT_ENVS))
 def test_rollout_throughput(benchmark, algorithm, width):
     """One ``compute_gradient()`` — rollout plus gradient — through the
-    scalar env and through ``make_vector_env(name, K)``.  Scalar and K1 are
-    the same computation (equal weights after 20 updates, checked here);
-    their ratio is what "the scalar rollout is ``VectorEnv(K=1)``" would
-    cost (ROADMAP, "One rollout path").  K4 does four envs' work per call."""
+    scalar rollout oracle, the one rollout path on the same bare env, and
+    ``make_vector_env(name, 4)``.  Scalar and K1 are the same computation
+    (equal weights after 20 updates, checked here); their ratio is what
+    stepping a bare env as ``VectorEnv([env])`` costs.  K4 does four envs'
+    work per call."""
     benchmark.group = f"{algorithm}-rollout"
     algo = _trained(algorithm, width)
     if width == "K1":

@@ -341,12 +341,6 @@ class SwitchFabric:
             )
         return handle.result.workers[0].algorithm.get_weights()
 
-    def status_rows(self) -> List[dict]:
-        """All job summaries, for ``repro jobs status`` and tests."""
-        return [
-            self.handles[job_id].summary() for job_id in sorted(self.handles)
-        ]
-
 
 #: The deployment-facing alias: a fabric plus its jobs is "the cluster".
 Cluster = SwitchFabric

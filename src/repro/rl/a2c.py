@@ -11,10 +11,11 @@ whole model travels as a single gradient vector.
 Action selection and the tail bootstrap run through ``Sequential.infer``
 (raw NumPy, no tape) and the gradient is one closed-form kernel
 (``fused_a2c_grad``, pinned against the autograd tape in
-``tests/test_compute_parity.py``; DESIGN.md §13).  With a
-:class:`~repro.rl.envs.vector.VectorEnv` the rollout advances K envs per
-step and flattens time-major into one batch; K = 1 reproduces scalar
-stepping bit-for-bit on the same rng stream.
+``tests/test_compute_parity.py``; DESIGN.md §13).  The rollout advances
+the K envs of a :class:`~repro.rl.envs.vector.VectorEnv` per step and
+flattens time-major into one batch; a bare env is stepped as
+``VectorEnv([env])``, bit-for-bit the scalar loop in ``tests/oracles.py``
+on the same rng stream.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..nn import Adam, fused_a2c_grad, mlp
 from ..nn.layers import Module
 from .base import Algorithm
 from .envs.base import Environment
-from .envs.vector import VectorEnv
 from .spaces import Discrete
 
 __all__ = ["A2C", "ActorCritic", "discounted_returns"]
@@ -57,16 +57,29 @@ class ActorCritic(Module):
 def discounted_returns(
     rewards: np.ndarray,
     dones: np.ndarray,
-    bootstrap: float,
+    bootstrap,
     gamma: float,
 ) -> np.ndarray:
-    """n-step discounted returns with bootstrap from the last state."""
-    returns = np.zeros_like(rewards)
-    running = bootstrap
-    for t in range(len(rewards) - 1, -1, -1):
-        running = rewards[t] + gamma * running * (1.0 - dones[t])
-        returns[t] = running
-    return returns
+    """n-step discounted returns with bootstrap from the last state.
+
+    ``rewards`` and ``dones`` are ``(T,)`` with a scalar ``bootstrap``, or
+    a ``(T, K)`` rollout with one bootstrap per env.  Each env's recursion
+    runs on Python floats: the same IEEE doubles as float64 array math,
+    without a NumPy call per step.
+    """
+    steps = len(rewards)
+    columns = []
+    for rew, done, running in zip(
+        np.reshape(rewards, (steps, -1)).T.tolist(),
+        np.reshape(dones, (steps, -1)).T.tolist(),
+        np.ravel(bootstrap).tolist(),
+        strict=True,
+    ):
+        for t in range(steps - 1, -1, -1):
+            running = rew[t] + gamma * running * (1.0 - done[t])
+            rew[t] = running  # the return overwrites its spent reward
+        columns.append(rew)
+    return np.array(columns, dtype=np.float64).T.reshape(np.shape(rewards))
 
 
 class A2C(Algorithm):
@@ -88,8 +101,7 @@ class A2C(Algorithm):
             raise TypeError("A2C requires a discrete action space")
         if rollout_steps < 1:
             raise ValueError(f"rollout_steps must be >= 1, got {rollout_steps}")
-        self.env = env
-        self._venv = env if isinstance(env, VectorEnv) else None
+        self._attach_env(env)
         self.rng = np.random.default_rng(seed)
         self.gamma = gamma
         self.rollout_steps = rollout_steps
@@ -104,82 +116,53 @@ class A2C(Algorithm):
         )
         super().__init__(container)
         self.optimizer = Adam(container.parameters(), lr=lr)
-        self._obs = env.reset()
 
     # ------------------------------------------------------------------
-    def _draw(self, logits: np.ndarray) -> int:
-        """Softmax one row of logits and sample an action from it."""
-        logits = logits - logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        return sample_index(self.rng, probs)
-
     def act(self, obs: np.ndarray) -> int:
-        return self._draw(self.container.policy.infer(obs[None, :])[0])
+        return int(self.act_batch(obs[None, :])[0])
 
     def act_batch(self, obs_batch: np.ndarray) -> np.ndarray:
         """Sample actions for a batch of observations (one net forward).
 
-        Per-row softmax and rng draws run in env index order; a single
-        row consumes the rng stream exactly as :meth:`act` does.
+        Per-row softmax and rng draws run in env index order; one row
+        consumes the rng stream exactly as a scalar draw does.
         """
-        draw = self._draw
-        logits = self.container.policy.infer(obs_batch)
-        return np.array([draw(row) for row in logits], dtype=np.int64)
+        return np.array(self._choose(obs_batch), dtype=np.int64)
+
+    def _choose(self, obs_batch: np.ndarray) -> list:
+        """:meth:`act_batch` as a list of ints, the form the rollout hands
+        each env."""
+        rng, actions = self.rng, []
+        for logits in self.container.policy.infer(obs_batch):
+            logits = logits - logits.max()
+            probs = np.exp(logits)
+            probs /= probs.sum()
+            actions.append(sample_index(rng, probs))
+        return actions
 
     def _bootstrap_values(self, obs_batch: np.ndarray) -> np.ndarray:
         return self.container.value.infer(obs_batch)[:, 0]
 
-    def compute_gradient(self) -> np.ndarray:
-        env_step, obs = self.env.step, self._obs  # read once per rollout
-        if self._venv is not None:
-            act_batch, track = self.act_batch, self._track_rewards_batch
-            obs_buf, act_buf, rew_buf, done_buf = [], [], [], []
-            for _ in range(self.rollout_steps):
-                actions = act_batch(obs)
-                next_obs, rewards, dones, _ = env_step(actions)
-                obs_buf.append(obs)
-                act_buf.append(actions)
-                rew_buf.append(rewards)
-                done_buf.append(dones)
-                track(rewards, dones)
-                obs = next_obs
-            self._obs = obs
-            num_envs = self.env.num_envs
-            states = np.asarray(obs_buf).reshape(self.rollout_steps * num_envs, -1)
-            actions_flat = np.asarray(act_buf, dtype=np.int64).reshape(-1)
-            rewards_arr = np.asarray(rew_buf, dtype=np.float64)
-            dones_arr = np.asarray(done_buf, dtype=np.float64)
-            bootstrap = self._bootstrap_values(self._obs)
-        else:
-            act, reset, track = self.act, self.env.reset, self._track_reward
-            observations, actions, rewards, dones = [], [], [], []
-            for _ in range(self.rollout_steps):
-                action = act(obs)
-                next_obs, reward, done, _ = env_step(action)
-                observations.append(obs)
-                actions.append(action)
-                rewards.append(reward)
-                dones.append(done)
-                track(reward, done)
-                obs = reset() if done else next_obs
-            self._obs = obs
-            states = np.stack(observations)
-            actions_flat = np.asarray(actions, dtype=np.int64)
-            rewards_arr = np.asarray(rewards, dtype=np.float64)
-            dones_arr = np.asarray(dones, dtype=np.float64)
-            bootstrap = float(self._bootstrap_values(self._obs[None, :])[0])
-
-        # discounted_returns broadcasts over (T,) or (T, K) rollouts alike.
+    def _collect_rollout(self):
+        """``rollout_steps`` steps of every env: the time-major states and
+        actions, and each step's discounted return."""
+        rollout = self._rollout(self.rollout_steps, self._choose)
+        shape = (self.rollout_steps, self.vec_env.num_envs)
         returns = discounted_returns(
-            rewards_arr, dones_arr, bootstrap, self.gamma
-        ).reshape(-1)
+            rollout.rewards.reshape(shape),
+            rollout.dones.reshape(shape),
+            self._bootstrap_values(rollout.last_observations),
+            self.gamma,
+        )
+        return rollout.states, rollout.actions, returns.reshape(-1)
 
+    def compute_gradient(self) -> np.ndarray:
+        states, actions, returns = self._collect_rollout()
         fused_a2c_grad(
             self.container.policy,
             self.container.value,
             states,
-            actions_flat,
+            actions,
             returns,
             self.value_coef,
             self.entropy_coef,

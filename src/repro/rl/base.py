@@ -30,6 +30,7 @@ import numpy as np
 
 from ..nn.layers import Module
 from ..nn.serialize import flatten_grads_into, flatten_params, load_flat_params
+from .envs.vector import Rollout, VectorEnv
 
 __all__ = ["Algorithm"]
 
@@ -50,7 +51,6 @@ class Algorithm:
         self._params = container.parameters()
         self.updates_applied = 0
         self.episode_rewards: List[float] = []
-        self._current_episode_reward = 0.0
         self._flat_plan = None  # lazily built; list attr, not cloned by resync
 
     # ------------------------------------------------------------------
@@ -104,6 +104,49 @@ class Algorithm:
         """Hook: target-network syncs etc.  Default: nothing."""
 
     # ------------------------------------------------------------------
+    # The rollout env
+    # ------------------------------------------------------------------
+    def _attach_env(self, env) -> None:
+        """Keep the caller's env as ``self.env``, roll out through one
+        :class:`VectorEnv`, ``self.vec_env``, and reset it.  A bare env is
+        stepped as ``VectorEnv([env])``, the sequential reference, which
+        steps that same env object.  Every algorithm has this one rollout
+        path; the scalar loops it replaced are the oracle in
+        ``tests/oracles.py``.
+        """
+        self.env = env
+        self.vec_env = env if isinstance(env, VectorEnv) else VectorEnv([env])
+        self._obs = self.vec_env.reset()
+
+    def _rollout(self, steps: int, act, on_episode_end=None) -> Rollout:
+        """``steps`` steps of every env from where the last rollout ended
+        (:meth:`VectorEnv.rollout`), with the episodes they finish
+        recorded in :attr:`episode_rewards`."""
+        rollout = self.vec_env.rollout(self._obs, act, steps, on_episode_end)
+        self._obs = rollout.last_observations
+        self.episode_rewards.extend(rollout.episode_returns)
+        return rollout
+
+    def _replay_steps(self, act, on_episode_end=None, n_step: int = 1) -> None:
+        """The replay algorithms' (DQN, DDPG) rollout: fill ``self.buffer``
+        to ``self.warmup``, then ``self.env_steps_per_iter`` more steps.
+
+        One step pushes at most ``n_step`` transitions per env (an episode
+        end flushes an env's pending n-step ones), so each fill rollout is
+        as long as cannot overshoot: the fill takes exactly the steps a
+        step-by-step ``while len(buffer) < warmup`` loop takes.
+        """
+        most = n_step * self.vec_env.num_envs
+        while len(self.buffer) < self.warmup:
+            steps = max(1, (self.warmup - len(self.buffer)) // most)
+            self._push(self._rollout(steps, act, on_episode_end))
+        self._push(self._rollout(self.env_steps_per_iter, act, on_episode_end))
+
+    def _push(self, rollout: Rollout) -> None:
+        """Push a rollout's transitions to replay, in step order."""
+        self.buffer.push_batch(*rollout.transitions())
+
+    # ------------------------------------------------------------------
     # Weight exchange (parameter-server pulls)
     # ------------------------------------------------------------------
     @property
@@ -140,22 +183,6 @@ class Algorithm:
     # ------------------------------------------------------------------
     # Reward accounting
     # ------------------------------------------------------------------
-    def _track_reward(self, reward: float, done: bool) -> None:
-        self._current_episode_reward += reward
-        if done:
-            self.episode_rewards.append(self._current_episode_reward)
-            self._current_episode_reward = 0.0
-
-    def _track_rewards_batch(self, rewards: np.ndarray, dones: np.ndarray) -> None:
-        """Per-env episode accounting for vectorized rollouts (env order)."""
-        acc = getattr(self, "_episode_acc", None)
-        if acc is None or len(acc) != len(rewards):
-            acc = self._episode_acc = np.zeros(len(rewards))
-        acc += rewards
-        for i in np.nonzero(dones)[0]:
-            self.episode_rewards.append(float(acc[i]))
-            acc[i] = 0.0
-
     def final_average_reward(self, last: int = 10) -> float:
         """The paper's metric: episode reward averaged over the last 10
         completed episodes (§5.2)."""

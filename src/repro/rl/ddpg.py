@@ -16,11 +16,12 @@ identical.
 Gradient-free forwards go through ``Sequential.infer`` (raw NumPy, no
 tape), both gradients are one closed-form kernel (``fused_ddpg_grad``,
 pinned against the autograd tape in ``tests/test_compute_parity.py``),
-and replay is the ring buffer (DESIGN.md §13).  A
-:class:`~repro.rl.envs.vector.VectorEnv`
-steps K environments per call with one batched actor forward and a (K, dim)
-Ornstein–Uhlenbeck state; K = 1 consumes the same rng stream as scalar
-stepping and reproduces it bit-for-bit.
+and replay is the ring buffer (DESIGN.md §13).  The rollout steps the K
+environments of a :class:`~repro.rl.envs.vector.VectorEnv` per call with
+one batched actor forward and a (K, dim) Ornstein–Uhlenbeck state; a
+bare env is stepped as ``VectorEnv([env])``, which consumes the same rng
+stream as the scalar loop in ``tests/oracles.py`` and reproduces it
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from ..nn.layers import Module
 from ..nn.serialize import flatten_params, load_flat_params
 from .base import Algorithm
 from .envs.base import Environment
-from .envs.vector import VectorEnv
-from .replay import Transition, make_replay_buffer
+from .replay import make_replay_buffer
 from .spaces import Box
 
 __all__ = ["DDPG", "OUNoise", "ActorCriticPair"]
@@ -44,9 +44,9 @@ __all__ = ["DDPG", "OUNoise", "ActorCriticPair"]
 class OUNoise:
     """Ornstein–Uhlenbeck process, DDPG's temporally correlated noise.
 
-    ``dim`` is the state's shape: an int for one env, ``(K, action_dim)``
-    for a ``VectorEnv`` — the normal draw fills row-major, so with one row
-    the rng stream is the scalar one.
+    ``dim`` is the state's shape.  DDPG keeps one row per env,
+    ``(K, action_dim)``; the normal draw fills row-major, so one row draws
+    the rng stream of a flat ``action_dim`` state.
     """
 
     def __init__(
@@ -66,6 +66,7 @@ class OUNoise:
         self.state = np.zeros(self.dim)
 
     def reset_rows(self, rows: np.ndarray) -> None:
+        """Zero the rows ``rows`` (indices or a boolean mask) selects."""
         self.state[rows] = 0.0
 
     def sample(self) -> np.ndarray:
@@ -122,8 +123,7 @@ class DDPG(Algorithm):
             raise TypeError("DDPG requires a continuous (Box) action space")
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {tau}")
-        self.env = env
-        self._venv = env if isinstance(env, VectorEnv) else None
+        self._attach_env(env)
         self.rng = np.random.default_rng(seed)
         self.gamma = gamma
         self.tau = tau
@@ -148,11 +148,8 @@ class DDPG(Algorithm):
         self._target_params = self.targets.parameters()
         self.actor_optimizer = Adam(container.actor.parameters(), lr=actor_lr)
         self.critic_optimizer = Adam(container.critic.parameters(), lr=critic_lr)
-        dim = env.action_space.dim
-        shape = dim if self._venv is None else (env.num_envs, dim)
-        self.noise = OUNoise(shape, self.rng)
+        self.noise = OUNoise((self.vec_env.num_envs, env.action_space.dim), self.rng)
         self.buffer = make_replay_buffer(buffer_capacity, self.rng)
-        self._obs = env.reset()
 
     # ------------------------------------------------------------------
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
@@ -166,45 +163,9 @@ class DDPG(Algorithm):
         return self.env.action_space.clip(actions)
 
     def _env_steps(self) -> None:
-        """Fill replay to ``warmup``, then ``env_steps_per_iter`` more steps."""
-        env_step, buffer, noise = self.env.step, self.buffer, self.noise
-        if self._venv is not None:
-            act_batch, track = self.act_batch, self._track_rewards_batch
-
-            def step(obs):
-                actions = act_batch(obs)
-                next_obs, rewards, dones, infos = env_step(actions)
-                # Replay must see the terminal observation, not the autoreset one.
-                bootstrap_obs = next_obs
-                done_rows = np.nonzero(dones)[0]
-                if done_rows.size:
-                    bootstrap_obs = next_obs.copy()
-                    for i in done_rows:
-                        bootstrap_obs[i] = infos[i]["terminal_observation"]
-                    noise.reset_rows(done_rows)
-                buffer.push_batch(obs, actions, rewards, bootstrap_obs, dones)
-                track(rewards, dones)
-                return next_obs
-        else:
-            act, reset = self.act, self.env.reset
-            push, track = buffer.push, self._track_reward
-
-            def step(obs):
-                action = act(obs)
-                next_obs, reward, done, _ = env_step(action)
-                push(Transition(obs, action, reward, next_obs, done))
-                track(reward, done)
-                if done:
-                    next_obs = reset()
-                    noise.reset()
-                return next_obs
-
-        obs = self._obs
-        while len(buffer) < self.warmup:
-            obs = step(obs)
-        for _ in range(self.env_steps_per_iter):
-            obs = step(obs)
-        self._obs = obs
+        """Fill replay to ``warmup``, then ``env_steps_per_iter`` more steps;
+        an env's OU noise restarts with its episode."""
+        self._replay_steps(self.act_batch, self.noise.reset_rows)
 
     # ------------------------------------------------------------------
     def compute_gradient(self) -> np.ndarray:

@@ -20,11 +20,11 @@ Gradient-free forwards go through ``Sequential.infer`` (raw NumPy, no
 tape), the trained update is one closed-form fused forward+backward over
 the whole MLP → gather → Huber graph (``fused_qnet_grad``, pinned
 against the autograd tape in ``tests/test_compute_parity.py``), replay
-is the ring buffer, and the scalar n-step fold is one vectorized array
-update (DESIGN.md §13).  Passing a :class:`~repro.rl.envs.vector.VectorEnv`
-steps K environments per call with one batched ``act``; with K = 1 the
-batched path consumes the same rng stream as scalar stepping and
-reproduces it bit-for-bit.
+is the ring buffer (DESIGN.md §13).  The rollout steps a
+:class:`~repro.rl.envs.vector.VectorEnv` — K environments per call with
+one batched ``act`` — and a bare env as ``VectorEnv([env])``, which
+consumes the same rng stream as the scalar loop in ``tests/oracles.py``
+and reproduces it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from ..nn.layers import Module
 from ..nn.serialize import flatten_params, load_flat_params
 from .base import Algorithm
 from .envs.base import Environment
-from .envs.vector import VectorEnv
 from .replay import Transition, make_replay_buffer
 from .spaces import Discrete
 
@@ -82,8 +81,7 @@ class DQN(Algorithm):
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
         if n_step < 1:
             raise ValueError(f"n_step must be >= 1, got {n_step}")
-        self.env = env
-        self._venv = env if isinstance(env, VectorEnv) else None
+        self._attach_env(env)
         self.rng = np.random.default_rng(seed)
         self.gamma = gamma
         self.batch_size = batch_size
@@ -95,13 +93,8 @@ class DQN(Algorithm):
         self.epsilon_decay_updates = epsilon_decay_updates
         self.double_dqn = double_dqn
         self.n_step = n_step
-        self._pending: deque = deque()
-        self._pending_per_env: Optional[list] = None
-        # Same values a per-entry `gamma ** age` produces.
-        self._gamma_powers = np.array([gamma**j for j in range(n_step)])
-        self._pending_rewards = np.zeros(n_step)
-        self._pending_ages = np.zeros(n_step, dtype=np.int64)
-        self._pending_heads: list = []
+        #: Per env, the transitions still absorbing n-step rewards.
+        self._pending = [deque() for _ in range(self.vec_env.num_envs)]
 
         n_actions = env.action_space.n
         sizes = [env.observation_size, *hidden, n_actions]
@@ -113,7 +106,6 @@ class DQN(Algorithm):
         self._sync_target()
         self.optimizer = Adam(self.container.parameters(), lr=lr)
         self.buffer = make_replay_buffer(buffer_capacity, self.rng)
-        self._obs = env.reset()
 
     # ------------------------------------------------------------------
     # Acting
@@ -128,94 +120,67 @@ class DQN(Algorithm):
         )
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> int:
-        if not greedy and self.rng.random() < self.epsilon:
-            return self.env.action_space.sample(self.rng)
-        return int(np.argmax(self.q_net.infer(obs[None, :])[0]))
+        return int(self.act_batch(obs[None, :], greedy)[0])
 
     def act_batch(self, obs_batch: np.ndarray, greedy: bool = False) -> np.ndarray:
         """ε-greedy actions for a batch of observations (one net forward).
 
-        Exploration draws happen in env index order; with one row this
-        consumes the rng stream exactly as :meth:`act` does.
+        The K exploration uniforms are drawn first, then one random action
+        per exploring row in env index order; one row consumes the rng
+        stream exactly as a scalar ε-greedy step does.
         """
-        k = len(obs_batch)
-        actions = np.empty(k, dtype=np.int64)
-        if greedy:
-            explore = np.zeros(k, dtype=bool)
-        else:
-            explore = self.rng.random(k) < self.epsilon
-            for i in np.nonzero(explore)[0]:
-                actions[i] = self.env.action_space.sample(self.rng)
-        exploit = np.nonzero(~explore)[0]
-        if exploit.size:
-            q_values = self.q_net.infer(obs_batch[exploit])
-            actions[exploit] = np.argmax(q_values, axis=1)
-        return actions
+        policy = self._policy(None if greedy else self.epsilon)
+        return np.array(policy(obs_batch), dtype=np.int64)
+
+    def _policy(self, epsilon):
+        """:meth:`act_batch` at one ε (None: greedy, nothing drawn), as a
+        function of the observations returning a list of ints — the form
+        the rollout hands each env, built once per rollout."""
+        rng, sample, q_net = self.rng, self.env.action_space.sample, self.q_net
+
+        def choose(obs_batch):
+            k = len(obs_batch)
+            if epsilon is None:
+                actions = [-1] * k
+            else:
+                actions = []
+                for u in rng.random(k).tolist():
+                    actions.append(sample(rng) if u < epsilon else -1)
+            if -1 in actions:  # the rows that act greedily
+                rows = [i for i, action in enumerate(actions) if action < 0]
+                q_values = q_net.infer(obs_batch if len(rows) == k else obs_batch[rows])
+                for i, action in zip(rows, np.argmax(q_values, axis=1).tolist()):
+                    actions[i] = action
+            return actions
+
+        return choose
 
     def _env_steps(self) -> None:
         """Fill replay to ``warmup``, then ``env_steps_per_iter`` more steps."""
-        env_step, buffer, one_step = self.env.step, self.buffer, self.n_step == 1
-        if self._venv is not None:
-            act_batch, track = self.act_batch, self._track_rewards_batch
+        self._replay_steps(self._policy(self.epsilon), n_step=self.n_step)
 
-            def step(obs):
-                actions = act_batch(obs)
-                next_obs, rewards, dones, infos = env_step(actions)
-                # Replay must see the terminal observation, not the autoreset one.
-                bootstrap_obs = next_obs
-                done_rows = np.nonzero(dones)[0]
-                if done_rows.size:
-                    bootstrap_obs = next_obs.copy()
-                    for i in done_rows:
-                        bootstrap_obs[i] = infos[i]["terminal_observation"]
-                if one_step:
-                    buffer.push_batch(obs, actions, rewards, bootstrap_obs, dones)
-                else:
-                    if self._pending_per_env is None:
-                        self._pending_per_env = [deque() for _ in range(len(actions))]
-                    for i in range(len(actions)):
-                        self._accumulate_n_step(
-                            np.array(obs[i]),
-                            int(actions[i]),
-                            float(rewards[i]),
-                            np.array(bootstrap_obs[i]),
-                            bool(dones[i]),
-                            pending=self._pending_per_env[i],
-                        )
-                track(rewards, dones)
-                return next_obs
-        else:
-            act, reset, track = self.act, self.env.reset, self._track_reward
-            push, fold = buffer.push, self._accumulate_n_step_fast
-
-            def step(obs):
-                action = act(obs)
-                next_obs, reward, done, _ = env_step(action)
-                if one_step:
-                    push(Transition(obs, action, reward, next_obs, done))
-                else:
-                    fold(obs, action, reward, next_obs, done)
-                track(reward, done)
-                return reset() if done else next_obs
-
-        obs = self._obs
-        while len(buffer) < self.warmup:
-            obs = step(obs)
-        for _ in range(self.env_steps_per_iter):
-            obs = step(obs)
-        self._obs = obs
+    def _push(self, rollout) -> None:
+        if self.n_step == 1:
+            self.buffer.push_batch(*rollout.transitions())
+            return
+        states, actions, rewards, next_states, dones = rollout.transitions()
+        num_envs = self.vec_env.num_envs
+        rows = zip(
+            states, actions.tolist(), rewards.tolist(), next_states, dones.tolist()
+        )
+        for row, transition in enumerate(rows):
+            self._accumulate_n_step(*transition, env=row % num_envs)
 
     def _accumulate_n_step(
-        self, obs, action, reward, next_obs, done, pending: Optional[deque] = None
+        self, obs, action, reward, next_obs, done, env: int = 0
     ) -> None:
-        """Fold the newest step into pending n-step transitions.
+        """Fold env ``env``'s newest step into its pending n-step transitions.
 
         A pending transition matures when it has absorbed ``n_step``
         rewards (bootstrapping from the state n steps ahead) or when the
         episode ends (no bootstrap left to wait for).
         """
-        if pending is None:
-            pending = self._pending
+        pending = self._pending[env]
         pending.append([obs, action, 0.0, next_obs, done, 0])
         for entry in pending:
             entry[2] += reward * (self.gamma ** entry[5])
@@ -227,46 +192,6 @@ class DQN(Algorithm):
             self.buffer.push(
                 Transition(first[0], first[1], first[2], first[3], first[4])
             )
-
-    def _accumulate_n_step_fast(self, obs, action, reward, next_obs, done) -> None:
-        """Array-based n-step fold, bit-identical to :meth:`_accumulate_n_step`.
-
-        Pending (state, action) heads sit in a list; their reward
-        accumulators and ages live in two fixed arrays (at most
-        ``n_step`` entries are ever pending), so the per-step fold is one
-        vectorized multiply-add instead of a Python loop.  The mature
-        next_state/done are taken from the current step — exactly what
-        the per-entry rewrite there leaves in place at pop time.
-        """
-        heads = self._pending_heads
-        count = len(heads)
-        heads.append((obs, action))
-        self._pending_rewards[count] = 0.0
-        self._pending_ages[count] = 0
-        count += 1
-        self._pending_rewards[:count] += (
-            reward * self._gamma_powers[self._pending_ages[:count]]
-        )
-        self._pending_ages[:count] += 1
-        mature = count if done else np.searchsorted(
-            -self._pending_ages[:count], -self.n_step, side="right"
-        )
-        if mature:
-            for j in range(mature):
-                head_obs, head_action = heads[j]
-                self.buffer.push(
-                    Transition(
-                        head_obs,
-                        head_action,
-                        float(self._pending_rewards[j]),
-                        next_obs,
-                        done,
-                    )
-                )
-            del heads[:mature]
-            remaining = count - mature
-            self._pending_rewards[:remaining] = self._pending_rewards[mature:count]
-            self._pending_ages[:remaining] = self._pending_ages[mature:count]
 
     # ------------------------------------------------------------------
     # The LGC stage

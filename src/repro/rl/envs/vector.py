@@ -22,11 +22,19 @@ Episodes auto-reset: when env ``i`` terminates, ``step`` returns
 ``done[i] = True``, stashes the terminal observation under
 ``infos[i]["terminal_observation"]``, and returns the next episode's
 first observation in ``obs[i]``.
+
+``rollout`` is every algorithm's one rollout path: T steps under a
+policy callback, returned as one flat, time-major :class:`Rollout`
+with the returns of the episodes that ended.  An algorithm handed a
+bare env steps it as ``VectorEnv([env])``; the sequential reference
+keeps rewards, dones and infos in Python lists until the rollout ends,
+so K = 1 makes one array per step (the observations the policy reads)
+and costs about what a scalar loop over the env does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .gridqbert import GridQbert
 from .hopper1d import Hopper1D
 
 __all__ = [
+    "Rollout",
     "VectorEnv",
     "VectorGridPong",
     "VectorGridQbert",
@@ -44,6 +53,55 @@ __all__ = [
     "VectorCheetah1D",
     "make_vector_env",
 ]
+
+
+class Rollout(NamedTuple):
+    """``T`` steps of ``K`` envs, flat and time-major: row ``t * K + i``
+    is env ``i`` at step ``t``."""
+
+    #: ``((T + 1) * K, obs_size)``: where the rollout started, then the
+    #: observations after every step (the autoreset start where one ended).
+    observations: np.ndarray
+    #: ``(T * K, ...)``: the actions taken.
+    actions: np.ndarray
+    #: ``(T * K,)`` float64 and bool.
+    rewards: np.ndarray
+    dones: np.ndarray
+    #: ``T * K`` info dicts.
+    infos: List[Dict]
+    #: ``(K, obs_size)``: where the next rollout starts.
+    last_observations: np.ndarray
+    #: The return of every episode that ended, in step order (env order
+    #: within a step).
+    episode_returns: List[float]
+
+    @property
+    def states(self) -> np.ndarray:
+        """The observation each action was taken in."""
+        return self.observations[: len(self.infos)]
+
+    def transitions(self) -> tuple:
+        """``(states, actions, rewards, next_states, dones)`` for replay:
+        a step that ended an episode bootstraps from its terminal
+        observation, not from the autoreset start that follows it."""
+        rows, observations = len(self.infos), self.observations
+        next_states = observations[len(observations) - rows:]
+        if self.episode_returns:  # some episode ended
+            next_states = next_states.copy()
+            for row in self.dones.nonzero()[0]:
+                next_states[row] = self.infos[row]["terminal_observation"]
+        return observations[:rows], self.actions, self.rewards, next_states, self.dones
+
+
+class _StepLog(NamedTuple):
+    """What a run of steps appends to, per env in step order."""
+
+    actions: list
+    rewards: list
+    dones: list
+    infos: list
+    #: The return of each episode that ended.
+    returns: list
 
 
 class VectorEnv:
@@ -57,26 +115,73 @@ class VectorEnv:
         self.num_envs = len(envs)
         self.observation_size = envs[0].observation_size
         self.action_space = envs[0].action_space
+        self._returns = [0.0] * self.num_envs
 
     def reset(self) -> np.ndarray:
         return np.stack([env.reset() for env in self.envs])
 
     def step(self, actions):
-        obs = np.empty((self.num_envs, self.observation_size))
-        rewards = np.empty(self.num_envs)
-        dones = np.zeros(self.num_envs, dtype=bool)
-        infos: List[Dict] = []
-        for i, env in enumerate(self.envs):
-            o, r, d, info = env.step(actions[i])
+        log = _StepLog([], [], [], [], [])
+        obs = self._step_into(actions, log)
+        return (
+            obs,
+            np.array(log.rewards, dtype=np.float64),
+            np.array(log.dones, dtype=bool),
+            log.infos,
+        )
+
+    def rollout(
+        self,
+        obs: np.ndarray,
+        act: Callable[[np.ndarray], Sequence],
+        steps: int,
+        on_episode_end: Optional[Callable[[list], None]] = None,
+    ) -> Rollout:
+        """``steps`` steps from ``obs`` (the ``(K, obs_size)`` observations
+        the last step or ``reset`` returned), each with the K actions
+        ``act(obs)`` picks (an array, or a list of scalar actions).
+        After a step that ended an episode, ``on_episode_end`` gets that
+        step's K dones, before the next ``act``."""
+        num_envs, step_into = self.num_envs, self._step_into
+        log, obs_buf = _StepLog([], [], [], [], []), [obs]
+        for _ in range(steps):
+            obs = step_into(act(obs), log)
+            if on_episode_end is not None:
+                step_dones = log.dones[-num_envs:]
+                if True in step_dones:
+                    on_episode_end(step_dones)
+            obs_buf.append(obs)
+        return Rollout(
+            np.concatenate(obs_buf),
+            np.array(log.actions),
+            np.array(log.rewards, dtype=np.float64),
+            np.array(log.dones, dtype=bool),
+            log.infos,
+            obs,
+            log.returns,
+        )
+
+    def _step_into(self, actions, log: _StepLog) -> np.ndarray:
+        """Step every env once (autoreset), append to ``log`` in env order,
+        and return the ``(K, obs_size)`` observations.  An episode's
+        return sums its rewards in step order from 0.0, however the env
+        was stepped."""
+        taken, rewards, dones, infos, returns = log
+        running, rows = self._returns, []
+        for i, (env, action) in enumerate(zip(self.envs, actions)):
+            o, r, d, info = env.step(action)
+            running[i] += r
             if d:
-                info = dict(info)
-                info["terminal_observation"] = o
+                returns.append(running[i])
+                running[i] = 0.0
+                info = {**info, "terminal_observation": o}
                 o = env.reset()
-            obs[i] = o
-            rewards[i] = r
-            dones[i] = d
+            rows.append(o)
+            taken.append(action)
+            rewards.append(r)
+            dones.append(d)
             infos.append(info)
-        return obs, rewards, dones, infos
+        return np.array(rows)
 
 
 class _KernelVectorEnv(VectorEnv):
@@ -92,6 +197,7 @@ class _KernelVectorEnv(VectorEnv):
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         self.num_envs = num_envs
         self.max_steps = max_steps
+        self._returns = np.zeros(num_envs)
         self._rngs = [
             np.random.default_rng(None if seed is None else seed + i)
             for i in range(num_envs)
@@ -102,14 +208,23 @@ class _KernelVectorEnv(VectorEnv):
             self._reset_env(i)
         return self._observe_all()
 
-    def step(self, actions):
-        rewards, dones, infos = self._step_all(np.asarray(actions))
+    def _step_into(self, actions, log: _StepLog) -> np.ndarray:
+        taken, rewards, dones, infos, returns = log
+        actions = np.asarray(actions)
+        step_rewards, step_dones, step_infos = self._step_all(actions)
+        self._returns += step_rewards
         obs = self._observe_all()
-        for i in np.nonzero(dones)[0]:
-            infos[i]["terminal_observation"] = obs[i].copy()
+        for i in np.nonzero(step_dones)[0]:
+            returns.append(float(self._returns[i]))
+            self._returns[i] = 0.0
+            step_infos[i]["terminal_observation"] = obs[i].copy()
             self._reset_env(i)
             obs[i] = self._observe_env(i)
-        return obs, rewards, dones, infos
+        taken.extend(actions.tolist())
+        rewards.extend(step_rewards.tolist())
+        dones.extend(step_dones.tolist())
+        infos.extend(step_infos)
+        return obs
 
     def _empty_infos(self) -> List[Dict]:
         return [{} for _ in range(self.num_envs)]

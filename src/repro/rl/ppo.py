@@ -16,10 +16,11 @@ iteration, so the aggregation pattern is unchanged.
 Acting, the rollout's values / bootstrap, and the old-policy log-probs
 run as closed-form NumPy (mirroring the autograd expressions op for op),
 and so does the surrogate gradient (``fused_ppo_grad``, pinned against
-the autograd tape in ``tests/test_compute_parity.py``; DESIGN.md §13).  A
-:class:`~repro.rl.envs.vector.VectorEnv` collects K envs per rollout
-step (flattened time-major); K = 1 reproduces scalar stepping
-bit-for-bit on the same rng stream.
+the autograd tape in ``tests/test_compute_parity.py``; DESIGN.md §13).
+The rollout collects the K envs of a
+:class:`~repro.rl.envs.vector.VectorEnv` per step (flattened
+time-major); a bare env is stepped as ``VectorEnv([env])``, bit-for-bit
+the scalar loop in ``tests/oracles.py`` on the same rng stream.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from ..nn import Adam, fused_ppo_grad, mlp
 from ..nn.layers import Module, Parameter
 from .base import Algorithm
 from .envs.base import Environment
-from .envs.vector import VectorEnv
 from .spaces import Box
 
 __all__ = ["PPO", "GaussianActorCritic", "gae_advantages"]
@@ -82,21 +82,34 @@ def gae_advantages(
     rewards: np.ndarray,
     values: np.ndarray,
     dones: np.ndarray,
-    bootstrap: float,
+    bootstrap,
     gamma: float,
     lam: float,
 ) -> np.ndarray:
-    """Generalized advantage estimation, GAE(γ, λ)."""
-    advantages = np.zeros_like(rewards)
-    next_value = bootstrap
-    running = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        not_done = 1.0 - dones[t]
-        delta = rewards[t] + gamma * next_value * not_done - values[t]
-        running = delta + gamma * lam * not_done * running
-        advantages[t] = running
-        next_value = values[t]
-    return advantages
+    """Generalized advantage estimation, GAE(γ, λ).
+
+    Shapes as in :func:`~repro.rl.a2c.discounted_returns`: ``(T,)`` with a
+    scalar ``bootstrap`` or ``(T, K)`` with one per env, each env's
+    recursion on Python floats.
+    """
+    steps = len(rewards)
+    columns = []
+    for rew, val, done, next_value in zip(
+        np.reshape(rewards, (steps, -1)).T.tolist(),
+        np.reshape(values, (steps, -1)).T.tolist(),
+        np.reshape(dones, (steps, -1)).T.tolist(),
+        np.ravel(bootstrap).tolist(),
+        strict=True,
+    ):
+        running = 0.0
+        for t in range(steps - 1, -1, -1):
+            not_done = 1.0 - done[t]
+            delta = rew[t] + gamma * next_value * not_done - val[t]
+            running = delta + gamma * lam * not_done * running
+            rew[t] = running  # the advantage overwrites its spent reward
+            next_value = val[t]
+        columns.append(rew)
+    return np.array(columns, dtype=np.float64).T.reshape(np.shape(rewards))
 
 
 class PPO(Algorithm):
@@ -123,8 +136,7 @@ class PPO(Algorithm):
             raise ValueError(f"clip_epsilon must be in (0, 1), got {clip_epsilon}")
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
-        self.env = env
-        self._venv = env if isinstance(env, VectorEnv) else None
+        self._attach_env(env)
         self.rng = np.random.default_rng(seed)
         self.gamma = gamma
         self.lam = lam
@@ -144,7 +156,6 @@ class PPO(Algorithm):
         )
         super().__init__(container)
         self.optimizer = Adam(container.parameters(), lr=lr)
-        self._obs = env.reset()
 
     # ------------------------------------------------------------------
     def _act(self, obs_batch: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -179,55 +190,17 @@ class PPO(Algorithm):
         return self.container.value.infer(states)[:, 0]
 
     def _collect_rollout(self):
-        env_step, act, obs = self.env.step, self._act, self._obs
         std = np.exp(self.container.log_std.data)  # fixed until the next update
-        if self._venv is not None:
-            track = self._track_rewards_batch
-            obs_buf, act_buf, rew_buf, done_buf = [], [], [], []
-            for _ in range(self.rollout_steps):
-                batch_actions = act(obs, std)
-                next_obs, rewards, dones, _ = env_step(batch_actions)
-                obs_buf.append(obs)
-                act_buf.append(batch_actions)
-                rew_buf.append(rewards)
-                done_buf.append(dones)
-                track(rewards, dones)
-                obs = next_obs
-            self._obs = obs
-            num_envs = self.env.num_envs
-            states = np.asarray(obs_buf).reshape(self.rollout_steps * num_envs, -1)
-            actions_arr = np.asarray(act_buf).reshape(states.shape[0], -1)
-            # GAE runs on (T, K) arrays with a (K,) bootstrap; the recursion
-            # broadcasts elementwise, so K = 1 matches the scalar path.
-            rewards_arr = np.asarray(rew_buf, dtype=np.float64)
-            dones_arr = np.asarray(done_buf, dtype=np.float64)
-            values = self._state_values(states).reshape(
-                self.rollout_steps, num_envs
-            )
-            bootstrap = self._state_values(self._obs)
-        else:
-            reset, track = self.env.reset, self._track_reward
-            observations, actions, rewards, dones = [], [], [], []
-            for _ in range(self.rollout_steps):
-                action = act(obs[None, :], std)[0]
-                next_obs, reward, done, _ = env_step(action)
-                observations.append(obs)
-                actions.append(action)
-                rewards.append(reward)
-                dones.append(done)
-                track(reward, done)
-                obs = reset() if done else next_obs
-            self._obs = obs
-            states = np.stack(observations)
-            actions_arr = np.stack(actions)
-            rewards_arr = np.asarray(rewards, dtype=np.float64)
-            dones_arr = np.asarray(dones, dtype=np.float64)
-            values = self._state_values(states)
-            bootstrap = float(self._state_values(self._obs[None, :])[0])
+        rollout = self._rollout(self.rollout_steps, lambda obs: self._act(obs, std))
+        states, actions_arr = rollout.states, rollout.actions
+        shape = (self.rollout_steps, self.vec_env.num_envs)
+        rewards, dones = rollout.rewards.reshape(shape), rollout.dones.reshape(shape)
+        values = self._state_values(states).reshape(shape)
+        bootstrap = self._state_values(rollout.last_observations)
 
         old_log_probs = self.container.log_prob_infer(states, actions_arr).reshape(-1)
         advantages = gae_advantages(
-            rewards_arr, values, dones_arr, bootstrap, self.gamma, self.lam
+            rewards, values, dones, bootstrap, self.gamma, self.lam
         )
         returns = (advantages + values).reshape(-1)
         advantages = advantages.reshape(-1)

@@ -99,9 +99,9 @@ class ReplayBuffer:
     ) -> None:
         """Push ``n`` transitions at once (row ``i`` before row ``i+1``).
 
-        Equivalent to ``n`` sequential :meth:`push` calls; used by the
-        vectorized rollout paths so a whole env batch lands in two
-        contiguous slice writes at most.
+        Equivalent to ``n`` sequential :meth:`push` calls; DQN and DDPG
+        push a whole rollout at once, in one contiguous slice write per
+        field (two where it wraps).
         """
         n = len(states)
         if n == 0:
@@ -119,17 +119,24 @@ class ReplayBuffer:
                 )
             return
         cursor = self._cursor
-        first = min(n, self.capacity - cursor)
-        for dst, src in ((slice(cursor, cursor + first), slice(0, first)),
-                         (slice(0, n - first), slice(first, n))):
-            if src.start == src.stop:
-                continue
-            self._states[dst] = states[src]
-            self._actions[dst] = actions[src]
-            self._rewards[dst] = rewards[src]
-            self._next_states[dst] = next_states[src]
-            self._dones[dst] = dones[src]
-        self._cursor = (cursor + n) % self.capacity
+        stop = cursor + n
+        if stop > self.capacity:  # wraps: fill to the end, then from 0
+            head = self.capacity - cursor
+            self.push_batch(
+                states[:head], actions[:head], rewards[:head],
+                next_states[:head], dones[:head],
+            )
+            self.push_batch(
+                states[head:], actions[head:], rewards[head:],
+                next_states[head:], dones[head:],
+            )
+            return
+        self._states[cursor:stop] = states
+        self._actions[cursor:stop] = actions
+        self._rewards[cursor:stop] = rewards
+        self._next_states[cursor:stop] = next_states
+        self._dones[cursor:stop] = dones
+        self._cursor = stop % self.capacity
         self._size = min(self.capacity, self._size + n)
 
     def sample(self, batch_size: int) -> Batch:

@@ -89,6 +89,12 @@ class SyntheticAlgorithm(Algorithm):
         self._track_reward(float(gradient[0]), done=True)
         return gradient
 
+    def _track_reward(self, reward: float, done: bool) -> None:
+        self._current_episode_reward += reward
+        if done:
+            self.episode_rewards.append(self._current_episode_reward)
+            self._current_episode_reward = 0.0
+
     def apply_update(self, mean_gradient: np.ndarray) -> None:
         self._weights -= self.lr * np.asarray(mean_gradient, dtype=np.float64)
         self.updates_applied += 1

@@ -82,9 +82,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
 
 class Histogram:
     """A cumulative histogram over fixed upper-bound buckets.

@@ -6,7 +6,10 @@ a list-of-tuples replay buffer, textbook per-parameter optimizer steps,
 the autograd-tape gradients of A2C, PPO and DDPG, and (from PR 21) the
 per-step primitives of acting: the layer-by-layer forward walks,
 ``np.clip`` at every site that now clips with min/max, ``Generator.choice``
-as A2C's sampler, the three ``act`` bodies and the int32-bs mantissa.
+as A2C's sampler, the three ``act`` bodies and the int32-bs mantissa;
+and the scalar rollout loops of DQN, A2C, PPO and DDPG, which stepped a
+bare env before every algorithm rolled out through one ``VectorEnv``
+(``install_scalar_rollout``).
 They used to live in ``src/`` as the "legacy" compute path (the tape tails
 were the algorithms' own ``compute_gradient`` until PR 19); the
 differential suites (``test_compute_parity.py``, ``test_replay.py``,
@@ -14,10 +17,15 @@ differential suites (``test_compute_parity.py``, ``test_replay.py``,
 bit-for-bit against them.
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro.nn import Tensor, entropy_from_logits, fused_mse_loss, nll_from_logits
 from repro.nn.layers import Activation, Linear
+from repro.rl import A2C, DDPG, DQN, PPO
+from repro.rl.a2c import sample_index
+from repro.rl.ddpg import OUNoise
 from repro.rl.replay import Batch, Transition
 
 
@@ -286,12 +294,14 @@ def choice_index(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(rng.choice(len(probs), p=probs))
 
 
-def a2c_act(algo, obs) -> int:
+def a2c_act(algo, obs, draw=choice_index) -> int:
+    """A2C's act for one observation: softmax the logits, ``draw`` an index
+    (the scalar rollout draws with ``sample_index``)."""
     logits = algo.container.policy.infer(obs[None, :])[0]
     logits = logits - logits.max()
     probs = np.exp(logits)
     probs /= probs.sum()
-    return choice_index(algo.rng, probs)
+    return draw(algo.rng, probs)
 
 
 def ppo_act(algo, obs) -> np.ndarray:
@@ -314,3 +324,223 @@ def where_mantissa(vector, exponent: int, m_max: int = 32767) -> np.ndarray:
     scaled = np.where(np.isnan(x), 0.0, x).astype(np.float64)
     scaled *= float(1 << exponent)
     return np.clip(np.rint(scaled), -m_max, m_max).astype(np.int32)
+
+
+# ---------------------------------------------------------------------------
+# The scalar rollouts: each algorithm's loop over a bare env (one action,
+# one ``env.step``, a reset on ``done``) as it ran beside the VectorEnv
+# body, with its n-step fold and return recursions.
+# ---------------------------------------------------------------------------
+
+
+def numpy_discounted_returns(rewards, dones, bootstrap, gamma) -> np.ndarray:
+    """``discounted_returns`` as a NumPy recursion over rows."""
+    returns = np.zeros_like(rewards)
+    running = bootstrap
+    for t in range(len(rewards) - 1, -1, -1):
+        running = rewards[t] + gamma * running * (1.0 - dones[t])
+        returns[t] = running
+    return returns
+
+
+def numpy_gae_advantages(rewards, values, dones, bootstrap, gamma, lam) -> np.ndarray:
+    """``gae_advantages`` as a NumPy recursion over rows."""
+    advantages = np.zeros_like(rewards)
+    next_value = bootstrap
+    running = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        not_done = 1.0 - dones[t]
+        delta = rewards[t] + gamma * next_value * not_done - values[t]
+        running = delta + gamma * lam * not_done * running
+        advantages[t] = running
+        next_value = values[t]
+    return advantages
+
+
+class NStepFold:
+    """DQN's scalar n-step fold: pending (state, action) heads in a list,
+    their reward sums and ages in two arrays of ``n_step`` slots, one
+    vectorized multiply-add per step."""
+
+    def __init__(self, algo) -> None:
+        self.algo = algo
+        self.gamma_powers = np.array([algo.gamma**j for j in range(algo.n_step)])
+        self.rewards = np.zeros(algo.n_step)
+        self.ages = np.zeros(algo.n_step, dtype=np.int64)
+        self.heads = []
+
+    def __call__(self, obs, action, reward, next_obs, done) -> None:
+        heads, n_step = self.heads, self.algo.n_step
+        count = len(heads)
+        heads.append((obs, action))
+        self.rewards[count] = 0.0
+        self.ages[count] = 0
+        count += 1
+        self.rewards[:count] += reward * self.gamma_powers[self.ages[:count]]
+        self.ages[:count] += 1
+        mature = count if done else np.searchsorted(
+            -self.ages[:count], -n_step, side="right"
+        )
+        for j in range(mature):
+            head_obs, head_action = heads[j]
+            self.algo.buffer.push(
+                Transition(
+                    head_obs, head_action, float(self.rewards[j]), next_obs, done
+                )
+            )
+        if mature:
+            del heads[:mature]
+            remaining = count - mature
+            self.rewards[:remaining] = self.rewards[mature:count]
+            self.ages[:remaining] = self.ages[mature:count]
+
+
+def scalar_episodes(algo):
+    """The scalar loops' episode accounting: one running sum, appended to
+    ``algo.episode_rewards`` when an episode ends."""
+    running = 0.0
+
+    def track(reward, done):
+        nonlocal running
+        running += reward
+        if done:
+            algo.episode_rewards.append(running)
+            running = 0.0
+
+    return track
+
+
+def _replay_steps(algo, step) -> None:
+    """Fill replay to ``warmup``, then ``env_steps_per_iter`` more steps."""
+    obs = algo._obs
+    while len(algo.buffer) < algo.warmup:
+        obs = step(obs)
+    for _ in range(algo.env_steps_per_iter):
+        obs = step(obs)
+    algo._obs = obs
+
+
+def dqn_scalar_act(algo, obs, greedy: bool = False) -> int:
+    """``DQN.act``'s ε-greedy body for one observation."""
+    if not greedy and algo.rng.random() < algo.epsilon:
+        return algo.env.action_space.sample(algo.rng)
+    return int(np.argmax(algo.q_net.infer(obs[None, :])[0]))
+
+
+def _dqn_env_steps(algo, fold, track) -> None:
+    env_step, buffer, one_step = algo.env.step, algo.buffer, algo.n_step == 1
+    act, reset, push = partial(dqn_scalar_act, algo), algo.env.reset, buffer.push
+
+    def step(obs):
+        action = act(obs)
+        next_obs, reward, done, _ = env_step(action)
+        if one_step:
+            push(Transition(obs, action, reward, next_obs, done))
+        else:
+            fold(obs, action, reward, next_obs, done)
+        track(reward, done)
+        return reset() if done else next_obs
+
+    _replay_steps(algo, step)
+
+
+def ddpg_scalar_act(algo, obs, explore: bool = True) -> np.ndarray:
+    """``DDPG.act`` for one observation, on a flat OU noise state."""
+    actions = algo.container.actor.infer(obs[None, :])
+    if explore:
+        actions = actions + algo.noise.sample()
+    return algo.env.action_space.clip(actions)[0]
+
+
+def _ddpg_env_steps(algo, track) -> None:
+    env_step, buffer, noise = algo.env.step, algo.buffer, algo.noise
+    act, reset, push = partial(ddpg_scalar_act, algo), algo.env.reset, buffer.push
+
+    def step(obs):
+        action = act(obs)
+        next_obs, reward, done, _ = env_step(action)
+        push(Transition(obs, action, reward, next_obs, done))
+        track(reward, done)
+        if done:
+            next_obs = reset()
+            noise.reset()
+        return next_obs
+
+    _replay_steps(algo, step)
+
+
+def _scalar_rollout(algo, act, track):
+    """``rollout_steps`` scalar steps: the stacked states, the list of
+    actions, and the float64 rewards and dones."""
+    env_step, obs, reset = algo.env.step, algo._obs, algo.env.reset
+    observations, actions, rewards, dones = [], [], [], []
+    for _ in range(algo.rollout_steps):
+        action = act(obs)
+        next_obs, reward, done, _ = env_step(action)
+        observations.append(obs)
+        actions.append(action)
+        rewards.append(reward)
+        dones.append(done)
+        track(reward, done)
+        obs = reset() if done else next_obs
+    algo._obs = obs
+    return (
+        np.stack(observations),
+        actions,
+        np.asarray(rewards, dtype=np.float64),
+        np.asarray(dones, dtype=np.float64),
+    )
+
+
+def _a2c_rollout(algo, track):
+    states, actions, rewards, dones = _scalar_rollout(
+        algo, lambda obs: a2c_act(algo, obs, sample_index), track
+    )
+    bootstrap = float(algo._bootstrap_values(algo._obs[None, :])[0])
+    returns = numpy_discounted_returns(rewards, dones, bootstrap, algo.gamma)
+    return states, np.asarray(actions, dtype=np.int64), returns
+
+
+def _ppo_rollout(algo, track):
+    act = algo._act
+    std = np.exp(algo.container.log_std.data)
+    states, actions, rewards, dones = _scalar_rollout(
+        algo, lambda obs: act(obs[None, :], std)[0], track
+    )
+    actions = np.stack(actions)
+    values = algo._state_values(states)
+    bootstrap = float(algo._state_values(algo._obs[None, :])[0])
+    old_log_probs = algo.container.log_prob_infer(states, actions)
+    advantages = numpy_gae_advantages(
+        rewards, values, dones, bootstrap, algo.gamma, algo.lam
+    )
+    returns = advantages + values
+    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    return states, actions, old_log_probs, advantages, returns
+
+
+def install_scalar_rollout(algo):
+    """Step ``algo``, built on a bare env, through its scalar rollout.
+
+    Overrides the rollout on the instance (DQN / DDPG ``_env_steps``,
+    A2C / PPO ``_collect_rollout``); the rest of ``compute_gradient`` and
+    the whole LWU stage stay the algorithm's own.  ``algo._obs`` becomes
+    the scalar observation, and DDPG gets a flat ``OUNoise`` on the same
+    rng.  Returns ``algo``.
+    """
+    assert algo.vec_env.envs == [algo.env], "the oracle steps a bare env"
+    algo._obs = algo._obs[0]
+    track = scalar_episodes(algo)
+    if isinstance(algo, DQN):
+        fold = NStepFold(algo)
+        algo._env_steps = lambda: _dqn_env_steps(algo, fold, track)
+    elif isinstance(algo, DDPG):
+        algo.noise = OUNoise(algo.env.action_space.dim, algo.rng)
+        algo._env_steps = lambda: _ddpg_env_steps(algo, track)
+    elif isinstance(algo, A2C):
+        algo._collect_rollout = lambda: _a2c_rollout(algo, track)
+    elif isinstance(algo, PPO):
+        algo._collect_rollout = lambda: _ppo_rollout(algo, track)
+    else:
+        raise TypeError(f"no scalar rollout for {type(algo).__name__}")
+    return algo

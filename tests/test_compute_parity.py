@@ -17,6 +17,8 @@ distinguishes ``-0.0`` from ``0.0``):
   through until PR 19 (``tests/oracles.py``), plus the structural pins
   that training builds no ``Tensor`` and has no tape to fall back to,
 * envs: kernel ``VectorEnv`` vs the sequential reference over 1k steps,
+* rollouts: the one ``VectorEnv`` rollout path on a bare env vs the scalar
+  rollout loops (``tests/oracles.py``), over short episodes,
 * end to end: whole training runs per algorithm vs digests recorded at
   the last commit that carried the legacy twins (where both agreed).
 
@@ -62,7 +64,7 @@ from repro.nn import (
 from repro.nn.layers import Activation, Linear, Module, Parameter, Sequential
 from repro.rl import A2C, DDPG, DQN, PPO
 from repro.rl.a2c import ActorCritic, sample_index
-from repro.rl.ddpg import ActorCriticPair
+from repro.rl.ddpg import ActorCriticPair, OUNoise
 from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D, make_vector_env
 from repro.rl.envs.vector import VectorEnv
 from repro.rl.envs.wrappers import FrameStack, NormalizeObservation, ScaleReward
@@ -77,6 +79,7 @@ from .oracles import (
     a2c_act,
     choice_index,
     ddpg_act,
+    install_scalar_rollout,
     isinstance_mlp_forward,
     layerwise_infer,
     ppo_act,
@@ -850,7 +853,7 @@ class TestPlanWalk:
 
     def test_set_weights_reaches_the_compiled_plan(self):
         algo = DQN(GridPong(seed=1), seed=1, warmup=64)
-        obs = algo._obs[None, :]
+        obs = algo._obs[0]
         before = algo.q_net.infer(obs)
         algo.set_weights(np.random.default_rng(2).standard_normal(algo.n_params))
         after = algo.q_net.infer(obs)
@@ -902,7 +905,7 @@ class TestSampler:
         NaN cdf would return an index.  All-``-inf`` logits become NaN in
         the softmax shift."""
         algo = A2C(GridQbert(seed=0), seed=0)
-        obs = algo._obs
+        obs = algo._obs[0]
         algo.act(obs)  # healthy policy: fine
         algo.container.policy.layer4.bias.data[:] = bad
         state = algo.rng.bit_generator.state
@@ -922,7 +925,7 @@ class TestActAgainstReplacedBodies:
 
     def test_a2c(self):
         new, old = (A2C(GridQbert(seed=2), seed=2) for _ in range(2))
-        obs = new._obs
+        obs = new._obs[0]
         for _ in range(50):
             assert new.act(obs) == a2c_act(old, obs)
         for _ in range(50):
@@ -933,7 +936,7 @@ class TestActAgainstReplacedBodies:
         new, old = (PPO(Hopper1D(seed=2), seed=2) for _ in range(2))
         new.container.log_std.data[:] = 0.5  # wide enough to reach the clip
         old.container.log_std.data[:] = 0.5
-        obs = new._obs
+        obs = new._obs[0]
         for _ in range(50):
             assert_bytes_equal(new.act(obs), ppo_act(old, obs))
         for _ in range(50):
@@ -943,10 +946,11 @@ class TestActAgainstReplacedBodies:
     @pytest.mark.parametrize("explore", [True, False])
     def test_ddpg(self, explore):
         new, old = (DDPG(Cheetah1D(seed=2), seed=2, warmup=64) for _ in range(2))
-        obs = new._obs
+        old.noise = OUNoise(old.env.action_space.dim, old.rng)  # the flat state
+        obs = new._obs[0]
         for _ in range(50):
             assert_bytes_equal(new.act(obs, explore), ddpg_act(old, obs, explore))
-        assert_bytes_equal(new.noise.state, old.noise.state)
+        assert_bytes_equal(new.noise.state[0], old.noise.state)
         assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
 
@@ -1136,12 +1140,77 @@ VENV_PAIRS = [
 ]
 
 
+#: algorithm -> (env class, builder(env, seed, n_step)); n_step is DQN's.
+ORACLE_TRAINERS = {
+    "dqn": (
+        GridPong,
+        lambda env, seed, n_step: DQN(env, seed=seed, warmup=64, n_step=n_step),
+    ),
+    "a2c": (GridQbert, lambda env, seed, _: A2C(env, seed=seed)),
+    "ppo": (
+        Hopper1D,
+        lambda env, seed, _: PPO(env, seed=seed, epochs=2, rollout_steps=16),
+    ),
+    "ddpg": (Cheetah1D, lambda env, seed, _: DDPG(env, seed=seed, warmup=64)),
+}
+
+
+class TestOnePathAgainstScalarOracle:
+    @given(
+        algorithm=st.sampled_from(sorted(ORACLE_TRAINERS)),
+        seed=st.integers(0, 2**16),
+        max_steps=st.integers(5, 30),
+        n_step=st.sampled_from([1, 3]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bare_env_rollout_is_the_scalar_loop(
+        self, algorithm, seed, max_steps, n_step
+    ):
+        """A bare env, stepped as ``VectorEnv([env])``, trains bit for bit
+        as the scalar rollout loop in ``tests/oracles.py`` does, over short
+        episodes, so autoreset, the terminal-observation bootstrap, DQN's
+        n-step flush and DDPG's OU-noise restart all run: every gradient,
+        the final weights, the episode rewards and every rng's state."""
+        env_cls, build = ORACLE_TRAINERS[algorithm]
+        one = build(env_cls(seed=seed, max_steps=max_steps), seed, n_step)
+        oracle = install_scalar_rollout(
+            build(env_cls(seed=seed, max_steps=max_steps), seed, n_step)
+        )
+        for iteration in range(8):
+            gradient = one.compute_gradient()
+            context = f"{algorithm} iteration {iteration}"
+            assert_bytes_equal(gradient, oracle.compute_gradient(), context)
+            one.apply_update(gradient)
+            oracle.apply_update(gradient)
+        assert_bytes_equal(one.get_weights(), oracle.get_weights(), "weights")
+        assert one.episode_rewards, "every run must end episodes"
+        assert_bytes_equal(
+            np.array(one.episode_rewards), np.array(oracle.episode_rewards), "episodes"
+        )
+        assert one.rng.bit_generator.state == oracle.rng.bit_generator.state
+        assert one.env.rng.bit_generator.state == oracle.env.rng.bit_generator.state
+        if algorithm == "ddpg":
+            assert_bytes_equal(one.noise.state[0], oracle.noise.state, "OU noise")
+        if algorithm in ("dqn", "ddpg"):
+            # A terminal step's next state is masked out of every TD target,
+            # so only replay itself shows which observation it bootstraps from.
+            size = len(one.buffer)
+            assert size == len(oracle.buffer)
+            for field in ("_states", "_actions", "_rewards", "_next_states", "_dones"):
+                assert_bytes_equal(
+                    getattr(one.buffer, field)[:size],
+                    getattr(oracle.buffer, field)[:size],
+                    field,
+                )
+
+
 class TestVectorEnvTraining:
     @pytest.mark.parametrize("venv_builder,scalar_builder,iterations", VENV_PAIRS)
     def test_k1_vector_env_matches_scalar(
         self, venv_builder, scalar_builder, iterations
     ):
-        """One-env VectorEnv consumes the same rng stream as scalar stepping."""
+        """The one-env kernel consumes the same rng streams as a bare env
+        (stepped as ``VectorEnv([env])``)."""
         vec = _train(venv_builder, iterations)
         scalar = _train(scalar_builder, iterations)
         assert_bytes_equal(vec, scalar)
