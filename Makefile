@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast live lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke
+.PHONY: test test-fast live lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke telemetry-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -77,3 +77,16 @@ loss-smoke:
 	$(LIVE_LOSSY) --strategy ar-hd -n 4
 	$(LIVE_LOSSY) --strategy ps -n 4
 	$(LIVE_LOSSY) --mode async --strategy ps -n 4
+
+# Telemetry watches the batched ingest instead of replacing it: a traced
+# rack-tree run must still join every train as a view, and its Chrome
+# trace must hold the accelerator's segment.aggregate spans.
+TRACE_OUT ?= $(or $(TMPDIR),/tmp)/repro-telemetry-smoke.json
+telemetry-smoke:
+	out=$$(timeout 60 env PYTHONPATH=src $(PY) -m repro train --strategy isw \
+		--workload synth -n 12 --iterations 5 --seed 7 \
+		--trace-out $(TRACE_OUT)); status=$$?; echo "$$out"; \
+		test $$status -eq 0 && echo "$$out" | grep -q "train ingest:     view="
+	$(PY) -c "import json, sys; events = json.load(open(sys.argv[1]))['traceEvents']; \
+		n = sum(e.get('name') == 'segment.aggregate' for e in events); \
+		print(n, 'segment.aggregate spans'); sys.exit(n == 0)" $(TRACE_OUT)

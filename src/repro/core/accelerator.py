@@ -33,7 +33,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,7 +54,7 @@ CLOCK_HZ = 200e6
 #: Fixed pipeline depth (separator, decoder, output concat), in cycles.
 PIPELINE_CYCLES = 8
 #: Why a train can leave the batched ingest: the condition that failed.
-_BATCH_BAIL_CAUSES = ("clock", "shape", "buffer_limit")
+_BATCH_BAIL_CAUSES = ("shape", "buffer_limit")
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,8 @@ class AggregationStats:
     evictions: int = 0
     max_live_segments: int = 0
     busy_time: float = 0.0
-    #: Trains that left the batched ingest, by the condition that failed:
-    #: ``clock`` (telemetry stamps each segment's own arrival), ``shape`` (not
-    #: a run of 2+ chunks lined up with its round), ``buffer_limit`` (exceeded).
+    #: Trains that left the batched ingest, by the failed condition: ``shape``
+    #: (not a run of 2+ chunks lined up with its round), ``buffer_limit``.
     batch_bails: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(_BATCH_BAIL_CAUSES, 0)
     )
@@ -110,6 +109,8 @@ class _Round:
     held: list = field(default_factory=list)
     #: dedup: the ``(sender, commit_id)`` pairs seen.
     keys: set = field(default_factory=set)
+    #: Per chunk, the arrival time of the first run that came with any.
+    arrivals: Optional[Sequence[float]] = None
 
 
 class AggregationEngine:
@@ -209,11 +210,8 @@ class AggregationEngine:
         self._contributors: Dict[int, Set[Tuple[str, int]]] = {}
         #: By Seg: a completed segment, or the result run that holds it.
         self._result_cache: Dict[int, object] = {}
-        #: Telemetry hook: when the owning switch sets a clock, the engine
-        #: stamps each segment's first arrival so completions can be
-        #: reported as first-arrival -> complete spans.  ``None`` (the
-        #: default) keeps the datapath entirely timestamp-free.
-        self.clock: Optional[Callable[[], float]] = None
+        #: Telemetry: first arrivals of live and of completed segments, for
+        #: first-arrival -> complete spans; only from arrivals passed in.
         self._first_arrival: Dict[int, float] = {}
         self._completed_starts: Dict[int, float] = {}
         #: Rounds fed by runs only (:meth:`contribute_batch`), by first Seg:
@@ -277,8 +275,9 @@ class AggregationEngine:
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
-    def contribute(self, segment: DataSegment) -> Optional[DataSegment]:
-        """Sum one incoming contribution.
+    def contribute(self, segment: DataSegment, arrival=None) -> Optional[DataSegment]:
+        """Sum one incoming contribution, which arrived at ``arrival`` if
+        given (recorded as its segment's first arrival, when it is).
 
         Returns the completed (fully aggregated) segment when this
         contribution is the H-th, else ``None``.
@@ -303,8 +302,8 @@ class AggregationEngine:
 
         stats = self.stats
         stats.contributions += 1
-        if self.clock is not None and seg not in self._first_arrival:
-            self._first_arrival[seg] = self.clock()
+        if arrival is not None and seg not in self._first_arrival:
+            self._first_arrival[seg] = arrival
         if segment.wire_payload is not None and seg not in self._shapes:
             self._shapes[seg] = (segment.wire_payload, segment.wire_frames)
         if self.canonical_order:
@@ -374,7 +373,7 @@ class AggregationEngine:
             self._evict_oldest()
         return None
 
-    def contribute_batch(self, segments, clocks=None):
+    def contribute_batch(self, segments, arrivals=None):
         """Batch-ingest a train's worth of contributions in one call.
 
         Semantically exactly ``[contribute(s) for s in segments]`` — same
@@ -387,47 +386,35 @@ class AggregationEngine:
         round in this one step, that round's result run (chunk ``i``
         completed by input ``i``).
 
-        ``clocks`` (optional, one float per segment) stamps each
-        contribution with its own carried arrival time instead of the
-        shared :attr:`clock` — a train is delivered in one simulator
-        event, so ``clock()`` would report the *last* packet's arrival
-        for every first-arrival record.
+        ``arrivals`` (optional, one float per segment) is each
+        contribution's own arrival time, as :meth:`contribute` takes it: a
+        train is delivered in one simulator event, so the time of that
+        event is only the *last* packet's arrival.
         """
-        if clocks is not None or self.clock is not None:
-            self._bail("clock")
-        elif isinstance(segments, SegmentRun):
-            done = self._contribute_run(segments)
+        if isinstance(segments, SegmentRun):
+            done = self._contribute_run(segments, arrivals)
             if done is not None:
                 return done
         else:
             self._bail("shape")
-        return self._contribute_each(segments, clocks)
+        return self._contribute_each(segments, arrivals)
 
-    def _contribute_each(self, segments, clocks) -> List[Tuple[int, DataSegment]]:
+    def _contribute_each(self, segments, arrivals) -> List[Tuple[int, DataSegment]]:
         out: List[Tuple[int, DataSegment]] = []
         contribute = self.contribute
-        saved_clock = self.clock
-        try:
-            for i, segment in enumerate(segments):
-                if clocks is not None:
-                    self.clock = lambda t=clocks[i]: t
-                result = contribute(segment)
-                if result is None:
-                    continue
-                if isinstance(result, list):
-                    for completed in result:
-                        out.append((i, completed))
-                else:
-                    out.append((i, result))
-        finally:
-            self.clock = saved_clock
+        for i, segment in enumerate(segments):
+            result = contribute(segment, None if arrivals is None else arrivals[i])
+            if isinstance(result, list):  # a vector-granularity engine's round
+                out.extend((i, completed) for completed in result)
+            elif result is not None:
+                out.append((i, result))
         return out
 
     def _bail(self, cause: str) -> None:
         """Count one train leaving the batched ingest; returns ``None``."""
         self.stats.batch_bails[cause] += 1
 
-    def _contribute_run(self, run: SegmentRun):
+    def _contribute_run(self, run: SegmentRun, arrivals):
         """Ingest a whole run in one step, or count why not and return
         ``None`` — before touching any state.
 
@@ -486,6 +473,7 @@ class AggregationEngine:
                 run if seg == run.seg else replace(run, seg=seg)
             )
             self._run_live += n
+        record.arrivals = record.arrivals or arrivals
         if self.dedup:
             record.keys.add(key)
         if self.canonical_order:
@@ -523,6 +511,11 @@ class AggregationEngine:
             if len(cache) > limit:
                 trim_result_cache(cache, limit)
         stats.completions += n
+        if record.arrivals is not None:
+            # Bounded before the insert: the whole round's starts stay
+            # readable until the switch traces its completions.
+            trim_result_cache(self._completed_starts, 1024)
+            self._completed_starts.update(zip(segs, record.arrivals))
         return result
 
     def _round_at(self, seg: int, n: int = 1) -> Optional[_Round]:
@@ -557,7 +550,9 @@ class AggregationEngine:
         else:
             for part in replace(record.run, data=record.buffer).segments():
                 self._buffers[part.seg] = part.data
-        for part in record.run.segments():
+        for i, part in enumerate(record.run.segments()):
+            if record.arrivals is not None:
+                self._first_arrival[part.seg] = record.arrivals[i]
             self._counters[part.seg] = record.count
             self._shapes[part.seg] = (part.wire_payload, part.wire_frames)
             if self.dedup:
@@ -641,8 +636,8 @@ class AggregationEngine:
     def consume_span_start(self, seg: int) -> Optional[float]:
         """Telemetry: pop the first-arrival time of a just-completed seg.
 
-        Only populated while :attr:`clock` is set; returns ``None`` when
-        telemetry was off (or the record aged out).
+        Only populated from the arrival times the datapath was given;
+        ``None`` without them (or when the record aged out).
         """
         return self._completed_starts.pop(seg, None)
 
@@ -696,8 +691,8 @@ class VectorGranularityEngine(AggregationEngine):
         self.n_chunks = n_chunks
         self._held: Dict[int, List[DataSegment]] = {}
 
-    def contribute(self, segment: DataSegment):
-        completed = super().contribute(segment)
+    def contribute(self, segment: DataSegment, arrival=None):
+        completed = super().contribute(segment, arrival)
         if completed is None:
             return None
         round_index = completed.seg // self.n_chunks
@@ -708,10 +703,10 @@ class VectorGranularityEngine(AggregationEngine):
         del self._held[round_index]
         return sorted(held, key=lambda s: s.seg)
 
-    def contribute_batch(self, segments, clocks=None):
+    def contribute_batch(self, segments, arrivals=None):
         # Completions are held back per vector in contribute(): a train
         # goes through it segment by segment.
-        return self._contribute_each(segments, clocks)
+        return self._contribute_each(segments, arrivals)
 
     def reset(self) -> None:
         super().reset()

@@ -102,19 +102,18 @@ class JobState:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def contribute(self, segment: DataSegment) -> List[DataSegment]:
-        """Sum one contribution; the segments it completed (usually none).
+    def contribute(self, segment: DataSegment, arrival=None) -> List[DataSegment]:
+        """Sum one contribution (which arrived at ``arrival``, if the driver
+        times it); the segments it completed (usually none).
 
         The driver hands them to :meth:`emit` once they leave the
         accelerator — destinations are read then, not now.
         """
-        result = self.engine.contribute(segment)
+        result = self.engine.contribute(segment, arrival)
         if result is None:
             return []
-        if isinstance(result, list):  # a vector-granularity engine's round
-            return self._stamp(result)
-        result.job = self.job_id
-        return [result]
+        # A list: a vector-granularity engine's whole round at once.
+        return self._stamp(result if isinstance(result, list) else [result])
 
     def emit(self, completed: List[DataSegment]) -> Routes:
         """Route segments this switch completed.

@@ -175,18 +175,17 @@ class ISwitch(EthernetSwitch):
             )
         state = self.jobs.get(segment.job)
         telemetry = self.sim.telemetry
+        arrival = None
         if telemetry.enabled:
             labels = {"job": segment.job} if segment.job else {}
             telemetry.inc("switch.contributions", 1, switch=self.name, **labels)
-            if state.engine.clock is None:
-                # Arm the engine's first-arrival stamping lazily so the
-                # datapath stays timestamp-free while telemetry is off.
-                state.engine.clock = telemetry.now
+            arrival = self.sim.now
         latency = state.engine.processing_latency(packet.payload_size)
-        for completed in state.contribute(segment):
+        for completed in state.contribute(segment, arrival):
             if telemetry.enabled:
-                now = self.sim.now
-                self._trace_completion(state.engine, completed, now, now + latency)
+                self._trace_completion(
+                    state.engine, completed.seg, completed.job, arrival, latency
+                )
             self.sim.schedule_fire(
                 latency + self.latency,
                 lambda seg=completed: self._emit(seg.job, [seg]),
@@ -227,14 +226,12 @@ class ISwitch(EthernetSwitch):
         sim = self.sim
         telemetry = sim.telemetry
         n = len(sizes)
-        clocks = None
+        arrivals = None
         if telemetry.enabled:
             labels = {"job": job} if job else {}
             telemetry.inc("switch.contributions", n, switch=self.name, **labels)
-            # Stamp each contribution with its own carried arrival: one
-            # train = one simulator event, so the engine's shared clock
-            # would record the last packet's arrival for every segment.
-            clocks = train.arrivals.tolist()
+            # Each contribution's own carried arrival, for the spans.
+            arrivals = train.arrivals.tolist()
         # One processing_latency accrual per packet, exactly like the
         # per-packet path (it also accumulates the engine's busy_time).
         size0 = sizes[0]
@@ -248,11 +245,18 @@ class ISwitch(EthernetSwitch):
                 stats.busy_time += latency0
             else:
                 latencies[i] = engine.processing_latency(sizes[i])
-        completions = engine.contribute_batch(segments, clocks=clocks)
+        completions = engine.contribute_batch(segments, arrivals)
         if not completions:
             return True
         # One logical "agg-complete" event per completion.
         sim.count_batched(len(completions), "agg-complete")
+        if arrivals is not None:
+            if isinstance(completions, SegmentRun):  # chunk i completed by i
+                done = enumerate(range(completions.seg, completions.seg + n))
+            else:
+                done = [(i, completed.seg) for i, completed in completions]
+            for i, seg in done:
+                self._trace_completion(engine, seg, job, arrivals[i], latencies[i])
         switch_latency = self.latency
         if isinstance(completions, SegmentRun):
             # The run completed its round: chunk i leaves one summed delay
@@ -264,19 +268,16 @@ class ISwitch(EthernetSwitch):
             # A short last chunk overtakes its neighbour in the pipeline:
             # no longer one run on the wire.
             completions = list(enumerate(completions))
-        arrivals = train.arrivals.tolist()  # python floats, identical values
+        if arrivals is None:
+            arrivals = train.arrivals.tolist()  # python floats, same values
         items: List[Tuple[float, int, DataSegment]] = []
         for order, (i, completed) in enumerate(completions):
             completed.job = job
-            arrival = arrivals[i]
-            latency = latencies[i]
             # Match the per-packet float association exactly:
             # schedule_fire(latency + self.latency) adds the *summed*
             # delay to the arrival in one operation.
-            emit_delay = latency + switch_latency
-            if telemetry.enabled:
-                self._trace_completion(engine, completed, arrival, arrival + latency)
-            items.append((arrival + emit_delay, order, completed))
+            ready_at = arrivals[i] + (latencies[i] + switch_latency)
+            items.append((ready_at, order, completed))
         items.sort(key=lambda item: (item[0], item[1]))
         self._emit(
             job,
@@ -285,11 +286,13 @@ class ISwitch(EthernetSwitch):
         )
         return True
 
-    def _trace_completion(self, engine, completed, arrival, done) -> None:
-        """Telemetry for one completion: its first arrival -> ``done`` span
-        (from ``arrival`` if the stamp aged out) and the per-job count."""
+    def _trace_completion(self, engine, seg, job, arrival, latency) -> None:
+        """Telemetry for one completion, by the contribution that arrived at
+        ``arrival`` and took ``latency`` to sum: its first arrival -> done
+        span (from ``arrival`` if the stamp aged out), the per-job count."""
         telemetry = self.sim.telemetry
-        started = engine.consume_span_start(completed.seg)
+        done = arrival + latency
+        started = engine.consume_span_start(seg)
         # Trains from different links deliver in last-arrival order, so
         # under retransmission a completion can carry an earlier logical
         # arrival than the recorded first arrival; clamp so the span stays
@@ -300,10 +303,10 @@ class ISwitch(EthernetSwitch):
             done,
             cat="aggregation",
             track=self.name,
-            seg=completed.seg,
-            job=completed.job,
+            seg=seg,
+            job=job,
         )
-        labels = {"job": completed.job} if completed.job else {}
+        labels = {"job": job} if job else {}
         telemetry.inc("switch.segments_completed", 1, switch=self.name, **labels)
 
     def _fanout_train(self, train: PacketTrain) -> None:

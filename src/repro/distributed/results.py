@@ -46,6 +46,7 @@ class TrainingResult:
     #: trains they were offered — joins served as a ``view`` of the
     #: sender's vector or as a ``copy``, and trains that left the batched
     #: ingest by cause (``AggregationStats.batch_bails``); zeros omitted.
+    #: Telemetry does not change it.
     ingest: Optional[Dict[str, int]] = None
     #: Async strategies: mean/max observed staleness (Algorithm 1's
     #: ``t - ts``) and cumulative PS CPU busy time, ``None`` elsewhere.

@@ -183,7 +183,7 @@ def build_cluster(
 def _register_network_collectors(hub: TelemetryHub, net) -> None:
     """Scrape cumulative component state into the registry at snapshot
     time, so baseline series (tx/drop counters per link, engine stats per
-    switch) are always present — even when their live value never moved."""
+    switch and job) are always present, even when they never moved."""
 
     def collect(h: TelemetryHub) -> None:
         for link in net.links:
@@ -198,11 +198,8 @@ def _register_network_collectors(hub: TelemetryHub, net) -> None:
                 h.metrics.gauge(
                     "link.utilization", link=link.name, device=owner
                 ).set(end.utilization(h.now()))
-        for switch in net.switches:
-            engine = getattr(switch, "engine", None)
-            if engine is None:
-                continue
-            stats = engine.stats
+        for switch, job, stats in _engine_stats(net):
+            where = {"switch": switch.name, **({"job": job} if job else {})}
             series = [
                 (f"switch.{name}", {}, getattr(stats, name))
                 for name in ("duplicates_dropped", "evictions")
@@ -216,7 +213,7 @@ def _register_network_collectors(hub: TelemetryHub, net) -> None:
                 for kind, count in stats.joins.items()
             ]
             for name, labels, value in series:
-                counter = h.metrics.counter(name, switch=switch.name, **labels)
+                counter = h.metrics.counter(name, **where, **labels)
                 missing = value - counter.value
                 if missing > 0:
                     counter.inc(missing)
@@ -224,15 +221,20 @@ def _register_network_collectors(hub: TelemetryHub, net) -> None:
     hub.add_collector(collect)
 
 
+def _engine_stats(net):
+    """``(switch, job id, engine stats)`` for every job on every iSwitch."""
+    for switch in net.switches:
+        for state in getattr(switch, "jobs", ()):
+            yield switch, state.job_id, state.engine.stats
+
+
 def _ingest_summary(net) -> dict:
     """Non-zero train-ingest counts summed over the switches' engines."""
     total: dict = {}
-    for switch in net.switches:
-        for state in switch.jobs:
-            stats = state.engine.stats
-            for key, count in (*stats.joins.items(), *stats.batch_bails.items()):
-                if count:
-                    total[key] = total.get(key, 0) + count
+    for _, _, stats in _engine_stats(net):
+        for key, count in (*stats.joins.items(), *stats.batch_bails.items()):
+            if count:
+                total[key] = total.get(key, 0) + count
     return total
 
 

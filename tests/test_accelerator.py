@@ -357,7 +357,7 @@ class TestBatchIngestCounters:
             assert engine.stats.duplicates_dropped == 4
             assert len(engine.contribute_batch(self.train("w1"))) == 4
 
-    def test_arrival_renumber_clock_and_shape_bails(self):
+    def test_arrival_renumber_arrival_times_and_shape_bails(self):
         engine = AggregationEngine(threshold=1)
         engine.arrival_renumber = 4
         first = engine.contribute_batch(self.train())
@@ -370,12 +370,19 @@ class TestBatchIngestCounters:
         done = engine.contribute_batch(self.train())
         assert sorted(s.seg for _, s in done) == [9, 10, 11, 12]
         assert engine.stats.batch_bails["shape"] == 1
-        engine = AggregationEngine(threshold=1)
-        engine.contribute_batch(self.train(), clocks=[0.0, 1.0, 2.0, 3.0])
-        assert engine.stats.batch_bails["clock"] == 1
-        engine.clock = lambda: 5.0
-        engine.contribute_batch(self.train(round_index=1))
-        assert engine.stats.batch_bails["clock"] == 2
+        # Arrival times are data: a timed run stays one record, and its
+        # first arrivals are each chunk's span start once the round is done.
+        engine = AggregationEngine(threshold=2)
+        engine.contribute_batch(self.train("w0"), [0.0, 1.0, 2.0, 3.0])
+        done = engine.contribute_batch(self.train("w1"), [4.0, 5.0, 6.0, 7.0])
+        assert (done.seg, len(done)) == (0, 4)
+        assert [engine.consume_span_start(s) for s in range(4)] == [0, 1, 2, 3]
+        # ... and the first arrivals of a round a lone packet breaks up.
+        engine.contribute_batch(self.train("w0", round_index=1), [8.0] * 4)
+        engine.contribute(self.train("w1", round_index=1).segments()[2], 9.0)
+        assert engine.consume_span_start(6) == 8.0
+        assert engine.stats.joins == {"view": 3, "copy": 0}
+        assert not any(engine.stats.batch_bails.values())
         engine = AggregationEngine(threshold=1)
         engine.contribute_batch(self.train()[:1])  # a one-packet train
         engine.contribute_batch(self.train(round_index=1).segments()[::2])  # gaps

@@ -12,6 +12,7 @@ from repro.core import (
     configure_aggregation,
     iswitch_factory,
 )
+from repro.distributed import ExperimentConfig, run
 from repro.netsim import Simulator, build_star
 from repro.telemetry import (
     NULL_HUB,
@@ -221,3 +222,45 @@ class TestSimulatorIntegration:
         self._run_cluster(hub)
         snap = hub.snapshot()
         assert snap.value("sim.events_processed") > 0
+
+
+#: The counters scraped from every switch engine at snapshot time.
+ENGINE_SERIES = (
+    "switch.duplicates_dropped", "switch.evictions",
+    "switch.batch_bails", "switch.joins",
+)
+
+
+def engine_series(result):
+    """Each engine counter by switch and kind or cause, summed over jobs."""
+    totals = {}
+    for metric in result.telemetry.metrics:
+        if metric["name"] in ENGINE_SERIES:
+            labels = tuple(
+                sorted((k, v) for k, v in metric["labels"].items() if k != "job")
+            )
+            key = (metric["name"], labels)
+            totals[key] = totals.get(key, 0) + metric["value"]
+    return totals
+
+
+class TestEngineSeriesOfEveryJob:
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.05])
+    def test_a_tenant_job_reports_what_job_zero_does(self, loss_rate):
+        # The same training under job id 5 sums in job 5's engine, not
+        # job 0's: its counters must be scraped from there.
+        runs = {
+            job: run(ExperimentConfig(
+                strategy="isw", workload="synth", n_workers=4, iterations=8,
+                seed=7, loss_rate=loss_rate, job_id=job,
+            ))
+            for job in (0, 5)
+        }
+        assert engine_series(runs[5]) == engine_series(runs[0])
+        snapshot = runs[5].telemetry
+        if loss_rate:
+            assert snapshot.value("switch.duplicates_dropped", job=5) > 0
+        else:
+            assert snapshot.value("switch.joins", kind="view", job=5) == (
+                runs[5].ingest["view"]
+            )

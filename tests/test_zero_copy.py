@@ -469,12 +469,11 @@ class TestIngestReport:
     def test_result_and_snapshot_name_the_path(self):
         off = self.run(telemetry=False)
         assert off.ingest == {"view": 12}
+        # Telemetry reads the arrival times the trains carry: same path.
         on = self.run()
-        # Telemetry stamps every segment's own arrival: per-segment ingest.
-        assert on.ingest == {"clock": 12}
-        assert on.telemetry.value("switch.batch_bails", cause="clock") == 12
-        assert on.telemetry.value("switch.batch_bails", cause="shape") == 0
-        assert on.telemetry.value("switch.joins", kind="view") == 0
+        assert on.ingest == off.ingest
+        assert on.telemetry.value("switch.batch_bails") == 0
+        assert on.telemetry.value("switch.joins", kind="view") == 12
         assert self.run(strategy="ps", telemetry=False).ingest is None
 
     def test_fallback_paths_are_named_by_cause(self):
@@ -500,6 +499,31 @@ class TestIngestReport:
         # root gets is no longer a run.
         ddpg = self.run(telemetry=False, workload="ddpg", n_workers=12)
         assert ddpg.ingest == {"view": 36, "shape": 12}
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(),
+            dict(mode="async", iterations=8),
+            dict(n_workers=12),
+            dict(mode="async", n_workers=12, iterations=8),
+            dict(codec="fp16"),
+            dict(codec="int32-bs", n_workers=12),
+            dict(deterministic_aggregation=True),
+            dict(workload="dqn"),
+            dict(workload="ddpg", n_workers=12),
+        ],
+        ids=[
+            "sync", "async", "tree", "async-tree", "fp16", "int32-bs-tree",
+            "canonical", "dqn", "ddpg-tree",
+        ],
+    )
+    def test_telemetry_does_not_choose_the_path(self, fields):
+        off = self.run(telemetry=False, **fields)
+        on = self.run(**fields)
+        assert on.ingest == off.ingest
+        assert set(on.ingest) <= {"view", "shape"}
+        assert on.elapsed == off.elapsed
 
 
 class TestHelpCacheIsBoundedInRounds:
