@@ -36,6 +36,7 @@ from ..netsim.events import make_simulator
 from ..netsim.link import GBPS, Link
 from ..netsim.node import Host
 from ..netsim.topology import Network
+from ..rl.base import Algorithm
 from ..telemetry.hub import TelemetryHub
 from ..workloads.profiles import get_profile
 from .admission import AdmissionController, AdmissionDecision
@@ -113,6 +114,9 @@ class SwitchFabric:
         self.scheduler = SlotScheduler(policy)
         self.handles: Dict[int, JobHandle] = {}
         self._runners: Dict[int, _JobRunner] = {}
+        #: Worker 0's algorithm of each job not yet started: the probe
+        #: that sized the job's footprint, reused rather than rebuilt.
+        self._first_replicas: Dict[int, Algorithm] = {}
         self._next_job_id = 1
         self.running = 0
         self.peak_concurrent = 0
@@ -125,7 +129,11 @@ class SwitchFabric:
         ``spec.arrival_time`` of simulated time."""
         job_id = self._assign_job_id(spec)
         profile = get_profile(spec.workload)
-        footprint = self._footprint(spec, profile)
+        first = make_algorithm(
+            spec.workload, seed=spec.seed, **(spec.algorithm_overrides or {})
+        )
+        # Worst-case live SRAM segments: the job's segment-plan chunks.
+        footprint = make_plan(first.n_params, profile.model_bytes).n_chunks
         handle = JobHandle(
             spec=spec,
             job_id=job_id,
@@ -146,6 +154,7 @@ class SwitchFabric:
             self.admission.rejections += 1
             self._telemetry_inc("job.rejected", handle)
             return handle
+        self._first_replicas[job_id] = first
         delay = max(spec.arrival_time - self.sim.now, 0.0)
         self.sim.schedule(
             delay, lambda: self._arrive(handle), name=f"job-arrive:{job_id}"
@@ -170,16 +179,6 @@ class SwitchFabric:
         job_id = self._next_job_id
         self._next_job_id += 1
         return job_id
-
-    def _footprint(self, spec: JobSpec, profile) -> int:
-        """Worst-case live SRAM segments: the job's segment-plan chunks."""
-        probe = make_algorithm(
-            spec.workload,
-            seed=spec.seed,
-            **(spec.algorithm_overrides or {}),
-        )
-        plan = make_plan(probe.n_params, profile.model_bytes)
-        return plan.n_chunks
 
     def _racks_for(self, job_id: int, n_workers: int) -> List[int]:
         """Stripe workers across racks, offset by job id to spread load.
@@ -250,11 +249,13 @@ class SwitchFabric:
             view.hosts[host.name] = host
             view.workers.append(host)
             view.tor_of_worker.append(tor)
+        first = self._first_replicas.pop(job_id)
         workers = []
         for index, host in enumerate(view.workers):
-            algorithm = make_algorithm(
+            algorithm = first if index == 0 else make_algorithm(
                 spec.workload,
                 seed=spec.seed + index,
+                peer=first,
                 **(spec.algorithm_overrides or {}),
             )
             compute = ComputeModel(profile, seed=spec.seed * 1000 + index)

@@ -2,11 +2,14 @@
 
 Peak traced memory of one ``run()``, in units of one float32 gradient
 vector ``V``.  What has to be live on a 4-worker synthetic run is four
-float64 replicas (8 V), the round's gradients (4 V, on iSwitch one of them
-*is* the round buffer), one float64 update and the optimizer's temporary
-(2 V each): about 14.8 V on every strategy.  At the parent commit the same
-runs peaked at 24.8 V (isw, growing by 1 V per iteration as the Help cache
-pinned every round buffer), 18.7 V (ps) and 24.7 V (ar).
+float64 replicas (8 V) and the round's fresh gradients (4 V), plus the
+last rounds' results still pinned for Help (isw) or shared until the round
+barrier (ps, ar): about 14.1 V on every strategy, reached when a round's
+gradients are drawn.  Before the Help cache was bounded in rounds the
+same runs peaked at 24.8 V (isw, growing by 1 V per iteration as the Help
+cache pinned every round buffer), 18.7 V (ps) and 24.7 V (ar); until
+``SyntheticAlgorithm.apply_update`` worked in blocks, its full-length
+float64 temporary put a 2-iteration isw run at 14.1 V too (now 13.1 V).
 """
 
 import collections
@@ -52,13 +55,19 @@ def peak_in_vectors(strategy, iterations):
         tracemalloc.stop()
 
 
+#: Measured 14.06-14.11 V on every strategy and iteration count below.
+PEAK_BOUND_V = 14.5
+
+
 def test_sync_isw_peak_is_bounded_and_does_not_grow_with_iterations():
-    short = peak_in_vectors("isw", 2)
+    # A sync Help cache holds two rounds' results once it is full, at the
+    # third round's draw: from there on the peak is flat.
+    short = peak_in_vectors("isw", 3)
     long = peak_in_vectors("isw", 12)
-    assert short <= 16.0, short
+    assert short <= PEAK_BOUND_V, short
     # A Help cache counted in segments pinned one round buffer per
-    # iteration: +10 V over these ten iterations at the parent commit.
-    assert abs(long - short) <= 1.0, (short, long)
+    # iteration: +9 V over these nine iterations.
+    assert abs(long - short) <= 0.5, (short, long)
 
 
 @pytest.mark.parametrize("strategy", ["ps", "ar", "ar-hd", "ps-shard"])
@@ -67,7 +76,7 @@ def test_sharing_the_round_results_does_not_raise_the_host_side_peak(strategy):
     # that outlived it would add 2 V per retained round.
     short = peak_in_vectors(strategy, 2)
     long = peak_in_vectors(strategy, 12)
-    assert short <= 16.0, short
+    assert short <= PEAK_BOUND_V, short
     assert abs(long - short) <= 1.0, (short, long)
 
 

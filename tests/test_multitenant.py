@@ -6,9 +6,12 @@ canonical-order engines make each job's aggregate a pure function of its
 own contributions.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.distributed.runner import INIT_SEED
 from repro.multitenant import (
     AdmissionController,
     AdmissionDecision,
@@ -241,6 +244,28 @@ class TestBitExactIsolation:
             assert np.array_equal(
                 fabric.final_weights(handle.job_id), _run_solo(pinned)
             ), f"job {handle.job_id} diverged from its solo run"
+
+
+class TestJobReplicas:
+    def test_a_job_draws_its_shared_weights_once_into_one_stream_group(self):
+        # The algorithm built to size the job is worker 0; the others are
+        # its replicas, so the job's synthetic streams form one group.
+        draws = []
+        inner = np.random.default_rng
+
+        def counting(seed=None):
+            draws.append(seed)
+            return inner(seed)
+
+        fabric = SwitchFabric(telemetry=False)
+        with mock.patch.object(np.random, "default_rng", counting):
+            handle = fabric.submit(_spec("job", seed=3, n_workers=3))
+            fabric.run()
+        assert handle.status is JobStatus.COMPLETED
+        assert draws.count(INIT_SEED) == 1
+        algorithms = [w.algorithm for w in handle.result.workers]
+        assert len({id(a._group) for a in algorithms}) == 1
+        assert [a._stream for a in algorithms] == [0, 1, 2]
 
 
 class TestTelemetry:

@@ -11,6 +11,10 @@ scribbles on a shared result raises.
 
 import hashlib
 import json
+import os
+import sys
+import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -24,7 +28,8 @@ from repro.core.protocol import SegmentPlan, SegmentRun, make_data_packet
 from repro.distributed import ExperimentConfig, run
 from repro.distributed import runner as runner_module
 from repro.distributed.sync import SyncISwitch
-from repro.rl.synthetic import SyntheticAlgorithm
+from repro.rl import synthetic
+from repro.rl.synthetic import POOL_MIN_PARAMS, SyntheticAlgorithm
 
 from .helpers import built_clusters, per_packet_reference
 
@@ -455,6 +460,112 @@ class TestSyntheticReplica:
                 telemetry=False,
             ))
         assert draws.count(runner_module.INIT_SEED) == 1
+
+    # A cluster's replicas share one stream group: an asker with no draw
+    # pending starts the other idle streams' draws on a thread pool and
+    # draws its own.  Each stream must still give the bytes of a replica
+    # drawing alone, whatever order the replicas ask in.
+    def group_and_loners(self, n, n_params=POOL_MIN_PARAMS):
+        first = SyntheticAlgorithm(seed=11, n_params=n_params)
+        group = [first] + [first.replica(seed=11 + i) for i in range(1, n)]
+        loners = [
+            SyntheticAlgorithm(seed=11 + i, n_params=n_params) for i in range(n)
+        ]
+        return group, loners
+
+    @pytest.mark.parametrize(
+        "asks",
+        [
+            [0, 1, 2, 3] * 3,  # sync: every replica once per round
+            [2, 2, 0, 3, 2, 1, 1, 0, 2, 3, 3, 3, 0, 1, 2],  # async-like
+        ],
+        ids=["sync-order", "uneven-order"],
+    )
+    def test_a_group_gives_each_replica_its_own_stream(self, asks):
+        group, loners = self.group_and_loners(4)
+        with mock.patch.object(synthetic, "_cpus", return_value=2):
+            for k in asks:
+                gradient = group[k].compute_gradient()
+                assert gradient.tobytes() == loners[k].compute_gradient().tobytes()
+        for replica, loner in zip(group, loners):
+            assert replica.episode_rewards == loner.episode_rewards
+
+    def test_more_streams_than_cores_under_fast_thread_switching(self):
+        group, loners = self.group_and_loners(8)
+        asks = np.random.default_rng(3).integers(0, 8, size=200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(synthetic, "_cpus", return_value=2):
+                drawn = [(k, group[k].compute_gradient()) for k in asks]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, gradient in drawn:
+            assert gradient.tobytes() == loners[k].compute_gradient().tobytes()
+
+    def test_a_replica_asked_late_gets_its_pending_draw(self):
+        group, loners = self.group_and_loners(3)
+        with mock.patch.object(synthetic, "_cpus", return_value=2):
+            # Replica 2's second draw starts with the others' next round
+            # and then sits pending while they run on for three more.
+            for k in [0, 1, 2, 0, 1, 0, 1, 0, 1]:
+                group[k].compute_gradient()
+            late = group[2].compute_gradient()
+        loners[2].compute_gradient()
+        assert late.tobytes() == loners[2].compute_gradient().tobytes()
+
+    def test_no_pool_below_the_crossover_for_a_loner_or_on_one_cpu(self):
+        cases = [
+            (4, POOL_MIN_PARAMS - 1, 2),  # too short to pay for a hand-off
+            (1, 4 * POOL_MIN_PARAMS, 2),  # a group of one
+            (4, 4 * POOL_MIN_PARAMS, 1),  # nothing to run in parallel on
+        ]
+        no_pool = mock.patch.object(
+            synthetic, "_pool", side_effect=AssertionError("pool started")
+        )
+        for n, n_params, cpus in cases:
+            group, loners = self.group_and_loners(n, n_params)
+            with no_pool, mock.patch.object(synthetic, "_cpus", return_value=cpus):
+                for replica, loner in zip(group, loners):
+                    gradient = replica.compute_gradient()
+                    assert gradient.tobytes() == loner.compute_gradient().tobytes()
+        # Control: the same patch does see a pooled group.
+        group, _ = self.group_and_loners(2)
+        with no_pool, mock.patch.object(synthetic, "_cpus", return_value=2):
+            with pytest.raises(AssertionError, match="pool started"):
+                group[0].compute_gradient()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_pooled_run_draws_without_hanging(self):
+        group, loners = self.group_and_loners(2)
+        with mock.patch.object(synthetic, "_cpus", return_value=2):
+            group[0].compute_gradient()  # the parent's pool now has threads
+            expected = [loner.compute_gradient().tobytes() for loner in loners]
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork() in a threaded process,
+                # which is exactly the case under test.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: a fresh group on a fresh pool
+                code = 1
+                try:
+                    fresh, _ = self.group_and_loners(2)
+                    drawn = [r.compute_gradient().tobytes() for r in fresh]
+                    pool_pid = synthetic._pool_of_process[0]
+                    code = 0 if drawn == expected and pool_pid == os.getpid() else 1
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung drawing its gradients")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ----------------------------------------------------------------------
