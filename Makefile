@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast live lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke telemetry-smoke
+.PHONY: test test-fast live census lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke telemetry-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -9,16 +9,29 @@ test-fast:
 	PYTHONPATH=src $(PY) -m pytest -x -q -m "not slow"
 
 # Exactly the CI `live` job (which runs this target): sim<->live conformance
-# over loopback UDP with a per-test timeout and the repro.live coverage
-# floor; the plugin flags are dropped when the plugins are not installed.
+# over loopback UDP processes (the `live` mark) with a per-test timeout,
+# plus the tier-1 tests of the live roles themselves (frame logic, hostile
+# frames, whole sessions on the virtual-clock wire) — both marks together
+# hold the repro.live coverage floor; the plugin flags are dropped when
+# the plugins are not installed.
+LIVE_TESTS = tests/test_live_conformance.py tests/test_live_roles.py \
+	tests/test_member_role.py tests/test_switch_role.py tests/test_alloc_budget.py
 live:
 	@if $(PY) -c "import pytest_timeout, pytest_cov" 2>/dev/null; then \
-		PYTHONPATH=src $(PY) -m pytest -q -m live --timeout=120 \
-			--cov=repro.live --cov-fail-under=88; \
+		PYTHONPATH=src $(PY) -m pytest -q -m "live or not live" $(LIVE_TESTS) \
+			--timeout=120 --cov=repro.live --cov-fail-under=88; \
 	else \
 		echo "pytest-timeout/pytest-cov not installed; running without them"; \
-		PYTHONPATH=src $(PY) -m pytest -q -m live; \
+		PYTHONPATH=src $(PY) -m pytest -q -m "live or not live" $(LIVE_TESTS); \
 	fi
+
+# Which functions of src/repro/live/ the tier-1 suite calls (a
+# sys.setprofile census; ~1.8x tier-1's wall time).  Fails unless tier-1
+# calls every function of the role modules: only socket and process code
+# (transport.py, runner.py) may go uncalled.
+LIVE_ROLES = driver.py worker.py ps.py async_ps.py collective.py switch.py
+census:
+	PYTHONPATH=src $(PY) tools/live_census.py --require $(LIVE_ROLES)
 
 lint:
 	$(PY) -m compileall -q src tests benchmarks

@@ -49,7 +49,7 @@ untouched:
 * async-isw has no schedule of its own here: :meth:`AsyncISwitch.create`
   hands the run to the synchronous template with its staleness window
   opened to S — :meth:`repro.distributed.sync.SyncStrategy._step`, the
-  rule the live ``LiveWorkerBase.train`` loop runs, and at S = 0 sync-isw
+  rule the live ``LiveWorkerBase.on_timer`` runs, and at S = 0 sync-isw
   itself.  Every applied gradient's version gap is ``min(r, S)``, which
   makes the bound tight and checkable.
 * async-ps (``paced``): the server applies pushes in rank-cyclic order

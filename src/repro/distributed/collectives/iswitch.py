@@ -161,12 +161,6 @@ class ISwitchStream:
         self.handles.complete(round_index, worker.name)
         self.on_round(worker, round_index, vector)
 
-    # ------------------------------------------------------------------
-    @property
-    def rounds_completed(self) -> int:
-        """Aggregation rounds fully reassembled across all clients."""
-        return sum(c.rounds_completed for c in self.clients)
-
 
 def iswitch_stream(net, workers, wire_bytes, on_round, **kwargs) -> ISwitchStream:
     """Build an :class:`ISwitchStream` (functional spelling)."""

@@ -33,7 +33,7 @@ from .driver import (
     split_chunks,
 )
 from .ps import JOIN_BODY, HostServer
-from .transport import Address, UdpEndpoint
+from .transport import Address
 
 __all__ = ["LiveAsyncPsServer", "LiveAsyncPsWorker"]
 
@@ -123,25 +123,29 @@ class LiveAsyncPsServer(HostServer):
 
 
 class LiveAsyncPsWorker(LiveWorkerBase):
-    """Push-pull worker loop of the live async PS baseline."""
+    """Push-pull worker role of the live async PS baseline."""
 
     def __init__(
         self,
         rank: int,
         n_workers: int,
         algorithm: Algorithm,
-        endpoint: UdpEndpoint,
         server_addr: Address,
         **watchdog,
     ) -> None:
-        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
+        super().__init__(rank, n_workers, algorithm, **watchdog)
         self.server_addr = server_addr
+        self._join(
+            [server_addr],
+            [b"J" + JOIN_BODY.pack(rank, self.n_elements)],
+            b"L" + bytes([rank]),
+        )
         #: The weight version the next gradient is computed against.
         self.version = 0
         self._cycle_frames: List[bytes] = []
-        #: The pull being collected: its cycle, weights and version stamp.
+        #: The pull being collected: its cycle and version stamp (the
+        #: weights fill ``_result``).
         self._cycle = 0
-        self._pulled = np.empty(0)
         self._pulled_version = 0
         #: ``round_digests`` holds per-cycle digests of the pulled weights
         #: (each rank pulls its own versions, so streams differ across
@@ -150,18 +154,10 @@ class LiveAsyncPsWorker(LiveWorkerBase):
             help_sent=0, retransmissions=0, version_gap_max=0
         )
 
-    def join(self) -> None:
-        self._join_until_go(
-            b"J" + JOIN_BODY.pack(self.rank, self.n_elements),
-            self.server_addr,
-            lambda frame, src: frame[:1] == b"G" and src == self.server_addr,
-        )
-
-    def _leave(self) -> None:
-        self._send(b"L" + bytes([self.rank]), self.server_addr)
-
     def _submit(self, gradient: np.ndarray, cycle: int) -> None:
-        """Push: the whole gradient, stamped with the version it read."""
+        """Push: the whole gradient, stamped with the version it read; the
+        pull to collect is the server's weights right after it applied
+        that push."""
         self._cycle_frames = [
             b"U"
             + _ASYNC_HEADER.pack(self.rank, cycle, chunk, self.version)
@@ -170,16 +166,15 @@ class LiveAsyncPsWorker(LiveWorkerBase):
         ]
         for frame in self._cycle_frames:
             self._send(frame, self.server_addr)
-
-    def _complete(self, cycle: int) -> np.ndarray:
-        """Pull: the server's weights right after it applied that push."""
         self._cycle = cycle + 1
-        self._pulled = np.empty(self.n_elements, dtype=np.float64)
-        self._collect(set(range(len(self._cycle_frames))), cycle)
-        return self._pulled
+        self._result = np.empty(self.n_elements, dtype=np.float64)
+        self._missing = set(range(len(self._cycle_frames)))
 
-    def _ingest(self, frame: bytes, addr: Address) -> None:
-        if frame[:1] != b"W":
+    def _receive(self, frame: bytes, sender: int) -> None:
+        tag = frame[:1]
+        if tag == b"G":
+            self._admitted(sender)
+        if tag != b"W":
             return
         try:
             rank, cycle, chunk, version = _ASYNC_HEADER.unpack_from(frame, 1)
@@ -197,7 +192,7 @@ class LiveAsyncPsWorker(LiveWorkerBase):
             self.counters["decode_errors"] += 1
             return
         start = chunk * CHUNK_ELEMS
-        self._pulled[start : start + data.size] = data
+        self._result[start : start + data.size] = data
         self._pulled_version = version
         self._missing.discard(chunk)
 

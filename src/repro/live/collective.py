@@ -2,11 +2,11 @@
 
 Ring and recursive halving/doubling AllReduce are host-to-host: each
 worker binds its own socket, the runner hands out the
-:class:`~repro.live.transport.PeerTable`, and one loop runs the rank's
-row of the schedule the simulator reads its peers from
-(:func:`repro.core.baselines.ring_schedule` / ``hd_schedule``): phase 0
-adds what arrives into the accumulator, phase 1 takes it.  Blocks are
-``shard_ranges(n_elements, N)``.
+:class:`~repro.live.transport.PeerTable`, and the worker role steps
+through its rank's row of the schedule the simulator reads its peers
+from (:func:`repro.core.baselines.ring_schedule` / ``hd_schedule``):
+phase 0 adds what arrives into the accumulator, phase 1 takes it.
+Blocks are ``shard_ranges(n_elements, N)``.
 
 Framing is host-level (DESIGN §9.4): ``E`` is one 183-float64 fragment
 of the message a peer owes us for ``(phase, round, step)``, ``R`` asks
@@ -15,9 +15,11 @@ frame's sender is its source address in the peer table.  Recovery is
 receiver-driven: a receive timeout sends ``R`` to the expected sender,
 which resends from its cache of the current and previous round;
 duplicate fragments overwrite with identical bytes.  Teardown is a peer
-handshake: a finished worker broadcasts ``F`` (periodically) and keeps
-answering ``R`` until it holds every peer's ``F``.  ``F`` and ``R`` are
-exempt from injected loss, like the simulator's control plane.
+handshake: once its last round is applied a worker lingers — it sends
+``F`` on a timer and still answers ``R`` — and is done when it holds
+every peer's ``F`` (or :data:`LINGER_DEADLINE` after it began).  ``F``
+and ``R`` are exempt from injected loss, like the simulator's control
+plane.
 
 Numerics: chunks are summed in **float64**, each element in its
 schedule's own tree order — a rotation of the ranks for the ring,
@@ -30,9 +32,9 @@ check; nothing else makes them identical.
 
 from __future__ import annotations
 
+import math
 import struct
-import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,14 +49,14 @@ from .driver import (
     shard_ranges,
     split_chunks,
 )
-from .transport import Address, UdpEndpoint
+from .transport import Address
 
 __all__ = ["LiveRingWorker", "LiveHdWorker"]
 
 _DATA_HEADER = struct.Struct("<BBIII")  # sender_rank, phase, round, step, frag
 _REQ_HEADER = struct.Struct("<BBII")  # requester_rank, phase, round, step
 
-#: Re-broadcast period for the ``F`` (finished) frame while lingering.
+#: Re-send period of the ``F`` (finished) frame while lingering.
 FINISH_RESEND_PERIOD = 0.25
 #: Hard ceiling on the post-training linger; normally the peer ``F``
 #: handshake ends it within milliseconds.
@@ -62,7 +64,7 @@ LINGER_DEADLINE = 30.0
 
 
 class _PeerExchangeWorker(LiveWorkerBase):
-    """One exchange loop over a shared schedule, and its transport.
+    """One exchange schedule, stepped frame by frame, and its transport.
 
     Frames from an address outside the peer table are counted
     (``non_member``), whatever rank byte they carry; an ``E`` fragment
@@ -77,7 +79,6 @@ class _PeerExchangeWorker(LiveWorkerBase):
         rank: int,
         n_workers: int,
         algorithm: Algorithm,
-        endpoint: UdpEndpoint,
         peers: Dict[int, Address],
         loss_rate: float = 0.0,
         loss_seed: int = 0,
@@ -88,9 +89,10 @@ class _PeerExchangeWorker(LiveWorkerBase):
                 f"peer table must cover ranks 0..{n_workers - 1}, "
                 f"got {sorted(peers)}"
             )
-        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
+        super().__init__(rank, n_workers, algorithm, **watchdog)
         self.peers = dict(peers)
-        self._rank_of = {addr: peer for peer, addr in self.peers.items()}
+        # Receiving the peer table was the rendezvous: nothing to join.
+        self._senders = {addr: peer for peer, addr in self.peers.items()}
         #: This rank's schedule rows, their block ranges as element slices,
         #: and by (phase, step) — what each received message must be.
         bounds = [lo for lo, _ in shard_ranges(self.n_elements, n_workers)]
@@ -108,18 +110,23 @@ class _PeerExchangeWorker(LiveWorkerBase):
         self._sent: Dict[Tuple[int, int, int], List[bytes]] = {}
         #: Receive buffer: (sender, phase, round, step) → frag → payload.
         self._pending: Dict[tuple, Dict[int, np.ndarray]] = {}
-        #: Peers whose ``F`` (finished) frame has arrived.
+        #: Peers whose ``F`` (finished) frame has arrived, of the others.
         self._peer_done: set = set()
+        self._others = set(self.peers) - {rank}
         self._round = 0
-        self._accumulator = np.empty(0)
-        self.counters.update(resend_requests_sent=0, resends_served=0, non_member=0)
-        # Receiving the peer table was the rendezvous: nothing to join.
-        self._joined = True
+        #: The schedule row being exchanged (-1: the round's first is next).
+        self._step = -1
+        #: While lingering: the next ``F`` and the hard stop.
+        self._next_finish = -math.inf
+        self._hard_stop: Optional[float] = None
+        self.counters.update(resend_requests_sent=0, resends_served=0)
 
     # -- wire helpers ---------------------------------------------------
-    def _send_message(self, row, vector: np.ndarray) -> None:
-        """Fragment ``vector`` (float64) and send it as ``row`` says."""
-        payload = np.ascontiguousarray(vector, dtype="<f8")
+    def _exchange(self, row) -> None:
+        """Send ``row``'s message (float64 fragments, kept for resend
+        requests); await the fragments of the one it receives that are
+        not here yet."""
+        payload = np.ascontiguousarray(self._result[row.send], dtype="<f8")
         frames = [
             b"E"
             + _DATA_HEADER.pack(self.rank, row.phase, self._round, row.step, frag)
@@ -129,6 +136,10 @@ class _PeerExchangeWorker(LiveWorkerBase):
         self._sent[(row.phase, self._round, row.step)] = frames
         for frame in frames:
             self._send(frame, self.peers[row.send_to])
+        src, phase, step = row.recv_from, row.phase, row.step
+        frags = self._pending.setdefault((src, phase, self._round, step), {})
+        wanted = range(n_chunks(row.recv.stop - row.recv.start))
+        self._missing = {(src, phase, step, f) for f in wanted if f not in frags}
 
     def _prune_caches(self) -> None:
         floor = self._round - 1
@@ -137,23 +148,6 @@ class _PeerExchangeWorker(LiveWorkerBase):
         for key in [k for k in self._pending if k[2] < floor]:
             del self._pending[key]
             self.counters["stale_frames"] += 1
-
-    def _recv_message(self, row) -> np.ndarray:
-        """Block until the message ``row`` receives is fully assembled."""
-        src, phase, step = row.recv_from, row.phase, row.step
-        key = (src, phase, self._round, step)
-        frags = self._pending.setdefault(key, {})
-        size = row.recv.stop - row.recv.start
-        wanted = range(n_chunks(size))
-        self._collect(
-            {(src, phase, step, f) for f in wanted if f not in frags}, self._round
-        )
-        del self._pending[key]
-        out = np.empty(size, dtype=np.float64)
-        for index, payload in frags.items():
-            start = index * CHUNK_ELEMS
-            out[start : start + payload.size] = payload
-        return out
 
     def _recover(self, missing: set, round_index: int) -> None:
         """Watchdog fired: ask the sender for the whole message again."""
@@ -164,12 +158,11 @@ class _PeerExchangeWorker(LiveWorkerBase):
         )
         self.counters["resend_requests_sent"] += 1
 
-    def _ingest(self, frame: bytes, addr: Address) -> None:
-        sender = self._rank_of.get(addr)
-        if sender is None:
-            self.counters["non_member"] += 1
-            return
+    def _receive(self, frame: bytes, sender: int) -> None:
         tag = frame[:1]
+        if self._hard_stop is not None and tag not in (b"R", b"F"):
+            self.counters["stale_frames"] += 1  # lingering: resends only
+            return
         try:
             if tag == b"E":
                 if self._loss.drops():
@@ -192,62 +185,66 @@ class _PeerExchangeWorker(LiveWorkerBase):
                 # Not sent yet (the peer is ahead) or pruned: it retries.
                 resend = self._sent.get((phase, rnd, step), ())
                 for message in resend:
-                    self._send(message, addr)
+                    self._send(message, self.peers[sender])
                 self.counters["resends_served"] += bool(resend)
             elif tag == b"F":
                 self._peer_done.add(sender)
+                if self._hard_stop is not None:
+                    self.done = self._peer_done >= self._others
             else:
                 self.counters["decode_errors"] += 1
         except (struct.error, KeyError, ValueError):
             self.counters["decode_errors"] += 1
 
-    # -- training template hooks ----------------------------------------
+    # -- worker role hooks ----------------------------------------------
     def _submit(self, gradient: np.ndarray, round_index: int) -> None:
         self._round = round_index
         self._prune_caches()
-        self._accumulator = gradient.astype(np.float64)
+        self._result = gradient.astype(np.float64)
+        self._step = -1
+        self._missing = set()
 
-    def _complete(self, round_index: int) -> np.ndarray:
-        """Run the schedule: phase 0 adds into the accumulator, phase 1
-        takes what arrives."""
-        accumulator = self._accumulator
-        for row in self.steps:
-            self._send_message(row, accumulator[row.send])
-            if row.phase:
-                accumulator[row.recv] = self._recv_message(row)
-            else:
-                accumulator[row.recv] += self._recv_message(row)
-        return accumulator
+    def _collected(self, round_index: int) -> Optional[np.ndarray]:
+        """Step the schedule as far as the fragments here allow: phase 0
+        adds each received message into the accumulator, phase 1 takes
+        it."""
+        while not self._missing:
+            if self._step >= 0:
+                row = self.steps[self._step]
+                key = (row.recv_from, row.phase, self._round, row.step)
+                message = np.empty(row.recv.stop - row.recv.start)
+                for index, payload in self._pending.pop(key).items():
+                    start = index * CHUNK_ELEMS
+                    message[start : start + payload.size] = payload
+                if row.phase:
+                    self._result[row.recv] = message
+                else:
+                    self._result[row.recv] += message
+            self._step += 1
+            if self._step == len(self.steps):
+                return self._result
+            self._exchange(self.steps[self._step])
+        return None
 
-    def _leave(self) -> None:
+    def _finish(self, now: float) -> None:
         """Linger: serve resend requests until every peer has finished.
 
         Drops happen at the *receiver*, so this worker's last
         transmissions may still be missing at a peer whose only recovery
         source is this worker's send cache.  A peer's ``F`` frame is the
-        proof it needs nothing more; once all are in, exit immediately.
+        proof it needs nothing more; once all are in, the worker is done.
+        Announce first, test second: the last rank to finish already
+        holds every peer's ``F`` and must still send its own.
         """
-        finish = b"F" + bytes([self.rank])
-        others = set(self.peers) - {self.rank}
-        hard_stop = time.monotonic() + LINGER_DEADLINE
-        next_finish = 0.0
-        while True:
-            # Announce first, test second: the last rank to finish already
-            # holds every peer's ``F`` and must still send its own.
-            if time.monotonic() >= next_finish:
-                for peer in others:
-                    self._send(finish, self.peers[peer])
-                next_finish = time.monotonic() + FINISH_RESEND_PERIOD
-            if self._peer_done >= others or time.monotonic() >= hard_stop:
-                return
-            got = self.endpoint.recv(timeout=0.05)
-            if got is None:
-                continue
-            self.counters["frames_rx"] += 1
-            if got[0][:1] in (b"R", b"F"):
-                self._ingest(*got)
-            else:
-                self.counters["stale_frames"] += 1
+        if self._hard_stop is None:
+            self._hard_stop = now + LINGER_DEADLINE
+        if now >= self._next_finish:
+            finish = b"F" + bytes([self.rank])
+            for peer in sorted(self._others):
+                self._send(finish, self.peers[peer])
+            self._next_finish = now + FINISH_RESEND_PERIOD
+        self.done = self._peer_done >= self._others or now >= self._hard_stop
+        self.next_timer = min(self._next_finish, self._hard_stop)
 
 
 class LiveRingWorker(_PeerExchangeWorker):

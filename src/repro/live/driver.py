@@ -3,18 +3,23 @@
 The paper gives loss handling one rule — "offload the majority of tasks
 of handling lossy packets to workers" (§3.4): a worker timeout, a
 retransmission, a ``Help`` — and this module holds that rule, and every
-other loop the live roles share, in one place:
+other rule the live roles share, in one place.  Every live process is a
+*role*: an I/O-free state machine from (frame or timer expiry) to the
+frames to send — ``handle_frame(frame, addr)`` and ``on_timer(now)`` both
+return ``[(frame, addr), ...]`` — that names when its next timer is due
+(``next_timer``) and when it is ``done``.  A role owns no socket and
+reads no clock:
 
-* :func:`serve` — the server loop.  A *role* (``SoftwareSwitch``,
-  ``PsServer``, ``LiveAsyncPsServer``) is an I/O-free state machine from
-  (frame or timer expiry) to the frames to send: ``handle_frame(frame,
-  addr)`` and ``on_timer(now)`` both return ``[(frame, addr), ...]``.
+* :func:`serve` — the one loop, driving one role from a UDP endpoint and
+  the monotonic clock; every live child process runs it.
 * :class:`MemberServer` — the membership barrier (Join→ack, go once all
   N joined, Leave, ``done``, sender identified by *joined address*) and
   the :class:`LossGate` ingress drop, shared by all three server roles.
-* :class:`LiveWorkerBase` — the worker side: ``_join_until_go``, the
-  deadline-based ``_collect`` watchdog, and the ``compute → exchange →
-  digest → apply`` training template every worker family runs.
+* :class:`JoinTimer` — the Join resend of a worker and of a ToR's
+  parent Join, one rule.
+* :class:`LiveWorkerBase` — the worker role: the join, the submit window,
+  the deadline watchdog, in-order apply and digest, and the leave, for
+  every worker family.
 * :func:`split_chunks` / :func:`chunk_payload` — the 183-element chunker
   of every host-level frame, and :func:`shard_ranges`, the K-way split
   of ps-shard slices and ring chunks.
@@ -25,9 +30,10 @@ The host-level frame formats themselves are tabulated in DESIGN §9.4.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +45,7 @@ __all__ = [
     "CHUNK_ELEMS",
     "DEFAULT_LIVE_RECOVERY_TIMEOUT",
     "LiveRoundAbandoned",
+    "JoinTimer",
     "LiveWorkerBase",
     "LossGate",
     "MemberServer",
@@ -217,6 +224,10 @@ class MemberServer:
         )
         self._loss = LossGate(loss_rate, loss_seed, self.counters)
 
+    #: A server answers frames; it has no timer of its own (a ToR's parent
+    #: Join is :class:`~repro.live.switch.SoftwareSwitch`'s).
+    next_timer = math.inf
+
     def _all_left(self) -> bool:
         return len(self._members) == self.n_workers == len(self._left)
 
@@ -262,20 +273,44 @@ class MemberServer:
             self._refresh()
 
     def on_timer(self, now: float) -> Frames:
-        """Timer expiry: frames due at monotonic time ``now`` (none here)."""
+        """Timer expiry: frames due at time ``now`` (none here)."""
         return []
 
     def stats_snapshot(self) -> Dict[str, int]:
         return dict(self.counters)
 
 
-def serve(
-    role, endpoint: UdpEndpoint, deadline: float, poll_interval: float = 0.2
-) -> None:
+class JoinTimer:
+    """Send a Join until its go arrives: one rule for a worker's Join and
+    a ToR's parent Join.  Join is idempotent at the server, so resending
+    covers a lost Join, ack and go alike."""
+
+    def __init__(self, frame: bytes, addr: Address, member: str) -> None:
+        self.frame, self.addr, self.member = frame, addr, member
+        self.due = -math.inf  # when the next Join goes
+        self._first: Optional[float] = None
+
+    def on_timer(self, now: float) -> Frames:
+        if now < self.due:
+            return []
+        if self._first is None:
+            self._first = now
+        elif now - self._first >= JOIN_DEADLINE:
+            raise RuntimeError(
+                f"{self.member}: {self.addr} did not admit within "
+                f"{JOIN_DEADLINE:.0f}s"
+            )
+        self.due = now + JOIN_RESEND_PERIOD
+        return [(self.frame, self.addr)]
+
+
+def serve(role, endpoint: UdpEndpoint, deadline: float) -> None:
     """Drive ``role`` from ``endpoint`` until it is done or time runs out.
 
-    ``deadline`` is an absolute :func:`time.monotonic` timestamp — a hard
-    stop so an orphaned server process can never outlive the experiment.
+    The role's ``on_timer`` runs when its ``next_timer`` is due, and a
+    receive waits no longer than that.  ``deadline`` is an absolute
+    :func:`time.monotonic` timestamp — a hard stop so an orphaned process
+    can never outlive the experiment.
     """
 
     def transmit(frames: Frames) -> None:
@@ -284,10 +319,10 @@ def serve(
             role.counters["frames_tx"] += 1
 
     while not role.done and (now := time.monotonic()) < deadline:
-        transmit(role.on_timer(now))
-        got = endpoint.recv(
-            timeout=min(poll_interval, max(deadline - now, 0.01))
-        )
+        if now >= role.next_timer:
+            transmit(role.on_timer(now))
+            continue
+        got = endpoint.recv(timeout=min(role.next_timer, deadline) - now)
         if got is not None:
             transmit(role.handle_frame(*got))
 
@@ -296,14 +331,16 @@ def serve(
 # Worker side
 # ---------------------------------------------------------------------------
 class LiveWorkerBase:
-    """Join, watchdog and training template of every live worker family.
+    """The worker role of every live family.  :meth:`handle_frame` only
+    lands frames, and only from the servers or peers it joined
+    (``_senders``: address → index; any other source is a
+    ``non_member``); :meth:`on_timer` does the rest (DESIGN §9.4).
 
-    Subclasses supply the strategy: ``_submit`` (send one round's
-    gradient), ``_complete`` (collect that round's result), ``_ingest``
-    (one received datagram; removes what it satisfied from
-    ``self._missing``), ``_recover`` (the watchdog fired) and ``_leave``.
-    Their constructors take the strategy's own arguments and pass the
-    watchdog's (``recovery_timeout``, ``max_recovery_attempts``) through.
+    Subclasses supply the strategy: ``_submit`` (one round out; it sets
+    what the round awaits, ``self._missing``, and the array its result
+    fills, ``self._result``), ``_receive`` (a frame from a known sender;
+    discards what it satisfied from ``self._missing``), ``_recover``
+    (the watchdog fired), and may override ``_collected``.
     """
 
     #: Rounds a worker may submit ahead of its own applied weights.
@@ -314,7 +351,6 @@ class LiveWorkerBase:
         rank: int,
         n_workers: int,
         algorithm: Algorithm,
-        endpoint: UdpEndpoint,
         recovery_timeout: float = DEFAULT_LIVE_RECOVERY_TIMEOUT,
         max_recovery_attempts: int = 12,
     ) -> None:
@@ -325,7 +361,6 @@ class LiveWorkerBase:
         self.rank = rank
         self.n_workers = n_workers
         self.algorithm = algorithm
-        self.endpoint = endpoint
         self.recovery_timeout = recovery_timeout
         self.max_recovery_attempts = max_recovery_attempts
         self.n_elements = algorithm.get_weights().size
@@ -337,111 +372,141 @@ class LiveWorkerBase:
                 "watchdog_timeouts",
                 "stale_frames",
                 "decode_errors",
+                "non_member",
             ),
             0,
         )
-        self._joined = False
-        #: What the round being collected still waits for.
+        self._senders: Dict[Address, int] = {}
+        self._joins: Dict[int, JoinTimer] = {}  # by sender index, until its go
+        self.iterations = self.submitted = self.applied = 0
+        self.next_timer = math.inf  # -inf: due at once
+        self.done = False
+        #: The ``now`` of the first training step (after the join).
+        self.started: Optional[float] = None
+        self._outbox: Frames = []
+        #: What the round being collected still waits for, and the array
+        #: its result fills.
         self._missing: set = set()
+        self._result = np.empty(0)
+        #: The watchdog over it: the set watched, its size when (re)armed,
+        #: the attempts so far and the next expiry.
+        self._watched: Optional[set] = None
+        self._left = self._attempts = 0
+        self._recover_at = math.inf
+
+    def _join(self, addrs: List[Address], frames: List[bytes], leave: bytes) -> None:
+        """Join the servers at ``addrs`` with ``frames`` (and leave them
+        with ``leave``); only they may send to this worker."""
+        self._senders = {addr: index for index, addr in enumerate(addrs)}
+        self._joins = {
+            index: JoinTimer(frame, addr, f"worker {self.rank}")
+            for index, (addr, frame) in enumerate(zip(addrs, frames))
+        }
+        self._leave_frame = leave
+
+    def start(self, iterations: int) -> None:
+        """Arm the role for ``iterations`` rounds; its first timer is due
+        at once."""
+        self.iterations = iterations
+        self.next_timer = -math.inf
 
     def _send(self, frame: bytes, addr: Address) -> None:
-        self.endpoint.send(frame, addr)
-        self.counters["frames_tx"] += 1
+        self._outbox.append((frame, addr))
 
-    def _join_until_go(
-        self,
-        join_frame: bytes,
-        addr: Address,
-        is_go: Callable[[bytes, Address], bool],
-    ) -> None:
-        """Send ``join_frame`` to ``addr`` until its go signal arrives.
+    def _flush(self) -> Frames:
+        out, self._outbox = self._outbox, []
+        return out
 
-        The go broadcast doubles as the start-of-training barrier — the
-        server only sends it once all expected members joined.  Join is
-        idempotent at the server, so resending on a quiet socket covers
-        a lost Join, a lost ack, and a lost go alike.
-        """
-        deadline = time.monotonic() + JOIN_DEADLINE
-        while time.monotonic() < deadline:
-            self._send(join_frame, addr)
-            resend_at = time.monotonic() + JOIN_RESEND_PERIOD
-            while (wait := resend_at - time.monotonic()) > 0:
-                got = self.endpoint.recv(timeout=max(wait, 0.01))
-                if got is None:
-                    break
-                self.counters["frames_rx"] += 1
-                if is_go(*got):
-                    self._joined = True
-                    return
-        raise RuntimeError(
-            f"worker {self.rank}: {addr} did not admit within "
-            f"{JOIN_DEADLINE:.0f}s"
-        )
+    def handle_frame(self, frame: bytes, addr: Address) -> Frames:
+        self.counters["frames_rx"] += 1
+        self._ingest(frame, addr)
+        if len(self._missing) < self._left:
+            self.next_timer = -math.inf  # apply, or rewind the watchdog
+        return self._flush()
 
-    def _collect(self, missing: set, round_index: int) -> None:
-        """Receive until ``_ingest`` has emptied ``missing``.
+    def _ingest(self, frame: bytes, addr: Address) -> None:
+        sender = self._senders.get(addr)
+        if sender is None:
+            self.counters["non_member"] += 1
+        else:
+            self._receive(frame, sender)
 
-        Deadline-based watchdog: unrelated traffic (peers' Helps, resend
-        requests, stale rebroadcasts) must not starve recovery, so the
-        timer runs on wall clock, not on the socket going quiet.  Each
-        expiry calls ``_recover`` and doubles the period; progress on the
-        awaited keys rewinds it — escalating while results are streaming
-        in would only add stalls.
-        """
-        self._missing = missing
-        attempts, left = 0, len(missing)
-        recover_at = time.monotonic() + self.recovery_timeout
-        while missing:
-            now = time.monotonic()
-            if len(missing) < left:
-                attempts, left = 0, len(missing)
-                recover_at = now + self.recovery_timeout
-            if now >= recover_at:
-                attempts += 1
-                self.counters["watchdog_timeouts"] += 1
-                if attempts > self.max_recovery_attempts:
-                    raise LiveRoundAbandoned(
-                        self.rank, round_index, attempts - 1, sorted(missing)
-                    )
-                self._recover(missing, round_index)
-                recover_at = time.monotonic() + min(
-                    self.recovery_timeout * 2**attempts, MAX_BACKOFF
-                )
-                continue
-            got = self.endpoint.recv(timeout=recover_at - now)
-            if got is not None:
-                self.counters["frames_rx"] += 1
-                self._ingest(*got)
+    def _admitted(self, sender: int) -> None:
+        """A go from ``sender``; the last one starts training."""
+        join = self._joins.pop(sender, None)
+        if join is not None and not self._joins:
+            self.next_timer = -math.inf
 
-    def train(self, iterations: int) -> None:
-        """compute → exchange → digest → apply, ``iterations`` times.
+    def on_timer(self, now: float) -> Frames:
+        if self._missing:  # the round still waits: only the watchdog runs
+            self._watch(now)
+        elif self._joins:
+            for join in self._joins.values():
+                self._outbox += join.on_timer(now)
+            self.next_timer = min(join.due for join in self._joins.values())
+        else:
+            self._advance(now)
+        return self._flush()
 
-        A worker submits round ``k`` as soon as ``k ≤ applied +
-        staleness_bound`` and always applies in order; with the bound at
-        0 (every family but async-isw) that is the plain synchronous
-        loop.
-        """
-        if not self._joined:
-            raise RuntimeError("join() the job before training")
-        submitted = 0
-        for applied in range(iterations):
-            while (
-                submitted < iterations
-                and submitted <= applied + self.staleness_bound
+    def _advance(self, now: float) -> None:
+        """Submit while the window allows, digest and apply completed
+        rounds in order, watch the one awaited — or finish."""
+        if self.started is None:
+            self.started = now
+        while self.applied < self.iterations:
+            while self.submitted < min(
+                self.iterations, self.applied + self.staleness_bound + 1
             ):
                 gradient = np.asarray(
                     self.algorithm.compute_gradient(), dtype=np.float32
                 )
-                self._submit(gradient, submitted)
-                submitted += 1
-            total = self._complete(applied)
+                self._submit(gradient, self.submitted)
+                self.submitted += 1
+            total = self._collected(self.applied)
+            if total is None:
+                self._watch(now)
+                return
+            self._left = 0  # the watch ends with its round
             self.round_digests.append(
                 hashlib.sha256(
                     np.ascontiguousarray(total).tobytes()
                 ).hexdigest()[:16]
             )
-            self._apply(total, applied)
-        self._leave()
+            self._apply(total, self.applied)
+            self.applied += 1
+        self._finish(now)
+
+    def _watch(self, now: float) -> None:
+        """The deadline watchdog over ``self._missing``: only a new awaited
+        set or progress on it (a frame that makes progress makes the timer
+        due at once) rearms it — unrelated traffic never does; each expiry
+        recovers and doubles the period up to :data:`MAX_BACKOFF`."""
+        missing = self._missing
+        if missing is not self._watched or len(missing) < self._left:
+            self._watched, self._left, self._attempts = missing, len(missing), 0
+            self._recover_at = now + self.recovery_timeout
+        elif now >= self._recover_at:
+            self._attempts += 1
+            self.counters["watchdog_timeouts"] += 1
+            if self._attempts > self.max_recovery_attempts:
+                raise LiveRoundAbandoned(
+                    self.rank, self.applied, self._attempts - 1, sorted(missing)
+                )
+            self._recover(missing, self.applied)
+            self._recover_at = now + min(
+                self.recovery_timeout * 2**self._attempts, MAX_BACKOFF
+            )
+        self.next_timer = self._recover_at
+
+    def _collected(self, round_index: int) -> Optional[np.ndarray]:
+        return None if self._missing else self._result
+
+    def _finish(self, now: float) -> None:
+        """Every round is applied: leave, and be done."""
+        for addr in self._senders:
+            self._send(self._leave_frame, addr)
+        self.done = True
+        self.next_timer = math.inf
 
     def _apply(self, total: np.ndarray, round_index: int) -> None:
         self.algorithm.apply_update(

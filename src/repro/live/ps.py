@@ -12,8 +12,8 @@ with the simulator by construction.
 contiguous element ranges, each summed by a stock :class:`PsServer`, so
 sharding lives entirely in :class:`LiveShardWorker`: it routes each
 shard's slice to that shard's address and reassembles the K float64
-slices, telling responses apart by source address.  Joins run in shard
-order on every worker, which keeps the K join barriers deadlock-free.
+slices, telling responses apart by source address.  It joins all K
+shards at once and trains once every shard's go arrived.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .driver import (
     shard_ranges,
     split_chunks,
 )
-from .transport import Address, UdpEndpoint
+from .transport import Address
 
 __all__ = ["HostServer", "PsServer", "LiveShardWorker"]
 
@@ -128,45 +128,31 @@ def _down_frame(round_index: int, chunk: int, total: np.ndarray) -> bytes:
 
 
 class LiveShardWorker(LiveWorkerBase):
-    """Worker-side loop of the live PS strategies (``ps``: one shard)."""
+    """Worker role of the live PS strategies (``ps``: one shard)."""
 
     def __init__(
         self,
         rank: int,
         n_workers: int,
         algorithm: Algorithm,
-        endpoint: UdpEndpoint,
         shard_addrs: List[Address],
         **watchdog,
     ) -> None:
         if not shard_addrs:
             raise ValueError("need at least one shard server")
-        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
+        super().__init__(rank, n_workers, algorithm, **watchdog)
         self.shard_addrs = list(shard_addrs)
         self.ranges = shard_ranges(self.n_elements, len(shard_addrs))
-        self._addr_to_shard = {
-            addr: index for index, addr in enumerate(self.shard_addrs)
-        }
+        self._join(
+            self.shard_addrs,
+            [b"J" + JOIN_BODY.pack(rank, hi - lo) for lo, hi in self.ranges],
+            b"L" + bytes([rank]),
+        )
         #: (shard, chunk) → encoded ``U`` frame of the current round.
         self._round_frames: Dict[Tuple[int, int], bytes] = {}
-        #: The round being collected, and its float64 sum, filled in place.
+        #: The round being collected (its float64 sum fills ``_result``).
         self._round = 0
-        self._total = np.empty(0)
         self.counters.update(help_sent=0, retransmissions=0)
-
-    def join(self) -> None:
-        """Join every shard, in shard order (the same order on all ranks)."""
-        for addr, (lo, hi) in zip(self.shard_addrs, self.ranges):
-            self._join_until_go(
-                b"J" + JOIN_BODY.pack(self.rank, hi - lo),
-                addr,
-                lambda frame, src, addr=addr: frame[:1] == b"G"
-                and src == addr,
-            )
-
-    def _leave(self) -> None:
-        for addr in self.shard_addrs:
-            self._send(b"L" + bytes([self.rank]), addr)
 
     def _submit(self, gradient: np.ndarray, round_index: int) -> None:
         self._round_frames = {}
@@ -179,16 +165,15 @@ class LiveShardWorker(LiveWorkerBase):
                 )
                 self._round_frames[(shard, chunk)] = frame
                 self._send(frame, self.shard_addrs[shard])
-
-    def _complete(self, round_index: int) -> np.ndarray:
         self._round = round_index
-        self._total = np.empty(self.n_elements, dtype=np.float64)
-        self._collect(set(self._round_frames), round_index)
-        return self._total
+        self._result = np.empty(self.n_elements, dtype=np.float64)
+        self._missing = set(self._round_frames)
 
-    def _ingest(self, frame: bytes, addr: Address) -> None:
-        shard = self._addr_to_shard.get(addr)
-        if shard is None or frame[:1] != b"D":
+    def _receive(self, frame: bytes, shard: int) -> None:
+        tag = frame[:1]
+        if tag == b"G":
+            self._admitted(shard)
+        if tag != b"D":
             return
         try:
             round_index, chunk = _DOWN_HEADER.unpack_from(frame, 1)
@@ -204,7 +189,7 @@ class LiveShardWorker(LiveWorkerBase):
             self.counters["decode_errors"] += 1
             return
         start = lo + chunk * CHUNK_ELEMS
-        self._total[start : start + data.size] = data
+        self._result[start : start + data.size] = data
         self._missing.discard(key)
 
     def _recover(self, missing: set, round_index: int) -> None:

@@ -7,9 +7,9 @@ It forks the strategy's server processes (a
 them, ToR→AGG, when the worker count overflows one rack — K
 :class:`~repro.live.ps.PsServer` shards for ``ps-shard``, one for ``ps``,
 a :class:`~repro.live.async_ps.LiveAsyncPsServer` for async ``ps``, and
-none at all for the peer-to-peer ``ar``/``ar-hd`` collectives), each
-driven by the one :func:`~repro.live.driver.serve` loop, plus
-``n_workers`` worker processes, all talking loopback UDP, and folds
+none at all for the peer-to-peer ``ar``/``ar-hd`` collectives) and
+``n_workers`` worker processes — each child a role driven by the one
+:func:`~repro.live.driver.serve` loop — all talking loopback UDP, and folds
 their reports into the same :class:`~repro.distributed.results.TrainingResult`
 shape the simulator returns (``result.backend == "live"``, with the live
 artifacts in the typed fields ``final_weights``/``round_digests``/...).
@@ -128,32 +128,9 @@ def _build_server(params: Dict[str, Any]):
     return PsServer(**common)
 
 
-def _cost(cpu_start: float, endpoint) -> Dict[str, float]:
-    """A child's own attribution: its loop's process CPU (ms since
-    ``cpu_start``) and the receives that blocked in a poll."""
-    cpu_ms = round((time.process_time() - cpu_start) * 1e3, 3)
-    return {"cpu_ms": cpu_ms, "waits": endpoint.waits}
-
-
-def _server_main(conn, params: Dict[str, Any]) -> None:
-    try:
-        from .driver import serve
-        from .transport import UdpEndpoint
-
-        endpoint = UdpEndpoint()
-        role = _build_server(params)
-        conn.send(("port", endpoint.port))
-        cpu = time.process_time()
-        serve(role, endpoint, time.monotonic() + params["deadline"])
-        conn.send(("ok", dict(role.stats_snapshot(), **_cost(cpu, endpoint))))
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def _build_worker(rank: int, algorithm, endpoint, conn, params: Dict[str, Any]):
-    """Construct the strategy-appropriate worker state machine."""
+def _build_worker(rank: int, conn, params: Dict[str, Any]):
+    """Construct the strategy-appropriate worker role."""
+    from ..distributed.runner import make_algorithm
     from .transport import LOOPBACK, PeerTable
 
     mode = params.get("mode", "sync")
@@ -161,8 +138,11 @@ def _build_worker(rank: int, algorithm, endpoint, conn, params: Dict[str, Any]):
     common = dict(
         rank=rank,
         n_workers=params["n_workers"],
-        algorithm=algorithm,
-        endpoint=endpoint,
+        algorithm=make_algorithm(
+            params["workload"],
+            seed=params["seed"] + rank,
+            **(params["algorithm_overrides"] or {}),
+        ),
         recovery_timeout=params["recovery_timeout"],
     )
     if strategy == "isw":
@@ -195,9 +175,8 @@ def _build_worker(rank: int, algorithm, endpoint, conn, params: Dict[str, Any]):
         # ps is ps-shard with one shard.
         return LiveShardWorker(**common, shard_addrs=server_addrs)
     if strategy in ("ar", "ar-hd"):
-        # Peer-to-peer: report our port, then block on the peer table —
-        # the rendezvous barrier for the whole fleet.
-        conn.send(("port", endpoint.port))
+        # Peer-to-peer: block on the peer table — the rendezvous barrier
+        # for the whole fleet.
         kind, table = conn.recv()
         if kind != "peers" or not isinstance(table, PeerTable):
             raise RuntimeError(f"expected peer table, got {kind!r}")
@@ -217,40 +196,44 @@ def _build_worker(rank: int, algorithm, endpoint, conn, params: Dict[str, Any]):
     raise RuntimeError(f"no live worker for strategy {strategy!r}")
 
 
-def _worker_main(conn, rank: int, params: Dict[str, Any]) -> None:
+def _child_main(conn, params: Dict[str, Any], rank: Optional[int]) -> None:
+    """One live process: bind a socket, report its port, build the role
+    (a server when ``rank`` is ``None``, else that rank's worker), drive
+    it with :func:`~repro.live.driver.serve`, report what it did."""
     try:
-        from ..distributed.runner import make_algorithm
+        from .driver import serve
         from .transport import UdpEndpoint
 
-        algorithm = make_algorithm(
-            params["workload"],
-            seed=params["seed"] + rank,
-            **(params["algorithm_overrides"] or {}),
-        )
         endpoint = UdpEndpoint()
-        worker = _build_worker(rank, algorithm, endpoint, conn, params)
-        if hasattr(worker, "join"):
-            worker.join()
-        started, cpu = time.monotonic(), time.process_time()
-        worker.train(params["iterations"])
-        train_seconds = time.monotonic() - started
-        worker.counters.update(_cost(cpu, endpoint))
-        reward = algorithm.final_average_reward()
-        conn.send(
-            (
-                "ok",
-                {
-                    "rank": rank,
-                    "final_weights": np.asarray(
-                        algorithm.get_weights(), dtype=np.float64
-                    ),
-                    "round_digests": worker.round_digests,
-                    "reward": reward,
-                    "train_seconds": train_seconds,
-                    "counters": worker.counters,
-                },
-            )
-        )
+        conn.send(("port", endpoint.port))
+        if rank is None:
+            role = _build_server(params)
+        else:
+            role = _build_worker(rank, conn, params)
+            role.start(params["iterations"])
+        cpu = time.process_time()
+        serve(role, endpoint, time.monotonic() + params["deadline"])
+        # The loop's process CPU and the receives that blocked in a poll.
+        cost = {
+            "cpu_ms": round((time.process_time() - cpu) * 1e3, 3),
+            "waits": endpoint.waits,
+        }
+        if rank is None:
+            conn.send(("ok", dict(role.stats_snapshot(), **cost)))
+            return
+        if not role.done:
+            raise RuntimeError(f"worker {rank}: not done within the deadline")
+        role.counters.update(cost)
+        weights = np.asarray(role.algorithm.get_weights(), dtype=np.float64)
+        report = {
+            "rank": rank,
+            "final_weights": weights,
+            "round_digests": role.round_digests,
+            "reward": role.algorithm.final_average_reward(),
+            "train_seconds": time.monotonic() - role.started,
+            "counters": role.counters,
+        }
+        conn.send(("ok", report))
     except Exception:
         conn.send(("error", traceback.format_exc()))
     finally:
@@ -360,7 +343,7 @@ def _spawn_servers(
     def _spawn(name: str, child_params: Dict[str, Any]) -> int:
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_server_main, args=(child_conn, child_params), daemon=True
+            target=_child_main, args=(child_conn, child_params, None), daemon=True
         )
         processes.append(proc)
         proc.start()
@@ -460,8 +443,8 @@ def run_live(config) -> "TrainingResult":
         for rank in range(config.n_workers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, rank, params),
+                target=_child_main,
+                args=(child_conn, params, rank),
                 daemon=True,
             )
             processes.append(proc)
@@ -469,13 +452,13 @@ def run_live(config) -> "TrainingResult":
             child_conn.close()
             worker_conns.append(parent_conn)
 
+        table = PeerTable(
+            workers={
+                rank: (LOOPBACK, _recv_port(conn, f"worker {rank}"))
+                for rank, conn in enumerate(worker_conns)
+            }
+        )
         if peer_to_peer:
-            table = PeerTable(
-                workers={
-                    rank: (LOOPBACK, _recv_port(conn, f"worker {rank}"))
-                    for rank, conn in enumerate(worker_conns)
-                }
-            )
             for conn in worker_conns:
                 conn.send(("peers", table))
 

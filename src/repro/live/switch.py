@@ -25,6 +25,7 @@ frames to transmit — so the driver is unit-testable without processes.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from ..core.jobs import JobState, Routes
@@ -43,7 +44,7 @@ from ..core.protocol import (
     encode_control,
     encode_data,
 )
-from .driver import JOIN_RESEND_PERIOD, Frames, MemberServer, decode_control
+from .driver import Frames, JoinTimer, MemberServer, decode_control
 from .transport import Address
 
 __all__ = ["SoftwareSwitch"]
@@ -88,12 +89,20 @@ class SoftwareSwitch(MemberServer):
         self.rank = rank
         #: Parent-membership barrier: nothing goes upstream before the
         #: parent's SetH (all ToRs admitted); frames for it queue until
-        #: then.  Trivially ready with no parent.
-        self._parent_ready = parent_addr is None
+        #: then.  Until then a ToR re-sends its parent Join, as a member
+        #: of type "switch" — n_elements 0: the parent never needs the
+        #: gradient geometry, only the membership.  ``None``: ready.
+        self._parent_join: Optional[JoinTimer] = None
         self._up_pending: List[bytes] = []
-        #: When the next parent ``Join`` is due (see :meth:`on_timer`).
-        self._next_parent_join = 0.0
         self._left_sent = False
+        if parent_addr is not None:
+            join = ControlMessage(
+                Action.JOIN, JoinInfo("switch", rank, 0, 0), job=job
+            )
+            self._parent_join = JoinTimer(
+                encode_control(join), parent_addr, f"switch {rank}"
+            )
+            self.next_timer = -math.inf
         #: Aggregation numerics (``None`` = fp32).  ``canonical_order`` is
         #: only needed where arrival order can change the sum: integer
         #: summation (int32-bs) is associative, so that engine aggregates
@@ -136,23 +145,12 @@ class SoftwareSwitch(MemberServer):
         return self._all_left() and self._left_sent and not self._up_pending
 
     def on_timer(self, now: float) -> Frames:
-        """A ToR re-sends its parent ``Join`` until the parent's SetH.
-
-        It joins the aggregation switch above it as a member of type
-        "switch"; n_elements is 0 — the parent never needs the gradient
-        geometry, only the membership.
-        """
-        if self._parent_ready or now < self._next_parent_join:
+        """A ToR re-sends its parent ``Join`` until the parent's SetH."""
+        if self._parent_join is None:
             return []
-        self._next_parent_join = now + JOIN_RESEND_PERIOD
-        join = ControlMessage(
-            Action.JOIN,
-            JoinInfo(
-                member_type="switch", rank=self.rank, n_elements=0, n_chunks=0
-            ),
-            job=self.job,
-        )
-        return [(encode_control(join), self.parent_addr)]
+        out = self._parent_join.on_timer(now)
+        self.next_timer = self._parent_join.due
+        return out
 
     def handle_frame(self, frame: bytes, addr: Address) -> Frames:
         """Process one received datagram; return the datagrams to send.
@@ -178,7 +176,8 @@ class SoftwareSwitch(MemberServer):
             action = message.action
             if from_parent and action == Action.SETH:
                 # The parent's barrier opened: flush what queued for it.
-                self._parent_ready = True
+                self._parent_join = None
+                self.next_timer = math.inf
                 out = [(queued, addr) for queued in self._up_pending]
                 self._up_pending = []
                 return out
@@ -247,7 +246,7 @@ class SoftwareSwitch(MemberServer):
                     else encode_data(m, downstream=not upstream, codec=self.codec)
                     for m in messages
                 ]
-            if upstream and not self._parent_ready:
+            if upstream and self._parent_join is not None:
                 self._up_pending.extend(frames)
             else:
                 out += [(frame, dst) for frame in frames]

@@ -18,14 +18,16 @@ relays a Help (to every member, requester included).
 :class:`~repro.live.switch.SoftwareSwitch` either way (threshold = N,
 dedup, canonical order): asynchrony — the paper's Algorithm 1 — lives
 entirely in the worker schedule, and the simulator runs the same windowed
-rule (:meth:`repro.distributed.sync.SyncStrategy._step`, event-driven
-where :meth:`LiveWorkerBase.train` blocks).  A worker may run up to ``staleness_bound`` rounds ahead of its own
-applied weights: it computes and submits round ``k`` as soon as
-``k ≤ applied + S``, then collects and applies the oldest outstanding
-round.  Under that greedy schedule the gradient for round ``k`` is
-computed against weight version ``max(0, k − S)``, so every applied
-gradient's version gap is ``min(k, S) ≤ S`` — the bound Algorithm 1
-enforces — and the weight trajectory is the simulator's, bit for bit.
+rule (:meth:`repro.distributed.sync.SyncStrategy._step`); both are
+event-driven, the live one by the frames and timers
+:func:`~repro.live.driver.serve` hands its role.  A worker may run up to
+``staleness_bound`` rounds ahead of its own applied weights: it computes
+and submits round ``k`` as soon as ``k ≤ applied + S``, then collects and
+applies the oldest outstanding round.  Under that greedy schedule the
+gradient for round ``k`` is computed against weight version
+``max(0, k − S)``, so every applied gradient's version gap is
+``min(k, S) ≤ S`` — the bound Algorithm 1 enforces — and the weight
+trajectory is the simulator's, bit for bit.
 
 The gap is **measured**, not assumed: at compute time the worker records
 its live applied-version, and at apply time it counts the real gap into
@@ -41,7 +43,7 @@ the send log keeps ``S + 2`` rounds at least for the slowest peer's Help.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -54,14 +56,13 @@ from ..core.protocol import (
     ProtocolError,
     SegmentPlan,
     decode_data_header,
-    decode_frame,
     decode_payload,
     encode_control,
     encode_data,
 )
 from ..rl.base import Algorithm
 from .driver import LiveWorkerBase, decode_control
-from .transport import Address, UdpEndpoint
+from .transport import Address
 
 __all__ = ["LiveWorker"]
 
@@ -76,14 +77,13 @@ class LiveWorker(LiveWorkerBase):
         rank: int,
         n_workers: int,
         algorithm: Algorithm,
-        endpoint: UdpEndpoint,
         switch_addr: Address,
         job: int = 0,
         codec=None,
         staleness_bound: int = 0,
         **watchdog,
     ) -> None:
-        super().__init__(rank, n_workers, algorithm, endpoint, **watchdog)
+        super().__init__(rank, n_workers, algorithm, **watchdog)
         if codec is not None and codec.wire_tag is None:
             raise ValueError(
                 f"codec {codec.name!r} has no wire format and cannot cross "
@@ -119,40 +119,11 @@ class LiveWorker(LiveWorkerBase):
             version_gap_total=0,
             version_gap_count=0,
         )
-
-    # ------------------------------------------------------------------
-    def join(self) -> None:
-        """Join the job: send ``Join`` until the switch's ``SetH`` arrives."""
-        join = ControlMessage(
-            Action.JOIN,
-            JoinInfo(
-                member_type="worker",
-                rank=self.rank,
-                n_elements=self.plan.n_elements,
-                n_chunks=self.plan.n_chunks,
-            ),
-            job=self.job,
-        )
-
-        def is_seth(frame: bytes, addr: Address) -> bool:
-            try:
-                message = decode_frame(frame)[1]
-            except ProtocolError:
-                self.counters["decode_errors"] += 1
-                return False
-            return (
-                isinstance(message, ControlMessage)
-                and message.action == Action.SETH
-                and message.job == self.job
-            )
-
-        self._join_until_go(encode_control(join), self.switch_addr, is_seth)
-
-    def _leave(self) -> None:
-        self._send(
-            encode_control(ControlMessage(Action.LEAVE, job=self.job)),
-            self.switch_addr,
-        )
+        # Join the job: ``Join`` until the switch's ``SetH`` arrives.
+        info = JoinInfo("worker", rank, self.plan.n_elements, self.plan.n_chunks)
+        join = ControlMessage(Action.JOIN, info, job=job)
+        leave = ControlMessage(Action.LEAVE, job=job)
+        self._join([switch_addr], [encode_control(join)], encode_control(leave))
 
     # ------------------------------------------------------------------
     def _submit(self, gradient: np.ndarray, round_index: int) -> None:
@@ -165,19 +136,22 @@ class LiveWorker(LiveWorkerBase):
         for frame in frames:
             self._send(frame, self.switch_addr)
 
-    def _complete(self, round_index: int) -> np.ndarray:
-        """Collect one round's aggregate (part of it may already be here:
-        segments that arrived while collecting earlier rounds)."""
-        self._collect(self.rounds.missing(round_index), round_index)
-        return self.rounds.close(round_index)
+    def _collected(self, round_index: int) -> Optional[np.ndarray]:
+        """One round's aggregate, once every segment landed (part of it
+        may have landed while earlier rounds were collected)."""
+        self._missing = self.rounds.missing(round_index)
+        return None if self._missing else self.rounds.close(round_index)
 
-    def _ingest(self, frame: bytes, addr: Address) -> None:
+    def _receive(self, frame: bytes, sender: int) -> None:
         try:
             if frame[:1] == _CONTROL:
                 message = decode_control(frame)
-                if message.action == Action.HELP and message.job == self.job:
-                    # A relayed Help: some member misses a segment we fed.
-                    self._retransmit(message.value)
+                if message.job == self.job:
+                    if message.action == Action.HELP:
+                        # A relayed Help: some member misses a segment we fed.
+                        self._retransmit(message.value)
+                    elif message.action == Action.SETH:
+                        self._admitted(sender)  # the join barrier opened
                 return
             _, job, seg = decode_data_header(frame)
             data = decode_payload(frame)

@@ -182,16 +182,6 @@ class LinkEnd:
             raise RuntimeError(f"{self.link} end {1 - self.index} is unattached")
         return device
 
-    @property
-    def queue_depth(self) -> int:
-        """Packets queued or in flight on this transmitter right now.
-
-        Counts what has a delivery event pending; trains forwarded through
-        a :class:`~repro.netsim.switch.ForwardingQueue` have none and are
-        transmitted as the clock reaches them, so they never show here.
-        """
-        return self._queued_packets
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds this transmitter was busy."""
         if elapsed <= 0:

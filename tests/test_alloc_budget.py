@@ -19,17 +19,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.protocol import (
-    Action,
-    ControlMessage,
-    DataSegment,
-    JoinInfo,
-    SegmentPlan,
-    encode_control,
-)
+from repro.core.protocol import DataSegment, SegmentPlan
 from repro.distributed import ExperimentConfig, run
 from repro.distributed.runner import make_algorithm
 from repro.distributed.transport import VectorChunk
+from repro.live import driver
 from repro.live import worker as live_worker
 from repro.live.switch import SoftwareSwitch
 from repro.netsim import Packet, PacketCapture
@@ -185,19 +179,6 @@ def test_a_capture_still_sees_every_chunk_of_every_flow(strategy):
 # ----------------------------------------------------------------------
 # Live: a data frame is a header and a view, on the switch and the worker
 # ----------------------------------------------------------------------
-class _Inbox:
-    """An endpoint without a socket: sends are kept, receives pop a queue."""
-
-    def __init__(self):
-        self.sent, self.queued = [], collections.deque()
-
-    def send(self, frame, addr):
-        self.sent.append((frame, addr))
-
-    def recv(self, timeout):
-        return self.queued.popleft() if self.queued else None
-
-
 def calls_counted(owner, name, calls):
     """Patch ``owner.name`` with a wrapper that counts into ``calls[name]``."""
     original = getattr(owner, name)
@@ -213,37 +194,57 @@ def test_a_clean_live_round_builds_no_validated_segment_and_assembles_nothing():
     # The parent ran two validating DataSegments per data frame on the
     # switch (decode_frame's, then the rank re-key) — 256 for this round —
     # and a worker decoded each of its 64 results and assembled them.
+    # Both roles are driven as ``serve`` drives them: frames in through
+    # ``handle_frame``, the worker's join, round and apply in ``on_timer``.
     switch_addr = ("127.0.0.1", 45000)
     addrs = [("127.0.0.1", 40000 + rank) for rank in range(2)]
     switch = SoftwareSwitch(n_workers=2)
-    workers = []
-    for rank, addr in enumerate(addrs):
-        join = ControlMessage(Action.JOIN, JoinInfo(rank=rank))
-        switch.handle_frame(encode_control(join), addr)
-        algorithm = make_algorithm("synth", seed=7 + rank)
-        workers.append(
-            live_worker.LiveWorker(rank, 2, algorithm, _Inbox(), switch_addr)
-        )
-    gradients = [
-        np.asarray(w.algorithm.compute_gradient(), dtype=np.float32)
-        for w in workers
+    workers = [
+        live_worker.LiveWorker(rank, 2, make_algorithm("synth", seed=7 + rank), switch_addr)
+        for rank in range(2)
     ]
-    for worker, gradient in zip(workers, gradients):
-        worker._submit(gradient, 0)
+    # The gradients the workers will compute: the same seeded streams.
+    gradients = [
+        np.asarray(make_algorithm("synth", seed=7 + rank).compute_gradient(), dtype=np.float32)
+        for rank in range(2)
+    ]
+    inbox = {addr: [] for addr in addrs}
+
+    def to_switch(frames, addr):
+        for frame, _ in frames:
+            for result, dst in switch.handle_frame(frame, addr):
+                inbox[dst].append(result)
+
+    for worker, addr in zip(workers, addrs):
+        worker.start(1)
+        to_switch(worker.on_timer(0.0), addr)  # the Join
+    for worker, addr in zip(workers, addrs):
+        for frame in inbox[addr]:  # ACK and SetH
+            worker.handle_frame(frame, switch_addr)
+        inbox[addr].clear()
+    ups = [worker.on_timer(0.0) for worker in workers]
+    assert [len(frames) for frames in ups] == [64, 64]
     calls = collections.Counter()
     with calls_counted(DataSegment, "__post_init__", calls):
-        for frames in zip(*(w.endpoint.sent for w in workers)):
-            for (frame, _), addr in zip(frames, addrs):
-                for result, dst in switch.handle_frame(frame, addr):
-                    workers[addrs.index(dst)].endpoint.queued.append(
-                        (result, switch_addr)
-                    )
+        for frames in zip(*ups):
+            for frame, addr in zip(frames, addrs):
+                to_switch([frame], addr)
     assert switch.counters["results_broadcast"] == 64
     assert calls["__post_init__"] == 0
-    with calls_counted(live_worker, "decode_frame", calls), calls_counted(
+    totals = []
+    apply = live_worker.LiveWorker._apply
+    with calls_counted(driver, "decode_frame", calls), calls_counted(
         SegmentPlan, "assemble", calls
+    ), mock.patch.object(
+        live_worker.LiveWorker,
+        "_apply",
+        lambda self, total, r: (totals.append(total.copy()), apply(self, total, r)),
     ):
-        totals = [w._complete(0) for w in workers]
+        for worker, addr in zip(workers, addrs):
+            for frame in inbox[addr]:
+                worker.handle_frame(frame, switch_addr)
+            worker.on_timer(0.0)
     assert calls["decode_frame"] == calls["assemble"] == 0
+    assert [worker.applied for worker in workers] == [1, 1]
     for total in totals:
         np.testing.assert_array_equal(total, gradients[0] + gradients[1])

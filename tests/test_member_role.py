@@ -107,34 +107,26 @@ class SimMember:
 
 
 class LiveMember:
-    """``LiveWorker`` with an endpoint that keeps what it is given."""
-
-    class Endpoint:
-        def __init__(self):
-            self.sent = []
-
-        def send(self, frame, addr):
-            self.sent.append(frame)
+    """``LiveWorker``, an I/O-free role: what it sends is what its calls
+    return (``_flush`` hands over what the hooks queued)."""
 
     class Weights:
         def get_weights(self):
             return np.zeros(N_ELEMENTS)
 
     def __init__(self):
-        self.worker = LiveWorker(0, 2, self.Weights(), self.Endpoint(), SWITCH)
+        self.worker = LiveWorker(0, 2, self.Weights(), SWITCH)
         assert self.worker.plan.n_chunks == PLAN.n_chunks
 
-    def _drain(self):
-        sent = self.worker.endpoint.sent
+    def _drain(self, sent=()):
         out = []
-        for frame in sent:
+        for frame, _ in list(sent) + self.worker._flush():
             if frame[0] == TOS_CONTROL:
                 message = decode_frame(frame)[1]
                 out.append((message.action.name, message.value))
             else:
                 seg = decode_data_header(frame)[2]
                 out.append(("up", seg, decode_payload(frame).tolist()))
-        sent.clear()
         return out
 
     def submit(self, round_index):
@@ -143,13 +135,13 @@ class LiveMember:
 
     def result(self, seg, value):
         segment = DataSegment(seg=seg, data=result(seg, value))
-        self.worker._ingest(encode_data(segment, downstream=True), SWITCH)
-        return self._drain()
+        return self._drain(
+            self.worker.handle_frame(encode_data(segment, downstream=True), SWITCH)
+        )
 
     def relayed_help(self, seg):
         help_ = encode_control(ControlMessage(Action.HELP, seg))
-        self.worker._ingest(help_, SWITCH)
-        return self._drain()
+        return self._drain(self.worker.handle_frame(help_, SWITCH))
 
     def expire(self):
         """Every open round's collect deadline passes once."""
@@ -159,7 +151,7 @@ class LiveMember:
         return self._drain()
 
     def vector(self, round_index):
-        return self.worker._complete(round_index)
+        return self.worker._collected(round_index)
 
 
 @pytest.fixture(params=[SimMember, LiveMember], ids=["sim", "live"])
