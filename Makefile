@@ -8,12 +8,13 @@ test:
 test-fast:
 	PYTHONPATH=src $(PY) -m pytest -x -q -m "not slow"
 
-# Exactly the CI `live` job (which runs this target): sim<->live conformance
-# over loopback UDP processes (the `live` mark) with a per-test timeout,
-# plus the tier-1 tests of the live roles themselves (frame logic, hostile
-# frames, whole sessions on the virtual-clock wire) — both marks together
-# hold the repro.live coverage floor; the plugin flags are dropped when
-# the plugins are not installed.
+# Exactly the CI `live` job (which runs this target): the sim<->live
+# conformance matrix on both carriers of one fleet — loopback UDP
+# processes (the `live` mark) and the virtual-clock wire (tier-1) — with a
+# per-test timeout, plus the tier-1 tests of the live roles themselves
+# (frame logic, hostile frames, hand-built sessions on the wire); both
+# marks together hold the repro.live coverage floor; the plugin flags are
+# dropped when the plugins are not installed.
 LIVE_TESTS = tests/test_live_conformance.py tests/test_live_roles.py \
 	tests/test_member_role.py tests/test_switch_role.py tests/test_alloc_budget.py
 live:
@@ -27,9 +28,10 @@ live:
 
 # Which functions of src/repro/live/ the tier-1 suite calls (a
 # sys.setprofile census; ~1.8x tier-1's wall time).  Fails unless tier-1
-# calls every function of the role modules: only socket and process code
-# (transport.py, runner.py) may go uncalled.
-LIVE_ROLES = driver.py worker.py ps.py async_ps.py collective.py switch.py
+# calls every function of the role modules and of the fleet: only socket
+# and process code (transport.py, runner.py) may go uncalled.
+LIVE_ROLES = driver.py worker.py ps.py async_ps.py collective.py switch.py \
+	fleet.py
 census:
 	PYTHONPATH=src $(PY) tools/live_census.py --require $(LIVE_ROLES)
 

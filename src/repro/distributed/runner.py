@@ -138,8 +138,9 @@ def build_cluster(
     """Build (network, workers) for one experiment.
 
     Up to ``workers_per_rack`` workers fit a single switch; beyond that
-    the Figure 10 two-layer tree is used (three workers per rack, like
-    the paper's NetFPGA-port-limited emulation).  ``loss_rate`` applies
+    the Figure 10 two-layer tree is used, racks laid out by
+    :func:`~repro.netsim.topology.racks` (three workers each, like the
+    paper's NetFPGA-port-limited emulation).  ``loss_rate`` applies
     independent per-packet drops on every link (seeded reproducibly from
     ``seed``); ``dedup`` enables duplicate suppression in the iSwitch
     engines, which loss recovery requires.  ``telemetry`` attaches a
@@ -162,9 +163,7 @@ def build_cluster(
     if n_workers <= workers_per_rack:
         net = build_star(sim, n_workers, with_server=with_server, **kwargs)
     else:
-        net = build_rack_tree(
-            sim, n_workers, workers_per_rack=3, with_server=with_server, **kwargs
-        )
+        net = build_rack_tree(sim, n_workers, with_server=with_server, **kwargs)
     workload = workload or profile.name
     overrides = algorithm_overrides or {}
     workers = []
@@ -238,23 +237,10 @@ def _ingest_summary(net) -> dict:
     return total
 
 
-def run(config: ExperimentConfig) -> TrainingResult:
-    """Run one experiment described by ``config``; the single entry point.
-
-    Raises ``KeyError`` for unknown strategies (listing valid ones) and
-    ``ValueError`` for configurations the strategy cannot honour (e.g.
-    packet loss with a strategy that has no loss recovery).
-    """
-    if config.backend == "live":
-        from ..live.runner import run_live
-
-        return run_live(config)
-    spec = get_strategy(config.mode, config.strategy)
-    if config.loss_rate > 0 and not spec.requires_iswitch:
-        raise ValueError(
-            f"strategy {config.strategy!r} has no loss recovery; "
-            "loss_rate > 0 requires an iSwitch strategy ('isw')"
-        )
+def check_switch_state(config: ExperimentConfig, spec) -> None:
+    """The rules both backends share: per-job switch state and a codec
+    live in the switch, so ``job_id > 0`` and a non-fp32 codec need an
+    iSwitch strategy."""
     if config.job_id and not spec.requires_iswitch:
         raise ValueError(
             f"strategy {config.strategy!r} has no per-job switch state; "
@@ -265,6 +251,26 @@ def run(config: ExperimentConfig) -> TrainingResult:
             f"strategy {config.strategy!r} aggregates on hosts in fp32; "
             "codec != 'fp32' models the switch dataplane and requires an "
             "iSwitch strategy ('isw')"
+        )
+
+
+def run(config: ExperimentConfig) -> TrainingResult:
+    """Run one experiment described by ``config``; the single entry point.
+
+    Raises ``KeyError`` for unknown strategies (listing valid ones) and
+    ``ValueError`` for configurations the strategy cannot honour (e.g.
+    packet loss with a strategy that has no loss recovery).
+    """
+    spec = get_strategy(config.mode, config.strategy)
+    check_switch_state(config, spec)
+    if config.backend == "live":
+        from ..live.runner import run_live
+
+        return run_live(config)
+    if config.loss_rate > 0 and not spec.requires_iswitch:
+        raise ValueError(
+            f"strategy {config.strategy!r} has no loss recovery; "
+            "loss_rate > 0 requires an iSwitch strategy ('isw')"
         )
     profile = config.resolved_profile()
     plan = config.resolved_fault_plan()

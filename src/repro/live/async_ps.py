@@ -174,6 +174,8 @@ class LiveAsyncPsWorker(LiveWorkerBase):
         tag = frame[:1]
         if tag == b"G":
             self._admitted(sender)
+        elif tag == b"L":
+            self._departed(sender)
         if tag != b"W":
             return
         try:

@@ -1,8 +1,8 @@
 """Live AllReduce baselines: peer-to-peer UDP exchange, no aggregator.
 
 Ring and recursive halving/doubling AllReduce are host-to-host: each
-worker binds its own socket, the runner hands out the
-:class:`~repro.live.transport.PeerTable`, and the worker role steps
+worker is built with every peer's address (:func:`repro.live.fleet.fleet`
+names them all before any role runs), and the worker role steps
 through its rank's row of the schedule the simulator reads its peers
 from (:func:`repro.core.baselines.ring_schedule` / ``hd_schedule``):
 phase 0 adds what arrives into the accumulator, phase 1 takes it.
@@ -10,16 +10,20 @@ Blocks are ``shard_ranges(n_elements, N)``.
 
 Framing is host-level (DESIGN §9.4): ``E`` is one 183-float64 fragment
 of the message a peer owes us for ``(phase, round, step)``, ``R`` asks
-for a whole message again, ``F`` says a rank applied all its rounds.  A
-frame's sender is its source address in the peer table.  Recovery is
+for a whole message again, ``F`` says a rank applied all its rounds and
+whose ``F`` it holds.  A frame's sender is its source address in the
+peer table.  Recovery is
 receiver-driven: a receive timeout sends ``R`` to the expected sender,
 which resends from its cache of the current and previous round;
 duplicate fragments overwrite with identical bytes.  Teardown is a peer
 handshake: once its last round is applied a worker lingers — it sends
-``F`` on a timer and still answers ``R`` — and is done when it holds
-every peer's ``F`` (or :data:`LINGER_DEADLINE` after it began).  ``F``
-and ``R`` are exempt from injected loss, like the simulator's control
-plane.
+``F`` on a timer, and at once when it learns something new, and still
+answers ``R`` — and is done when it holds every peer's ``F`` and every
+peer's ``F`` says it holds its own; once it holds every peer's ``F`` it
+stops :data:`~repro.live.driver.LEAVE_DEADLINE` later at the latest
+(nobody needs it any more), and :data:`LINGER_DEADLINE` after it began
+only when some peer is silent.  ``F`` and ``R`` are exempt from injected
+loss, like the simulator's control plane.
 
 Numerics: chunks are summed in **float64**, each element in its
 schedule's own tree order — a rotation of the ranks for the ring,
@@ -42,6 +46,7 @@ from ..core.baselines import hd_schedule, ring_schedule
 from ..rl.base import Algorithm
 from .driver import (
     CHUNK_ELEMS,
+    LEAVE_DEADLINE,
     LiveWorkerBase,
     LossGate,
     chunk_payload,
@@ -91,7 +96,7 @@ class _PeerExchangeWorker(LiveWorkerBase):
             )
         super().__init__(rank, n_workers, algorithm, **watchdog)
         self.peers = dict(peers)
-        # Receiving the peer table was the rendezvous: nothing to join.
+        # Every peer's socket is bound before any role runs: nothing to join.
         self._senders = {addr: peer for peer, addr in self.peers.items()}
         #: This rank's schedule rows, their block ranges as element slices,
         #: and by (phase, step) — what each received message must be.
@@ -110,8 +115,10 @@ class _PeerExchangeWorker(LiveWorkerBase):
         self._sent: Dict[Tuple[int, int, int], List[bytes]] = {}
         #: Receive buffer: (sender, phase, round, step) → frag → payload.
         self._pending: Dict[tuple, Dict[int, np.ndarray]] = {}
-        #: Peers whose ``F`` (finished) frame has arrived, of the others.
+        #: Peers whose ``F`` (finished) frame has arrived, of the others,
+        #: and those whose ``F`` says they hold this rank's.
         self._peer_done: set = set()
+        self._confirmed: set = set()
         self._others = set(self.peers) - {rank}
         self._round = 0
         #: The schedule row being exchanged (-1: the round's first is next).
@@ -188,9 +195,15 @@ class _PeerExchangeWorker(LiveWorkerBase):
                     self._send(message, self.peers[sender])
                 self.counters["resends_served"] += bool(resend)
             elif tag == b"F":
+                confirms = self.rank in frame[2:]  # it holds this rank's F
+                news = sender not in self._peer_done or (
+                    confirms and sender not in self._confirmed
+                )
                 self._peer_done.add(sender)
-                if self._hard_stop is not None:
-                    self.done = self._peer_done >= self._others
+                if confirms:
+                    self._confirmed.add(sender)
+                if news and self._hard_stop is not None:
+                    self._next_finish = self.next_timer = -math.inf
             else:
                 self.counters["decode_errors"] += 1
         except (struct.error, KeyError, ValueError):
@@ -227,23 +240,32 @@ class _PeerExchangeWorker(LiveWorkerBase):
         return None
 
     def _finish(self, now: float) -> None:
-        """Linger: serve resend requests until every peer has finished.
+        """Linger: serve resend requests until every peer has finished,
+        and until every peer knows this rank has.
 
         Drops happen at the *receiver*, so this worker's last
         transmissions may still be missing at a peer whose only recovery
         source is this worker's send cache.  A peer's ``F`` frame is the
-        proof it needs nothing more; once all are in, the worker is done.
-        Announce first, test second: the last rank to finish already
-        holds every peer's ``F`` and must still send its own.
+        proof it needs nothing more, and it lists the ranks whose ``F`` it
+        holds: once every peer's is in and names this rank, the worker is
+        done.  Announce first, test second: the last rank to finish
+        already holds every peer's ``F`` and must still send its own.  Once
+        it holds them all nobody needs it, so an ``F`` that never gets
+        confirmed (the peer is done, its answer lost) holds it for
+        :data:`~repro.live.driver.LEAVE_DEADLINE` at most.
         """
         if self._hard_stop is None:
             self._hard_stop = now + LINGER_DEADLINE
+        held = self._peer_done >= self._others
+        if held:
+            self._hard_stop = min(self._hard_stop, now + LEAVE_DEADLINE)
         if now >= self._next_finish:
-            finish = b"F" + bytes([self.rank])
+            finish = b"F" + bytes([self.rank, *sorted(self._peer_done)])
             for peer in sorted(self._others):
                 self._send(finish, self.peers[peer])
             self._next_finish = now + FINISH_RESEND_PERIOD
-        self.done = self._peer_done >= self._others or now >= self._hard_stop
+        confirmed = held and self._confirmed >= self._others
+        self.done = confirmed or now >= self._hard_stop
         self.next_timer = min(self._next_finish, self._hard_stop)
 
 

@@ -16,7 +16,8 @@ reads no clock:
   N joined, Leave, ``done``, sender identified by *joined address*) and
   the :class:`LossGate` ingress drop, shared by all three server roles.
 * :class:`JoinTimer` — the Join resend of a worker and of a ToR's
-  parent Join, one rule.
+  parent Join, one rule; :class:`LeaveTimer`, the same rule for their
+  Leaves, which a server answers (a departure is confirmed).
 * :class:`LiveWorkerBase` — the worker role: the join, the submit window,
   the deadline watchdog, in-order apply and digest, and the leave, for
   every worker family.
@@ -46,6 +47,7 @@ __all__ = [
     "DEFAULT_LIVE_RECOVERY_TIMEOUT",
     "LiveRoundAbandoned",
     "JoinTimer",
+    "LeaveTimer",
     "LiveWorkerBase",
     "LossGate",
     "MemberServer",
@@ -66,6 +68,9 @@ MAX_BACKOFF = 2.0
 
 JOIN_RESEND_PERIOD = 0.5
 JOIN_DEADLINE = 30.0
+#: How long a member resends an unanswered Leave (or a peer its ``F``)
+#: before it stops anyway: nobody needs it after its last apply.
+LEAVE_DEADLINE = 4 * JOIN_RESEND_PERIOD
 
 #: Elements per host-level chunk; 183 float64 = 1464 B, matching the
 #: iSwitch segment payload budget, so a float64 result chunk and a
@@ -184,7 +189,8 @@ class MemberServer:
 
     ``ack`` answers every Join; ``go`` is sent to all members once the
     ``n_workers``-th distinct rank joined (and 1:1 to any later retry),
-    doubling as the start-of-training signal.  After the Join a member
+    doubling as the start-of-training signal.  Every member's Leave, a
+    repeated one too, is answered with its echo.  After the Join a member
     *is* its address: :meth:`_rank_of` maps the datagram's source back to
     the joined rank (a rank that re-joined elsewhere loses its old one),
     and frames from anyone else are counted (``non_member``) and dropped,
@@ -266,11 +272,14 @@ class MemberServer:
             out.extend((self._go, a) for a in self.addresses)
         return out
 
-    def _depart(self, rank: int) -> None:
+    def _depart(self, rank: int, leave: bytes, addr: Address) -> Frames:
+        """A member's Leave: answered with its echo, every time (the
+        member resends it until an answer arrives)."""
         if rank not in self._left:
             self._left.add(rank)
             self.counters["leaves"] += 1
             self._refresh()
+        return [(leave, addr)]
 
     def on_timer(self, now: float) -> Frames:
         """Timer expiry: frames due at time ``now`` (none here)."""
@@ -302,6 +311,20 @@ class JoinTimer:
             )
         self.due = now + JOIN_RESEND_PERIOD
         return [(self.frame, self.addr)]
+
+
+class LeaveTimer(JoinTimer):
+    """Send a Leave until its answer arrives (:meth:`answered`) or
+    :data:`LEAVE_DEADLINE` passes; either way ``due`` is then ``inf``."""
+
+    def on_timer(self, now: float) -> Frames:
+        if self._first is not None and now - self._first >= LEAVE_DEADLINE:
+            self.answered()  # given up: the server may have finished
+            return []
+        return super().on_timer(now)
+
+    def answered(self) -> None:
+        self.due = math.inf
 
 
 def serve(role, endpoint: UdpEndpoint, deadline: float) -> None:
@@ -378,6 +401,7 @@ class LiveWorkerBase:
         )
         self._senders: Dict[Address, int] = {}
         self._joins: Dict[int, JoinTimer] = {}  # by sender index, until its go
+        self._leaves: Optional[Dict[int, LeaveTimer]] = None  # once finished
         self.iterations = self.submitted = self.applied = 0
         self.next_timer = math.inf  # -inf: due at once
         self.done = False
@@ -435,6 +459,12 @@ class LiveWorkerBase:
         """A go from ``sender``; the last one starts training."""
         join = self._joins.pop(sender, None)
         if join is not None and not self._joins:
+            self.next_timer = -math.inf
+
+    def _departed(self, sender: int) -> None:
+        """``sender`` answered this worker's Leave."""
+        if self._leaves is not None:
+            self._leaves[sender].answered()
             self.next_timer = -math.inf
 
     def on_timer(self, now: float) -> Frames:
@@ -502,11 +532,19 @@ class LiveWorkerBase:
         return None if self._missing else self._result
 
     def _finish(self, now: float) -> None:
-        """Every round is applied: leave, and be done."""
-        for addr in self._senders:
-            self._send(self._leave_frame, addr)
-        self.done = True
-        self.next_timer = math.inf
+        """Every round is applied: Leave each server until it answers
+        (or :data:`LEAVE_DEADLINE` passes), then be done."""
+        if self._leaves is None:
+            self._leaves = {
+                index: LeaveTimer(self._leave_frame, addr, f"worker {self.rank}")
+                for addr, index in self._senders.items()
+            }
+        for leave in self._leaves.values():
+            self._outbox += leave.on_timer(now)
+        self.next_timer = min(
+            (leave.due for leave in self._leaves.values()), default=math.inf
+        )
+        self.done = self.next_timer == math.inf
 
     def _apply(self, total: np.ndarray, round_index: int) -> None:
         self.algorithm.apply_update(

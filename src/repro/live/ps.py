@@ -80,8 +80,7 @@ class HostServer(MemberServer):
             if tag == b"H":
                 return self._handle_resend(rank, frame, addr)
             if tag == b"L":
-                self._depart(rank)
-                return []
+                return self._depart(rank, frame, addr)
             raise ValueError(f"unknown tag {tag!r}")
         except (struct.error, ValueError):
             self.counters["decode_errors"] += 1
@@ -173,6 +172,8 @@ class LiveShardWorker(LiveWorkerBase):
         tag = frame[:1]
         if tag == b"G":
             self._admitted(shard)
+        elif tag == b"L":
+            self._departed(shard)
         if tag != b"D":
             return
         try:

@@ -1,6 +1,6 @@
 """The software switch: the iSwitch switch role behind a real UDP socket.
 
-One process (or thread, in the in-process tests) runs a
+One process (or one role on the test suite's wire) runs a
 :class:`SoftwareSwitch`, the *live driver* of
 :class:`~repro.core.jobs.JobState` — the same role, around the same
 :class:`~repro.core.accelerator.AggregationEngine`, that the simulator's
@@ -8,10 +8,10 @@ One process (or thread, in the in-process tests) runs a
 decode/encode, the job and codec-tag filters, the ingress
 :class:`~repro.live.driver.LossGate`, re-keying each contribution with its
 member's rank, the N-member ``Join`` barrier whose ``SetH`` doubles as the
-start-of-training signal, and — for a ToR — the parent ``Join`` timer and
-the queue of frames awaiting the parent's barrier.  Where a completed
-segment goes, and what a ``Help``, ``Reset``, ``SetH``, ``FBcast`` or
-``Halt`` does, is the role's (DESIGN §6.2).
+start-of-training signal, and — for a ToR — the parent ``Join`` and
+``Leave`` timers and the queue of frames awaiting the parent's barrier.
+Where a completed segment goes, and what a ``Help``, ``Reset``, ``SetH``,
+``FBcast`` or ``Halt`` does, is the role's (DESIGN §6.2).
 
 The engine runs ``canonical_order=True``: UDP arrival order is
 nondeterministic, so on-the-fly summation would make the result depend on
@@ -44,7 +44,7 @@ from ..core.protocol import (
     encode_control,
     encode_data,
 )
-from .driver import Frames, JoinTimer, MemberServer, decode_control
+from .driver import Frames, JoinTimer, LeaveTimer, MemberServer, decode_control
 from .transport import Address
 
 __all__ = ["SoftwareSwitch"]
@@ -94,7 +94,9 @@ class SoftwareSwitch(MemberServer):
         #: gradient geometry, only the membership.  ``None``: ready.
         self._parent_join: Optional[JoinTimer] = None
         self._up_pending: List[bytes] = []
-        self._left_sent = False
+        #: The Leave to the parent once every member left, resent until
+        #: the parent answers it.
+        self._parent_leave: Optional[LeaveTimer] = None
         if parent_addr is not None:
             join = ControlMessage(
                 Action.JOIN, JoinInfo("switch", rank, 0, 0), job=job
@@ -136,20 +138,25 @@ class SoftwareSwitch(MemberServer):
         """All expected workers joined and all of them have left.
 
         A ToR additionally waits until it has drained its upstream queue
-        and told the parent it is leaving — its send cache is no longer
-        needed by then (members only leave once every final result
-        reached them, which required the parent to have every partial).
+        and the parent answered its Leave (or it gave up asking) — its
+        send cache is no longer needed by then (members only leave once
+        every final result reached them, which required the parent to
+        have every partial).
         """
         if self.parent_addr is None:
             return self._all_left()
-        return self._all_left() and self._left_sent and not self._up_pending
+        leave = self._parent_leave
+        answered = leave is not None and leave.due == math.inf
+        return self._all_left() and answered and not self._up_pending
 
     def on_timer(self, now: float) -> Frames:
-        """A ToR re-sends its parent ``Join`` until the parent's SetH."""
-        if self._parent_join is None:
+        """A ToR re-sends its parent ``Join`` until the parent's SetH, and
+        its parent ``Leave`` until the parent answers."""
+        timer = self._parent_join or self._parent_leave
+        if timer is None:
             return []
-        out = self._parent_join.on_timer(now)
-        self.next_timer = self._parent_join.due
+        out = timer.on_timer(now)
+        self.next_timer = timer.due
         return out
 
     def handle_frame(self, frame: bytes, addr: Address) -> Frames:
@@ -181,6 +188,11 @@ class SoftwareSwitch(MemberServer):
                 out = [(queued, addr) for queued in self._up_pending]
                 self._up_pending = []
                 return out
+            if from_parent and action == Action.LEAVE:
+                if self._parent_leave is not None:  # the parent answered
+                    self._parent_leave.answered()
+                    self.next_timer = math.inf
+                return []
             if not from_parent:
                 if action == Action.JOIN:
                     if not isinstance(message.value, JoinInfo):
@@ -191,7 +203,7 @@ class SoftwareSwitch(MemberServer):
                 if rank is None:
                     return []  # not a member (stale socket, fuzzed frame)
                 if action == Action.LEAVE:
-                    return self._leave(rank)
+                    return self._leave(rank, frame, addr)
             routes, completed = role.control(message, addr)
             return self._frames(routes + role.emit(completed))
         direction = tos & ~TOS_NUMERICS_MASK
@@ -221,14 +233,21 @@ class SoftwareSwitch(MemberServer):
         )
         return self._frames(role.emit(completed)) if completed else []
 
-    def _leave(self, rank: int) -> Frames:
-        """A member left; the last one out tells the parent, once."""
-        self._depart(rank)
-        if self.parent_addr is None or self._left_sent or not self._all_left():
-            return []
-        self._left_sent = True
-        leave = encode_control(ControlMessage(Action.LEAVE, job=self.job))
-        return [(leave, self.parent_addr)]
+    def _leave(self, rank: int, frame: bytes, addr: Address) -> Frames:
+        """A member left (its Leave is echoed); once the last one has, a
+        ToR leaves its parent in turn, from its timer."""
+        out = self._depart(rank, frame, addr)
+        if (
+            self.parent_addr is not None
+            and self._parent_leave is None
+            and self._all_left()
+        ):
+            leave = encode_control(ControlMessage(Action.LEAVE, job=self.job))
+            self._parent_leave = LeaveTimer(
+                leave, self.parent_addr, f"switch {self.rank}"
+            )
+            self.next_timer = -math.inf
+        return out
 
     def _frames(self, routes: Routes) -> Frames:
         """Encode the role's routes (each shared message list once); what

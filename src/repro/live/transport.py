@@ -1,9 +1,10 @@
 """Loopback UDP endpoints for the live backend.
 
 One :class:`UdpEndpoint` per process: a non-blocking socket bound to an
-ephemeral port on 127.0.0.1, whose receives take what is queued before
-they wait (DESIGN §9.4).  Datagram boundaries map one-to-one onto
-protocol frames, so no additional framing is needed.
+ephemeral port on 127.0.0.1 (by the parent, before the process starts),
+whose receives take what is queued before they wait (DESIGN §9.4).
+Datagram boundaries map one-to-one onto protocol frames, so no
+additional framing is needed.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import contextlib
 import os
 import select
 import socket
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-__all__ = ["UdpEndpoint", "PeerTable", "loopback_available", "Address"]
+__all__ = ["UdpEndpoint", "loopback_available", "Address"]
 
 Address = Tuple[str, int]
 
@@ -25,22 +25,6 @@ LOOPBACK = "127.0.0.1"
 #: frames/worker of ~1.5 kB; 1 MiB absorbs every worker bursting a full
 #: round while the switch is descheduled.
 RECV_BUFFER_BYTES = 1 << 20
-
-
-@dataclass
-class PeerTable:
-    """Who is reachable where — the live run's membership directory.
-
-    Built by the runner once every worker process has bound its socket
-    and reported its port, then shipped to each worker over its pipe (it
-    is a plain picklable dataclass).  Receiving the table doubles as the
-    rendezvous barrier for peer-to-peer strategies: every address in it
-    is already bound, so a worker may transmit to any peer immediately.
-
-    ``workers`` maps rank → address of that worker's endpoint.
-    """
-
-    workers: Dict[int, Address] = field(default_factory=dict)
 
 
 class UdpEndpoint:
@@ -62,9 +46,19 @@ class UdpEndpoint:
         #: Receives that found the socket empty and blocked in a poll.
         self.waits = 0
 
-    @property
-    def port(self) -> int:
-        return self.address[1]
+    def __getstate__(self) -> dict:
+        # A child started with the spawn method gets the socket by
+        # multiprocessing's socket reduction (a duplicated descriptor);
+        # the poll object is rebuilt around it.
+        state = dict(self.__dict__)
+        del state["_poll"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.sock.setblocking(False)
+        self._poll = select.poll()
+        self._poll.register(self.sock, select.POLLIN)
 
     def send(self, frame: bytes, addr: Address) -> None:
         try:

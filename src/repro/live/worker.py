@@ -152,6 +152,8 @@ class LiveWorker(LiveWorkerBase):
                         self._retransmit(message.value)
                     elif message.action == Action.SETH:
                         self._admitted(sender)  # the join barrier opened
+                    elif message.action == Action.LEAVE:
+                        self._departed(sender)  # the switch answered
                 return
             _, job, seg = decode_data_header(frame)
             data = decode_payload(frame)

@@ -25,9 +25,25 @@ from .link import GBPS, Link
 from .node import Host
 from .switch import EthernetSwitch
 
-__all__ = ["Network", "build_star", "build_rack_tree", "build_three_tier"]
+__all__ = ["Network", "RACK_WIDTH", "build_star", "build_rack_tree",
+           "build_three_tier", "racks"]
 
 SwitchFactory = Callable[[Simulator, str], EthernetSwitch]
+
+#: Workers per rack of the trees: "each rack contains three worker nodes"
+#: (§5.3), the NetFPGA-port-limited emulation.
+RACK_WIDTH = 3
+
+
+def racks(n_workers: int, workers_per_rack: int = RACK_WIDTH) -> List[range]:
+    """The ranks under each ToR: contiguous, ``workers_per_rack`` to a
+    rack, the last one partial — rank ``r`` sits in rack
+    ``r // workers_per_rack``.  Every tree builder and the live backend's
+    switch tree place workers by it."""
+    return [
+        range(first, min(first + workers_per_rack, n_workers))
+        for first in range(0, n_workers, workers_per_rack)
+    ]
 
 
 def _default_switch_factory(sim: Simulator, name: str) -> EthernetSwitch:
@@ -135,7 +151,7 @@ def build_star(
 def build_rack_tree(
     sim: Simulator,
     n_workers: int,
-    workers_per_rack: int = 3,
+    workers_per_rack: int = RACK_WIDTH,
     with_server: bool = False,
     host_bandwidth: float = 10 * GBPS,
     uplink_bandwidth: float = 40 * GBPS,
@@ -160,9 +176,7 @@ def build_rack_tree(
     root = switch_factory(sim, "root")
     net.root = root
 
-    n_racks = (n_workers + workers_per_rack - 1) // workers_per_rack
-    worker_idx = 0
-    for rack in range(n_racks):
+    for rack, ranks in enumerate(racks(n_workers, workers_per_rack)):
         tor = switch_factory(sim, f"tor{rack}")
         net.switches.append(tor)
         uplink = Link(
@@ -176,8 +190,7 @@ def build_rack_tree(
         tor.set_default_route(uplink.ends[0])
         net.links.append(uplink)
 
-        in_this_rack = min(workers_per_rack, n_workers - worker_idx)
-        for _ in range(in_this_rack):
+        for worker_idx in ranks:
             host = Host(sim, f"worker{worker_idx}")
             _connect_host(net, host, tor, host_bandwidth, loss_rate, loss_seed)
             net.hosts[host.name] = host
@@ -185,7 +198,6 @@ def build_rack_tree(
             net.tor_of_worker.append(tor)
             # Root routes to this worker via the rack uplink.
             root.add_route(host.name, uplink.ends[1])
-            worker_idx += 1
 
     net.switches.append(root)
 
@@ -201,7 +213,7 @@ def build_rack_tree(
 def build_three_tier(
     sim: Simulator,
     n_workers: int,
-    workers_per_rack: int = 3,
+    workers_per_rack: int = RACK_WIDTH,
     racks_per_pod: int = 2,
     host_bandwidth: float = 10 * GBPS,
     agg_bandwidth: float = 40 * GBPS,
@@ -226,12 +238,12 @@ def build_three_tier(
     core = switch_factory(sim, "core")
     net.root = core
 
-    n_racks = (n_workers + workers_per_rack - 1) // workers_per_rack
+    rack_ranks = racks(n_workers, workers_per_rack)
+    n_racks = len(rack_ranks)
     n_pods = (n_racks + racks_per_pod - 1) // racks_per_pod
 
     aggs: List[EthernetSwitch] = []
     tors: List[EthernetSwitch] = []
-    worker_idx = 0
     rack = 0
     for pod in range(n_pods):
         agg = switch_factory(sim, f"agg{pod}")
@@ -254,8 +266,7 @@ def build_three_tier(
             tor.set_default_route(uplink.ends[0])
             net.links.append(uplink)
 
-            in_this_rack = min(workers_per_rack, n_workers - worker_idx)
-            for _ in range(in_this_rack):
+            for worker_idx in rack_ranks[rack]:
                 host = Host(sim, f"worker{worker_idx}")
                 _connect_host(net, host, tor, host_bandwidth)
                 net.hosts[host.name] = host
@@ -265,7 +276,6 @@ def build_three_tier(
                 # needs explicit per-level entries.
                 agg.add_route(host.name, uplink.ends[1])
                 core.add_route(host.name, core_link.ends[1])
-                worker_idx += 1
             rack += 1
 
     net.switches.extend(tors)

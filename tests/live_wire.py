@@ -13,6 +13,10 @@ Each frame sent is delayed by ``latency`` and then, by a seeded draw,
 dropped, duplicated or held back up to ``reorder_window`` (which
 reorders it against the frames behind it).  A frame addressed to no role,
 or to a role that is done (its socket closed), is lost.
+
+:func:`run_fleet` is the wire as a carrier of a whole live run: the same
+``repro.live.fleet.fleet`` that ``run_live`` spawns as processes, with
+``Wire.address`` as its address source, and the same result.
 """
 
 import heapq
@@ -21,6 +25,7 @@ import math
 import random
 
 from repro.core.protocol import Action, ControlMessage, encode_control
+from repro.live.fleet import _result, fleet, report
 
 LOOPBACK = "127.0.0.1"
 
@@ -115,6 +120,20 @@ class Wire:
             if self.now > horizon:
                 raise WireStalled(f"still running at t={self.now:.1f}")
         raise WireStalled(f"{max_events} events without finishing")
+
+
+def run_fleet(config, wire=None):
+    """``config``'s live run on ``wire`` (a clean one by default): every
+    member's role at its address, run until all of them are done; returns
+    the ``TrainingResult``, as ``run_live`` builds it."""
+    wire = wire or Wire()
+    members = fleet(config, wire.address)
+    roles = [member.build() for member in members]
+    for member, role in zip(members, roles):
+        wire.add(role, member.address)
+    wire.run()
+    reports = [(m.name, report(role, wire.now)) for m, role in zip(members, roles)]
+    return _result(config, reports)
 
 
 class Chatter:

@@ -216,8 +216,18 @@ class TestStrategyRegistry:
 
         with pytest.raises(ValueError, match="already registered"):
             register_strategy("sync", "isw")(SyncParameterServer)
-        # Re-registering the same class is idempotent.
-        register_strategy("sync", "isw", requires_iswitch=True)(SyncISwitch)
+        # Re-registering the same class, with the same flags, is
+        # idempotent (other flags would rewrite the spec for every later
+        # test: sync-isw lost its live backend that way).
+        spec = get_strategy("sync", "isw")
+        register_strategy(
+            "sync",
+            "isw",
+            requires_iswitch=True,
+            supports_live=True,
+            supports_multijob=True,
+        )(SyncISwitch)
+        assert get_strategy("sync", "isw") == spec
 
     def test_class_without_create_rejected(self):
         with pytest.raises(TypeError, match="create"):

@@ -44,9 +44,11 @@ from repro.core.protocol import (
     encode_data,
 )
 from repro.live.async_ps import LiveAsyncPsServer, LiveAsyncPsWorker
-from repro.live.collective import LiveHdWorker, LiveRingWorker
+from repro.live.collective import LINGER_DEADLINE, LiveHdWorker, LiveRingWorker
 from repro.live.driver import (
     CHUNK_ELEMS,
+    JOIN_RESEND_PERIOD,
+    LEAVE_DEADLINE,
     LiveRoundAbandoned,
     decode_control,
     serve,
@@ -430,14 +432,36 @@ class TestTreeSwitchLogic:
             encode_control(ControlMessage(Action.SETH, value=2)), self.PARENT
         )
         leave = encode_control(ControlMessage(Action.LEAVE))
-        assert tor.handle_frame(leave, self.addr(0)) == []
-        assert not tor.done
-        out = tor.handle_frame(leave, self.addr(1))
-        assert [a for _, a in out] == [self.PARENT]
-        assert decode_frame(out[0][0])[1].action == Action.LEAVE
-        assert tor.done
-        # A duplicate member leave does not re-notify the parent.
-        assert tor.handle_frame(leave, self.addr(1)) == []
+        # Every member Leave is answered with its echo.
+        assert tor.handle_frame(leave, self.addr(0)) == [(leave, self.addr(0))]
+        assert not tor.done and tor.next_timer == math.inf
+        assert tor.handle_frame(leave, self.addr(1)) == [(leave, self.addr(1))]
+        # The last one out makes the parent Leave due, from the timer.
+        assert tor.next_timer == -math.inf
+        assert tor.on_timer(5.0) == [(leave, self.PARENT)]
+        assert not tor.done  # until the parent answers
+        # A duplicate member leave is answered again, and does not
+        # re-notify the parent; only the resend period does.
+        assert tor.handle_frame(leave, self.addr(1)) == [(leave, self.addr(1))]
+        assert tor.on_timer(5.1) == []
+        assert tor.on_timer(5.5) == [(leave, self.PARENT)]
+        assert tor.handle_frame(leave, self.PARENT) == []  # the answer
+        assert tor.done and tor.next_timer == math.inf
+
+    def test_an_unanswered_parent_leave_is_given_up(self):
+        """A parent that finished before its answer got through never
+        answers again: the ToR stops asking after ``LEAVE_DEADLINE``."""
+        tor = self.make_tor()
+        tor.handle_frame(
+            encode_control(ControlMessage(Action.SETH, value=2)), self.PARENT
+        )
+        leave = encode_control(ControlMessage(Action.LEAVE))
+        for rank in range(2):
+            tor.handle_frame(leave, self.addr(rank))
+        sent = [tor.on_timer(t * JOIN_RESEND_PERIOD) for t in range(4)]
+        assert sent == [[(leave, self.PARENT)]] * 4 and not tor.done
+        assert tor.on_timer(LEAVE_DEADLINE) == []
+        assert tor.done and tor.next_timer == math.inf
 
 
 class TestPsServerLogic:
@@ -842,13 +866,18 @@ class TestPeerExchangeLogic:
     def test_last_finisher_still_announces_itself(self):
         """The rank that finishes last already holds every peer's ``F``;
         it must still send its own, or every peer lingers to the 30 s
-        hard stop (the lossy ar-hd run used to, every time)."""
+        hard stop (the lossy ar-hd run used to, every time) — and it is
+        done once the peer's ``F`` says it holds that one."""
         mine, peer = self.peers(2).values()
         worker = LiveRingWorker(0, 2, TinyAlgorithm(), {0: mine, 1: peer})
         worker._peer_done.add(1)
         worker.start(0)  # no rounds: it lingers at once
         got = worker.on_timer(0.0)
-        assert got == [(b"F\x00", peer)]
+        assert got == [(b"F\x00\x01", peer)]  # rank 0 holds rank 1's F
+        assert not worker.done
+        assert worker.handle_frame(b"F\x01\x00", peer) == []
+        assert worker.next_timer == -math.inf  # news: announce at once
+        assert worker.on_timer(0.1) == [(b"F\x00\x01", peer)]
         assert worker.done
 
     def test_stale_rounds_pruned_from_buffers(self):
@@ -1151,7 +1180,7 @@ class TestHostileFrames:
         script = bad + self.fragments(0, block) + self.fragments(1, block)
         worker = self.exchange_worker()
         gradient = TinyAlgorithm(self.EXCHANGE_ELEMENTS).compute_gradient()
-        drive(worker, [(f, peer) for f in script + [b"F\x00"]])
+        drive(worker, [(f, peer) for f in script + [b"F\x00\x01"]])
         assert worker.done
         assert worker.counters["decode_errors"] == 3
         # Rank 1 reduces block 0 and gathers block 1.
@@ -1165,7 +1194,7 @@ class TestHostileFrames:
         block = np.arange(self.EXCHANGE_ELEMENTS // 2, dtype=np.float64)
         script = [(f, stranger) for f in self.fragments(0, np.full(block.size, 1e9))]
         script += [(f, peer) for f in self.fragments(0, block) + self.fragments(1, block)]
-        script += [(b"F\x00", stranger), (b"F\x00", peer)]
+        script += [(b"F\x00\x01", stranger), (b"F\x00\x01", peer)]
         worker = self.exchange_worker()
         gradient = TinyAlgorithm(self.EXCHANGE_ELEMENTS).compute_gradient()
         drive(worker, script)
@@ -1345,8 +1374,10 @@ class TestServe:
         server = PsServer(n_workers=2)
         serve(server, endpoint, time.monotonic() + 5.0)
         assert server.done and endpoint.waits == 0
-        assert [f[:1] for f, _ in endpoint.sent] == [b"A", b"A", b"G", b"G", b"D", b"D"]
-        assert server.counters["frames_tx"] == 6
+        assert [f[:1] for f, _ in endpoint.sent] == [
+            b"A", b"A", b"G", b"G", b"D", b"D", b"L", b"L",  # Leaves echoed
+        ]
+        assert server.counters["frames_tx"] == 8
 
     def test_serves_a_worker_through_its_timers(self):
         """A worker's join, round and leave all run from ``serve``: its
@@ -1357,7 +1388,7 @@ class TestServe:
 
         class Echo(ScriptedEndpoint):
             """The switch, as far as one member needs it: SetH for its
-            Join, its own Seg back as the sum."""
+            Join, its own Seg back as the sum, its Leave echoed."""
 
             def send(self, frame, addr):
                 super().send(frame, addr)
@@ -1367,6 +1398,8 @@ class TestServe:
                     self.queued.append((down, switch))
                 elif message.action == Action.JOIN:
                     self.queued.append((SETH, switch))
+                elif message.action == Action.LEAVE:
+                    self.queued.append((frame, switch))
 
         endpoint = Echo()
         serve(worker, endpoint, time.monotonic() + 5.0)
@@ -1423,13 +1456,12 @@ def run_switch_session(
 
 
 def run_session(wire, workers, iterations):
-    """Plug the workers in, start them, run the wire.  Every server must
-    drain too — unless the wire drops frames: no member resends a lost
-    Leave, so then only the workers must finish."""
+    """Plug the workers in, start them, run the wire until every role —
+    each server too — is done."""
     for worker in workers:
         wire.add(worker)
         worker.start(iterations)
-    wire.run(until=(lambda: all(w.done for w in workers)) if wire.drop else None)
+    wire.run()
 
 
 def run_ps_session(n_elements, n_shards, loss_rate=0.0, wire=None):
@@ -1903,7 +1935,8 @@ class TestTreeInProcess:
 class TestHostileWire:
     """Seeded drop, duplicate, reorder and delay on every frame of a
     session: wherever recovery is possible the digests are the clean
-    reference's, bit for bit."""
+    reference's, bit for bit, and every role — each server too —
+    finishes (``run_session`` runs the wire until all are done)."""
 
     POLICIES = st.fixed_dictionaries(
         {
@@ -1966,3 +1999,51 @@ class TestHostileWire:
         assert ps[0].round_digests == expected
         expected = tiny_reference(3, ITERATIONS, n_elements=400, float64=True)
         assert ring[0].round_digests == expected
+
+
+class TestDepartures:
+    """A departure is confirmed, on a wire that drops 15 % of every frame
+    kind: a lost Leave used to leave its server running until the
+    process deadline, and a lost final ``F`` every other rank lingering
+    the full ``LINGER_DEADLINE``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_ps_server_finishes(self, seed):
+        servers, workers = run_ps_session(20, 1, wire=Wire(seed=seed, drop=0.15))
+        assert all(server.done for server in servers)
+        expected = tiny_reference(2, ITERATIONS, n_elements=20, float64=True)
+        assert all(worker.round_digests == expected for worker in workers)
+
+    @pytest.mark.parametrize("cls", [LiveRingWorker, LiveHdWorker])
+    def test_no_peer_lingers_to_the_deadline(self, cls):
+        for seed in range(10):
+            wire = Wire(seed=seed, drop=0.15)
+            workers = run_collective(cls, 4, 8, wire=wire)
+            assert wire.now < LINGER_DEADLINE, seed
+            expected = tiny_reference(4, ITERATIONS, n_elements=8, float64=True)
+            assert all(worker.round_digests == expected for worker in workers)
+
+    def test_an_unanswered_leave_is_given_up(self):
+        """A server that finished before its answer got through never
+        answers again: the worker resends on the Join period and stops
+        after ``LEAVE_DEADLINE``."""
+        server = (LOOPBACK, 46000)
+        worker = LiveShardWorker(0, 1, TinyAlgorithm(), [server])
+        worker.start(0)
+        worker.handle_frame(b"G", server)
+        for step in range(4):
+            assert worker.on_timer(step * JOIN_RESEND_PERIOD) == [(b"L\x00", server)]
+            assert not worker.done
+        assert worker.on_timer(LEAVE_DEADLINE) == []
+        assert worker.done and worker.next_timer == math.inf
+
+    def test_an_answered_leave_ends_the_worker(self):
+        server = (LOOPBACK, 46000)
+        worker = LiveAsyncPsWorker(0, 1, TinyAlgorithm(), server)
+        worker.start(0)
+        worker.handle_frame(b"G", server)
+        assert worker.on_timer(0.0) == [(b"L\x00", server)]
+        worker.handle_frame(b"L\x00", (LOOPBACK, 46999))  # a stranger's
+        assert not worker.done and worker.counters["non_member"] == 1
+        worker.handle_frame(b"L\x00", server)
+        assert worker.on_timer(0.1) == [] and worker.done
