@@ -48,7 +48,7 @@ bench-pytest:
 
 # The K=1 rollout cost: one compute_gradient() per algorithm through the
 # scalar rollout oracle (tests/oracles.py) and the one rollout path on the
-# same bare env (plus a four-env kernel), in one session.
+# same bare env (plus four scalar envs in one VectorEnv), in one session.
 rollout-bench:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/test_microbench_primitives.py -k rollout --benchmark-only
 

@@ -201,7 +201,8 @@ def _trained(algorithm, width):
     """The algorithm at default shapes after 20 updates (replay warm):
     ``scalar`` is the scalar rollout loop of ``tests/oracles.py`` on a bare
     env, ``K1`` the same bare env through the one rollout path
-    (``VectorEnv([env])``), ``K4`` the four-env kernel."""
+    (``VectorEnv([env])``), ``K4`` four scalar envs in one ``VectorEnv``
+    (``make_vector_env(name, 4)``)."""
     cls, name, scalar_env = _ROLLOUT_ENVS[algorithm]
     if width == "K4":
         algo = cls(make_vector_env(name, 4, seed=7), seed=7)
@@ -222,7 +223,7 @@ def test_rollout_throughput(benchmark, algorithm, width):
     ``make_vector_env(name, 4)``.  Scalar and K1 are the same computation
     (equal weights after 20 updates, checked here); their ratio is what
     stepping a bare env as ``VectorEnv([env])`` costs.  K4 does four envs'
-    work per call."""
+    work per call, four scalar envs stepped in turn by one ``VectorEnv``."""
     benchmark.group = f"{algorithm}-rollout"
     algo = _trained(algorithm, width)
     if width == "K1":
@@ -312,7 +313,8 @@ def test_isw_round_throughput(benchmark, transport):
 
 
 def test_vector_env_step_throughput(benchmark):
-    """Stepping a 64-wide GridPong batch (the vectorized kernel)."""
+    """Stepping a 64-wide GridPong batch: 64 scalar envs in one
+    ``VectorEnv``, stepped one after another."""
     env = make_vector_env("gridpong", 64, seed=7)
     actions = np.random.default_rng(7).integers(0, 3, size=(200, 64))
 

@@ -154,11 +154,6 @@ class FaultPlan:
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self.events)
 
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        self.events.append(event)
-        self.events.sort(key=lambda e: e.time)
-        return self
-
     def validate(self) -> None:
         """Validate every event; raises ``ValueError`` on the first bad one."""
         for event in self.events:

@@ -44,15 +44,6 @@ class FaultRecord:
             return None
         return self.recovered_at - self.injected_at
 
-    def to_dict(self) -> Dict:
-        return {
-            "event": self.event.to_dict(),
-            "status": self.status,
-            "detail": self.detail,
-            "injected_at": self.injected_at,
-            "recovered_at": self.recovered_at,
-        }
-
 
 @dataclass
 class FaultReport:
@@ -83,9 +74,3 @@ class FaultReport:
                 f"{r.event.kind} -> {r.event.target}{tail}{detail}"
             )
         return lines
-
-    def to_dict(self) -> Dict:
-        return {
-            "ok": self.ok,
-            "records": [r.to_dict() for r in self.records],
-        }

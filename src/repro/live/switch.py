@@ -19,6 +19,12 @@ scheduling noise.  Canonical (rank-order) summation makes the aggregate a
 pure function of the contributions — and lets a simulator run with
 ``deterministic_aggregation=True`` reproduce it bit-for-bit.
 
+The members' ``Join`` carries their gradient geometry, and a data frame
+whose payload is not its Seg's chunk is a decode error: it never reaches
+the engine, which would hold a cut-short first contribution and reject
+the well-formed ones after it.  A ToR joins its parent with the geometry
+its workers joined with, and the parent admits a ToR only once it does.
+
 ``handle_frame`` is side-effect-free with respect to I/O — it returns the
 frames to transmit — so the driver is unit-testable without processes.
 """
@@ -26,15 +32,17 @@ frames to transmit — so the driver is unit-testable without processes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.jobs import JobState, Routes
 from ..core.protocol import (
     Action,
     ControlMessage,
     DataSegment,
+    FLOAT_BYTES,
     JoinInfo,
     ProtocolError,
+    SEG_PAYLOAD_BYTES,
     TOS_CONTROL,
     TOS_DATA_DOWN,
     TOS_DATA_UP,
@@ -87,22 +95,29 @@ class SoftwareSwitch(MemberServer):
         #: this switch's member rank there (the ToR index).
         self.parent_addr = parent_addr
         self.rank = rank
+        #: The members' ``(n_elements, n_chunks)``, from the first Join
+        #: that carries it (``None`` until then: no length is checked),
+        #: and the elements of every chunk but the last.
+        self._geometry: Optional[Tuple[int, int]] = None
+        self._chunk_elements = (
+            SEG_PAYLOAD_BYTES // FLOAT_BYTES
+            if codec is None
+            else codec.elements_per_frame
+        )
         #: Parent-membership barrier: nothing goes upstream before the
         #: parent's SetH (all ToRs admitted); frames for it queue until
         #: then.  Until then a ToR re-sends its parent Join, as a member
-        #: of type "switch" — n_elements 0: the parent never needs the
-        #: gradient geometry, only the membership.  ``None``: ready.
+        #: of type "switch", carrying its workers' geometry once the first
+        #: of them joined (the parent admits it only then).  ``None``:
+        #: ready.
         self._parent_join: Optional[JoinTimer] = None
         self._up_pending: List[bytes] = []
         #: The Leave to the parent once every member left, resent until
         #: the parent answers it.
         self._parent_leave: Optional[LeaveTimer] = None
         if parent_addr is not None:
-            join = ControlMessage(
-                Action.JOIN, JoinInfo("switch", rank, 0, 0), job=job
-            )
             self._parent_join = JoinTimer(
-                encode_control(join), parent_addr, f"switch {rank}"
+                self._parent_join_frame(0, 0), parent_addr, f"switch {rank}"
             )
             self.next_timer = -math.inf
         #: Aggregation numerics (``None`` = fp32).  ``canonical_order`` is
@@ -195,10 +210,13 @@ class SoftwareSwitch(MemberServer):
                 return []
             if not from_parent:
                 if action == Action.JOIN:
-                    if not isinstance(message.value, JoinInfo):
+                    info = message.value
+                    if not isinstance(info, JoinInfo) or not self._agrees(info):
                         self.counters["decode_errors"] += 1
                         return []
-                    return self._admit(message.value.rank, addr)
+                    if info.member_type == "switch" and not info.n_elements:
+                        return []  # a ToR whose workers have not joined yet
+                    return self._admit(info.rank, addr)
                 rank = self._rank_of(addr)
                 if rank is None:
                     return []  # not a member (stale socket, fuzzed frame)
@@ -209,6 +227,9 @@ class SoftwareSwitch(MemberServer):
         direction = tos & ~TOS_NUMERICS_MASK
         if from_parent:
             if direction != TOS_DATA_DOWN:
+                return []
+            if self._misfits(seg, data):
+                self.counters["decode_errors"] += 1
                 return []
             # The tree-wide result: the role caches it and fans it out.
             final = DataSegment.trusted(seg, data, job=job)
@@ -222,16 +243,49 @@ class SoftwareSwitch(MemberServer):
             # summing it would silently mix grids, so drop it.
             self.counters["wrong_codec"] += 1
             return []
+        if self._misfits(seg, data):
+            self.counters["decode_errors"] += 1
+            return []
         if self._loss.drops():
             return []
         self.counters["data_rx"] += 1
         # Keyed by the member's canonical identity; the wire carries only
         # (job, seg), exactly like the hardware.  The decoder's checks made
-        # ``data`` 1-D contiguous float32, so the segment needs no validation.
+        # ``data`` 1-D contiguous float32 and ``_misfits`` its Seg's length,
+        # so the segment needs no validation.
         completed = role.contribute(
             DataSegment.trusted(seg, data, self._senders[rank], 0, job)
         )
         return self._frames(role.emit(completed)) if completed else []
+
+    def _agrees(self, info: JoinInfo) -> bool:
+        """Whether a Join's geometry is the members'; the first that
+        carries one sets it (and a ToR's parent Join then carries it, from
+        now on).  A Join with ``n_elements`` 0 claims none."""
+        geometry = (info.n_elements, info.n_chunks)
+        if not info.n_elements:
+            return True
+        if self._geometry is None:
+            if info.n_chunks != -(-info.n_elements // self._chunk_elements):
+                return False
+            self._geometry = geometry
+            if self._parent_join is not None:
+                self._parent_join.frame = self._parent_join_frame(*geometry)
+                self._parent_join.due = self.next_timer = -math.inf
+        return geometry == self._geometry
+
+    def _misfits(self, seg: int, data) -> bool:
+        """Whether a data frame's payload is not its Seg's chunk length
+        (never while no Join has carried the geometry)."""
+        if self._geometry is None:
+            return False
+        n_elements, n_chunks = self._geometry
+        chunk = self._chunk_elements
+        return data.size != min(chunk, n_elements - seg % n_chunks * chunk)
+
+    def _parent_join_frame(self, n_elements: int, n_chunks: int) -> bytes:
+        info = JoinInfo("switch", self.rank, n_elements, n_chunks)
+        return encode_control(ControlMessage(Action.JOIN, info, job=self.job))
 
     def _leave(self, rank: int, frame: bytes, addr: Address) -> Frames:
         """A member left (its Leave is echoed); once the last one has, a

@@ -96,10 +96,3 @@ class AdmissionController:
         for name in names:
             self._used[name] -= footprint
         return True
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-switch occupancy, for status displays and telemetry."""
-        return {
-            name: {"used": used, "capacity": self.capacity}
-            for name, used in sorted(self._used.items())
-        }

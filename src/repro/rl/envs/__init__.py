@@ -5,14 +5,7 @@ from .cheetah1d import Cheetah1D
 from .gridpong import GridPong
 from .gridqbert import GridQbert
 from .hopper1d import Hopper1D
-from .vector import (
-    VectorCheetah1D,
-    VectorEnv,
-    VectorGridPong,
-    VectorGridQbert,
-    VectorHopper1D,
-    make_vector_env,
-)
+from .vector import VectorEnv, make_vector_env
 from .wrappers import FrameStack, NormalizeObservation, ScaleReward, Wrapper
 
 __all__ = [
@@ -23,10 +16,6 @@ __all__ = [
     "Hopper1D",
     "Cheetah1D",
     "VectorEnv",
-    "VectorGridPong",
-    "VectorGridQbert",
-    "VectorHopper1D",
-    "VectorCheetah1D",
     "make_vector_env",
     "Wrapper",
     "NormalizeObservation",

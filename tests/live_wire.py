@@ -10,9 +10,10 @@ shards, workers, peers — runs in one thread, deterministically, in
 milliseconds of real time.
 
 Each frame sent is delayed by ``latency`` and then, by a seeded draw,
-dropped, duplicated or held back up to ``reorder_window`` (which
-reorders it against the frames behind it).  A frame addressed to no role,
-or to a role that is done (its socket closed), is lost.
+dropped, cut short at a random length (``truncate``), duplicated or held
+back up to ``reorder_window`` (which reorders it against the frames
+behind it).  A frame addressed to no role, or to a role that is done
+(its socket closed), is lost.
 
 :func:`run_fleet` is the wire as a carrier of a whole live run: the same
 ``repro.live.fleet.fleet`` that ``run_live`` spawns as processes, with
@@ -43,6 +44,7 @@ class Wire:
         duplicate=0.0,
         reorder=0.0,
         reorder_window=2e-3,
+        truncate=0.0,
     ):
         self.now = 0.0
         self.roles = {}
@@ -51,11 +53,12 @@ class Wire:
         self.duplicate = duplicate
         self.reorder = reorder
         self.reorder_window = reorder_window
+        self.truncate = truncate
         self._rng = random.Random(seed)
         self._heap = []
         self._seq = itertools.count()
         self._ports = itertools.count(40000)
-        self.dropped = self.duplicated = 0
+        self.dropped = self.duplicated = self.truncated = 0
 
     def address(self):
         """A fresh address that no role owns (yet)."""
@@ -78,6 +81,9 @@ class Wire:
             if self.drop and draw() < self.drop:
                 self.dropped += 1
                 continue
+            if self.truncate and draw() < self.truncate:
+                frame = frame[: int(draw() * len(frame))]
+                self.truncated += 1
             copies = 1
             if self.duplicate and draw() < self.duplicate:
                 copies = 2

@@ -2,7 +2,7 @@
 
 The compute tier — ring-buffer replay, raw-NumPy inference forwards,
 fused loss kernels, the closed-form DQN gradient, flat in-place optimizer
-updates, and kernel vector envs — is the only compute path.  Each piece
+updates, and the batched ``VectorEnv`` — is the only compute path.  Each piece
 is pinned against a straightforward reference, at the byte level
 (``tobytes()``, which is stricter than ``np.array_equal`` — it
 distinguishes ``-0.0`` from ``0.0``):
@@ -16,7 +16,8 @@ distinguishes ``-0.0`` from ``0.0``):
   them: closed-form gradients vs the tape tails the algorithms trained
   through until PR 19 (``tests/oracles.py``), plus the structural pins
   that training builds no ``Tensor`` and has no tape to fall back to,
-* envs: kernel ``VectorEnv`` vs the sequential reference over 1k steps,
+* envs: ``make_vector_env`` at K = 1 and 3 vs scalar envs stepped by hand
+  over 1k steps,
 * rollouts: the one ``VectorEnv`` rollout path on a bare env vs the scalar
   rollout loops (``tests/oracles.py``), over short episodes,
 * end to end: whole training runs per algorithm vs digests recorded at
@@ -955,10 +956,16 @@ class TestActAgainstReplacedBodies:
 
 
 # ---------------------------------------------------------------------------
-# Kernel vector envs vs the sequential reference (satellite S2)
+# make_vector_env vs scalar envs stepped by hand
 # ---------------------------------------------------------------------------
 
-ENV_NAMES = ["gridpong", "gridqbert", "hopper1d", "cheetah1d"]
+SCALAR_ENVS = {
+    "gridpong": GridPong,
+    "gridqbert": GridQbert,
+    "hopper1d": Hopper1D,
+    "cheetah1d": Cheetah1D,
+}
+ENV_NAMES = list(SCALAR_ENVS)
 
 
 def _action_batch(rng, space, num_envs):
@@ -968,61 +975,39 @@ def _action_batch(rng, space, num_envs):
 
 
 class TestVectorEnvDifferential:
+    @pytest.mark.parametrize("num_envs", [1, 3])
     @pytest.mark.parametrize("name", ENV_NAMES)
-    def test_kernel_matches_sequential_1k_steps(self, name):
-        """1k steps, bit-identical obs/rewards/dones/terminal infos."""
-        num_envs = 3
-        kernel = make_vector_env(name, num_envs, seed=123, kernel=True)
-        reference = make_vector_env(name, num_envs, seed=123, kernel=False)
-        assert_bytes_equal(kernel.reset(), reference.reset(), f"{name} reset")
+    def test_matches_scalar_envs_1k_steps(self, name, num_envs):
+        """K envs of ``make_vector_env(name, K, seed=123)`` == K scalar envs
+        seeded ``123 + i`` and stepped by hand with autoreset, for 1k
+        steps: obs, rewards, dones and terminal observations, byte for
+        byte."""
+        venv = make_vector_env(name, num_envs, seed=123)
+        scalars = [SCALAR_ENVS[name](seed=123 + i) for i in range(num_envs)]
+        first = np.stack([np.asarray(env.reset(), np.float64) for env in scalars])
+        assert_bytes_equal(venv.reset(), first, f"{name} reset")
+        continuous = hasattr(venv.action_space, "dim")
         action_rng = np.random.default_rng(77)
-        episodes_k, episodes_r = [], []
+        episodes = 0
         for step in range(1000):
-            actions = _action_batch(action_rng, kernel.action_space, num_envs)
-            ko, kr, kd, ki = kernel.step(actions)
-            ro, rr, rd, ri = reference.step(actions.copy())
-            ctx = f"{name} step {step}"
-            assert_bytes_equal(ko, ro, ctx + " obs")
-            assert_bytes_equal(kr, rr, ctx + " rewards")
-            assert (kd == rd).all(), ctx + " dones"
-            for i in range(num_envs):
-                k_term = ki[i].get("terminal_observation")
-                r_term = ri[i].get("terminal_observation")
-                assert (k_term is None) == (r_term is None), ctx
-                if k_term is not None:
+            actions = _action_batch(action_rng, venv.action_space, num_envs)
+            vo, vr, vd, vi = venv.step(actions)
+            ctx = f"{name} K={num_envs} step {step}"
+            for i, env in enumerate(scalars):
+                so, sr, sd, _ = env.step(actions[i] if continuous else int(actions[i]))
+                assert vd[i] == sd, ctx + " dones"
+                assert vr[i].tobytes() == np.float64(sr).tobytes(), ctx + " rewards"
+                terminal = vi[i].get("terminal_observation")
+                assert (terminal is None) == (not sd), ctx + " terminal"
+                if sd:
+                    episodes += 1
                     assert_bytes_equal(
-                        np.asarray(k_term), np.asarray(r_term), ctx + " terminal"
+                        np.asarray(terminal), np.asarray(so, dtype=np.float64),
+                        ctx + " terminal",
                     )
-            episodes_k.extend((step, i) for i in np.nonzero(kd)[0])
-            episodes_r.extend((step, i) for i in np.nonzero(rd)[0])
-        assert episodes_k == episodes_r, f"{name}: episode boundaries moved"
-        assert episodes_k, f"{name}: no episode ever terminated in 1k steps"
-
-    @pytest.mark.parametrize("name", ENV_NAMES)
-    def test_single_env_kernel_matches_scalar_env(self, name):
-        """K = 1 kernel == a bare scalar env stepped by hand (with autoreset)."""
-        scalar_cls = {
-            "gridpong": GridPong,
-            "gridqbert": GridQbert,
-            "hopper1d": Hopper1D,
-            "cheetah1d": Cheetah1D,
-        }[name]
-        kernel = make_vector_env(name, 1, seed=9, kernel=True)
-        scalar = scalar_cls(seed=9)
-        obs_k = kernel.reset()
-        obs_s = scalar.reset()
-        assert_bytes_equal(obs_k[0], np.asarray(obs_s, dtype=np.float64))
-        rng = np.random.default_rng(31)
-        for step in range(500):
-            actions = _action_batch(rng, kernel.action_space, 1)
-            ko, kr, kd, _ = kernel.step(actions)
-            action = actions[0] if hasattr(kernel.action_space, "dim") else int(actions[0])
-            so, sr, sd, _ = scalar.step(action)
-            assert kd[0] == sd, f"{name} step {step}"
-            assert kr[0].tobytes() == np.float64(sr).tobytes(), f"{name} step {step}"
-            if sd:
-                so = scalar.reset()
-            assert_bytes_equal(ko[0], np.asarray(so, dtype=np.float64), f"{name} {step}")
+                    so = env.reset()
+                assert_bytes_equal(vo[i], np.asarray(so, np.float64), ctx + " obs")
+        assert episodes, f"{name}: no episode ever terminated in 1k steps"
 
     def test_wrapped_envs_through_generic_vector_env(self):
         """Wrappers ride the sequential VectorEnv; semantics match scalar."""
@@ -1209,8 +1194,8 @@ class TestVectorEnvTraining:
     def test_k1_vector_env_matches_scalar(
         self, venv_builder, scalar_builder, iterations
     ):
-        """The one-env kernel consumes the same rng streams as a bare env
-        (stepped as ``VectorEnv([env])``)."""
+        """A one-env ``make_vector_env`` consumes the same rng streams as a
+        bare env (stepped as ``VectorEnv([env])``)."""
         vec = _train(venv_builder, iterations)
         scalar = _train(scalar_builder, iterations)
         assert_bytes_equal(vec, scalar)

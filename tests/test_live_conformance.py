@@ -907,8 +907,8 @@ def _live_capable(pair, n_workers, codec):
 class TestWireMatchesTheSimulator:
     """The sim<->live matrix as a property on the wire: any live-capable
     strategy, fleet size, codec and loss, at any seed — and a wire that
-    itself drops, duplicates and reorders frames of every kind — lands
-    on the simulator's final weights bit for bit."""
+    itself drops, truncates, duplicates and reorders frames of every kind
+    — lands on the simulator's final weights bit for bit."""
 
     @given(case=PROPERTY_CASES, wire_seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
@@ -925,7 +925,9 @@ class TestWireMatchesTheSimulator:
                 recovery_timeout=LOSSY_RECOVERY_TIMEOUT if lossy else None,
                 **common,
             ),
-            Wire(seed=wire_seed, drop=0.02, duplicate=0.02, reorder=0.1),
+            Wire(
+                seed=wire_seed, drop=0.02, duplicate=0.02, reorder=0.1, truncate=0.02
+            ),
         )
         sim = run(sim_config(strategy, n_workers, **common))
         expected = sim_final_weights(sim)

@@ -426,6 +426,42 @@ class TestTreeSwitchLogic:
         # A flat switch has no parent and therefore no timer.
         assert SoftwareSwitch(n_workers=1).on_timer(0.0) == []
 
+    def test_parent_join_carries_the_workers_geometry(self):
+        """A ToR joins its parent with what its first worker joined with,
+        at once; the parent admits a ToR only then, and checks the
+        partials' lengths (and a ToR the results') against it."""
+        tor = SoftwareSwitch(n_workers=2, parent_addr=self.PARENT, rank=1)
+        (early, _), = tor.on_timer(0.0)
+        info = decode_frame(early)[1].value
+        assert (info.n_elements, info.n_chunks) == (0, 0)
+        agg = SoftwareSwitch(n_workers=1)
+        assert agg.handle_frame(early, self.addr(9)) == []
+        assert agg.counters["joins"] == 0
+        info = JoinInfo(rank=0, n_elements=5, n_chunks=1)
+        tor.handle_frame(
+            encode_control(ControlMessage(Action.JOIN, info)), self.addr(0)
+        )
+        assert tor.next_timer == -math.inf  # due at once, not a period later
+        (join, _), = tor.on_timer(0.1)
+        late = decode_frame(join)[1].value
+        assert (late.member_type, late.n_elements, late.n_chunks) == ("switch", 5, 1)
+        out = agg.handle_frame(join, self.addr(9))
+        assert [decode_frame(f)[1].action for f, _ in out] == [Action.ACK, Action.SETH]
+        # A worker or ToR of another geometry is not a member.
+        other = JoinInfo(rank=1, n_elements=6, n_chunks=1)
+        other = encode_control(ControlMessage(Action.JOIN, other))
+        assert tor.handle_frame(other, self.addr(1)) == []
+        assert tor.counters["decode_errors"] == 1
+        # A cut-short partial at the AGG, or result at the ToR, is dropped.
+        short = encode_data(DataSegment(seg=0, data=np.ones(4, np.float32)))
+        assert agg.handle_frame(short, self.addr(9)) == []
+        assert agg.counters["decode_errors"] == 1
+        down = encode_data(
+            DataSegment(seg=0, data=np.ones(4, np.float32)), downstream=True
+        )
+        assert tor.handle_frame(down, self.PARENT) == []
+        assert tor.counters["decode_errors"] == 2
+
     def test_leave_propagates_upstream_once(self):
         tor = self.make_tor()
         tor.handle_frame(
@@ -986,6 +1022,32 @@ class TestHostileFrames:
             join = ControlMessage(Action.JOIN, JoinInfo(rank=rank))
             switch.handle_frame(encode_control(join), addr)
         return switch
+
+    def test_a_cut_short_frame_does_not_poison_its_seg(self):
+        """An fp32 frame cut by 4 bytes is still whole float32s, so the
+        header decodes.  The switch drops it on its Seg's chunk length
+        from the members' Join; held, it made the partner's well-formed
+        frame for the same Seg raise out of ``handle_frame``."""
+        switch = SoftwareSwitch(n_workers=2)
+        for rank, addr in enumerate(self.MEMBERS):
+            info = JoinInfo(rank=rank, n_elements=8, n_chunks=1)
+            switch.handle_frame(
+                encode_control(ControlMessage(Action.JOIN, info)), addr
+            )
+        frames = [
+            encode_data(DataSegment(seg=5, data=np.full(8, rank + 1.0, np.float32)))
+            for rank in range(2)
+        ]
+        assert switch.handle_frame(frames[0][:-4], self.MEMBERS[0]) == []
+        assert switch.counters["decode_errors"] == 1
+        assert switch.counters["data_rx"] == 0
+        assert switch.handle_frame(frames[1], self.MEMBERS[1]) == []
+        assert switch.engine.stats.contributions == 1
+        out = switch.handle_frame(frames[0], self.MEMBERS[0])
+        assert [addr for _, addr in out] == self.MEMBERS
+        np.testing.assert_array_equal(
+            decode_frame(out[0][0])[1].data, np.full(8, 3.0, np.float32)
+        )
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
