@@ -1,12 +1,18 @@
 PY ?= python
 
-.PHONY: test test-fast live census lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke telemetry-smoke
+.PHONY: test test-fast alloc-budget live census lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke telemetry-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
 
 test-fast:
 	PYTHONPATH=src $(PY) -m pytest -x -q -m "not slow"
+
+# The allocation budget in a process of its own (CI runs it after
+# tier-1): a traced peak that depends on what earlier test files
+# imported cannot hide behind them here.
+alloc-budget:
+	PYTHONPATH=src $(PY) -m pytest -q tests/test_alloc_budget.py
 
 # Exactly the CI `live` job (which runs this target): the sim<->live
 # conformance matrix on both carriers of one fleet — loopback UDP

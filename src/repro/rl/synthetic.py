@@ -23,8 +23,15 @@ draw of every other idle stream in the group on a per-process thread
 pool, then draws its own; the pool fills caller-allocated buffers
 (``Generator`` releases the GIL while it fills), so a cluster's N draws
 run on the host's cores at once, as the paper's N workers compute at
-once.  Each stream still draws strictly in order, so every gradient is
-byte-identical to an inline draw (DESIGN §14.1).
+once.  Up to :data:`AHEAD_MAX_PARAMS` a draw handed out queues its
+stream's next one at once, so every replica's next gradient is drawn
+while the simulator runs the round, as the paper's workers compute the
+next gradient while the last one is aggregated (a synthetic gradient
+never reads the weights, so it may be drawn early).  An asker whose
+queued draw the pool has not started takes it back and draws it itself,
+and the pool keeps one thread per core but one: the asker's thread is
+the other drawer.  Each stream still draws strictly in order, so every
+gradient is byte-identical to an inline draw (DESIGN §14.1).
 
 Sized so one gradient is exactly :data:`SYNTH_N_PARAMS` float32 values =
 64 full wire segments (the benchmark's unit of accelerator work).
@@ -53,6 +60,12 @@ SYNTH_N_PARAMS = 64 * 366
 #: (DESIGN §14.1).
 POOL_MIN_PARAMS = 8192
 
+#: Longest stream a pooled group draws ahead.  Above it one more vector
+#: per stream costs more than the draw it hides: four paper-size vectors
+#: are ~27 MB of RSS, and at 366,000 floats four would add ~4 V to
+#: ``tests/test_alloc_budget.py``'s 14.5 V bound (DESIGN §14.1).
+AHEAD_MAX_PARAMS = 1 << 17
+
 #: ``apply_update`` works in float64 blocks of this many values, so an
 #: update needs a small scratch array instead of a full-length temporary.
 _UPDATE_BLOCK = 1 << 16
@@ -68,8 +81,9 @@ def _pool():
     if _pool_of_process is None or _pool_of_process[0] != pid:
         from concurrent.futures import ThreadPoolExecutor
 
+        # One drawer per core: the asker's thread is the other one.
         executor = ThreadPoolExecutor(
-            max_workers=_cpus(), thread_name_prefix="synth-draw"
+            max_workers=max(1, _cpus() - 1), thread_name_prefix="synth-draw"
         )
         _pool_of_process = (pid, executor)
     return _pool_of_process[1]
@@ -94,7 +108,8 @@ class _StreamGroup:
     def __init__(self, n_params: int) -> None:
         self.n_params = n_params
         self._rngs: List[np.random.Generator] = []
-        #: Per stream: ``(future, buffer)`` of its pending draw, or None.
+        #: Per stream: ``(future, buffer, cell)`` of its pending draw, or
+        #: None; ``cell`` is the list the pool task pops the buffer from.
         self._pending: List[Optional[tuple]] = []
 
     def add(self, seed: int) -> int:
@@ -111,35 +126,50 @@ class _StreamGroup:
         )
 
     def next(self, stream: int) -> np.ndarray:
-        """Stream ``stream``'s next draw: its pending one if it has one,
-        else one drawn here, after the other idle streams' next draws
-        have been started on the pool."""
+        """Stream ``stream``'s next draw: its pending one if it has one
+        (taken back and drawn here if the pool has not started it), else
+        one drawn here, after the other idle streams' next draws have
+        been started on the pool.  Up to :data:`AHEAD_MAX_PARAMS` the
+        stream's following draw is queued before this one is returned."""
         pending = self._pending[stream]
         if pending is not None:
             self._pending[stream] = None
-            future, out = pending
-            future.result()
-            return out
-        if not self._pooled():
+            future, out, cell = pending
+            if future.cancel():
+                cell.clear()
+                self._rngs[stream].standard_normal(dtype=np.float32, out=out)
+            else:
+                future.result()
+        elif not self._pooled():
             return self._rngs[stream].standard_normal(
                 self.n_params, dtype=np.float32
             )
-        # Every buffer is allocated on this thread, the asker's first:
-        # pool threads' malloc arenas, or the asker's array allocated
-        # after the others', raise peak RSS (DESIGN §14.1).
-        own = np.empty(self.n_params, dtype=np.float32)
-        pool = _pool()
-        for index, rng in enumerate(self._rngs):
-            if index != stream and self._pending[index] is None:
-                out = np.empty(self.n_params, dtype=np.float32)
-                self._pending[index] = (pool.submit(_fill, rng, [out]), out)
-        return self._rngs[stream].standard_normal(dtype=np.float32, out=own)
+        else:
+            # Every buffer is allocated on this thread, the asker's first:
+            # pool threads' malloc arenas, or the asker's array allocated
+            # after the others', raise peak RSS (DESIGN §14.1).
+            out = np.empty(self.n_params, dtype=np.float32)
+            for index in range(len(self._rngs)):
+                if index != stream and self._pending[index] is None:
+                    self._submit(index)
+            self._rngs[stream].standard_normal(dtype=np.float32, out=out)
+        if self.n_params <= AHEAD_MAX_PARAMS:
+            self._submit(stream)
+        return out
+
+    def _submit(self, stream: int) -> None:
+        """Queue stream ``stream``'s next draw on the pool."""
+        out = np.empty(self.n_params, dtype=np.float32)
+        cell = [out]
+        future = _pool().submit(_fill, self._rngs[stream], cell)
+        self._pending[stream] = (future, out, cell)
 
 
 def _fill(rng: np.random.Generator, cell: list) -> None:
     """Fill the buffer in ``cell`` from ``rng``, emptying the cell first:
-    a finished pool task holds no reference to the gradient, so when the
-    gradient is freed depends on the caller alone, not on thread timing."""
+    a finished pool task holds no reference to the gradient (a cancelled
+    one has its cell emptied by the asker), so when the gradient is freed
+    depends on the caller alone, not on thread timing."""
     rng.standard_normal(dtype=np.float32, out=cell.pop())
 
 

@@ -35,15 +35,18 @@ V = 4 * N_PARAMS
 
 
 def peak_in_vectors(strategy, iterations):
+    config = ExperimentConfig(
+        strategy=strategy, workload="synth", n_workers=4,
+        iterations=iterations, seed=7, telemetry=False,
+        algorithm_overrides={"n_params": N_PARAMS},
+    )
+    # The first run in a process also imports what the run imports lazily
+    # (numpy.random, concurrent.futures, ...): ~0.4 V of importlib
+    # allocations that would be traced only when this file runs first.
+    run(config)
     tracemalloc.start()
     try:
-        run(
-            ExperimentConfig(
-                strategy=strategy, workload="synth", n_workers=4,
-                iterations=iterations, seed=7, telemetry=False,
-                algorithm_overrides={"n_params": N_PARAMS},
-            )
-        )
+        run(config)
         return tracemalloc.get_traced_memory()[1] / V
     finally:
         tracemalloc.stop()

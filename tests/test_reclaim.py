@@ -12,12 +12,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
 from repro.distributed import ExperimentConfig, run
 from repro.faults import demo_plan
+from repro.rl import synthetic
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,6 +65,50 @@ def test_per_packet_and_async_runs_reclaim_too(no_collector, fields):
     replicas = [weakref.ref(w.algorithm) for w in result.workers]
     del result
     assert [r() for r in replicas] == [None] * 4
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["queued", "filling"])
+def test_replicas_die_with_the_result_while_their_next_draws_are_pending(
+    no_collector, blocked
+):
+    # A pooled synth cluster ends every run with each stream's next draw
+    # queued (or filling) on the draw pool.  The pool's tasks hold a
+    # generator and a buffer, never an algorithm, so dropping the result
+    # still frees the replicas, and the orphaned draws finish cleanly.
+    executor = ThreadPoolExecutor(max_workers=1)
+    gate = threading.Event()
+    submitted = []
+    submit = executor.submit
+
+    def spy(fn, *args):
+        submitted.append(submit(fn, *args))
+        return submitted[-1]
+
+    pool = mock.patch.object(synthetic, "_pool_of_process", (os.getpid(), executor))
+    try:
+        with pool, mock.patch.object(synthetic, "_cpus", return_value=2):
+            blocker = submit(gate.wait, 30) if blocked else None
+            with mock.patch.object(executor, "submit", spy):
+                result = run(
+                    ExperimentConfig(
+                        strategy="isw", workload="synth", n_workers=4,
+                        iterations=3, telemetry=False,
+                    )
+                )
+        pending = [w.algorithm._group._pending for w in result.workers]
+        assert all(p is not None for p in pending[0])
+        if blocked:  # every last draw still waits behind the blocker
+            assert not any(p[0].running() or p[0].done() for p in pending[0])
+        replicas = [weakref.ref(w.algorithm) for w in result.workers]
+        del result, pending
+        assert [r() for r in replicas] == [None] * 4
+    finally:
+        gate.set()
+        executor.shutdown(wait=True)
+    if blocked:
+        assert blocker.result() is True
+    for future in submitted:
+        assert future.cancelled() or future.exception() is None
 
 
 def test_returned_workers_keep_what_results_are_read_for():

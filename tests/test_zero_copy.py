@@ -12,9 +12,12 @@ scribbles on a shared result raises.
 import hashlib
 import json
 import os
+import subprocess
 import sys
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -29,9 +32,11 @@ from repro.distributed import ExperimentConfig, run
 from repro.distributed import runner as runner_module
 from repro.distributed.sync import SyncISwitch
 from repro.rl import synthetic
-from repro.rl.synthetic import POOL_MIN_PARAMS, SyntheticAlgorithm
+from repro.rl.synthetic import AHEAD_MAX_PARAMS, POOL_MIN_PARAMS, SyntheticAlgorithm
 
 from .helpers import built_clusters, per_packet_reference
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PAPER_N_PARAMS = 4592 * 366
 
@@ -463,8 +468,10 @@ class TestSyntheticReplica:
 
     # A cluster's replicas share one stream group: an asker with no draw
     # pending starts the other idle streams' draws on a thread pool and
-    # draws its own.  Each stream must still give the bytes of a replica
-    # drawing alone, whatever order the replicas ask in.
+    # draws its own; a draw handed out queues its stream's next one, and
+    # an asker takes back a queued draw the pool has not started.  Each
+    # stream must still give the bytes of a replica drawing alone,
+    # whatever order the replicas ask in.
     def group_and_loners(self, n, n_params=POOL_MIN_PARAMS):
         first = SyntheticAlgorithm(seed=11, n_params=n_params)
         group = [first] + [first.replica(seed=11 + i) for i in range(1, n)]
@@ -489,6 +496,51 @@ class TestSyntheticReplica:
                 assert gradient.tobytes() == loners[k].compute_gradient().tobytes()
         for replica, loner in zip(group, loners):
             assert replica.episode_rewards == loner.episode_rewards
+
+    def test_an_asker_takes_back_a_draw_the_pool_has_not_started(self):
+        group, loners = self.group_and_loners(4)
+        executor = ThreadPoolExecutor(max_workers=1)
+        gate = threading.Event()
+        pending = group[0]._group._pending
+        pool = mock.patch.object(
+            synthetic, "_pool_of_process", (os.getpid(), executor)
+        )
+        try:
+            with pool, mock.patch.object(synthetic, "_cpus", return_value=2):
+                # The pool's only thread waits on the gate, so every draw
+                # queued behind it is one an asker must take back: waiting
+                # for it would wait out the gate's 30 s.
+                blocker = executor.submit(gate.wait, 30)
+                for k in [0, 1, 2, 3, 0, 1, 2, 3]:
+                    queued = pending[k]
+                    gradient = group[k].compute_gradient()
+                    assert gradient.tobytes() == loners[k].compute_gradient().tobytes()
+                    if queued is not None:
+                        assert queued[0].cancelled() and queued[2] == []
+                    assert not blocker.done()
+        finally:
+            gate.set()
+            executor.shutdown(wait=True)
+        assert blocker.result() is True
+
+    @pytest.mark.parametrize(
+        "n_params, ahead",
+        [(AHEAD_MAX_PARAMS, True), (AHEAD_MAX_PARAMS + 1, False)],
+        ids=["at-the-cap", "above-it"],
+    )
+    def test_a_stream_draws_ahead_only_up_to_the_cap(self, n_params, ahead):
+        group, loners = self.group_and_loners(4, n_params)
+        pending = group[0]._group._pending
+        with mock.patch.object(synthetic, "_cpus", return_value=2):
+            gradient = group[0].compute_gradient()
+            assert gradient.tobytes() == loners[0].compute_gradient().tobytes()
+            # The asker's peers were started either way; only a short
+            # vector queues the asker's own next draw too.
+            assert [p is not None for p in pending] == [ahead, True, True, True]
+            for k in [1, 2, 3, 0, 1, 2, 3]:
+                gradient = group[k].compute_gradient()
+                assert gradient.tobytes() == loners[k].compute_gradient().tobytes()
+            assert [p is not None for p in pending] == [ahead] * 4
 
     def test_more_streams_than_cores_under_fast_thread_switching(self):
         group, loners = self.group_and_loners(8)
@@ -540,6 +592,14 @@ class TestSyntheticReplica:
         group, loners = self.group_and_loners(2)
         with mock.patch.object(synthetic, "_cpus", return_value=2):
             group[0].compute_gradient()  # the parent's pool now has threads
+            # A whole run just before the fork leaves each of its
+            # streams' next draws queued or filling on the parent's pool.
+            result = run(ExperimentConfig(
+                strategy="isw", workload="synth", iterations=2,
+                telemetry=False,
+            ))
+            left = result.workers[0].algorithm._group._pending
+            assert all(p is not None for p in left)
             expected = [loner.compute_gradient().tobytes() for loner in loners]
             with warnings.catch_warnings():
                 # Python 3.12+ warns on fork() in a threaded process,
@@ -566,6 +626,28 @@ class TestSyntheticReplica:
                 pytest.fail("the forked child hung drawing its gradients")
             time.sleep(0.05)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+    def test_the_interpreter_exits_with_draws_queued(self):
+        # Every pooled run ends with one draw per stream still queued;
+        # the pool's threads must not keep the process from exiting.
+        script = """
+import time
+from repro.distributed import ExperimentConfig, run
+from repro.rl import synthetic
+synthetic._cpus = lambda: 2
+synthetic._pool().submit(time.sleep, 3)  # hold the draws in the queue
+result = run(ExperimentConfig(strategy="isw", workload="synth", n_workers=4,
+                              iterations=3, telemetry=False))
+left = result.workers[0].algorithm._group._pending
+assert len(left) == 4 and not any(p[0].done() for p in left)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------
