@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test test-fast alloc-budget live census lint bench-pytest rollout-bench perf-selftest perf-pairs soak-smoke loss-smoke telemetry-smoke
+.PHONY: test test-fast alloc-budget live census lint bench-pytest paper-shape rollout-bench perf-selftest perf-pairs telemetry-ratio soak-smoke loss-smoke telemetry-smoke
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -52,6 +52,14 @@ lint:
 bench-pytest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q
 
+# The paper-shape suite: every table, figure, ablation and utilization
+# benchmark asserts its qualitative shape (who wins, by roughly how much),
+# run once each without timing (CI runs it beside tier-1; ~1 min).
+PAPER_SHAPE = benchmarks/test_table*.py benchmarks/test_fig*.py \
+	benchmarks/test_ablation*.py benchmarks/test_util*.py
+paper-shape:
+	PYTHONPATH=src $(PY) -m pytest -q $(PAPER_SHAPE) --benchmark-disable
+
 # The K=1 rollout cost: one compute_gradient() per algorithm through the
 # scalar rollout oracle (tests/oracles.py) and the one rollout path on the
 # same bare env (plus four scalar envs in one VectorEnv), in one session.
@@ -67,6 +75,11 @@ BASELINE ?= HEAD~1
 PAIRS ?= 10
 perf-pairs:
 	$(PY) tools/perf_pairs.py --baseline-ref $(BASELINE) --pairs $(PAIRS) $(PAIRS_ARGS)
+
+# What telemetry costs: the isw-small legs with it on and off, interleaved
+# in one process (~15 s); prints the median on/off wall ratio.
+telemetry-ratio:
+	$(PY) tools/telemetry_ratio.py $(RATIO_ARGS)
 
 soak-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro jobs soak \

@@ -21,6 +21,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from ..telemetry import scrape
 from .accelerator import trim_result_cache
 from .protocol import (
     ISWITCH_UDP_PORT,
@@ -201,6 +202,7 @@ class AggregationClient:
         self.rounds_completed = 0
         self.help_requests = 0
         self.retransmissions = 0
+        host.sim.telemetry.watch(scrape.client, self)
         # Several clients (different jobs) may share one host; the first
         # binds the iSwitch port and fans packets out to every registered
         # client, each of which filters on its job id.
@@ -296,7 +298,6 @@ class AggregationClient:
         self.help_requests += 1
         telemetry = self.host.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc("client.help_requests", 1, worker=self.host.name)
             telemetry.event(
                 "client.help_request", cat="recovery", track=self.host.name,
                 seg=seg,
@@ -359,7 +360,6 @@ class AggregationClient:
         self.retransmissions += 1
         telemetry = self.host.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc("client.retransmissions", 1, worker=self.host.name)
             telemetry.event(
                 "client.retransmit", cat="recovery", track=self.host.name,
                 seg=seg,
@@ -417,7 +417,6 @@ class AggregationClient:
         self.rounds_completed += 1
         telemetry = self.host.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc("client.rounds_completed", 1, worker=self.host.name)
             started = self._round_started.pop(round_index, None)
             if started is not None:
                 telemetry.span_at(
@@ -472,10 +471,6 @@ class AggregationClient:
                 self.abandoned_rounds.add(round_index)
                 self._watchdog_attempts.pop(round_index, None)
                 self.rounds.close(round_index)
-                if telemetry.enabled:
-                    telemetry.inc(
-                        "client.rounds_abandoned", 1, worker=self.host.name
-                    )
                 if self.on_round_abandoned is not None:
                     self.on_round_abandoned(round_index)
                 return

@@ -266,6 +266,8 @@ class JobTable:
         #: The switch above, shared by every job's role (``None`` = root).
         self.parent: Any = None
         self._jobs: Dict[int, JobState] = {}
+        #: ``(job id, counters)`` of every role :meth:`remove` dropped.
+        self._departed: List[Tuple[int, Dict[str, int]]] = []
         self.get(DEFAULT_JOB)  # job 0 always exists
 
     def set_parent(self, address: Any) -> None:
@@ -315,7 +317,18 @@ class JobTable:
         """
         if job_id == DEFAULT_JOB:
             return False
-        return self._jobs.pop(job_id, None) is not None
+        state = self._jobs.pop(job_id, None)
+        if state is None:
+            return False
+        self._departed.append((job_id, state.counters))
+        return True
+
+    def counters(self) -> Iterator[Tuple[int, Dict[str, int]]]:
+        """``(job id, counters)`` of every role this table ever held,
+        departed ones first."""
+        yield from self._departed
+        for state in self._jobs.values():
+            yield state.job_id, state.counters
 
     def __iter__(self) -> Iterator[JobState]:
         return iter(self._jobs.values())

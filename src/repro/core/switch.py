@@ -25,6 +25,7 @@ Help rules of DESIGN §6.2, Reset/SetH/FBcast/Halt).  The live backend's
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from ..netsim.events import Simulator
 from ..netsim.link import LinkEnd
 from ..netsim.packets import Packet, PacketTrain
 from ..netsim.switch import DEFAULT_SWITCH_LATENCY, EthernetSwitch
+from ..telemetry import scrape
 from .accelerator import AcceleratorTiming, AggregationEngine
 from .control_plane import MembershipTable, MemberType
 from .jobs import DEFAULT_JOB, JobState, JobTable, Routes
@@ -76,9 +78,29 @@ class ISwitch(EthernetSwitch):
         self.jobs = JobTable(
             dedup=dedup, timing=timing, canonical=canonical, codec=codec, name=name
         )
-        self.result_broadcasts = 0
-        self.upstream_forwards = 0
-        self.control_messages = 0
+        #: Data contributions that reached the arbiter and segments this
+        #: switch completed, by job — counted while telemetry is on.
+        self.contributions_by_job: Counter = Counter()
+        self.completions_by_job: Counter = Counter()
+        #: Control messages received, by action.
+        self.controls_by_action: Counter = Counter()
+        sim.telemetry.watch(scrape.iswitch, self)
+
+    @property
+    def result_broadcasts(self) -> int:
+        """Results sent down to members, as every job's role counted them."""
+        return sum(
+            c["results_broadcast"] + c["parent_relays"]
+            for _, c in self.jobs.counters()
+        )
+
+    @property
+    def upstream_forwards(self) -> int:
+        return sum(c["upstream_forwards"] for _, c in self.jobs.counters())
+
+    @property
+    def control_messages(self) -> int:
+        return sum(self.controls_by_action.values())
 
     # ------------------------------------------------------------------
     # Configuration (programmatic equivalents of the control messages)
@@ -177,8 +199,7 @@ class ISwitch(EthernetSwitch):
         telemetry = self.sim.telemetry
         arrival = None
         if telemetry.enabled:
-            labels = {"job": segment.job} if segment.job else {}
-            telemetry.inc("switch.contributions", 1, switch=self.name, **labels)
+            self.contributions_by_job[segment.job] += 1
             arrival = self.sim.now
         latency = state.engine.processing_latency(packet.payload_size)
         for completed in state.contribute(segment, arrival):
@@ -228,8 +249,7 @@ class ISwitch(EthernetSwitch):
         n = len(sizes)
         arrivals = None
         if telemetry.enabled:
-            labels = {"job": job} if job else {}
-            telemetry.inc("switch.contributions", n, switch=self.name, **labels)
+            self.contributions_by_job[job] += n
             # Each contribution's own carried arrival, for the spans.
             arrivals = train.arrivals.tolist()
         # One processing_latency accrual per packet, exactly like the
@@ -306,8 +326,7 @@ class ISwitch(EthernetSwitch):
             seg=seg,
             job=job,
         )
-        labels = {"job": job} if job else {}
-        telemetry.inc("switch.segments_completed", 1, switch=self.name, **labels)
+        self.completions_by_job[job] += 1
 
     def _fanout_train(self, train: PacketTrain) -> None:
         """Batched :meth:`_handle_result_from_parent`: re-broadcast a train,
@@ -345,8 +364,7 @@ class ISwitch(EthernetSwitch):
 
         ``final`` ones arrived from the parent; the others completed here
         and the job's role decides: up the hierarchy, or down to the
-        members it has *now* (Figure 1c).  This driver only accounts for
-        what it was told to send.
+        members it has *now* (Figure 1c), and counts what it routed.
         """
         # The job may have been evicted (last member left) between the
         # segment completing and this delayed fan-out; don't resurrect it.
@@ -355,32 +373,15 @@ class ISwitch(EthernetSwitch):
             return
         routes = role.deliver(results) if final else role.emit(results)
         telemetry = self.sim.telemetry
-        n = len(results)
-        if routes and routes[0][0] == role.parent:
-            self.upstream_forwards += n
-            if telemetry.enabled:
-                for result in results:
-                    telemetry.event(
-                        "segment.forward_up",
-                        cat="aggregation",
-                        track=self.name,
-                        seg=result.seg,
-                    )
-        else:
-            self.result_broadcasts += n
-            if telemetry.enabled:
-                labels = {"job": job} if job else {}
-                telemetry.inc(
-                    "switch.result_broadcasts", n, switch=self.name, **labels
+        if telemetry.enabled:
+            upward = routes and routes[0][0] == role.parent
+            name = "segment.forward_up" if upward else "segment.broadcast"
+            labels = {} if upward else {"job": job}
+            for result in results:
+                telemetry.event(
+                    name, cat="aggregation", track=self.name, seg=result.seg,
+                    **labels,
                 )
-                for result in results:
-                    telemetry.event(
-                        "segment.broadcast",
-                        cat="aggregation",
-                        track=self.name,
-                        seg=result.seg,
-                        job=job,
-                    )
         self._transmit(role, routes, ready)
 
     def _transmit(
@@ -453,16 +454,9 @@ class ISwitch(EthernetSwitch):
                 f"{self.name}: control packet carries "
                 f"{type(message).__name__}, expected ControlMessage"
             )
-        self.control_messages += 1
         action = message.action
+        self.controls_by_action[action] += 1
         telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            telemetry.inc(
-                "switch.control_messages",
-                1,
-                switch=self.name,
-                action=action.name.lower(),
-            )
         job = message.job
         role = self.jobs.get(job)
         members = role.members

@@ -79,6 +79,7 @@ from ..netsim.packets import Packet
 from ..netsim.topology import Network
 from ..netsim.trace import LatencyStats
 from ..rl.base import Algorithm
+from ..telemetry import scrape
 from ..workloads.calibration import DEFAULT_COST_MODEL, CostModel
 from ..workloads.profiles import WorkloadProfile
 from .collectives import ISwitchStream, PsGather, PsScatter
@@ -136,6 +137,7 @@ class AsyncParameterServer:
         #: The server-side replica holding the authoritative weights.
         self.replica = server_algorithm
         self.server_updates = 0
+        self.sim.telemetry.watch(scrape.async_server, self)
         #: ``run(n)``'s n: server applies (paced: cycles per worker).
         self.target = 0
         self.staleness = LatencyStats()
@@ -394,7 +396,6 @@ class AsyncParameterServer:
         self.staleness.record(staleness)
         telemetry = self.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc("server.updates", 1)
             telemetry.observe("server.staleness", float(staleness))
         self.replica.apply_update(np.asarray(gradient, dtype=np.float64))
         self.server_updates += 1
@@ -412,7 +413,7 @@ class _WindowedAsyncISwitch(SyncISwitch):
     def _setup(self) -> None:
         super()._setup()
         self.staleness = LatencyStats()
-        self.commits = 0
+        self.sim.telemetry.watch(scrape.async_workers, self)
         #: Per worker: the rounds applied when gradient k was computed,
         #: and the digest of every sum applied.
         self._versions: List[List[int]] = [[] for _ in self.workers]
@@ -420,11 +421,11 @@ class _WindowedAsyncISwitch(SyncISwitch):
 
     def _submit_gradient(self, worker, gradient, iteration) -> None:
         self._versions[worker.index].append(self._applied[worker.index])
-        self.commits += 1
-        telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            telemetry.inc("worker.commits", 1, worker=worker.name)
         super()._submit_gradient(worker, gradient, iteration)
+
+    @property
+    def worker_commits(self) -> List[int]:
+        return [len(versions) for versions in self._versions]
 
     def _apply_sum(self, worker, summed, iteration) -> None:
         self._digests[worker.index].append(_digest(summed, np.float32))
@@ -435,7 +436,7 @@ class _WindowedAsyncISwitch(SyncISwitch):
         super()._finalize(result)
         result.mean_staleness = self.staleness.mean
         result.max_staleness = self.staleness.max
-        result.commits = self.commits
+        result.commits = sum(self.worker_commits)
         result.skipped_commits = 0
         # Every replica applies the same broadcast stream, so the digest
         # lists must agree — surface rank 0's as the run's.
@@ -482,8 +483,12 @@ class AsyncISwitch(ISwitchResetFault):
             raise ValueError(f"aggregation threshold H must be >= 1, got {self.h}")
         self.target_updates = 0
         self.staleness = LatencyStats()
-        self.commits = 0
-        self.skipped_commits = 0
+        #: Per worker: gradients committed, commits past the staleness
+        #: bound, and broadcasts given up on (the client's recovery ran out).
+        self.worker_commits = [0 for _ in workers]
+        self.worker_skipped_commits = [0 for _ in workers]
+        self.worker_updates_missed = [0 for _ in workers]
+        self.sim.telemetry.watch(scrape.async_workers, self)
         self._done = False
         #: Fault-injection state: crashed (left) worker indices.
         self._down: set = set()
@@ -557,8 +562,8 @@ class AsyncISwitch(ISwitchResetFault):
         result = TrainingResult.of(self, min(self._ts), self.sim.now - start)
         result.mean_staleness = self.staleness.mean
         result.max_staleness = self.staleness.max
-        result.commits = self.commits
-        result.skipped_commits = self.skipped_commits
+        result.commits = sum(self.worker_commits)
+        result.skipped_commits = sum(self.worker_skipped_commits)
         return result
 
     # ------------------------------------------------------------------
@@ -572,23 +577,16 @@ class AsyncISwitch(ISwitchResetFault):
 
         def commit(gradient: np.ndarray) -> None:
             ts = self._ts[index]
-            telemetry = self.sim.telemetry
             if ts - tw <= self.staleness_bound:
                 self.staleness.record(ts - tw)
-                self.commits += 1
-                if telemetry.enabled:
-                    telemetry.inc("worker.commits", 1, worker=worker.name)
+                self.worker_commits[index] += 1
                 self.stream.submit(worker, gradient, ts)
                 if self._unanswered is not None:
                     self._unanswered[index] += 1
                     if self._unanswered[index] >= MAX_RECOVERY_ATTEMPTS:
                         self._done = True  # run() reports the short replica
             else:
-                self.skipped_commits += 1
-                if telemetry.enabled:
-                    telemetry.inc(
-                        "worker.skipped_commits", 1, worker=worker.name
-                    )
+                self.worker_skipped_commits[index] += 1
             self._start_lgc(worker)  # non-blocking commit: pipeline on
 
         # The gradient is computed against the weights the LGC thread copies
@@ -663,9 +661,7 @@ class AsyncISwitch(ISwitchResetFault):
             return
         self._ts[worker.index] += 1
         self._last_update[worker.index] = self.sim.now
-        telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            telemetry.inc("worker.updates_missed", 1, worker=worker.name)
+        self.worker_updates_missed[worker.index] += 1
         if min(self._ts) >= self.target_updates:
             self._done = True
 

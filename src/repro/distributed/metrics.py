@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
+from ..telemetry import scrape
 from ..workloads.profiles import BREAKDOWN_COMPONENTS, WorkloadProfile
 
 __all__ = ["IterationBreakdown", "BusyQueue", "split_compute_time"]
@@ -85,6 +86,11 @@ class BusyQueue:
         self.name = name
         self._busy_until = 0.0
         self.busy_time = 0.0
+        #: The backlog a submission found ahead of it plus its own work:
+        #: the latest (``None`` before the first) and the largest.
+        self.backlog_at_submit: Optional[float] = None
+        self.peak_backlog = 0.0
+        sim.telemetry.watch(scrape.busy_queue, self)
 
     def submit(self, duration: float, callback=None) -> float:
         if duration < 0:
@@ -93,12 +99,9 @@ class BusyQueue:
         finish = start + duration
         self._busy_until = finish
         self.busy_time += duration
-        if self.sim.telemetry.enabled:
-            self.sim.telemetry.set_gauge(
-                "busyqueue.backlog_seconds",
-                self._busy_until - self.sim.now,
-                queue=self.name,
-            )
+        backlog = self.backlog_at_submit = finish - self.sim.now
+        if backlog > self.peak_backlog:
+            self.peak_backlog = backlog
         if callback is not None:
             self.sim.schedule_at(finish, callback)
         return finish

@@ -30,6 +30,7 @@ from ..rl.dqn import DQN
 from ..rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D
 from ..rl.ppo import PPO
 from ..rl.synthetic import SyntheticAlgorithm
+from ..telemetry import scrape
 from ..telemetry.hub import TelemetryHub
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .asynchronous import AsyncISwitch, AsyncParameterServer  # noqa: F401
@@ -144,10 +145,11 @@ def build_cluster(
     independent per-packet drops on every link (seeded reproducibly from
     ``seed``); ``dedup`` enables duplicate suppression in the iSwitch
     engines, which loss recovery requires.  ``telemetry`` attaches a
-    :class:`~repro.telemetry.TelemetryHub` to the simulator so the hot
-    paths record metrics and spans.  ``recovery_armed`` says packets can go
-    missing (a loss rate, a fault plan, an explicit recovery timeout), which
-    keeps the cluster on the per-packet transport
+    :class:`~repro.telemetry.TelemetryHub` to the simulator: the hot paths
+    record spans, and the components' own counts are read when it takes a
+    snapshot.  ``recovery_armed`` says packets can go missing (a loss
+    rate, a fault plan, an explicit recovery timeout), which keeps the
+    cluster on the per-packet transport
     (:func:`~repro.distributed.config.choose_transport`).
     """
     sim = make_simulator(telemetry=telemetry)
@@ -179,61 +181,15 @@ def build_cluster(
     return net, workers
 
 
-def _register_network_collectors(hub: TelemetryHub, net) -> None:
-    """Scrape cumulative component state into the registry at snapshot
-    time, so baseline series (tx/drop counters per link, engine stats per
-    switch and job) are always present, even when they never moved."""
-
-    def collect(h: TelemetryHub) -> None:
-        for link in net.links:
-            dropped = h.metrics.counter("link.packets_dropped", link=link.name)
-            missing = link.dropped_packets - dropped.value
-            if missing > 0:
-                # Drops that happened while no hub was attached (or before
-                # instrumentation armed) still show up in the snapshot.
-                dropped.inc(missing)
-            for end in link.ends:
-                owner = end.device.name if end.device is not None else "?"
-                h.metrics.gauge(
-                    "link.utilization", link=link.name, device=owner
-                ).set(end.utilization(h.now()))
-        for switch, job, stats in _engine_stats(net):
-            where = {"switch": switch.name, **({"job": job} if job else {})}
-            series = [
-                (f"switch.{name}", {}, getattr(stats, name))
-                for name in ("duplicates_dropped", "evictions")
-            ]
-            series += [
-                ("switch.batch_bails", {"cause": cause}, count)
-                for cause, count in stats.batch_bails.items()
-            ]
-            series += [
-                ("switch.joins", {"kind": kind}, count)
-                for kind, count in stats.joins.items()
-            ]
-            for name, labels, value in series:
-                counter = h.metrics.counter(name, **where, **labels)
-                missing = value - counter.value
-                if missing > 0:
-                    counter.inc(missing)
-
-    hub.add_collector(collect)
-
-
-def _engine_stats(net):
-    """``(switch, job id, engine stats)`` for every job on every iSwitch."""
-    for switch in net.switches:
-        for state in getattr(switch, "jobs", ()):
-            yield switch, state.job_id, state.engine.stats
-
-
 def _ingest_summary(net) -> dict:
     """Non-zero train-ingest counts summed over the switches' engines."""
     total: dict = {}
-    for _, _, stats in _engine_stats(net):
-        for key, count in (*stats.joins.items(), *stats.batch_bails.items()):
-            if count:
-                total[key] = total.get(key, 0) + count
+    for switch in net.switches:
+        for state in getattr(switch, "jobs", ()):
+            stats = state.engine.stats
+            for key, count in (*stats.joins.items(), *stats.batch_bails.items()):
+                if count:
+                    total[key] = total.get(key, 0) + count
     return total
 
 
@@ -322,7 +278,7 @@ def run(config: ExperimentConfig) -> TrainingResult:
     if injector is not None:
         injector.finalize(result)
     if hub is not None:
-        _register_network_collectors(hub, net)
+        hub.watch(scrape.network, net)
         result.telemetry = hub.snapshot(
             meta={
                 "strategy": result.strategy,

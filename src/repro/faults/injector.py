@@ -35,7 +35,8 @@ from typing import List, Optional
 
 from ..netsim.link import GilbertElliott, Link
 from .plan import FaultPlan
-from .report import FaultRecord, FaultReport
+from ..telemetry import scrape
+from .report import UNREACHED, FaultRecord, FaultReport
 
 __all__ = ["FaultInjector"]
 
@@ -75,6 +76,7 @@ class FaultInjector:
             records=[FaultRecord(event=e) for e in plan.events]
         )
         self._installed = False
+        self.sim.telemetry.watch(scrape.faults, self)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -104,7 +106,7 @@ class FaultInjector:
         for record in self.report.records:
             if record.status == "pending":
                 record.status = "skipped"
-                record.detail = "run ended before the event time"
+                record.detail = UNREACHED
             elif record.status == "injected":
                 record.status = "failed"
                 record.detail = (
@@ -132,7 +134,6 @@ class FaultInjector:
         record.injected_at = self.sim.now
         telemetry = self.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc("fault.injected_total", 1, kind=record.event.kind)
             telemetry.event(
                 "fault.injected",
                 cat="fault",
@@ -144,9 +145,6 @@ class FaultInjector:
     def _mark_skipped(self, record: FaultRecord, detail: str) -> None:
         record.status = "skipped"
         record.detail = detail
-        telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            telemetry.inc("fault.skipped_total", 1, kind=record.event.kind)
 
     def _mark_recovered(self, record: FaultRecord, detail: str = "") -> None:
         record.status = "recovered"
@@ -155,7 +153,6 @@ class FaultInjector:
             record.detail = detail
         telemetry = self.sim.telemetry
         if telemetry.enabled:
-            telemetry.inc("fault.recovered_total", 1, kind=record.event.kind)
             telemetry.event(
                 "fault.recovered",
                 cat="fault",

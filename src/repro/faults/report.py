@@ -25,6 +25,8 @@ __all__ = ["FaultRecord", "FaultReport"]
 
 #: Lifecycle states of a record.
 STATUSES = ("pending", "injected", "recovered", "skipped", "failed")
+#: Why a record the run never reached is skipped.
+UNREACHED = "run ended before the event time"
 
 
 @dataclass
@@ -37,6 +39,11 @@ class FaultRecord:
     detail: str = ""
     injected_at: Optional[float] = None
     recovered_at: Optional[float] = None
+
+    @property
+    def reached(self) -> bool:
+        """Whether the run reached the event's time."""
+        return self.status != "pending" and self.detail != UNREACHED
 
     @property
     def recovery_latency(self) -> Optional[float]:

@@ -35,6 +35,7 @@ from ..distributed.registry import get_strategy, strategy_specs
 from ..distributed.results import TrainingResult
 from ..distributed.runner import check_switch_state, make_algorithm
 from ..netsim.topology import racks
+from ..telemetry import scrape
 from ..telemetry.hub import TelemetryHub
 from .async_ps import LiveAsyncPsServer, LiveAsyncPsWorker
 from .collective import LiveHdWorker, LiveRingWorker
@@ -296,10 +297,7 @@ def _result(config, reports: List[Tuple[str, Dict[str, Any]]]) -> TrainingResult
     if config.telemetry:
         hub = TelemetryHub()
         children = [(f"worker{rank}", c) for rank, c in by_rank("counters").items()]
-        for node, counters in children + servers:
-            for name, amount in counters.items():
-                if amount:
-                    hub.inc(f"live.{name}", amount, node=node)
+        hub.watch(scrape.live, children + servers)
         shown = ("workload", "mode", "n_workers", "iterations", "seed")
         shown += ("loss_rate", "codec")
         result.telemetry = hub.snapshot(

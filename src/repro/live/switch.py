@@ -105,21 +105,18 @@ class SoftwareSwitch(MemberServer):
             else codec.elements_per_frame
         )
         #: Parent-membership barrier: nothing goes upstream before the
-        #: parent's SetH (all ToRs admitted); frames for it queue until
-        #: then.  Until then a ToR re-sends its parent Join, as a member
-        #: of type "switch", carrying its workers' geometry once the first
-        #: of them joined (the parent admits it only then).  ``None``:
-        #: ready.
+        #: parent's SetH (all ToRs admitted); frames for it queue here
+        #: until then (``None``: no barrier, or it opened).  A ToR joins
+        #: its parent, as a member of type "switch", with the geometry its
+        #: first worker joined with: the Join is armed then, and re-sent
+        #: until the SetH.
+        self._up_pending: Optional[List[bytes]] = (
+            None if parent_addr is None else []
+        )
         self._parent_join: Optional[JoinTimer] = None
-        self._up_pending: List[bytes] = []
         #: The Leave to the parent once every member left, resent until
         #: the parent answers it.
         self._parent_leave: Optional[LeaveTimer] = None
-        if parent_addr is not None:
-            self._parent_join = JoinTimer(
-                self._parent_join_frame(0, 0), parent_addr, f"switch {rank}"
-            )
-            self.next_timer = -math.inf
         #: Aggregation numerics (``None`` = fp32).  ``canonical_order`` is
         #: only needed where arrival order can change the sum: integer
         #: summation (int32-bs) is associative, so that engine aggregates
@@ -200,8 +197,8 @@ class SoftwareSwitch(MemberServer):
                 # The parent's barrier opened: flush what queued for it.
                 self._parent_join = None
                 self.next_timer = math.inf
-                out = [(queued, addr) for queued in self._up_pending]
-                self._up_pending = []
+                out = [(queued, addr) for queued in self._up_pending or ()]
+                self._up_pending = None
                 return out
             if from_parent and action == Action.LEAVE:
                 if self._parent_leave is not None:  # the parent answered
@@ -215,7 +212,7 @@ class SoftwareSwitch(MemberServer):
                         self.counters["decode_errors"] += 1
                         return []
                     if info.member_type == "switch" and not info.n_elements:
-                        return []  # a ToR whose workers have not joined yet
+                        return []  # a switch Join must carry its geometry
                     return self._admit(info.rank, addr)
                 rank = self._rank_of(addr)
                 if rank is None:
@@ -260,8 +257,8 @@ class SoftwareSwitch(MemberServer):
 
     def _agrees(self, info: JoinInfo) -> bool:
         """Whether a Join's geometry is the members'; the first that
-        carries one sets it (and a ToR's parent Join then carries it, from
-        now on).  A Join with ``n_elements`` 0 claims none."""
+        carries one sets it (and arms a ToR's parent Join, which carries
+        it).  A Join with ``n_elements`` 0 claims none."""
         geometry = (info.n_elements, info.n_chunks)
         if not info.n_elements:
             return True
@@ -269,9 +266,14 @@ class SoftwareSwitch(MemberServer):
             if info.n_chunks != -(-info.n_elements // self._chunk_elements):
                 return False
             self._geometry = geometry
-            if self._parent_join is not None:
-                self._parent_join.frame = self._parent_join_frame(*geometry)
-                self._parent_join.due = self.next_timer = -math.inf
+            if self.parent_addr is not None:
+                join = JoinInfo("switch", self.rank, *geometry)
+                self._parent_join = JoinTimer(
+                    encode_control(ControlMessage(Action.JOIN, join, job=self.job)),
+                    self.parent_addr,
+                    f"switch {self.rank}",
+                )
+                self.next_timer = -math.inf
         return geometry == self._geometry
 
     def _misfits(self, seg: int, data) -> bool:
@@ -282,10 +284,6 @@ class SoftwareSwitch(MemberServer):
         n_elements, n_chunks = self._geometry
         chunk = self._chunk_elements
         return data.size != min(chunk, n_elements - seg % n_chunks * chunk)
-
-    def _parent_join_frame(self, n_elements: int, n_chunks: int) -> bytes:
-        info = JoinInfo("switch", self.rank, n_elements, n_chunks)
-        return encode_control(ControlMessage(Action.JOIN, info, job=self.job))
 
     def _leave(self, rank: int, frame: bytes, addr: Address) -> Frames:
         """A member left (its Leave is echoed); once the last one has, a
@@ -319,7 +317,7 @@ class SoftwareSwitch(MemberServer):
                     else encode_data(m, downstream=not upstream, codec=self.codec)
                     for m in messages
                 ]
-            if upstream and self._parent_join is not None:
+            if upstream and self._up_pending is not None:
                 self._up_pending.extend(frames)
             else:
                 out += [(frame, dst) for frame in frames]

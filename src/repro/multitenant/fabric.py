@@ -37,6 +37,7 @@ from ..netsim.link import GBPS, Link
 from ..netsim.node import Host
 from ..netsim.topology import Network
 from ..rl.base import Algorithm
+from ..telemetry import scrape
 from ..telemetry.hub import TelemetryHub
 from ..workloads.profiles import get_profile
 from .admission import AdmissionController, AdmissionDecision
@@ -83,6 +84,7 @@ class SwitchFabric:
             raise ValueError(f"n_racks must be >= 1, got {n_racks}")
         self.hub: Optional[TelemetryHub] = TelemetryHub() if telemetry else None
         self.sim = make_simulator(telemetry=self.hub)
+        self.sim.telemetry.watch(scrape.fabric, self)
         # Several jobs' bursts interleave on the rack uplinks: per-packet.
         self.sim.transport = choose_transport(shared_fabric=True)
         self.host_bandwidth = host_bandwidth
@@ -142,7 +144,6 @@ class SwitchFabric:
             submitted_at=self.sim.now,
         )
         self.handles[job_id] = handle
-        self._telemetry_inc("job.submitted", handle)
         if footprint > self.admission.capacity:
             handle.status = JobStatus.REJECTED
             handle.reject_reason = (
@@ -152,7 +153,6 @@ class SwitchFabric:
                 f"{self.admission.segments_per_engine} segments)"
             )
             self.admission.rejections += 1
-            self._telemetry_inc("job.rejected", handle)
             return handle
         self._first_replicas[job_id] = first
         delay = max(spec.arrival_time - self.sim.now, 0.0)
@@ -198,7 +198,6 @@ class SwitchFabric:
         handle.status = JobStatus.QUEUED
         handle.queued_at = self.sim.now
         self.scheduler.enqueue(handle)
-        self._telemetry_inc("job.queued", handle)
         self._try_admit()
 
     def _try_admit(self) -> None:
@@ -273,13 +272,10 @@ class SwitchFabric:
         handle.admitted_at = self.sim.now
         self.running += 1
         self.peak_concurrent = max(self.peak_concurrent, self.running)
-        self._telemetry_inc("job.admitted", handle)
-        if self.hub is not None:
-            self.hub.set_gauge("job.concurrent", self.running)
         handle.result = runner.launch(spec.iterations)
 
     def _job_round(self, handle: JobHandle, iteration: int) -> None:
-        self._telemetry_inc("job.rounds_completed", handle)
+        handle.rounds_completed += 1
 
     def _job_complete(self, handle: JobHandle) -> None:
         job_id = handle.job_id
@@ -291,9 +287,7 @@ class SwitchFabric:
         for switch in self._touched_switches(handle):
             switch.jobs.remove(job_id)
         self.admission.release(job_id)
-        self._telemetry_inc("job.completed", handle)
         if self.hub is not None:
-            self.hub.set_gauge("job.concurrent", self.running)
             self.hub.span_at(
                 "job.run",
                 handle.admitted_at,
@@ -305,16 +299,6 @@ class SwitchFabric:
                 tenant=handle.spec.tenant,
             )
         self._try_admit()
-
-    def _telemetry_inc(self, metric: str, handle: JobHandle) -> None:
-        if self.hub is not None:
-            self.hub.inc(
-                metric,
-                1,
-                job=handle.job_id,
-                job_name=handle.spec.name,
-                tenant=handle.spec.tenant,
-            )
 
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, JobHandle]:

@@ -80,6 +80,8 @@ class JobHandle:
     queued_at: Optional[float] = None
     admitted_at: Optional[float] = None
     completed_at: Optional[float] = None
+    #: Training rounds the job's workers have all finished.
+    rounds_completed: int = 0
     reject_reason: Optional[str] = None
     result: Optional[object] = None  # TrainingResult when COMPLETED
 

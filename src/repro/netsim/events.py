@@ -36,8 +36,10 @@ several events), so it trades a little elegance for speed:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Callable, List, Optional, Tuple
 
+from ..telemetry import scrape
 from ..telemetry.hub import NULL_HUB, TelemetryHub
 
 __all__ = [
@@ -127,9 +129,12 @@ class Simulator:
         self._processed = 0
         self._running = False
         #: The run's telemetry hub; the shared disabled hub by default, so
-        #: every component can unconditionally do ``sim.telemetry.inc(...)``
+        #: every component can unconditionally record spans and events
         #: behind an ``enabled`` check at zero configuration cost.
         self.telemetry: TelemetryHub = NULL_HUB
+        #: Logical events dispatched, by kind (the name prefix), counted
+        #: while telemetry is on: ``sim.events_processed`` reads it.
+        self.events_by_kind: Counter = Counter()
         #: The :class:`~repro.netsim.switch.ForwardingQueue` of a simulator
         #: whose plain switches forward packet trains without events, or
         #: ``None``: a per-packet simulator never has one, so what
@@ -142,6 +147,7 @@ class Simulator:
         """Install ``hub`` as this run's telemetry sink and time source."""
         self.telemetry = hub
         hub.bind_clock(lambda: self._now)
+        hub.watch(scrape.simulator, self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -180,7 +186,7 @@ class Simulator:
             return
         self._processed += n
         if self.telemetry.enabled:
-            self.telemetry.inc("sim.events_processed", n, kind=kind)
+            self.events_by_kind[kind] += n
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -273,30 +279,9 @@ class Simulator:
 
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
-        heap = self._heap
-        while heap:
-            head = heapq.heappop(heap)
-            event = head[2]
-            if event.__class__ is Event:
-                if event.cancelled:
-                    self._cancelled[0] -= 1
-                    event._cancel_cell = None
-                    continue
-                event._cancel_cell = None
-                callback = event.callback
-                # Label by the name prefix (e.g. "lgc", "deliver", "fwd")
-                # so dispatch counts stay low-cardinality.
-                kind = event.name.split(":", 1)[0] if event.name else "anonymous"
-            else:
-                callback = event
-                kind = head[3] or "anonymous"
-            self._now = head[0]
-            self._processed += 1
-            if self.telemetry.enabled:
-                self.telemetry.inc("sim.events_processed", 1, kind=kind)
-            callback()
-            return True
-        return False
+        processed = self._processed
+        self.run(max_events=1)
+        return self._processed > processed
 
     def run(
         self,
@@ -317,6 +302,7 @@ class Simulator:
         cancelled = self._cancelled
         pop = heapq.heappop
         telemetry = self.telemetry  # fixed for the simulator's lifetime
+        counts = self.events_by_kind
         try:
             if until is None and max_events is None:
                 # Fast path for drain-the-queue runs (the training loops):
@@ -337,19 +323,13 @@ class Simulator:
                             kind = (
                                 name.split(":", 1)[0] if name else "anonymous"
                             )
-                            telemetry.inc(
-                                "sim.events_processed", 1, kind=kind
-                            )
+                            counts[kind] += 1
                         event.callback()
                     else:
                         self._now = head[0]
                         self._processed += 1
                         if telemetry.enabled:
-                            telemetry.inc(
-                                "sim.events_processed",
-                                1,
-                                kind=head[3] or "anonymous",
-                            )
+                            counts[head[3] or "anonymous"] += 1
                         event()
                 return self._now
             executed = 0
@@ -378,7 +358,7 @@ class Simulator:
                 self._now = head[0]
                 self._processed += 1
                 if telemetry.enabled:
-                    telemetry.inc("sim.events_processed", 1, kind=kind)
+                    counts[kind] += 1
                 callback()
                 executed += 1
             if until is not None and until > self._now:

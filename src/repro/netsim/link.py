@@ -36,10 +36,12 @@ bit-reproducible for a fixed topology and seed — see
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
+from ..telemetry import scrape
 from .events import Simulator
 from .packets import Packet, PacketRun, PacketTrain
 
@@ -140,14 +142,6 @@ class GilbertElliott:
         return rate > 0.0 and rng.random() < rate
 
 
-def _record_job_tx(telemetry, link_name: str, job: int, count: int, nbytes: int):
-    # Multi-tenant traffic carries its job, so per-tenant telemetry
-    # can separate shared-link usage; job 0 stays unlabelled.
-    labels = {"job": job} if job else {}
-    telemetry.inc("link.tx_packets", count, link=link_name, **labels)
-    telemetry.inc("link.tx_bytes", nbytes, link=link_name, **labels)
-
-
 class LinkEnd:
     """One attachment point of a :class:`Link`.
 
@@ -164,7 +158,10 @@ class LinkEnd:
         self._peer_end: Optional["LinkEnd"] = None
         self._peer_device: Optional["Device"] = None
         self._busy_until = 0.0
-        self._queued_packets = 0
+        #: Packets sent but not yet delivered (the transmit queue plus
+        #: the wire), and the most there ever were.
+        self.queued_packets = 0
+        self.peak_queued = 0
         self.tx_packets = 0
         self.tx_bytes = 0
         #: Cumulative seconds this transmitter spent serializing.
@@ -214,7 +211,12 @@ class LinkEnd:
         arrival = end + link.propagation
         self.tx_packets += 1
         self.tx_bytes += wire_size
-        self._queued_packets += 1
+        if packet.job:
+            link.tenant_packets[packet.job] += 1
+            link.tenant_bytes[packet.job] += wire_size
+        queued = self.queued_packets = self.queued_packets + 1
+        if queued > self.peak_queued:
+            self.peak_queued = queued
         packet.hops += 1
         loss_model = link.loss_model
         if loss_model is not None:
@@ -223,23 +225,9 @@ class LinkEnd:
             dropped = (
                 link.loss_rate > 0.0 and link.loss_rng.random() < link.loss_rate
             )
-        telemetry = sim.telemetry
-        if telemetry.enabled:
-            _record_job_tx(telemetry, link.name, packet.job, 1, wire_size)
-            telemetry.set_gauge(
-                "link.queue_depth", self._queued_packets, link=link.name
-            )
 
         def deliver() -> None:
-            self._queued_packets -= 1
-            # ``telemetry`` is captured from send time; the hub is fixed
-            # for a simulator's lifetime, so this stays current.
-            if telemetry.enabled:
-                telemetry.set_gauge(
-                    "link.queue_depth", self._queued_packets, link=link.name
-                )
-                if dropped:
-                    telemetry.inc("link.packets_dropped", 1, link=link.name)
+            self.queued_packets -= 1
             if dropped:
                 link.dropped_packets += 1
                 return
@@ -364,14 +352,16 @@ class LinkEnd:
         total_wire = run.wire_total
         self.tx_packets += n
         self.tx_bytes += total_wire
-        telemetry = sim.telemetry
-        if telemetry.enabled:
-            _record_job_tx(telemetry, link.name, train.job, n, total_wire)
+        if train.job:
+            link.tenant_packets[train.job] += n
+            link.tenant_bytes[train.job] += total_wire
         if hand_over:
             # Through the instance, so a PacketCapture on the peer sees it.
             peer.handle_train(train, self._peer_end)
             return float(arrivals[-1])
-        self._queued_packets += n
+        queued = self.queued_packets = self.queued_packets + n
+        if queued > self.peak_queued:
+            self.peak_queued = queued
         # Loss draws, per packet in transmission order — the same rng
         # consumption as N per-packet sends.
         loss_model = link.loss_model
@@ -389,21 +379,9 @@ class LinkEnd:
             for i in range(n):
                 mask[i] = rng.random() < rate
             dropped_count = int(mask.sum())
-        if telemetry.enabled:
-            telemetry.set_gauge(
-                "link.queue_depth", self._queued_packets, link=link.name
-            )
 
         def deliver_train() -> None:
-            self._queued_packets -= n
-            if telemetry.enabled:
-                telemetry.set_gauge(
-                    "link.queue_depth", self._queued_packets, link=link.name
-                )
-                if dropped_count:
-                    telemetry.inc(
-                        "link.packets_dropped", dropped_count, link=link.name
-                    )
+            self.queued_packets -= n
             if not dropped_count:
                 self._deliver_train(train)
                 return
@@ -479,6 +457,10 @@ class Link:
         #: Optional :class:`GilbertElliott`; overrides ``loss_rate`` when set.
         self.loss_model: Optional[GilbertElliott] = None
         self.dropped_packets = 0
+        #: Packets and bytes sent either way per tenant job (a packet's
+        #: ``job`` other than 0); job 0's are the ends' totals less these.
+        self.tenant_packets: Counter = Counter()
+        self.tenant_bytes: Counter = Counter()
         #: Future times at which this link's properties change (fault
         #: window edges), kept sorted.  Forwarded trains split here — see
         #: :meth:`LinkEnd.send_train`.  Mutating ``bandwidth`` or the loss
@@ -488,6 +470,7 @@ class Link:
         #: per-packet transport (``choose_transport``).
         self.train_barriers: List[float] = []
         self.ends = (LinkEnd(self, 0), LinkEnd(self, 1))
+        sim.telemetry.watch(scrape.link, self)
 
     def require_lossless(self) -> None:
         """Raise unless this link drops nothing: a train forwarded without

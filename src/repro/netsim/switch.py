@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .events import SimError, Simulator
-from .link import LinkEnd, _record_job_tx
+from .link import LinkEnd
 from .node import Device
 from .packets import Packet, PacketTrain
 
@@ -267,8 +267,9 @@ class ForwardingQueue:
         # n deliveries to the switch, n forwarding events; this is one.
         sim.count_batched(n, "deliver")
         sim.count_batched(n - 1, "fwd")
-        if sim.telemetry.enabled:
-            _record_job_tx(sim.telemetry, hop.link.name, train.job, n, nbytes)
+        if train.job:
+            hop.link.tenant_packets[train.job] += n
+            hop.link.tenant_bytes[train.job] += nbytes
 
     def _dropped(self, switch, train, arrivals) -> None:
         """The delivery of the last packet of a train ``switch`` has no

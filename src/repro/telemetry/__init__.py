@@ -12,6 +12,8 @@ telemetry substrate:
 * :class:`TelemetryHub` — one per run, threaded to every component via
   ``Simulator.telemetry``; disabled (:data:`NULL_HUB`) by default so the
   hot paths pay only a branch;
+* :mod:`repro.telemetry.scrape` — the readers that turn the counts each
+  component keeps into counter and gauge series at snapshot time;
 * exporters — JSON snapshot, Chrome ``chrome://tracing`` trace, and a
   Prometheus-style text dump.
 

@@ -1,24 +1,20 @@
-"""The per-run telemetry hub: one registry + one tracer + collectors.
+"""The per-run telemetry hub: one registry, one tracer, the readers.
 
 Every simulated component reaches telemetry through its simulator
 (``self.sim.telemetry``), which defaults to the shared :data:`NULL_HUB` —
-a disabled hub whose mutators return immediately.  Hot paths therefore
-pay one attribute load and one branch when telemetry is off, which is
-what keeps the "instrumented everywhere" design essentially free by
-default.
-
-*Collectors* are callbacks that run at :meth:`TelemetryHub.snapshot`
-time; they scrape component state that is cheaper to read once at the end
-(cumulative link byte counts, accelerator engine stats) than to mirror
-on every packet.
+a disabled hub whose mutators return immediately.  Hot paths record
+spans, events and histogram observations behind one ``enabled`` branch;
+counts they keep themselves, and :meth:`TelemetryHub.snapshot` reads them
+(:mod:`repro.telemetry.scrape`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .metrics import Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
+from .scrape import Tally
 from .tracing import Span, SpanTracer, TraceEvent
 
 __all__ = ["TelemetryHub", "TelemetrySnapshot", "NULL_HUB"]
@@ -100,7 +96,7 @@ class TelemetryHub:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(self.now, max_records=max_trace_records)
-        self._collectors: List[Callable[["TelemetryHub"], None]] = []
+        self._watched: List[Tuple[Callable[[Tally, Any], None], Any]] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -154,26 +150,32 @@ class TelemetryHub:
     # Snapshotting
     # ------------------------------------------------------------------
     def add_collector(self, fn: Callable[["TelemetryHub"], None]) -> None:
-        """Register a scrape callback run once per :meth:`snapshot`."""
-        self._collectors.append(fn)
+        """Run ``fn(hub)`` at every :meth:`snapshot`, with the readers."""
+        self.watch(lambda _tally, hub: fn(hub), self)
+
+    def watch(self, reader: Callable[[Tally, Any], None], source: Any) -> None:
+        """Read ``source``'s counted series with ``reader`` at every
+        :meth:`snapshot` (a reader of :mod:`repro.telemetry.scrape`)."""
+        if self.enabled:
+            self._watched.append((reader, source))
 
     def snapshot(self, meta: Optional[dict] = None) -> TelemetrySnapshot:
-        """Run collectors and freeze the current state for export.
+        """Read every watched component's counts and freeze the current
+        state for export.
 
         ``meta`` entries are merged into the snapshot's metadata block
         (experiment identity: strategy, workload, seed, ...).
         """
-        for collector in self._collectors:
-            collector(self)
-        histograms = sum(
-            1 for m in self.metrics.collect() if isinstance(m, Histogram)
-        )
-        gauges = sum(1 for m in self.metrics.collect() if isinstance(m, Gauge))
+        tally = Tally()
+        for reader, source in self._watched:
+            reader(tally, source)
+        tally.write(self.metrics)
+        kinds = [m.kind for m in self.metrics.collect()]
         merged = {
             "enabled": self.enabled,
             "n_metrics": len(self.metrics),
-            "n_gauges": gauges,
-            "n_histograms": histograms,
+            "n_gauges": kinds.count("gauge"),
+            "n_histograms": kinds.count("histogram"),
             "n_spans": len(self.tracer.spans),
             "n_events": len(self.tracer.events),
             "open_spans": self.tracer.open_spans,

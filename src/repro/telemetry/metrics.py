@@ -2,11 +2,11 @@
 
 The registry follows the Prometheus data model — a metric is identified by
 a *name* plus a set of key=value *labels*, e.g.
-``switch.packets_dropped{switch="tor0"}`` — but stays dependency-free and
-cheap enough to live on the simulator hot path.  Instruments are created
-lazily on first use and accumulate in plain Python attributes; reading
-them back (:meth:`MetricsRegistry.collect`) is only done when a snapshot
-or export is requested.
+``switch.packets_dropped{switch="tor0"}`` — but stays dependency-free.
+Instruments are created lazily on first use and hold plain Python
+attributes: counters and gauges are written when a snapshot reads the
+components' own counts (:mod:`repro.telemetry.scrape`), histograms where
+their values arise.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class Gauge:
         self.value = float(value)
         if self.value > self.max_value:
             self.max_value = self.value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
 
 
 class Histogram:

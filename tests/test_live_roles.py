@@ -412,6 +412,11 @@ class TestTreeSwitchLogic:
         """The ToR's periodic parent Join is a timer-expiry on the role
         (frames out, no I/O), not code inside a private serve loop."""
         tor = SoftwareSwitch(n_workers=2, parent_addr=self.PARENT, rank=1)
+        assert tor.on_timer(10.0) == []  # no worker has joined: no Join
+        info = JoinInfo(rank=0, n_elements=5, n_chunks=1)
+        tor.handle_frame(
+            encode_control(ControlMessage(Action.JOIN, info)), self.addr(0)
+        )
         out = tor.on_timer(10.0)
         assert [a for _, a in out] == [self.PARENT]
         join = decode_frame(out[0][0])[1]
@@ -427,13 +432,14 @@ class TestTreeSwitchLogic:
         assert SoftwareSwitch(n_workers=1).on_timer(0.0) == []
 
     def test_parent_join_carries_the_workers_geometry(self):
-        """A ToR joins its parent with what its first worker joined with,
-        at once; the parent admits a ToR only then, and checks the
+        """A ToR sends no Join until its first worker's, then joins its
+        parent with that geometry at once; the parent checks the
         partials' lengths (and a ToR the results') against it."""
         tor = SoftwareSwitch(n_workers=2, parent_addr=self.PARENT, rank=1)
-        (early, _), = tor.on_timer(0.0)
-        info = decode_frame(early)[1].value
-        assert (info.n_elements, info.n_chunks) == (0, 0)
+        assert tor.next_timer == math.inf and tor.on_timer(0.0) == []
+        # A switch Join without a geometry (no ToR sends one) is dropped.
+        early = JoinInfo("switch", 1, 0, 0)
+        early = encode_control(ControlMessage(Action.JOIN, early))
         agg = SoftwareSwitch(n_workers=1)
         assert agg.handle_frame(early, self.addr(9)) == []
         assert agg.counters["joins"] == 0

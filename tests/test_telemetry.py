@@ -1,11 +1,14 @@
 """Tests for the repro.telemetry subsystem: registry, tracer, exporters,
 and the simulator/netsim instrumentation hooks."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     AggregationClient,
     SegmentPlan,
@@ -264,3 +267,24 @@ class TestEngineSeriesOfEveryJob:
             assert snapshot.value("switch.joins", kind="view", job=5) == (
                 runs[5].ingest["view"]
             )
+
+
+def test_no_component_counts_into_the_hub():
+    """Every count is kept by its component and read when a snapshot is
+    taken (``repro.telemetry.scrape``): nothing outside the telemetry
+    package increments a hub counter or sets a hub gauge, so counting
+    cannot grow back onto the hot paths."""
+    package = Path(repro.__file__).parent
+    telemetry = package / "telemetry"
+    calls = []
+    for path in sorted(package.rglob("*.py")):
+        if telemetry in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("inc", "set_gauge")
+            ):
+                calls.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert calls == []
