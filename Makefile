@@ -87,9 +87,10 @@ soak-smoke:
 
 # A rack tree under 1% packet loss must finish, and quickly: until PR 18
 # its switches bounced Help messages between the levels forever (exit 124).
-# Emergent async-isw arms no recovery: light loss must still finish, heavy
-# loss must stop as a typed error with a replay line (until PR 22 it ran
-# forever, holding every partial round it had ever seen).
+# Async-isw that can lose a packet runs sync-isw's windowed schedule and its
+# Help recovery: 1% loss and the chaos demo plan (crash, Reset, burst) must
+# finish; loss past what recovery carries (60%; sync-isw gives up there
+# too) must stop as a typed error with a replay line.
 ASYNC_LOSSY = timeout 60 env PYTHONPATH=src $(PY) -m repro train --mode async \
 	--strategy isw --workload synth -n 4 --iterations 20 --seed 7
 # A live worker retransmits only when its switch relays a Help (DESIGN
@@ -103,8 +104,11 @@ loss-smoke:
 	timeout 60 env PYTHONPATH=src $(PY) -m repro train --strategy isw \
 		--workload synth -n 12 --iterations 20 --seed 7 --loss-rate 0.01
 	$(ASYNC_LOSSY) --loss-rate 0.01
-	err=$$($(ASYNC_LOSSY) --loss-rate 0.2 2>&1 >/dev/null); status=$$?; \
+	err=$$($(ASYNC_LOSSY) --loss-rate 0.6 2>&1 >/dev/null); status=$$?; \
 		echo "$$err"; test $$status -eq 2 && echo "$$err" | grep -q "replay:"
+	timeout 60 env PYTHONPATH=src $(PY) -m repro train --mode async \
+		--strategy isw --workload dqn -n 4 --iterations 20 \
+		--fault-plan examples/chaos_demo.json
 	$(LIVE_LOSSY) --strategy isw -n 4
 	$(LIVE_LOSSY) --strategy isw -n 6
 	$(LIVE_LOSSY) --strategy ar -n 4

@@ -230,23 +230,13 @@ class AggregationEngine:
         self.threshold = threshold
 
     def reset(self) -> None:
-        """Handle ``Reset``: clear all buffers, counters and caches.
-
-        In arrival-renumber (asynchronous) mode the per-chunk arrival
-        counters survive a reset: they define the renumbering *epoch*
-        shared with the workers, and restarting them at zero would remap
-        post-reset traffic onto round numbers the workers have already
-        consumed.  Partial sums, dedup sets and the Help cache are state
-        of in-flight rounds and are dropped either way — that is the
-        recovery the Reset exists for.
-        """
+        """Handle ``Reset``: clear all buffers, counters and caches."""
         self._buffers.clear()
         self._pending.clear()
         self._counters.clear()
         self._contributors.clear()
         self._result_cache.clear()
-        if self.arrival_renumber is None:
-            self._arrivals.clear()
+        self._arrivals.clear()
         self._shapes.clear()
         self._first_arrival.clear()
         self._completed_starts.clear()

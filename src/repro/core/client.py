@@ -66,12 +66,6 @@ class MemberRounds:
         self.sent: Dict[int, list] = {}
         self.pending: Dict[int, Tuple[np.ndarray, Set[int]]] = {}
         self.closed: Dict[int, None] = {}
-        #: With no recovery armed, a round that lost a result chunk never
-        #: completes.  The owner of a bounded engine window sets this (in
-        #: rounds): opening a round drops, and counts, any open round older
-        #: than it by more.
-        self.partial_window: Optional[int] = None
-        self.rounds_dropped = 0
 
     def record(self, round_index: int, items: list) -> None:
         self.sent[round_index] = items
@@ -89,11 +83,6 @@ class MemberRounds:
             return entry[1]
         missing = self.missing(round_index)
         if round_index not in self.closed:
-            if self.partial_window is not None:
-                horizon = round_index - self.partial_window
-                for stale in [r for r in self.pending if r < horizon]:
-                    del self.pending[stale]
-                    self.rounds_dropped += 1
             result = np.empty(self.plan.n_elements, dtype=np.float32)
             self.pending[round_index] = (result, missing)
         return missing
@@ -144,7 +133,6 @@ class AggregationClient:
         job: int = 0,
         codec=None,
         max_recovery_attempts: Optional[int] = None,
-        on_round_abandoned: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.host = host
         self.switch_address = switch_address
@@ -186,9 +174,6 @@ class AggregationClient:
         self.max_recovery_attempts = max_recovery_attempts
         #: Rounds whose watchdog hit ``max_recovery_attempts`` and gave up.
         self.abandoned_rounds: set = set()
-        #: Called with an abandoned round's index, so the owning strategy
-        #: can account for the missed update instead of waiting forever.
-        self.on_round_abandoned = on_round_abandoned
         #: This member's rounds; the send log (kept only when recovery is
         #: armed) holds the last 8 at least.
         self.rounds = MemberRounds(plan)
@@ -222,12 +207,6 @@ class AggregationClient:
             host.bind(ISWITCH_UDP_PORT, dispatch)
             host.bind_train(ISWITCH_UDP_PORT, dispatch_train)
         registry.append(self)
-
-    partial_window = property(
-        lambda self: self.rounds.partial_window,
-        lambda self, window: setattr(self.rounds, "partial_window", window),
-    )
-    rounds_dropped = property(lambda self: self.rounds.rounds_dropped)
 
     # ------------------------------------------------------------------
     # Sending
@@ -381,26 +360,6 @@ class AggregationClient:
         rounds.land(seg, segment.data)
         if not missing:
             self._finish_round(round_index)
-        elif (
-            self.recovery_timeout is not None
-            and self.on_round_abandoned is not None
-        ):
-            self._guard_broadcast_rounds(round_index)
-
-    def _guard_broadcast_rounds(self, round_index: int) -> None:
-        """Arm watchdogs for a partially received round *and* recent gaps.
-
-        Under arrival renumbering (async mode, the one that wires an
-        abandonment callback) a broadcast lost whole leaves no open round
-        and no timer.  Rounds complete in renumbered order, so a chunk of
-        round ``r`` means the nearby earlier rounds were broadcast already:
-        guard that trailing window too.  Under submission numbering every
-        receivable round has its watchdog from :meth:`send_gradient`, and
-        guarding gaps would resurrect rounds a rejoined member skipped.
-        """
-        for guarded in range(max(0, round_index - 8), round_index + 1):
-            if guarded not in self.rounds.closed:
-                self._arm_watchdog(guarded)
 
     def _finish_round(self, round_index: int, out: Optional[np.ndarray] = None) -> None:
         """Hand a finished round to its owner: ``out`` when it came as one
@@ -471,8 +430,6 @@ class AggregationClient:
                 self.abandoned_rounds.add(round_index)
                 self._watchdog_attempts.pop(round_index, None)
                 self.rounds.close(round_index)
-                if self.on_round_abandoned is not None:
-                    self.on_round_abandoned(round_index)
                 return
             for seg in sorted(self.rounds.missing(round_index)):
                 self.request_help(seg)

@@ -40,19 +40,23 @@ reach H again; the accelerator's bounded buffer evicts them, modelling
 both the BRAM budget and async training's tolerance for dropped stale
 gradients.
 
-**Deterministic schedule** (``ExperimentConfig(deterministic_aggregation=True)``):
-default async behaviour is emergent — staleness depends on event timing,
-so two backends cannot be bit-compared.  The sim↔live conformance suite
-(DESIGN.md §9.4) fixes the *schedule* while leaving the data path
-untouched:
+**Fixed schedules**: emergent async training is timing-dependent, so two
+backends cannot be bit-compared; ``ExperimentConfig(deterministic_aggregation=True)``
+fixes the *schedule* while leaving the data path untouched (the sim↔live
+conformance suite, DESIGN.md §9.4).  Async-isw needs one for a second
+reason: arrival renumbering cannot recover a lost packet.
 
-* async-isw has no schedule of its own here: :meth:`AsyncISwitch.create`
-  hands the run to the synchronous template with its staleness window
-  opened to S — :meth:`repro.distributed.sync.SyncStrategy._step`, the
-  rule the live ``LiveWorkerBase.on_timer`` runs, and at S = 0 sync-isw
-  itself.  Every applied gradient's version gap is ``min(r, S)``, which
-  makes the bound tight and checkable.
-* async-ps (``paced``): the server applies pushes in rank-cyclic order
+* async-isw: every run that arms recovery — ``loss_rate > 0``, a
+  ``fault_plan``, an explicit ``recovery_timeout`` — or sets
+  ``deterministic_aggregation`` is handed by :meth:`AsyncISwitch.create` to
+  the synchronous template with its staleness window opened to S —
+  :meth:`repro.distributed.sync.SyncStrategy._step`, the rule the live
+  ``LiveWorkerBase.on_timer`` runs, and at S = 0 sync-isw itself, with
+  sync-isw's Help recovery and membership and rank-order sums.  Every
+  applied gradient's version gap is ``min(r, S)``, which makes the bound
+  tight and checkable.
+* async-ps (``paced``, ``deterministic_aggregation`` only): the server
+  applies pushes in rank-cyclic order
   ``(cycle 0, w0) .. (cycle 0, wN-1), (cycle 1, w0) ..`` (buffering
   out-of-order arrivals in ``core.baselines.RankCyclicOrder``, the order
   the live server keeps too) and ships the post-apply weights straight back
@@ -60,7 +64,8 @@ untouched:
   deterministically version ``(k-1)·N + w + 1`` and its staleness is
   exactly ``N - 1`` (``w`` on the cold-start cycle).  The worker loop is
   the emergent one; who asks for the pull and which buffered push the
-  server applies next are all that differ.
+  server applies next are all that differ.  A fault plan pauses that
+  loop, so paced mode refuses one.
 
 Arrival jitter still exists in both backends — it just moves *when*
 values land, never *which* values, so live processes under real
@@ -70,7 +75,7 @@ scheduling noise must reproduce the simulator bit for bit.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -87,7 +92,7 @@ from .config import resolve_codec as _resolve_codec
 from .metrics import BusyQueue
 from .registry import register_strategy
 from .results import TrainingResult
-from .sync import MAX_RECOVERY_ATTEMPTS, ISwitchResetFault, SyncISwitch
+from .sync import SyncISwitch
 from .worker import SimWorker
 
 __all__ = ["AsyncParameterServer", "AsyncISwitch"]
@@ -193,6 +198,13 @@ class AsyncParameterServer:
         """Registry hook: build a runner from an ExperimentConfig."""
         from .runner import make_algorithm  # deferred: runner imports us
 
+        if config.deterministic_aggregation and config.fault_plan is not None:
+            # The paced schedule redefines who pulls when, and the fault
+            # hooks pause and restart the emergent pull loop.
+            raise ValueError(
+                "async-ps: deterministic_aggregation=True (the paced "
+                "schedule) and a fault_plan do not compose; drop one"
+            )
         server_algorithm = make_algorithm(
             config.workload,
             seed=config.seed + 10_000,
@@ -205,12 +217,7 @@ class AsyncParameterServer:
             server_algorithm,
             config.cost_model,
             staleness_bound=config.staleness_bound,
-            # Paced mode redefines the schedule, and the fault hooks
-            # assume the emergent pull loop — the two don't compose.
-            paced=(
-                config.deterministic_aggregation
-                and getattr(config, "fault_plan", None) is None
-            ),
+            paced=config.deterministic_aggregation,
         )
 
     def run(self, n_updates: int) -> TrainingResult:
@@ -414,14 +421,19 @@ class _WindowedAsyncISwitch(SyncISwitch):
         super()._setup()
         self.staleness = LatencyStats()
         self.sim.telemetry.watch(scrape.async_workers, self)
-        #: Per worker: the rounds applied when gradient k was computed,
-        #: and the digest of every sum applied.
-        self._versions: List[List[int]] = [[] for _ in self.workers]
+        #: Per worker: the rounds applied when gradient k was computed, by
+        #: k, and the digest of every sum applied.
+        self._versions: List[Dict[int, int]] = [{} for _ in self.workers]
         self._digests: List[List[str]] = [[] for _ in self.workers]
 
     def _submit_gradient(self, worker, gradient, iteration) -> None:
-        self._versions[worker.index].append(self._applied[worker.index])
+        self._versions[worker.index][iteration] = self._applied[worker.index]
         super()._submit_gradient(worker, gradient, iteration)
+
+    def _resync(self, source, worker) -> None:
+        super()._resync(source, worker)
+        # ... and with it the stream of sums that made that replica.
+        self._digests[worker.index] = list(self._digests[source.index])
 
     @property
     def worker_commits(self) -> List[int]:
@@ -451,8 +463,10 @@ class _WindowedAsyncISwitch(SyncISwitch):
     supports_multijob=True,
     supports_live=True,
 )
-class AsyncISwitch(ISwitchResetFault):
-    """Algorithm 1: decentralized asynchronous training through the switch."""
+class AsyncISwitch:
+    """Algorithm 1: decentralized asynchronous training through the switch,
+    on a lossless fabric (``create`` sends every other run to the windowed
+    schedule)."""
 
     name = "async-isw"
 
@@ -464,8 +478,6 @@ class AsyncISwitch(ISwitchResetFault):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         staleness_bound: int = 3,
         threshold: Optional[int] = None,
-        recovery_timeout: Optional[float] = None,
-        max_recovery_attempts: Optional[int] = None,
         job: int = 0,
         codec=None,
     ) -> None:
@@ -483,25 +495,16 @@ class AsyncISwitch(ISwitchResetFault):
             raise ValueError(f"aggregation threshold H must be >= 1, got {self.h}")
         self.target_updates = 0
         self.staleness = LatencyStats()
-        #: Per worker: gradients committed, commits past the staleness
-        #: bound, and broadcasts given up on (the client's recovery ran out).
+        #: Per worker: gradients committed, and commits past the staleness
+        #: bound.
         self.worker_commits = [0 for _ in workers]
         self.worker_skipped_commits = [0 for _ in workers]
-        self.worker_updates_missed = [0 for _ in workers]
         self.sim.telemetry.watch(scrape.async_workers, self)
         self._done = False
-        #: Fault-injection state: crashed (left) worker indices.
-        self._down: set = set()
         #: Per-worker shared iteration index ts (LWU-thread state).
         self._ts: List[int] = [0 for _ in workers]
         #: Per-worker simulated time of the last applied update (telemetry).
         self._last_update: List[float] = [self.sim.now for _ in workers]
-        #: With no recovery armed nothing else bounds the wait for a lost
-        #: broadcast: per worker, the gradients committed since it last
-        #: applied an update (``MAX_RECOVERY_ATTEMPTS`` of them end the run).
-        self._unanswered: Optional[List[int]] = (
-            [0 for _ in workers] if recovery_timeout is None else None
-        )
 
         self.stream = ISwitchStream(
             net,
@@ -511,9 +514,6 @@ class AsyncISwitch(ISwitchResetFault):
             threshold=threshold,
             arrival_renumber=True,
             buffer_rounds=staleness_bound + 4,
-            recovery_timeout=recovery_timeout,
-            max_recovery_attempts=max_recovery_attempts,
-            on_round_abandoned=self._round_abandoned,
             job=job,
             codec=codec,
         )
@@ -524,28 +524,22 @@ class AsyncISwitch(ISwitchResetFault):
     @classmethod
     def create(cls, net: Network, workers: List[SimWorker], profile, config):
         """Registry hook: build a runner from an ExperimentConfig."""
-        fault_armed = getattr(config, "fault_plan", None) is not None
-        if config.deterministic_aggregation and not fault_armed:
-            # A fixed schedule is the synchronous template with S > 0
-            # (module docstring) — and with it sync-isw's loss recovery.
-            runner = _WindowedAsyncISwitch.create(net, workers, profile, config)
-            runner.staleness_bound = config.staleness_bound
-            return runner
+        if (
+            config.deterministic_aggregation
+            or config.resolved_recovery_timeout() is not None
+        ):
+            # A run that can lose a packet, or must be reproducible, runs
+            # the windowed schedule (module docstring).
+            return _WindowedAsyncISwitch.create(
+                net, workers, profile, config,
+                staleness_bound=config.staleness_bound,
+            )
         return cls(
             net,
             workers,
             profile,
             config.cost_model,
             staleness_bound=config.staleness_bound,
-            # Loss recovery is only armed for fault-injected runs:
-            # plain lossy async runs keep the historical behaviour
-            # (renumbering + bounded buffers absorb drops), while a
-            # switch Reset needs Help/retransmit with a finite retry
-            # budget to refill the rounds it wiped.
-            recovery_timeout=(
-                config.resolved_recovery_timeout() if fault_armed else None
-            ),
-            max_recovery_attempts=12 if fault_armed else None,
             job=getattr(config, "job_id", 0),
             codec=_resolve_codec(config),
         )
@@ -570,8 +564,8 @@ class AsyncISwitch(ISwitchResetFault):
     # LGC thread
     # ------------------------------------------------------------------
     def _start_lgc(self, worker: SimWorker) -> None:
-        if self._done or worker.index in self._down:
-            return  # crashed: the loop restarts from fault_restore_worker
+        if self._done:
+            return
         index = worker.index
         tw = self._ts[index]
 
@@ -581,10 +575,6 @@ class AsyncISwitch(ISwitchResetFault):
                 self.staleness.record(ts - tw)
                 self.worker_commits[index] += 1
                 self.stream.submit(worker, gradient, ts)
-                if self._unanswered is not None:
-                    self._unanswered[index] += 1
-                    if self._unanswered[index] >= MAX_RECOVERY_ATTEMPTS:
-                        self._done = True  # run() reports the short replica
             else:
                 self.worker_skipped_commits[index] += 1
             self._start_lgc(worker)  # non-blocking commit: pipeline on
@@ -597,73 +587,6 @@ class AsyncISwitch(ISwitchResetFault):
             against=worker.algorithm.get_weights(),
             tw=tw,
         )
-
-    # ------------------------------------------------------------------
-    # Fault hooks (driven by repro.faults.FaultInjector)
-    # ------------------------------------------------------------------
-    def fault_crash_worker(self, worker: SimWorker) -> bool:
-        """Crash = real ``Leave`` + stop the LGC/LWU pipeline.
-
-        The switch re-derives H from the shrunk membership and sweeps
-        stranded rounds; the survivors continue — asynchronous training's
-        staleness-bounded continuation, with rounds now formed from one
-        fewer contribution.
-        """
-        if len(self.workers) - len(self._down) <= 1:
-            return False
-        if worker.index in self._down:
-            return False
-        self._down.add(worker.index)
-        self.clients[worker.index].leave()
-        if self.h > 1:
-            self.h -= 1  # future rounds sum one fewer gradient
-        return True
-
-    def fault_restore_worker(self, worker: SimWorker) -> bool:
-        from ..faults.resync import clone_training_state
-
-        if worker.index not in self._down:
-            return True
-        self._down.discard(worker.index)
-        source = next(
-            (
-                peer
-                for peer in self.workers
-                if peer.index != worker.index and peer.index not in self._down
-            ),
-            None,
-        )
-        if source is not None:
-            # Resync the replica to a live peer: weights, optimizer
-            # moments and target nets, plus the shared-iteration counter
-            # (the paper's decentralized weights only agree when every
-            # member applied the same broadcast stream; a rejoiner must
-            # adopt a live member's view wholesale).
-            clone_training_state(source.algorithm, worker.algorithm)
-            self._ts[worker.index] = self._ts[source.index]
-        self._last_update[worker.index] = self.sim.now
-        self.clients[worker.index].join()
-        self.h = min(len(self.workers), self.h + 1)
-        self._start_lgc(worker)
-        return True
-
-    def _round_abandoned(self, worker: SimWorker, round_index: int) -> None:
-        """Liveness backstop: a round this replica can never assemble.
-
-        The client exhausted ``max_recovery_attempts`` (Help went
-        unanswered — e.g. the result aged out of the switch cache during
-        a long loss burst).  Training termination is gated on
-        ``min(ts)``, so count the permanently missed update and move on;
-        the replica skips one broadcast (bounded divergence, same class
-        as async staleness) instead of stalling the whole run.
-        """
-        if self._done or worker.index in self._down:
-            return
-        self._ts[worker.index] += 1
-        self._last_update[worker.index] = self.sim.now
-        self.worker_updates_missed[worker.index] += 1
-        if min(self._ts) >= self.target_updates:
-            self._done = True
 
     # ------------------------------------------------------------------
     # LWU thread
@@ -681,8 +604,6 @@ class AsyncISwitch(ISwitchResetFault):
                 np.divide(summed, self.h, dtype=np.float64)
             )
             self._ts[worker.index] += 1
-            if self._unanswered is not None:
-                self._unanswered[worker.index] = 0
             worker.finish_iteration()
             telemetry = self.sim.telemetry
             if telemetry.enabled:

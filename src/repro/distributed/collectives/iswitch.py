@@ -77,7 +77,6 @@ class ISwitchStream:
         arrival_renumber: bool = False,
         buffer_rounds: Optional[int] = None,
         max_recovery_attempts: Optional[int] = None,
-        on_round_abandoned: Optional[Callable[[object, int], None]] = None,
         name: str = "iswitch_stream",
         job: int = 0,
         codec=None,
@@ -106,9 +105,9 @@ class ISwitchStream:
             engine = switch.jobs.get(job).engine
             # Help is only asked about a round some member still waits
             # for: synchronous members are at most one round apart,
-            # asynchronous ones at most the buffered window.  A cached
-            # result pins its round's whole buffer, so the cache is sized
-            # in rounds — two windows, because eviction halves it.
+            # windowed or asynchronous ones at most ``buffer_rounds``.  A
+            # cached result pins its round's whole buffer, so the cache is
+            # sized in rounds — two windows, because eviction halves it.
             engine.cache_size = self.plan.n_chunks * 2 * (buffer_rounds or 1)
             if arrival_renumber:
                 # Arrival-order renumbering gives the paper's true async
@@ -131,16 +130,11 @@ class ISwitchStream:
                 job=job,
                 codec=codec,
                 max_recovery_attempts=max_recovery_attempts,
-                on_round_abandoned=(
-                    None
-                    if on_round_abandoned is None
-                    else lambda rnd, w=worker_self: on_round_abandoned(w, rnd)
-                ),
             )
-            if recovery_timeout is None:
-                # No Help will ever complete a round that lost a chunk;
-                # past the engine's buffered window it is dead weight.
-                client.partial_window = buffer_rounds
+            # A relayed Help for any round in that window finds the
+            # contribution in the send log, which eviction halves too.
+            rounds = client.rounds
+            rounds.keep_sent = max(rounds.keep_sent, 2 * (buffer_rounds or 1))
             self.clients.append(client)
 
     # ------------------------------------------------------------------

@@ -231,6 +231,7 @@ def run(config: ExperimentConfig) -> TrainingResult:
     profile = config.resolved_profile()
     plan = config.resolved_fault_plan()
     hub = TelemetryHub() if config.telemetry else None
+    armed = config.resolved_recovery_timeout() is not None
     net, workers = build_cluster(
         config.n_workers,
         profile,
@@ -241,10 +242,14 @@ def run(config: ExperimentConfig) -> TrainingResult:
         workload=config.workload,
         algorithm_overrides=config.algorithm_overrides,
         loss_rate=config.loss_rate,
-        dedup=spec.requires_iswitch and (config.loss_rate > 0 or plan is not None),
+        dedup=spec.requires_iswitch and armed,
         telemetry=hub,
-        canonical=config.deterministic_aggregation and spec.requires_iswitch,
-        recovery_armed=config.resolved_recovery_timeout() is not None,
+        # Rank-order sums: the live switch's, and the only order in which a
+        # round re-made after loss sums to the bits it first had — which
+        # async-isw's decentralised replicas need (DESIGN §6.2).
+        canonical=spec.requires_iswitch
+        and (config.deterministic_aggregation or (armed and config.mode == "async")),
+        recovery_armed=armed,
         # fp32 resolves to None: the exact pre-codec datapath.
         codec=config.resolved_codec(),
     )

@@ -173,7 +173,8 @@ class SyncStrategy:
     # Fault hooks (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
     def _fault_admit(self, worker: SimWorker, iteration: int) -> bool:
-        """Gate on LGC start: False stops this worker's progression.
+        """Gate on LGC start: False holds this worker's next LGC back (the
+        rounds it already submitted are still applied as they land).
 
         The base (barrier) semantics of a crash are a *pause*: the worker
         defers its next iteration, the round barrier stalls every peer
@@ -206,22 +207,26 @@ class SyncStrategy:
     def _step(self, worker: SimWorker) -> None:
         """Advance one worker by at most one action — the windowed rule.
 
-        LGC ``k`` starts once exactly ``max(0, k - S)`` rounds are applied
-        (the live weights *are* the version the gradient must see) and
-        nothing else is in progress; otherwise the next round in order is
-        applied if its sum has landed.  Both re-enter here and draw their
-        durations as they are scheduled.  ``S = 0`` alternates LGC ``k`` /
-        LWU ``k``: synchronous training.
+        LGC ``k`` starts once ``max(0, k - S)`` rounds are applied (the
+        live weights *are* the version the gradient must see; more only
+        after a fault hook held it back) and nothing else is in progress;
+        otherwise the next round in order is applied if its sum has
+        landed.  Both re-enter here and draw their durations as they are
+        scheduled.  ``S = 0`` alternates LGC ``k`` / LWU ``k``:
+        synchronous training.
         """
         index = worker.index
         if self._busy[index]:
             return
         k = self._next_lgc[index]
         applied = self._applied[index]
-        if k < self.n_iterations and applied == max(0, k - self.staleness_bound):
-            if self._fault_admit(worker, k):
-                self._busy[index] = True
-                self._start_lgc(worker, k)
+        if (
+            k < self.n_iterations
+            and applied >= k - self.staleness_bound
+            and self._fault_admit(worker, k)
+        ):
+            self._busy[index] = True
+            self._start_lgc(worker, k)
         elif applied in self._inbox[index]:
             self._busy[index] = True
             self._start_lwu(worker, applied)
@@ -464,21 +469,6 @@ class HalvingDoublingAllReduce(_ExchangeAllReduce):
         )
 
 
-class ISwitchResetFault:
-    """One copy for both iSwitch runners (``net``, ``clients``, ``_down``)."""
-
-    def fault_reset_switch(self, switch) -> bool:
-        # Prefer a real Reset control packet from a live member of that
-        # switch; fall back to an out-of-band engine reset (models an
-        # operator reset of a switch none of our members sit under).
-        for index, tor in enumerate(self.net.tor_of_worker):
-            if tor.name == switch.name and index not in self._down:
-                self.clients[index].reset_switch()
-                return True
-        switch.engine.reset()
-        return True
-
-
 @register_strategy(
     "sync",
     "isw",
@@ -486,7 +476,7 @@ class ISwitchResetFault:
     supports_live=True,
     supports_multijob=True,
 )
-class SyncISwitch(ISwitchResetFault, SyncStrategy):
+class SyncISwitch(SyncStrategy):
     """Figure 1c: in-switch aggregation = one ``iswitch_stream``.
 
     Fault behaviour (the paper's membership management, §3.4): a worker
@@ -496,7 +486,9 @@ class SyncISwitch(ISwitchResetFault, SyncStrategy):
     contributors (the per-round divisor tracks membership).  Rejoin is a
     real ``Join`` plus replica resynchronization (weights *and*
     optimizer state cloned from a live peer) before the worker re-enters
-    the iteration loop.
+    the iteration loop.  Both hold under an open window (S > 0): the
+    crashing worker leaves once it has every round it submitted, and the
+    peer a rejoiner clones from first applies every round it submitted.
     """
 
     name = "sync-isw"
@@ -511,25 +503,34 @@ class SyncISwitch(ISwitchResetFault, SyncStrategy):
         max_recovery_attempts: Optional[int] = None,
         job: int = 0,
         codec=None,
+        staleness_bound: int = 0,
     ) -> None:
-        # _setup() runs inside the base __init__, so the timeout must be
-        # in place before delegating.
+        # _setup() runs inside the base __init__, so the timeout and the
+        # window must be in place before delegating.
         self.recovery_timeout = recovery_timeout
         self.max_recovery_attempts = max_recovery_attempts
         self.job = job
         self.codec = codec
+        self.staleness_bound = staleness_bound
         #: Membership-fault state: crashes waiting to take effect at the
-        #: target's next iteration boundary, currently-down workers, the
-        #: queue of rejoin requests, and the append-only
-        #: ``(first_iteration, contributor_count)`` divisor history.
+        #: target's next iteration boundary, currently-down workers, those
+        #: of them whose Leave waits on rounds in flight, the queue of
+        #: rejoin requests, and the append-only ``(first_iteration,
+        #: contributor_count)`` divisor history.
         self._pending_crash: Dict[int, bool] = {}
         self._down: set = set()
+        self._leaving: set = set()
         self._pending_rejoins: List[int] = []
         self._divisor_changes: List[tuple] = [(0, len(workers))]
+        #: Per worker: the rounds it skipped while down (a rejoin starts
+        #: at the live round).
+        self.worker_updates_missed = [0 for _ in workers]
         super().__init__(net, workers, profile, cost_model)
 
     @classmethod
-    def create(cls, net, workers, profile, config) -> "SyncISwitch":
+    def create(
+        cls, net, workers, profile, config, staleness_bound: int = 0
+    ) -> "SyncISwitch":
         return cls(
             net,
             workers,
@@ -539,6 +540,7 @@ class SyncISwitch(ISwitchResetFault, SyncStrategy):
             max_recovery_attempts=MAX_RECOVERY_ATTEMPTS,
             job=getattr(config, "job_id", 0),
             codec=_resolve_codec(config),
+            staleness_bound=staleness_bound,
         )
 
     def _setup(self) -> None:
@@ -548,6 +550,9 @@ class SyncISwitch(ISwitchResetFault, SyncStrategy):
             self.wire_bytes,
             on_round=lambda w, rnd, vec: self._deliver_sum(w, vec, rnd),
             recovery_timeout=self.recovery_timeout,
+            # A round up to S behind the newest one submitted can still
+            # miss a result chunk or a contribution.
+            buffer_rounds=self.staleness_bound + 1,
             max_recovery_attempts=self.max_recovery_attempts,
             job=self.job,
             codec=self.codec,
@@ -565,22 +570,32 @@ class SyncISwitch(ISwitchResetFault, SyncStrategy):
     # Fault hooks: real Leave/Join membership churn
     # ------------------------------------------------------------------
     def _fault_admit(self, worker, iteration: int) -> bool:
-        # Rejoins are applied at the first *live* worker's iteration
-        # boundary: at that instant every live worker is at iteration
-        # `iteration` or awaiting `iteration - 1`'s broadcast (workers
-        # are at most one round apart), so `iteration` is exactly the
-        # first round the rejoined member contributes to.
-        if self._pending_rejoins and worker.index not in self._down:
+        index = worker.index
+        # Every round this worker submitted is applied: its replica holds
+        # exactly the weights round `iteration` starts from, and no round
+        # from `iteration` on has its contribution.  At S = 0 this holds
+        # at every boundary.
+        drained = self._applied[index] == iteration
+        rejoin = self._pending_rejoins and not self._leaving
+        if rejoin and index not in self._down:
+            if not drained:
+                return False  # apply what is in flight, then clone
+            # Every live worker is at iteration `iteration` or has
+            # submitted past it, so `iteration` is exactly the first round
+            # the rejoined member contributes to.
             self._apply_rejoin(worker, iteration)
-        if worker.index in self._down:
-            return False  # crashed replica: restarted explicitly on rejoin
-        if self._pending_crash.pop(worker.index, None):
+        if self._pending_crash.pop(index, None):
             # Consumed at the crashing worker's own boundary, before it
             # drew this round's LGC duration or streamed anything for
-            # `iteration` — so the round completes cleanly with N−1.
-            self._apply_crash(worker, iteration)
-            return False
-        return True
+            # `iteration` — so rounds from `iteration` on complete with N−1.
+            self._down.add(index)
+            self._divisor_changes.append((iteration, self._active_count()))
+            self._leaving.add(index)
+        if index in self._leaving and drained:
+            # The rounds it submitted needed it as a member until here.
+            self._leaving.discard(index)
+            self.clients[index].leave()
+        return index not in self._down
 
     def _round_divisor(self, iteration: int) -> int:
         divisor = self._divisor_changes[0][1]
@@ -608,29 +623,39 @@ class SyncISwitch(ISwitchResetFault, SyncStrategy):
             self._pending_rejoins.append(worker.index)
         return True
 
-    def _apply_crash(self, worker, iteration: int) -> None:
-        self._down.add(worker.index)
-        self._divisor_changes.append((iteration, self._active_count()))
-        self.clients[worker.index].leave()
+    def fault_reset_switch(self, switch) -> bool:
+        # Prefer a real Reset control packet from a live member of that
+        # switch; fall back to an out-of-band engine reset (models an
+        # operator reset of a switch none of our members sit under).
+        for index, tor in enumerate(self.net.tor_of_worker):
+            if tor.name == switch.name and index not in self._down:
+                self.clients[index].reset_switch()
+                return True
+        switch.engine.reset()
+        return True
 
-    def _apply_rejoin(self, trigger, iteration: int) -> None:
+    def _resync(self, source, worker) -> None:
+        """A rejoiner adopts a live replica: weights + optimizer state
+        (+ target nets)."""
         from ..faults.resync import clone_training_state
 
+        clone_training_state(source.algorithm, worker.algorithm)
+
+    def _apply_rejoin(self, trigger, iteration: int) -> None:
         rejoining, self._pending_rejoins = self._pending_rejoins, []
         for index in rejoining:
             self._down.discard(index)
         self._divisor_changes.append((iteration, self._active_count()))
         for index in rejoining:
             worker = self.workers[index]
-            # The trigger just applied round `iteration - 1`, so its
-            # replica holds exactly the weights round `iteration` starts
-            # from; clone weights + optimizer state (+ target nets).
-            clone_training_state(trigger.algorithm, worker.algorithm)
+            # The trigger applied every round before `iteration`.
+            self._resync(trigger, worker)
             # The Join lands at the switch in microseconds — long before
             # any live worker's ~ms LGC for `iteration` finishes — so H
             # is back at full strength before round `iteration` can
             # complete short.
             self.clients[index].join()
+            self.worker_updates_missed[index] += iteration - self._applied[index]
             self._next_lgc[index] = self._applied[index] = iteration
             self._inbox[index].clear()
             self._step(worker)

@@ -20,38 +20,13 @@ from .live_wire import run_fleet
 CHAOS = "examples/chaos_demo.json"
 
 
-def _sim(strategy, n_workers, iterations, mode="sync", **extra):
+def _sim(strategy, n_workers, iterations, mode="sync", workload="synth", **extra):
     def go():
         return run(ExperimentConfig(
-            strategy=strategy, mode=mode, workload="synth",
+            strategy=strategy, mode=mode, workload=workload,
             n_workers=n_workers, iterations=iterations, seed=7, **extra,
         )).telemetry
     return go
-
-
-def _abandoned():
-    """Async iSwitch replicas that gave up on broadcasts (what a client
-    whose Help budget ran out reports): no cheap run reaches it."""
-    from repro.distributed.asynchronous import AsyncISwitch
-    from repro.distributed.runner import build_cluster
-    from repro.telemetry import TelemetryHub
-
-    config = ExperimentConfig(
-        strategy="isw", mode="async", workload="synth", n_workers=4,
-        iterations=4, seed=7, fault_plan=CHAOS,
-    )
-    hub = TelemetryHub()
-    profile = config.resolved_profile()
-    net, workers = build_cluster(
-        4, profile, with_server=False, use_iswitch=True, seed=7,
-        workload="synth", dedup=True, telemetry=hub, recovery_armed=True,
-    )
-    strategy = AsyncISwitch.create(net, workers, profile, config)
-    strategy.target_updates = 4
-    for worker, rounds in zip(workers, (0, 2, 1, 0)):
-        for round_index in range(rounds):
-            strategy._round_abandoned(worker, round_index)
-    return hub.snapshot()
 
 
 def _soak():
@@ -80,10 +55,14 @@ MATRIX = {
     "chaos-isw-n4": _sim("isw", 4, 8, fault_plan=CHAOS),
     "chaos-isw-n4-short": _sim("isw", 4, 1, fault_plan=CHAOS),
     "chaos-async-isw-n4": _sim("isw", 4, 12, mode="async", fault_plan=CHAOS),
+    # Long enough that the plan's crash lands mid-run: the rejoin skips
+    # rounds, which is what moves worker.updates_missed.
+    "chaos-async-isw-dqn-n4": _sim(
+        "isw", 4, 8, mode="async", workload="dqn", fault_plan=CHAOS
+    ),
     "chaos-ps-n4": _sim("ps", 4, 6, fault_plan=CHAOS),
     "chaos-async-ps-n4": _sim("ps", 4, 12, mode="async", fault_plan=CHAOS),
     "job5-isw-n4": _sim("isw", 4, 4, job_id=5),
-    "abandoned-async-isw-n4": _abandoned,
     "soak-j8": _soak,
     "live-isw-n4": _live("isw"),
     "live-ps-n4": _live("ps"),

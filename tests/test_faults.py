@@ -386,6 +386,11 @@ class TestConfigPlumbing:
             is not None
         )
 
+    def test_paced_async_ps_refuses_a_fault_plan(self):
+        with pytest.raises(ValueError, match="deterministic_aggregation.*fault_plan"):
+            run_cfg("async", "ps", plan=demo_plan(), iterations=2,
+                    deterministic_aggregation=True)
+
     def test_cli_fault_plan_flag(self, capsys):
         from repro.cli import main
 
@@ -555,6 +560,23 @@ class TestISwitchRecoveryScenarios:
         reference = result.workers[0].algorithm.get_weights()
         atol = 1e-3 if mode == "sync" else 2e-2
         np.testing.assert_allclose(weights, reference, atol=atol)
+
+    def test_burst_ends_without_a_help_storm(self):
+        """A 45% burst for 20 ms on async-isw: the emergent runner kept
+        the simulator running to 1.41 s on 314,354 Helps, most of them
+        sent after training ended."""
+        plan = FaultPlan(
+            [FaultEvent(1e-3, "link-burst", "*",
+                        {"loss": 0.45, "duration": 20e-3})]
+        )
+        result = run(ExperimentConfig(
+            strategy="isw", mode="async", workload="synth", n_workers=4,
+            iterations=12, seed=7, fault_plan=plan,
+        ))
+        assert result.fault_report.ok
+        assert [w.iterations_done for w in result.workers] == [12] * 4
+        assert result.elapsed < 0.1
+        assert result.telemetry.value("client.help_requests") < 10_000
 
     def test_sync_isw_crashed_worker_misses_iterations(self):
         # Crash consumed at worker1's ~180 ms boundary; the 250 ms outage
